@@ -4,9 +4,10 @@
 //! query count Q (Figure 18). This experiment runs the same workload on
 //! both sharding designs at S ∈ {1, 2, 4, 8} SMA shards:
 //!
-//! * `ParallelMonitor` — S full engine replicas: every arrival is
-//!   re-ingested S times and window+grid memory grows S-fold;
-//! * `SharedParallelMonitor` — one shared window+grid ingested once, with
+//! * `tkm_bench::replicated::ParallelMonitor` — S full engine replicas:
+//!   every arrival is re-ingested S times and window+grid memory grows
+//!   S-fold;
+//! * `tkm_core::Monitor` — one shared window+grid ingested once, with
 //!   per-query maintenance partitioned across S threads.
 //!
 //! Reported per design and S: per-run wall time, speedup over S=1, and
@@ -21,10 +22,11 @@
 
 use std::time::Instant;
 
+use tkm_bench::replicated::ParallelMonitor;
 use tkm_bench::table::{fmt_mb, fmt_secs};
 use tkm_bench::{cli, ExpParams, Scale, Table};
 use tkm_common::QueryId;
-use tkm_core::{GridSpec, ParallelMonitor, Query, SharedSmaMonitor, SmaMonitor};
+use tkm_core::{GridSpec, Query, SmaMonitor};
 use tkm_datagen::{QueryGen, StreamSim};
 use tkm_window::WindowSpec;
 
@@ -136,7 +138,7 @@ fn main() {
                     )
                 }
                 _ => {
-                    let mut m = SharedSmaMonitor::new(
+                    let mut m = SmaMonitor::with_shards(
                         p.dims,
                         WindowSpec::Count(p.n),
                         GridSpec::CellBudget(p.grid_cells),

@@ -48,7 +48,7 @@ pub struct RunMeasurement {
     /// From-scratch computations (TMA/SMA) or view refills (TSL) during
     /// the measured ticks.
     pub recomputations: u64,
-    /// Mean view (TSL) or skyband (SMA) size per query after the run.
+    /// Mean view (TSL) or band (TMA/SMA) size per query after the run.
     pub avg_view_len: f64,
 }
 
@@ -105,8 +105,8 @@ impl EngineBox {
     fn avg_view_len(&self) -> f64 {
         match self {
             EngineBox::Tsl(m) => m.avg_view_len(),
-            EngineBox::Sma(m) => m.avg_skyband_len(),
-            EngineBox::Tma(_) => 0.0,
+            EngineBox::Tma(m) => m.avg_band_len(),
+            EngineBox::Sma(m) => m.avg_band_len(),
         }
     }
 }

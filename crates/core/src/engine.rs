@@ -1,10 +1,11 @@
 //! The engine abstraction: one interface over TMA, SMA, TSL and the
 //! brute-force oracle.
 
+use crate::ingest::GridSpec;
+use crate::maintenance::QueryMaintenance;
+use crate::monitor::{Monitor, SmaMonitor, TmaMonitor};
 use crate::oracle::OracleMonitor;
 use crate::query::Query;
-use crate::sma::SmaMonitor;
-use crate::tma::{GridSpec, TmaMonitor};
 use tkm_common::{QueryId, Result, Scored, Timestamp, TkmError};
 use tkm_tsl::{KmaxPolicy, TslMonitor};
 use tkm_window::WindowSpec;
@@ -20,7 +21,8 @@ use tkm_window::WindowSpec;
 /// engine is plain owned data (custom scoring functions are already
 /// `Send + Sync` via [`tkm_common::ScoringFunction`]).
 pub trait ContinuousTopK: Send {
-    /// Engine name for reports ("TMA", "SMA", "TSL", "ORACLE").
+    /// Engine name for reports ("TMA", "SMA", "TSL", "ORACLE"; the grid
+    /// engines report "TMA-SHARED" / "SMA-SHARED" on several shards).
     fn name(&self) -> &'static str;
 
     /// Dimensionality of the monitored stream.
@@ -47,57 +49,30 @@ pub trait ContinuousTopK: Send {
     fn space_bytes(&self) -> usize;
 }
 
-impl ContinuousTopK for TmaMonitor {
+impl<M: QueryMaintenance> ContinuousTopK for Monitor<M> {
     fn name(&self) -> &'static str {
-        "TMA"
+        Monitor::name(self)
     }
     fn dims(&self) -> usize {
-        TmaMonitor::dims(self)
+        Monitor::dims(self)
     }
     fn register_query(&mut self, id: QueryId, query: Query) -> Result<()> {
-        TmaMonitor::register_query(self, id, query)
+        Monitor::register_query(self, id, query)
     }
     fn remove_query(&mut self, id: QueryId) -> Result<()> {
-        TmaMonitor::remove_query(self, id)
+        Monitor::remove_query(self, id)
     }
     fn tick(&mut self, now: Timestamp, arrivals: &[f64]) -> Result<()> {
-        TmaMonitor::tick(self, now, arrivals)
+        Monitor::tick(self, now, arrivals)
     }
     fn result(&self, id: QueryId) -> Result<Vec<Scored>> {
-        TmaMonitor::result(self, id).map(<[Scored]>::to_vec)
+        Monitor::result(self, id)
     }
     fn snapshot(&mut self, query: &Query) -> Result<Vec<Scored>> {
-        TmaMonitor::snapshot(self, query)
+        Monitor::snapshot(self, query)
     }
     fn space_bytes(&self) -> usize {
-        TmaMonitor::space_bytes(self)
-    }
-}
-
-impl ContinuousTopK for SmaMonitor {
-    fn name(&self) -> &'static str {
-        "SMA"
-    }
-    fn dims(&self) -> usize {
-        SmaMonitor::dims(self)
-    }
-    fn register_query(&mut self, id: QueryId, query: Query) -> Result<()> {
-        SmaMonitor::register_query(self, id, query)
-    }
-    fn remove_query(&mut self, id: QueryId) -> Result<()> {
-        SmaMonitor::remove_query(self, id)
-    }
-    fn tick(&mut self, now: Timestamp, arrivals: &[f64]) -> Result<()> {
-        SmaMonitor::tick(self, now, arrivals)
-    }
-    fn result(&self, id: QueryId) -> Result<Vec<Scored>> {
-        SmaMonitor::result(self, id)
-    }
-    fn snapshot(&mut self, query: &Query) -> Result<Vec<Scored>> {
-        SmaMonitor::snapshot(self, query)
-    }
-    fn space_bytes(&self) -> usize {
-        SmaMonitor::space_bytes(self)
+        Monitor::space_bytes(self)
     }
 }
 
@@ -178,17 +153,30 @@ pub enum EngineKind {
     Oracle,
 }
 
-/// Builds a boxed engine from the common configuration knobs.
+/// Builds a boxed engine from the common configuration knobs. `shards`
+/// partitions the queries of a grid engine (TMA/SMA) over that many
+/// maintenance threads; TSL and the oracle run unsharded only.
 pub fn build_engine(
     kind: EngineKind,
     dims: usize,
     window: WindowSpec,
     grid: GridSpec,
     kmax: KmaxPolicy,
+    shards: usize,
 ) -> Result<Box<dyn ContinuousTopK>> {
+    if shards == 0 {
+        return Err(TkmError::InvalidParameter(
+            "build_engine: at least one shard required".into(),
+        ));
+    }
     Ok(match kind {
-        EngineKind::Tma => Box::new(TmaMonitor::new(dims, window, grid)?),
-        EngineKind::Sma => Box::new(SmaMonitor::new(dims, window, grid)?),
+        EngineKind::Tma => Box::new(TmaMonitor::with_shards(dims, window, grid, shards)?),
+        EngineKind::Sma => Box::new(SmaMonitor::with_shards(dims, window, grid, shards)?),
+        EngineKind::Tsl | EngineKind::Oracle if shards > 1 => {
+            return Err(TkmError::Unsupported(
+                "query sharding requires a grid-based engine (TMA or SMA)".into(),
+            ))
+        }
         EngineKind::Tsl => Box::new(TslMonitor::new(dims, window, kmax)?),
         EngineKind::Oracle => Box::new(OracleMonitor::new(dims, window)?),
     })
@@ -216,6 +204,7 @@ mod tests {
                 WindowSpec::Count(6),
                 GridSpec::PerDim(4),
                 KmaxPolicy::Tuned,
+                1,
             )
             .unwrap()
         })
@@ -250,6 +239,7 @@ mod tests {
             WindowSpec::Count(4),
             GridSpec::default(),
             KmaxPolicy::Tuned,
+            1,
         )
         .unwrap();
         let r = Rect::new(vec![0.0, 0.0], vec![0.5, 0.5]).unwrap();

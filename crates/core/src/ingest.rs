@@ -14,10 +14,38 @@
 //! O(1) in the shard count, instead of the S-fold replication a
 //! replica-per-shard design pays.
 
-use crate::tma::GridSpec;
 use tkm_common::{Result, Timestamp, TkmError, TupleId};
 use tkm_grid::{CellId, CellMode, Grid};
 use tkm_window::{Window, WindowSpec};
+
+/// How the grid is dimensioned.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum GridSpec {
+    /// Approximately this many cells in total (`m = round(budget^(1/d))`
+    /// per axis) — the paper's sizing rule, default 12⁴.
+    CellBudget(usize),
+    /// Exactly this many cells per axis.
+    PerDim(usize),
+}
+
+impl GridSpec {
+    /// The paper's default budget of 12⁴ ≈ 20.7k cells.
+    pub const DEFAULT_BUDGET: usize = 20_736;
+
+    /// Builds the grid.
+    pub fn build(self, dims: usize, mode: CellMode) -> Result<Grid> {
+        match self {
+            GridSpec::CellBudget(b) => Grid::with_cell_budget(dims, b, mode),
+            GridSpec::PerDim(m) => Grid::new(dims, m, mode),
+        }
+    }
+}
+
+impl Default for GridSpec {
+    fn default() -> Self {
+        GridSpec::CellBudget(Self::DEFAULT_BUDGET)
+    }
+}
 
 /// Validates a flat arrival buffer against the workspace: the single
 /// entry-point check shared by every ingest path (the TMA/SMA monitors
@@ -412,10 +440,9 @@ mod tests {
     /// the same diagnostic.
     #[test]
     fn dims_mismatch_message_is_shared_across_engines() {
+        use crate::monitor::{SmaMonitor, TmaMonitor};
         use crate::oracle::OracleMonitor;
-        use crate::sma::SmaMonitor;
         use crate::threshold::ThresholdMonitor;
-        use crate::tma::TmaMonitor;
         use tkm_common::ScoreFn;
 
         let want = "tick: arrival buffer length 3 is not a multiple of dims 2";

@@ -11,10 +11,26 @@
 //!   minimal set of grid cells in descending `maxscore` order, streaming
 //!   points out of the grid's coordinate-inline cell blocks through the
 //!   dim-specialized **scoring kernels** ([`kernel`]);
-//! * **TMA** ([`tma::TmaMonitor`]) — exact top-k lists, recomputed from
-//!   scratch when results expire;
-//! * **SMA** ([`sma::SmaMonitor`]) — k-skyband maintenance in (score, time)
-//!   space that pre-computes future results and (nearly) never recomputes;
+//! * **one maintenance stage, two policies**
+//!   ([`maintenance::BandMaintenance`]): §5 reduces top-k monitoring to
+//!   k-skyband maintenance and §8's refill idea gives TMA a band too, so
+//!   both engines keep, per query, a skyband of the tuples at or above an
+//!   admission threshold and serve its k-prefix; the compile-time
+//!   [`maintenance::BandPolicy`] carries what differs:
+//!
+//!   | policy | band depth | tightening cap | labels |
+//!   |--------|------------|----------------|--------|
+//!   | **TMA** ([`TmaMonitor`]) | `tuned_kmax(k)` | `2·depth + 8` | `TMA` / `TMA-SHARED` |
+//!   | **SMA** ([`SmaMonitor`]) | `k` | never | `SMA` / `SMA-SHARED` |
+//!
+//!   Every band entry scores ≥ the admission threshold, so while the band
+//!   holds ≥ k entries its k-prefix is the exact top-k; a traversal is
+//!   needed only when a band drains below `k` (or outgrows its cap);
+//! * **one monitor sandwich** ([`monitor::Monitor`]): a shared **ingest
+//!   stage** ([`ingest::IngestState`] — one window + grid, populated once
+//!   per tick) under `S ≥ 1` shardable **query maintenance** stages
+//!   ([`maintenance::QueryMaintenance`]), replayed inline at `S = 1` and
+//!   from scoped threads above;
 //! * lazy **influence-list** book-keeping with frontier clean-up walks
 //!   ([`influence`]);
 //! * the §7 extensions: **constrained** top-k queries ([`query::Query`]),
@@ -25,11 +41,6 @@
 //!   engine trait ([`engine::ContinuousTopK`]) under which TMA, SMA, the
 //!   TSL baseline and the oracle are interchangeable — and verified to
 //!   report identical results;
-//! * the scale-out split: a shared **ingest stage**
-//!   ([`ingest::IngestState`] — one window + grid, populated once per
-//!   tick) under shardable **query maintenance**
-//!   ([`maintenance::QueryMaintenance`]), driven in parallel by
-//!   [`parallel::SharedParallelMonitor`];
 //! * a high-level [`server::MonitorServer`] facade, with per-tick result
 //!   deltas ([`result::ResultDelta`]) and per-query delta routing
 //!   ([`route::DeltaRouter`]) as the seam for serving layers such as the
@@ -41,18 +52,18 @@ pub mod influence;
 pub mod ingest;
 pub mod kernel;
 pub mod maintenance;
+pub mod monitor;
 pub mod oracle;
-pub mod parallel;
 pub mod piecewise;
 pub mod query;
 pub mod registry;
 pub mod result;
 pub mod route;
 pub mod server;
-pub mod sma;
 pub mod stats;
+#[cfg(test)]
+mod testutil;
 pub mod threshold;
-pub mod tma;
 pub mod update_stream;
 
 pub use compute::{
@@ -60,18 +71,19 @@ pub use compute::{
     GroupOutcome, InfluenceUpdate,
 };
 pub use engine::{build_engine, ContinuousTopK, EngineKind};
-pub use ingest::{IngestState, IngestStats};
-pub use maintenance::{QueryMaintenance, SmaMaintenance, TmaMaintenance};
+pub use ingest::{GridSpec, IngestState, IngestStats};
+pub use maintenance::{
+    BandMaintenance, BandPolicy, QueryMaintenance, SmaMaintenance, SmaPolicy, TmaMaintenance,
+    TmaPolicy,
+};
+pub use monitor::{Monitor, SmaMonitor, TmaMonitor};
 pub use oracle::OracleMonitor;
-pub use parallel::{ParallelMonitor, SharedParallelMonitor, SharedSmaMonitor, SharedTmaMonitor};
 pub use piecewise::{PiecewiseMonitor, PiecewiseQuery};
 pub use query::Query;
 pub use registry::QueryRegistry;
 pub use result::{ResultDelta, TopList};
 pub use route::DeltaRouter;
 pub use server::{MonitorServer, ServerConfig};
-pub use sma::SmaMonitor;
 pub use stats::EngineStats;
 pub use threshold::ThresholdMonitor;
-pub use tma::{GridSpec, TmaMonitor};
 pub use update_stream::{UpdateOp, UpdateStreamTma};

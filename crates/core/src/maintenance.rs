@@ -1,38 +1,53 @@
-//! Per-query maintenance stages, decoupled from tuple ingest.
+//! The per-query maintenance stage, decoupled from tuple ingest.
 //!
 //! A [`QueryMaintenance`] value owns everything that is *per-query*: the
-//! queries themselves, their result book-keeping (refill skybands for TMA,
-//! k-skybands for SMA), the influence lists covering them, and the
-//! traversal scratch. It never mutates the shared window or grid — every
-//! cycle it *replays* the event lists recorded by [`IngestState::ingest`]
-//! against an immutable `&IngestState` view. That is what makes the stage
-//! shardable: partition the queries over several `QueryMaintenance` values
-//! and run [`QueryMaintenance::apply_events`] on each from its own thread,
-//! all reading the same window and grid.
+//! queries themselves, their result book-keeping, the influence lists
+//! covering them, and the traversal scratch. It never mutates the shared
+//! window or grid — every cycle it *replays* the event lists recorded by
+//! [`IngestState::ingest`] against an immutable `&IngestState` view. That
+//! is what makes the stage shardable: [`crate::Monitor`] partitions the
+//! queries over several `QueryMaintenance` values and runs
+//! [`QueryMaintenance::apply_events`] on each from its own thread, all
+//! reading the same window and grid.
 //!
-//! [`TmaMaintenance`] and [`SmaMaintenance`] are the paper's two
-//! maintenance modules (Figures 9 and 11) restated over event lists; the
-//! single-engine monitors [`crate::TmaMonitor`] / [`crate::SmaMonitor`] are
-//! thin ingest+maintenance sandwiches, so the sharded and unsharded paths
-//! execute literally the same maintenance code.
+//! # One stage, two policies
 //!
-//! The recomputation path is tiered to kill the worst-tick cliff:
+//! The paper's §5 reduces top-k monitoring to k-skyband maintenance, and
+//! its §8 refill idea gives TMA a buffered band too, so TMA (Figure 9) and
+//! SMA (Figure 11) are the *same* algorithm at two band depths.
+//! [`BandMaintenance`] is that algorithm: each query keeps a
+//! [`Skyband`] of the tuples scoring at least its *admission threshold*
+//! (the depth-th score at the last from-scratch computation, −∞ while the
+//! window could not fill the band), and the band's k-prefix is the result.
+//! A compile-time [`BandPolicy`] carries the only things that differ:
 //!
-//! 1. **Skyband refill (default TMA configuration).** Each TMA query keeps
-//!    a `k_max`-skyband ([`tkm_skyband::tuned_kmax`] entries) instead of a
-//!    bare top-k list; its k-prefix *is* the result. Result expiries are
-//!    absorbed from the band without touching the grid, and a traversal is
-//!    needed only when the band itself drains below `k` — the paper §8
-//!    refill idea applied to the grid engines.
-//! 2. **Batched shared recomputation.** Queries that do fall back in the
-//!    same tick are grouped by per-axis monotonicity (constrained queries
+//! | policy | band depth | tightening cap (band size) | labels |
+//! |--------|------------|----------------------------|--------|
+//! | [`TmaPolicy`] | [`tuned_kmax`]`(k)` | `2·depth + 8` | `TMA` / `TMA-SHARED` |
+//! | [`SmaPolicy`] | `k` | never | `SMA` / `SMA-SHARED` |
+//!
+//! Exactness is a one-liner: the threshold is static between
+//! recomputations and every band entry scores ≥ it, so the band is the
+//! depth-skyband of *all* window tuples at or above the threshold, and
+//! while it holds ≥ k entries its k-prefix is the exact top-k. A query
+//! falls back to the computation module when
+//! `len < k && len < window.len()` (the band drained and the window could
+//! supply more) or `len > cap` (a band started over a sparse window admits
+//! generously; one traversal resets it to ~depth entries and raises the
+//! threshold — and, the threshold having been −∞, also sweeps the
+//! flood-sized influence region).
+//!
+//! The fallback is tiered to kill the worst-tick cliff:
+//!
+//! 1. **Batched shared recomputation.** Queries that fall back in the same
+//!    tick are grouped by per-axis monotonicity (constrained queries
 //!    recompute solo) and served by **one**
 //!    [`crate::compute::compute_topk_group`] grid traversal per group,
 //!    which scans each visited cell block once per member instead of
 //!    re-walking the grid per query. A synchronized expiry wave that
 //!    forces hundreds of queries to recompute costs one traversal, not
 //!    hundreds.
-//! 3. **Solo recomputation** remains as the fallback for constrained
+//! 2. **Solo recomputation** remains as the fallback for constrained
 //!    queries, singleton groups, and `set_batched_recompute(false)`.
 //!
 //! The replay loop is built for throughput:
@@ -48,8 +63,10 @@
 //!   listed query with that query's state hot in cache (the loop order is
 //!   cell → query → tuple) — replay scoring never resolves a tuple
 //!   through the window ring and never copies a coordinate;
-//! * the traversal heap and frontier live in [`ComputeScratch`], so
-//!   steady-state ticks allocate nothing.
+//! * the traversal heap, the frontier and a small pool of recycled result
+//!   lists live with the stage, so steady-state ticks allocate nothing;
+//! * the policy is a type parameter, monomorphised per engine: no runtime
+//!   branch on TMA-vs-SMA enters the loop.
 //!
 //! One deliberate difference from the interleaved originals: an arrival
 //! that expires within its own cycle (count window overrun by a burst) is
@@ -58,6 +75,8 @@
 //! never hides a result candidate, and the recompute-on-expiry path
 //! restores exactness for whatever the burst displaced — the differential
 //! suite pins sharded and unsharded results to the oracle either way.
+
+use std::marker::PhantomData;
 
 use crate::compute::{
     compute_topk, compute_topk_group, ComputeScratch, ComputeStats, GroupMember, GroupOutcome,
@@ -83,8 +102,10 @@ use tkm_window::Window;
 /// from scoped threads; the shared state they read is only borrowed
 /// immutably.
 pub trait QueryMaintenance: Send {
-    /// Label reported by a shared-ingest sharded monitor built on this
-    /// maintenance stage.
+    /// Label reported by an unsharded monitor built on this stage.
+    const LABEL: &'static str;
+
+    /// Label reported by a monitor running this stage on several shards.
     const SHARED_LABEL: &'static str;
 
     /// Creates an empty maintenance stage sized for `shared`'s grid.
@@ -110,12 +131,6 @@ pub trait QueryMaintenance: Send {
     /// One-shot top-k over the shared window, leaving no state behind.
     fn snapshot(&mut self, shared: &IngestState, query: &Query) -> Result<Vec<Scored>>;
 
-    /// Number of queries maintained by this stage.
-    fn query_count(&self) -> usize;
-
-    /// This stage's influence lists (read access, for diagnostics).
-    fn influence(&self) -> &InfluenceTable;
-
     /// Cumulative maintenance-side counters (stream-side counters live in
     /// [`IngestState::stats`]).
     fn stats(&self) -> EngineStats;
@@ -128,6 +143,58 @@ pub trait QueryMaintenance: Send {
     /// behaviour the differential suite compares the batched path against.
     fn set_batched_recompute(&mut self, on: bool);
 }
+
+/// What distinguishes the paper's two maintenance modules once both keep a
+/// band (see the module docs for the table).
+pub trait BandPolicy: Send {
+    /// Engine label, unsharded.
+    const LABEL: &'static str;
+    /// Engine label on several shards.
+    const SHARED_LABEL: &'static str;
+    /// Dominance parameter of the band kept for a top-`k` query.
+    fn depth(k: usize) -> usize;
+    /// Band size above which a healthy band is recomputed anyway to
+    /// tighten its admission threshold.
+    fn cap(depth: usize) -> usize;
+}
+
+/// TMA (paper Figure 9) in its skyband-refill configuration: a
+/// [`tuned_kmax`]-deep band absorbs result expiries without touching the
+/// grid, and a band past `2·depth + 8` entries is tightened.
+#[derive(Debug)]
+pub struct TmaPolicy;
+
+impl BandPolicy for TmaPolicy {
+    const LABEL: &'static str = "TMA";
+    const SHARED_LABEL: &'static str = "TMA-SHARED";
+    fn depth(k: usize) -> usize {
+        tuned_kmax(k)
+    }
+    fn cap(depth: usize) -> usize {
+        2 * depth + 8
+    }
+}
+
+/// SMA (paper Figure 11): the k-skyband itself, recomputed only on
+/// deficiency.
+#[derive(Debug)]
+pub struct SmaPolicy;
+
+impl BandPolicy for SmaPolicy {
+    const LABEL: &'static str = "SMA";
+    const SHARED_LABEL: &'static str = "SMA-SHARED";
+    fn depth(k: usize) -> usize {
+        k
+    }
+    fn cap(_depth: usize) -> usize {
+        usize::MAX
+    }
+}
+
+/// TMA maintenance: [`BandMaintenance`] under [`TmaPolicy`].
+pub type TmaMaintenance = BandMaintenance<TmaPolicy>;
+/// SMA maintenance: [`BandMaintenance`] under [`SmaPolicy`].
+pub type SmaMaintenance = BandMaintenance<SmaPolicy>;
 
 /// Cap on the member count of one shared recomputation traversal.
 ///
@@ -194,26 +261,17 @@ fn absorb_compute(stats: &mut EngineStats, cs: ComputeStats) {
 }
 
 #[derive(Debug)]
-struct TmaQuery {
+struct BandQuery {
     query: Query,
-    /// The `k_max` refill band; its `query.k`-prefix is the current
-    /// result. Keeping `k_max > k` candidates means result expiries are
-    /// refilled from the band instead of triggering a grid traversal.
+    /// The depth-skyband of the window tuples scoring ≥ `admit`; its
+    /// `query.k`-prefix is the current result.
     band: Skyband,
-    /// Dominance parameter of `band` ([`tuned_kmax`] of `query.k`).
-    kmax: usize,
-    /// Admission threshold: the `k_max`-th score at the last from-scratch
-    /// computation (−∞ while the window cannot fill the band). Every band
-    /// entry scores ≥ this, so while the band holds ≥ k entries its
-    /// prefix is provably the exact top-k.
-    ///
-    /// The threshold is *static between recomputations* (that is what
-    /// makes the exactness argument a one-liner), so a band started over a
-    /// sparse window admits generously until the next traversal tightens
-    /// it — see [`TmaMaintenance::fat_cap`].
+    /// Admission threshold: the depth-th score at the last from-scratch
+    /// computation (−∞ while the window cannot fill the band). Static
+    /// between recomputations — that is what makes the exactness argument
+    /// a one-liner (module docs).
     admit: f64,
-    /// Recycled top-list buffers for recomputations.
-    rec: TopList,
+    /// Whether the slot is already on this cycle's `affected` list.
     affected: bool,
     /// Monotone floor of [`ComputeOutcome::region_bound`] over the
     /// computations since the last *resync* (a traversal that underfilled
@@ -221,25 +279,58 @@ struct TmaQuery {
     /// carry the slot. Recomputations only lower it — a tightening
     /// traversal keeps the old superset listing instead of shrinking the
     /// region, so alternating thresholds stop churning the influence
-    /// lists (see [`TmaMaintenance::recompute`]).
+    /// lists (see [`reseed`]).
     ///
     /// [`ComputeOutcome::region_bound`]: crate::compute::ComputeOutcome
     region_bound: f64,
 }
 
-/// TMA maintenance (paper Figure 9) with `k_max` skyband refill as the
-/// default configuration: exact top-k prefixes served from a per-query
-/// refill band, from-scratch (and, when several queries fall back in one
-/// tick, *batched*) recomputation only when the band drains below `k`.
+/// Reseeds `st`'s band from a fresh computation and feeds the traversal's
+/// bound back. Returns whether this was a *resync*: the previous traversal
+/// underfilled the band (registration, or a window drained below the band
+/// depth), so the fresh bound is assigned and the caller must sweep the
+/// stale listing. Otherwise the region bound is a monotone floor: a
+/// tightening recomputation keeps the old, larger listing (a superset
+/// region is sound — arrivals in the extra cells fail the admission test,
+/// expirations miss the band — it only costs replay probes), so a
+/// threshold flip-flop between recomputations stops churning the
+/// influence lists.
+fn reseed(
+    st: &mut BandQuery,
+    seed: &mut Vec<Scored>,
+    top: &TopList,
+    boundary_ties: &[Scored],
+    region_bound: f64,
+) -> bool {
+    // Seed the band with the top-depth plus the candidates tying the
+    // depth-th score: a tie-loser outlives the tied band member and can
+    // enter a future result, so dropping it would lose exactness.
+    seed.clear();
+    seed.extend_from_slice(top.as_slice());
+    seed.extend_from_slice(boundary_ties);
+    st.band.rebuild(seed);
+    let resync = st.admit == f64::NEG_INFINITY;
+    st.admit = top.threshold();
+    st.region_bound = if resync {
+        region_bound
+    } else {
+        st.region_bound.min(region_bound)
+    };
+    resync
+}
+
+/// The one maintenance stage behind TMA and SMA (module docs): exact top-k
+/// prefixes served from a per-query band, from-scratch (and, when several
+/// queries fall back in one tick, *batched*) recomputation only when a
+/// band drains below `k` or outgrows its policy's cap.
 #[derive(Debug)]
-pub struct TmaMaintenance {
+pub struct BandMaintenance<P> {
     influence: InfluenceTable,
     scratch: ComputeScratch,
-    queries: QueryRegistry<TmaQuery>,
+    queries: QueryRegistry<BandQuery>,
     stats: EngineStats,
-    changed: Vec<QueryId>,
-    /// Reused per-tick scratch: slots whose band lost a tuple this cycle
-    /// (deduplicated via the per-query `affected` flag).
+    /// Reused per-tick scratch: slots whose band stored or lost a tuple
+    /// this cycle (deduplicated via the per-query `affected` flag).
     affected: Vec<QuerySlot>,
     batched: bool,
     /// Reused per-tick scratch of the batching machinery.
@@ -248,35 +339,25 @@ pub struct TmaMaintenance {
     outcomes: Vec<GroupOutcome>,
     group_slots: Vec<QuerySlot>,
     seed: Vec<Scored>,
+    /// Recycled result lists of past recomputations, shared by the whole
+    /// stage (at most one per member of a traversal, so ≤ `GROUP_CHUNK`).
+    recs: Vec<TopList>,
+    policy: PhantomData<P>,
 }
 
-impl TmaMaintenance {
-    /// The current top-k result of a query as a borrowed slice (the
-    /// k-prefix of its refill band).
-    pub fn result_slice(&self, id: QueryId) -> Result<&[Scored]> {
-        self.queries
-            .get(id)
-            .map(|q| q.band.prefix(q.query.k))
-            .ok_or(TkmError::UnknownQuery(id))
-    }
-
-    /// Registered query ids.
-    pub fn query_ids(&self) -> impl Iterator<Item = QueryId> + '_ {
-        self.queries.ids()
-    }
-
+impl<P: BandPolicy> BandMaintenance<P> {
     /// The dense slot of a live query — the index its influence-list
     /// entries carry (diagnostics).
     pub fn query_slot(&self, id: QueryId) -> Option<QuerySlot> {
         self.queries.slot_of(id)
     }
 
-    /// Queries whose result changed during the last cycle (sorted, deduped).
-    pub fn changed_queries(&self) -> &[QueryId] {
-        &self.changed
+    /// This stage's influence lists (read access, for diagnostics).
+    pub fn influence(&self) -> &InfluenceTable {
+        &self.influence
     }
 
-    /// Current refill-band size of a query (between `k` and ~`k_max`).
+    /// Current band size of a query (Table 2 reports SMA's average).
     pub fn band_len(&self, id: QueryId) -> Result<usize> {
         self.queries
             .get(id)
@@ -284,8 +365,14 @@ impl TmaMaintenance {
             .ok_or(TkmError::UnknownQuery(id))
     }
 
-    /// Runs the computation module for `slot` at `k_max` depth and
-    /// reseeds its refill band.
+    /// Sum of the band sizes over this stage's queries.
+    pub fn total_band_len(&self) -> usize {
+        self.queries.iter().map(|(_, q)| q.band.len()).sum()
+    }
+
+    /// Runs the computation module for `slot` at band depth and reseeds
+    /// its band.
+    #[allow(clippy::too_many_arguments)]
     // lint: hot-path
     fn recompute(
         influence: &mut InfluenceTable,
@@ -293,18 +380,10 @@ impl TmaMaintenance {
         shared: &IngestState,
         stats: &mut EngineStats,
         seed: &mut Vec<Scored>,
+        recs: &mut Vec<TopList>,
         slot: QuerySlot,
-        st: &mut TmaQuery,
+        st: &mut BandQuery,
     ) {
-        // Resync (assign the fresh bound and sweep the stale band) only
-        // when the previous traversal underfilled the band — registration,
-        // or a window drained below k_max. Otherwise the region bound is a
-        // monotone floor: a tightening recomputation keeps the old, larger
-        // listing (a superset region is sound — arrivals in the extra
-        // cells fail the admission test, expirations miss the band — it
-        // only costs replay probes), so a threshold flip-flop between
-        // recomputations stops churning the influence lists.
-        let resync = st.admit == f64::NEG_INFINITY;
         let out = compute_topk(
             shared.grid(),
             scratch,
@@ -314,25 +393,15 @@ impl TmaMaintenance {
                 listed_above: st.region_bound,
             }),
             &st.query.f,
-            st.kmax,
+            st.band.k(),
             st.query.constraint.as_ref(),
             true,
-            Some(std::mem::take(&mut st.rec)),
+            recs.pop(),
         );
         stats.recompute_queries += 1;
         stats.recompute_groups += 1;
         absorb_compute(stats, out.stats);
-        // Seed the band with the top-k_max plus the candidates tying the
-        // k_max-th score: a tie-loser outlives the tied band member and
-        // can enter a future result.
-        seed.clear();
-        seed.extend_from_slice(out.top.as_slice());
-        seed.extend_from_slice(&out.boundary_ties);
-        st.band.rebuild(seed);
-        st.admit = out.top.threshold();
-        st.rec = out.top;
-        if resync {
-            st.region_bound = out.region_bound;
+        if reseed(st, seed, &out.top, &out.boundary_ties, out.region_bound) {
             stats.cleanup_cells += cleanup_from_frontier(
                 shared.grid(),
                 influence,
@@ -341,46 +410,33 @@ impl TmaMaintenance {
                 &st.query.f,
                 st.query.constraint.as_ref(),
             );
-        } else {
-            st.region_bound = st.region_bound.min(out.region_bound);
         }
-    }
-
-    /// Band-size cap above which a *tightening* recomputation fires even
-    /// though the band is healthy. The admission threshold is static
-    /// between recomputations, so a query registered over a sparse window
-    /// (admit −∞) would otherwise admit every arrival forever and its
-    /// influence region would never shrink from the registration-time
-    /// flood. The cap bounds both: one traversal resets the band to
-    /// ~`k_max` entries and raises the threshold to the `k_max`-th score
-    /// (the admit-−∞ trigger also makes that traversal a *resync*, so the
-    /// flood-sized influence region is swept rather than floored).
-    fn fat_cap(kmax: usize) -> usize {
-        2 * kmax + 8
+        recs.push(out.top);
     }
 
     /// Whether `st` must fall back to a from-scratch computation: either
     /// the band can no longer serve an exact k-prefix while the window
     /// could supply more candidates (when the band holds the *whole*
-    /// window it is exact by construction, however small), or the band
-    /// outgrew [`Self::fat_cap`] and wants its threshold tightened.
-    fn needs_recompute(st: &TmaQuery, shared: &IngestState) -> bool {
-        (st.band.len() < st.query.k && st.band.len() < shared.window().len())
-            || st.band.len() > Self::fat_cap(st.kmax)
+    /// window it is exact by construction, however small — recomputing
+    /// every tick would be wasted work), or the band outgrew the policy's
+    /// cap and wants its threshold tightened.
+    fn needs_recompute(st: &BandQuery, shared: &IngestState) -> bool {
+        let len = st.band.len();
+        (len < st.query.k && len < shared.window().len()) || len > P::cap(st.band.k())
     }
 }
 
-impl QueryMaintenance for TmaMaintenance {
-    const SHARED_LABEL: &'static str = "TMA-SHARED";
+impl<P: BandPolicy> QueryMaintenance for BandMaintenance<P> {
+    const LABEL: &'static str = P::LABEL;
+    const SHARED_LABEL: &'static str = P::SHARED_LABEL;
 
-    fn new_for(shared: &IngestState) -> TmaMaintenance {
+    fn new_for(shared: &IngestState) -> Self {
         let cells = shared.grid().num_cells();
-        TmaMaintenance {
+        BandMaintenance {
             influence: InfluenceTable::new(cells),
             scratch: ComputeScratch::new(cells),
             queries: QueryRegistry::new(),
             stats: EngineStats::default(),
-            changed: Vec::new(),
             affected: Vec::new(),
             batched: true,
             pending: Vec::new(),
@@ -388,21 +444,20 @@ impl QueryMaintenance for TmaMaintenance {
             outcomes: Vec::new(),
             group_slots: Vec::new(),
             seed: Vec::new(),
+            recs: Vec::new(),
+            policy: PhantomData,
         }
     }
 
     fn register_query(&mut self, shared: &IngestState, id: QueryId, query: Query) -> Result<()> {
         check_dims(shared, &query)?;
-        let kmax = tuned_kmax(query.k);
-        let band = Skyband::new(kmax)?;
+        let band = Skyband::new(P::depth(query.k))?;
         let slot = self.queries.insert(
             id,
-            TmaQuery {
+            BandQuery {
                 query,
                 band,
-                kmax,
                 admit: f64::NEG_INFINITY,
-                rec: TopList::default(),
                 affected: false,
                 region_bound: f64::INFINITY,
             },
@@ -413,11 +468,11 @@ impl QueryMaintenance for TmaMaintenance {
             queries,
             stats,
             seed,
+            recs,
             ..
         } = self;
         let (_, st) = queries.slot_mut(slot);
-        st.rec = TopList::with_tie_tracking(st.kmax);
-        Self::recompute(influence, scratch, shared, stats, seed, slot, st);
+        Self::recompute(influence, scratch, shared, stats, seed, recs, slot, st);
         Ok(())
     }
 
@@ -436,14 +491,12 @@ impl QueryMaintenance for TmaMaintenance {
 
     // lint: hot-path
     fn apply_events(&mut self, shared: &IngestState) -> Result<()> {
-        self.changed.clear();
         let dims = shared.dims();
         let Self {
             influence,
             scratch,
             queries,
             stats,
-            changed,
             affected,
             batched,
             pending,
@@ -451,16 +504,18 @@ impl QueryMaintenance for TmaMaintenance {
             outcomes,
             group_slots,
             seed,
+            recs,
+            policy: _,
         } = self;
         affected.clear();
 
-        // ---- Pins (Figure 9, lines 3-7), inverted: cell → query → tuple.
-        // The run's packed coordinate block (the tail of the cell's own
-        // point block, still warm from ingest) streams through the scoring
-        // kernel once per listed query; no window resolution per tuple.
-        // Arrivals scoring at/above the admission threshold enter the
-        // refill band; they change the *visible* result only when they
-        // land inside the k-prefix.
+        // ---- Pins (Figure 9 lines 3-7, Figure 11 lines 4-11), inverted:
+        // cell → query → tuple. The run's packed coordinate block (the
+        // tail of the cell's own point block, still warm from ingest)
+        // streams through the scoring kernel once per listed query; no
+        // window resolution per tuple. Arrivals scoring at/above the
+        // admission threshold enter the band unless they already have
+        // `depth` dominators there.
         for (cell, ids) in shared.arrival_runs() {
             let slots = influence.as_slice(cell);
             if slots.is_empty() {
@@ -473,12 +528,10 @@ impl QueryMaintenance for TmaMaintenance {
             for &slot in slots {
                 stats.cell_probes += 1;
                 stats.tuple_probes += ids.len() as u64;
-                let (qid, st) = queries.slot_mut(slot);
-                let k = st.query.k;
+                let (_, st) = queries.slot_mut(slot);
                 let admit = st.admit;
                 let band = &mut st.band;
                 let mut stored = 0u64;
-                let mut visible = false;
                 kernel::scan_block(
                     &st.query.f,
                     dims,
@@ -486,32 +539,25 @@ impl QueryMaintenance for TmaMaintenance {
                     coords,
                     st.query.constraint.as_ref(),
                     |id, score| {
-                        if score >= admit {
-                            if let Some(pos) = band.insert(Scored::new(score, id)) {
-                                stored += 1;
-                                visible |= pos < k;
-                            }
+                        if score >= admit && band.insert(Scored::new(score, id)).is_some() {
+                            stored += 1;
                         }
                     },
                 );
                 if stored > 0 {
                     stats.result_updates += stored;
-                    // A band past the cap schedules a tightening
-                    // recomputation (checked with the deficient ones).
-                    if st.band.len() > Self::fat_cap(st.kmax) && !st.affected {
+                    if !st.affected {
                         st.affected = true;
                         affected.push(slot);
                     }
                 }
-                if visible {
-                    changed.push(qid);
-                }
             }
         }
 
-        // ---- Pdel (lines 8-11), same inversion; no coordinates needed.
-        // An expiry inside the band is absorbed by the refill: the next
-        // band entry slides into the k-prefix with no grid work at all.
+        // ---- Pdel (Figure 9 lines 8-11, Figure 11 lines 12-16), same
+        // inversion; no coordinates needed. An expiry inside the band is
+        // absorbed: the next band entry slides into the k-prefix with no
+        // grid work at all.
         //
         // A synchronized expiry wave turns the per-tuple replay quadratic:
         // the wave's tuples are the very top scorers, so every one of them
@@ -527,48 +573,34 @@ impl QueryMaintenance for TmaMaintenance {
         }
         if probes > 2 * queries.len() {
             let cutoff = shared.window().oldest().unwrap_or(TupleId(u64::MAX));
-            for (slot, qid, st) in queries.slots_mut() {
+            for (slot, _, st) in queries.slots_mut() {
                 stats.tuple_probes += 1;
-                if let Some(pos) = st.band.expire_before(cutoff) {
-                    if pos < st.query.k {
-                        changed.push(qid);
-                    }
-                    if !st.affected {
-                        st.affected = true;
-                        affected.push(slot);
-                    }
+                if st.band.expire_before(cutoff).is_some() && !st.affected {
+                    st.affected = true;
+                    affected.push(slot);
                 }
             }
         } else {
             for (cell, tuples) in shared.expiry_runs() {
                 for &slot in influence.as_slice(cell) {
                     stats.cell_probes += 1;
-                    let (qid, st) = queries.slot_mut(slot);
-                    let k = st.query.k;
+                    let (_, st) = queries.slot_mut(slot);
                     for &id in tuples {
                         stats.tuple_probes += 1;
-                        if let Some(pos) = st.band.expire(id) {
-                            if pos < k {
-                                changed.push(qid);
-                            }
-                            if !st.affected {
-                                st.affected = true;
-                                affected.push(slot);
-                            }
+                        if st.band.expire(id).is_some() && !st.affected {
+                            st.affected = true;
+                            affected.push(slot);
                         }
                     }
                 }
             }
         }
 
-        // ---- Fallback recomputation (lines 12-21) — only for queries
-        // whose band drained below k. Unconstrained fallbacks are grouped
-        // by monotonicity signature and served by one shared traversal
-        // per group; constrained ones (and singleton groups) go solo.
-        // (A recomputation never has to mark `changed` itself: a
-        // deficiency implies an expiry inside the k-prefix, which already
-        // pushed the query; a cap-tightening rebuild reproduces the exact
-        // prefix the band was already serving.)
+        // ---- Fallback recomputation (Figure 9 lines 12-21, Figure 11
+        // lines 17-22) — only for the affected queries `needs_recompute`
+        // selects. Unconstrained fallbacks are grouped by monotonicity
+        // signature and served by one shared traversal per group;
+        // constrained ones (and singleton groups) go solo.
         pending.clear();
         for &slot in affected.iter() {
             let (_, st) = queries.slot_mut(slot);
@@ -583,7 +615,7 @@ impl QueryMaintenance for TmaMaintenance {
                     OrderedF64::new(st.admit),
                 ));
             } else {
-                Self::recompute(influence, scratch, shared, stats, seed, slot, st);
+                Self::recompute(influence, scratch, shared, stats, seed, recs, slot, st);
             }
         }
 
@@ -605,16 +637,15 @@ impl QueryMaintenance for TmaMaintenance {
             if j - i == 1 {
                 let slot = pending[i].0;
                 let (_, st) = queries.slot_mut(slot);
-                Self::recompute(influence, scratch, shared, stats, seed, slot, st);
+                Self::recompute(influence, scratch, shared, stats, seed, recs, slot, st);
             } else {
                 members.clear();
                 // `group_slots` collects only the members that resync
                 // (previous traversal underfilled: admit −∞); everyone
                 // else keeps their superset listing (monotone region
-                // floor, see `recompute`) and needs no frontier sweep.
+                // floor, see `reseed`) and needs no frontier sweep.
                 group_slots.clear();
                 let mut walk_f: Option<ScoreFn> = None;
-                let mut total = 0u64;
                 for &(slot, _, _) in &pending[i..j] {
                     let (_, st) = queries.slot_mut(slot);
                     if walk_f.is_none() {
@@ -626,21 +657,20 @@ impl QueryMaintenance for TmaMaintenance {
                         slot,
                         // lint: allow(alloc, reason=one O(dims) coefficient copy per member per refill, amortised by the shared traversal)
                         f: st.query.f.clone(),
-                        k: st.kmax,
+                        k: st.band.k(),
                         listed_above: st.region_bound,
                         keep_superset: !resync,
                         track_ties: true,
-                        reuse: Some(std::mem::take(&mut st.rec)),
+                        reuse: recs.pop(),
                     });
                     if resync {
                         group_slots.push(slot);
                     }
-                    total += 1;
                 }
                 let gstats =
                     compute_topk_group(shared.grid(), scratch, influence, members, outcomes);
                 stats.recompute_groups += 1;
-                stats.recompute_queries += total;
+                stats.recompute_queries += (j - i) as u64;
                 absorb_compute(stats, gstats);
                 debug_assert!(walk_f.is_some() || group_slots.is_empty());
                 if let Some(walk) = walk_f.as_ref().filter(|_| !group_slots.is_empty()) {
@@ -654,493 +684,19 @@ impl QueryMaintenance for TmaMaintenance {
                 }
                 for out in outcomes.drain(..) {
                     let (_, st) = queries.slot_mut(out.slot);
-                    seed.clear();
-                    seed.extend_from_slice(out.top.as_slice());
-                    seed.extend_from_slice(&out.boundary_ties);
-                    st.band.rebuild(seed);
-                    let resync = st.admit == f64::NEG_INFINITY;
-                    st.admit = out.top.threshold();
-                    st.region_bound = if resync {
-                        out.region_bound
-                    } else {
-                        st.region_bound.min(out.region_bound)
-                    };
-                    st.rec = out.top;
+                    reseed(st, seed, &out.top, &out.boundary_ties, out.region_bound);
+                    recs.push(out.top);
                 }
             }
             i = j;
         }
-
-        self.changed.sort_unstable();
-        self.changed.dedup();
-        Ok(())
-    }
-
-    fn result(&self, id: QueryId) -> Result<Vec<Scored>> {
-        self.result_slice(id).map(<[Scored]>::to_vec)
-    }
-
-    fn snapshot(&mut self, shared: &IngestState, query: &Query) -> Result<Vec<Scored>> {
-        check_dims(shared, query)?;
-        let out = compute_topk(
-            shared.grid(),
-            &mut self.scratch,
-            None,
-            &query.f,
-            query.k,
-            query.constraint.as_ref(),
-            false,
-            None,
-        );
-        Ok(out.top.as_slice().to_vec())
-    }
-
-    fn query_count(&self) -> usize {
-        self.queries.len()
-    }
-
-    fn influence(&self) -> &InfluenceTable {
-        &self.influence
-    }
-
-    fn stats(&self) -> EngineStats {
-        self.stats
-    }
-
-    fn space_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.influence.space_bytes()
-            + self.scratch.space_bytes()
-            + self.queries.space_bytes()
-            + (self.changed.capacity() * std::mem::size_of::<QueryId>())
-            + (self.affected.capacity() * std::mem::size_of::<QuerySlot>())
-            + (self.pending.capacity() * std::mem::size_of::<(QuerySlot, u32, OrderedF64)>())
-            + (self.members.capacity() * std::mem::size_of::<GroupMember>())
-            + (self.outcomes.capacity() * std::mem::size_of::<GroupOutcome>())
-            + (self.group_slots.capacity() * std::mem::size_of::<QuerySlot>())
-            + (self.seed.capacity() * std::mem::size_of::<Scored>())
-            + self
-                .queries
-                .iter()
-                .map(|(_, q)| {
-                    std::mem::size_of::<TmaQuery>() + q.band.space_bytes() + q.rec.space_bytes()
-                })
-                .sum::<usize>()
-    }
-
-    fn set_batched_recompute(&mut self, on: bool) {
-        self.batched = on;
-    }
-}
-
-#[derive(Debug)]
-struct SmaQuery {
-    query: Query,
-    skyband: Skyband,
-    /// Monotone floor of [`ComputeOutcome::region_bound`] over the
-    /// computations since the last resync (see the TMA twin of this
-    /// field): cells with traversal keys strictly above this already
-    /// carry the slot.
-    ///
-    /// [`ComputeOutcome::region_bound`]: crate::compute::ComputeOutcome
-    region_bound: f64,
-    /// k-th score at the last from-scratch computation; the skyband
-    /// admission threshold (−∞ until the window holds k candidates).
-    top_score: f64,
-    touched: bool,
-}
-
-/// SMA maintenance (paper Figure 11): k-skyband upkeep in (score,
-/// expiry-time) space, recomputing only on deficiency — and, when several
-/// queries turn deficient in the same tick, recomputing them with one
-/// shared traversal per monotonicity group.
-#[derive(Debug)]
-pub struct SmaMaintenance {
-    influence: InfluenceTable,
-    scratch: ComputeScratch,
-    queries: QueryRegistry<SmaQuery>,
-    stats: EngineStats,
-    changed: Vec<QueryId>,
-    /// Reused per-tick scratch: slots whose skyband was touched this cycle
-    /// (deduplicated via the per-query `touched` flag).
-    affected: Vec<QuerySlot>,
-    batched: bool,
-    /// Reused per-tick scratch of the batching machinery.
-    pending: Vec<(QuerySlot, u32, OrderedF64)>,
-    members: Vec<GroupMember>,
-    outcomes: Vec<GroupOutcome>,
-    group_slots: Vec<QuerySlot>,
-    seed: Vec<Scored>,
-}
-
-impl SmaMaintenance {
-    /// Runs the computation module for `slot` and reseeds its skyband.
-    // lint: hot-path
-    fn recompute(
-        influence: &mut InfluenceTable,
-        scratch: &mut ComputeScratch,
-        shared: &IngestState,
-        stats: &mut EngineStats,
-        seed: &mut Vec<Scored>,
-        slot: QuerySlot,
-        st: &mut SmaQuery,
-    ) {
-        // Monotone region floor, as in the TMA engine: resync (assign the
-        // fresh bound, sweep the stale band) only when the previous
-        // traversal underfilled the skyband; otherwise keep the superset
-        // listing and floor the bound.
-        let resync = st.top_score == f64::NEG_INFINITY;
-        let out = compute_topk(
-            shared.grid(),
-            scratch,
-            Some(InfluenceUpdate {
-                table: influence,
-                slot,
-                listed_above: st.region_bound,
-            }),
-            &st.query.f,
-            st.query.k,
-            st.query.constraint.as_ref(),
-            true,
-            None,
-        );
-        stats.recompute_queries += 1;
-        stats.recompute_groups += 1;
-        absorb_compute(stats, out.stats);
-        // Seed the skyband with the top-k plus the candidates tying the
-        // k-th score: a tie-loser outlives the tied result member and can
-        // enter a future result, so dropping it would lose exactness.
-        seed.clear();
-        seed.extend_from_slice(out.top.as_slice());
-        seed.extend_from_slice(&out.boundary_ties);
-        st.skyband.rebuild(seed);
-        st.top_score = out.top.threshold();
-        if resync {
-            st.region_bound = out.region_bound;
-            stats.cleanup_cells += cleanup_from_frontier(
-                shared.grid(),
-                influence,
-                scratch,
-                slot,
-                &st.query.f,
-                st.query.constraint.as_ref(),
-            );
-        } else {
-            st.region_bound = st.region_bound.min(out.region_bound);
-        }
-    }
-
-    /// Current skyband size of a query (Table 2 reports its average).
-    pub fn skyband_len(&self, id: QueryId) -> Result<usize> {
-        self.queries
-            .get(id)
-            .map(|q| q.skyband.len())
-            .ok_or(TkmError::UnknownQuery(id))
-    }
-
-    /// Mean skyband size across queries.
-    pub fn avg_skyband_len(&self) -> f64 {
-        if self.queries.is_empty() {
-            return 0.0;
-        }
-        self.queries
-            .iter()
-            .map(|(_, q)| q.skyband.len())
-            .sum::<usize>() as f64
-            / self.queries.len() as f64
-    }
-
-    /// Registered query ids.
-    pub fn query_ids(&self) -> impl Iterator<Item = QueryId> + '_ {
-        self.queries.ids()
-    }
-
-    /// The dense slot of a live query — the index its influence-list
-    /// entries carry (diagnostics).
-    pub fn query_slot(&self, id: QueryId) -> Option<QuerySlot> {
-        self.queries.slot_of(id)
-    }
-
-    /// Queries whose skyband changed during the last cycle (sorted,
-    /// deduped).
-    pub fn changed_queries(&self) -> &[QueryId] {
-        &self.changed
-    }
-}
-
-impl QueryMaintenance for SmaMaintenance {
-    const SHARED_LABEL: &'static str = "SMA-SHARED";
-
-    fn new_for(shared: &IngestState) -> SmaMaintenance {
-        let cells = shared.grid().num_cells();
-        SmaMaintenance {
-            influence: InfluenceTable::new(cells),
-            scratch: ComputeScratch::new(cells),
-            queries: QueryRegistry::new(),
-            stats: EngineStats::default(),
-            changed: Vec::new(),
-            affected: Vec::new(),
-            batched: true,
-            pending: Vec::new(),
-            members: Vec::new(),
-            outcomes: Vec::new(),
-            group_slots: Vec::new(),
-            seed: Vec::new(),
-        }
-    }
-
-    fn register_query(&mut self, shared: &IngestState, id: QueryId, query: Query) -> Result<()> {
-        check_dims(shared, &query)?;
-        let skyband = Skyband::new(query.k)?;
-        let slot = self.queries.insert(
-            id,
-            SmaQuery {
-                skyband,
-                query,
-                region_bound: f64::INFINITY,
-                top_score: f64::NEG_INFINITY,
-                touched: false,
-            },
-        )?;
-        let Self {
-            influence,
-            scratch,
-            queries,
-            stats,
-            seed,
-            ..
-        } = self;
-        let (_, st) = queries.slot_mut(slot);
-        Self::recompute(influence, scratch, shared, stats, seed, slot, st);
-        Ok(())
-    }
-
-    fn remove_query(&mut self, shared: &IngestState, id: QueryId) -> Result<()> {
-        let (slot, st) = self.queries.remove(id)?;
-        self.stats.cleanup_cells += remove_query_walk(
-            shared.grid(),
-            &mut self.influence,
-            &mut self.scratch,
-            slot,
-            &st.query.f,
-            st.query.constraint.as_ref(),
-        );
-        Ok(())
-    }
-
-    // lint: hot-path
-    fn apply_events(&mut self, shared: &IngestState) -> Result<()> {
-        self.changed.clear();
-        let dims = shared.dims();
-        let Self {
-            influence,
-            scratch,
-            queries,
-            stats,
-            changed,
-            affected,
-            batched,
-            pending,
-            members,
-            outcomes,
-            group_slots,
-            seed,
-        } = self;
-        affected.clear();
-
-        // ---- Pins (Figure 11, lines 4-11), inverted: cell → query →
-        // tuple; the run's coordinate block (the tail of the cell's own
-        // point block) streams through the scoring kernel once per listed
-        // query.
-        for (cell, ids) in shared.arrival_runs() {
-            let slots = influence.as_slice(cell);
-            if slots.is_empty() {
-                continue;
-            }
-            let Some(ids) = live_suffix(shared.window(), ids) else {
-                continue;
-            };
-            let coords = shared.arrival_run_coords(cell, ids.len());
-            for &slot in slots {
-                stats.cell_probes += 1;
-                stats.tuple_probes += ids.len() as u64;
-                let (_, st) = queries.slot_mut(slot);
-                let admit = st.top_score;
-                let skyband = &mut st.skyband;
-                let mut inserted = 0u64;
-                kernel::scan_block(
-                    &st.query.f,
-                    dims,
-                    ids,
-                    coords,
-                    st.query.constraint.as_ref(),
-                    |id, score| {
-                        if score >= admit {
-                            skyband.insert(Scored::new(score, id));
-                            inserted += 1;
-                        }
-                    },
-                );
-                if inserted > 0 {
-                    stats.result_updates += inserted;
-                    if !st.touched {
-                        st.touched = true;
-                        affected.push(slot);
-                    }
-                }
-            }
-        }
-
-        // ---- Pdel (lines 12-16) ----
-        // Same mass-expiry escape hatch as TMA: when a synchronized wave
-        // would probe more (cell, query, tuple) triples than there are
-        // queries, sweep each skyband once against the oldest live id
-        // instead of replaying tuple by tuple.
-        let mut probes = 0usize;
-        for (cell, tuples) in shared.expiry_runs() {
-            probes += influence.as_slice(cell).len() * tuples.len();
-        }
-        if probes > 2 * queries.len() {
-            let cutoff = shared.window().oldest().unwrap_or(TupleId(u64::MAX));
-            for (slot, _, st) in queries.slots_mut() {
-                stats.tuple_probes += 1;
-                if st.skyband.expire_before(cutoff).is_some() && !st.touched {
-                    st.touched = true;
-                    affected.push(slot);
-                }
-            }
-        } else {
-            for (cell, tuples) in shared.expiry_runs() {
-                for &slot in influence.as_slice(cell) {
-                    stats.cell_probes += 1;
-                    let (_, st) = queries.slot_mut(slot);
-                    for &id in tuples {
-                        stats.tuple_probes += 1;
-                        if st.skyband.expire(id).is_some() && !st.touched {
-                            st.touched = true;
-                            affected.push(slot);
-                        }
-                    }
-                }
-            }
-        }
-
-        // ---- Deficiency handling (lines 17-22) ----
-        // Recompute only if the skyband lost too many entries AND the
-        // window could supply more (a window smaller than k can never
-        // fill the band — recomputing every tick would be wasted work,
-        // and the influence lists already cover the whole grid then).
-        // Unconstrained deficient queries are grouped by monotonicity
-        // signature and recomputed with one shared traversal per group.
-        pending.clear();
-        for &slot in affected.iter() {
-            let (qid, st) = queries.slot_mut(slot);
-            st.touched = false;
-            if st.skyband.is_deficient() && st.skyband.len() < shared.window().len() {
-                if *batched && st.query.constraint.is_none() {
-                    pending.push((
-                        slot,
-                        mono_signature(&st.query.f, dims),
-                        OrderedF64::new(st.top_score),
-                    ));
-                } else {
-                    Self::recompute(influence, scratch, shared, stats, seed, slot, st);
-                }
-            }
-            changed.push(qid);
-        }
-
-        pending.sort_unstable_by_key(|&(slot, sig, depth)| (sig, std::cmp::Reverse(depth), slot.0));
-        let mut i = 0;
-        while i < pending.len() {
-            let sig = pending[i].1;
-            let mut sig_end = i + 1;
-            while sig_end < pending.len() && pending[sig_end].1 == sig {
-                sig_end += 1;
-            }
-            // One traversal per GROUP_CHUNK members, sliced off the
-            // signature run in descending-threshold order: a shared
-            // traversal costs O(members x envelope cells), and mixing a
-            // deep (stale or deficient) member into a shallow group makes
-            // every member pay its envelope. Depth-sorted chunks keep
-            // each traversal as shallow as its own members need.
-            let j = sig_end.min(i + GROUP_CHUNK);
-            if j - i == 1 {
-                let slot = pending[i].0;
-                let (_, st) = queries.slot_mut(slot);
-                Self::recompute(influence, scratch, shared, stats, seed, slot, st);
-            } else {
-                members.clear();
-                // As in the TMA engine: `group_slots` collects only the
-                // resyncing members; the rest keep their superset listing
-                // (monotone region floor) and skip the frontier sweep.
-                group_slots.clear();
-                let mut walk_f: Option<ScoreFn> = None;
-                let mut total = 0u64;
-                for &(slot, _, _) in &pending[i..j] {
-                    let (_, st) = queries.slot_mut(slot);
-                    if walk_f.is_none() {
-                        // lint: allow(alloc, reason=one O(dims) coefficient copy per refill group, amortised by the traversal it seeds)
-                        walk_f = Some(st.query.f.clone());
-                    }
-                    let resync = st.top_score == f64::NEG_INFINITY;
-                    members.push(GroupMember {
-                        slot,
-                        // lint: allow(alloc, reason=one O(dims) coefficient copy per member per refill, amortised by the shared traversal)
-                        f: st.query.f.clone(),
-                        k: st.query.k,
-                        listed_above: st.region_bound,
-                        keep_superset: !resync,
-                        track_ties: true,
-                        reuse: None,
-                    });
-                    if resync {
-                        group_slots.push(slot);
-                    }
-                    total += 1;
-                }
-                let gstats =
-                    compute_topk_group(shared.grid(), scratch, influence, members, outcomes);
-                stats.recompute_groups += 1;
-                stats.recompute_queries += total;
-                absorb_compute(stats, gstats);
-                debug_assert!(walk_f.is_some() || group_slots.is_empty());
-                if let Some(walk) = walk_f.as_ref().filter(|_| !group_slots.is_empty()) {
-                    stats.cleanup_cells += cleanup_group_from_frontier(
-                        shared.grid(),
-                        influence,
-                        scratch,
-                        group_slots,
-                        walk,
-                    );
-                }
-                for out in outcomes.drain(..) {
-                    let (_, st) = queries.slot_mut(out.slot);
-                    seed.clear();
-                    seed.extend_from_slice(out.top.as_slice());
-                    seed.extend_from_slice(&out.boundary_ties);
-                    st.skyband.rebuild(seed);
-                    let resync = st.top_score == f64::NEG_INFINITY;
-                    st.top_score = out.top.threshold();
-                    st.region_bound = if resync {
-                        out.region_bound
-                    } else {
-                        st.region_bound.min(out.region_bound)
-                    };
-                }
-            }
-            i = j;
-        }
-
-        self.changed.sort_unstable();
-        self.changed.dedup();
         Ok(())
     }
 
     fn result(&self, id: QueryId) -> Result<Vec<Scored>> {
         self.queries
             .get(id)
-            .map(|q| q.skyband.top_scored().to_vec())
+            .map(|q| q.band.prefix(q.query.k).to_vec())
             .ok_or(TkmError::UnknownQuery(id))
     }
 
@@ -1159,14 +715,6 @@ impl QueryMaintenance for SmaMaintenance {
         Ok(out.top.as_slice().to_vec())
     }
 
-    fn query_count(&self) -> usize {
-        self.queries.len()
-    }
-
-    fn influence(&self) -> &InfluenceTable {
-        &self.influence
-    }
-
     fn stats(&self) -> EngineStats {
         self.stats
     }
@@ -1176,17 +724,18 @@ impl QueryMaintenance for SmaMaintenance {
             + self.influence.space_bytes()
             + self.scratch.space_bytes()
             + self.queries.space_bytes()
-            + (self.changed.capacity() * std::mem::size_of::<QueryId>())
             + (self.affected.capacity() * std::mem::size_of::<QuerySlot>())
             + (self.pending.capacity() * std::mem::size_of::<(QuerySlot, u32, OrderedF64)>())
             + (self.members.capacity() * std::mem::size_of::<GroupMember>())
             + (self.outcomes.capacity() * std::mem::size_of::<GroupOutcome>())
             + (self.group_slots.capacity() * std::mem::size_of::<QuerySlot>())
             + (self.seed.capacity() * std::mem::size_of::<Scored>())
+            + ((self.recs.capacity() - self.recs.len()) * std::mem::size_of::<TopList>())
+            + self.recs.iter().map(TopList::space_bytes).sum::<usize>()
             + self
                 .queries
                 .iter()
-                .map(|(_, q)| std::mem::size_of::<SmaQuery>() + q.skyband.space_bytes())
+                .map(|(_, q)| std::mem::size_of::<BandQuery>() + q.band.space_bytes())
                 .sum::<usize>()
     }
 

@@ -277,22 +277,11 @@ impl<E: ContinuousTopK> PiecewiseMonitor<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sma::SmaMonitor;
-    use crate::tma::{GridSpec, TmaMonitor};
+    use crate::ingest::GridSpec;
+    use crate::monitor::{SmaMonitor, TmaMonitor};
+    use crate::testutil::lcg_stream;
     use tkm_common::TupleId;
     use tkm_window::WindowSpec;
-
-    fn lcg_stream(seed: u64, n: usize, dims: usize) -> Vec<f64> {
-        let mut state = seed.wrapping_mul(2862933555777941757).wrapping_add(1);
-        let mut out = Vec::with_capacity(n * dims);
-        for _ in 0..n * dims {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            out.push(((state >> 11) as f64 / (1u64 << 53) as f64).clamp(0.0, 1.0));
-        }
-        out
-    }
 
     fn brute_knn(window: &tkm_window::Window, center: &[f64], k: usize) -> Vec<Scored> {
         let mut all: Vec<Scored> = window

@@ -7,10 +7,9 @@
 use std::collections::BTreeMap;
 
 use crate::engine::{build_engine, ContinuousTopK, EngineKind};
-use crate::parallel::{SharedSmaMonitor, SharedTmaMonitor};
+use crate::ingest::GridSpec;
 use crate::query::Query;
 use crate::result::ResultDelta;
-use crate::tma::GridSpec;
 use tkm_common::{QueryId, Result, Scored, Timestamp, TkmError};
 use tkm_tsl::KmaxPolicy;
 use tkm_window::WindowSpec;
@@ -28,10 +27,9 @@ pub struct ServerConfig {
     pub engine: EngineKind,
     /// `kmax` policy (TSL only).
     pub kmax: KmaxPolicy,
-    /// Query-maintenance shards. `1` runs the plain single-threaded
-    /// engine; `> 1` routes TMA/SMA through a
-    /// [`crate::parallel::SharedParallelMonitor`]: one shared window +
-    /// grid, queries partitioned across `shards` threads.
+    /// Query-maintenance shards of a [`crate::Monitor`] (TMA/SMA): one
+    /// shared window + grid, queries partitioned across `shards` threads;
+    /// `1` replays inline on the caller's thread.
     pub shards: usize,
     /// Whether per-tick result-change reporting starts enabled (see
     /// [`MonitorServer::enable_delta_tracking`]). Serving layers that fan
@@ -100,27 +98,9 @@ pub struct MonitorServer {
 impl MonitorServer {
     /// Builds a server from its configuration.
     pub fn new(cfg: ServerConfig) -> Result<MonitorServer> {
-        let engine: Box<dyn ContinuousTopK> = match cfg.shards {
-            0 => {
-                return Err(TkmError::InvalidParameter(
-                    "ServerConfig: at least one shard required".into(),
-                ))
-            }
-            1 => build_engine(cfg.engine, cfg.dims, cfg.window, cfg.grid, cfg.kmax)?,
-            s => match cfg.engine {
-                EngineKind::Tma => {
-                    Box::new(SharedTmaMonitor::new(cfg.dims, cfg.window, cfg.grid, s)?)
-                }
-                EngineKind::Sma => {
-                    Box::new(SharedSmaMonitor::new(cfg.dims, cfg.window, cfg.grid, s)?)
-                }
-                EngineKind::Tsl | EngineKind::Oracle => {
-                    return Err(TkmError::Unsupported(
-                        "query sharding requires a grid-based engine (TMA or SMA)".into(),
-                    ))
-                }
-            },
-        };
+        let engine = build_engine(
+            cfg.engine, cfg.dims, cfg.window, cfg.grid, cfg.kmax, cfg.shards,
+        )?;
         let mut server = MonitorServer {
             engine,
             config: cfg,
@@ -135,7 +115,8 @@ impl MonitorServer {
         Ok(server)
     }
 
-    /// The engine in use ("TMA", "SMA", "TSL", "ORACLE").
+    /// The engine in use ("TMA", "SMA", "TSL", "ORACLE", or
+    /// "TMA-SHARED" / "SMA-SHARED" on several shards).
     pub fn engine_name(&self) -> &'static str {
         self.engine.name()
     }
@@ -304,13 +285,21 @@ mod tests {
 
     #[test]
     fn sharding_validation() {
-        assert!(MonitorServer::new(ServerConfig::sma(2, 10).with_shards(0)).is_err());
-        assert!(MonitorServer::new(
-            ServerConfig::sma(2, 10)
-                .with_engine(EngineKind::Tsl)
-                .with_shards(2)
-        )
-        .is_err());
+        assert!(matches!(
+            MonitorServer::new(ServerConfig::sma(2, 10).with_shards(0)),
+            Err(TkmError::InvalidParameter(_))
+        ));
+        for engine in [EngineKind::Tsl, EngineKind::Oracle] {
+            let cfg = ServerConfig::sma(2, 10).with_engine(engine);
+            assert!(matches!(
+                MonitorServer::new(cfg.with_shards(0)),
+                Err(TkmError::InvalidParameter(_))
+            ));
+            assert!(matches!(
+                MonitorServer::new(cfg.with_shards(2)),
+                Err(TkmError::Unsupported(_))
+            ));
+        }
         assert!(MonitorServer::new(
             ServerConfig::sma(2, 10)
                 .with_engine(EngineKind::Tma)

@@ -32,8 +32,8 @@ pub struct EngineStats {
     pub heap_pushes: u64,
     /// Cells visited by influence-list clean-up walks.
     pub cleanup_cells: u64,
-    /// Arrivals that updated some query's result book-keeping
-    /// (top-list insertions for TMA, skyband insertions for SMA).
+    /// Arrivals a query's band *kept*: admitted by the threshold and not
+    /// already dominated `depth` times on arrival.
     pub result_updates: u64,
     /// Per-(cell run × query) influence-list probes: how often a query was
     /// pulled out of a cell's influence list during event replay. With
@@ -74,14 +74,6 @@ impl EngineStats {
         self.result_updates += other.result_updates;
         self.cell_probes += other.cell_probes;
         self.tuple_probes += other.tuple_probes;
-    }
-
-    /// The paper's per-(tuple × query) influence-probe count (kept as a
-    /// method so callers of the pre-split `influence_probes` field read
-    /// the same quantity).
-    #[inline]
-    pub fn influence_probes(&self) -> u64 {
-        self.tuple_probes
     }
 
     /// Per-query recomputations, summed over queries (kept as a method so

@@ -7,10 +7,9 @@
 //! order is irrelevant) and never recomputed; and maintenance merely
 //! reports arrivals/expiries of qualifying tuples.
 
-use crate::ingest::validate_arrivals;
+use crate::ingest::{validate_arrivals, GridSpec};
 use crate::kernel;
 use crate::registry::QueryRegistry;
-use crate::tma::GridSpec;
 use tkm_common::{FxHashSet, QueryId, Result, ScoreFn, Scored, Timestamp, TkmError, TupleId};
 use tkm_grid::{CellMode, Grid, InfluenceTable, VisitStamps};
 use tkm_window::{Window, WindowSpec};
@@ -263,18 +262,7 @@ impl ThresholdMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn lcg_stream(seed: u64, n: usize, dims: usize) -> Vec<f64> {
-        let mut state = seed.wrapping_mul(2862933555777941757).wrapping_add(1);
-        let mut out = Vec::with_capacity(n * dims);
-        for _ in 0..n * dims {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            out.push(((state >> 11) as f64 / (1u64 << 53) as f64).clamp(0.0, 1.0));
-        }
-        out
-    }
+    use crate::testutil::lcg_stream;
 
     fn brute_matching(window: &Window, f: &ScoreFn, tau: f64) -> Vec<TupleId> {
         let mut out: Vec<TupleId> = window

@@ -13,12 +13,12 @@
 
 use crate::compute::{compute_topk, ComputeScratch, InfluenceUpdate};
 use crate::influence::{cleanup_from_frontier, remove_query_walk};
+use crate::ingest::GridSpec;
 use crate::kernel;
 use crate::query::Query;
 use crate::registry::QueryRegistry;
 use crate::result::TopList;
 use crate::stats::EngineStats;
-use crate::tma::GridSpec;
 use tkm_common::{QueryId, QuerySlot, Result, Scored, TkmError, TupleId};
 use tkm_grid::{CellMode, Grid, InfluenceTable};
 use tkm_window::SlabStore;

@@ -14,12 +14,7 @@
 //! alone would also be satisfied by never grouping anything.
 
 use tkm_common::{QueryId, Rect, ScoreFn, Scored, Timestamp};
-use tkm_core::engine::ContinuousTopK;
-use tkm_core::oracle::OracleMonitor;
-use tkm_core::parallel::{SharedSmaMonitor, SharedTmaMonitor};
-use tkm_core::query::Query;
-use tkm_core::sma::SmaMonitor;
-use tkm_core::tma::{GridSpec, TmaMonitor};
+use tkm_core::{ContinuousTopK, GridSpec, OracleMonitor, Query, SmaMonitor, TmaMonitor};
 use tkm_window::WindowSpec;
 
 const DIMS: usize = 2;
@@ -101,25 +96,25 @@ impl Fleet {
         let mut engines: Vec<(&'static str, Box<dyn ContinuousTopK>)> = Vec::new();
         engines.push((
             "tma-batched-s1",
-            Box::new(SharedTmaMonitor::new(DIMS, window, GRID, 1).unwrap()),
+            Box::new(TmaMonitor::with_shards(DIMS, window, GRID, 1).unwrap()),
         ));
-        let mut t = SharedTmaMonitor::new(DIMS, window, GRID, 1).unwrap();
+        let mut t = TmaMonitor::with_shards(DIMS, window, GRID, 1).unwrap();
         t.set_batched_recompute(false);
         engines.push(("tma-per-query-s1", Box::new(t)));
         engines.push((
             "tma-batched-s3",
-            Box::new(SharedTmaMonitor::new(DIMS, window, GRID, 3).unwrap()),
+            Box::new(TmaMonitor::with_shards(DIMS, window, GRID, 3).unwrap()),
         ));
         engines.push((
             "sma-batched-s1",
-            Box::new(SharedSmaMonitor::new(DIMS, window, GRID, 1).unwrap()),
+            Box::new(SmaMonitor::with_shards(DIMS, window, GRID, 1).unwrap()),
         ));
-        let mut s = SharedSmaMonitor::new(DIMS, window, GRID, 1).unwrap();
+        let mut s = SmaMonitor::with_shards(DIMS, window, GRID, 1).unwrap();
         s.set_batched_recompute(false);
         engines.push(("sma-per-query-s1", Box::new(s)));
         engines.push((
             "sma-batched-s3",
-            Box::new(SharedSmaMonitor::new(DIMS, window, GRID, 3).unwrap()),
+            Box::new(SmaMonitor::with_shards(DIMS, window, GRID, 3).unwrap()),
         ));
         Fleet {
             engines,
@@ -345,6 +340,66 @@ fn sma_storm_batches_recomputations() {
     assert!(
         storm_groups < storm_queries,
         "batching never engaged: {storm_groups} traversals for {storm_queries} recomputed queries"
+    );
+}
+
+// ---- Policy pin: the two engines must stay two different policies ----
+
+/// The storm stream of `sma_storm_batches_recomputations`, with the
+/// queries registered over an empty (`warm = false`) or a populated
+/// window; returns `[recompute_queries, recompute_groups, cells_processed,
+/// cell_probes, tuple_probes]`.
+fn storm_counters<M: tkm_core::QueryMaintenance>(warm: bool) -> [u64; 5] {
+    let mut m = tkm_core::Monitor::<M>::new(DIMS, WindowSpec::Time(2), GRID).unwrap();
+    let mut state = 0x1234_5678u64;
+    if warm {
+        m.tick(Timestamp(0), &lattice_stream(&mut state, 40, 9))
+            .unwrap();
+    }
+    for i in 0..8u64 {
+        let w = vec![0.5 + 0.25 * i as f64, 1.5 - 0.125 * i as f64];
+        let q = Query::top_k(ScoreFn::linear(w).unwrap(), 2 + (i as usize % 3)).unwrap();
+        m.register_query(QueryId(i), q).unwrap();
+    }
+    for t in u64::from(warm)..30 {
+        let n = storm_tick_size(t, 5, 40, 2);
+        m.tick(Timestamp(t), &lattice_stream(&mut state, n, 9))
+            .unwrap();
+    }
+    let s = m.stats();
+    [
+        s.recompute_queries,
+        s.recompute_groups,
+        s.cells_processed,
+        s.cell_probes,
+        s.tuple_probes,
+    ]
+}
+
+/// Work counters recorded from the twin `TmaMaintenance` / `SmaMaintenance`
+/// implementations this stage replaced. A cold registration starts every
+/// band at threshold −∞: TMA must take its cap-tightening path (16
+/// recomputations), SMA must never (the 8 registrations only) — so the
+/// rows differ wherever the policies do, and a merged stage that confuses
+/// them fails here.
+#[test]
+fn policies_do_the_work_of_the_engines_they_replaced() {
+    use tkm_core::{SmaMaintenance, TmaMaintenance};
+    assert_eq!(
+        storm_counters::<TmaMaintenance>(false),
+        [16, 13, 381, 1710, 2518]
+    );
+    assert_eq!(
+        storm_counters::<SmaMaintenance>(false),
+        [8, 8, 288, 1720, 2528]
+    );
+    assert_eq!(
+        storm_counters::<TmaMaintenance>(true),
+        [20, 12, 178, 1516, 2180]
+    );
+    assert_eq!(
+        storm_counters::<SmaMaintenance>(true),
+        [37, 16, 355, 1475, 2130]
     );
 }
 

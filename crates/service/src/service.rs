@@ -17,7 +17,7 @@
 //! 3. drains the cycle's [`tkm_core::ResultDelta`]s, encodes each one
 //!    **once** into a shared byte payload, and hands the payloads to a
 //!    pool of **fan-out shard workers** (queries partitioned by id, like
-//!    the engine's own `SharedParallelMonitor` shards) that enqueue the
+//!    the engine's own `tkm_core::Monitor` shards) that enqueue the
 //!    shared bytes onto every subscribed session, applying the
 //!    drop-to-snapshot backpressure policy to slow consumers. The owner
 //!    waits for every shard's report before answering the tick — the
@@ -385,10 +385,10 @@ enum ShardMsg {
 }
 
 /// The fan-out shard workers: queries are partitioned over `shards`
-/// persistent threads by id (`q.0 % shards`, the same layout the
-/// engine's `SharedParallelMonitor` uses), so one tick's delta routing
-/// runs shard-parallel while each query's payload bytes stay shared
-/// (`Arc`) across all of its subscribers.
+/// persistent threads by id (`q.0 % shards`; the engine's
+/// `tkm_core::Monitor` partitions by load instead), so one tick's delta
+/// routing runs shard-parallel while each query's payload bytes stay
+/// shared (`Arc`) across all of its subscribers.
 struct FanoutPool {
     txs: Vec<Sender<ShardMsg>>,
     report_rx: Receiver<Vec<SessionId>>,

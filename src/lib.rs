@@ -65,10 +65,9 @@ pub use tkm_common::{
 };
 pub use tkm_core::{
     build_engine, compute_topk, ComputeScratch, ContinuousTopK, EngineKind, EngineStats, GridSpec,
-    IngestState, MonitorServer, OracleMonitor, ParallelMonitor, PiecewiseMonitor, PiecewiseQuery,
-    Query, QueryMaintenance, QueryRegistry, ResultDelta, ServerConfig, SharedParallelMonitor,
-    SharedSmaMonitor, SharedTmaMonitor, SmaMaintenance, SmaMonitor, ThresholdMonitor,
-    TmaMaintenance, TmaMonitor, UpdateOp, UpdateStreamTma,
+    IngestState, Monitor, MonitorServer, OracleMonitor, PiecewiseMonitor, PiecewiseQuery, Query,
+    QueryMaintenance, QueryRegistry, ResultDelta, ServerConfig, SmaMaintenance, SmaMonitor,
+    ThresholdMonitor, TmaMaintenance, TmaMonitor, UpdateOp, UpdateStreamTma,
 };
 pub use tkm_datagen::{DataDist, FnFamily, PointGen, QueryGen, StreamSim};
 pub use tkm_service::{Service, ServiceClient, ServiceConfig, TickPolicy};

@@ -19,7 +19,7 @@ pub const KINDS: [EngineKind; 4] = [
 pub fn build_all(dims: usize, window: WindowSpec, grid: GridSpec) -> Vec<Box<dyn ContinuousTopK>> {
     KINDS
         .iter()
-        .map(|k| build_engine(*k, dims, window, grid, KmaxPolicy::Tuned).expect("engine builds"))
+        .map(|k| build_engine(*k, dims, window, grid, KmaxPolicy::Tuned, 1).expect("engine builds"))
         .collect()
 }
 

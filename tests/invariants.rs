@@ -27,11 +27,12 @@ fn tma_influence_lists_cover_influence_region() {
             continue;
         }
         let threshold = top.last().expect("k = 5").score.get();
-        let slot = m.query_slot(QueryId(0)).expect("live query");
+        let maint = &m.shards()[0];
+        let slot = maint.query_slot(QueryId(0)).expect("live query");
         for (cid, _) in m.grid().cells() {
             if m.grid().maxscore(cid, &f) >= threshold {
                 assert!(
-                    m.influence().contains(cid, slot),
+                    maint.influence().contains(cid, slot),
                     "cell {cid:?} (maxscore ≥ threshold {threshold}) not listed at tick {t}"
                 );
             }
@@ -66,7 +67,7 @@ fn sma_skyband_invariants_over_time() {
         // pruning it would approach the window size itself. (The paper's
         // Table 2 setting — a 1M window — keeps it at ≈ k; tiny windows
         // are noisier.)
-        let len = m.skyband_len(QueryId(0)).expect("len");
+        let len = m.band_len(QueryId(0)).expect("len");
         assert!(
             len <= 10 * k,
             "skyband ballooned to {len} at tick {t} (pruning broken)"
@@ -136,8 +137,8 @@ fn no_influence_leaks_after_removal() {
     let leaks = |label: &str, total: usize| {
         assert_eq!(total, 0, "{label} leaked {total} influence entries");
     };
-    leaks("TMA", tma.influence().total_entries());
-    leaks("SMA", sma.influence().total_entries());
+    leaks("TMA", tma.shards()[0].influence().total_entries());
+    leaks("SMA", sma.shards()[0].influence().total_entries());
 }
 
 /// Engine statistics are self-consistent after a run.

@@ -1,5 +1,5 @@
 //! Differential suite for the shared-ingest sharded monitors: for
-//! arbitrary streams, [`SharedTmaMonitor`] and [`SharedSmaMonitor`] at
+//! arbitrary streams, [`TmaMonitor`] and [`SmaMonitor`] at
 //! S ∈ {1, 3} must report exactly the brute-force oracle's results on
 //! every cycle — under query churn (register/remove mid-stream),
 //! time-based windows, and duplicate-score ties.
@@ -7,15 +7,14 @@
 use proptest::prelude::*;
 use topk_monitor::engines::GridSpec;
 use topk_monitor::{
-    OracleMonitor, Query, QueryId, ScoreFn, SharedSmaMonitor, SharedTmaMonitor, Timestamp,
-    WindowSpec,
+    OracleMonitor, Query, QueryId, ScoreFn, SmaMonitor, Timestamp, TmaMonitor, WindowSpec,
 };
 
 /// One harness instance: the four sharded monitors plus the oracle, kept
 /// in lockstep through registration, removal and ticks.
 struct Fleet {
-    tma: Vec<SharedTmaMonitor>,
-    sma: Vec<SharedSmaMonitor>,
+    tma: Vec<TmaMonitor>,
+    sma: Vec<SmaMonitor>,
     oracle: OracleMonitor,
     live: Vec<QueryId>,
     next_query: u64,
@@ -28,11 +27,11 @@ impl Fleet {
         Fleet {
             tma: SHARD_COUNTS
                 .iter()
-                .map(|s| SharedTmaMonitor::new(dims, window, grid, *s).expect("config"))
+                .map(|s| TmaMonitor::with_shards(dims, window, grid, *s).expect("config"))
                 .collect(),
             sma: SHARD_COUNTS
                 .iter()
-                .map(|s| SharedSmaMonitor::new(dims, window, grid, *s).expect("config"))
+                .map(|s| SmaMonitor::with_shards(dims, window, grid, *s).expect("config"))
                 .collect(),
             oracle: OracleMonitor::new(dims, window).expect("config"),
             live: Vec::new(),
