@@ -1,11 +1,12 @@
 //! Criterion micro-benchmarks for the core data structures: the
-//! order-statistic tree, the skyband, the grid, the window ring and the
-//! top-list.
+//! order-statistic tree, the skyband, the grid, the window ring, the
+//! top-list and the whole-batch ingest stage.
 
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use tkm_common::{ScoreFn, Scored, Timestamp, TupleId};
+use tkm_core::{GridSpec, IngestState};
 use tkm_grid::{CellMode, Grid};
 use tkm_ostree::OsTree;
 use tkm_skyband::Skyband;
@@ -151,11 +152,40 @@ fn bench_window(c: &mut Criterion) {
     group.finish();
 }
 
+/// One steady-state cycle of the shared ingest stage: r = 1k arrivals
+/// into, and 1k expiries out of, a full d = 4, N = 100k count window over
+/// the default grid (working set beyond L2, so cell accesses miss).
+fn bench_ingest(c: &mut Criterion) {
+    let mut group = c.benchmark_group("ingest");
+    group.sample_size(20);
+    let (dims, n, r) = (4usize, 100_000usize, 1_000usize);
+    let mut state = 13u64;
+    let mut batch =
+        |tuples: usize| -> Vec<f64> { (0..tuples * dims).map(|_| lcg(&mut state)).collect() };
+    let mut s = IngestState::new(dims, WindowSpec::Count(n), GridSpec::default()).expect("config");
+    s.ingest(Timestamp(0), &batch(n)).expect("prefill");
+    let batches: Vec<Vec<f64>> = (0..64).map(|_| batch(r)).collect();
+    let mut tick = 0usize;
+    group.bench_function("batch_1k_d4_n100k", |b| {
+        b.iter(|| {
+            tick += 1;
+            s.ingest(
+                Timestamp(tick as u64),
+                black_box(&batches[tick % batches.len()]),
+            )
+            .expect("ingest");
+            black_box(s.stats().expirations)
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_ostree,
     bench_skyband,
     bench_grid,
-    bench_window
+    bench_window,
+    bench_ingest
 );
 criterion_main!(benches);

@@ -8,11 +8,21 @@
 //! skybands) lives in [`crate::maintenance::QueryMaintenance`]
 //! implementations that can be partitioned across shards. Each tick,
 //! [`IngestState::ingest`] applies the arrival set and the expiry set to
-//! window and grid *once* and records both as `(cell, tuple)` event lists;
-//! maintenance shards then replay the events against their own queries
-//! through immutable `&IngestState` views. Tuple storage therefore stays
-//! O(1) in the shard count, instead of the S-fold replication a
-//! replica-per-shard design pays.
+//! window and grid *once* and records both grouped by cell; maintenance
+//! shards then replay the events against their own queries through
+//! immutable `&IngestState` views. Tuple storage therefore stays O(1) in
+//! the shard count, instead of the S-fold replication a replica-per-shard
+//! design pays.
+//!
+//! The stage runs as a fixed sequence of tight passes over the whole
+//! batch — bulk window append, locate, scatter into cells, locate the
+//! expired prefix, pop it from the cells, drop it from the window, group
+//! by cell — rather than one loop that walks each tuple through the whole
+//! chain. A pass that only computes (locate) and a pass that only touches
+//! cells (scatter, removal) keep many independent cache misses in flight;
+//! a fused loop, whose iterations are each ~60 dependent operations long,
+//! fits only a few iterations in the reorder window and fetches the cold
+//! cell lines almost one at a time.
 
 use tkm_common::{Result, Timestamp, TkmError, TupleId};
 use tkm_grid::{CellId, CellMode, Grid};
@@ -65,6 +75,19 @@ pub(crate) fn validate_arrivals(dims: usize, arrivals: &[f64]) -> Result<()> {
         )));
     }
     Ok(())
+}
+
+/// Rejects a cycle timestamp earlier than the newest resident tuple's
+/// arrival time: expiry is FIFO only while arrival times are
+/// non-decreasing, so a regressing clock must be refused before it
+/// reaches the ring. Equal timestamps are fine.
+fn validate_timestamp(window: &Window, now: Timestamp) -> Result<()> {
+    match window.newest_time() {
+        Some(newest) if now < newest => Err(TkmError::InvalidParameter(format!(
+            "tick: timestamp {now} is earlier than the newest tuple's arrival time {newest}"
+        ))),
+        _ => Ok(()),
+    }
 }
 
 /// Counters of the ingest stage (the stream-side half of
@@ -124,11 +147,14 @@ impl CellGroups {
         }
     }
 
-    fn rebuild(&mut self, events: &[(CellId, TupleId)]) {
+    /// Regroups one cycle's events: `cells[i]` is the cell of tuple
+    /// `first + i` (a cycle's arrivals and its expiries are both dense id
+    /// ranges, so an event is just its cell).
+    fn rebuild(&mut self, cells: &[CellId], first: TupleId) {
         self.runs.clear();
         self.ids.clear();
         self.cursors.clear();
-        if events.is_empty() {
+        if cells.is_empty() {
             return;
         }
         if self.epoch == u32::MAX {
@@ -138,7 +164,7 @@ impl CellGroups {
         self.epoch += 1;
         // Pass 1: one run per distinct cell (first-touched order), counting
         // its events.
-        for &(cell, _) in events {
+        for &cell in cells {
             let slot = &mut self.cell_run[cell.0 as usize];
             if slot.0 == self.epoch {
                 self.runs[slot.1 as usize].2 += 1;
@@ -155,12 +181,12 @@ impl CellGroups {
         }
         // Pass 2: stable scatter — event order is preserved within runs.
         self.cursors.resize(self.runs.len(), 0);
-        self.ids.resize(events.len(), TupleId(0));
-        for &(cell, id) in events {
+        self.ids.resize(cells.len(), TupleId(0));
+        for (id, &cell) in (first.0..).zip(cells) {
             let run = self.cell_run[cell.0 as usize].1 as usize;
             let pos = self.runs[run].1 + self.cursors[run];
             self.cursors[run] += 1;
-            self.ids[pos as usize] = id;
+            self.ids[pos as usize] = TupleId(id);
         }
     }
 
@@ -178,16 +204,15 @@ impl CellGroups {
     }
 }
 
-/// Shared per-stream state: window, grid and the event lists of the most
-/// recent processing cycle.
+/// Shared per-stream state: window, grid and the cell-grouped events of
+/// the most recent processing cycle.
 #[derive(Debug)]
 pub struct IngestState {
     window: Window,
     grid: Grid,
-    /// `(cell, tuple)` of every arrival of the last cycle, arrival order.
-    arrivals: Vec<(CellId, TupleId)>,
-    /// `(cell, tuple)` of every expiry of the last cycle, expiry order.
-    expiries: Vec<(CellId, TupleId)>,
+    /// Locate-pass scratch: the covering cell of each tuple of the dense
+    /// id range being scattered (arrivals) or popped (expiries).
+    located: Vec<CellId>,
     /// The arrival events of the last cycle, grouped by cell.
     arrival_groups: CellGroups,
     /// The expiry events of the last cycle, grouped by cell.
@@ -203,8 +228,7 @@ impl IngestState {
         Ok(IngestState {
             window: Window::new(dims, window)?,
             grid,
-            arrivals: Vec::new(),
-            expiries: Vec::new(),
+            located: Vec::new(),
             arrival_groups: CellGroups::new(cells),
             expiry_groups: CellGroups::new(cells),
             stats: IngestStats::default(),
@@ -229,61 +253,64 @@ impl IngestState {
         &self.grid
     }
 
-    /// Executes the stream half of one processing cycle: validates and
-    /// inserts the arrival batch (window + grid), then drains the expiry
-    /// set, recording both as event lists for the maintenance stage.
+    /// Executes the stream half of one processing cycle: validates the
+    /// arrival batch, inserts it (window + grid), then removes the expiry
+    /// set, recording both grouped by cell for the maintenance stage. A
+    /// rejected batch — misaligned, a coordinate outside the unit
+    /// workspace, a timestamp earlier than the newest resident tuple's —
+    /// changes nothing.
     ///
     /// Tuples that arrive and expire within the same cycle (a count window
-    /// overrun by a burst) appear in both lists; their coordinates are no
+    /// overrun by a burst) appear in both sets; their coordinates are no
     /// longer resolvable afterwards, which maintenance handles by skipping
     /// arrivals whose ids have already left the window.
     // lint: hot-path
     pub fn ingest(&mut self, now: Timestamp, arrivals: &[f64]) -> Result<()> {
-        let dims = self.dims();
-        validate_arrivals(dims, arrivals)?;
-        self.stats.ticks += 1;
-        self.arrivals.clear();
-        self.expiries.clear();
-
-        for coords in arrivals.chunks_exact(dims) {
-            let id = self.window.insert(coords, now)?;
-            self.stats.arrivals += 1;
-            let cell = self.grid.insert_point(coords, id);
-            self.arrivals.push((cell, id));
-        }
-
         let Self {
             window,
             grid,
-            expiries,
+            located,
+            arrival_groups,
+            expiry_groups,
             stats,
-            ..
         } = self;
-        window.drain_expired(now, |id, coords| {
-            stats.expirations += 1;
-            let cell = grid
-                .remove_point(coords, id)
+        let dims = window.dims();
+        validate_arrivals(dims, arrivals)?;
+        validate_timestamp(window, now)?;
+
+        // Arrivals: append to the window in bulk, locate sequentially,
+        // then scatter — the scatter body is only cell header → push.
+        let first = window.append_batch(arrivals, now)?;
+        stats.ticks += 1;
+        located.clear();
+        grid.locate_batch(arrivals, located);
+        for ((id, &cell), coords) in (first.0..)
+            .zip(located.iter())
+            .zip(arrivals.chunks_exact(dims))
+        {
+            grid.push_at(cell, TupleId(id), coords);
+        }
+        stats.arrivals += located.len() as u64;
+        arrival_groups.rebuild(located, first);
+
+        // Expiries: the expired prefix is known up front and is located
+        // straight from the ring's front slices; the removal body is only
+        // the FIFO front check + head bump.
+        let expired = window.expired_prefix(now);
+        let oldest = window.oldest().unwrap_or(first);
+        let (head_run, wrapped) = window.front_coords(expired);
+        located.clear();
+        grid.locate_batch(head_run, located);
+        grid.locate_batch(wrapped, located);
+        for (id, &cell) in (oldest.0..).zip(located.iter()) {
+            grid.remove_at(cell, TupleId(id))
                 // lint: allow(panic, reason=window/grid lockstep is the ingest invariant; desync is unrecoverable)
                 .expect("window and grid are updated in lockstep");
-            expiries.push((cell, id));
-        });
-        self.arrival_groups.rebuild(&self.arrivals);
-        self.expiry_groups.rebuild(&self.expiries);
+        }
+        window.drop_front(expired);
+        stats.expirations += expired as u64;
+        expiry_groups.rebuild(located, oldest);
         Ok(())
-    }
-
-    /// `(cell, tuple)` events of the last cycle's arrival set, in arrival
-    /// order.
-    #[inline]
-    pub fn arrival_events(&self) -> &[(CellId, TupleId)] {
-        &self.arrivals
-    }
-
-    /// `(cell, tuple)` events of the last cycle's expiry set, in expiry
-    /// (arrival) order.
-    #[inline]
-    pub fn expiry_events(&self) -> &[(CellId, TupleId)] {
-        &self.expiries
     }
 
     /// The last cycle's arrival events grouped by cell: one `(cell,
@@ -332,8 +359,7 @@ impl IngestState {
         std::mem::size_of::<Self>()
             + self.window.space_bytes()
             + self.grid.space_bytes()
-            + (self.arrivals.capacity() + self.expiries.capacity())
-                * std::mem::size_of::<(CellId, TupleId)>()
+            + self.located.capacity() * std::mem::size_of::<CellId>()
             + self.arrival_groups.space_bytes()
             + self.expiry_groups.space_bytes()
     }
@@ -343,22 +369,36 @@ impl IngestState {
 mod tests {
     use super::*;
 
+    /// A cycle's runs flattened back to `(cell, id)` events in id order.
+    fn events<'a>(runs: impl Iterator<Item = (CellId, &'a [TupleId])>) -> Vec<(CellId, TupleId)> {
+        let mut flat: Vec<(CellId, TupleId)> = runs
+            .flat_map(|(cell, ids)| ids.iter().map(move |id| (cell, *id)))
+            .collect();
+        flat.sort_by_key(|(_, id)| *id);
+        flat
+    }
+
+    fn ids(events: &[(CellId, TupleId)]) -> Vec<u64> {
+        events.iter().map(|(_, id)| id.0).collect()
+    }
+
     #[test]
     fn events_mirror_window_and_grid() {
         let mut s = IngestState::new(2, WindowSpec::Count(3), GridSpec::PerDim(4)).unwrap();
         s.ingest(Timestamp(0), &[0.1, 0.1, 0.9, 0.9]).unwrap();
-        assert_eq!(s.arrival_events().len(), 2);
-        assert!(s.expiry_events().is_empty());
+        assert_eq!(ids(&events(s.arrival_runs())), vec![0, 1]);
+        assert!(s.expiry_runs().next().is_none());
         assert_eq!(s.window().len(), 2);
 
         // Two more arrivals overflow the count window by one.
         s.ingest(Timestamp(1), &[0.5, 0.5, 0.2, 0.8]).unwrap();
-        assert_eq!(s.arrival_events().len(), 2);
-        assert_eq!(s.expiry_events().len(), 1);
-        assert_eq!(s.expiry_events()[0].1, TupleId(0));
-        assert_eq!(s.window().len(), 3);
+        assert_eq!(ids(&events(s.arrival_runs())), vec![2, 3]);
         // The expired tuple's cell matches where it was inserted.
-        assert_eq!(s.expiry_events()[0].0, s.grid().locate(&[0.1, 0.1]));
+        assert_eq!(
+            events(s.expiry_runs()),
+            vec![(s.grid().locate(&[0.1, 0.1]), TupleId(0))]
+        );
+        assert_eq!(s.window().len(), 3);
 
         let st = s.stats();
         assert_eq!((st.ticks, st.arrivals, st.expirations), (2, 4, 1));
@@ -368,8 +408,12 @@ mod tests {
     fn burst_larger_than_window_expires_same_cycle() {
         let mut s = IngestState::new(1, WindowSpec::Count(2), GridSpec::PerDim(4)).unwrap();
         s.ingest(Timestamp(0), &[0.1, 0.3, 0.5, 0.7]).unwrap();
-        assert_eq!(s.arrival_events().len(), 4);
-        assert_eq!(s.expiry_events().len(), 2, "same-cycle transients");
+        assert_eq!(ids(&events(s.arrival_runs())), vec![0, 1, 2, 3]);
+        assert_eq!(
+            ids(&events(s.expiry_runs())),
+            vec![0, 1],
+            "same-cycle transients"
+        );
         // Transients are gone from the window; survivors resolve.
         assert!(s.window().coords(TupleId(0)).is_none());
         assert!(s.window().coords(TupleId(3)).is_some());
@@ -409,17 +453,14 @@ mod tests {
             coord_runs,
             vec![vec![0.1, 0.12, 0.15], vec![0.9], vec![0.3]]
         );
-        // Runs cover exactly the flat event list.
-        let flat: usize = s.arrival_runs().map(|(_, ids)| ids.len()).sum();
-        assert_eq!(flat, s.arrival_events().len());
         assert!(s.expiry_runs().next().is_none());
 
-        // Expiries group the same way (capacity 16 → push 14 more).
+        // Expiries group the same way (capacity 16 → push 14 more): the
+        // runs cover exactly the expired id range, one run per cell.
         let burst: Vec<f64> = (0..14).map(|i| (i % 10) as f64 / 10.0).collect();
         s.ingest(Timestamp(1), &burst).unwrap();
         s.ingest(Timestamp(2), &[0.5, 0.5, 0.5]).unwrap();
-        let expired: usize = s.expiry_runs().map(|(_, ids)| ids.len()).sum();
-        assert_eq!(expired, s.expiry_events().len());
+        assert_eq!(ids(&events(s.expiry_runs())), vec![3, 4, 5]);
         let mut cells: Vec<u32> = s.expiry_runs().map(|(c, _)| c.0).collect();
         let distinct = cells.len();
         cells.sort_unstable();
@@ -432,6 +473,68 @@ mod tests {
         let mut s = IngestState::new(2, WindowSpec::Count(4), GridSpec::PerDim(4)).unwrap();
         assert!(s.ingest(Timestamp(0), &[0.5]).is_err());
         assert!(s.ingest(Timestamp(0), &[0.5, 1.2]).is_err());
+    }
+
+    /// A regressing cycle timestamp is an error on both window kinds (it
+    /// would break FIFO expiry on a time window); an equal one is not.
+    #[test]
+    fn regressing_timestamp_is_an_error() {
+        for window in [WindowSpec::Count(4), WindowSpec::Time(3)] {
+            let mut s = IngestState::new(1, window, GridSpec::PerDim(4)).unwrap();
+            s.ingest(Timestamp(5), &[0.1, 0.2]).unwrap();
+            s.ingest(Timestamp(5), &[0.3]).unwrap();
+            for batch in [&[0.4][..], &[]] {
+                match s.ingest(Timestamp(4), batch) {
+                    Err(TkmError::InvalidParameter(msg)) => {
+                        assert!(msg.contains("earlier than"), "{window:?}: {msg}")
+                    }
+                    other => panic!("{window:?}: expected InvalidParameter, got {other:?}"),
+                }
+            }
+            assert_eq!(s.window().len(), 3, "{window:?}");
+            s.ingest(Timestamp(6), &[0.5]).unwrap();
+            assert_eq!(s.window().newest(), Some(TupleId(3)), "{window:?}");
+        }
+    }
+
+    /// Everything a rejected batch could have touched.
+    fn trace(s: &IngestState) -> impl PartialEq + std::fmt::Debug {
+        (
+            (s.window().len(), s.window().oldest(), s.window().newest()),
+            s.grid()
+                .cells()
+                .map(|(_, c)| c.points().len())
+                .collect::<Vec<_>>(),
+            s.stats(),
+            events(s.arrival_runs()),
+            events(s.expiry_runs()),
+        )
+    }
+
+    /// Validation runs before any mutation: a batch whose *last* value is
+    /// bad, a misaligned one and a regressing timestamp all leave window,
+    /// cells, counters (ticks included) and the previous cycle's runs as
+    /// they were, and the next valid batch gets the next dense ids.
+    #[test]
+    fn rejected_batch_leaves_no_trace() {
+        let mut s = IngestState::new(2, WindowSpec::Count(3), GridSpec::PerDim(4)).unwrap();
+        s.ingest(Timestamp(1), &[0.1, 0.1, 0.9, 0.9]).unwrap();
+        s.ingest(Timestamp(2), &[0.5, 0.5, 0.2, 0.8]).unwrap();
+        let before = trace(&s);
+        let rejected: [(u64, &[f64]); 4] = [
+            (3, &[0.3, 0.3, 0.6, 1.5]),
+            (3, &[0.3, 0.3, 0.6, f64::NAN]),
+            (3, &[0.3, 0.3, 0.6]),
+            (1, &[0.3, 0.3]),
+        ];
+        for (ts, batch) in rejected {
+            assert!(s.ingest(Timestamp(ts), batch).is_err(), "{batch:?} @{ts}");
+            assert_eq!(trace(&s), before, "{batch:?} @{ts}");
+        }
+        s.ingest(Timestamp(3), &[0.3, 0.3, 0.6, 0.6]).unwrap();
+        assert_eq!(ids(&events(s.arrival_runs())), vec![4, 5]);
+        assert_eq!(ids(&events(s.expiry_runs())), vec![1, 2]);
+        assert_eq!(s.stats().ticks, 3);
     }
 
     /// Every tick entry point funnels through [`validate_arrivals`], so a

@@ -416,21 +416,48 @@ impl Grid {
         }
     }
 
+    /// Appends the covering cell of every point of a packed batch (`dims`
+    /// values per point) to `out` — [`Grid::locate`] as a sequential pass
+    /// that computes and touches no cell, so a later pass over `out` can
+    /// address the cells directly.
+    // lint: hot-path
+    pub fn locate_batch(&self, coords: &[f64], out: &mut Vec<CellId>) {
+        out.extend(coords.chunks_exact(self.dims).map(|p| self.locate(p)));
+    }
+
     /// Inserts a tuple into its covering cell (coordinates are copied into
     /// the cell's point block); returns the cell id.
     // lint: hot-path
     pub fn insert_point(&mut self, coords: &[f64], id: TupleId) -> CellId {
         let cell = self.locate(coords);
-        self.cell_mut(cell).push_point(id, coords);
+        self.push_at(cell, id, coords);
         cell
+    }
+
+    /// [`Grid::insert_point`] for an already located point: appends the
+    /// tuple to `cell`, which must be `locate(coords)`.
+    // lint: hot-path
+    #[inline]
+    pub fn push_at(&mut self, cell: CellId, id: TupleId, coords: &[f64]) {
+        debug_assert_eq!(cell, self.locate(coords));
+        self.cell_mut(cell).push_point(id, coords);
     }
 
     /// Removes a tuple from its covering cell; returns the cell id.
     // lint: hot-path
     pub fn remove_point(&mut self, coords: &[f64], id: TupleId) -> Result<CellId> {
         let cell = self.locate(coords);
-        self.cell_mut(cell).remove_point(id)?;
+        self.remove_at(cell, id)?;
         Ok(cell)
+    }
+
+    /// [`Grid::remove_point`] for an already located tuple: removes `id`
+    /// from `cell`. In FIFO grids this is a pop-front — `id` must be the
+    /// cell's oldest tuple, anything else is [`TkmError::UnknownTuple`].
+    // lint: hot-path
+    #[inline]
+    pub fn remove_at(&mut self, cell: CellId, id: TupleId) -> Result<()> {
+        self.cell_mut(cell).remove_point(id)
     }
 
     /// Deep size estimate in bytes.
@@ -615,6 +642,41 @@ mod tests {
         assert_eq!(g.remove_point(&[0.1, 0.1], TupleId(0)).unwrap(), c1);
         assert!(g.cell(c1).points().is_empty());
         assert!(g.remove_point(&[0.9, 0.9], TupleId(5)).is_err());
+    }
+
+    /// The cell-addressed pair is the coordinate-addressed pair minus the
+    /// `locate`, and keeps the FIFO front check.
+    #[test]
+    fn cell_addressed_push_and_remove() {
+        let mut g = Grid::new(2, 4, CellMode::Fifo).unwrap();
+        let batch = [0.1, 0.1, 0.15, 0.12, 0.9, 0.9];
+        let mut cells = Vec::new();
+        g.locate_batch(&batch, &mut cells);
+        assert_eq!(cells.len(), 3);
+        assert_eq!((cells[0], cells[0]), (cells[1], g.locate(&[0.1, 0.1])));
+        for (i, (cell, p)) in cells.iter().zip(batch.chunks_exact(2)).enumerate() {
+            g.push_at(*cell, TupleId(i as u64), p);
+        }
+        assert_eq!(g.cell(cells[0]).points().ids(), &[TupleId(0), TupleId(1)]);
+        assert_eq!(g.cell(cells[0]).points().coords(), &batch[..4]);
+        // Only the cell's front may leave.
+        assert_eq!(
+            g.remove_at(cells[0], TupleId(1)),
+            Err(TkmError::UnknownTuple(TupleId(1)))
+        );
+        assert_eq!(
+            g.cell(cells[0]).points().len(),
+            2,
+            "failed remove is a no-op"
+        );
+        assert_eq!(g.remove_at(cells[0], TupleId(0)), Ok(()));
+        assert_eq!(g.remove_at(cells[0], TupleId(1)), Ok(()));
+        assert_eq!(
+            g.remove_at(cells[0], TupleId(2)),
+            Err(TkmError::UnknownTuple(TupleId(2))),
+            "empty cell"
+        );
+        assert_eq!(g.remove_at(cells[2], TupleId(2)), Ok(()));
     }
 
     #[test]

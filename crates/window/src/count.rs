@@ -74,6 +74,39 @@ impl CountWindow {
         self.ring.push(coords, ts)
     }
 
+    /// Appends a batch of tuples sharing one timestamp (`dims` packed
+    /// values apiece); returns the first one's id. See
+    /// [`FlatRing::append_batch`].
+    #[inline]
+    pub fn append_batch(&mut self, coords: &[f64], ts: Timestamp) -> Result<TupleId> {
+        self.ring.append_batch(coords, ts)
+    }
+
+    /// How many of the oldest tuples overflow the capacity: what
+    /// [`CountWindow::drain_expired`] would evict.
+    #[inline]
+    pub fn expired_prefix(&self) -> usize {
+        self.ring.len().saturating_sub(self.capacity)
+    }
+
+    /// Packed coordinates of the `n` oldest tuples (≤ 2 contiguous runs).
+    #[inline]
+    pub fn front_coords(&self, n: usize) -> (&[f64], &[f64]) {
+        self.ring.front_coords(n)
+    }
+
+    /// Removes the `n` oldest tuples in one step.
+    #[inline]
+    pub fn drop_front(&mut self, n: usize) {
+        self.ring.drop_front(n);
+    }
+
+    /// Arrival time of the newest tuple.
+    #[inline]
+    pub fn newest_time(&self) -> Option<Timestamp> {
+        self.ring.back_time()
+    }
+
     /// Evicts tuples beyond the capacity, oldest first.
     pub fn drain_expired(&mut self, mut on_expire: impl FnMut(TupleId, &[f64])) {
         let mut scratch = [0.0f64; MAX_DIMS];

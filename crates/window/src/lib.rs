@@ -174,6 +174,58 @@ impl Window {
         }
     }
 
+    /// Appends a whole arrival batch sharing the timestamp `ts` (`dims`
+    /// packed values per tuple); returns the id of its first tuple — the
+    /// batch takes the dense id range starting there. `ts` must not
+    /// precede [`Window::newest_time`].
+    #[inline]
+    pub fn append_batch(&mut self, coords: &[f64], ts: Timestamp) -> Result<TupleId> {
+        match self {
+            Window::Count(w) => w.append_batch(coords, ts),
+            Window::Time(w) => w.append_batch(coords, ts),
+        }
+    }
+
+    /// Number of oldest tuples no longer valid at `now` — the prefix
+    /// [`Window::drain_expired`] would evict — computed without touching
+    /// them. Paired with [`Window::front_coords`] and
+    /// [`Window::drop_front`], this is the batch form of the drain.
+    #[inline]
+    pub fn expired_prefix(&self, now: Timestamp) -> usize {
+        match self {
+            Window::Count(w) => w.expired_prefix(),
+            Window::Time(w) => w.expired_prefix(now),
+        }
+    }
+
+    /// Packed coordinates of the `n` oldest tuples in arrival order, as
+    /// the at most two contiguous runs they occupy in the ring.
+    #[inline]
+    pub fn front_coords(&self, n: usize) -> (&[f64], &[f64]) {
+        match self {
+            Window::Count(w) => w.front_coords(n),
+            Window::Time(w) => w.front_coords(n),
+        }
+    }
+
+    /// Removes the `n` oldest tuples in one step.
+    #[inline]
+    pub fn drop_front(&mut self, n: usize) {
+        match self {
+            Window::Count(w) => w.drop_front(n),
+            Window::Time(w) => w.drop_front(n),
+        }
+    }
+
+    /// Arrival time of the most recently inserted tuple.
+    #[inline]
+    pub fn newest_time(&self) -> Option<Timestamp> {
+        match self {
+            Window::Count(w) => w.newest_time(),
+            Window::Time(w) => w.newest_time(),
+        }
+    }
+
     /// Oldest valid tuple id (the next to expire).
     #[inline]
     pub fn oldest(&self) -> Option<TupleId> {
@@ -246,6 +298,47 @@ mod tests {
             Window::Count(_) => panic!("TimeSized must build a time window"),
         }
         assert_eq!(w.dims(), 2);
+    }
+
+    /// `expired_prefix` + `front_coords` + `drop_front` is the batch form
+    /// of `drain_expired`, on both window kinds (equal timestamps, a mass
+    /// expiry and an empty cycle included).
+    #[test]
+    fn batch_drain_matches_per_tuple_drain() {
+        for spec in [WindowSpec::Count(5), WindowSpec::Time(2)] {
+            let mut batch = Window::new(1, spec).unwrap();
+            let mut single = Window::new(1, spec).unwrap();
+            let cycles: [(u64, &[f64]); 6] = [
+                (0, &[0.1, 0.2, 0.3]),
+                (0, &[0.4]),
+                (1, &[0.5, 0.6, 0.7, 0.8]),
+                (1, &[]),
+                (9, &[0.9]),
+                (20, &[]),
+            ];
+            for (ts, coords) in cycles {
+                let now = Timestamp(ts);
+                let first = batch.append_batch(coords, now).unwrap();
+                for (i, c) in coords.iter().enumerate() {
+                    let id = single.insert(&[*c], now).unwrap();
+                    assert_eq!(id, TupleId(first.0 + i as u64));
+                }
+                assert_eq!(
+                    batch.newest_time(),
+                    single.newest().and_then(|id| single.arrival_time(id))
+                );
+                let mut want = Vec::new();
+                single.drain_expired(now, |_, c| want.push(c[0]));
+                let n = batch.expired_prefix(now);
+                let (head_run, wrapped) = batch.front_coords(n);
+                assert_eq!([head_run, wrapped].concat(), want, "{spec:?} @{ts}");
+                batch.drop_front(n);
+                assert_eq!(batch.len(), single.len());
+                assert_eq!(batch.oldest(), single.oldest());
+                assert_eq!(batch.newest(), single.newest());
+            }
+            assert_eq!(batch.is_empty(), matches!(spec, WindowSpec::Time(_)));
+        }
     }
 
     #[test]

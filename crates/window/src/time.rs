@@ -91,6 +91,41 @@ impl TimeWindow {
         self.ring.push(coords, ts)
     }
 
+    /// Appends a batch of tuples sharing one timestamp (`dims` packed
+    /// values apiece); returns the first one's id. See
+    /// [`FlatRing::append_batch`].
+    #[inline]
+    pub fn append_batch(&mut self, coords: &[f64], ts: Timestamp) -> Result<TupleId> {
+        self.ring.append_batch(coords, ts)
+    }
+
+    /// How many of the oldest tuples have reached the duration at `now`:
+    /// what [`TimeWindow::drain_expired`] would evict. A binary search for
+    /// the cut point on the non-decreasing arrival times.
+    #[inline]
+    pub fn expired_prefix(&self, now: Timestamp) -> usize {
+        self.ring
+            .expired_prefix(|arrived| now.since(arrived) >= self.duration)
+    }
+
+    /// Packed coordinates of the `n` oldest tuples (≤ 2 contiguous runs).
+    #[inline]
+    pub fn front_coords(&self, n: usize) -> (&[f64], &[f64]) {
+        self.ring.front_coords(n)
+    }
+
+    /// Removes the `n` oldest tuples in one step.
+    #[inline]
+    pub fn drop_front(&mut self, n: usize) {
+        self.ring.drop_front(n);
+    }
+
+    /// Arrival time of the newest tuple.
+    #[inline]
+    pub fn newest_time(&self) -> Option<Timestamp> {
+        self.ring.back_time()
+    }
+
     /// Evicts every tuple whose age at `now` reaches the duration,
     /// oldest first.
     pub fn drain_expired(&mut self, now: Timestamp, mut on_expire: impl FnMut(TupleId, &[f64])) {

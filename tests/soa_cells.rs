@@ -2,13 +2,15 @@
 //! arbitrary churn, every cell's `(id, coords)` pairs must mirror a naive
 //! per-cell model exactly — through FIFO ring compactions, window-overrun
 //! transients, and Hash-mode swap-removes — and the engines built on the
-//! blocks must keep reporting the brute-force oracle's results.
+//! blocks must keep reporting the brute-force oracle's results. The
+//! staged batch ingest (`IngestState::ingest`) is held, cycle by cycle, to
+//! the per-tuple window→grid loop it replaced.
 
 use proptest::prelude::*;
 use topk_monitor::engines::{
-    GridSpec, IngestState, OracleMonitor, SmaMonitor, TmaMonitor, UpdateStreamTma,
+    GridSpec, IngestState, IngestStats, OracleMonitor, SmaMonitor, TmaMonitor, UpdateStreamTma,
 };
-use topk_monitor::grid::Grid;
+use topk_monitor::grid::{CellId, CellMode, Grid};
 use topk_monitor::{
     Query, QueryId, ScoreFn, Scored, Timestamp, TupleId, UpdateOp, Window, WindowSpec,
 };
@@ -54,8 +56,259 @@ fn brute(window: &Window, q: &Query) -> Vec<Scored> {
     all
 }
 
+/// The per-tuple ingest loop that the staged `IngestState::ingest`
+/// replaced, kept as its reference: every arrival goes `Window::insert` →
+/// `Grid::insert_point`, every expiry `Window::drain_expired` →
+/// `Grid::remove_point`, one tuple at a time.
+struct PerTupleIngest {
+    window: Window,
+    grid: Grid,
+    arrivals: Vec<(CellId, TupleId)>,
+    expiries: Vec<(CellId, TupleId)>,
+    stats: IngestStats,
+}
+
+impl PerTupleIngest {
+    fn new(dims: usize, window: WindowSpec, grid: GridSpec) -> PerTupleIngest {
+        PerTupleIngest {
+            window: Window::new(dims, window).expect("config"),
+            grid: grid.build(dims, CellMode::Fifo).expect("config"),
+            arrivals: Vec::new(),
+            expiries: Vec::new(),
+            stats: IngestStats::default(),
+        }
+    }
+
+    fn ingest(&mut self, now: Timestamp, batch: &[f64]) {
+        let PerTupleIngest {
+            window,
+            grid,
+            arrivals,
+            expiries,
+            stats,
+        } = self;
+        stats.ticks += 1;
+        arrivals.clear();
+        expiries.clear();
+        for coords in batch.chunks_exact(window.dims()) {
+            let id = window.insert(coords, now).expect("insert");
+            arrivals.push((grid.insert_point(coords, id), id));
+            stats.arrivals += 1;
+        }
+        window.drain_expired(now, |id, coords| {
+            let cell = grid.remove_point(coords, id).expect("lockstep");
+            expiries.push((cell, id));
+            stats.expirations += 1;
+        });
+    }
+}
+
+/// Checks one kind of runs against the reference's flat event list: one
+/// run per distinct cell, FIFO (ascending id) order inside a run, and the
+/// runs together exactly the cycle's `(cell, id)` events.
+fn assert_runs_cover<'a>(
+    runs: impl Iterator<Item = (CellId, &'a [TupleId])>,
+    want: &[(CellId, TupleId)],
+    context: &str,
+) {
+    let mut seen = std::collections::BTreeSet::new();
+    let mut flat = Vec::new();
+    for (cell, ids) in runs {
+        assert!(!ids.is_empty(), "{context}: empty run for {cell:?}");
+        assert!(seen.insert(cell), "{context}: two runs for {cell:?}");
+        assert!(
+            ids.windows(2).all(|pair| pair[0] < pair[1]),
+            "{context}: run of {cell:?} not FIFO: {ids:?}"
+        );
+        flat.extend(ids.iter().map(|id| (cell, *id)));
+    }
+    flat.sort_by_key(|(_, id)| *id);
+    assert_eq!(
+        flat, want,
+        "{context}: runs do not cover the cycle's events"
+    );
+}
+
+/// Everything the staged ingest must share with the per-tuple reference
+/// after a cycle.
+fn assert_staged_matches(staged: &IngestState, reference: &PerTupleIngest, context: &str) {
+    let (window, want) = (staged.window(), &reference.window);
+    assert_eq!(
+        (window.len(), window.oldest(), window.newest()),
+        (want.len(), want.oldest(), want.newest()),
+        "{context}: window"
+    );
+    assert_eq!(staged.stats(), reference.stats, "{context}: stats");
+    for ((cid, cell), (_, want)) in staged.grid().cells().zip(reference.grid.cells()) {
+        assert_eq!(
+            cell.points().ids(),
+            want.points().ids(),
+            "{context}: ids of {cid:?}"
+        );
+        assert_eq!(
+            cell.points().coords(),
+            want.points().coords(),
+            "{context}: coords of {cid:?}"
+        );
+    }
+    assert_runs_cover(
+        staged.arrival_runs(),
+        &reference.arrivals,
+        &format!("{context}: arrivals"),
+    );
+    assert_runs_cover(
+        staged.expiry_runs(),
+        &reference.expiries,
+        &format!("{context}: expiries"),
+    );
+    // Tail-slice invariant: the coordinates of a run's still-live tuples
+    // are the tail of the cell's block.
+    let oldest = window.oldest().unwrap_or(TupleId(u64::MAX));
+    for (cell, ids) in staged.arrival_runs() {
+        let live = &ids[ids.partition_point(|id| *id < oldest)..];
+        let want: Vec<f64> = live
+            .iter()
+            .flat_map(|id| window.coords(*id).expect("live").to_vec())
+            .collect();
+        assert_eq!(
+            staged.arrival_run_coords(cell, live.len()),
+            &want[..],
+            "{context}: tail slice of {cell:?}"
+        );
+    }
+}
+
+/// Feeds the same `(timestamp, batch)` cycles to the staged ingest and to
+/// the per-tuple reference, comparing after every cycle.
+fn drive_differential(
+    dims: usize,
+    window: WindowSpec,
+    per_dim: usize,
+    cycles: impl IntoIterator<Item = (u64, Vec<f64>)>,
+) -> IngestState {
+    let grid = GridSpec::PerDim(per_dim);
+    let mut staged = IngestState::new(dims, window, grid).expect("config");
+    let mut reference = PerTupleIngest::new(dims, window, grid);
+    for (cycle, (ts, batch)) in cycles.into_iter().enumerate() {
+        staged.ingest(Timestamp(ts), &batch).expect("ingest");
+        reference.ingest(Timestamp(ts), &batch);
+        let context = format!("d={dims} {window:?} cycle {cycle} @{ts}");
+        assert_staged_matches(&staged, &reference, &context);
+    }
+    staged
+}
+
+/// `count` deterministic points on a 1/16 lattice, different per `salt`.
+fn lattice_batch(dims: usize, count: usize, salt: usize) -> Vec<f64> {
+    (0..count * dims)
+        .map(|i| ((i * 7 + salt * 13) % 17) as f64 / 16.0)
+        .collect()
+}
+
+/// The named corners of the staged ingest, at every dimensionality: an
+/// empty batch, a burst larger than N (same-cycle transients), a batch
+/// that straddles the ring wrap, one that grows the ring by several
+/// doublings in a single call, and a time window with equal timestamps
+/// and a mass expiry.
+#[test]
+fn staged_ingest_matches_reference_on_named_cases() {
+    for dims in 1..=4 {
+        let batch = |count, salt| lattice_batch(dims, count, salt);
+
+        // Count window N = 8 → 24 ring slots. 20 + 3 tuples stay inside
+        // the ring and leave the tail at slot 23, so the next 6 straddle
+        // the wrap without growing; the empty cycles change nothing; 9 > N
+        // expires its own first tuple in-cycle; 100 tuples need
+        // 24 → 48 → 96 → 192 slots in one call.
+        let s = drive_differential(
+            dims,
+            WindowSpec::Count(8),
+            3,
+            [
+                (0, batch(0, 0)),
+                (0, batch(20, 1)),
+                (1, batch(3, 2)),
+                (1, batch(6, 3)),
+                (2, batch(0, 4)),
+                (3, batch(9, 5)),
+                (4, batch(100, 6)),
+                (5, batch(5, 7)),
+            ],
+        );
+        let st = s.stats();
+        assert_eq!(
+            (st.ticks, st.arrivals, st.expirations),
+            (8, 143, 135),
+            "d={dims}"
+        );
+
+        // Time window of 3 ticks on a 2-slot ring: 40 tuples share
+        // timestamp 0 (2 → 64 slots in one call), more arrive at equal and
+        // later timestamps, the whole group from timestamp 0 expires in
+        // one cycle, and a jump empties the window before it refills.
+        let s = drive_differential(
+            dims,
+            WindowSpec::TimeSized {
+                duration: 3,
+                capacity: 2,
+            },
+            3,
+            [
+                (0, batch(40, 1)),
+                (0, batch(7, 2)),
+                (1, batch(0, 3)),
+                (2, batch(11, 4)),
+                (3, batch(2, 5)),
+                (3, batch(4, 6)),
+                (50, batch(0, 7)),
+                (60, batch(3, 8)),
+                (63, batch(5, 9)),
+            ],
+        );
+        match s.window() {
+            Window::Time(w) => assert_eq!(w.capacity(), 64, "one growth step, d={dims}"),
+            Window::Count(_) => unreachable!("time spec"),
+        }
+        assert_eq!(s.window().len(), 5, "d={dims}");
+        assert_eq!(s.stats().expirations, 67, "d={dims}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The staged batch ingest vs the per-tuple reference under arbitrary
+    /// cycles, on count windows (tiny N: constant expiry, transients, ring
+    /// wrap every few cycles, growth on big bursts) and time windows
+    /// (tiny ring: growth; `dt = 0`: equal timestamps; `dt = 9`: mass
+    /// expiry), at d ∈ 1..=4.
+    #[test]
+    fn staged_ingest_matches_per_tuple_reference(
+        dims in 1usize..5,
+        timed in any::<bool>(),
+        size in 1usize..24,
+        per_dim in 1usize..6,
+        cycles in prop::collection::vec(
+            (0u64..10, 0usize..4, prop::collection::vec(0u32..17, 0..120)),
+            1..24,
+        ),
+    ) {
+        let window = if timed {
+            WindowSpec::TimeSized { duration: 1 + size as u64 / 4, capacity: size }
+        } else {
+            WindowSpec::Count(size)
+        };
+        let mut now = 0u64;
+        let cycles = cycles.iter().map(|(dt, scale, raw)| {
+            // Two cycles in three share the previous timestamp or advance
+            // by one; the rest jump. Most batches are small, a few large.
+            now += if *dt < 7 { dt % 2 } else { *dt };
+            let tuples = raw.len() / dims / (1 + 2 * (3 - scale));
+            let batch: Vec<f64> = raw[..tuples * dims].iter().map(|v| *v as f64 / 16.0).collect();
+            (now, batch)
+        });
+        drive_differential(dims, window, per_dim, cycles);
+    }
 
     /// FIFO blocks vs the window under arbitrary arrival/expiry churn.
     /// Small capacities force constant expiry (ring-compaction boundaries)
