@@ -9,7 +9,7 @@ use tkm_common::{ScoreFn, Scored, Timestamp, TupleId};
 use tkm_core::{GridSpec, IngestState};
 use tkm_grid::{CellMode, Grid};
 use tkm_ostree::OsTree;
-use tkm_skyband::Skyband;
+use tkm_skyband::{MergeScratch, Skyband};
 use tkm_window::{Window, WindowSpec};
 
 fn lcg(state: &mut u64) -> f64 {
@@ -62,6 +62,41 @@ fn bench_skyband(c: &mut Criterion) {
                         // Expire the oldest band member occasionally.
                         if let Some(e) = sky.scored().iter().map(|s| s.id).min() {
                             sky.expire(e);
+                        }
+                    }
+                    sky.len()
+                },
+                BatchSize::SmallInput,
+            )
+        });
+    }
+    // One cycle's arrivals staged and folded in by a single merge: a band
+    // at depth 20 takes a batch of that many newest arrivals, then expires
+    // its oldest entries back to size. Batches beyond the band's spare
+    // capacity also pay the merge-on-full path.
+    for batch in [1usize, 4, 16, 64] {
+        group.bench_function(format!("merge_{batch}"), |b| {
+            b.iter_batched(
+                || {
+                    let depth = 20;
+                    let mut sky = Skyband::new(depth).expect("k > 0");
+                    let mut state = 7u64;
+                    for i in 0..depth as u64 {
+                        sky.insert(Scored::new(lcg(&mut state), TupleId(i)));
+                    }
+                    (sky, MergeScratch::default(), state, depth)
+                },
+                |(mut sky, mut scratch, mut state, depth)| {
+                    let mut next = depth as u64;
+                    for _ in 0..100 {
+                        for _ in 0..batch {
+                            sky.stage(Scored::new(lcg(&mut state), TupleId(next)), &mut scratch);
+                            next += 1;
+                        }
+                        sky.merge(&mut scratch);
+                        while sky.len() > depth {
+                            let oldest = sky.scored().iter().map(|s| s.id).min();
+                            sky.expire(oldest.expect("non-empty band"));
                         }
                     }
                     sky.len()

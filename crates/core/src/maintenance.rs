@@ -31,11 +31,13 @@
 //! depth-skyband of *all* window tuples at or above the threshold, and
 //! while it holds ≥ k entries its k-prefix is the exact top-k. A query
 //! falls back to the computation module when
-//! `len < k && len < window.len()` (the band drained and the window could
-//! supply more) or `len > cap` (a band started over a sparse window admits
-//! generously; one traversal resets it to ~depth entries and raises the
-//! threshold — and, the threshold having been −∞, also sweeps the
-//! flood-sized influence region).
+//! `len < k && (len < window.len() || threshold > −∞)` (the band drained
+//! and the window could supply more — or holds nothing more, but a finite
+//! threshold would keep rejecting what arrives next) or `len > cap` (a
+//! band started over a sparse window admits generously; one traversal
+//! resets it to ~depth entries and raises the threshold — and, the
+//! threshold having been −∞, also sweeps the flood-sized influence
+//! region).
 //!
 //! The fallback is tiered to kill the worst-tick cliff:
 //!
@@ -63,18 +65,36 @@
 //!   listed query with that query's state hot in cache (the loop order is
 //!   cell → query → tuple) — replay scoring never resolves a tuple
 //!   through the window ring and never copies a coordinate;
+//! * the arrival replay is two passes, *score-and-stage* then *merge*: an
+//!   arrival at or above its query's threshold is only appended to the
+//!   band's staged tail ([`Skyband::stage`], inside capacity the band
+//!   already owns), and when the runs are exhausted each band with staged
+//!   arrivals folds them in with **one** sweep ([`Skyband::merge`]) — one
+//!   dominance-counting pass per band per cycle instead of one per
+//!   arrival, which is what a hot-group or post-expiry-wave tick, where a
+//!   query absorbs tens of arrivals, used to pay for. A band merges early
+//!   only when its spare capacity runs out, so staging allocates nothing
+//!   and no structure remembers a flood tick's high-water mark;
 //! * the traversal heap, the frontier and a small pool of recycled result
 //!   lists live with the stage, so steady-state ticks allocate nothing;
 //! * the policy is a type parameter, monomorphised per engine: no runtime
 //!   branch on TMA-vs-SMA enters the loop.
 //!
-//! One deliberate difference from the interleaved originals: an arrival
+//! Two deliberate differences from the interleaved originals. An arrival
 //! that expires within its own cycle (count window overrun by a burst) is
-//! skipped instead of being offered and then removed. Such a tuple is
+//! skipped instead of being offered and then removed: such a tuple is
 //! evicted only after every older tuple (windows are FIFO), so skipping it
 //! never hides a result candidate, and the recompute-on-expiry path
-//! restores exactness for whatever the burst displaced — the differential
-//! suite pins sharded and unsharded results to the oracle either way.
+//! restores exactness for whatever the burst displaced. And a cycle's
+//! arrivals reach a band as one batch, not one by one (Figure 11 lines
+//! 4–11 update the skyband per tuple): the merge counts, for every entry,
+//! the newer entries ranking above it — exactly the dominance relation of
+//! §3.1, so the band it leaves is the one per-tuple insertion in arrival
+//! order would, and an arrival that already has `depth` newer same-cycle
+//! arrivals above it is never stored at all (`result_updates` counts the
+//! arrivals a band *kept*). The differential suites pin the merge to the
+//! per-arrival reference (`tkm_skyband`) and sharded and unsharded
+//! results to the oracle (`tests/soa_cells.rs` and friends) either way.
 
 use std::marker::PhantomData;
 
@@ -93,7 +113,7 @@ use tkm_common::{
     Monotonicity, OrderedF64, QueryId, QuerySlot, Result, ScoreFn, Scored, TkmError, TupleId,
 };
 use tkm_grid::InfluenceTable;
-use tkm_skyband::{tuned_kmax, Skyband};
+use tkm_skyband::{tuned_kmax, MergeScratch, Skyband};
 use tkm_window::Window;
 
 /// One shard's worth of per-query monitoring state.
@@ -273,6 +293,10 @@ struct BandQuery {
     admit: f64,
     /// Whether the slot is already on this cycle's `affected` list.
     affected: bool,
+    /// Whether a merge forced by a full band already stored one of this
+    /// cycle's arrivals, so the slot stays listed even if the end-of-runs
+    /// merge stores nothing more.
+    stored_early: bool,
     /// Monotone floor of [`ComputeOutcome::region_bound`] over the
     /// computations since the last *resync* (a traversal that underfilled
     /// the band): cells with traversal keys strictly above this already
@@ -330,8 +354,12 @@ pub struct BandMaintenance<P> {
     queries: QueryRegistry<BandQuery>,
     stats: EngineStats,
     /// Reused per-tick scratch: slots whose band stored or lost a tuple
-    /// this cycle (deduplicated via the per-query `affected` flag).
+    /// this cycle (deduplicated via the per-query `affected` flag). During
+    /// the arrival pass it lists every slot with staged arrivals; the
+    /// merge pass unlists those whose merges stored nothing.
     affected: Vec<QuerySlot>,
+    /// Output buffers of the band merges, shared by every query.
+    merge_scratch: MergeScratch,
     batched: bool,
     /// Reused per-tick scratch of the batching machinery.
     pending: Vec<(QuerySlot, u32, OrderedF64)>,
@@ -416,13 +444,17 @@ impl<P: BandPolicy> BandMaintenance<P> {
 
     /// Whether `st` must fall back to a from-scratch computation: either
     /// the band can no longer serve an exact k-prefix while the window
-    /// could supply more candidates (when the band holds the *whole*
-    /// window it is exact by construction, however small — recomputing
-    /// every tick would be wasted work), or the band outgrew the policy's
-    /// cap and wants its threshold tightened.
+    /// could supply more candidates, or the band outgrew the policy's cap
+    /// and wants its threshold tightened. A band below `k` that holds the
+    /// *whole* window is exact by construction only while its threshold
+    /// admits everything: with a finite threshold left over from a fuller
+    /// window it takes one last (underfilling) traversal, which resets
+    /// the threshold to −∞ and lists every cell — after that, recomputing
+    /// every tick would be wasted work and is skipped.
     fn needs_recompute(st: &BandQuery, shared: &IngestState) -> bool {
         let len = st.band.len();
-        (len < st.query.k && len < shared.window().len()) || len > P::cap(st.band.k())
+        (len < st.query.k && (len < shared.window().len() || st.admit > f64::NEG_INFINITY))
+            || len > P::cap(st.band.k())
     }
 }
 
@@ -438,6 +470,7 @@ impl<P: BandPolicy> QueryMaintenance for BandMaintenance<P> {
             queries: QueryRegistry::new(),
             stats: EngineStats::default(),
             affected: Vec::new(),
+            merge_scratch: MergeScratch::default(),
             batched: true,
             pending: Vec::new(),
             members: Vec::new(),
@@ -459,6 +492,7 @@ impl<P: BandPolicy> QueryMaintenance for BandMaintenance<P> {
                 band,
                 admit: f64::NEG_INFINITY,
                 affected: false,
+                stored_early: false,
                 region_bound: f64::INFINITY,
             },
         )?;
@@ -498,6 +532,7 @@ impl<P: BandPolicy> QueryMaintenance for BandMaintenance<P> {
             queries,
             stats,
             affected,
+            merge_scratch,
             batched,
             pending,
             members,
@@ -510,12 +545,13 @@ impl<P: BandPolicy> QueryMaintenance for BandMaintenance<P> {
         affected.clear();
 
         // ---- Pins (Figure 9 lines 3-7, Figure 11 lines 4-11), inverted:
-        // cell → query → tuple. The run's packed coordinate block (the
-        // tail of the cell's own point block, still warm from ingest)
-        // streams through the scoring kernel once per listed query; no
-        // window resolution per tuple. Arrivals scoring at/above the
-        // admission threshold enter the band unless they already have
-        // `depth` dominators there.
+        // cell → query → tuple, in two passes. Score-and-stage: the run's
+        // packed coordinate block (the tail of the cell's own point block,
+        // still warm from ingest) streams through the scoring kernel once
+        // per listed query; no window resolution per tuple. Arrivals
+        // scoring at/above the admission threshold are only *staged* in
+        // their query's band, which merges early just when its spare
+        // capacity runs out.
         for (cell, ids) in shared.arrival_runs() {
             let slots = influence.as_slice(cell);
             if slots.is_empty() {
@@ -531,7 +567,8 @@ impl<P: BandPolicy> QueryMaintenance for BandMaintenance<P> {
                 let (_, st) = queries.slot_mut(slot);
                 let admit = st.admit;
                 let band = &mut st.band;
-                let mut stored = 0u64;
+                let mut staged = false;
+                let mut stored = 0;
                 kernel::scan_block(
                     &st.query.f,
                     dims,
@@ -539,20 +576,35 @@ impl<P: BandPolicy> QueryMaintenance for BandMaintenance<P> {
                     coords,
                     st.query.constraint.as_ref(),
                     |id, score| {
-                        if score >= admit && band.insert(Scored::new(score, id)).is_some() {
-                            stored += 1;
+                        if score >= admit {
+                            staged = true;
+                            stored += band.stage(Scored::new(score, id), merge_scratch);
                         }
                     },
                 );
                 if stored > 0 {
-                    stats.result_updates += stored;
-                    if !st.affected {
-                        st.affected = true;
-                        affected.push(slot);
-                    }
+                    stats.result_updates += stored as u64;
+                    st.stored_early = true;
+                }
+                if staged && !st.affected {
+                    st.affected = true;
+                    affected.push(slot);
                 }
             }
         }
+
+        // Merge: the arrival runs are exhausted, so every band with staged
+        // arrivals folds them in with one sweep — its whole cycle's worth
+        // of dominance counting — and only the slots whose merges stored
+        // an arrival stay on the `affected` list.
+        affected.retain(|&slot| {
+            let (_, st) = queries.slot_mut(slot);
+            let stored = st.band.merge(merge_scratch);
+            stats.result_updates += stored as u64;
+            st.affected = stored > 0 || st.stored_early;
+            st.stored_early = false;
+            st.affected
+        });
 
         // ---- Pdel (Figure 9 lines 8-11, Figure 11 lines 12-16), same
         // inversion; no coordinates needed. An expiry inside the band is
@@ -725,6 +777,7 @@ impl<P: BandPolicy> QueryMaintenance for BandMaintenance<P> {
             + self.scratch.space_bytes()
             + self.queries.space_bytes()
             + (self.affected.capacity() * std::mem::size_of::<QuerySlot>())
+            + self.merge_scratch.space_bytes()
             + (self.pending.capacity() * std::mem::size_of::<(QuerySlot, u32, OrderedF64)>())
             + (self.members.capacity() * std::mem::size_of::<GroupMember>())
             + (self.outcomes.capacity() * std::mem::size_of::<GroupOutcome>())

@@ -18,16 +18,43 @@
 //!
 //! * entries ordered by descending `Scored` — the first `k` *are* the
 //!   current top-k result, so no separate result list is stored;
-//! * a *dominance counter* (DC) per entry: an insert increments the DC of
-//!   every entry it dominates and evicts entries whose DC reaches `k`
-//!   (they can never appear in any result again);
+//! * a *dominance counter* (DC) per entry: the number of newer entries
+//!   that ever ranked above it. An entry whose DC reaches `k` is dropped
+//!   (it can never appear in any result again);
 //! * expiry of the oldest entry, which — provably (paper footnote 5) — is
-//!   in the current top-k and dominates nobody, so no counters change;
-//! * a from-scratch rebuild that derives the DCs of a fresh top-k list in
-//!   `O(k·log k)` using the order-statistic tree of `tkm-ostree`.
+//!   in the current top-k and dominates nobody, so no counters change.
 //!
 //! Counters never need decrementing: a dominator always expires after the
 //! entries it dominates.
+//!
+//! # One merge per cycle
+//!
+//! The paper updates the band once per arriving tuple (Figure 11 lines
+//! 4–11). Here a cycle's admitted arrivals are first [*staged*]: appended
+//! unsorted behind the sorted entries, inside the spare capacity the
+//! band's vector already owns, invisible to every reader. One [*merge*]
+//! then sorts the staged batch best-first and makes a single top-to-bottom
+//! sweep over band ∪ batch, deriving every counter from the entries that
+//! rank above it:
+//!
+//! * an old entry gains one per batch entry above it that is newer (all of
+//!   them, when it is older than the whole batch — the usual case);
+//! * a batch entry starts at the number of newer entries above it, batch
+//!   or old;
+//! * an entry reaching `k` is dropped but still counts as a dominator of
+//!   everything below it.
+//!
+//! That is exact in-band dominance with no precondition on the order in
+//! which the batch was staged, and it equals what per-tuple insertion in
+//! ascending id order (the order in which no dominator is ever missed)
+//! would leave behind. The same sweep serves all three updates:
+//! [`Skyband::insert`] is its one-element case (done in place), the cycle
+//! merge is the general case, and [`Skyband::rebuild`] is the merge of a
+//! fresh candidate list into an empty band. The only undercount left: a
+//! band whose spare capacity runs out mid-cycle merges early, and an
+//! arrival dropped by that early merge cannot be counted against arrivals
+//! staged later in the same cycle — which can only keep an entry longer
+//! than strictly necessary, never evict a future result.
 //!
 //! Storage is two parallel arrays (`Vec<Scored>` + `Vec<u32>` counters)
 //! rather than an array of structs: the scored column is contiguous, so a
@@ -41,9 +68,11 @@
 //! a from-scratch recomputation is needed only when the band itself drops
 //! below `k` — the refill policy the paper's §8 borrows from the TSL
 //! baseline.
+//!
+//! [*staged*]: Skyband::stage
+//! [*merge*]: Skyband::merge
 
 use tkm_common::{Result, Scored, TkmError, TupleId};
-use tkm_ostree::OsTree;
 
 /// The paper's fine-tuned `k_max` table (§8: "we also fine-tune the value
 /// of kmax … the optimal values (4, 10, 20, 30, 70, 120) for the values
@@ -59,6 +88,105 @@ pub fn tuned_kmax(k: usize) -> usize {
         100 => 120,
         _ => k + (k / 2).max(3),
     }
+}
+
+/// Output buffers of [`Skyband::merge`], owned by whoever drives the merges
+/// (one pair per maintenance stage, not per band) and reused across calls:
+/// it never holds more than one band's worth of entries.
+#[derive(Debug, Default)]
+pub struct MergeScratch {
+    scored: Vec<Scored>,
+    dcs: Vec<u32>,
+}
+
+impl MergeScratch {
+    /// Deep size estimate in bytes.
+    pub fn space_bytes(&self) -> usize {
+        std::mem::size_of::<Self>()
+            + self.scored.capacity() * std::mem::size_of::<Scored>()
+            + self.dcs.capacity() * std::mem::size_of::<u32>()
+    }
+}
+
+/// Number of `entries` that arrived after `id`.
+#[inline]
+fn newer_than(entries: &[Scored], id: TupleId) -> u32 {
+    entries.iter().filter(|e| e.id > id).count() as u32
+}
+
+/// The one dominance-counting routine: a single top-to-bottom sweep over
+/// `old ∪ batch` (both best-first).
+///
+/// Old entries ranking above the whole batch are untouched by it; the
+/// sweep skips them and returns their number as the first component, then
+/// appends everything below — surviving old entries and stored batch
+/// entries, in rank order, with their counters — to `out`/`out_dcs`. The
+/// second component is the number of batch entries stored.
+///
+/// The newest old id seen so far decides whether any old entry above a
+/// batch entry can be newer than it; only then (a batch staged after a
+/// mid-cycle merge, or a caller feeding ids out of order) is the explicit
+/// scan over the old prefix paid.
+// lint: hot-path
+fn sweep(
+    k: u32,
+    old: &[Scored],
+    old_dcs: &[u32],
+    batch: &[Scored],
+    out: &mut Vec<Scored>,
+    out_dcs: &mut Vec<u32>,
+) -> (usize, usize) {
+    debug_assert!(
+        batch.windows(2).all(|w| w[0] > w[1]),
+        "batch must be strictly descending"
+    );
+    let Some(best) = batch.first() else {
+        return (old.len(), 0);
+    };
+    let oldest_in_batch = batch.iter().fold(best.id, |m, b| m.min(b.id));
+    let mut newest_old = TupleId(0);
+    let mut i = 0;
+    while i < old.len() && old[i] > *best {
+        newest_old = newest_old.max(old[i].id);
+        i += 1;
+    }
+    let kept = i;
+    let mut j = 0;
+    let mut stored = 0;
+    while i < old.len() || j < batch.len() {
+        if j == batch.len() || (i < old.len() && old[i] > batch[j]) {
+            // An old entry: one more dominator per newer batch entry
+            // above it — all `j` of them when it predates the batch.
+            let e = old[i];
+            let above = if e.id < oldest_in_batch {
+                j as u32
+            } else {
+                newer_than(&batch[..j], e.id)
+            };
+            let dc = old_dcs[i] + above;
+            newest_old = newest_old.max(e.id);
+            i += 1;
+            if dc < k {
+                out.push(e);
+                out_dcs.push(dc);
+            }
+        } else {
+            // A batch entry: its dominators are the newer entries above
+            // it, dropped ones included.
+            let b = batch[j];
+            let mut dc = newer_than(&batch[..j], b.id);
+            if newest_old > b.id {
+                dc += newer_than(&old[..i], b.id);
+            }
+            j += 1;
+            if dc < k {
+                out.push(b);
+                out_dcs.push(dc);
+                stored += 1;
+            }
+        }
+    }
+    (kept, stored)
 }
 
 /// A k-skyband over the (score, expiry-time) space.
@@ -83,14 +211,17 @@ pub fn tuned_kmax(k: usize) -> usize {
 #[derive(Debug)]
 pub struct Skyband {
     k: usize,
-    /// Scored entries in descending order (best first).
+    /// The first `dcs.len()` entries are the band, in descending order
+    /// (best first); whatever follows is this cycle's staged arrivals,
+    /// unsorted, awaiting [`Skyband::merge`].
     scored: Vec<Scored>,
-    /// Dominance counters, parallel to `scored`.
+    /// Dominance counters of the band entries; its length *is* the band's.
     dcs: Vec<u32>,
-    /// Lower bound on every entry's id (conservative: removals may leave
-    /// it stale-low). Expiry replay probes every query listed in the
-    /// expiring tuple's cell, and almost all of those probes miss — this
-    /// bound turns a miss into one comparison instead of an O(len) scan.
+    /// Lower bound on every entry's id, staged ones included
+    /// (conservative: removals may leave it stale-low). Expiry replay
+    /// probes every query listed in the expiring tuple's cell, and almost
+    /// all of those probes miss — this bound turns a miss into one
+    /// comparison instead of an O(len) scan.
     min_id: TupleId,
 }
 
@@ -120,26 +251,33 @@ impl Skyband {
     /// Table 2 of the paper).
     #[inline]
     pub fn len(&self) -> usize {
-        self.scored.len()
+        self.dcs.len()
     }
 
     /// Whether the skyband holds no entries.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.scored.is_empty()
+        self.dcs.is_empty()
     }
 
     /// Whether fewer than `k` entries remain — the condition that forces
     /// SMA to recompute from scratch (paper Figure 11, lines 20–22).
     #[inline]
     pub fn is_deficient(&self) -> bool {
-        self.scored.len() < self.k
+        self.len() < self.k
+    }
+
+    /// Whether no staged arrival awaits [`Skyband::merge`] — true at every
+    /// reader outside the arrival pass of a cycle.
+    #[inline]
+    fn is_merged(&self) -> bool {
+        self.scored.len() == self.dcs.len()
     }
 
     /// All scored entries, best first (contiguous).
     #[inline]
     pub fn scored(&self) -> &[Scored] {
-        &self.scored
+        &self.scored[..self.dcs.len()]
     }
 
     /// The dominance counters, parallel to [`Skyband::scored`].
@@ -152,7 +290,7 @@ impl Skyband {
     /// as a borrowable contiguous slice.
     #[inline]
     pub fn top_scored(&self) -> &[Scored] {
-        &self.scored[..self.k.min(self.scored.len())]
+        self.prefix(self.k)
     }
 
     /// The first `min(n, len)` scored entries — the top-n prefix of a band
@@ -160,25 +298,26 @@ impl Skyband {
     #[inline]
     pub fn prefix(&self, n: usize) -> &[Scored] {
         debug_assert!(n <= self.k, "prefix size must not exceed the band's k");
-        &self.scored[..n.min(self.scored.len())]
+        debug_assert!(self.is_merged(), "staged arrivals outlived their cycle");
+        &self.scored[..n.min(self.len())]
     }
 
     /// Score/id of the k-th best entry if the skyband has `k` of them.
     #[inline]
     pub fn kth(&self) -> Option<Scored> {
-        (self.scored.len() >= self.k).then(|| self.scored[self.k - 1])
+        debug_assert!(self.is_merged(), "staged arrivals outlived their cycle");
+        (self.len() >= self.k).then(|| self.scored[self.k - 1])
     }
 
     /// Whether a tuple id is currently in the skyband (O(len) scan over the
     /// ~k entries).
     pub fn contains(&self, id: TupleId) -> bool {
-        self.scored.iter().any(|e| e.id == id)
+        self.scored().iter().any(|e| e.id == id)
     }
 
-    /// Rebuilds from a fresh best-first candidate list, deriving dominance
-    /// counters with an order-statistic tree: processing best-first, the DC
-    /// of an entry is the number of already-processed entries that arrived
-    /// later.
+    /// Rebuilds from a fresh best-first candidate list: the merge of the
+    /// list into an empty band, so the DC of an entry is the number of
+    /// earlier (better) candidates that arrived later.
     ///
     /// The input is typically the top-k list of the computation module,
     /// optionally extended with candidates tying the k-th score (SMA needs
@@ -187,78 +326,147 @@ impl Skyband {
     /// list, so the DCs are exact; candidates with ≥ k dominators are not
     /// stored (they can never appear in a result) but still count as
     /// dominators of later candidates.
+    // lint: hot-path
     pub fn rebuild(&mut self, top: &[Scored]) {
-        debug_assert!(
-            top.windows(2).all(|w| w[0] > w[1]),
-            "rebuild input must be strictly descending"
+        debug_assert!(self.is_merged(), "staged arrivals outlived their cycle");
+        self.clear();
+        self.min_id = top.iter().fold(self.min_id, |m, s| m.min(s.id));
+        sweep(
+            self.k as u32,
+            &[],
+            &[],
+            top,
+            &mut self.scored,
+            &mut self.dcs,
         );
-        self.scored.clear();
-        self.dcs.clear();
-        let mut arrivals = OsTree::new();
-        self.min_id = TupleId(u64::MAX);
-        for s in top {
-            let dc = arrivals.count_greater(&s.id.0);
-            arrivals.insert(s.id.0);
-            if dc < self.k {
-                self.min_id = self.min_id.min(s.id);
-                self.scored.push(*s);
-                self.dcs.push(dc as u32);
-            }
-        }
     }
 
-    /// Inserts an arrived tuple. Increments the dominance counter of every
-    /// entry it dominates (present, strictly lower-ranked *and* older) and
-    /// evicts entries whose counter reaches `k`. Returns the insertion rank
-    /// (0 = new best) when the tuple was stored, `None` when it already had
-    /// `k` dominators and was dropped on arrival. O(len).
+    /// Inserts an arrived tuple — the one-element merge, done in place.
+    /// Increments the dominance counter of every entry it dominates
+    /// (strictly lower-ranked *and* older), drops entries whose counter
+    /// reaches `k`, and starts the newcomer at the number of newer entries
+    /// ranking above it. Returns the insertion rank (0 = new best) when
+    /// the tuple was stored, `None` when it already had `k` dominators and
+    /// was dropped on arrival. O(len).
     ///
-    /// Arrivals of one processing cycle may be inserted in any order
-    /// (cell-grouped event replay delivers them per cell, not globally by
-    /// id): the dominance tests compare ids explicitly instead of assuming
-    /// the newcomer is newest. A dominator of `s` that was itself already
-    /// evicted is not counted toward `s`'s counter — an *undercount*, which
-    /// can only keep `s` longer than strictly necessary, never evict a
-    /// future result.
+    /// Feeding a cycle's arrivals through `insert` one at a time is exact
+    /// in ascending id order; in any other order a dominator evicted
+    /// before the tuple it dominates is inserted goes uncounted (sound,
+    /// see the crate docs). [`Skyband::stage`] + [`Skyband::merge`] have
+    /// no such order dependence.
     // lint: hot-path
     pub fn insert(&mut self, s: Scored) -> Option<usize> {
+        debug_assert!(self.is_merged(), "insert into a band with staged arrivals");
         debug_assert!(
             self.scored.iter().all(|e| e.id != s.id),
             "an id is inserted at most once"
         );
         self.min_id = self.min_id.min(s.id);
-        // Position in descending order: first index whose entry ranks
-        // below `s`.
-        let pos = self.scored.partition_point(|e| *e > s);
-        // In-band dominators of `s`: higher-ranked entries that are newer.
-        let dc = self.scored[..pos].iter().filter(|e| e.id > s.id).count();
         let k = self.k as u32;
-        let stored = dc < self.k;
-        let mut write = pos;
-        if stored {
-            self.scored.insert(pos, s);
-            self.dcs.insert(pos, dc as u32);
-            write = pos + 1;
+        let n = self.dcs.len();
+        // Rank and in-band dominators (higher-ranked *and* newer) in one
+        // scan from the top.
+        let mut pos = 0;
+        let mut dc = 0;
+        while pos < n && self.scored[pos] > s {
+            dc += u32::from(self.scored[pos].id > s.id);
+            pos += 1;
         }
-        // Entries `s` dominates: lower-ranked and older. Same-cycle
-        // arrivals with larger ids that rank below `s` are *not* dominated
-        // (they outlive `s`) and keep their counter.
-        let scan_from = write;
-        for read in scan_from..self.scored.len() {
+        // Everything below: older entries gain a dominator, survivors
+        // shift down by one behind the newcomer. The entry to write next
+        // rides in `carry`, so each slot is read once and written once
+        // (when `s` was dropped on arrival nothing rides along and the
+        // pass is a plain compaction). Same-cycle arrivals with larger
+        // ids that rank below `s` are *not* dominated (they outlive `s`)
+        // and keep their counter.
+        let stored = dc < k;
+        let mut carry = (s, dc);
+        let mut write = pos;
+        for read in pos..n {
             let e = self.scored[read];
-            let mut d = self.dcs[read];
-            if e.id < s.id {
-                d += 1;
-            }
+            let d = self.dcs[read] + u32::from(e.id < s.id);
             if d < k {
-                self.scored[write] = e;
-                self.dcs[write] = d;
+                let out = if stored {
+                    std::mem::replace(&mut carry, (e, d))
+                } else {
+                    (e, d)
+                };
+                self.scored[write] = out.0;
+                self.dcs[write] = out.1;
                 write += 1;
             }
         }
         self.scored.truncate(write);
         self.dcs.truncate(write);
+        if stored {
+            self.scored.push(carry.0);
+            self.dcs.push(carry.1);
+        }
         stored.then_some(pos)
+    }
+
+    /// Stages an admitted arrival behind the band, to be folded in by the
+    /// next [`Skyband::merge`]; until then no reader sees it. Staging only
+    /// ever uses capacity the band already owns: when none is left the
+    /// staged batch is merged first, and an arrival meeting a band that
+    /// fills its capacity on its own takes the one-element path
+    /// ([`Skyband::insert`]), which grows the band only if the arrival is
+    /// stored. Returns how many arrivals such a forced merge stored (0
+    /// when `s` was simply staged).
+    // lint: hot-path
+    pub fn stage(&mut self, s: Scored, scratch: &mut MergeScratch) -> usize {
+        let mut stored = 0;
+        if self.scored.len() == self.scored.capacity() {
+            stored = self.merge(scratch);
+            if self.scored.len() == self.scored.capacity() {
+                return stored + usize::from(self.insert(s).is_some());
+            }
+        }
+        debug_assert!(
+            self.scored.iter().all(|e| e.id != s.id),
+            "an id is inserted at most once"
+        );
+        self.min_id = self.min_id.min(s.id);
+        self.scored.push(s);
+        stored
+    }
+
+    /// Folds the staged arrivals into the band in one sweep (crate docs)
+    /// and returns how many of them were stored. Every staged arrival,
+    /// stored or not, counts as a dominator of the older entries ranking
+    /// below it; entries reaching `k` dominators are dropped. The arrivals
+    /// may have been staged in any order.
+    // lint: hot-path
+    pub fn merge(&mut self, scratch: &mut MergeScratch) -> usize {
+        let n = self.dcs.len();
+        match self.scored.len() - n {
+            0 => return 0,
+            1 => {
+                let s = self.scored[n];
+                self.scored.truncate(n);
+                return usize::from(self.insert(s).is_some());
+            }
+            _ => {}
+        }
+        let (old, batch) = self.scored.split_at_mut(n);
+        batch.sort_unstable_by(|a, b| b.cmp(a));
+        scratch.scored.clear();
+        scratch.dcs.clear();
+        let (kept, stored) = sweep(
+            self.k as u32,
+            old,
+            &self.dcs,
+            batch,
+            &mut scratch.scored,
+            &mut scratch.dcs,
+        );
+        // At most band + batch entries come back, so the copy stays
+        // inside the capacity the staged entries occupied.
+        self.scored.truncate(kept);
+        self.scored.extend_from_slice(&scratch.scored);
+        self.dcs.truncate(kept);
+        self.dcs.extend_from_slice(&scratch.dcs);
+        stored
     }
 
     /// Removes an expiring tuple. An expiring member dominates nobody that
@@ -267,6 +475,7 @@ impl Skyband {
     /// (0 = best) when it was present.
     // lint: hot-path
     pub fn expire(&mut self, id: TupleId) -> Option<usize> {
+        debug_assert!(self.is_merged(), "staged arrivals outlived their cycle");
         if id < self.min_id {
             // Older than everything ever retained: cannot be present.
             return None;
@@ -295,6 +504,7 @@ impl Skyband {
     /// `None` when nothing was removed).
     // lint: hot-path
     pub fn expire_before(&mut self, cutoff: TupleId) -> Option<usize> {
+        debug_assert!(self.is_merged(), "staged arrivals outlived their cycle");
         if self.min_id >= cutoff {
             // Every retained entry is at least as new as the cutoff.
             return None;
@@ -320,7 +530,7 @@ impl Skyband {
         first
     }
 
-    /// Removes every entry.
+    /// Removes every entry, staged ones included.
     pub fn clear(&mut self) {
         self.scored.clear();
         self.dcs.clear();
@@ -338,7 +548,11 @@ impl Skyband {
     /// Validates internal invariants (tests/debugging).
     pub fn check_invariants(&self) {
         // lint: allow(panic, reason=opt-in invariant checker; aborting on breach is its contract)
-        assert_eq!(self.scored.len(), self.dcs.len(), "parallel arrays");
+        assert_eq!(
+            self.scored.len(),
+            self.dcs.len(),
+            "parallel arrays (no staged arrival outside a cycle)"
+        );
         for w in self.scored.windows(2) {
             // lint: allow(panic, reason=opt-in invariant checker; aborting on breach is its contract)
             assert!(w[0] > w[1], "entries must be strictly descending");
@@ -348,7 +562,7 @@ impl Skyband {
             assert!((dc as usize) < self.k, "DC must stay below k");
         }
         // An entry's counter is at least its number of in-band dominators
-        // (out-of-band dominators — entries since evicted — may add more).
+        // (out-of-band dominators — entries since dropped — may add more).
         for (i, e) in self.scored.iter().enumerate() {
             let in_band = self.scored[..i].iter().filter(|d| d.id > e.id).count();
             // lint: allow(panic, reason=opt-in invariant checker; aborting on breach is its contract)
@@ -571,6 +785,156 @@ mod tests {
         assert!(sky.is_empty());
     }
 
+    /// Stages `batch` (in the given order) into `band` and merges once;
+    /// feeds the same arrivals one at a time, in ascending id order — the
+    /// order in which no dominator is ever missed — into `reference`, an
+    /// identically built twin. Without a mid-cycle merge the two must end
+    /// up identical and the stored count must equal the batch ids present.
+    /// A band that ran out of spare capacity merged early, and an arrival
+    /// dropped by that early merge cannot be counted against later ones,
+    /// so it gets the weaker (still sufficient) contract: same result, a
+    /// superset of the reference's entries, no counter above the
+    /// reference's. Returns whether the merge-on-full path fired.
+    fn merge_vs_reference(band: &mut Skyband, reference: &mut Skyband, batch: &[Scored]) -> bool {
+        let mut scratch = MergeScratch::default();
+        let mut forced = false;
+        let mut stored = 0;
+        for &b in batch {
+            forced |= band.scored.len() == band.scored.capacity();
+            stored += band.stage(b, &mut scratch);
+        }
+        stored += band.merge(&mut scratch);
+        band.check_invariants();
+
+        let mut ascending = batch.to_vec();
+        ascending.sort_by_key(|b| b.id);
+        for &b in &ascending {
+            reference.insert(b);
+        }
+        reference.check_invariants();
+
+        assert_eq!(band.top_scored(), reference.top_scored(), "result");
+        if forced {
+            for (e, dc) in reference.scored().iter().zip(reference.dcs()) {
+                let pos = band.scored().iter().position(|x| x == e);
+                let pos = pos.expect("reference entry missing from the merged band");
+                assert!(band.dcs()[pos] <= *dc, "counter above the reference's");
+            }
+        } else {
+            assert_eq!(band.scored(), reference.scored());
+            assert_eq!(band.dcs(), reference.dcs());
+            let present = batch.iter().filter(|b| band.contains(b.id)).count();
+            assert_eq!(stored, present, "stored count");
+        }
+        forced
+    }
+
+    /// A pair of identically built bands.
+    fn twins(k: usize, build: impl Fn(&mut Skyband)) -> (Skyband, Skyband) {
+        let mut a = Skyband::new(k).unwrap();
+        let mut b = Skyband::new(k).unwrap();
+        build(&mut a);
+        build(&mut b);
+        (a, b)
+    }
+
+    /// A band of `n` mutually non-dominating entries (rank order = arrival
+    /// order) scoring 0.20, 0.19, …: they are all kept whatever `k` is, so
+    /// this is how a test gets a band with capacity to spare.
+    fn roomy(sky: &mut Skyband, n: u64) {
+        let seed: Vec<Scored> = (0..n).map(|i| s(0.2 - i as f64 / 100.0, i)).collect();
+        sky.rebuild(&seed);
+        assert_eq!(sky.len(), n as usize);
+    }
+
+    /// Figure 10 fed as one batch, in arrival order and shuffled.
+    #[test]
+    fn figure_10_as_one_batch() {
+        let fig = [s(0.6, 0), s(0.9, 1), s(0.3, 2), s(0.5, 3), s(0.8, 4)];
+        for order in [[0, 1, 2, 3, 4], [4, 2, 0, 3, 1]] {
+            let (mut sky, mut reference) = twins(2, |b| {
+                roomy(b, 12);
+                b.expire_before(TupleId(12));
+            });
+            let batch: Vec<Scored> = order
+                .iter()
+                .map(|&i| Scored::new(fig[i].score.get(), TupleId(fig[i].id.0 + 12)))
+                .collect();
+            assert!(!merge_vs_reference(&mut sky, &mut reference, &batch));
+            assert_eq!(band_pairs(&sky), vec![(13, 0), (16, 0), (15, 1)]);
+        }
+    }
+
+    /// The named corners of the merge: empty and one-element batches, a
+    /// batch larger than `k`, one that dominates the whole band, ties on
+    /// score inside the batch and against the band, and `k = 1` — each on
+    /// a roomy band (exact contract) and on one with no room to spare
+    /// (merge-on-full fires mid-cycle).
+    #[test]
+    fn merge_named_cases() {
+        for k in [1usize, 3] {
+            let fresh = |scores: &[f64]| -> Vec<Scored> {
+                scores
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &sc)| s(sc, 100 + i as u64))
+                    .collect()
+            };
+            let cases = [
+                fresh(&[]),
+                fresh(&[0.15]),
+                fresh(&[0.5, 0.1, 0.3, 0.05, 0.4, 0.2, 0.15]),
+                fresh(&[0.9, 0.8, 0.7, 0.6, 0.95]),
+                fresh(&[0.17, 0.17, 0.2, 0.17, 0.19, 0.2]),
+            ];
+            for batch in &cases {
+                let (mut sky, mut reference) = twins(k, |b| {
+                    roomy(b, 16);
+                    b.expire_before(TupleId(8));
+                });
+                let forced = merge_vs_reference(&mut sky, &mut reference, batch);
+                assert!(!forced, "eight spare slots hold every named batch");
+
+                let (mut sky, mut reference) = twins(k, |b| roomy(b, (k + k / 2 + 1) as u64));
+                let forced = merge_vs_reference(&mut sky, &mut reference, batch);
+                assert_eq!(forced, !batch.is_empty(), "no spare capacity at all");
+            }
+        }
+    }
+
+    /// Staging lives in capacity the band already owns: a flood of 10·k
+    /// admitted arrivals through stage/merge never leaves the band larger
+    /// than per-arrival insertion would, and nothing stays staged.
+    #[test]
+    fn staging_never_grows_a_band() {
+        let k = 4;
+        let mut state = 0x5eed_u64;
+        let mut flood: Vec<Scored> = (0..10 * k as u64)
+            .map(|id| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                s((state >> 40) as f64 / (1u64 << 24) as f64, id)
+            })
+            .collect();
+        for shuffled in [false, true] {
+            if shuffled {
+                flood.sort_by_key(|e| e.id.0.wrapping_mul(0x9E37_79B9) % 41);
+            }
+            let mut staged = Skyband::new(k).unwrap();
+            let mut twin = Skyband::new(k).unwrap();
+            let mut scratch = MergeScratch::default();
+            for &e in &flood {
+                staged.stage(e, &mut scratch);
+                twin.insert(e);
+                assert!(staged.space_bytes() <= twin.space_bytes());
+            }
+            staged.merge(&mut scratch);
+            staged.check_invariants();
+            assert!(staged.space_bytes() <= twin.space_bytes());
+            assert_eq!(staged.top_scored(), twin.top_scored());
+            assert!(scratch.scored.len() <= staged.scored.capacity());
+        }
+    }
+
     /// Naive model: the k-skyband of a set of valid tuples is the set with
     /// fewer than k strict dominators (newer arrival, strictly better
     /// `Scored` — which given distinct ids means strictly higher score).
@@ -641,6 +1005,79 @@ mod tests {
                 let got: Vec<Scored> = sky.top_scored().to_vec();
                 prop_assert_eq!(got, want);
             }
+        }
+        /// Differential: stage×n + one merge ≡ the per-arrival reference
+        /// (`merge_vs_reference`), on bands built by inserts, expiries and
+        /// rebuilds. `room` first grows the band's capacity so that big
+        /// batches fit the spare room (exact contract); without it most
+        /// batches overflow and exercise merge-on-full. Twelve score
+        /// levels force ties; `stale` batch entries take ids *older* than
+        /// some band entries, which a mid-cycle merge produces for real.
+        #[test]
+        fn merge_equals_per_arrival_reference(
+            k in 1usize..6,
+            room in 0u64..40,
+            ops in prop::collection::vec((0u32..8, 0u32..12), 0..40),
+            batch in prop::collection::vec((0u32..12, 0u32..1000, 0u32..4), 0..24),
+        ) {
+            // Band ids are even, so every odd id stays free for `stale`
+            // batch entries.
+            let first = 2 * room;
+            let build = |sky: &mut Skyband| -> u64 {
+                let mut next = first;
+                if room > 0 {
+                    roomy(sky, room);
+                    sky.expire_before(TupleId(next));
+                }
+                let mut valid: Vec<Scored> = Vec::new();
+                for &(kind, level) in &ops {
+                    match kind {
+                        0..=4 => {
+                            let e = Scored::new(level as f64 / 12.0, TupleId(next));
+                            next += 2;
+                            sky.insert(e);
+                            valid.push(e);
+                        }
+                        5 if !valid.is_empty() => {
+                            let cut = level as usize % valid.len();
+                            sky.expire_before(valid[cut].id);
+                            valid.drain(..cut);
+                        }
+                        6 if !valid.is_empty() => {
+                            sky.expire(valid.remove(0).id);
+                        }
+                        7 => {
+                            let mut top = valid.clone();
+                            top.sort_by(|a, b| b.cmp(a));
+                            top.truncate(k + level as usize % 4);
+                            sky.rebuild(&top);
+                        }
+                        _ => {}
+                    }
+                }
+                sky.check_invariants();
+                next
+            };
+            let mut sky = Skyband::new(k).unwrap();
+            let mut reference = Skyband::new(k).unwrap();
+            let next = build(&mut sky);
+            prop_assert_eq!(build(&mut reference), next);
+
+            let mut arrivals: Vec<(u32, Scored)> = batch
+                .iter()
+                .enumerate()
+                .map(|(i, &(level, order, stale))| {
+                    let i = i as u64;
+                    let id = match next.checked_sub(1 + 2 * i) {
+                        Some(odd) if stale == 0 => odd,
+                        _ => next + 2 * i,
+                    };
+                    (order, Scored::new(level as f64 / 12.0, TupleId(id)))
+                })
+                .collect();
+            arrivals.sort_by_key(|&(order, _)| order);
+            let arrivals: Vec<Scored> = arrivals.into_iter().map(|(_, e)| e).collect();
+            merge_vs_reference(&mut sky, &mut reference, &arrivals);
         }
     }
 }

@@ -6,8 +6,8 @@
 mod common;
 
 use common::{build_all, register_all, tick_and_compare, BatchGen};
-use topk_monitor::engines::GridSpec;
-use topk_monitor::{DataDist, Query, QueryId, ScoreFn, Timestamp, WindowSpec};
+use topk_monitor::engines::{build_engine, EngineKind, GridSpec};
+use topk_monitor::{DataDist, KmaxPolicy, Query, QueryId, ScoreFn, Timestamp, WindowSpec};
 
 fn linear_queries(dims: usize, seed: u64, n: usize, k: usize) -> Vec<Query> {
     let mut gen = topk_monitor::QueryGen::new(dims, topk_monitor::FnFamily::Linear, seed)
@@ -227,6 +227,50 @@ fn empty_ticks() {
             Vec::new() // silence: only expirations happen
         };
         tick_and_compare(&mut engines, Timestamp(tick), &batch, &queries);
+    }
+}
+
+/// A band that drains below `k` while it holds the whole window must drop
+/// its stale admission threshold: the twelve tuples of t=0 set it near
+/// 0.8, they all leave the `Time(2)` window during the silent ticks, and
+/// the two low scorers arriving at t=4 are then the entire window — and
+/// the result. (Both engines used to report nothing.)
+#[test]
+fn drained_band_readmits_below_stale_threshold() {
+    let window = WindowSpec::Time(2);
+    for shards in [1, 3] {
+        let mut engines: Vec<_> = [
+            (EngineKind::Tma, shards),
+            (EngineKind::Sma, shards),
+            (EngineKind::Oracle, 1),
+        ]
+        .into_iter()
+        .map(|(kind, shards)| {
+            build_engine(
+                kind,
+                1,
+                window,
+                GridSpec::PerDim(8),
+                KmaxPolicy::Tuned,
+                shards,
+            )
+            .expect("engine builds")
+        })
+        .collect();
+        let first: Vec<f64> = (0..12).map(|i| 0.60 + 0.03 * f64::from(i)).collect();
+        let silence = Vec::new();
+        let q = Query::top_k(ScoreFn::linear(vec![1.0]).expect("dims"), 3).expect("k");
+        for e in engines.iter_mut() {
+            e.tick(Timestamp(0), &first).expect("tick succeeds");
+        }
+        let held = register_all(&mut engines, QueryId(0), &q);
+        let queries = vec![(QueryId(0), held)];
+        for t in 1..=3 {
+            tick_and_compare(&mut engines, Timestamp(t), &silence, &queries);
+        }
+        tick_and_compare(&mut engines, Timestamp(4), &[0.1, 0.2], &queries);
+        let last = engines[0].result(QueryId(0)).expect("result");
+        assert_eq!(last.len(), 2, "the whole window is the result");
     }
 }
 

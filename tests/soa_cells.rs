@@ -4,7 +4,9 @@
 //! transients, and Hash-mode swap-removes — and the engines built on the
 //! blocks must keep reporting the brute-force oracle's results. The
 //! staged batch ingest (`IngestState::ingest`) is held, cycle by cycle, to
-//! the per-tuple window→grid loop it replaced.
+//! the per-tuple window→grid loop it replaced, and the per-cycle band merge
+//! (arrivals staged per query, folded in by one sweep) to the oracle on
+//! the cycles that stress it: floods, overrun bursts, expiry waves.
 
 use proptest::prelude::*;
 use topk_monitor::engines::{
@@ -198,6 +200,41 @@ fn drive_differential(
     staged
 }
 
+/// Drives TMA, SMA and the oracle through `cycles` with `queries`
+/// registered up front and holds both engines to the oracle — and the
+/// oracle to a brute-force scan of TMA's window — after every cycle.
+fn assert_engines_match_oracle(
+    dims: usize,
+    window: WindowSpec,
+    per_dim: usize,
+    queries: &[Query],
+    cycles: impl IntoIterator<Item = (u64, Vec<f64>)>,
+) {
+    let grid = GridSpec::PerDim(per_dim);
+    let mut tma = TmaMonitor::new(dims, window, grid).expect("config");
+    let mut sma = SmaMonitor::new(dims, window, grid).expect("config");
+    let mut oracle = OracleMonitor::new(dims, window).expect("config");
+    for (i, q) in queries.iter().enumerate() {
+        let id = QueryId(i as u64);
+        tma.register_query(id, q.clone()).expect("register");
+        sma.register_query(id, q.clone()).expect("register");
+        oracle.register_query(id, q.clone()).expect("register");
+    }
+    for (cycle, (now, batch)) in cycles.into_iter().enumerate() {
+        let ts = Timestamp(now);
+        tma.tick(ts, &batch).expect("tick");
+        sma.tick(ts, &batch).expect("tick");
+        oracle.tick(ts, &batch).expect("tick");
+        for (i, q) in queries.iter().enumerate() {
+            let id = QueryId(i as u64);
+            let want = oracle.result(id).expect("oracle");
+            assert_eq!(tma.result(id).expect("tma"), want, "TMA {id} cycle {cycle}");
+            assert_eq!(sma.result(id).expect("sma"), want, "SMA {id} cycle {cycle}");
+            assert_eq!(brute(tma.window(), q), want, "window drift cycle {cycle}");
+        }
+    }
+}
+
 /// `count` deterministic points on a 1/16 lattice, different per `salt`.
 fn lattice_batch(dims: usize, count: usize, salt: usize) -> Vec<f64> {
     (0..count * dims)
@@ -272,6 +309,74 @@ fn staged_ingest_matches_reference_on_named_cases() {
         assert_eq!(s.window().len(), 5, "d={dims}");
         assert_eq!(s.stats().expirations, 67, "d={dims}");
     }
+}
+
+/// The cycles that stress the per-cycle band merge, each against the
+/// oracle for both engines: a flood into bands that still admit
+/// everything (threshold −∞: every arrival is staged, the spare capacity
+/// runs out again and again mid-cycle, and TMA's cap then tightens), a
+/// burst larger than N (same-cycle transients must never be staged), and
+/// a time window whose whole hot group expires in the cycle that brings
+/// the next hot batch.
+#[test]
+fn band_merge_matches_oracle_on_named_cycles() {
+    let dims = 2;
+    let queries: Vec<Query> = [(1.0, 1.0, 3), (0.3, 1.7, 10), (1.0, -0.5, 1)]
+        .into_iter()
+        .map(|(a, b, k)| Query::top_k(ScoreFn::linear(vec![a, b]).expect("dims"), k).expect("k"))
+        .collect();
+    // Off-lattice points: few ties, long bands.
+    let spread = |count: usize, salt: usize, lo: f64| -> Vec<f64> {
+        (0..count * dims)
+            .map(|i| lo + (1.0 - lo) * ((i * 7919 + salt * 104_729) % 10_007) as f64 / 10_007.0)
+            .collect()
+    };
+
+    // Flood: registration over an empty window leaves every threshold at
+    // −∞, then 600 tuples arrive in one cycle (and 600 more, tie-heavy).
+    assert_engines_match_oracle(
+        dims,
+        WindowSpec::Count(5000),
+        4,
+        &queries,
+        [
+            (0, spread(600, 1, 0.0)),
+            (1, lattice_batch(dims, 600, 2)),
+            (2, spread(40, 3, 0.0)),
+        ],
+    );
+
+    // Overrun: N = 50, bursts of 120 and 51 expire their own heads.
+    assert_engines_match_oracle(
+        dims,
+        WindowSpec::Count(50),
+        4,
+        &queries,
+        [
+            (0, spread(30, 1, 0.0)),
+            (1, spread(120, 2, 0.0)),
+            (2, spread(51, 3, 0.5)),
+            (3, spread(5, 4, 0.0)),
+            (4, lattice_batch(dims, 120, 5)),
+        ],
+    );
+
+    // Expiry wave + hot batch: the hot group of t=0 leaves the `Time(2)`
+    // window at t=2, in the very cycle the next hot group arrives.
+    assert_engines_match_oracle(
+        dims,
+        WindowSpec::Time(2),
+        4,
+        &queries,
+        [
+            (0, spread(300, 1, 0.5)),
+            (1, spread(20, 2, 0.0)),
+            (2, spread(300, 3, 0.5)),
+            (3, spread(20, 4, 0.0)),
+            (4, spread(500, 5, 0.7)),
+            (6, spread(10, 6, 0.0)),
+        ],
+    );
 }
 
 proptest! {
@@ -409,30 +514,58 @@ proptest! {
         w2 in -2.0f64..2.0,
         bursts in prop::collection::vec(prop::collection::vec((0u32..24, 0u32..24), 0..10), 1..30),
     ) {
-        let dims = 2;
-        let window = WindowSpec::Count(capacity);
-        let grid = GridSpec::PerDim(per_dim);
-        let mut tma = TmaMonitor::new(dims, window, grid).expect("config");
-        let mut sma = SmaMonitor::new(dims, window, grid).expect("config");
-        let mut oracle = OracleMonitor::new(dims, window).expect("config");
         let q = Query::top_k(ScoreFn::linear(vec![w1, w2]).expect("dims"), k).expect("k");
-        tma.register_query(QueryId(0), q.clone()).expect("register");
-        sma.register_query(QueryId(0), q.clone()).expect("register");
-        oracle.register_query(QueryId(0), q.clone()).expect("register");
-        for (t, burst) in bursts.iter().enumerate() {
-            let mut batch = Vec::with_capacity(burst.len() * dims);
-            for (a, b) in burst {
-                batch.push(*a as f64 / 23.0);
-                batch.push(*b as f64 / 23.0);
-            }
-            let ts = Timestamp(t as u64);
-            tma.tick(ts, &batch).expect("tick");
-            sma.tick(ts, &batch).expect("tick");
-            oracle.tick(ts, &batch).expect("tick");
-            let want = oracle.result(QueryId(0)).expect("oracle");
-            prop_assert_eq!(tma.result(QueryId(0)).expect("tma"), want, "TMA tick {}", t);
-            prop_assert_eq!(&sma.result(QueryId(0)).expect("sma")[..], want, "SMA tick {}", t);
-            prop_assert_eq!(&brute(tma.window(), &q)[..], want, "window drift tick {}", t);
-        }
+        let cycles = bursts.iter().enumerate().map(|(t, burst)| {
+            let batch = burst
+                .iter()
+                .flat_map(|(a, b)| [*a as f64 / 23.0, *b as f64 / 23.0])
+                .collect();
+            (t as u64, batch)
+        });
+        assert_engines_match_oracle(2, WindowSpec::Count(capacity), per_dim, &[q], cycles);
+    }
+
+    /// Band-merge differential at engine level: cycles that are mostly
+    /// trickles with the occasional flood (hundreds of arrivals, so every
+    /// band overflows its spare capacity mid-cycle), on a count window
+    /// small enough for the floods to overrun it or a short time window
+    /// whose groups expire en masse; `hot` floods score high for every
+    /// query, so they land in the bands rather than below the thresholds.
+    #[test]
+    fn band_merge_matches_oracle_under_floods(
+        timed in any::<bool>(),
+        size in 1usize..400,
+        k in 1usize..12,
+        w1 in 0.1f64..2.0,
+        w2 in 0.1f64..2.0,
+        cycles in prop::collection::vec(
+            (0u64..3, 0usize..8, any::<bool>(), prop::collection::vec(0u32..4096, 0..1200)),
+            1..12,
+        ),
+    ) {
+        let dims = 2;
+        let window = if timed {
+            WindowSpec::Time(1 + size as u64 % 3)
+        } else {
+            WindowSpec::Count(size)
+        };
+        let queries = [
+            Query::top_k(ScoreFn::linear(vec![w1, w2]).expect("dims"), k).expect("k"),
+            Query::top_k(ScoreFn::linear(vec![w2, w1]).expect("dims"), 1 + k / 2).expect("k"),
+        ];
+        let mut now = 0u64;
+        let cycles = cycles.iter().map(|(dt, scale, hot, raw)| {
+            now += dt;
+            // One cycle in eight keeps its whole batch (a flood); the rest
+            // are cut down to a trickle.
+            let tuples = if *scale == 0 { raw.len() / dims } else { raw.len() / dims / 40 };
+            let lo = if *hot { 0.75 } else { 0.0 };
+            let batch: Vec<f64> = raw[..tuples * dims]
+                .iter()
+                .map(|v| lo + (1.0 - lo) * *v as f64 / 4096.0)
+                .collect();
+            (now, batch)
+        });
+        assert_engines_match_oracle(dims, window, 4, &queries, cycles);
     }
 }
