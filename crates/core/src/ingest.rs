@@ -24,7 +24,7 @@
 //! fits only a few iterations in the reorder window and fetches the cold
 //! cell lines almost one at a time.
 
-use tkm_common::{Result, Timestamp, TkmError, TupleId};
+use tkm_common::{Result, Timestamp, TupleId};
 use tkm_grid::{CellId, CellMode, Grid};
 use tkm_window::{Window, WindowSpec};
 
@@ -54,39 +54,6 @@ impl GridSpec {
 impl Default for GridSpec {
     fn default() -> Self {
         GridSpec::CellBudget(Self::DEFAULT_BUDGET)
-    }
-}
-
-/// Validates a flat arrival buffer against the workspace: the single
-/// entry-point check shared by every ingest path (the TMA/SMA monitors
-/// via [`IngestState::ingest`], the threshold monitor, and the
-/// brute-force oracle), so all engines reject malformed input with the
-/// same error message.
-pub(crate) fn validate_arrivals(dims: usize, arrivals: &[f64]) -> Result<()> {
-    if !arrivals.len().is_multiple_of(dims) {
-        return Err(TkmError::InvalidParameter(format!(
-            "tick: arrival buffer length {} is not a multiple of dims {dims}",
-            arrivals.len()
-        )));
-    }
-    if let Some(bad) = arrivals.iter().find(|x| !(0.0..=1.0).contains(*x)) {
-        return Err(TkmError::InvalidParameter(format!(
-            "tick: coordinate {bad} outside the unit workspace"
-        )));
-    }
-    Ok(())
-}
-
-/// Rejects a cycle timestamp earlier than the newest resident tuple's
-/// arrival time: expiry is FIFO only while arrival times are
-/// non-decreasing, so a regressing clock must be refused before it
-/// reaches the ring. Equal timestamps are fine.
-fn validate_timestamp(window: &Window, now: Timestamp) -> Result<()> {
-    match window.newest_time() {
-        Some(newest) if now < newest => Err(TkmError::InvalidParameter(format!(
-            "tick: timestamp {now} is earlier than the newest tuple's arrival time {newest}"
-        ))),
-        _ => Ok(()),
     }
 }
 
@@ -275,8 +242,7 @@ impl IngestState {
             stats,
         } = self;
         let dims = window.dims();
-        validate_arrivals(dims, arrivals)?;
-        validate_timestamp(window, now)?;
+        window.validate_tick(now, arrivals)?;
 
         // Arrivals: append to the window in bulk, locate sequentially,
         // then scatter — the scatter body is only cell header → push.
@@ -368,6 +334,7 @@ impl IngestState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tkm_common::TkmError;
 
     /// A cycle's runs flattened back to `(cell, id)` events in id order.
     fn events<'a>(runs: impl Iterator<Item = (CellId, &'a [TupleId])>) -> Vec<(CellId, TupleId)> {
@@ -537,41 +504,84 @@ mod tests {
         assert_eq!(s.stats().ticks, 3);
     }
 
-    /// Every tick entry point funnels through [`validate_arrivals`], so a
-    /// misaligned arrival buffer must produce the *identical* error
-    /// message from all four engines — a client switching engines sees
-    /// the same diagnostic.
+    /// Every tick entry point funnels through [`Window::validate_tick`]
+    /// before it mutates anything, so a misaligned buffer, a bad
+    /// coordinate in the middle of a batch and a regressing timestamp
+    /// each produce the *identical* error from all five engines — a
+    /// client switching engines sees the same diagnostic — and leave the
+    /// window as it was; an equal timestamp is accepted by all of them.
     #[test]
     fn dims_mismatch_message_is_shared_across_engines() {
         use crate::monitor::{SmaMonitor, TmaMonitor};
         use crate::oracle::OracleMonitor;
         use crate::threshold::ThresholdMonitor;
         use tkm_common::ScoreFn;
+        use tkm_tsl::{KmaxPolicy, TslMonitor};
 
-        let want = "tick: arrival buffer length 3 is not a multiple of dims 2";
-        let bad = [0.1, 0.2, 0.3];
-
-        let mut tma = TmaMonitor::new(2, WindowSpec::Count(4), GridSpec::PerDim(4)).unwrap();
-        let mut sma = SmaMonitor::new(2, WindowSpec::Count(4), GridSpec::PerDim(4)).unwrap();
-        let mut thr = ThresholdMonitor::new(2, WindowSpec::Count(4), GridSpec::PerDim(4)).unwrap();
-        let mut orc = OracleMonitor::new(2, WindowSpec::Count(4)).unwrap();
-        thr.register_query(
-            tkm_common::QueryId(0),
-            ScoreFn::linear(vec![1.0, 1.0]).unwrap(),
-            0.5,
-        )
-        .unwrap();
-
-        for err in [
-            tma.tick(Timestamp(0), &bad).unwrap_err(),
-            sma.tick(Timestamp(0), &bad).unwrap_err(),
-            thr.tick(Timestamp(0), &bad).unwrap_err(),
-            orc.tick(Timestamp(0), &bad).unwrap_err(),
-        ] {
-            match err {
-                tkm_common::TkmError::InvalidParameter(msg) => assert_eq!(msg, want),
-                other => panic!("expected InvalidParameter, got {other:?}"),
+        fn check<E>(
+            name: &str,
+            engine: &mut E,
+            tick: impl Fn(&mut E, Timestamp, &[f64]) -> Result<()>,
+            window: impl Fn(&E) -> &Window,
+        ) {
+            tick(engine, Timestamp(5), &[0.1, 0.2, 0.3, 0.4]).unwrap();
+            tick(engine, Timestamp(5), &[0.5, 0.6]).unwrap();
+            let before = (window(engine).len(), window(engine).newest());
+            assert_eq!(before, (3, Some(TupleId(2))), "{name}");
+            let regressing =
+                "tick: timestamp @3 is earlier than the newest tuple's arrival time @5";
+            let rejected: [(u64, &[f64], &str); 4] = [
+                (
+                    5,
+                    &[0.1, 0.2, 0.3],
+                    "tick: arrival buffer length 3 is not a multiple of dims 2",
+                ),
+                (
+                    5,
+                    &[0.1, 0.2, 1.5, 0.4, 0.3, 0.3],
+                    "tick: coordinate 1.5 outside the unit workspace",
+                ),
+                (3, &[0.7, 0.8], regressing),
+                (3, &[], regressing),
+            ];
+            for (ts, batch, want) in rejected {
+                match tick(engine, Timestamp(ts), batch) {
+                    Err(TkmError::InvalidParameter(msg)) => assert_eq!(msg, want, "{name}"),
+                    other => panic!("{name}: expected InvalidParameter, got {other:?}"),
+                }
+                let after = (window(engine).len(), window(engine).newest());
+                assert_eq!(after, before, "{name}: {batch:?} @{ts}");
             }
+            tick(engine, Timestamp(6), &[0.9, 0.9]).unwrap();
+            assert_eq!(window(engine).newest(), Some(TupleId(3)), "{name}");
         }
+
+        let (spec, grid) = (WindowSpec::Count(8), GridSpec::PerDim(4));
+        let mut tma = TmaMonitor::new(2, spec, grid).unwrap();
+        let mut sma = SmaMonitor::new(2, spec, grid).unwrap();
+        let mut thr = ThresholdMonitor::new(2, spec, grid).unwrap();
+        let mut orc = OracleMonitor::new(2, spec).unwrap();
+        let mut tsl = TslMonitor::new(2, spec, KmaxPolicy::Dynamic).unwrap();
+        let f = ScoreFn::linear(vec![1.0, 1.0]).unwrap();
+        thr.register_query(tkm_common::QueryId(0), f.clone(), 0.5)
+            .unwrap();
+        tsl.register_query(tkm_common::QueryId(0), f, 2).unwrap();
+
+        check("TMA", &mut tma, TmaMonitor::tick, TmaMonitor::window);
+        check("SMA", &mut sma, SmaMonitor::tick, SmaMonitor::window);
+        check(
+            "threshold",
+            &mut thr,
+            ThresholdMonitor::tick,
+            ThresholdMonitor::window,
+        );
+        check(
+            "oracle",
+            &mut orc,
+            OracleMonitor::tick,
+            OracleMonitor::window,
+        );
+        check("TSL", &mut tsl, TslMonitor::tick, TslMonitor::window);
+        assert_eq!(tsl.stats().ticks, 3, "a rejected TSL tick is not counted");
     }
 }

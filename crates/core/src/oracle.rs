@@ -8,7 +8,6 @@
 
 use std::collections::BTreeMap;
 
-use crate::ingest::validate_arrivals;
 use crate::kernel;
 use crate::query::Query;
 use tkm_common::{QueryId, Result, Scored, Timestamp, TkmError};
@@ -104,9 +103,8 @@ impl OracleMonitor {
 
     /// Executes one processing cycle.
     pub fn tick(&mut self, now: Timestamp, arrivals: &[f64]) -> Result<()> {
-        let dims = self.dims();
-        validate_arrivals(dims, arrivals)?;
-        for coords in arrivals.chunks_exact(dims) {
+        self.window.validate_tick(now, arrivals)?;
+        for coords in arrivals.chunks_exact(self.dims()) {
             self.window.insert(coords, now)?;
         }
         self.window.drain_expired(now, |_, _| {});

@@ -7,7 +7,7 @@
 //! order is irrelevant) and never recomputed; and maintenance merely
 //! reports arrivals/expiries of qualifying tuples.
 
-use crate::ingest::{validate_arrivals, GridSpec};
+use crate::ingest::GridSpec;
 use crate::kernel;
 use crate::registry::QueryRegistry;
 use tkm_common::{FxHashSet, QueryId, Result, ScoreFn, Scored, Timestamp, TkmError, TupleId};
@@ -171,7 +171,7 @@ impl ThresholdMonitor {
     /// available via [`ThresholdMonitor::added`] / [`ThresholdMonitor::removed`].
     pub fn tick(&mut self, now: Timestamp, arrivals: &[f64]) -> Result<()> {
         let dims = self.dims();
-        validate_arrivals(dims, arrivals)?;
+        self.window.validate_tick(now, arrivals)?;
         for q in self.queries.states_mut() {
             q.added.clear();
             q.removed.clear();

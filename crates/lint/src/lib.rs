@@ -9,9 +9,8 @@
 //! allocation-free, and every heap-owning structure is counted by
 //! `space_bytes`. Both were established by hand (PR 3 / PR 4) and were
 //! previously guarded only by a coarse after-the-fact perf tripwire.
-//! This crate checks them *statically*, at review time, along with two
-//! robustness rules (no panicking calls in library code, no side
-//! effects in `debug_assert!`).
+//! This crate checks them *statically*, at review time, along with one
+//! robustness rule (no panicking calls in library code).
 //!
 //! The analysis is deliberately token-based: a hand-rolled lexer
 //! ([`lexer`]) plus a structural scan ([`scan`]) that recovers item
@@ -35,7 +34,7 @@ use std::fmt;
 pub const VERSION: &str = env!("CARGO_PKG_VERSION");
 
 /// The rule names accepted by `// lint: allow(<rule>, reason=...)`.
-pub const RULES: &[&str] = &["alloc", "panic", "space", "debug_assert"];
+pub const RULES: &[&str] = &["alloc", "panic", "space"];
 
 /// One-line identification string: name, version, and active rules.
 pub fn describe() -> String {
@@ -45,8 +44,8 @@ pub fn describe() -> String {
 /// A single lint finding with a `file:line:col` span.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Rule that fired (`alloc`, `panic`, `space`, `debug_assert`, or
-    /// `directive` for malformed `// lint:` comments).
+    /// Rule that fired (`alloc`, `panic`, `space`, or `directive` for
+    /// malformed `// lint:` comments).
     pub rule: &'static str,
     /// Path of the offending file, as given to the linter.
     pub file: String,

@@ -1,11 +1,10 @@
-//! The four repo-specific rules.
+//! The three repo-specific rules.
 //!
 //! | rule | scope | what it catches |
 //! |------|-------|-----------------|
 //! | `alloc` | `// lint: hot-path` regions | heap-allocating calls on the steady-state tick path |
 //! | `panic` | library targets, outside `#[cfg(test)]` | `unwrap`/`expect`/`panic!`-family calls |
 //! | `space` | structs in the space-accounted crates | heap-owning structs missing from `space_bytes` accounting |
-//! | `debug_assert` | every `debug_assert!` | side effects that vanish in release builds |
 
 use std::collections::{BTreeMap, HashSet};
 
@@ -58,38 +57,6 @@ const HEAP_FIELD_TYPES: &[&str] = &[
     "BinaryHeap",
     "VecDeque",
     "String",
-];
-
-/// Mutating method names that must not appear inside `debug_assert!`.
-const MUTATING_METHODS: &[&str] = &[
-    "push",
-    "push_back",
-    "push_front",
-    "pop",
-    "pop_back",
-    "pop_front",
-    "insert",
-    "remove",
-    "swap_remove",
-    "take",
-    "replace",
-    "clear",
-    "drain",
-    "truncate",
-    "retain",
-    "extend",
-    "append",
-    "resize",
-    "reserve",
-    "dedup",
-    "split_off",
-    "fill",
-    "swap",
-    "sort",
-    "sort_by",
-    "sort_by_key",
-    "sort_unstable",
-    "sort_unstable_by",
 ];
 
 /// Skips a balanced `<...>` group starting at `i` (which must be `<`);
@@ -227,7 +194,7 @@ fn in_const_item(toks: &[Tok], i: usize) -> bool {
     saw_const && saw_eq
 }
 
-/// Runs the three per-file rules (`alloc`, `panic`, `debug_assert`).
+/// Runs the two per-file rules (`alloc`, `panic`).
 pub fn per_file(file: &SourceFile, toks: &[Tok], scan: &Scan, out: &mut Vec<Diagnostic>) {
     let debug_spans = debug_assert_spans(toks);
     for (i, t) in toks.iter().enumerate() {
@@ -307,81 +274,6 @@ pub fn per_file(file: &SourceFile, toks: &[Tok], scan: &Scan, out: &mut Vec<Diag
                 }
             }
         }
-
-        // --- debug_assert: assertions must be side-effect-free -------
-        if name.starts_with("debug_assert") {
-            check_debug_assert(file, toks, scan, i, out);
-        }
-    }
-}
-
-/// Flags `&mut` borrows and known-mutating method calls inside the
-/// argument list of the `debug_assert*!` at ident index `i`.
-fn check_debug_assert(
-    file: &SourceFile,
-    toks: &[Tok],
-    scan: &Scan,
-    i: usize,
-    out: &mut Vec<Diagnostic>,
-) {
-    let Some(bang) = next_code(toks, i + 1) else {
-        return;
-    };
-    if !toks[bang].is_punct('!') {
-        return;
-    }
-    let Some(open) = next_code(toks, bang + 1) else {
-        return;
-    };
-    let (op, cl) = match toks[open].kind {
-        TokKind::Punct('(') => ('(', ')'),
-        TokKind::Punct('[') => ('[', ']'),
-        TokKind::Punct('{') => ('{', '}'),
-        _ => return,
-    };
-    let mut depth = 0i32;
-    let mut j = open;
-    while j < toks.len() {
-        match toks[j].kind {
-            TokKind::Punct(c) if c == op => depth += 1,
-            TokKind::Punct(c) if c == cl => {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            _ => {}
-        }
-        let t = &toks[j];
-        let mut hit: Option<String> = None;
-        if t.is_punct('&') && next_code(toks, j + 1).is_some_and(|k| toks[k].ident() == Some("mut"))
-        {
-            hit = Some("`&mut` borrow".to_string());
-        }
-        if let Some(m) = t.ident() {
-            if MUTATING_METHODS.contains(&m)
-                && j > 0
-                && toks[j - 1].is_punct('.')
-                && call_follows(toks, j + 1)
-            {
-                hit = Some(format!("mutating call `.{m}()`"));
-            }
-        }
-        if let Some(what) = hit {
-            if !scan.allowed("debug_assert", t.line) {
-                out.push(Diagnostic::new(
-                    "debug_assert",
-                    &file.path,
-                    t.line,
-                    t.col,
-                    format!(
-                        "{what} inside `debug_assert!` runs only in debug builds; hoist the \
-                         side effect out or add `// lint: allow(debug_assert, reason=...)`"
-                    ),
-                ));
-            }
-        }
-        j += 1;
     }
 }
 

@@ -69,21 +69,6 @@ fn space_allowed_is_clean() {
 }
 
 #[test]
-fn debug_assert_bad_reports_side_effects() {
-    let got = diag_lines("debug_assert_bad.rs");
-    let want: Vec<(String, u32)> = [5, 6, 7]
-        .iter()
-        .map(|&l| ("debug_assert".to_string(), l))
-        .collect();
-    assert_eq!(got, want);
-}
-
-#[test]
-fn debug_assert_allowed_is_clean() {
-    assert_eq!(diag_lines("debug_assert_allowed.rs"), vec![]);
-}
-
-#[test]
 fn lexer_survives_torture_file() {
     assert_eq!(diag_lines("lexer_torture.rs"), vec![]);
 }
@@ -115,12 +100,7 @@ fn run_binary(args: &[&str]) -> (i32, String) {
 
 #[test]
 fn binary_exits_nonzero_on_every_known_bad_fixture() {
-    for name in [
-        "alloc_bad.rs",
-        "panic_bad.rs",
-        "space_bad.rs",
-        "debug_assert_bad.rs",
-    ] {
+    for name in ["alloc_bad.rs", "panic_bad.rs", "space_bad.rs"] {
         let (path, _) = fixture(name);
         let (code, stdout) = run_binary(&["--json", &path]);
         assert_eq!(code, 1, "{name} must fail the lint");
@@ -139,7 +119,6 @@ fn binary_exits_zero_on_allowed_fixtures() {
         "alloc_allowed.rs",
         "panic_allowed.rs",
         "space_allowed.rs",
-        "debug_assert_allowed.rs",
         "lexer_torture.rs",
     ] {
         let (path, _) = fixture(name);
@@ -154,7 +133,7 @@ fn binary_version_names_tool_and_rules() {
     let (code, stdout) = run_binary(&["--version"]);
     assert_eq!(code, 0);
     assert_eq!(stdout.trim(), tkm_lint::describe());
-    assert!(stdout.contains("alloc, panic, space, debug_assert"));
+    assert!(stdout.contains("alloc, panic, space"));
 }
 
 #[test]

@@ -24,15 +24,17 @@
 //! * [`reactor`] — the readiness-based connection event loop (PR 10): a
 //!   hand-rolled level-triggered `epoll` loop on **one thread** owns
 //!   every subscriber socket (nonblocking accept/read/write, no async
-//!   runtime), so the thread count is O(shards), not O(connections);
-//! * [`service`] — the engine-owner event loop: requests from all
-//!   sessions are serialized through one bounded inbox, queued arrivals
-//!   are batched into **one engine cycle per tick** (immediate under
-//!   manual ticking, once per wall-clock interval otherwise), and each
-//!   cycle's [`tkm_core::ResultDelta`]s are encoded **once per delta**
-//!   into shared byte payloads and fanned out by a pool of shard workers
-//!   (queries partitioned by id) to exactly the sessions subscribed to
-//!   each query;
+//!   runtime), so the thread count is constant, not O(connections);
+//! * [`service`] — the engine-owner event loop, the second and last
+//!   thread of the core: requests from all sessions are serialized
+//!   through one bounded inbox, queued arrivals are batched into **one
+//!   engine cycle per tick** (immediate under manual ticking, once per
+//!   wall-clock interval otherwise), and each cycle's
+//!   [`tkm_core::ResultDelta`]s are encoded **once per delta** into
+//!   shared byte payloads and enqueued, by one loop over the one
+//!   subscription table, onto exactly the sessions subscribed to each
+//!   query (the ordering guarantees this gives subscribers are listed
+//!   in the module's docs);
 //! * [`client`] — a small blocking client used by the integration tests,
 //!   the loopback benchmark (`cargo run -p tkm_bench --bin serve`) and the
 //!   README walkthrough, with optional reconnect/backoff/resume

@@ -17,9 +17,9 @@
 //!   payload, so a short write resumes exactly where the kernel stopped
 //!   accepting bytes, and `EPOLLOUT` interest is held only while a
 //!   session actually has queued output;
-//! * a self-pipe `Waker` so the engine owner and the fan-out shard
-//!   workers (which run on other threads) can hand the reactor freshly
-//!   queued output without the loop polling every session;
+//! * a self-pipe `Waker` so the engine owner (which runs on another
+//!   thread) can hand the reactor freshly queued output without the
+//!   loop polling every session;
 //! * the PR 8 fault seam re-expressed for an event loop: injected stalls
 //!   become *deferred readiness deadlines* (the loop must never sleep),
 //!   while resets, garbles, truncations, and short writes act on the
@@ -246,9 +246,9 @@ impl Drop for Poller {
     }
 }
 
-/// Self-pipe wakeup channel into the reactor: producer threads (the
-/// engine owner, fan-out shard workers) record which sessions gained
-/// output and poke one byte down a socketpair the reactor polls.
+/// Self-pipe wakeup channel into the reactor: the producer (the engine
+/// owner) records which sessions gained output and pokes one byte down
+/// a socketpair the reactor polls.
 pub(crate) struct Waker {
     dirty: Mutex<Vec<SessionId>>,
     /// A wakeup byte is already in flight; coalesces pokes.

@@ -1,11 +1,11 @@
 //! The serving event loop.
 //!
 //! One [`Service`] owns one [`MonitorServer`] and any number of TCP
-//! clients. Sockets are driven by the [`crate::reactor`] event loop (one
-//! thread owning every connection); all engine access is serialized
-//! through
-//! a single **engine-owner thread** fed by a bounded inbox channel. The
-//! owner thread:
+//! clients, on **two threads**: the [`crate::reactor`] event loop owns
+//! every socket, and a single **engine-owner thread**, fed by a bounded
+//! inbox channel, owns the engine, the subscription table and every
+//! enqueue onto a session's outbound queue ([`TickPolicy::Interval`]
+//! adds a third thread, the ticker). The owner thread:
 //!
 //! 1. executes requests in arrival order, replying on the issuing
 //!    session's queue;
@@ -14,19 +14,32 @@
 //!    [`TickPolicy::Manual`], or once per wall-clock interval under
 //!    [`TickPolicy::Interval`], so a burst of ingest requests inside one
 //!    interval becomes a single engine cycle;
-//! 3. drains the cycle's [`tkm_core::ResultDelta`]s, encodes each one
-//!    **once** into a shared byte payload, and hands the payloads to a
-//!    pool of **fan-out shard workers** (queries partitioned by id, like
-//!    the engine's own `tkm_core::Monitor` shards) that enqueue the
-//!    shared bytes onto every subscribed session, applying the
-//!    drop-to-snapshot backpressure policy to slow consumers. The owner
-//!    waits for every shard's report before answering the tick — the
-//!    barrier that keeps pushes ordered before the tick's own reply.
+//! 3. drains the cycle's [`tkm_core::ResultDelta`]s and, for each one
+//!    with subscribers, encodes it **once** into a shared byte payload
+//!    and enqueues that payload onto every subscriber's queue, applying
+//!    the drop-to-snapshot backpressure policy to slow consumers.
+//!
+//! There is one subscription table (a [`DeltaRouter`] whose entries
+//! carry the subscriber's queue handle) and one fan-out loop, so the
+//! ordering subscribers rely on is program order on the owner thread:
+//!
+//! * a baseline `SNAPSHOT` precedes the subscriber's first `DELTA` — the
+//!   subscribe handler enqueues it before the next inbox event runs;
+//! * a tick's pushes precede that tick's reply — the fan-out loop runs
+//!   inside the tick handler, before the reply is enqueued;
+//! * no `DELTA` lands between an overflow drop and its `RESYNC` — the
+//!   queue's latch refuses the rest of the cycle's pushes, and the owner
+//!   clears it and enqueues the `RESYNC` baseline back to back.
+//!
+//! Fan-out sharding (worker threads with a mirrored subscriber map) was
+//! removed: no configuration in the tree ever ran more than one worker,
+//! and the benchmark's `fanout` workload bounds this single loop at
+//! ≈0.1 µs per push — measure before re-adding it.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, Sender, SyncSender};
+use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -85,10 +98,6 @@ pub struct ServiceConfig {
     /// The part this server plays in a deployment (see
     /// [`crate::distrib`]); standalone unless configured otherwise.
     pub role: Role,
-    /// Number of fan-out shard workers (queries are partitioned over them
-    /// by id, mirroring the engine's shard layout). `0` (the default)
-    /// follows the engine's own shard count.
-    pub fanout_shards: usize,
 }
 
 impl ServiceConfig {
@@ -106,7 +115,6 @@ impl ServiceConfig {
             busy_timeout: Duration::from_millis(250),
             faults: None,
             role: Role::Standalone,
-            fanout_shards: 0,
         }
     }
 
@@ -150,22 +158,6 @@ impl ServiceConfig {
     pub fn with_role(mut self, role: Role) -> ServiceConfig {
         self.role = role;
         self
-    }
-
-    /// Selects the fan-out shard-worker count (`0` = follow the engine's
-    /// shard count).
-    pub fn with_fanout_shards(mut self, shards: usize) -> ServiceConfig {
-        self.fanout_shards = shards;
-        self
-    }
-
-    /// The resolved fan-out worker count.
-    pub(crate) fn resolved_fanout_shards(&self) -> usize {
-        if self.fanout_shards == 0 {
-            self.server.shards.max(1)
-        } else {
-            self.fanout_shards
-        }
     }
 }
 
@@ -326,14 +318,12 @@ impl Service {
             Role::Coordinator => RoleState::Coordinator(CoordState::new()),
             Role::Site(site) => RoleState::Site(SiteState::new(site)),
         };
-        let pool = FanoutPool::spawn(cfg.resolved_fanout_shards());
         let mut owner = EngineOwner {
             server,
             cfg,
             role,
             sessions: BTreeMap::new(),
             router: DeltaRouter::new(),
-            pool,
             pending: Vec::new(),
             stats: Counters::default(),
             metrics,
@@ -355,7 +345,7 @@ impl Service {
     }
 
     /// Stops accepting, closes every session, and joins the reactor /
-    /// timer / engine / fan-out threads. The reactor performs one final
+    /// timer / engine threads. The reactor performs one final
     /// best-effort flush of queued output before closing sockets, so
     /// delivery of already-queued lines is best-effort on shutdown.
     pub fn shutdown(mut self) {
@@ -363,162 +353,6 @@ impl Service {
         let _ = self.inbox.send(Event::Shutdown);
         self.waker.notify();
         for handle in self.threads.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// A message to one fan-out shard worker.
-enum ShardMsg {
-    /// A session subscribed to a query this shard owns.
-    Sub(QueryId, SessionId, Arc<SessionOut>),
-    /// A session dropped one subscription.
-    Unsub(QueryId, SessionId),
-    /// A query was unregistered: drop all of its subscriptions.
-    DropQuery(QueryId),
-    /// One tick's encoded payloads for this shard's queries: enqueue the
-    /// shared bytes onto every subscriber, then report who overflowed.
-    Fanout {
-        lines: Vec<(QueryId, Arc<[u8]>)>,
-        cap: usize,
-    },
-}
-
-/// The fan-out shard workers: queries are partitioned over `shards`
-/// persistent threads by id (`q.0 % shards`; the engine's
-/// `tkm_core::Monitor` partitions by load instead), so one tick's delta
-/// routing runs shard-parallel while each query's payload bytes stay
-/// shared (`Arc`) across all of its subscribers.
-struct FanoutPool {
-    txs: Vec<Sender<ShardMsg>>,
-    report_rx: Receiver<Vec<SessionId>>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl FanoutPool {
-    fn spawn(shards: usize) -> FanoutPool {
-        let shards = shards.max(1);
-        let (report_tx, report_rx) = std::sync::mpsc::channel();
-        let mut txs = Vec::with_capacity(shards);
-        let mut workers = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            let (tx, rx) = std::sync::mpsc::channel::<ShardMsg>();
-            let report = report_tx.clone();
-            txs.push(tx);
-            workers.push(std::thread::spawn(move || {
-                let mut subs: HashMap<QueryId, Vec<(SessionId, Arc<SessionOut>)>> = HashMap::new();
-                while let Ok(msg) = rx.recv() {
-                    match msg {
-                        ShardMsg::Sub(q, sid, out) => {
-                            let list = subs.entry(q).or_default();
-                            if !list.iter().any(|(s, _)| *s == sid) {
-                                list.push((sid, out));
-                            }
-                        }
-                        ShardMsg::Unsub(q, sid) => {
-                            if let Some(list) = subs.get_mut(&q) {
-                                list.retain(|(s, _)| *s != sid);
-                                if list.is_empty() {
-                                    subs.remove(&q);
-                                }
-                            }
-                        }
-                        ShardMsg::DropQuery(q) => {
-                            subs.remove(&q);
-                        }
-                        ShardMsg::Fanout { lines, cap } => {
-                            // The overflow *latch* inside try_push_shared
-                            // makes the skip cross-shard safe: once any
-                            // shard overflows a session, every later push
-                            // to it — from this shard or a concurrent one
-                            // — is refused until the engine owner clears
-                            // the latch right before the RESYNC baseline,
-                            // so no delta lands between the drop and the
-                            // resync. The local list only dedups this
-                            // shard's report.
-                            let mut resynced: Vec<SessionId> = Vec::new();
-                            for (q, bytes) in &lines {
-                                let Some(list) = subs.get(q) else { continue };
-                                for (sid, out) in list {
-                                    if resynced.contains(sid) {
-                                        continue;
-                                    }
-                                    if !out.try_push_shared(Arc::clone(bytes), cap) {
-                                        resynced.push(*sid);
-                                    }
-                                }
-                            }
-                            if report.send(resynced).is_err() {
-                                return;
-                            }
-                        }
-                    }
-                }
-            }));
-        }
-        FanoutPool {
-            txs,
-            report_rx,
-            workers,
-        }
-    }
-
-    fn shards(&self) -> usize {
-        self.txs.len()
-    }
-
-    fn shard_of(&self, q: QueryId) -> usize {
-        (q.0 % self.txs.len() as u64) as usize
-    }
-
-    fn subscribe(&self, q: QueryId, sid: SessionId, out: Arc<SessionOut>) {
-        let _ = self.txs[self.shard_of(q)].send(ShardMsg::Sub(q, sid, out));
-    }
-
-    fn unsubscribe(&self, q: QueryId, sid: SessionId) {
-        let _ = self.txs[self.shard_of(q)].send(ShardMsg::Unsub(q, sid));
-    }
-
-    fn drop_query(&self, q: QueryId) {
-        let _ = self.txs[self.shard_of(q)].send(ShardMsg::DropQuery(q));
-    }
-
-    /// Dispatches one tick's encoded payloads to their owning shards and
-    /// **waits for every shard's overflow report** — the barrier that
-    /// keeps this tick's pushes ordered before the tick's reply and
-    /// before any later subscribe baseline. Returns the deduplicated
-    /// sessions that overflowed their push cap.
-    fn fan_out(&self, lines: Vec<(QueryId, Arc<[u8]>)>, cap: usize) -> Vec<SessionId> {
-        let mut per_shard: Vec<Vec<(QueryId, Arc<[u8]>)>> = vec![Vec::new(); self.txs.len()];
-        for (q, bytes) in lines {
-            per_shard[self.shard_of(q)].push((q, bytes));
-        }
-        let mut dispatched = 0usize;
-        for (tx, lines) in self.txs.iter().zip(per_shard) {
-            if lines.is_empty() {
-                continue;
-            }
-            if tx.send(ShardMsg::Fanout { lines, cap }).is_ok() {
-                dispatched += 1;
-            }
-        }
-        let mut resynced: Vec<SessionId> = Vec::new();
-        for _ in 0..dispatched {
-            let Ok(report) = self.report_rx.recv() else {
-                break;
-            };
-            resynced.extend(report);
-        }
-        resynced.sort_unstable();
-        resynced.dedup();
-        resynced
-    }
-}
-
-impl Drop for FanoutPool {
-    fn drop(&mut self) {
-        self.txs.clear();
-        for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
     }
@@ -535,10 +369,25 @@ struct Counters {
 
 /// The engine owner's view of one live session.
 struct SessionHandle {
-    out: Arc<SessionOut>,
+    sub: Subscriber,
     /// Requests accepted by the reader but not yet replied to; the engine
     /// decrements it *after* enqueuing each reply (shedding contract).
     inflight: Arc<AtomicUsize>,
+}
+
+/// A session and its outbound queue — also the entry type of the
+/// subscription table, so the fan-out loop enqueues straight into the
+/// queue with no per-push session lookup. Identity is the session id.
+#[derive(Clone)]
+struct Subscriber {
+    sid: SessionId,
+    out: Arc<SessionOut>,
+}
+
+impl PartialEq for Subscriber {
+    fn eq(&self, other: &Subscriber) -> bool {
+        self.sid == other.sid
+    }
 }
 
 /// Role-specific state carried by the engine owner (a separate field from
@@ -554,10 +403,8 @@ struct EngineOwner {
     cfg: ServiceConfig,
     role: RoleState,
     sessions: BTreeMap<SessionId, SessionHandle>,
-    router: DeltaRouter<SessionId>,
-    /// The fan-out shard workers mirroring `router` (sharded by query
-    /// id); delta routing runs there, control verbs stay here.
-    pool: FanoutPool,
+    /// The one subscription table: query → subscriber queues.
+    router: DeltaRouter<Subscriber>,
     /// Arrivals queued since the last flush (flat coordinate buffer).
     pending: Vec<f64>,
     stats: Counters,
@@ -570,7 +417,8 @@ impl EngineOwner {
         while let Ok(event) = rx.recv() {
             match event {
                 Event::Connect(sid, out, inflight) => {
-                    self.sessions.insert(sid, SessionHandle { out, inflight });
+                    let sub = Subscriber { sid, out };
+                    self.sessions.insert(sid, SessionHandle { sub, inflight });
                 }
                 Event::Request(sid, req) => {
                     let quitting = matches!(req, Request::Quit);
@@ -605,7 +453,7 @@ impl EngineOwner {
             }
         }
         for handle in self.sessions.values() {
-            handle.out.close();
+            handle.sub.out.close();
         }
         // Connects that were still queued behind the Shutdown event would
         // otherwise leave the reactor holding sockets that can never be
@@ -619,7 +467,7 @@ impl EngineOwner {
 
     fn reply(&self, sid: SessionId, reply: &Reply) {
         if let Some(handle) = self.sessions.get(&sid) {
-            handle.out.send_reply(reply.to_string());
+            handle.sub.out.send_reply(reply.to_string());
         }
     }
 
@@ -633,11 +481,9 @@ impl EngineOwner {
     }
 
     fn teardown(&mut self, sid: SessionId) {
-        for q in self.router.drop_subscriber(&sid) {
-            self.pool.unsubscribe(q, sid);
-        }
         if let Some(handle) = self.sessions.remove(&sid) {
-            handle.out.close();
+            self.router.drop_subscriber(&handle.sub);
+            handle.sub.out.close();
         }
         // If the dead session was a site uplink, the site just missed its
         // lease: drop its contribution, keep serving from the survivors,
@@ -664,7 +510,6 @@ impl EngineOwner {
             Request::Unregister(q) => match self.server.unregister(q) {
                 Ok(()) => {
                     self.router.drop_query(q);
-                    self.pool.drop_query(q);
                     if let RoleState::Coordinator(coord) = &mut self.role {
                         coord.unregister(q);
                     }
@@ -675,16 +520,12 @@ impl EngineOwner {
             },
             Request::Subscribe(q) => match self.result_of(q) {
                 Ok(entries) => {
-                    self.router.subscribe(q, sid);
                     // Baseline the subscriber immediately before its OK:
                     // FIFO ordering guarantees the snapshot arrives with
-                    // the reply and before any subsequent delta. The
-                    // shard mirror learns of the subscription on the same
-                    // channel later fan-outs arrive on, so the first
-                    // delta pushed there cannot precede this baseline.
-                    if let Some(handle) = self.sessions.get(&sid) {
-                        self.pool.subscribe(q, sid, Arc::clone(&handle.out));
-                        handle.out.force_push(
+                    // the reply and before any subsequent delta.
+                    if let Some(SessionHandle { sub, .. }) = self.sessions.get(&sid) {
+                        self.router.subscribe(q, sub.clone());
+                        sub.out.force_push(
                             Push::Snapshot {
                                 query: q,
                                 at: self.now_ts(),
@@ -697,8 +538,7 @@ impl EngineOwner {
                         if let RoleState::Coordinator(coord) = &self.role {
                             let sites = coord.degraded_sites();
                             if !sites.is_empty() {
-                                handle
-                                    .out
+                                sub.out
                                     .force_push(Push::Degraded { query: q, sites }.to_string());
                             }
                         }
@@ -708,8 +548,8 @@ impl EngineOwner {
                 Err(e) => err_reply(&e),
             },
             Request::Unsubscribe(q) => {
-                if self.router.unsubscribe(q, &sid) {
-                    self.pool.unsubscribe(q, sid);
+                if let Some(handle) = self.sessions.get(&sid) {
+                    self.router.unsubscribe(q, &handle.sub);
                 }
                 Reply::OkQuery(q)
             }
@@ -822,7 +662,7 @@ impl EngineOwner {
         let line = Push::Adopt { query, spec }.to_string();
         for sid in coord.uplink_sids() {
             if let Some(handle) = self.sessions.get(&sid) {
-                handle.out.force_push(line.clone());
+                handle.sub.out.force_push(line.clone());
             }
         }
     }
@@ -841,10 +681,8 @@ impl EngineOwner {
                 sites: sites.clone(),
             }
             .to_string();
-            for sid in self.router.subscribers(q) {
-                if let Some(handle) = self.sessions.get(sid) {
-                    handle.out.force_push(line.clone());
-                }
+            for sub in self.router.subscribers(q) {
+                sub.out.force_push(line.clone());
             }
         }
     }
@@ -866,7 +704,7 @@ impl EngineOwner {
         let replay = coord.enroll(sid, site);
         if let Some(handle) = self.sessions.get(&sid) {
             for (q, spec) in replay {
-                handle.out.force_push(
+                handle.sub.out.force_push(
                     Push::Adopt {
                         query: q,
                         spec: Some(spec),
@@ -1036,18 +874,22 @@ impl EngineOwner {
         Ok(())
     }
 
-    /// Fans a cycle's result deltas out to their subscribers through the
-    /// shard workers, applying the drop-to-snapshot backpressure policy
-    /// to slow consumers.
+    /// Fans a cycle's result deltas out to their subscribers, applying
+    /// the drop-to-snapshot backpressure policy to slow consumers.
     ///
     /// Each routed delta is encoded exactly **once** (tallied in
     /// `STATS encodes=`) into an `Arc<[u8]>` payload whose bytes every
     /// subscriber's queue shares; the per-subscriber work left is one
-    /// pointer enqueue on the owning shard's worker.
+    /// pointer enqueue.
     fn fan_out(&mut self, now: Timestamp, deltas: &[ResultDelta]) {
-        let mut lines: Vec<(QueryId, Arc<[u8]>)> = Vec::new();
+        // Encode the whole cycle before the first enqueue: a push into an
+        // idle queue wakes the reactor, and pushes that trickle in behind
+        // per-line encoding make it flush one tick in several small
+        // writes instead of one.
+        let mut lines: Vec<(&[Subscriber], Arc<[u8]>)> = Vec::new();
         for delta in deltas {
-            if self.router.subscribers(delta.query).is_empty() {
+            let subscribers = self.router.subscribers(delta.query);
+            if subscribers.is_empty() {
                 continue;
             }
             let line = Push::Delta {
@@ -1056,29 +898,35 @@ impl EngineOwner {
             }
             .to_string();
             self.metrics.encodes.fetch_add(1, Ordering::Relaxed);
-            lines.push((delta.query, line_bytes(line)));
+            lines.push((subscribers, line_bytes(line)));
         }
-        if lines.is_empty() {
-            return;
+        let cap = self.cfg.push_queue;
+        let mut overflowed: Vec<Subscriber> = Vec::new();
+        for (subscribers, bytes) in &lines {
+            for sub in *subscribers {
+                // Once a queue overflows, its latch refuses every later
+                // push of this cycle too, so a session can be collected
+                // here once per subscribed query.
+                if !sub.out.try_push_shared(Arc::clone(bytes), cap) {
+                    overflowed.push(sub.clone());
+                }
+            }
         }
-        let resynced = self.pool.fan_out(lines, self.cfg.push_queue);
+        overflowed.sort_unstable_by_key(|sub| sub.sid);
+        overflowed.dedup_by_key(|sub| sub.sid);
         // Slow consumers lost their queued pushes: re-baseline every one
         // of their subscriptions from the (post-cycle) current results.
-        // The fan-out barrier above guarantees no shard worker is still
-        // pushing, so clearing the overflow latch here cannot race a
-        // delta in ahead of the RESYNC.
-        for sid in resynced {
+        // Nothing else pushes while this loop runs, so no delta can land
+        // between clearing the overflow latch and the RESYNC.
+        for sub in overflowed {
             self.stats.resyncs += 1;
-            let Some(handle) = self.sessions.get(&sid) else {
-                continue;
-            };
-            let out = Arc::clone(&handle.out);
-            let subs = self.router.subscriptions_of(&sid);
-            out.clear_overflow();
-            out.force_push(Push::Resync { count: subs.len() }.to_string());
+            let subs = self.router.subscriptions_of(&sub);
+            sub.out.clear_overflow();
+            sub.out
+                .force_push(Push::Resync { count: subs.len() }.to_string());
             for q in subs {
                 let entries = self.result_of(q).unwrap_or_default();
-                out.force_push(
+                sub.out.force_push(
                     Push::Snapshot {
                         query: q,
                         at: now,
@@ -1104,7 +952,6 @@ impl EngineOwner {
                 "encodes".into(),
                 self.metrics.encodes.load(Ordering::Relaxed).to_string(),
             ),
-            ("fanout_shards".into(), self.pool.shards().to_string()),
             ("resyncs".into(), self.stats.resyncs.to_string()),
             (
                 "reaped".into(),

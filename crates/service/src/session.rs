@@ -2,13 +2,13 @@
 //!
 //! Since PR 10 connections are **not** driven by per-connection threads:
 //! the [`crate::reactor`] event loop owns every subscriber socket and
-//! drives all of them from O(shards) threads. This module provides the two
-//! pieces of per-connection state the reactor (and the engine owner / the
-//! fan-out shard workers feeding it) share:
+//! drives all of them from one thread. This module provides the two
+//! pieces of per-connection state the reactor and the engine owner
+//! feeding it share:
 //!
 //! * [`SessionOut`] — one ordered outbound queue per connection, shared by
-//!   replies and pushes. Producers (the engine owner, the fan-out shard
-//!   workers) enqueue whole lines as reference-counted byte payloads —
+//!   replies and pushes. Its one producer (the engine-owner thread)
+//!   enqueues whole lines as reference-counted byte payloads —
 //!   one tick's `DELTA` line is encoded **once** per query and the same
 //!   `Arc<[u8]>` is enqueued for every subscriber — and the reactor drains
 //!   it with a *partial-write cursor*: a short write leaves the front
@@ -37,8 +37,8 @@
 //! or resume the stream mid-line and garble the next payload. Second, an
 //! overflow *latches*: until the engine owner re-arms the queue with
 //! [`SessionOut::clear_overflow`] right before the `RESYNC` baseline,
-//! every capped push is refused outright, so a producer on another
-//! fan-out shard cannot slip a delta in ahead of the pending resync.
+//! every capped push is refused outright, so the rest of the cycle's
+//! deltas cannot land ahead of the pending resync.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -95,12 +95,13 @@ struct OutState {
 }
 
 /// The outbound side of one session: an ordered reply/push byte queue
-/// produced by the engine owner and the fan-out shard workers, consumed
-/// by the reactor with partial-write resumption.
+/// produced by the engine owner, consumed by the reactor with
+/// partial-write resumption.
 ///
-/// Consumption ([`SessionOut::next_chunk`] / [`SessionOut::advance`]) is
-/// single-consumer by contract — only the reactor thread drains a
-/// session — while any number of producer threads may enqueue.
+/// A `Service` gives each queue exactly two parties: the engine-owner
+/// thread enqueues, the reactor thread drains. Consumption
+/// ([`SessionOut::next_chunk`] / [`SessionOut::advance`]) is
+/// single-consumer by contract; enqueueing is safe from any thread.
 #[derive(Default)]
 pub struct SessionOut {
     state: Mutex<OutState>,
@@ -168,13 +169,6 @@ impl SessionOut {
         self.enqueue(line_bytes(line), false);
     }
 
-    /// Tries to enqueue a push line under a cap of `cap` pending pushes —
-    /// the string-encoding convenience over
-    /// [`SessionOut::try_push_shared`].
-    pub fn try_push(&self, line: String, cap: usize) -> bool {
-        self.try_push_shared(line_bytes(line), cap)
-    }
-
     /// Tries to enqueue an already-encoded push payload (terminator
     /// included) under a cap of `cap` pending pushes.
     ///
@@ -187,8 +181,7 @@ impl SessionOut {
     /// [`SessionOut::force_push`]. Until [`SessionOut::clear_overflow`]
     /// marks that re-baseline as underway, every further capped push is
     /// refused (returning `false` again) without touching the queue, so
-    /// no producer — in particular no other fan-out shard — can slip a
-    /// delta in ahead of the pending `RESYNC`.
+    /// no later delta can land ahead of the pending `RESYNC`.
     pub fn try_push_shared(&self, bytes: Arc<[u8]>, cap: usize) -> bool {
         let was_idle = {
             let mut st = self.lock_state();
@@ -224,8 +217,7 @@ impl SessionOut {
 
     /// Re-arms capped pushes after an overflow drop. Called by the engine
     /// owner immediately before it enqueues the `RESYNC` + `SNAPSHOT`
-    /// baseline (the fan-out barrier guarantees no shard worker is
-    /// pushing concurrently at that point).
+    /// baseline (it is the only pusher, so nothing can land in between).
     pub fn clear_overflow(&self) {
         self.lock_state().overflowed = false;
     }
@@ -478,10 +470,10 @@ mod tests {
     fn replies_survive_push_overflow() {
         let out = SessionOut::new();
         out.send_reply("OK q0".into());
-        assert!(out.try_push("DELTA 1".into(), 2));
-        assert!(out.try_push("DELTA 2".into(), 2));
+        assert!(out.try_push_shared(line_bytes("DELTA 1".into()), 2));
+        assert!(out.try_push_shared(line_bytes("DELTA 2".into()), 2));
         // Third push overflows the cap of 2: pushes dropped, replies kept.
-        assert!(!out.try_push("DELTA 3".into(), 2));
+        assert!(!out.try_push_shared(line_bytes("DELTA 3".into()), 2));
         out.send_reply("OK q1".into());
         out.force_push("RESYNC 1".into());
         out.close();
@@ -492,11 +484,14 @@ mod tests {
     #[test]
     fn overflow_never_drops_a_partially_written_push() {
         let out = SessionOut::new();
-        assert!(out.try_push("DELTA first".into(), 2));
-        assert!(out.try_push("DELTA second".into(), 2));
+        assert!(out.try_push_shared(line_bytes("DELTA first".into()), 2));
+        assert!(out.try_push_shared(line_bytes("DELTA second".into()), 2));
         // Simulate a short write: 3 bytes of "DELTA first\n" on the wire.
         out.advance(3);
-        assert!(!out.try_push("DELTA third".into(), 2), "cap overflow");
+        assert!(
+            !out.try_push_shared(line_bytes("DELTA third".into()), 2),
+            "cap overflow"
+        );
         out.force_push("RESYNC 1".into());
         out.close();
         // The in-flight line survives (resuming at its cursor), the rest
@@ -507,17 +502,20 @@ mod tests {
     #[test]
     fn overflow_never_drops_staged_entries() {
         let out = SessionOut::new();
-        assert!(out.try_push("DELTA a".into(), 2));
-        assert!(out.try_push("DELTA b".into(), 2));
+        assert!(out.try_push_shared(line_bytes("DELTA a".into()), 2));
+        assert!(out.try_push_shared(line_bytes("DELTA b".into()), 2));
         // The reactor stages both lines for one coalesced write and is
         // now writing with the queue lock released...
         let mut scratch = Vec::new();
         let staged = out.peek_coalesced(&mut scratch, 64);
         assert_eq!(scratch, b"DELTA a\nDELTA b\n");
-        // ...when a shard worker overflows the cap mid-write: the staged
+        // ...when the engine owner overflows the cap mid-write: the staged
         // entries must survive the drop so the pending advance() pops
         // exactly the lines that went on the wire.
-        assert!(!out.try_push("DELTA c".into(), 2), "cap overflow");
+        assert!(
+            !out.try_push_shared(line_bytes("DELTA c".into()), 2),
+            "cap overflow"
+        );
         out.clear_overflow();
         out.force_push("RESYNC 1".into());
         out.advance(staged);
@@ -528,15 +526,24 @@ mod tests {
     #[test]
     fn overflow_latches_pushes_until_cleared() {
         let out = SessionOut::new();
-        assert!(out.try_push("DELTA a".into(), 1));
-        assert!(!out.try_push("DELTA b".into(), 1), "cap overflow");
-        // Until the owner re-baselines, every capped push — e.g. a delta
-        // from another fan-out shard — is refused without being queued.
-        assert!(!out.try_push("DELTA c".into(), 8), "latched");
+        assert!(out.try_push_shared(line_bytes("DELTA a".into()), 1));
+        assert!(
+            !out.try_push_shared(line_bytes("DELTA b".into()), 1),
+            "cap overflow"
+        );
+        // Until the owner re-baselines, every capped push — e.g. the
+        // cycle's next delta — is refused without being queued.
+        assert!(
+            !out.try_push_shared(line_bytes("DELTA c".into()), 8),
+            "latched"
+        );
         assert_eq!(out.queued_pushes(), 0);
         out.clear_overflow();
         out.force_push("RESYNC 1".into());
-        assert!(out.try_push("DELTA d".into(), 8), "re-armed");
+        assert!(
+            out.try_push_shared(line_bytes("DELTA d".into()), 8),
+            "re-armed"
+        );
         out.close();
         assert_eq!(drain_all(&out), b"RESYNC 1\nDELTA d\n");
     }
@@ -576,7 +583,10 @@ mod tests {
         let out = SessionOut::new();
         out.close();
         out.send_reply("late".into());
-        assert!(out.try_push("late push".into(), 4), "no resync for corpses");
+        assert!(
+            out.try_push_shared(line_bytes("late push".into()), 4),
+            "no resync for corpses"
+        );
         out.force_push("late force".into());
         assert!(out.is_drained());
         assert!(out.next_chunk().is_none());

@@ -197,22 +197,12 @@ impl TslMonitor {
     /// `now` drives time-based expiry.
     pub fn tick(&mut self, now: Timestamp, arrivals: &[f64]) -> Result<()> {
         let dims = self.dims();
-        if !arrivals.len().is_multiple_of(dims) {
-            return Err(TkmError::InvalidParameter(format!(
-                "tick: arrival buffer length {} is not a multiple of dims {dims}",
-                arrivals.len()
-            )));
-        }
+        self.window.validate_tick(now, arrivals)?;
         self.tick_count += 1;
         self.stats.ticks += 1;
 
         // Pins: index each arrival and probe every view (the r·Q cost).
         for coords in arrivals.chunks_exact(dims) {
-            if let Some(bad) = coords.iter().find(|x| !(0.0..=1.0).contains(*x)) {
-                return Err(TkmError::InvalidParameter(format!(
-                    "tick: coordinate {bad} outside the unit workspace"
-                )));
-            }
             let id = self.window.insert(coords, now)?;
             self.lists.insert(id, coords);
             for q in self.queries.values_mut() {

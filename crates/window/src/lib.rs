@@ -28,7 +28,7 @@ pub use ring::FlatRing;
 pub use slab::SlabStore;
 pub use time::TimeWindow;
 
-use tkm_common::{Result, Timestamp, TupleId};
+use tkm_common::{Result, Timestamp, TkmError, TupleId};
 
 /// Random access to the coordinates of valid tuples by id.
 ///
@@ -157,7 +157,38 @@ impl Window {
         }
     }
 
-    /// Appends a tuple; returns its arrival id.
+    /// Validates one processing cycle's input before anything is
+    /// mutated — the single entry-point check shared by every engine's
+    /// tick path (TMA/SMA via the ingest stage, threshold, TSL, the
+    /// brute-force oracle), so all of them reject malformed input with
+    /// the same error. The flat arrival buffer must hold whole tuples
+    /// inside the unit workspace, and `now` must not precede the newest
+    /// resident tuple's arrival time: expiry is FIFO only while arrival
+    /// times are non-decreasing, so a regressing clock must be refused
+    /// before it reaches the ring. Equal timestamps are fine.
+    pub fn validate_tick(&self, now: Timestamp, arrivals: &[f64]) -> Result<()> {
+        let dims = self.dims();
+        if !arrivals.len().is_multiple_of(dims) {
+            return Err(TkmError::InvalidParameter(format!(
+                "tick: arrival buffer length {} is not a multiple of dims {dims}",
+                arrivals.len()
+            )));
+        }
+        if let Some(bad) = arrivals.iter().find(|x| !(0.0..=1.0).contains(*x)) {
+            return Err(TkmError::InvalidParameter(format!(
+                "tick: coordinate {bad} outside the unit workspace"
+            )));
+        }
+        match self.newest_time() {
+            Some(newest) if now < newest => Err(TkmError::InvalidParameter(format!(
+                "tick: timestamp {now} is earlier than the newest tuple's arrival time {newest}"
+            ))),
+            _ => Ok(()),
+        }
+    }
+
+    /// Appends a tuple; returns its arrival id. `ts` must not precede
+    /// [`Window::newest_time`] (see [`Window::validate_tick`]).
     pub fn insert(&mut self, coords: &[f64], ts: Timestamp) -> Result<TupleId> {
         match self {
             Window::Count(w) => w.insert(coords, ts),

@@ -15,6 +15,7 @@
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::sync::Arc;
 use std::time::Duration;
 
 use proptest::prelude::*;
@@ -23,6 +24,11 @@ use topk_monitor::service::{
     ServiceConfig, SessionOut, MAX_REQUEST_LINE,
 };
 use topk_monitor::{Scored, ServerConfig};
+
+/// A push payload as the server enqueues it: the line plus terminator.
+fn payload(line: &str) -> Arc<[u8]> {
+    Arc::from(format!("{line}\n").into_bytes())
+}
 
 /// If a line parses, its canonical encoding must parse back to the same
 /// value — the fixed point every fuzz case below is checked against.
@@ -311,7 +317,10 @@ proptest! {
             expected.push(b'\n');
             match mode % 3 {
                 0 => out.send_reply(line),
-                1 => prop_assert!(out.try_push(line, 1 << 20), "uncapped push dropped"),
+                1 => prop_assert!(
+                    out.try_push_shared(payload(&line), 1 << 20),
+                    "uncapped push dropped"
+                ),
                 _ => out.force_push(line),
             }
         }
@@ -380,8 +389,8 @@ fn framer_handles_one_byte_reads() {
 #[test]
 fn session_out_overflow_keeps_the_stream_line_aligned() {
     let out = SessionOut::new();
-    assert!(out.try_push("DELTA q0 @1 +t1:0.5".into(), 2));
-    assert!(out.try_push("DELTA q0 @2 +t2:0.5".into(), 2));
+    assert!(out.try_push_shared(payload("DELTA q0 @1 +t1:0.5"), 2));
+    assert!(out.try_push_shared(payload("DELTA q0 @2 +t2:0.5"), 2));
     // Four bytes of the front line are already on the wire.
     let mut scratch = Vec::new();
     let n = out.peek_coalesced(&mut scratch, 4);
@@ -389,7 +398,7 @@ fn session_out_overflow_keeps_the_stream_line_aligned() {
     let mut collected = scratch[..n].to_vec();
     out.advance(n);
     // The cap trips: the backlog is dropped, the in-flight front stays.
-    assert!(!out.try_push("DELTA q0 @3 +t3:0.5".into(), 2));
+    assert!(!out.try_push_shared(payload("DELTA q0 @3 +t3:0.5"), 2));
     assert_eq!(out.queued_pushes(), 1, "only the in-flight front survives");
     out.force_push("RESYNC 1".into());
     while let Some((bytes, cursor)) = out.next_chunk() {
@@ -400,7 +409,7 @@ fn session_out_overflow_keeps_the_stream_line_aligned() {
     // A closed queue swallows pushes without demanding a resync.
     out.close();
     assert!(out.is_closed());
-    assert!(out.try_push("DELTA q0 @4 +t4:0.5".into(), 2));
+    assert!(out.try_push_shared(payload("DELTA q0 @4 +t4:0.5"), 2));
     assert!(out.is_drained());
 }
 

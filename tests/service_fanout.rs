@@ -6,7 +6,7 @@
 //! encode-once counter (`STATS encodes=`) pinned to the engine's delta
 //! count and strictly below the number of deliveries it amortised.
 //!
-//! Also here: the O(shards)-threads / no-fd-leak regression (hundreds of
+//! Also here: the two-thread / no-fd-leak regression (hundreds of
 //! connect/disconnect cycles against `/proc/self` baselines) and the
 //! per-session backpressure determinism check (a slow reader resyncs at
 //! the configured cap while a fast subscriber of the *same* query sees a
@@ -302,12 +302,20 @@ fn fanout_soak_mixed_fleet_matches_oracle_and_encodes_once() {
     service.shutdown();
 }
 
+/// Live threads spawned (transitively) by the calling test. Tests of this
+/// binary share one process, so the process-wide `Threads:` count moves
+/// under a concurrently running neighbour; but a Linux thread inherits
+/// its creator's `comm` and the harness names each test thread after its
+/// test, so matching on it counts this test's threads only.
 fn thread_count() -> Option<usize> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("Threads:"))
-        .and_then(|v| v.trim().parse().ok())
+    let me = std::fs::read_to_string("/proc/thread-self/comm").ok()?;
+    let tasks = std::fs::read_dir("/proc/self/task").ok()?;
+    Some(
+        tasks
+            .flatten()
+            .filter(|t| std::fs::read_to_string(t.path().join("comm")).is_ok_and(|c| c == me))
+            .count(),
+    )
 }
 
 fn fd_count() -> Option<usize> {
@@ -316,16 +324,24 @@ fn fd_count() -> Option<usize> {
 
 /// 500 connect/subscribe/disconnect cycles — half clean `QUIT`s, half
 /// abrupt drops — must return the process to its baseline fd and thread
-/// counts: the reactor owns all sockets on O(shards) threads, so churn
+/// counts: the reactor owns all sockets on one thread, so churn
 /// may not leak either resource. (Both sides of every connection live in
-/// this process, so `/proc/self` sees server-side leaks too.)
+/// this process, so `/proc/self` sees server-side leaks too.) The thread
+/// inventory itself is pinned too: a manual-tick service is the reactor
+/// plus the engine owner, nothing else, and `shutdown` joins both.
 #[test]
 fn connection_churn_leaks_no_fds_or_threads() {
     if thread_count().is_none() || fd_count().is_none() {
         return; // no /proc — nothing to measure on this platform
     }
+    let unbound_threads = thread_count().expect("pre-bind threads");
     let service =
         Service::bind("127.0.0.1:0", ServiceConfig::new(ServerConfig::sma(2, 50))).expect("bind");
+    assert_eq!(
+        thread_count().expect("bound threads"),
+        unbound_threads + 2,
+        "a manual-tick service is exactly two threads: reactor + engine owner"
+    );
     let addr = service.local_addr();
     let mut control = ServiceClient::connect(addr).expect("control");
     let q = control.register_linear(4, &[1.0, 1.0]).expect("register");
@@ -377,6 +393,16 @@ fn connection_churn_leaks_no_fds_or_threads() {
     }
     let _ = control.quit();
     service.shutdown();
+    // A joined thread can linger in /proc for a moment after `join`.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while thread_count().expect("threads") != unbound_threads {
+        assert!(
+            Instant::now() < deadline,
+            "shutdown left {} threads (pre-bind {unbound_threads})",
+            thread_count().expect("threads"),
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
 }
 
 /// Backpressure is strictly per-session: a subscriber that stops reading
@@ -465,15 +491,42 @@ fn backpressure_is_per_session_and_fast_readers_see_no_gaps() {
         "the fast reader diverged from the oracle"
     );
 
-    // The slow reader drains its (resynced) stream and reconverges.
+    // The slow reader drains its (resynced) stream and reconverges. Its
+    // stream must read DELTA.. RESYNC SNAPSHOT DELTA..: every delta it
+    // receives is the next tick's (no stray delta after a drop and
+    // before its RESYNC), and a RESYNC is followed by one SNAPSHOT per
+    // subscription before deltas resume from the baseline's tick.
     let mut slow_resyncs = 0u64;
+    let mut owed_snapshots = 0usize;
+    let mut next_at = Timestamp(1);
     while !saw_sentinel(&slow_mirror, q, sentinel_score) {
         let push = slow.next_push().expect("slow push");
-        if matches!(push, Push::Resync { .. }) {
-            slow_resyncs += 1;
+        match &push {
+            Push::Delta { at, .. } => {
+                assert_eq!(owed_snapshots, 0, "DELTA @{at} inside a RESYNC baseline");
+                assert_eq!(*at, next_at, "DELTA across a gap with no RESYNC before it");
+                next_at = Timestamp(at.0 + 1);
+            }
+            Push::Resync { count } => {
+                assert_eq!(*count, 1, "one SNAPSHOT per subscription");
+                slow_resyncs += 1;
+                owed_snapshots = *count;
+            }
+            Push::Snapshot { query, at, .. } => {
+                assert_eq!(owed_snapshots, 1, "SNAPSHOT @{at} not owed by a RESYNC");
+                assert_eq!(*query, q);
+                assert!(
+                    *at >= next_at,
+                    "baseline @{at} older than a delivered delta"
+                );
+                owed_snapshots = 0;
+                next_at = Timestamp(at.0 + 1);
+            }
+            other => panic!("unexpected push on the slow session: {other}"),
         }
         apply_push(&mut slow_mirror, &push);
     }
+    assert_eq!(owed_snapshots, 0, "stream ended inside a RESYNC baseline");
     assert!(slow_resyncs >= 1, "the slow reader never saw its RESYNC");
     assert_eq!(
         slow_mirror.get(&q),

@@ -143,46 +143,68 @@ fn four_subscribers_reconstruct_oracle_results() {
 }
 
 /// Subscriber-side identity check with deterministic ids: a single
-/// subscriber's queries match the oracle one-to-one.
+/// subscriber's queries match the oracle one-to-one, and its mirror —
+/// subscribe baselines plus the delta stream alone — reconstructs them,
+/// for both engines, unsharded and over a 3-shard engine (the serving
+/// layer is the same two threads either way).
 #[test]
 fn single_session_matches_oracle_per_query() {
-    let scfg = ServerConfig::sma(2, 120).with_engine(EngineKind::Tma);
-    let service = Service::bind("127.0.0.1:0", ServiceConfig::new(scfg)).expect("bind");
-    let mut oracle = MonitorServer::new(scfg).expect("oracle");
+    for (engine, shards) in [
+        (EngineKind::Tma, 1),
+        (EngineKind::Tma, 3),
+        (EngineKind::Sma, 1),
+        (EngineKind::Sma, 3),
+    ] {
+        let scfg = ServerConfig::sma(2, 120).with_engine(engine);
+        let service = Service::bind("127.0.0.1:0", ServiceConfig::new(scfg.with_shards(shards)))
+            .expect("bind");
+        let mut oracle = MonitorServer::new(scfg).expect("oracle");
 
-    let mut client = ServiceClient::connect(service.local_addr()).expect("connect");
-    let mut pairs = Vec::new();
-    for (k, w) in [(2, [1.0, 0.5]), (5, [0.1, 1.0]), (4, [1.0, 1.0])] {
-        let wire = client.register_linear(k, &w).expect("register");
-        let f = ScoreFn::linear(w.to_vec()).expect("weights");
-        let local = oracle
-            .register(Query::top_k(f, k).expect("query"))
-            .expect("oracle register");
-        assert_eq!(wire, local, "sequential registration shares id order");
-        let baseline = client.subscribe(wire).expect("subscribe");
-        assert!(baseline.is_empty());
-        pairs.push(wire);
-    }
+        let mut client = ServiceClient::connect(service.local_addr()).expect("connect");
+        let mut mirror: BTreeMap<_, Vec<Scored>> = BTreeMap::new();
+        for (k, w) in [(2, [1.0, 0.5]), (5, [0.1, 1.0]), (4, [1.0, 1.0])] {
+            let wire = client.register_linear(k, &w).expect("register");
+            let f = ScoreFn::linear(w.to_vec()).expect("weights");
+            let local = oracle
+                .register(Query::top_k(f, k).expect("query"))
+                .expect("oracle register");
+            assert_eq!(wire, local, "sequential registration shares id order");
+            let baseline = client.subscribe(wire).expect("subscribe");
+            assert!(baseline.is_empty());
+            mirror.insert(wire, baseline);
+        }
 
-    let batches = lcg_batches(99, 40, 9, 2);
-    for batch in &batches {
-        let now = client.tick(batch).expect("tick");
-        oracle.tick(batch).expect("oracle tick");
-        assert_eq!(Timestamp(now.0), Timestamp(oracle.now().0));
-    }
+        let batches = lcg_batches(99, 40, 9, 2);
+        for batch in &batches {
+            let now = client.tick(batch).expect("tick");
+            oracle.tick(batch).expect("oracle tick");
+            assert_eq!(Timestamp(now.0), Timestamp(oracle.now().0));
+        }
 
-    let mut mirror: BTreeMap<_, Vec<Scored>> = pairs.iter().map(|q| (*q, Vec::new())).collect();
-    for q in &pairs {
-        let (_, truth) = client.snapshot(*q).expect("snapshot");
-        assert_eq!(truth, oracle.result(*q).expect("oracle"), "wire vs oracle");
-        mirror.insert(*q, truth);
+        let queries: Vec<_> = mirror.keys().copied().collect();
+        for q in &queries {
+            let (_, truth) = client.snapshot(*q).expect("snapshot");
+            assert_eq!(
+                truth,
+                oracle.result(*q).expect("oracle"),
+                "wire vs oracle ({engine:?}, {shards} shards)"
+            );
+        }
+        // Every tick's pushes were enqueued ahead of that tick's reply,
+        // so the whole delta stream is buffered by now.
+        while let Some(push) = client.try_buffered_push() {
+            apply_push(&mut mirror, &push);
+        }
+        for q in &queries {
+            assert_eq!(
+                mirror[q],
+                oracle.result(*q).expect("oracle"),
+                "delta mirror vs oracle ({engine:?}, {shards} shards)"
+            );
+        }
+        client.quit().expect("quit");
+        service.shutdown();
     }
-    while let Some(push) = client.try_buffered_push() {
-        // Already reflected in the snapshots; applying must not corrupt.
-        apply_push(&mut mirror, &push);
-    }
-    client.quit().expect("quit");
-    service.shutdown();
 }
 
 /// The drop-to-snapshot backpressure path: a subscriber that stops reading
