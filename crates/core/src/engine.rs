@@ -6,6 +6,7 @@ use crate::maintenance::QueryMaintenance;
 use crate::monitor::{Monitor, SmaMonitor, TmaMonitor};
 use crate::oracle::OracleMonitor;
 use crate::query::Query;
+use crate::result::ResultDelta;
 use tkm_common::{QueryId, Result, Scored, Timestamp, TkmError};
 use tkm_tsl::{KmaxPolicy, TslMonitor};
 use tkm_window::WindowSpec;
@@ -41,6 +42,17 @@ pub trait ContinuousTopK: Send {
     /// The current top-k result of a query, best first.
     fn result(&self, id: QueryId) -> Result<Vec<Scored>>;
 
+    /// Starts change reporting: every query's current result becomes the
+    /// baseline [`ContinuousTopK::drain_changes`] reports against, and a
+    /// query registered later is baselined at its registration result.
+    fn track_changes(&mut self);
+
+    /// Appends, in ascending `QueryId` order, one [`ResultDelta`] per
+    /// query whose result differs from what was last reported for it, and
+    /// makes the current results the new baseline. Appends nothing before
+    /// [`ContinuousTopK::track_changes`].
+    fn drain_changes(&mut self, out: &mut Vec<ResultDelta>);
+
     /// One-shot (snapshot) top-k over the current window contents, leaving
     /// no monitoring state behind.
     fn snapshot(&mut self, query: &Query) -> Result<Vec<Scored>>;
@@ -67,6 +79,12 @@ impl<M: QueryMaintenance> ContinuousTopK for Monitor<M> {
     }
     fn result(&self, id: QueryId) -> Result<Vec<Scored>> {
         Monitor::result(self, id)
+    }
+    fn track_changes(&mut self) {
+        Monitor::track_changes(self)
+    }
+    fn drain_changes(&mut self, out: &mut Vec<ResultDelta>) {
+        Monitor::drain_changes(self, out)
     }
     fn snapshot(&mut self, query: &Query) -> Result<Vec<Scored>> {
         Monitor::snapshot(self, query)
@@ -100,6 +118,15 @@ impl ContinuousTopK for TslMonitor {
     fn result(&self, id: QueryId) -> Result<Vec<Scored>> {
         TslMonitor::result(self, id).map(<[Scored]>::to_vec)
     }
+    fn track_changes(&mut self) {
+        TslMonitor::track_reported(self)
+    }
+    fn drain_changes(&mut self, out: &mut Vec<ResultDelta>) {
+        // No affected list: every query is marked every cycle.
+        self.visit_reported(|id, reported, current| {
+            ResultDelta::report(id, reported, current, out);
+        });
+    }
     fn snapshot(&mut self, query: &Query) -> Result<Vec<Scored>> {
         if query.constraint.is_some() {
             return Err(TkmError::Unsupported(
@@ -131,6 +158,12 @@ impl ContinuousTopK for OracleMonitor {
     }
     fn result(&self, id: QueryId) -> Result<Vec<Scored>> {
         OracleMonitor::result(self, id).map(<[Scored]>::to_vec)
+    }
+    fn track_changes(&mut self) {
+        OracleMonitor::track_changes(self)
+    }
+    fn drain_changes(&mut self, out: &mut Vec<ResultDelta>) {
+        OracleMonitor::drain_changes(self, out)
     }
     fn snapshot(&mut self, query: &Query) -> Result<Vec<Scored>> {
         OracleMonitor::snapshot(self, query)

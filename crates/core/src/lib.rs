@@ -81,7 +81,7 @@ pub use oracle::OracleMonitor;
 pub use piecewise::{PiecewiseMonitor, PiecewiseQuery};
 pub use query::Query;
 pub use registry::QueryRegistry;
-pub use result::{ResultDelta, TopList};
+pub use result::{DeltaList, ResultDelta, TopList};
 pub use route::DeltaRouter;
 pub use server::{MonitorServer, ServerConfig};
 pub use stats::EngineStats;

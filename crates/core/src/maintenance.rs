@@ -107,7 +107,7 @@ use crate::ingest::IngestState;
 use crate::kernel;
 use crate::query::Query;
 use crate::registry::QueryRegistry;
-use crate::result::TopList;
+use crate::result::{ResultDelta, TopList};
 use crate::stats::EngineStats;
 use tkm_common::{
     Monotonicity, OrderedF64, QueryId, QuerySlot, Result, ScoreFn, Scored, TkmError, TupleId,
@@ -147,6 +147,20 @@ pub trait QueryMaintenance: Send {
 
     /// The current top-k result of a query, best first.
     fn result(&self, id: QueryId) -> Result<Vec<Scored>>;
+
+    /// Starts change reporting ("report changes to the client", Figures 9
+    /// and 11): every query's current result becomes its reported
+    /// baseline, a query registered from now on is baselined at its
+    /// registration result, and each cycle marks the queries it touched.
+    /// Calling it again re-baselines and discards the pending marks.
+    fn track_changes(&mut self);
+
+    /// Appends one [`ResultDelta`] per marked query whose result differs
+    /// from its baseline, refreshing the baseline, and clears the marks.
+    /// Appends nothing before [`QueryMaintenance::track_changes`]. The
+    /// order within the appended run is the stage's own;
+    /// [`crate::Monitor`] puts the shards' runs into `QueryId` order.
+    fn drain_changes(&mut self, out: &mut Vec<ResultDelta>);
 
     /// One-shot top-k over the shared window, leaving no state behind.
     fn snapshot(&mut self, shared: &IngestState, query: &Query) -> Result<Vec<Scored>>;
@@ -291,6 +305,10 @@ struct BandQuery {
     /// between recomputations — that is what makes the exactness argument
     /// a one-liner (module docs).
     admit: f64,
+    /// The result as last reported through `drain_changes`: `query.k`
+    /// entries of capacity taken at registration while change tracking is
+    /// on, no buffer otherwise.
+    reported: Vec<Scored>,
     /// Whether the slot is already on this cycle's `affected` list.
     affected: bool,
     /// Whether a merge forced by a full band already stored one of this
@@ -307,6 +325,25 @@ struct BandQuery {
     ///
     /// [`ComputeOutcome::region_bound`]: crate::compute::ComputeOutcome
     region_bound: f64,
+}
+
+/// Where `slot`'s mark lives in the `dirty` bitmap: word index, bit mask.
+#[inline]
+fn mark_of(slot: QuerySlot) -> (usize, u64) {
+    (slot.index() / 64, 1 << (slot.index() % 64))
+}
+
+/// Makes `st`'s current result its reported baseline (taking the `k`
+/// entries of capacity the in-place refreshes need) and gives its slot a
+/// word in the `dirty` bitmap.
+fn baseline(dirty: &mut Vec<u64>, slot: QuerySlot, st: &mut BandQuery) {
+    st.reported.clear();
+    st.reported.reserve_exact(st.query.k);
+    st.reported.extend_from_slice(st.band.prefix(st.query.k));
+    let (word, _) = mark_of(slot);
+    if dirty.len() <= word {
+        dirty.resize(word + 1, 0);
+    }
 }
 
 /// Reseeds `st`'s band from a fresh computation and feeds the traversal's
@@ -360,6 +397,14 @@ pub struct BandMaintenance<P> {
     affected: Vec<QuerySlot>,
     /// Output buffers of the band merges, shared by every query.
     merge_scratch: MergeScratch,
+    /// Whether `track_changes` was called.
+    tracking: bool,
+    /// While tracking: one bit per slot, set when a cycle lists the slot
+    /// as `affected` (the only way a band, hence a result, changes) and
+    /// cleared when `drain_changes` reports it or the query is removed —
+    /// so a recycled slot never inherits its predecessor's mark, and the
+    /// sweep visits slots in slot order without sorting anything.
+    dirty: Vec<u64>,
     batched: bool,
     /// Reused per-tick scratch of the batching machinery.
     pending: Vec<(QuerySlot, u32, OrderedF64)>,
@@ -471,6 +516,8 @@ impl<P: BandPolicy> QueryMaintenance for BandMaintenance<P> {
             stats: EngineStats::default(),
             affected: Vec::new(),
             merge_scratch: MergeScratch::default(),
+            tracking: false,
+            dirty: Vec::new(),
             batched: true,
             pending: Vec::new(),
             members: Vec::new(),
@@ -491,6 +538,7 @@ impl<P: BandPolicy> QueryMaintenance for BandMaintenance<P> {
                 query,
                 band,
                 admit: f64::NEG_INFINITY,
+                reported: Vec::new(),
                 affected: false,
                 stored_early: false,
                 region_bound: f64::INFINITY,
@@ -507,11 +555,18 @@ impl<P: BandPolicy> QueryMaintenance for BandMaintenance<P> {
         } = self;
         let (_, st) = queries.slot_mut(slot);
         Self::recompute(influence, scratch, shared, stats, seed, recs, slot, st);
+        if self.tracking {
+            baseline(&mut self.dirty, slot, st);
+        }
         Ok(())
     }
 
     fn remove_query(&mut self, shared: &IngestState, id: QueryId) -> Result<()> {
         let (slot, st) = self.queries.remove(id)?;
+        let (word, bit) = mark_of(slot);
+        if let Some(marks) = self.dirty.get_mut(word) {
+            *marks &= !bit;
+        }
         self.stats.cleanup_cells += remove_query_walk(
             shared.grid(),
             &mut self.influence,
@@ -533,6 +588,8 @@ impl<P: BandPolicy> QueryMaintenance for BandMaintenance<P> {
             stats,
             affected,
             merge_scratch,
+            tracking,
+            dirty,
             batched,
             pending,
             members,
@@ -657,6 +714,10 @@ impl<P: BandPolicy> QueryMaintenance for BandMaintenance<P> {
         for &slot in affected.iter() {
             let (_, st) = queries.slot_mut(slot);
             st.affected = false;
+            if *tracking {
+                let (word, bit) = mark_of(slot);
+                dirty[word] |= bit;
+            }
             if !Self::needs_recompute(st, shared) {
                 continue;
             }
@@ -752,6 +813,27 @@ impl<P: BandPolicy> QueryMaintenance for BandMaintenance<P> {
             .ok_or(TkmError::UnknownQuery(id))
     }
 
+    fn track_changes(&mut self) {
+        self.tracking = true;
+        self.dirty.clear();
+        for (slot, _, st) in self.queries.slots_mut() {
+            baseline(&mut self.dirty, slot, st);
+        }
+    }
+
+    // lint: hot-path
+    fn drain_changes(&mut self, out: &mut Vec<ResultDelta>) {
+        for (w, word) in self.dirty.iter_mut().enumerate() {
+            let mut marks = std::mem::take(word);
+            while marks != 0 {
+                let slot = QuerySlot(w as u32 * 64 + marks.trailing_zeros());
+                marks &= marks - 1;
+                let (id, st) = self.queries.slot_mut(slot);
+                ResultDelta::report(id, &mut st.reported, st.band.prefix(st.query.k), out);
+            }
+        }
+    }
+
     fn snapshot(&mut self, shared: &IngestState, query: &Query) -> Result<Vec<Scored>> {
         check_dims(shared, query)?;
         let out = compute_topk(
@@ -778,6 +860,7 @@ impl<P: BandPolicy> QueryMaintenance for BandMaintenance<P> {
             + self.queries.space_bytes()
             + (self.affected.capacity() * std::mem::size_of::<QuerySlot>())
             + self.merge_scratch.space_bytes()
+            + (self.dirty.capacity() * std::mem::size_of::<u64>())
             + (self.pending.capacity() * std::mem::size_of::<(QuerySlot, u32, OrderedF64)>())
             + (self.members.capacity() * std::mem::size_of::<GroupMember>())
             + (self.outcomes.capacity() * std::mem::size_of::<GroupOutcome>())
@@ -788,7 +871,11 @@ impl<P: BandPolicy> QueryMaintenance for BandMaintenance<P> {
             + self
                 .queries
                 .iter()
-                .map(|(_, q)| std::mem::size_of::<BandQuery>() + q.band.space_bytes())
+                .map(|(_, q)| {
+                    std::mem::size_of::<BandQuery>()
+                        + q.band.space_bytes()
+                        + q.reported.capacity() * std::mem::size_of::<Scored>()
+                })
                 .sum::<usize>()
     }
 

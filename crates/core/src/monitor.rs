@@ -38,6 +38,7 @@ use crate::maintenance::{
     BandMaintenance, BandPolicy, QueryMaintenance, SmaMaintenance, TmaMaintenance,
 };
 use crate::query::Query;
+use crate::result::ResultDelta;
 use crate::stats::EngineStats;
 use tkm_common::{QueryId, Result, Scored, Timestamp, TkmError};
 use tkm_grid::Grid;
@@ -222,6 +223,32 @@ impl<M: QueryMaintenance> Monitor<M> {
         outcomes.into_iter().collect()
     }
 
+    /// Starts change reporting on every shard: the current results become
+    /// the baseline [`Monitor::drain_changes`] reports against.
+    pub fn track_changes(&mut self) {
+        for s in &mut self.shards {
+            s.track_changes();
+        }
+    }
+
+    /// Appends, in ascending `QueryId` order, the change of every query
+    /// whose result moved since it was last reported. The maintenance
+    /// stage marked those queries as it touched them, so the cost follows
+    /// the results that changed, not the queries registered; nothing is
+    /// appended before [`Monitor::track_changes`].
+    pub fn drain_changes(&mut self, out: &mut Vec<ResultDelta>) {
+        let start = out.len();
+        for s in &mut self.shards {
+            s.drain_changes(out);
+        }
+        // A shard reports in slot order, which is id order until a slot is
+        // recycled; several shards interleave.
+        let fresh = &mut out[start..];
+        if !fresh.is_sorted_by_key(|d| d.query) {
+            fresh.sort_unstable_by_key(|d| d.query);
+        }
+    }
+
     /// One-shot (snapshot) top-k over the current window contents, without
     /// registering anything: the computation module runs but leaves no
     /// influence-list entries behind.
@@ -315,6 +342,8 @@ mod tests {
         sharded_matches_unsharded_engine,
         query_churn_rebalances,
         space_stays_flat_as_shards_grow,
+        reports_changes_of_touched_queries_only,
+        recycled_slot_starts_from_its_own_baseline,
     }
 
     fn linear(w: &[f64], k: usize) -> Query {
@@ -549,6 +578,113 @@ mod tests {
         );
     }
 
+    /// Replaying the drained deltas onto registration-time mirrors must
+    /// reconstruct `result()`; the stream is id-ordered and the same at
+    /// every shard count; nothing is reported before `track_changes`, and
+    /// calling it mid-stream discards what was pending.
+    fn reports_changes_of_touched_queries_only<P: BandPolicy>() {
+        let mut streams = Vec::new();
+        for shards in [1, 3] {
+            let mut m =
+                Mon::<P>::with_shards(2, WindowSpec::Count(40), GridSpec::PerDim(5), shards)
+                    .unwrap();
+            let mut out = Vec::new();
+            m.register_query(QueryId(0), linear(&[1.0, 0.2], 3))
+                .unwrap();
+            m.tick(Timestamp(0), &lcg_stream(5, 12, 2)).unwrap();
+            m.drain_changes(&mut out);
+            assert!(out.is_empty(), "not tracking yet");
+
+            // Mid-stream: the current results are the baseline, so the
+            // tick above is never reported.
+            m.track_changes();
+            let mut mirrors = vec![m.result(QueryId(0)).unwrap()];
+            for i in 1..9u64 {
+                let q = linear(
+                    &[1.0 + i as f64 * 0.3, 2.0 - i as f64 * 0.2],
+                    1 + i as usize % 4,
+                );
+                m.register_query(QueryId(i), q).unwrap();
+                mirrors.push(m.result(QueryId(i)).unwrap());
+            }
+            m.drain_changes(&mut out);
+            assert!(out.is_empty(), "registration results are the baseline");
+
+            let mut stream = Vec::new();
+            for tick in 1..=40u64 {
+                m.tick(Timestamp(tick), &lcg_stream(tick + 7, 6, 2))
+                    .unwrap();
+                if tick % 3 == 0 {
+                    continue; // changes of several cycles fold into one delta
+                }
+                m.drain_changes(&mut out);
+                assert!(out.windows(2).all(|w| w[0].query < w[1].query));
+                for d in &out {
+                    assert!(!d.is_empty());
+                    d.apply(&mut mirrors[d.query.0 as usize]);
+                }
+                for (i, mirror) in mirrors.iter().enumerate() {
+                    assert_eq!(mirror, &m.result(QueryId(i as u64)).unwrap());
+                }
+                stream.append(&mut out);
+            }
+            m.drain_changes(&mut out);
+            assert!(out.is_empty(), "drained");
+            assert!(stream.len() > 20, "the stream moved results");
+            streams.push(stream);
+        }
+        assert_eq!(streams[0], streams[1], "shard count changed the stream");
+    }
+
+    /// A query removed while its slot is marked, and another registered
+    /// into the recycled slot before the marks are drained: the newcomer
+    /// is reported relative to its own registration result, the dead query
+    /// not at all.
+    fn recycled_slot_starts_from_its_own_baseline<P: BandPolicy>() {
+        let mut m = Mon::<P>::new(2, WindowSpec::Count(20), GridSpec::PerDim(4)).unwrap();
+        m.track_changes();
+        m.register_query(QueryId(0), linear(&[1.0, 1.0], 2))
+            .unwrap();
+        m.register_query(QueryId(1), linear(&[0.3, 1.0], 2))
+            .unwrap();
+        m.tick(Timestamp(0), &lcg_stream(1, 8, 2)).unwrap();
+        // Both slots are marked now; free slot 0 and refill it.
+        m.remove_query(QueryId(0)).unwrap();
+        m.register_query(QueryId(2), linear(&[1.0, 0.1], 4))
+            .unwrap();
+        assert_eq!(
+            m.shards()[0].query_slot(QueryId(2)),
+            Some(tkm_common::QuerySlot(0)),
+            "slot reused"
+        );
+        let mut mirror = m.result(QueryId(2)).unwrap();
+        let mut out = Vec::new();
+        m.drain_changes(&mut out);
+        assert_eq!(out.len(), 1, "only the surviving query changed: {out:?}");
+        assert_eq!(out[0].query, QueryId(1));
+
+        out.clear();
+        m.tick(Timestamp(1), &lcg_stream(2, 8, 2)).unwrap();
+        // A marked slot left dead is skipped, not resolved.
+        m.remove_query(QueryId(1)).unwrap();
+        m.drain_changes(&mut out);
+        assert!(out.iter().all(|d| d.query == QueryId(2)));
+        for d in &out {
+            d.apply(&mut mirror);
+        }
+        assert_eq!(mirror, m.result(QueryId(2)).unwrap());
+
+        // Slot 1 is refilled by a smaller id than slot 0's: the stream is
+        // ordered by query, not by slot.
+        m.register_query(QueryId(1), linear(&[0.5, 0.5], 3))
+            .unwrap();
+        out.clear();
+        m.tick(Timestamp(2), &lcg_stream(3, 8, 2)).unwrap();
+        m.drain_changes(&mut out);
+        let ids: Vec<u64> = out.iter().map(|d| d.query.0).collect();
+        assert_eq!(ids, [1, 2]);
+    }
+
     /// A maintenance stage that panics on replay once armed.
     struct PanicStage {
         armed: bool,
@@ -575,6 +711,8 @@ mod tests {
         fn result(&self, _: QueryId) -> Result<Vec<Scored>> {
             Ok(Vec::new())
         }
+        fn track_changes(&mut self) {}
+        fn drain_changes(&mut self, _: &mut Vec<ResultDelta>) {}
         fn snapshot(&mut self, _: &IngestState, _: &Query) -> Result<Vec<Scored>> {
             Ok(Vec::new())
         }

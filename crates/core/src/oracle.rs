@@ -10,6 +10,7 @@ use std::collections::BTreeMap;
 
 use crate::kernel;
 use crate::query::Query;
+use crate::result::ResultDelta;
 use tkm_common::{QueryId, Result, Scored, Timestamp, TkmError};
 use tkm_window::{Window, WindowSpec};
 
@@ -17,6 +18,8 @@ use tkm_window::{Window, WindowSpec};
 struct OracleQuery {
     query: Query,
     result: Vec<Scored>,
+    /// The result as last reported (unused until `track_changes`).
+    reported: Vec<Scored>,
 }
 
 /// Ground-truth continuous top-k monitor (full rescan per tick).
@@ -24,6 +27,7 @@ struct OracleQuery {
 pub struct OracleMonitor {
     window: Window,
     queries: BTreeMap<QueryId, OracleQuery>,
+    tracking: bool,
 }
 
 impl OracleMonitor {
@@ -32,6 +36,7 @@ impl OracleMonitor {
         Ok(OracleMonitor {
             window: Window::new(dims, window)?,
             queries: BTreeMap::new(),
+            tracking: false,
         })
     }
 
@@ -70,7 +75,19 @@ impl OracleMonitor {
             return Err(TkmError::DuplicateQuery(id));
         }
         let result = Self::scan(&self.window, &query);
-        self.queries.insert(id, OracleQuery { query, result });
+        let reported = if self.tracking {
+            result.clone()
+        } else {
+            Vec::new()
+        };
+        self.queries.insert(
+            id,
+            OracleQuery {
+                query,
+                result,
+                reported,
+            },
+        );
         Ok(())
     }
 
@@ -88,6 +105,26 @@ impl OracleMonitor {
             .get(&id)
             .map(|q| q.result.as_slice())
             .ok_or(TkmError::UnknownQuery(id))
+    }
+
+    /// Starts change reporting: the current results become the baseline.
+    pub fn track_changes(&mut self) {
+        self.tracking = true;
+        for q in self.queries.values_mut() {
+            q.reported.clone_from(&q.result);
+        }
+    }
+
+    /// Appends the change of every query whose result differs from what
+    /// was last reported, in ascending `QueryId` order. A full rescan has
+    /// no affected list, so every query is compared every time.
+    pub fn drain_changes(&mut self, out: &mut Vec<ResultDelta>) {
+        if !self.tracking {
+            return;
+        }
+        for (id, q) in &mut self.queries {
+            ResultDelta::report(*id, &mut q.reported, &q.result, out);
+        }
     }
 
     /// One-shot (snapshot) top-k over the current window contents.
@@ -123,7 +160,8 @@ impl OracleMonitor {
                 .values()
                 .map(|q| {
                     std::mem::size_of::<OracleQuery>()
-                        + q.result.capacity() * std::mem::size_of::<Scored>()
+                        + (q.result.capacity() + q.reported.capacity())
+                            * std::mem::size_of::<Scored>()
                 })
                 .sum::<usize>()
     }

@@ -7,17 +7,127 @@
 
 use tkm_common::{OrderedF64, QueryId, Scored, TupleId};
 
+/// Entries a [`DeltaList`] holds without touching the heap. A cycle moves
+/// a result by a tuple or three (98 % of the lists on the benchmark's
+/// `steady` workload, all of them on `serve`), so this is what keeps a
+/// changed query from costing two `malloc`s.
+const INLINE: usize = 3;
+
+#[derive(Clone)]
+enum Repr {
+    Inline { len: u8, buf: [Scored; INLINE] },
+    Heap(Vec<Scored>),
+}
+
+/// One side of a [`ResultDelta`]: a best-first run of scored tuples,
+/// stored inline up to three entries and in a `Vec` beyond. Reads like a
+/// slice (`Deref<Target = [Scored]>`) and compares equal to any slice or
+/// `Vec` with the same entries, whichever representation holds them.
+#[derive(Clone)]
+pub struct DeltaList(Repr);
+
+impl DeltaList {
+    /// An empty list (no allocation).
+    #[inline]
+    pub fn new() -> DeltaList {
+        DeltaList(Repr::Inline {
+            len: 0,
+            buf: [Scored::new(0.0, TupleId(0)); INLINE],
+        })
+    }
+
+    /// Appends an entry, spilling to the heap on the fourth.
+    #[inline]
+    pub fn push(&mut self, entry: Scored) {
+        match &mut self.0 {
+            Repr::Inline { len, buf } if usize::from(*len) < INLINE => {
+                buf[usize::from(*len)] = entry;
+                *len += 1;
+            }
+            Repr::Inline { buf, .. } => {
+                let mut spilled = Vec::with_capacity(2 * INLINE + 2);
+                spilled.extend_from_slice(buf);
+                spilled.push(entry);
+                self.0 = Repr::Heap(spilled);
+            }
+            Repr::Heap(v) => v.push(entry),
+        }
+    }
+
+    /// Appends every entry of `entries`.
+    pub fn extend_from_slice(&mut self, entries: &[Scored]) {
+        for e in entries {
+            self.push(*e);
+        }
+    }
+}
+
+impl Default for DeltaList {
+    fn default() -> DeltaList {
+        DeltaList::new()
+    }
+}
+
+impl std::ops::Deref for DeltaList {
+    type Target = [Scored];
+    #[inline]
+    fn deref(&self) -> &[Scored] {
+        match &self.0 {
+            Repr::Inline { len, buf } => &buf[..usize::from(*len)],
+            Repr::Heap(v) => v,
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a DeltaList {
+    type Item = &'a Scored;
+    type IntoIter = std::slice::Iter<'a, Scored>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl From<Vec<Scored>> for DeltaList {
+    fn from(entries: Vec<Scored>) -> DeltaList {
+        if entries.len() > INLINE {
+            return DeltaList(Repr::Heap(entries));
+        }
+        let mut list = DeltaList::new();
+        list.extend_from_slice(&entries);
+        list
+    }
+}
+
+impl PartialEq for DeltaList {
+    fn eq(&self, other: &DeltaList) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for DeltaList {}
+
+impl PartialEq<Vec<Scored>> for DeltaList {
+    fn eq(&self, other: &Vec<Scored>) -> bool {
+        **self == **other
+    }
+}
+
+impl std::fmt::Debug for DeltaList {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// The change of one query's result across a processing cycle — the
 /// "changes reported to the client" of Figures 9 and 11.
 #[derive(Clone, Debug, PartialEq, Eq)]
-// lint: allow(space, reason=per-tick API value drained by the client, not resident engine state)
 pub struct ResultDelta {
     /// The query whose result changed.
     pub query: QueryId,
     /// Tuples that entered the top-k, best first.
-    pub added: Vec<Scored>,
+    pub added: DeltaList,
     /// Tuples that left the top-k, best first.
-    pub removed: Vec<Scored>,
+    pub removed: DeltaList,
 }
 
 impl ResultDelta {
@@ -55,8 +165,8 @@ impl ResultDelta {
     pub fn diff(query: QueryId, old: &[Scored], new: &[Scored]) -> ResultDelta {
         debug_assert!(old.windows(2).all(|w| w[0] > w[1]));
         debug_assert!(new.windows(2).all(|w| w[0] > w[1]));
-        let mut added = Vec::new();
-        let mut removed = Vec::new();
+        let mut added = DeltaList::new();
+        let mut removed = DeltaList::new();
         let (mut i, mut j) = (0, 0);
         while i < old.len() && j < new.len() {
             match new[j].cmp(&old[i]) {
@@ -80,6 +190,26 @@ impl ResultDelta {
             query,
             added,
             removed,
+        }
+    }
+
+    /// The reporting step every engine ends a cycle with for a query whose
+    /// result may have moved: diffs `current` against the query's
+    /// last-reported result `reported`, and when they differ appends the
+    /// delta to `out` and refreshes `reported` in place (a copy into the
+    /// buffer it already owns).
+    // lint: hot-path
+    pub(crate) fn report(
+        query: QueryId,
+        reported: &mut Vec<Scored>,
+        current: &[Scored],
+        out: &mut Vec<ResultDelta>,
+    ) {
+        let delta = ResultDelta::diff(query, reported, current);
+        if !delta.is_empty() {
+            reported.clear();
+            reported.extend_from_slice(current);
+            out.push(delta);
         }
     }
 }
@@ -316,6 +446,67 @@ mod tests {
         assert_eq!(mirror, new);
         ResultDelta::diff(q, &new, &[]).apply(&mut mirror);
         assert!(mirror.is_empty());
+    }
+
+    /// The inline → heap spill sits between three and four entries; both
+    /// representations must behave as the same list.
+    #[test]
+    fn delta_list_spill_boundary() {
+        let q = QueryId(7);
+        for n in [0usize, 1, 3, 4, 9] {
+            let old: Vec<Scored> = (0..n)
+                .map(|i| s(0.9 - i as f64 / 100.0, i as u64))
+                .collect();
+            let new: Vec<Scored> = (0..n)
+                .map(|i| s(0.5 - i as f64 / 100.0, (n + i) as u64))
+                .collect();
+            // Disjoint lists: `n` entries on each side of the delta.
+            let delta = ResultDelta::diff(q, &old, &new);
+            assert_eq!(delta.added, new, "n = {n}");
+            assert_eq!(delta.removed, old, "n = {n}");
+            assert_eq!(delta.added.len(), n);
+            assert_eq!(delta.is_empty(), n == 0);
+            let mut mirror = old.clone();
+            delta.apply(&mut mirror);
+            assert_eq!(mirror, new, "diff/apply round trip at n = {n}");
+
+            // Clone, equality against Vec and slice, and the Vec
+            // conversion agree whichever side of the spill they sit on.
+            let copy = delta.clone();
+            assert_eq!(copy, delta);
+            assert_eq!(DeltaList::from(new.clone()), delta.added);
+            assert_eq!(delta.added[..], new[..]);
+            assert_eq!((&delta.added).into_iter().count(), n);
+            assert_eq!(format!("{:?}", delta.added), format!("{new:?}"));
+        }
+
+        // Pushing across the boundary keeps order and earlier entries.
+        let mut list = DeltaList::default();
+        for i in 0..5u64 {
+            list.push(s(1.0 - i as f64 / 10.0, i));
+            assert_eq!(list.len(), i as usize + 1);
+            assert_eq!(list[0], s(1.0, 0));
+            assert_eq!(list.last(), Some(&s(1.0 - i as f64 / 10.0, i)));
+        }
+        assert_ne!(list, DeltaList::new());
+        // A short list converted from a `Vec` equals the pushed one.
+        let short = vec![s(1.0, 0), s(0.9, 1)];
+        assert_eq!(DeltaList::from(short)[..], list[..2]);
+    }
+
+    #[test]
+    fn report_refreshes_the_baseline_only_on_change() {
+        let q = QueryId(3);
+        let mut reported = vec![s(0.9, 0), s(0.5, 1)];
+        let mut out = Vec::new();
+        ResultDelta::report(q, &mut reported, &[s(0.9, 0), s(0.5, 1)], &mut out);
+        assert!(out.is_empty(), "unchanged result reports nothing");
+        let current = [s(0.9, 0), s(0.7, 2)];
+        ResultDelta::report(q, &mut reported, &current, &mut out);
+        assert_eq!(out, vec![ResultDelta::diff(q, &[s(0.5, 1)], &[s(0.7, 2)])]);
+        assert_eq!(reported, current);
+        ResultDelta::report(q, &mut reported, &current, &mut out);
+        assert_eq!(out.len(), 1, "reported once");
     }
 
     #[test]

@@ -139,8 +139,8 @@ mod tests {
     fn delta(q: u64) -> ResultDelta {
         ResultDelta {
             query: QueryId(q),
-            added: vec![Scored::new(0.5, TupleId(1))],
-            removed: Vec::new(),
+            added: vec![Scored::new(0.5, TupleId(1))].into(),
+            removed: Vec::new().into(),
         }
     }
 

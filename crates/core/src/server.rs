@@ -4,8 +4,6 @@
 //! This is the API a downstream application is expected to use; the raw
 //! engines remain available for benchmarking and fine-grained control.
 
-use std::collections::BTreeMap;
-
 use crate::engine::{build_engine, ContinuousTopK, EngineKind};
 use crate::ingest::GridSpec;
 use crate::query::Query;
@@ -90,8 +88,7 @@ pub struct MonitorServer {
     config: ServerConfig,
     next_query: u64,
     now: Timestamp,
-    /// Previous results per query while delta tracking is on.
-    delta_prev: Option<BTreeMap<QueryId, Vec<Scored>>>,
+    /// Result changes the engine reported since the last `take_deltas`.
     deltas: Vec<ResultDelta>,
 }
 
@@ -106,7 +103,6 @@ impl MonitorServer {
             config: cfg,
             next_query: 0,
             now: Timestamp(0),
-            delta_prev: None,
             deltas: Vec::new(),
         };
         if cfg.delta_tracking {
@@ -136,40 +132,35 @@ impl MonitorServer {
         let id = QueryId(self.next_query);
         self.engine.register_query(id, query)?;
         self.next_query += 1;
-        if let Some(prev) = &mut self.delta_prev {
-            prev.insert(id, self.engine.result(id)?);
-        }
         Ok(id)
     }
 
     /// Terminates a query.
     pub fn unregister(&mut self, id: QueryId) -> Result<()> {
-        self.engine.remove_query(id)?;
-        if let Some(prev) = &mut self.delta_prev {
-            prev.remove(&id);
-        }
-        Ok(())
+        self.engine.remove_query(id)
     }
 
     /// Turns on per-tick result-change reporting ("report changes to the
     /// client", Figures 9/11): after every tick, [`MonitorServer::take_deltas`]
-    /// returns which tuples entered/left each query's top-k. The current
-    /// results become the baseline.
+    /// returns which tuples entered/left each query's top-k, in ascending
+    /// query order. The current results become the baseline; a query
+    /// registered later is reported relative to its registration result.
+    ///
+    /// The engine does the reporting: its maintenance stage marks the
+    /// queries whose band a cycle touched, and only those are diffed,
+    /// against a per-query copy of the last reported result.
     pub fn enable_delta_tracking(&mut self) -> Result<()> {
-        let mut prev = BTreeMap::new();
-        for id in (0..self.next_query).map(QueryId) {
-            if let Ok(res) = self.engine.result(id) {
-                prev.insert(id, res);
-            }
-        }
-        self.delta_prev = Some(prev);
+        self.engine.track_changes();
         Ok(())
     }
 
     /// Drains the result changes accumulated since the last call (empty
     /// unless [`MonitorServer::enable_delta_tracking`] was called).
     pub fn take_deltas(&mut self) -> Vec<ResultDelta> {
-        std::mem::take(&mut self.deltas)
+        // The next batch is about as long as this one: start it at this
+        // one's capacity instead of regrowing from empty every cycle.
+        let next = Vec::with_capacity(self.deltas.capacity());
+        std::mem::replace(&mut self.deltas, next)
     }
 
     /// One-shot top-k against the current window contents — no continuous
@@ -178,27 +169,13 @@ impl MonitorServer {
         self.engine.snapshot(query)
     }
 
-    fn record_deltas(&mut self) -> Result<()> {
-        let Some(prev) = &mut self.delta_prev else {
-            return Ok(());
-        };
-        for (id, old) in prev.iter_mut() {
-            let new = self.engine.result(*id)?;
-            let delta = ResultDelta::diff(*id, old, &new);
-            if !delta.is_empty() {
-                self.deltas.push(delta);
-            }
-            *old = new;
-        }
-        Ok(())
-    }
-
     /// Feeds one processing cycle of arrivals (flat coordinate buffer, one
     /// tuple per `dims` chunk) and advances time by one tick.
     pub fn tick(&mut self, arrivals: &[f64]) -> Result<()> {
         self.engine.tick(self.now, arrivals)?;
         self.now = self.now.advance(1);
-        self.record_deltas()
+        self.engine.drain_changes(&mut self.deltas);
+        Ok(())
     }
 
     /// Like [`MonitorServer::tick`] with an explicit timestamp (must be
@@ -213,7 +190,8 @@ impl MonitorServer {
         }
         self.engine.tick(now, arrivals)?;
         self.now = now.advance(1);
-        self.record_deltas()
+        self.engine.drain_changes(&mut self.deltas);
+        Ok(())
     }
 
     /// Current logical time.

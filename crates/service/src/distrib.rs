@@ -41,7 +41,7 @@ use std::time::{Duration, Instant};
 use crate::fault::{FaultPlan, FaultyStream, Transport};
 use crate::protocol::{parse_server_line, Push, Reply, Request, ServerLine};
 use tkm_common::{QueryId, Scored, Timestamp, TupleId};
-use tkm_core::{MonitorServer, ResultDelta};
+use tkm_core::{DeltaList, MonitorServer, ResultDelta};
 use tkm_window::WindowSpec;
 
 use crate::protocol::QuerySpec;
@@ -747,8 +747,8 @@ impl SiteState {
         let gid = *self.lmap.get(&delta.query)?;
         let mut translated = ResultDelta {
             query: gid,
-            added: Vec::with_capacity(delta.added.len()),
-            removed: Vec::with_capacity(delta.removed.len()),
+            added: DeltaList::new(),
+            removed: DeltaList::new(),
         };
         for e in &delta.added {
             translated.added.push(Scored {
@@ -835,8 +835,8 @@ impl SiteState {
         };
         let mut baseline = ResultDelta {
             query: gid,
-            added: Vec::with_capacity(entries.len()),
-            removed: Vec::new(),
+            added: DeltaList::new(),
+            removed: DeltaList::new(),
         };
         for e in &entries {
             if let Some(global) = self.global_id(e.id) {
@@ -909,8 +909,8 @@ mod tests {
             SessionId(1),
             &ResultDelta {
                 query: QueryId(0),
-                added: vec![s(0.9, 4), s(0.5, 7)],
-                removed: vec![],
+                added: vec![s(0.9, 4), s(0.5, 7)].into(),
+                removed: vec![].into(),
             },
         )
         .expect("site 10 delta");
@@ -918,8 +918,8 @@ mod tests {
             SessionId(2),
             &ResultDelta {
                 query: QueryId(0),
-                added: vec![s(0.9, 2), s(0.7, 9)],
-                removed: vec![],
+                added: vec![s(0.9, 2), s(0.7, 9)].into(),
+                removed: vec![].into(),
             },
         )
         .expect("site 20 delta");
@@ -961,8 +961,8 @@ mod tests {
             SessionId(1),
             &ResultDelta {
                 query: QueryId(0),
-                added: vec![s(1.0, 0)],
-                removed: vec![],
+                added: vec![s(1.0, 0)].into(),
+                removed: vec![].into(),
             },
         )
         .expect("delta");
@@ -984,8 +984,8 @@ mod tests {
             SessionId(9),
             &ResultDelta {
                 query: QueryId(0),
-                added: vec![s(1.0, 0)],
-                removed: vec![],
+                added: vec![s(1.0, 0)].into(),
+                removed: vec![].into(),
             },
         )
         .expect("baseline");

@@ -36,7 +36,7 @@
 use std::fmt;
 
 use tkm_common::{QueryId, Scored, Timestamp, TupleId};
-use tkm_core::ResultDelta;
+use tkm_core::{DeltaList, ResultDelta};
 use tkm_window::WindowSpec;
 
 /// Scoring-function family selector of a `REGISTER` request.
@@ -402,6 +402,17 @@ fn write_entries(out: &mut String, entries: &[Scored], sign: &str) {
     }
 }
 
+/// Appends `<verb> <query> <at> +t..:.. … -t..:.. …` to `out`: the body
+/// `DELTA` and `SITEDELTA` share, written straight from a borrowed delta
+/// (the fan-out encodes every delta of a cycle without owning a copy).
+pub(crate) fn write_delta_line(out: &mut String, verb: &str, at: Timestamp, delta: &ResultDelta) {
+    use fmt::Write;
+    // Writing into a `String` cannot fail.
+    let _ = write!(out, "{verb} {} {at}", delta.query);
+    write_entries(out, &delta.added, "+");
+    write_entries(out, &delta.removed, "-");
+}
+
 impl fmt::Display for QuerySpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "k={} weights={}", self.k, join_floats(&self.weights))?;
@@ -449,9 +460,8 @@ impl fmt::Display for Request {
             Request::Quit => f.write_str("QUIT"),
             Request::SiteHello { site, dims } => write!(f, "SITE {site} dims={dims}"),
             Request::SiteDelta { at, delta } => {
-                let mut line = format!("SITEDELTA {} {at}", delta.query);
-                write_entries(&mut line, &delta.added, "+");
-                write_entries(&mut line, &delta.removed, "-");
+                let mut line = String::new();
+                write_delta_line(&mut line, "SITEDELTA", *at, delta);
                 f.write_str(&line)
             }
             Request::SiteIngest { at, base, arrivals } => {
@@ -495,9 +505,8 @@ impl fmt::Display for Push {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Push::Delta { at, delta } => {
-                let mut line = format!("DELTA {} {at}", delta.query);
-                write_entries(&mut line, &delta.added, "+");
-                write_entries(&mut line, &delta.removed, "-");
+                let mut line = String::new();
+                write_delta_line(&mut line, "DELTA", *at, delta);
                 f.write_str(&line)
             }
             Push::Snapshot { query, at, entries } => {
@@ -749,9 +758,9 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     }
 }
 
-fn parse_signed_entries(toks: &[&str]) -> Result<(Vec<Scored>, Vec<Scored>), String> {
-    let mut added = Vec::new();
-    let mut removed = Vec::new();
+fn parse_signed_entries(toks: &[&str]) -> Result<(DeltaList, DeltaList), String> {
+    let mut added = DeltaList::new();
+    let mut removed = DeltaList::new();
     for tok in toks {
         if let Some(body) = tok.strip_prefix('+') {
             added.push(parse_entry(body)?);
@@ -919,16 +928,16 @@ mod tests {
                 at: Timestamp(41),
                 delta: ResultDelta {
                     query: QueryId(6),
-                    added: vec![s(0.75, 1_000_000)],
-                    removed: vec![s(0.5, 3)],
+                    added: vec![s(0.75, 1_000_000)].into(),
+                    removed: vec![s(0.5, 3)].into(),
                 },
             },
             Request::SiteDelta {
                 at: Timestamp(0),
                 delta: ResultDelta {
                     query: QueryId(0),
-                    added: vec![],
-                    removed: vec![],
+                    added: vec![].into(),
+                    removed: vec![].into(),
                 },
             },
             Request::SiteIngest {
@@ -985,8 +994,8 @@ mod tests {
                 at: Timestamp(9),
                 delta: ResultDelta {
                     query: QueryId(2),
-                    added: vec![s(0.75, 40)],
-                    removed: vec![s(0.25, 3), s(0.125, 4)],
+                    added: vec![s(0.75, 40)].into(),
+                    removed: vec![s(0.25, 3), s(0.125, 4)].into(),
                 },
             }),
             ServerLine::Push(Push::Snapshot {

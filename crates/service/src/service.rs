@@ -46,7 +46,7 @@ use std::time::{Duration, Instant};
 
 use crate::distrib::{CoordState, Role, SiteState};
 use crate::fault::FaultSchedule;
-use crate::protocol::{ErrCode, Family, Push, QuerySpec, Reply, Request};
+use crate::protocol::{write_delta_line, ErrCode, Family, Push, QuerySpec, Reply, Request};
 use crate::reactor::{Reactor, ReactorCfg, Waker};
 use crate::session::{line_bytes, SessionId, SessionOut};
 use tkm_common::{QueryId, Rect, Result, ScoreFn, Scored, Timestamp, TkmError};
@@ -892,11 +892,8 @@ impl EngineOwner {
             if subscribers.is_empty() {
                 continue;
             }
-            let line = Push::Delta {
-                at: now,
-                delta: delta.clone(),
-            }
-            .to_string();
+            let mut line = String::new();
+            write_delta_line(&mut line, "DELTA", now, delta);
             self.metrics.encodes.fetch_add(1, Ordering::Relaxed);
             lines.push((subscribers, line_bytes(line)));
         }

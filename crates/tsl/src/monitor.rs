@@ -67,6 +67,8 @@ struct QState {
     f: ScoreFn,
     view: TopView,
     last_refill_tick: u64,
+    /// The result as last reported (unused until `track_reported`).
+    reported: Vec<Scored>,
 }
 
 /// Continuous top-k monitor using the Threshold Sorted List approach.
@@ -78,6 +80,7 @@ pub struct TslMonitor {
     policy: KmaxPolicy,
     stats: TslStats,
     tick_count: u64,
+    tracking: bool,
 }
 
 impl TslMonitor {
@@ -90,6 +93,7 @@ impl TslMonitor {
             policy,
             stats: TslStats::default(),
             tick_count: 0,
+            tracking: false,
         })
     }
 
@@ -129,12 +133,18 @@ impl TslMonitor {
         self.stats.sorted_accesses += ta.sorted_accesses;
         self.stats.random_accesses += ta.random_accesses;
         view.refill(&initial);
+        let reported = if self.tracking {
+            view.result().to_vec()
+        } else {
+            Vec::new()
+        };
         self.queries.insert(
             id,
             QState {
                 f,
                 view,
                 last_refill_tick: self.tick_count,
+                reported,
             },
         );
         Ok(())
@@ -160,6 +170,29 @@ impl TslMonitor {
             .get(&id)
             .map(|q| q.view.result())
             .ok_or(TkmError::UnknownQuery(id))
+    }
+
+    /// Starts keeping, per query, a copy of the result as last reported to
+    /// the client: the current results become that baseline, and a query
+    /// registered later starts from its registration result.
+    pub fn track_reported(&mut self) {
+        self.tracking = true;
+        for q in self.queries.values_mut() {
+            q.reported.clear();
+            q.reported.extend_from_slice(q.view.result());
+        }
+    }
+
+    /// Calls `visit` per query, ascending by id, with the last-reported
+    /// result (for the caller to diff against and refresh) and the current
+    /// one. Visits nothing before [`TslMonitor::track_reported`].
+    pub fn visit_reported(&mut self, mut visit: impl FnMut(QueryId, &mut Vec<Scored>, &[Scored])) {
+        if !self.tracking {
+            return;
+        }
+        for (id, q) in &mut self.queries {
+            visit(*id, &mut q.reported, q.view.result());
+        }
     }
 
     /// Current view size `k′` of a query (Table 2 reports its average).
@@ -269,7 +302,11 @@ impl TslMonitor {
             + self
                 .queries
                 .values()
-                .map(|q| q.view.space_bytes() + std::mem::size_of::<QState>())
+                .map(|q| {
+                    q.view.space_bytes()
+                        + std::mem::size_of::<QState>()
+                        + q.reported.capacity() * std::mem::size_of::<Scored>()
+                })
                 .sum::<usize>()
     }
 }

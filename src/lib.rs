@@ -64,9 +64,9 @@ pub use tkm_common::{
     ScoreFn, Scored, ScoringFunction, Timestamp, TkmError, TupleId, MAX_DIMS,
 };
 pub use tkm_core::{
-    build_engine, compute_topk, ComputeScratch, ContinuousTopK, EngineKind, EngineStats, GridSpec,
-    IngestState, Monitor, MonitorServer, OracleMonitor, PiecewiseMonitor, PiecewiseQuery, Query,
-    QueryMaintenance, QueryRegistry, ResultDelta, ServerConfig, SmaMaintenance, SmaMonitor,
+    build_engine, compute_topk, ComputeScratch, ContinuousTopK, DeltaList, EngineKind, EngineStats,
+    GridSpec, IngestState, Monitor, MonitorServer, OracleMonitor, PiecewiseMonitor, PiecewiseQuery,
+    Query, QueryMaintenance, QueryRegistry, ResultDelta, ServerConfig, SmaMaintenance, SmaMonitor,
     ThresholdMonitor, TmaMaintenance, TmaMonitor, UpdateOp, UpdateStreamTma,
 };
 pub use tkm_datagen::{DataDist, FnFamily, PointGen, QueryGen, StreamSim};

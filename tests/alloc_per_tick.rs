@@ -1,0 +1,113 @@
+//! Measures, with a counting global allocator, what the lint can only
+//! approximate: reporting a cycle's result changes costs one heap
+//! allocation per tick — the batch buffer `take_deltas` hands out —
+//! however many queries are registered and however many of them changed.
+//! Twin servers are fed one stream, one with delta tracking and one
+//! without, and their per-tick allocation counts compared.
+//!
+//! One `#[test]` only: the counter is process-wide, and a second test
+//! running on another thread would be counted too.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use topk_monitor::{
+    DataDist, EngineKind, FnFamily, MonitorServer, PointGen, Query, QueryGen, ServerConfig,
+};
+
+struct Counting;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every call is forwarded unchanged to `System`; the only addition
+// is a relaxed counter increment, which allocates nothing.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: same layout the caller handed us.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc`/`realloc` with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: forwarded with the caller's arguments.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+const DIMS: usize = 2;
+const Q: usize = 1024;
+
+/// A warmed-up server with `Q` top-3 queries (a top-3 result cannot move
+/// by more than three tuples, so every delta list stays inline).
+fn warmed(engine: EngineKind, tracked: bool, warm: &[Vec<f64>]) -> MonitorServer {
+    let cfg = ServerConfig::sma(DIMS, 1_000)
+        .with_engine(engine)
+        .with_delta_tracking(tracked);
+    let mut server = MonitorServer::new(cfg).expect("server");
+    // Fill the window first: a query registered over an empty window
+    // lists itself in every grid cell.
+    let (prefill, warm) = warm.split_at(10);
+    for batch in prefill {
+        server.tick(batch).expect("prefill tick");
+    }
+    let mut queries = QueryGen::new(DIMS, FnFamily::Linear, 5).expect("dims");
+    for f in queries.workload(Q) {
+        server
+            .register(Query::top_k(f, 3).expect("k"))
+            .expect("register");
+    }
+    for batch in warm {
+        server.tick(batch).expect("warm tick");
+        server.take_deltas();
+    }
+    server
+}
+
+/// Allocations of one `tick` + `take_deltas`, and the deltas it returned.
+fn counted_tick(server: &mut MonitorServer, batch: &[f64]) -> (u64, usize) {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    server.tick(batch).expect("tick");
+    let deltas = server.take_deltas();
+    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    (after - before, deltas.len())
+}
+
+/// Ingest and maintenance allocate on their own account (170 to 1 300
+/// times a tick at this shape), identically with reporting on or off; so
+/// the cost of reporting is the difference between twins fed one stream.
+/// It must be the batch buffer and nothing else, on ticks that change a
+/// handful of the 1024 results and on ticks that change nearly all.
+#[test]
+fn reporting_costs_one_allocation_per_tick_whatever_changed() {
+    let mut points = PointGen::new(DIMS, DataDist::Ind, 11).expect("dims");
+    let warm: Vec<Vec<f64>> = (0..25).map(|_| points.batch(100)).collect();
+    let ticks: Vec<Vec<f64>> = (0..12).map(|_| points.batch(100)).collect();
+    for engine in [EngineKind::Sma, EngineKind::Tma] {
+        let mut tracked = warmed(engine, true, &warm);
+        let mut untracked = warmed(engine, false, &warm);
+        let (mut fewest, mut most) = (usize::MAX, 0);
+        for batch in &ticks {
+            let (with, changed) = counted_tick(&mut tracked, batch);
+            let (without, none) = counted_tick(&mut untracked, batch);
+            assert_eq!(none, 0, "reporting is off");
+            assert!(
+                with <= without + 1,
+                "{engine:?}: {changed} changed results cost {} allocations",
+                with - without
+            );
+            fewest = fewest.min(changed);
+            most = most.max(changed);
+        }
+        assert!(
+            fewest < Q / 8 && most > Q / 2,
+            "{engine:?}: the stream should mix quiet and busy ticks ({fewest}..{most})"
+        );
+    }
+}

@@ -5,7 +5,9 @@
 #![allow(dead_code)]
 
 use topk_monitor::engines::{build_engine, ContinuousTopK, EngineKind, GridSpec};
-use topk_monitor::{DataDist, KmaxPolicy, PointGen, Query, QueryId, Timestamp, WindowSpec};
+use topk_monitor::{
+    DataDist, KmaxPolicy, PointGen, Query, QueryId, ResultDelta, Timestamp, WindowSpec,
+};
 
 /// The engines under test (oracle last, as the reference).
 pub const KINDS: [EngineKind; 4] = [
@@ -15,11 +17,17 @@ pub const KINDS: [EngineKind; 4] = [
     EngineKind::Oracle,
 ];
 
-/// Builds one engine of each kind with a common configuration.
+/// Builds one engine of each kind with a common configuration, change
+/// reporting on.
 pub fn build_all(dims: usize, window: WindowSpec, grid: GridSpec) -> Vec<Box<dyn ContinuousTopK>> {
     KINDS
         .iter()
-        .map(|k| build_engine(*k, dims, window, grid, KmaxPolicy::Tuned, 1).expect("engine builds"))
+        .map(|k| {
+            let mut e =
+                build_engine(*k, dims, window, grid, KmaxPolicy::Tuned, 1).expect("engine builds");
+            e.track_changes();
+            e
+        })
         .collect()
 }
 
@@ -37,7 +45,9 @@ pub fn register_all(
 }
 
 /// Ticks every engine with the same batch and asserts identical results
-/// for every registered query.
+/// for every registered query, and identical reported changes: the
+/// marked-slot sweep of the grid engines and the compare-everything of
+/// TSL and the oracle must emit the same deltas in the same order.
 pub fn tick_and_compare(
     engines: &mut [Box<dyn ContinuousTopK>],
     now: Timestamp,
@@ -48,6 +58,26 @@ pub fn tick_and_compare(
         e.tick(now, arrivals).expect("tick succeeds");
     }
     let oracle_idx = engines.len() - 1;
+    let mut changes: Vec<Vec<ResultDelta>> = engines
+        .iter_mut()
+        .map(|e| {
+            let mut out = Vec::new();
+            e.drain_changes(&mut out);
+            out
+        })
+        .collect();
+    let reference = changes.pop().expect("oracle last");
+    for (i, got) in changes.iter().enumerate() {
+        // An engine that rejected a query cannot report it.
+        let holds = |d: &&ResultDelta| queries.iter().any(|(q, held)| *q == d.query && held[i]);
+        let expected: Vec<&ResultDelta> = reference.iter().filter(holds).collect();
+        assert_eq!(
+            got.iter().collect::<Vec<_>>(),
+            expected,
+            "{} reported different changes than the oracle at {now}",
+            engines[i].name()
+        );
+    }
     for (qid, held) in queries {
         assert!(held[oracle_idx], "oracle must hold every query");
         let reference = engines[oracle_idx].result(*qid).expect("oracle result");

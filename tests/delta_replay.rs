@@ -5,7 +5,9 @@
 //! grid engines, and interleaved drop-to-snapshot resyncs (a mirror that
 //! misses a tick's deltas and re-baselines from a fresh snapshot stays
 //! exact from then on). This is the contract the `tkm_service` wire
-//! protocol (`DELTA` / `SNAPSHOT` / `RESYNC`) is built on.
+//! protocol (`DELTA` / `SNAPSHOT` / `RESYNC`) is built on. The stream
+//! itself is part of the contract too: SMA and TMA, on one shard or
+//! three, emit the same deltas in the same order on every tick.
 
 use std::collections::BTreeMap;
 
@@ -13,6 +15,7 @@ use proptest::prelude::*;
 use topk_monitor::service::{apply_push, parse_server_line, Push, ServerLine};
 use topk_monitor::{
     EngineKind, MonitorServer, Query, QueryId, ResultDelta, ScoreFn, Scored, ServerConfig,
+    WindowSpec,
 };
 
 /// One generated step of the churn sequence.
@@ -40,12 +43,23 @@ fn apply_tick_deltas(
     }
 }
 
-fn run_churn(engine: EngineKind, capacity: usize, steps: &[Step]) {
-    let cfg = ServerConfig::sma(2, capacity)
+/// Runs the churn sequence and returns every tick's delta batch. Under a
+/// time window every other step (`k` even) ticks without arrivals, so the
+/// window, and with it the bands, drain.
+fn run_churn(
+    engine: EngineKind,
+    shards: usize,
+    window: WindowSpec,
+    steps: &[Step],
+) -> Vec<Vec<ResultDelta>> {
+    let cfg = ServerConfig::sma(2, 0)
+        .with_window(window)
         .with_engine(engine)
+        .with_shards(shards)
         .with_delta_tracking(true);
     let mut server = MonitorServer::new(cfg).expect("server");
     let mut mirrors: BTreeMap<QueryId, Vec<Scored>> = BTreeMap::new();
+    let mut stream = Vec::with_capacity(steps.len());
 
     for (batch_spec, action, k, w1, w2) in steps {
         match action % 5 {
@@ -72,9 +86,16 @@ fn run_churn(engine: EngineKind, capacity: usize, steps: &[Step]) {
             batch.push((a % 16) as f64 / 15.0);
             batch.push((b % 16) as f64 / 15.0);
         }
+        if matches!(window, WindowSpec::Time(_)) && k % 2 == 0 {
+            batch.clear();
+        }
         server.tick(&batch).expect("tick");
 
         let deltas = server.take_deltas();
+        assert!(
+            deltas.windows(2).all(|w| w[0].query < w[1].query),
+            "{engine:?}/{shards}: deltas not in query order"
+        );
         let dropped = if action % 5 == 4 {
             mirrors.keys().next().copied()
         } else {
@@ -92,10 +113,12 @@ fn run_churn(engine: EngineKind, capacity: usize, steps: &[Step]) {
             let truth = server.result(*id).expect("result");
             assert_eq!(
                 mirror, &truth,
-                "{engine:?}: mirror of {id} diverged from result()"
+                "{engine:?}/{shards}: mirror of {id} diverged from result()"
             );
         }
+        stream.push(deltas);
     }
+    stream
 }
 
 /// Wire-level churn: every delta/snapshot travels through the actual line
@@ -214,7 +237,7 @@ proptest! {
             1..30,
         ),
     ) {
-        run_churn(EngineKind::Sma, capacity, &steps);
+        run_churn(EngineKind::Sma, 1, WindowSpec::Count(capacity), &steps);
     }
 
     /// TMA delta streams replay exactly under churn and resyncs.
@@ -227,7 +250,37 @@ proptest! {
             1..30,
         ),
     ) {
-        run_churn(EngineKind::Tma, capacity, &steps);
+        run_churn(EngineKind::Tma, 1, WindowSpec::Count(capacity), &steps);
+    }
+
+    /// The per-tick delta stream does not depend on the engine or on the
+    /// shard count: under registration, termination (the next registration
+    /// reuses the freed slot, on whichever shard it lands) and a time
+    /// window that idle ticks drain, SMA and TMA on one shard and on three
+    /// report the same deltas in the same order, and each replays exactly.
+    #[test]
+    fn delta_stream_is_engine_and_shard_invariant(
+        capacity in 4usize..48,
+        steps in prop::collection::vec(
+            (prop::collection::vec((0u32..64, 0u32..64), 0..10),
+             any::<u8>(), any::<u8>(), -8i8..8, -8i8..8),
+            1..30,
+        ),
+    ) {
+        let window = if capacity % 2 == 0 {
+            WindowSpec::Count(capacity)
+        } else {
+            WindowSpec::Time(1 + capacity as u64 % 4)
+        };
+        let reference = run_churn(EngineKind::Sma, 1, window, &steps);
+        for (engine, shards) in [
+            (EngineKind::Sma, 3),
+            (EngineKind::Tma, 1),
+            (EngineKind::Tma, 3),
+        ] {
+            let stream = run_churn(engine, shards, window, &steps);
+            prop_assert_eq!(&stream, &reference, "{:?} on {} shards", engine, shards);
+        }
     }
 
     /// SMA streams stay exact through the wire encoding under churn with
