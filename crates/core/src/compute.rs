@@ -22,8 +22,8 @@
 //! Constrained queries (§7) pass a constraint rectangle: the traversal is
 //! clipped to the cells overlapping it and points outside are filtered.
 //!
-//! The scan of each processed cell streams `(id, coords)` pairs straight
-//! out of the cell's coordinate-inline point block through the
+//! The scan of each processed cell streams `(ids, coords)` slices straight
+//! out of the cell's coordinate-inline chunks through the
 //! dim-specialized [`crate::kernel`] scan — the traversal performs **zero**
 //! per-tuple lookups into the window ring or slab (the old
 //! `TupleLookup::coords` indirection is gone from the signature entirely).
@@ -119,7 +119,7 @@ impl<'a> InfluenceUpdate<'a> {
 /// en-heaped cell and [`ComputeScratch::frontier`] holds the unprocessed
 /// frontier — the clean-up walk relies on both.
 ///
-/// All point data is read from the grid's coordinate-inline cell blocks;
+/// All point data is read from the grid's coordinate-inline cells;
 /// the window/slab is not consulted (and not a parameter).
 ///
 /// `reuse` recycles a previous result's [`TopList`] buffers into the new
@@ -255,13 +255,15 @@ impl kernel::ScorerVisitor for Traversal<'_> {
             stats.cells_processed += 1;
             region_bound = maxscore.get();
 
-            let points = grid.cell(cell).points();
+            let points = grid.points(cell);
             stats.points_scanned += points.len() as u64;
-            scorer.scan(points.ids(), points.coords(), constraint, |id, score| {
-                if score >= threshold && top.offer(Scored::new(score, id)) {
-                    threshold = top.threshold();
-                }
-            });
+            for (ids, coords) in points.chunks() {
+                scorer.scan(ids, coords, constraint, |id, score| {
+                    if score >= threshold && top.offer(Scored::new(score, id)) {
+                        threshold = top.threshold();
+                    }
+                });
+            }
             if let Some(upd) = influence.as_mut() {
                 // Cells strictly above the previous region bound already
                 // carry the slot — skip the sorted-list insert (at high
@@ -357,7 +359,7 @@ pub(crate) struct GroupRun {
 /// the batched counterpart of N solo [`compute_topk`] calls.
 ///
 /// Cells pop in descending *group* key order (the max of the active
-/// members' cell bounds), each popped cell's coordinate block is streamed
+/// members' cell bounds), each popped cell's coordinates are streamed
 /// once per still-interested member, and a member drops out as soon as the
 /// group key falls strictly below its k-th score. Every cell a solo
 /// traversal for member `m` would process has bound ≥ `m`'s final
@@ -480,7 +482,7 @@ pub fn compute_topk_group(
         stats.cells_processed += 1;
         popped.push((key, cell));
 
-        let points = grid.cell(cell).points();
+        let points = grid.points(cell);
         let (lo, hi) = grid.cell_lo_hi(cell);
         for &ri in active_idx.iter() {
             let r = &mut runs[ri as usize];
@@ -493,18 +495,13 @@ pub fn compute_topk_group(
             stats.points_scanned += points.len() as u64;
             let top = &mut r.top;
             let mut threshold = r.threshold;
-            kernel::scan_block(
-                &r.m.f,
-                dims,
-                points.ids(),
-                points.coords(),
-                None,
-                |id, score| {
+            for (ids, coords) in points.chunks() {
+                kernel::scan_block(&r.m.f, dims, ids, coords, None, |id, score| {
                     if score >= threshold && top.offer(Scored::new(score, id)) {
                         threshold = top.threshold();
                     }
-                },
-            );
+                });
+            }
             r.threshold = threshold;
         }
 

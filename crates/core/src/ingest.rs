@@ -15,17 +15,25 @@
 //! design pays.
 //!
 //! The stage runs as a fixed sequence of tight passes over the whole
-//! batch — bulk window append, locate, scatter into cells, locate the
-//! expired prefix, pop it from the cells, drop it from the window, group
-//! by cell — rather than one loop that walks each tuple through the whole
-//! chain. A pass that only computes (locate) and a pass that only touches
-//! cells (scatter, removal) keep many independent cache misses in flight;
-//! a fused loop, whose iterations are each ~60 dependent operations long,
-//! fits only a few iterations in the reorder window and fetches the cold
-//! cell lines almost one at a time.
+//! batch — bulk window append, locate, scatter into cells, remember the
+//! cells, pop the expired prefix from the cells it was remembered in, drop
+//! it from the window, group by cell — rather than one loop that walks
+//! each tuple through the whole chain. A pass that only computes (locate)
+//! and a pass that only touches cells (scatter, removal) keep many
+//! independent cache misses in flight; a fused loop, whose iterations are
+//! each ~60 dependent operations long, fits only a few iterations in the
+//! reorder window and fetches the cold cell lines almost one at a time.
+//!
+//! A tuple is located **once**, on arrival: its cell id goes into a ring
+//! as long as the window (4 bytes per tuple; arrival order is expiry
+//! order), and the expiry pass pops the expired prefix's cells from that
+//! ring instead of re-reading 8·d cold bytes per tuple from the window and
+//! locating them again.
+
+use std::collections::VecDeque;
 
 use tkm_common::{Result, Timestamp, TupleId};
-use tkm_grid::{CellId, CellMode, Grid};
+use tkm_grid::{CellId, CellMode, CellPoints, Grid};
 use tkm_window::{Window, WindowSpec};
 
 /// How the grid is dimensioned.
@@ -83,10 +91,10 @@ pub struct IngestStats {
 /// the order *across* cells. All buffers retain capacity across ticks.
 ///
 /// Arrival runs carry no coordinate copy of their own: a cycle's live
-/// arrivals in cell `c` are exactly the **tail** of `c`'s coordinate-inline
-/// point block (arrivals append at the tail, expiry only consumes the
-/// front), so the replay loop slices the packed coordinates straight out of
-/// the grid — see [`IngestState::arrival_run_coords`].
+/// arrivals in cell `c` are exactly the **newest** points of `c`'s chain
+/// (arrivals append at the tail, expiry only consumes the front), so the
+/// replay loop scans them straight out of the grid — see
+/// [`IngestState::arrival_run_points`].
 #[derive(Debug)]
 struct CellGroups {
     /// Per-cell `(epoch stamp, run index)`: the run index is valid while
@@ -177,8 +185,12 @@ impl CellGroups {
 pub struct IngestState {
     window: Window,
     grid: Grid,
-    /// Locate-pass scratch: the covering cell of each tuple of the dense
-    /// id range being scattered (arrivals) or popped (expiries).
+    /// The covering cell of every resident tuple, oldest first: in
+    /// lockstep with the window, so the expired prefix's cells are popped
+    /// from here rather than located a second time.
+    cells: VecDeque<CellId>,
+    /// Per-pass scratch: the cells of the dense id range being scattered
+    /// (arrivals) or popped (expiries).
     located: Vec<CellId>,
     /// The arrival events of the last cycle, grouped by cell.
     arrival_groups: CellGroups,
@@ -195,6 +207,7 @@ impl IngestState {
         Ok(IngestState {
             window: Window::new(dims, window)?,
             grid,
+            cells: VecDeque::new(),
             located: Vec::new(),
             arrival_groups: CellGroups::new(cells),
             expiry_groups: CellGroups::new(cells),
@@ -236,6 +249,7 @@ impl IngestState {
         let Self {
             window,
             grid,
+            cells,
             located,
             arrival_groups,
             expiry_groups,
@@ -245,7 +259,8 @@ impl IngestState {
         window.validate_tick(now, arrivals)?;
 
         // Arrivals: append to the window in bulk, locate sequentially,
-        // then scatter — the scatter body is only cell header → push.
+        // then scatter — the scatter body is only cell head → push — and
+        // remember the cells for the expiry pass of a later cycle.
         let first = window.append_batch(arrivals, now)?;
         stats.ticks += 1;
         located.clear();
@@ -258,16 +273,27 @@ impl IngestState {
         }
         stats.arrivals += located.len() as u64;
         arrival_groups.rebuild(located, first);
+        let resident = cells.len() + located.len();
+        if resident > cells.capacity() {
+            // An eighth at a time, like the point arena: a count window's
+            // ring settles at N plus its largest batch, a time window's
+            // follows the window without doubling past it.
+            let room = resident.max(cells.capacity() + cells.capacity() / 8);
+            cells.reserve_exact(room - cells.len());
+        }
+        cells.extend(located.iter().copied());
 
-        // Expiries: the expired prefix is known up front and is located
-        // straight from the ring's front slices; the removal body is only
-        // the FIFO front check + head bump.
+        // Expiries: the expired prefix is known up front and its cells
+        // come off the ring's front; the removal body is only the FIFO
+        // front check + offset bump.
         let expired = window.expired_prefix(now);
         let oldest = window.oldest().unwrap_or(first);
-        let (head_run, wrapped) = window.front_coords(expired);
         located.clear();
-        grid.locate_batch(head_run, located);
-        grid.locate_batch(wrapped, located);
+        let (head_run, wrapped) = cells.as_slices();
+        let split = expired.min(head_run.len());
+        located.extend_from_slice(&head_run[..split]);
+        located.extend_from_slice(&wrapped[..expired - split]);
+        cells.drain(..expired);
         for (id, &cell) in (oldest.0..).zip(located.iter()) {
             grid.remove_at(cell, TupleId(id))
                 // lint: allow(panic, reason=window/grid lockstep is the ingest invariant; desync is unrecoverable)
@@ -283,27 +309,24 @@ impl IngestState {
     /// tuples)` run per distinct cell (first-touched order), tuples in
     /// arrival order within each run. The maintenance replay loop probes
     /// each cell's influence list once per run instead of once per event;
-    /// the run's coordinates come from
-    /// [`IngestState::arrival_run_coords`].
+    /// the run's points come from [`IngestState::arrival_run_points`].
     #[inline]
     pub fn arrival_runs(&self) -> impl Iterator<Item = (CellId, &[TupleId])> {
         self.arrival_groups.iter()
     }
 
-    /// The packed coordinates of the `live` still-valid arrivals of this
-    /// cycle's run in `cell` — the tail of the cell's coordinate-inline
-    /// point block, which holds exactly those arrivals: arrivals append at
-    /// the tail and expiry only consumes the front, so no per-event
-    /// coordinate copy (let alone a per-tuple window resolution) is ever
-    /// made. `live` must be the number of run tuples still in the window
-    /// (same-cycle transients sliced off), as computed by the replay
-    /// loop's live-suffix step.
+    /// The `live` still-valid arrivals of this cycle's run in `cell` —
+    /// the newest points of the cell's chain, which are exactly those
+    /// arrivals: arrivals append at the tail and expiry only consumes the
+    /// front, so no per-event coordinate copy (let alone a per-tuple
+    /// window resolution) is ever made. `live` must be the number of run
+    /// tuples still in the window (same-cycle transients sliced off), as
+    /// computed by the replay loop's live-suffix step. The view is
+    /// resolved here once per run; scanning it per listed query re-walks
+    /// nothing.
     #[inline]
-    pub fn arrival_run_coords(&self, cell: CellId, live: usize) -> &[f64] {
-        let points = self.grid.cell(cell).points();
-        let coords = points.coords();
-        debug_assert!(live <= points.len());
-        &coords[coords.len() - live * self.dims()..]
+    pub fn arrival_run_points(&self, cell: CellId, live: usize) -> CellPoints<'_> {
+        self.grid.points(cell).tail(live)
     }
 
     /// The last cycle's expiry events grouped by cell (one run per
@@ -325,7 +348,7 @@ impl IngestState {
         std::mem::size_of::<Self>()
             + self.window.space_bytes()
             + self.grid.space_bytes()
-            + self.located.capacity() * std::mem::size_of::<CellId>()
+            + (self.cells.capacity() + self.located.capacity()) * std::mem::size_of::<CellId>()
             + self.arrival_groups.space_bytes()
             + self.expiry_groups.space_bytes()
     }
@@ -349,6 +372,41 @@ mod tests {
         events.iter().map(|(_, id)| id.0).collect()
     }
 
+    /// What must hold after every cycle: the cell ring, the window and the
+    /// cells describe the same tuples in the same order, and each arrival
+    /// run's live suffix is found, point for point, at the tail of its
+    /// cell.
+    fn assert_lockstep(s: &IngestState, context: &str) {
+        let stored: usize = s.grid().cells().map(|(_, points)| points.len()).sum();
+        assert_eq!(
+            (s.cells.len(), stored),
+            (s.window().len(), s.window().len()),
+            "{context}: ring / cells / window sizes"
+        );
+        for ((id, coords), &cell) in s.window().iter().zip(&s.cells) {
+            assert_eq!(
+                cell,
+                s.grid().locate(coords),
+                "{context}: ring entry of {id}"
+            );
+        }
+        if let (Some(oldest), Some(&cell)) = (s.window().oldest(), s.cells.front()) {
+            let front = s.grid().points(cell).iter().next().map(|(id, _)| id);
+            assert_eq!(front, Some(oldest), "{context}: the ring's front cell");
+        }
+        let oldest = s.window().oldest().unwrap_or(TupleId(u64::MAX));
+        for (cell, run) in s.arrival_runs() {
+            let live = &run[run.partition_point(|id| *id < oldest)..];
+            let tail: Vec<(TupleId, &[f64])> =
+                s.arrival_run_points(cell, live.len()).iter().collect();
+            let want: Vec<(TupleId, &[f64])> = live
+                .iter()
+                .map(|id| (*id, s.window().coords(*id).expect("live")))
+                .collect();
+            assert_eq!(tail, want, "{context}: tail of {cell:?}");
+        }
+    }
+
     #[test]
     fn events_mirror_window_and_grid() {
         let mut s = IngestState::new(2, WindowSpec::Count(3), GridSpec::PerDim(4)).unwrap();
@@ -366,6 +424,7 @@ mod tests {
             vec![(s.grid().locate(&[0.1, 0.1]), TupleId(0))]
         );
         assert_eq!(s.window().len(), 3);
+        assert_lockstep(&s, "one over");
 
         let st = s.stats();
         assert_eq!((st.ticks, st.arrivals, st.expirations), (2, 4, 1));
@@ -384,17 +443,64 @@ mod tests {
         // Transients are gone from the window; survivors resolve.
         assert!(s.window().coords(TupleId(0)).is_none());
         assert!(s.window().coords(TupleId(3)).is_some());
-        // Tail-slice invariant under transients: each run's live suffix
-        // maps exactly onto the tail of its cell's point block.
-        let oldest = s.window().oldest().unwrap();
-        for (cell, ids) in s.arrival_runs() {
-            let live: Vec<TupleId> = ids.iter().copied().filter(|id| *id >= oldest).collect();
-            let coords = s.arrival_run_coords(cell, live.len());
-            assert_eq!(coords.len(), live.len(), "dims = 1");
-            for (id, c) in live.iter().zip(coords) {
-                assert_eq!(s.window().coords(*id).unwrap(), &[*c]);
+        assert_lockstep(&s, "4 into Count(2)");
+
+        // The same with runs long enough to straddle chunks: 100 tuples
+        // over 4 cells into a window of 30, twice — the second burst also
+        // pops cells it did not fill — then a trickle.
+        let mut s = IngestState::new(2, WindowSpec::Count(30), GridSpec::PerDim(2)).unwrap();
+        let burst = |salt: usize| -> Vec<f64> {
+            (0..200)
+                .map(|i| ((i * 7 + salt) % 16) as f64 / 16.0)
+                .collect()
+        };
+        for (t, batch) in [burst(0), burst(5), burst(3)[..6].to_vec()]
+            .iter()
+            .enumerate()
+        {
+            s.ingest(Timestamp(t as u64), batch).unwrap();
+            assert_lockstep(&s, &format!("burst {t}"));
+        }
+        assert_eq!(s.window().len(), 30);
+        assert_eq!(s.stats().expirations, 203 - 30);
+    }
+
+    /// The ring follows a time window through everything a count window
+    /// never does: growth past the window ring's initial 64 slots and its
+    /// own first allocation, equal timestamps, an idle tick that drains
+    /// the whole window (ring and arena empty, chunks all free) and the
+    /// refill after it.
+    #[test]
+    fn ring_follows_a_time_window() {
+        let mut s = IngestState::new(2, WindowSpec::Time(3), GridSpec::PerDim(3)).unwrap();
+        let batch = |count: usize, salt: usize| -> Vec<f64> {
+            (0..count * 2)
+                .map(|i| ((i * 5 + salt) % 11) as f64 / 10.0)
+                .collect()
+        };
+        let cycles = [
+            (0, batch(50, 0)),
+            (0, batch(50, 1)),
+            (1, batch(120, 2)),
+            (2, batch(7, 3)),
+            (3, batch(0, 4)),
+            (4, batch(30, 5)),
+            (40, batch(0, 6)),
+            (41, batch(9, 7)),
+            (41, batch(9, 8)),
+        ];
+        let mut most = 0;
+        for (ts, coords) in &cycles {
+            s.ingest(Timestamp(*ts), coords).unwrap();
+            assert_lockstep(&s, &format!("@{ts}"));
+            most = most.max(s.window().len());
+            if *ts == 40 {
+                assert!(s.window().is_empty() && s.cells.is_empty());
+                assert_eq!(s.grid().chunks_in_use(), 0);
             }
         }
+        assert_eq!(most, 227, "past the initial capacity of 64");
+        assert!(s.cells.capacity() >= most && s.cells.capacity() <= most + most / 8);
     }
 
     #[test]
@@ -410,11 +516,14 @@ mod tests {
         // One run per distinct cell in first-touched order; arrival (id)
         // order within each run.
         assert_eq!(runs, vec![(0, vec![0, 2, 4]), (3, vec![1]), (1, vec![3])]);
-        // A run's coordinates are the tail of its cell's point block,
-        // aligned with the run's ids.
+        // A run's points are the tail of its cell, aligned with the run's
+        // ids.
         let coord_runs: Vec<Vec<f64>> = s
             .arrival_runs()
-            .map(|(c, ids)| s.arrival_run_coords(c, ids.len()).to_vec())
+            .map(|(c, ids)| {
+                let tail = s.arrival_run_points(c, ids.len());
+                tail.iter().map(|(_, coords)| coords[0]).collect()
+            })
             .collect();
         assert_eq!(
             coord_runs,
@@ -470,8 +579,10 @@ mod tests {
             (s.window().len(), s.window().oldest(), s.window().newest()),
             s.grid()
                 .cells()
-                .map(|(_, c)| c.points().len())
-                .collect::<Vec<_>>(),
+                .map(|(_, points)| points.iter().map(|(id, c)| (id, c.to_vec())).collect())
+                .collect::<Vec<Vec<_>>>(),
+            (s.grid().chunks_held(), s.grid().chunks_in_use()),
+            s.cells.iter().copied().collect::<Vec<_>>(),
             s.stats(),
             events(s.arrival_runs()),
             events(s.expiry_runs()),
@@ -480,8 +591,9 @@ mod tests {
 
     /// Validation runs before any mutation: a batch whose *last* value is
     /// bad, a misaligned one and a regressing timestamp all leave window,
-    /// cells, counters (ticks included) and the previous cycle's runs as
-    /// they were, and the next valid batch gets the next dense ids.
+    /// cells, arena, cell ring, counters (ticks included) and the previous
+    /// cycle's runs as they were, and the next valid batch gets the next
+    /// dense ids.
     #[test]
     fn rejected_batch_leaves_no_trace() {
         let mut s = IngestState::new(2, WindowSpec::Count(3), GridSpec::PerDim(4)).unwrap();
@@ -502,6 +614,7 @@ mod tests {
         assert_eq!(ids(&events(s.arrival_runs())), vec![4, 5]);
         assert_eq!(ids(&events(s.expiry_runs())), vec![1, 2]);
         assert_eq!(s.stats().ticks, 3);
+        assert_lockstep(&s, "after the rejected batches");
     }
 
     /// Every tick entry point funnels through [`Window::validate_tick`]

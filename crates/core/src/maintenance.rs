@@ -45,7 +45,7 @@
 //!    tick are grouped by per-axis monotonicity (constrained queries
 //!    recompute solo) and served by **one**
 //!    [`crate::compute::compute_topk_group`] grid traversal per group,
-//!    which scans each visited cell block once per member instead of
+//!    which scans each visited cell once per member instead of
 //!    re-walking the grid per query. A synchronized expiry wave that
 //!    forces hundreds of queries to recompute costs one traversal, not
 //!    hundreds.
@@ -58,13 +58,14 @@
 //!   lists carry 4-byte [`QuerySlot`]s, so resolving an influence entry is
 //!   a `Vec` index instead of a `BTreeMap` probe;
 //! * events arrive **grouped by cell** ([`IngestState::arrival_runs`]),
-//!   and a run's coordinates are the tail of its cell's coordinate-inline
-//!   point block ([`IngestState::arrival_run_coords`]): each cell's
-//!   influence list is walked once per tick and the run's packed block
-//!   streams through the dim-specialized [`crate::kernel`] scan for every
-//!   listed query with that query's state hot in cache (the loop order is
-//!   cell → query → tuple) — replay scoring never resolves a tuple
-//!   through the window ring and never copies a coordinate;
+//!   and a run's points are the newest points of its cell's chain
+//!   ([`IngestState::arrival_run_points`], resolved once per run): each
+//!   cell's influence list is walked once per tick and the run's packed
+//!   chunks stream through the dim-specialized [`crate::kernel`] scan for
+//!   every listed query with that query's state hot in cache (the loop
+//!   order is cell → chunk → query → tuple) — replay scoring never
+//!   resolves a tuple through the window ring and never copies a
+//!   coordinate;
 //! * the arrival replay is two passes, *score-and-stage* then *merge*: an
 //!   arrival at or above its query's threshold is only appended to the
 //!   band's staged tail ([`Skyband::stage`], inside capacity the band
@@ -264,8 +265,8 @@ fn check_dims(shared: &IngestState, query: &Query) -> Result<()> {
 /// subset a suffix that can be sliced off without copying and without
 /// resolving a single tuple through the window's storage. Returns `None`
 /// when nothing of the run survived (or the window is empty). The matching
-/// coordinates come from [`IngestState::arrival_run_coords`] — the tail of
-/// the cell's own point block.
+/// coordinates come from [`IngestState::arrival_run_points`] — the newest
+/// points of the cell's own chain.
 fn live_suffix<'a>(window: &Window, ids: &'a [TupleId]) -> Option<&'a [TupleId]> {
     let oldest = window.oldest()?;
     let start = ids.partition_point(|&id| id < oldest);
@@ -602,10 +603,13 @@ impl<P: BandPolicy> QueryMaintenance for BandMaintenance<P> {
         affected.clear();
 
         // ---- Pins (Figure 9 lines 3-7, Figure 11 lines 4-11), inverted:
-        // cell → query → tuple, in two passes. Score-and-stage: the run's
-        // packed coordinate block (the tail of the cell's own point block,
-        // still warm from ingest) streams through the scoring kernel once
-        // per listed query; no window resolution per tuple. Arrivals
+        // cell → chunk → query → tuple, in two passes. Score-and-stage:
+        // the run's packed coordinates (the newest points of the cell's
+        // own chain, still warm from ingest) stream through the scoring
+        // kernel once per listed query; no window resolution per tuple.
+        // Each slice of the run is resolved once and handed to every
+        // listed query before the next one (a run is nearly always one
+        // slice; a query still sees its run in arrival order). Arrivals
         // scoring at/above the admission threshold are only *staged* in
         // their query's band, which merges early just when its spare
         // capacity runs out.
@@ -617,35 +621,36 @@ impl<P: BandPolicy> QueryMaintenance for BandMaintenance<P> {
             let Some(ids) = live_suffix(shared.window(), ids) else {
                 continue;
             };
-            let coords = shared.arrival_run_coords(cell, ids.len());
-            for &slot in slots {
-                stats.cell_probes += 1;
-                stats.tuple_probes += ids.len() as u64;
-                let (_, st) = queries.slot_mut(slot);
-                let admit = st.admit;
-                let band = &mut st.band;
-                let mut staged = false;
-                let mut stored = 0;
-                kernel::scan_block(
-                    &st.query.f,
-                    dims,
-                    ids,
-                    coords,
-                    st.query.constraint.as_ref(),
-                    |id, score| {
-                        if score >= admit {
-                            staged = true;
-                            stored += band.stage(Scored::new(score, id), merge_scratch);
-                        }
-                    },
-                );
-                if stored > 0 {
-                    stats.result_updates += stored as u64;
-                    st.stored_early = true;
-                }
-                if staged && !st.affected {
-                    st.affected = true;
-                    affected.push(slot);
+            stats.cell_probes += slots.len() as u64;
+            stats.tuple_probes += (slots.len() * ids.len()) as u64;
+            for (ids, coords) in shared.arrival_run_points(cell, ids.len()).chunks() {
+                for &slot in slots {
+                    let (_, st) = queries.slot_mut(slot);
+                    let admit = st.admit;
+                    let band = &mut st.band;
+                    let mut staged = false;
+                    let mut stored = 0;
+                    kernel::scan_block(
+                        &st.query.f,
+                        dims,
+                        ids,
+                        coords,
+                        st.query.constraint.as_ref(),
+                        |id, score| {
+                            if score >= admit {
+                                staged = true;
+                                stored += band.stage(Scored::new(score, id), merge_scratch);
+                            }
+                        },
+                    );
+                    if stored > 0 {
+                        stats.result_updates += stored as u64;
+                        st.stored_early = true;
+                    }
+                    if staged && !st.affected {
+                        st.affected = true;
+                        affected.push(slot);
+                    }
                 }
             }
         }

@@ -114,22 +114,16 @@ impl ThresholdMonitor {
             if grid.maxscore(cell, f) <= *threshold {
                 continue;
             }
-            // Stream the cell's coordinate-inline block through the
+            // Stream the cell's coordinate-inline chunks through the
             // scoring kernel; no window resolution per tuple.
-            let points = grid.cell(cell).points();
-            kernel::scan_block(
-                f,
-                grid.dims(),
-                points.ids(),
-                points.coords(),
-                None,
-                |tid, score| {
+            for (ids, coords) in grid.points(cell).chunks() {
+                kernel::scan_block(f, grid.dims(), ids, coords, None, |tid, score| {
                     if score > *threshold {
                         matching.insert(tid);
                         added.push(Scored::new(score, tid));
                     }
-                },
-            );
+                });
+            }
             influence.insert(cell, slot);
             for dim in 0..grid.dims() {
                 if let Some(n) = grid.step_worse(cell, dim, f) {

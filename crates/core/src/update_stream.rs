@@ -3,8 +3,8 @@
 //!
 //! Tuples no longer leave in arrival order, so the FIFO machinery is
 //! replaced: the backing store is a slab with hash lookup and the grid
-//! cells delete from their coordinate-inline point blocks by id-indexed
-//! swap-remove. TMA carries over directly — a deletion
+//! deletes from its coordinate-inline cells through an id → position
+//! index. TMA carries over directly — a deletion
 //! hitting a result triggers recomputation. SMA does **not** apply: the
 //! skyband reduction requires knowing the expiry order in advance, which an
 //! update stream does not provide (constructing [`UpdateStreamTma`] is the

@@ -1,6 +1,6 @@
 //! The regular grid: geometry and cell container.
 
-use crate::cell::{Cell, CellMode};
+use crate::cell::{CellMode, CellPoints, PointArena};
 use tkm_common::{Rect, Result, ScoreFn, TkmError, TupleId, MAX_DIMS};
 
 /// Hard cap on the number of cells (memory guard: a `d`-dimensional grid
@@ -23,7 +23,8 @@ pub struct Grid {
     /// `delta` products, so cell assignment is unchanged).
     inv_delta: f64,
     mode: CellMode,
-    cells: Vec<Cell>,
+    /// Every cell's points (see [`crate::cell`]).
+    points: PointArena,
     /// Precomputed closed bounds of every cell, `2·dims` values apiece
     /// (lower corner, then upper corner). `maxscore` runs on every heap
     /// push of the traversal; reading the corner here replaces the per-call
@@ -59,8 +60,6 @@ impl Grid {
                 )));
             }
         }
-        let mut cells = Vec::with_capacity(total);
-        cells.resize_with(total, || Cell::new(mode, dims));
         let delta = 1.0 / per_dim as f64;
         // Precompute every cell's closed bounds and axis indices with an
         // odometer over the per-axis indices (dimension 0 fastest,
@@ -106,7 +105,7 @@ impl Grid {
             delta,
             inv_delta: per_dim as f64,
             mode,
-            cells,
+            points: PointArena::new(mode, dims, total),
             bounds,
             axes,
             strides,
@@ -153,27 +152,18 @@ impl Grid {
     /// Total number of cells (`m^d`).
     #[inline]
     pub fn num_cells(&self) -> usize {
-        self.cells.len()
+        self.points.num_cells()
     }
 
-    /// Shared access to a cell.
+    /// The points of a cell.
     #[inline]
-    pub fn cell(&self, id: CellId) -> &Cell {
-        &self.cells[id.0 as usize]
+    pub fn points(&self, id: CellId) -> CellPoints<'_> {
+        self.points.points(id.0 as usize)
     }
 
-    /// Mutable access to a cell.
-    #[inline]
-    pub fn cell_mut(&mut self, id: CellId) -> &mut Cell {
-        &mut self.cells[id.0 as usize]
-    }
-
-    /// Iterates all `(CellId, &Cell)` pairs.
-    pub fn cells(&self) -> impl Iterator<Item = (CellId, &Cell)> + '_ {
-        self.cells
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (CellId(i as u32), c))
+    /// Iterates all `(CellId, points)` pairs.
+    pub fn cells(&self) -> impl Iterator<Item = (CellId, CellPoints<'_>)> + '_ {
+        (0..self.num_cells() as u32).map(|i| (CellId(i), self.points(CellId(i))))
     }
 
     /// Per-axis cell index of the cell covering a coordinate.
@@ -426,7 +416,7 @@ impl Grid {
     }
 
     /// Inserts a tuple into its covering cell (coordinates are copied into
-    /// the cell's point block); returns the cell id.
+    /// the cell's point chain); returns the cell id.
     // lint: hot-path
     pub fn insert_point(&mut self, coords: &[f64], id: TupleId) -> CellId {
         let cell = self.locate(coords);
@@ -440,7 +430,7 @@ impl Grid {
     #[inline]
     pub fn push_at(&mut self, cell: CellId, id: TupleId, coords: &[f64]) {
         debug_assert_eq!(cell, self.locate(coords));
-        self.cell_mut(cell).push_point(id, coords);
+        self.points.push(cell.0 as usize, id, coords);
     }
 
     /// Removes a tuple from its covering cell; returns the cell id.
@@ -453,19 +443,34 @@ impl Grid {
 
     /// [`Grid::remove_point`] for an already located tuple: removes `id`
     /// from `cell`. In FIFO grids this is a pop-front — `id` must be the
-    /// cell's oldest tuple, anything else is [`TkmError::UnknownTuple`].
+    /// cell's oldest tuple; in Hash grids `id` must be stored in `cell`.
+    /// Anything else is [`TkmError::UnknownTuple`] and changes nothing.
     // lint: hot-path
     #[inline]
     pub fn remove_at(&mut self, cell: CellId, id: TupleId) -> Result<()> {
-        self.cell_mut(cell).remove_point(id)
+        self.points.remove(cell.0 as usize, id)
     }
 
-    /// Deep size estimate in bytes.
+    /// Chunks the point arena holds, in cells or free (diagnostics and
+    /// space tests; each is [`crate::CHUNK_POINTS`] points).
+    pub fn chunks_held(&self) -> usize {
+        self.points.chunks_held()
+    }
+
+    /// Chunks currently linked into cells (diagnostics; walks the free
+    /// list).
+    pub fn chunks_in_use(&self) -> usize {
+        self.points.chunks_in_use()
+    }
+
+    /// Deep size estimate in bytes: the geometry tables plus the point
+    /// storage (cell heads, both arenas, chunk links, the Hash-mode index)
+    /// at capacity.
     pub fn space_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.bounds.capacity() * std::mem::size_of::<f64>()
             + self.axes.capacity() * std::mem::size_of::<u32>()
-            + self.cells.iter().map(Cell::space_bytes).sum::<usize>()
+            + self.points.space_bytes()
     }
 }
 
@@ -638,9 +643,9 @@ mod tests {
         let c1 = g.insert_point(&[0.1, 0.1], TupleId(0));
         let c2 = g.insert_point(&[0.9, 0.9], TupleId(1));
         assert_ne!(c1, c2);
-        assert_eq!(g.cell(c1).points().len(), 1);
+        assert_eq!(g.points(c1).len(), 1);
         assert_eq!(g.remove_point(&[0.1, 0.1], TupleId(0)).unwrap(), c1);
-        assert!(g.cell(c1).points().is_empty());
+        assert!(g.points(c1).is_empty());
         assert!(g.remove_point(&[0.9, 0.9], TupleId(5)).is_err());
     }
 
@@ -657,18 +662,17 @@ mod tests {
         for (i, (cell, p)) in cells.iter().zip(batch.chunks_exact(2)).enumerate() {
             g.push_at(*cell, TupleId(i as u64), p);
         }
-        assert_eq!(g.cell(cells[0]).points().ids(), &[TupleId(0), TupleId(1)]);
-        assert_eq!(g.cell(cells[0]).points().coords(), &batch[..4]);
+        let stored: Vec<(TupleId, &[f64])> = g.points(cells[0]).iter().collect();
+        assert_eq!(
+            stored,
+            [(TupleId(0), &batch[..2]), (TupleId(1), &batch[2..4])]
+        );
         // Only the cell's front may leave.
         assert_eq!(
             g.remove_at(cells[0], TupleId(1)),
             Err(TkmError::UnknownTuple(TupleId(1)))
         );
-        assert_eq!(
-            g.cell(cells[0]).points().len(),
-            2,
-            "failed remove is a no-op"
-        );
+        assert_eq!(g.points(cells[0]).len(), 2, "failed remove is a no-op");
         assert_eq!(g.remove_at(cells[0], TupleId(0)), Ok(()));
         assert_eq!(g.remove_at(cells[0], TupleId(1)), Ok(()));
         assert_eq!(

@@ -1,11 +1,11 @@
 //! Per-cell influence lists, stored *beside* the grid rather than inside it.
 //!
 //! The paper attaches an influence list to every grid cell. Keeping those
-//! lists out of [`crate::Cell`] — in a parallel table indexed by
-//! [`CellId`] — preserves the same O(1) search/insert/delete while making
-//! the grid itself immutable during query maintenance. That split is what
-//! allows a single shared grid (point lists + geometry) to serve many
-//! maintenance shards concurrently: each shard owns its own
+//! lists out of the cell storage ([`crate::cell`]) — in a parallel table
+//! indexed by [`CellId`] — preserves the same O(1) search/insert/delete
+//! while making the grid itself immutable during query maintenance. That
+//! split is what allows a single shared grid (point lists + geometry) to
+//! serve many maintenance shards concurrently: each shard owns its own
 //! `InfluenceTable` for its own queries and only ever *reads* the grid.
 //!
 //! The lists hold **dense query slots** (`QuerySlot`, 4 bytes) rather than

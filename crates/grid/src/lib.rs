@@ -7,11 +7,12 @@
 //! `[i·δ, (i+1)·δ) × [j·δ, (j+1)·δ) × …` of the unit workspace. Each cell
 //! keeps
 //!
-//! * a coordinate-inline *point block* of the valid tuples inside it — a
-//!   structure-of-arrays pair of id and packed-coordinate arrays, so cell
-//!   scans never chase pointers back into the window ring. Deletion is a
-//!   FIFO head-offset ring for sliding windows (per-cell arrival order
-//!   equals per-cell expiry order) or an id-indexed swap-remove for the §7
+//! * a coordinate-inline *point list* of the valid tuples inside it — a
+//!   chain of fixed-size chunks in one grid-owned arena of id and
+//!   packed-coordinate arrays ([`cell`]), so cell scans never chase
+//!   pointers back into the window ring and no cell owns a heap object.
+//!   Deletion is a pop-front for sliding windows (per-cell arrival order
+//!   equals per-cell expiry order) or id-indexed for the §7
 //!   explicit-deletion stream model.
 //!
 //! The paper's per-cell *influence lists* (the ids of the queries whose
@@ -33,7 +34,7 @@ pub mod grid;
 pub mod influence;
 pub mod visit;
 
-pub use cell::{Cell, CellMode, PointList};
+pub use cell::{CellMode, CellPoints, Chunks, CHUNK_POINTS};
 pub use grid::{CellId, Grid};
 pub use influence::InfluenceTable;
 pub use visit::VisitStamps;

@@ -89,12 +89,6 @@ impl CountWindow {
         self.ring.len().saturating_sub(self.capacity)
     }
 
-    /// Packed coordinates of the `n` oldest tuples (≤ 2 contiguous runs).
-    #[inline]
-    pub fn front_coords(&self, n: usize) -> (&[f64], &[f64]) {
-        self.ring.front_coords(n)
-    }
-
     /// Removes the `n` oldest tuples in one step.
     #[inline]
     pub fn drop_front(&mut self, n: usize) {

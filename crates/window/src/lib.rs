@@ -219,23 +219,13 @@ impl Window {
 
     /// Number of oldest tuples no longer valid at `now` — the prefix
     /// [`Window::drain_expired`] would evict — computed without touching
-    /// them. Paired with [`Window::front_coords`] and
-    /// [`Window::drop_front`], this is the batch form of the drain.
+    /// them. Paired with [`Window::drop_front`], this is the batch form of
+    /// the drain.
     #[inline]
     pub fn expired_prefix(&self, now: Timestamp) -> usize {
         match self {
             Window::Count(w) => w.expired_prefix(),
             Window::Time(w) => w.expired_prefix(now),
-        }
-    }
-
-    /// Packed coordinates of the `n` oldest tuples in arrival order, as
-    /// the at most two contiguous runs they occupy in the ring.
-    #[inline]
-    pub fn front_coords(&self, n: usize) -> (&[f64], &[f64]) {
-        match self {
-            Window::Count(w) => w.front_coords(n),
-            Window::Time(w) => w.front_coords(n),
         }
     }
 
@@ -331,8 +321,8 @@ mod tests {
         assert_eq!(w.dims(), 2);
     }
 
-    /// `expired_prefix` + `front_coords` + `drop_front` is the batch form
-    /// of `drain_expired`, on both window kinds (equal timestamps, a mass
+    /// `expired_prefix` + `drop_front` is the batch form of
+    /// `drain_expired`, on both window kinds (equal timestamps, a mass
     /// expiry and an empty cycle included).
     #[test]
     fn batch_drain_matches_per_tuple_drain() {
@@ -361,8 +351,8 @@ mod tests {
                 let mut want = Vec::new();
                 single.drain_expired(now, |_, c| want.push(c[0]));
                 let n = batch.expired_prefix(now);
-                let (head_run, wrapped) = batch.front_coords(n);
-                assert_eq!([head_run, wrapped].concat(), want, "{spec:?} @{ts}");
+                let front: Vec<f64> = batch.iter().take(n).map(|(_, c)| c[0]).collect();
+                assert_eq!(front, want, "{spec:?} @{ts}");
                 batch.drop_front(n);
                 assert_eq!(batch.len(), single.len());
                 assert_eq!(batch.oldest(), single.oldest());

@@ -215,9 +215,8 @@ impl FlatRing {
     /// The packed coordinates of the `n` oldest tuples, in arrival order,
     /// as the (at most two) contiguous runs they occupy in the ring; the
     /// second slice is empty unless the run crosses the ring wrap.
-    // lint: hot-path
     #[inline]
-    pub fn front_coords(&self, n: usize) -> (&[f64], &[f64]) {
+    fn front_coords(&self, n: usize) -> (&[f64], &[f64]) {
         let (a, b) = self.front_ranges(n);
         (
             &self.buf[a.start * self.dims..a.end * self.dims],

@@ -108,12 +108,6 @@ impl TimeWindow {
             .expired_prefix(|arrived| now.since(arrived) >= self.duration)
     }
 
-    /// Packed coordinates of the `n` oldest tuples (≤ 2 contiguous runs).
-    #[inline]
-    pub fn front_coords(&self, n: usize) -> (&[f64], &[f64]) {
-        self.ring.front_coords(n)
-    }
-
     /// Removes the `n` oldest tuples in one step.
     #[inline]
     pub fn drop_front(&mut self, n: usize) {

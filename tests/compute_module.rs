@@ -229,3 +229,101 @@ fn skyband_seed_equivalence() {
     let got: Vec<Scored> = seeded.scored().to_vec();
     assert_eq!(got, want);
 }
+
+/// Hot cells that straddle chunks: the cell a traversal starts in holds
+/// exactly C−1, C, C+1 or 2C+1 points, behind a partly consumed head chunk
+/// (`shift` older points were pushed and popped first, so the live points
+/// start at every offset). Solo and grouped traversals must both report
+/// the brute-force result — the scan sees the cell as several slices.
+#[test]
+fn traversals_are_exact_when_hot_cells_straddle_chunks() {
+    use topk_monitor::engines::compute::{compute_topk_group, GroupMember};
+    use topk_monitor::grid::CHUNK_POINTS as C;
+
+    let fns = [
+        ScoreFn::linear(vec![1.0, 1.0]).expect("dims"),
+        ScoreFn::linear(vec![0.2, 1.9]).expect("dims"),
+        ScoreFn::product(vec![0.1, 0.4]).expect("dims"),
+    ];
+    for size in [C - 1, C, C + 1, 2 * C + 1] {
+        for shift in [0, 1, C - 1, C + 3] {
+            let mut grid = Grid::new(2, 3, CellMode::Fifo).expect("grid");
+            // All in the top-right cell of the 3×3 grid.
+            let hot = |i: usize| {
+                [
+                    0.7 + (i * 37 % 29) as f64 / 100.0,
+                    0.7 + (i * 11 % 23) as f64 / 80.0,
+                ]
+            };
+            for i in 0..shift {
+                grid.insert_point(&hot(i), TupleId(i as u64));
+            }
+            for i in 0..shift {
+                grid.remove_point(&hot(i), TupleId(i as u64))
+                    .expect("front");
+            }
+            let mut points = Vec::new();
+            for i in shift..shift + size {
+                points.push((TupleId(i as u64), hot(i)));
+            }
+            // A few colder points so deep queries leave the hot cell.
+            for i in 0..12 {
+                let id = TupleId((shift + size + i) as u64);
+                points.push((id, [(i * 5 % 13) as f64 / 20.0, (i * 3 % 7) as f64 / 10.0]));
+            }
+            for (id, coords) in &points {
+                grid.insert_point(coords, *id);
+            }
+            let brute = |f: &ScoreFn, k: usize| {
+                let mut all: Vec<Scored> = points
+                    .iter()
+                    .map(|(id, c)| Scored::new(f.score(c), *id))
+                    .collect();
+                all.sort_by(|a, b| b.cmp(a));
+                all.truncate(k);
+                all
+            };
+
+            let mut scratch = ComputeScratch::new(grid.num_cells());
+            let mut influence = InfluenceTable::new(grid.num_cells());
+            for k in [1, size, size + 5] {
+                for f in &fns {
+                    let out = compute_topk(&grid, &mut scratch, None, f, k, None, false, None);
+                    assert_eq!(
+                        out.top.as_slice(),
+                        &brute(f, k)[..],
+                        "solo {size}+{shift} k={k}"
+                    );
+                }
+                let mut members: Vec<GroupMember> = fns
+                    .iter()
+                    .enumerate()
+                    .map(|(i, f)| GroupMember {
+                        slot: QuerySlot(i as u32),
+                        f: f.clone(),
+                        k,
+                        listed_above: f64::INFINITY,
+                        keep_superset: false,
+                        track_ties: false,
+                        reuse: None,
+                    })
+                    .collect();
+                let mut results = Vec::new();
+                compute_topk_group(
+                    &grid,
+                    &mut scratch,
+                    &mut influence,
+                    &mut members,
+                    &mut results,
+                );
+                for (out, f) in results.iter().zip(&fns) {
+                    assert_eq!(
+                        out.top.as_slice(),
+                        &brute(f, k)[..],
+                        "group {size}+{shift} k={k}"
+                    );
+                }
+            }
+        }
+    }
+}

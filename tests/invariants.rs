@@ -87,13 +87,13 @@ fn grid_window_lockstep() {
     for t in 0..40u64 {
         m.tick(Timestamp(t), &stream.batch(11)).expect("tick");
         let mut grid_total = 0usize;
-        for (cid, cell) in m.grid().cells() {
-            for (id, cell_coords) in cell.points().iter() {
+        for (cid, points) in m.grid().cells() {
+            for (id, cell_coords) in points.iter() {
                 grid_total += 1;
                 let coords = m.window().coords(id).expect("grid tuple must be valid");
                 assert_eq!(
                     cell_coords, coords,
-                    "cell block coords diverge from window for tuple {id}"
+                    "cell coords diverge from window for tuple {id}"
                 );
                 assert_eq!(m.grid().locate(coords), cid, "tuple {id} in wrong cell");
             }

@@ -1,8 +1,8 @@
-//! Differential suite for the coordinate-inline (SoA) cell blocks: under
+//! Differential suite for the coordinate-inline (SoA) cell storage: under
 //! arbitrary churn, every cell's `(id, coords)` pairs must mirror a naive
-//! per-cell model exactly — through FIFO ring compactions, window-overrun
-//! transients, and Hash-mode swap-removes — and the engines built on the
-//! blocks must keep reporting the brute-force oracle's results. The
+//! per-cell model exactly — through chunk turnover, window-overrun
+//! transients, and Hash-mode removals — and the engines built on the
+//! cells must keep reporting the brute-force oracle's results. The
 //! staged batch ingest (`IngestState::ingest`) is held, cycle by cycle, to
 //! the per-tuple window→grid loop it replaced, and the per-cycle band merge
 //! (arrivals staged per query, folded in by one sweep) to the oracle on
@@ -29,21 +29,16 @@ fn expected_cells(grid: &Grid, window: &Window) -> Vec<Vec<(TupleId, Vec<f64>)>>
 
 fn assert_cells_match(grid: &Grid, window: &Window, context: &str) {
     let want = expected_cells(grid, window);
-    for (cid, cell) in grid.cells() {
-        let got: Vec<(TupleId, Vec<f64>)> = cell
-            .points()
-            .iter()
-            .map(|(id, c)| (id, c.to_vec()))
-            .collect();
+    for (cid, points) in grid.cells() {
+        let got: Vec<(TupleId, Vec<f64>)> = points.iter().map(|(id, c)| (id, c.to_vec())).collect();
         assert_eq!(
             got, want[cid.0 as usize],
             "{context}: cell {cid:?} diverged from the window"
         );
-        // The SoA arrays themselves stay aligned.
-        assert_eq!(
-            cell.points().ids().len() * grid.dims(),
-            cell.points().coords().len()
-        );
+        // The SoA arrays themselves stay aligned, chunk by chunk.
+        for (ids, coords) in points.chunks() {
+            assert_eq!(ids.len() * grid.dims(), coords.len());
+        }
     }
 }
 
@@ -141,16 +136,10 @@ fn assert_staged_matches(staged: &IngestState, reference: &PerTupleIngest, conte
         "{context}: window"
     );
     assert_eq!(staged.stats(), reference.stats, "{context}: stats");
-    for ((cid, cell), (_, want)) in staged.grid().cells().zip(reference.grid.cells()) {
-        assert_eq!(
-            cell.points().ids(),
-            want.points().ids(),
-            "{context}: ids of {cid:?}"
-        );
-        assert_eq!(
-            cell.points().coords(),
-            want.points().coords(),
-            "{context}: coords of {cid:?}"
+    for ((cid, points), (_, want)) in staged.grid().cells().zip(reference.grid.cells()) {
+        assert!(
+            points.iter().eq(want.iter()),
+            "{context}: points of {cid:?}"
         );
     }
     assert_runs_cover(
@@ -163,19 +152,17 @@ fn assert_staged_matches(staged: &IngestState, reference: &PerTupleIngest, conte
         &reference.expiries,
         &format!("{context}: expiries"),
     );
-    // Tail-slice invariant: the coordinates of a run's still-live tuples
-    // are the tail of the cell's block.
+    // Tail-slice invariant: a run's still-live tuples are the newest
+    // points of the cell, ids and coordinates alike.
     let oldest = window.oldest().unwrap_or(TupleId(u64::MAX));
     for (cell, ids) in staged.arrival_runs() {
         let live = &ids[ids.partition_point(|id| *id < oldest)..];
-        let want: Vec<f64> = live
+        let want = live
             .iter()
-            .flat_map(|id| window.coords(*id).expect("live").to_vec())
-            .collect();
-        assert_eq!(
-            staged.arrival_run_coords(cell, live.len()),
-            &want[..],
-            "{context}: tail slice of {cell:?}"
+            .map(|id| (*id, window.coords(*id).expect("live")));
+        assert!(
+            staged.arrival_run_points(cell, live.len()).iter().eq(want),
+            "{context}: tail slices of {cell:?}"
         );
     }
 }
@@ -415,9 +402,10 @@ proptest! {
         drive_differential(dims, window, per_dim, cycles);
     }
 
-    /// FIFO blocks vs the window under arbitrary arrival/expiry churn.
-    /// Small capacities force constant expiry (ring-compaction boundaries)
-    /// and bursts larger than the window create same-cycle transients.
+    /// FIFO cells vs the window under arbitrary arrival/expiry churn.
+    /// Small capacities force constant expiry (chunks handed back and
+    /// reused every few cycles) and bursts larger than the window create
+    /// same-cycle transients.
     #[test]
     fn fifo_cells_mirror_window_under_churn(
         capacity in 1usize..40,
@@ -438,10 +426,10 @@ proptest! {
         }
     }
 
-    /// Hash blocks vs a naive model under explicit out-of-order deletes
-    /// (the §7 update-stream discipline): swap-removes must keep the id
-    /// and coordinate arrays aligned, and the TMA engine on top must keep
-    /// matching a full rescan.
+    /// Hash cells vs a naive model under explicit out-of-order deletes
+    /// (the §7 update-stream discipline): filling a hole from the cell's
+    /// front must keep the id and coordinate arenas aligned, and the TMA
+    /// engine on top must keep matching a full rescan.
     #[test]
     fn hash_cells_and_engine_survive_explicit_deletes(
         per_dim in 1usize..7,
@@ -468,7 +456,7 @@ proptest! {
                 let ids = m.apply(&cycle).expect("apply");
                 live.extend(ids);
                 cycle.clear();
-                // Engine result stays exact over the hash blocks.
+                // Engine result stays exact over the hash cells.
                 let mut all: Vec<Scored> = m
                     .store()
                     .iter()
@@ -490,21 +478,20 @@ proptest! {
             let cid = m.grid().locate(coords);
             let found = m
                 .grid()
-                .cell(cid)
-                .points()
+                .points(cid)
                 .iter()
                 .any(|(pid, pc)| pid == id && pc == coords);
-            prop_assert!(found, "tuple {id:?} missing from its cell block");
+            prop_assert!(found, "tuple {id:?} missing from its cell");
             total += 1;
         }
-        let indexed: usize = m.grid().cells().map(|(_, c)| c.points().len()).sum();
+        let indexed: usize = m.grid().cells().map(|(_, points)| points.len()).sum();
         prop_assert_eq!(indexed, total, "grid indexes a dead tuple");
     }
 
     /// Expiry-heavy engine differential: tiny windows and big bursts make
     /// every tick recompute (exercising the region-bound influence skip)
-    /// while the FIFO blocks compact constantly. TMA and SMA must match
-    /// the oracle on every cycle.
+    /// while the FIFO cells turn their chunks over constantly. TMA and SMA
+    /// must match the oracle on every cycle.
     #[test]
     fn engines_match_oracle_under_heavy_expiry(
         capacity in 2usize..12,
