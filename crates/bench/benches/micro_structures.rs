@@ -1,6 +1,6 @@
-//! Criterion micro-benchmarks for the core data structures: the
-//! order-statistic tree, the skyband, the grid, the window ring, the
-//! top-list and the whole-batch ingest stage.
+//! Criterion micro-benchmarks for the core data structures: the skyband,
+//! the grid, the window ring, the top-list and the whole-batch ingest
+//! stage.
 
 use std::hint::black_box;
 
@@ -8,7 +8,6 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use tkm_common::{ScoreFn, Scored, Timestamp, TupleId};
 use tkm_core::{GridSpec, IngestState};
 use tkm_grid::{CellMode, Grid};
-use tkm_ostree::OsTree;
 use tkm_skyband::{MergeScratch, Skyband};
 use tkm_window::{Window, WindowSpec};
 
@@ -17,28 +16,6 @@ fn lcg(state: &mut u64) -> f64 {
         .wrapping_mul(6364136223846793005)
         .wrapping_add(1442695040888963407);
     ((*state >> 11) as f64 / (1u64 << 53) as f64).clamp(0.0, 1.0)
-}
-
-fn bench_ostree(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ostree");
-    group.sample_size(20);
-    group.bench_function("insert_rank_remove_1k", |b| {
-        b.iter(|| {
-            let mut t = OsTree::new();
-            for i in 0..1000u64 {
-                t.insert(black_box((i * 2_654_435_761) % 1_000_003));
-            }
-            let mut acc = 0usize;
-            for i in 0..1000u64 {
-                acc += t.count_greater(&black_box(i * 997));
-            }
-            for i in 0..1000u64 {
-                t.remove(&((i * 2_654_435_761) % 1_000_003));
-            }
-            acc
-        })
-    });
-    group.finish();
 }
 
 fn bench_skyband(c: &mut Criterion) {
@@ -217,7 +194,6 @@ fn bench_ingest(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_ostree,
     bench_skyband,
     bench_grid,
     bench_window,

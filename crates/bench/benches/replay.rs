@@ -3,9 +3,8 @@
 //! query, absorb the matching expiries) at Q ∈ {16, 256, 4096} queries.
 //!
 //! This measures exactly the loop the dense-registry / flat-influence /
-//! cell-grouped-replay design targets; the `replay` bench *binary* runs the
-//! same scenarios end-to-end and emits the committed `BENCH_hotpath.json`
-//! baseline.
+//! cell-grouped-replay design targets; the `steady`, `ingest` and `storm`
+//! workloads of `benchmark/` measure it end to end.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use tkm_common::{QueryId, Timestamp};

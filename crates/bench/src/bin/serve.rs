@@ -1,4 +1,5 @@
-//! The `tkm_service` TCP server — and its loopback measurement harness.
+//! The `tkm_service` TCP server, and the two socket-level measurements
+//! nothing else in the repository takes.
 //!
 //! Three modes:
 //!
@@ -10,58 +11,28 @@
 //!         --addr 127.0.0.1:7171 --dims 2 --window 10000 --tick-ms 100
 //!   ```
 //!
-//! * **`--bench`**: in-process loopback measurement — one ingest client
-//!   streams arrivals through a manually ticked service while N
-//!   subscriber clients reconstruct their query's top-k from the delta
-//!   stream; every subscriber is verified against both a server-side
-//!   `SNAPSHOT` and an independent in-process engine oracle. Reports
-//!   ingest throughput (tuples/s) and the delta propagation latency
-//!   distribution (p50/p99, ingest send → subscriber apply).
-//!
-//! * **`--smoke`**: the same harness at CI scale (a second or so); used
-//!   by the workflow as the end-to-end serving-layer gate.
-//!
-//! * **`--chaos`**: the loopback harness under a seeded fault plan — a
-//!   fraction of the subscriber sessions get their sockets reset,
-//!   truncated mid-line, byte-garbled, write-stalled, or short-written
-//!   while the ingest stream runs. Self-healing clients must reconnect,
-//!   re-subscribe, and re-baseline; every subscriber (survivor or
-//!   reconnector) is then verified bit-exact against the in-process
-//!   oracle. `--seed` pins the run; `--fault` overrides the schedule DSL
-//!   (`sid=kind@at[+every][:ms];.. | ..`). Combine with `--smoke` for CI
-//!   scale.
-//!
 //! * **`--fanout`**: the subscriber fan-out sweep — for each tier of the
-//!   sweep (1k/5k/10k subscribers; one tier with `--smoke` or an explicit
-//!   `--subs N`) the parent binds a fresh server and spawns *itself* as a
+//!   sweep (1k/5k/10k subscribers; one tier with an explicit `--subs N`)
+//!   the parent binds a fresh server and spawns *itself* as a
 //!   `--fanout-client` child process that opens the whole subscriber
 //!   fleet (so each process stays inside its fd limit), drives the tick
 //!   loop, and measures how long the reactor takes to push every tick's
 //!   delta to the entire fleet. Reports fan-out pushes/s and the push
-//!   completion latency distribution per tier, and asserts the
-//!   encode-once invariant server-side (`STATS encodes= == deltas=`).
-//!   `--check-baseline BENCH_fanout.json` compares the largest tier's
-//!   rate and p99 against the committed baseline — a hard failure on the
-//!   full sweep (dedicated hardware), warn-only under `--smoke` (shared
-//!   CI runners have too much CPU variance for a wall-clock gate); the
-//!   functional assertions (missed delivery, encode-once) fail hard in
-//!   both modes.
+//!   completion latency distribution per tier, and fails on a missed
+//!   delivery or a broken encode-once invariant (server-side
+//!   `STATS encodes= == deltas=`).
 //!
 //! * **`--sites N`**: multi-site mode — N site services each run a local
 //!   engine on their shard of the stream and ship only candidate deltas
 //!   (plus a per-cycle watermark) to a coordinator that merges them into
 //!   the global top-k, while a single-node oracle ingests the full
 //!   stream directly. Reports uplink bytes shipped vs naive stream
-//!   forwarding and the ingest→merge→push latency distribution, then
-//!   verifies the merged results bit-exact against the oracle.
-//!   `--check-baseline BENCH_distrib.json` gates the byte ratio (≥5×
-//!   reduction, no >1.5× regression) and the merge p99. Combined with
-//!   `--chaos`: a seeded site-kill soak — one site (picked by `--seed`)
-//!   is killed a third of the way in and restarted at two thirds; the
-//!   coordinator must keep answering every round (flagged `DEGRADED`),
-//!   heal on re-enrollment, and still land bit-exact on the oracle.
+//!   forwarding and the ingest→merge→push latency distribution, and
+//!   fails unless the merged results are bit-exact against the oracle.
 //!
-//! `--json` prints the measurement as a single JSON object on stdout.
+//! `--json` prints the measurement as a single JSON object on stdout. A
+//! flag this binary does not know, or a value it cannot read, is a usage
+//! error (one line on stderr, exit code 2).
 
 // A CLI tool: stdout is the interface.
 #![allow(clippy::print_stdout)]
@@ -73,14 +44,16 @@ use std::os::fd::AsRawFd;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use tkm_bench::cli;
 use tkm_core::{EngineKind, MonitorServer, Query, ServerConfig};
 use tkm_datagen::{DataDist, PointGen};
 use tkm_service::{
-    apply_push, FaultSchedule, FramedLine, LineFramer, Poller, Push, ReconnectPolicy, Role,
-    Service, ServiceClient, ServiceConfig, SiteRole, TickPolicy, MAX_REQUEST_LINE,
+    apply_push, FramedLine, LineFramer, Poller, Push, Role, Service, ServiceClient, ServiceConfig,
+    SiteRole, TickPolicy, MAX_REQUEST_LINE,
 };
 use tkm_window::WindowSpec;
 
+#[derive(Debug)]
 struct Args {
     addr: String,
     dims: usize,
@@ -92,89 +65,75 @@ struct Args {
     ticks: usize,
     rate: usize,
     k: usize,
-    smoke: bool,
-    bench: bool,
-    chaos: bool,
     fanout: bool,
     fanout_client: bool,
     subs: usize,
     sites: usize,
     seed: u64,
-    fault: Option<String>,
-    baseline: Option<String>,
     json: bool,
 }
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+/// Every flag this binary reads; anything else is refused.
+const FLAGS: &str = "--addr --dims --window --engine --tick-ms --push-queue --clients --ticks \
+                     --rate --k --fanout --fanout-client --subs --sites --seed --json";
+
+fn parse_num<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> Result<T, String> {
+    cli::parse_flag(args, flag, default, "a non-negative integer", |v| {
+        v.parse().ok()
+    })
 }
 
-fn parse_num<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
-    flag_value(args, flag)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+fn parse_engine(name: &str) -> Option<EngineKind> {
+    match name {
+        "tma" => Some(EngineKind::Tma),
+        "sma" => Some(EngineKind::Sma),
+        "tsl" => Some(EngineKind::Tsl),
+        "oracle" => Some(EngineKind::Oracle),
+        _ => None,
+    }
 }
 
-fn parse_args() -> Args {
-    let argv: Vec<String> = std::env::args().collect();
-    let smoke = argv.iter().any(|a| a == "--smoke");
-    let bench = argv.iter().any(|a| a == "--bench");
+/// Reads the arguments (program name excluded).
+fn parse_args(argv: &[String]) -> Result<Args, String> {
+    cli::check_flags(argv, FLAGS)?;
     let fanout = argv.iter().any(|a| a == "--fanout");
     let fanout_client = argv.iter().any(|a| a == "--fanout-client");
-    let sites = parse_num(&argv, "--sites", 0usize);
-    // Smoke is a small bench; bench is the default-scale measurement.
-    // Multi-site runs push a higher per-tick rate: candidate shipping
-    // wins over stream forwarding exactly when rate ≫ top-k churn, and
-    // the byte-ratio gate measures that margin. Fan-out runs are few
-    // ticks over huge fleets: per-tick cost scales with subscribers, and
-    // each tick already yields one latency sample per subscriber.
-    let (clients, ticks, rate, window) = if fanout || fanout_client {
-        if smoke {
-            (0, 8, 0, 2_000)
-        } else {
-            (0, 12, 0, 2_000)
-        }
-    } else if sites > 0 {
-        if smoke {
-            (4, 40, 200, 2_000)
-        } else {
-            (8, 150, 600, 10_000)
-        }
-    } else if smoke {
-        (4, 60, 40, 2_000)
+    // Fan-out runs are few ticks over huge fleets: per-tick cost scales
+    // with subscribers, and each tick already yields one latency sample
+    // per subscriber. Multi-site runs push a high per-tick rate:
+    // candidate shipping wins over stream forwarding exactly when rate ≫
+    // top-k churn, and the byte ratio measures that margin.
+    let (ticks, window) = if fanout || fanout_client {
+        (12, 2_000)
     } else {
-        (8, 300, 200, 10_000)
+        (150, 10_000)
     };
-    Args {
-        addr: flag_value(&argv, "--addr").unwrap_or_else(|| "127.0.0.1:7171".into()),
-        dims: parse_num(&argv, "--dims", 2),
-        window: parse_num(&argv, "--window", window),
-        engine: match flag_value(&argv, "--engine").as_deref() {
-            Some("tma") => EngineKind::Tma,
-            Some("tsl") => EngineKind::Tsl,
-            _ => EngineKind::Sma,
-        },
-        tick_ms: parse_num(&argv, "--tick-ms", 100),
-        push_queue: parse_num(&argv, "--push-queue", 1024),
-        clients: parse_num(&argv, "--clients", clients),
-        ticks: parse_num(&argv, "--ticks", ticks),
-        rate: parse_num(&argv, "--rate", rate),
-        k: parse_num(&argv, "--k", 8),
-        smoke,
-        bench,
-        chaos: argv.iter().any(|a| a == "--chaos"),
+    Ok(Args {
+        addr: cli::parse_flag(argv, "--addr", "127.0.0.1:7171".into(), "host:port", |v| {
+            Some(v.to_string())
+        })?,
+        dims: parse_num(argv, "--dims", 2)?,
+        window: parse_num(argv, "--window", window)?,
+        engine: cli::parse_flag(
+            argv,
+            "--engine",
+            EngineKind::Sma,
+            "tma|sma|tsl|oracle",
+            parse_engine,
+        )?,
+        tick_ms: parse_num(argv, "--tick-ms", 100)?,
+        push_queue: parse_num(argv, "--push-queue", 1024)?,
+        clients: parse_num(argv, "--clients", 8)?,
+        ticks: parse_num(argv, "--ticks", ticks)?,
+        rate: parse_num(argv, "--rate", 600)?,
+        k: parse_num(argv, "--k", 8)?,
         fanout,
         fanout_client,
-        subs: parse_num(&argv, "--subs", 0usize),
-        sites,
-        seed: parse_num(&argv, "--seed", 0xC4A05),
-        fault: flag_value(&argv, "--fault"),
-        baseline: flag_value(&argv, "--check-baseline"),
+        subs: parse_num(argv, "--subs", 0)?,
+        sites: parse_num(argv, "--sites", 0)?,
+        seed: parse_num(argv, "--seed", 0xC4A05)?,
         json: argv.iter().any(|a| a == "--json"),
-    }
+    })
 }
 
 fn server_config(args: &Args) -> ServerConfig {
@@ -182,17 +141,14 @@ fn server_config(args: &Args) -> ServerConfig {
 }
 
 fn main() {
-    let args = parse_args();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = cli::or_usage_exit(parse_args(&argv));
     if args.fanout_client {
         fanout_client(&args);
     } else if args.fanout {
         fanout(&args);
     } else if args.sites > 0 {
         distrib(&args);
-    } else if args.chaos {
-        chaos(&args);
-    } else if args.smoke || args.bench {
-        loopback(&args);
     } else {
         serve_forever(&args);
     }
@@ -220,472 +176,12 @@ fn serve_forever(args: &Args) {
     }
 }
 
-/// Per-subscriber outcome of the loopback run.
-struct SubOutcome {
-    /// Delta latencies (ingest send → subscriber apply), microseconds.
-    latencies_us: Vec<f64>,
-    /// Pushes applied (deltas + snapshots).
-    pushes: usize,
-    /// Verification verdict.
-    ok: bool,
-}
-
-fn loopback(args: &Args) {
-    let scfg = server_config(args);
-    let service = Service::bind(
-        "127.0.0.1:0",
-        ServiceConfig::new(scfg).with_push_queue(args.push_queue),
-    )
-    .expect("bind loopback");
-    let addr = service.local_addr();
-
-    // The independent oracle: the same engine configuration fed the same
-    // batches directly, bypassing the wire entirely.
-    let mut oracle = MonitorServer::new(scfg).expect("oracle");
-
-    // Pre-register every subscriber's query through a control connection
-    // so ids are known up front; weights vary per subscriber.
-    let mut control = ServiceClient::connect(addr).expect("control connect");
-    let mut weight_sets = Vec::new();
-    let mut query_ids = Vec::new();
-    for c in 0..args.clients {
-        let weights: Vec<f64> = (0..args.dims)
-            .map(|d| 0.25 + ((c + d * 3) % 7) as f64 / 4.0)
-            .collect();
-        let id = control.register_linear(args.k, &weights).expect("register");
-        let f = tkm_common::ScoreFn::linear(weights.clone()).unwrap();
-        oracle
-            .register(Query::top_k(f, args.k).unwrap())
-            .expect("oracle register");
-        weight_sets.push(weights);
-        query_ids.push(id);
-    }
-
-    // Send instants per tick (index = at - 1), shared with subscribers.
-    let send_instants: Arc<Mutex<Vec<Instant>>> = Arc::new(Mutex::new(Vec::new()));
-    let total_ticks = args.ticks + 1; // + the guaranteed-delta sentinel
-
-    let mut subs = Vec::new();
-    for (c, q) in query_ids.iter().enumerate() {
-        let q = *q;
-        let instants = Arc::clone(&send_instants);
-        let data_ticks = args.ticks;
-        subs.push(std::thread::spawn(move || {
-            let mut client = ServiceClient::connect(addr).expect("subscriber connect");
-            let baseline = client.subscribe(q).expect("subscribe");
-            let mut mirror: BTreeMap<_, _> = [(q, baseline)].into_iter().collect();
-            let mut outcome = SubOutcome {
-                latencies_us: Vec::new(),
-                pushes: 0,
-                ok: true,
-            };
-            // Read pushes until the sentinel tick reaches this query.
-            loop {
-                let push = client.next_push().expect("push stream");
-                let received = Instant::now();
-                let at = match &push {
-                    Push::Delta { at, .. } | Push::Snapshot { at, .. } => Some(at.0),
-                    _ => None,
-                };
-                apply_push(&mut mirror, &push);
-                outcome.pushes += 1;
-                if let Some(at) = at {
-                    if at >= 1 && at as usize <= data_ticks {
-                        let sent = instants.lock().unwrap()[at as usize - 1];
-                        outcome
-                            .latencies_us
-                            .push(received.duration_since(sent).as_secs_f64() * 1e6);
-                    }
-                    if at as usize > data_ticks {
-                        break; // sentinel observed
-                    }
-                }
-            }
-            // The wire's own view of the truth…
-            let (_, wire_expected) = client.snapshot(q).expect("final snapshot");
-            while let Some(push) = client.try_buffered_push() {
-                apply_push(&mut mirror, &push);
-            }
-            if mirror.get(&q).map(Vec::as_slice) != Some(wire_expected.as_slice()) {
-                eprintln!("subscriber {c}: delta reconstruction != server snapshot");
-                outcome.ok = false;
-            }
-            let _ = client.quit();
-            (outcome, mirror.remove(&q).unwrap_or_default())
-        }));
-    }
-
-    // Ingest: one client streams `ticks` cycles of `rate` tuples, then the
-    // sentinel cycle of k max-score tuples (score 1·Σw beats any interior
-    // point, so every query's result changes and every subscriber
-    // observes the final tick).
-    let mut ingest = ServiceClient::connect(addr).expect("ingest connect");
-    let mut gen = PointGen::new(args.dims, DataDist::Ind, 42).expect("gen");
-    let started = Instant::now();
-    let mut batches: Vec<Vec<f64>> = Vec::with_capacity(total_ticks);
-    for _ in 0..args.ticks {
-        let mut batch = Vec::with_capacity(args.rate * args.dims);
-        for _ in 0..args.rate {
-            batch.extend(gen.point());
-        }
-        batches.push(batch);
-    }
-    batches.push(vec![1.0; args.k * args.dims]); // sentinel
-    let gen_elapsed = started.elapsed();
-
-    let ingest_start = Instant::now();
-    for batch in &batches {
-        send_instants.lock().unwrap().push(Instant::now());
-        ingest.tick(batch).expect("tick");
-    }
-    let ingest_elapsed = ingest_start.elapsed();
-
-    // Feed the oracle the same batches.
-    for batch in &batches {
-        oracle.tick(batch).expect("oracle tick");
-    }
-
-    // Collect subscribers and verify against the oracle.
-    let mut latencies = Vec::new();
-    let mut pushes = 0usize;
-    let mut all_ok = true;
-    for (c, handle) in subs.into_iter().enumerate() {
-        let (outcome, mirror) = handle.join().expect("subscriber thread");
-        latencies.extend(outcome.latencies_us);
-        pushes += outcome.pushes;
-        all_ok &= outcome.ok;
-        let expected = oracle.result(query_ids[c]).expect("oracle result");
-        if mirror != expected {
-            eprintln!("subscriber {c}: delta reconstruction != in-process oracle");
-            all_ok = false;
-        }
-    }
-
-    let stats = ingest.stats().expect("stats");
-    let _ = ingest.quit();
-    let _ = control.quit();
-    service.shutdown();
-
-    latencies.sort_by(|a, b| a.total_cmp(b));
-    let pct = |p: f64| -> f64 {
-        if latencies.is_empty() {
-            return 0.0;
-        }
-        let idx = ((latencies.len() as f64 - 1.0) * p).round() as usize;
-        latencies[idx]
-    };
-    let tuples: usize = batches.iter().map(|b| b.len()).sum::<usize>() / args.dims;
-    let tuples_per_s = tuples as f64 / ingest_elapsed.as_secs_f64();
-
-    if args.json {
-        println!(
-            "{{\"mode\":\"{}\",\"engine\":\"{}\",\"dims\":{},\"window\":{},\"clients\":{},\
-             \"ticks\":{},\"tuples\":{},\"tuples_per_s\":{:.0},\"delta_p50_us\":{:.1},\
-             \"delta_p99_us\":{:.1},\"deltas_applied\":{},\"resyncs\":{},\"ok\":{}}}",
-            if args.smoke { "smoke" } else { "bench" },
-            stats.get("engine").map(String::as_str).unwrap_or("?"),
-            args.dims,
-            args.window,
-            args.clients,
-            total_ticks,
-            tuples,
-            tuples_per_s,
-            pct(0.50),
-            pct(0.99),
-            pushes,
-            stats.get("resyncs").map(String::as_str).unwrap_or("0"),
-            all_ok
-        );
-    } else {
-        println!(
-            "== serve loopback ({}) ==",
-            if args.smoke { "smoke" } else { "bench" }
-        );
-        println!(
-            "   {} clients × top-{} over {} engine, window {} (d={})",
-            args.clients,
-            args.k,
-            stats.get("engine").map(String::as_str).unwrap_or("?"),
-            args.window,
-            args.dims
-        );
-        println!(
-            "   {} ticks, {} tuples in {:.3}s ingest wall time (+{:.3}s datagen)",
-            total_ticks,
-            tuples,
-            ingest_elapsed.as_secs_f64(),
-            gen_elapsed.as_secs_f64()
-        );
-        println!("   ingest throughput : {tuples_per_s:>10.0} tuples/s over the wire");
-        println!(
-            "   delta latency     : p50 {:.1}µs   p99 {:.1}µs   ({} samples)",
-            pct(0.50),
-            pct(0.99),
-            latencies.len()
-        );
-        println!(
-            "   pushes applied: {pushes}   resyncs: {}   verification: {}",
-            stats.get("resyncs").map(String::as_str).unwrap_or("0"),
-            if all_ok { "oracle-identical" } else { "FAILED" }
-        );
-    }
-    if !all_ok {
-        std::process::exit(1);
-    }
-}
-
-/// Default chaos schedule: every other subscriber session (1-based; the
-/// control connection is session 0) gets a fault, cycling through the
-/// kill/corrupt kinds — ≥50% of the fleet is hit.
-fn default_fault_dsl(clients: usize) -> String {
-    let kinds = [
-        "reset@10",
-        "garble@8",
-        "truncate@14",
-        "stall-write@9+25:10",
-        "partial@6+30",
-    ];
-    let mut parts = Vec::new();
-    for (n, sid) in (1..=clients).step_by(2).enumerate() {
-        parts.push(format!("{sid}={}", kinds[n % kinds.len()]));
-    }
-    parts.join("|")
-}
-
-fn chaos(args: &Args) {
-    let scfg = server_config(args);
-    let dsl = args
-        .fault
-        .clone()
-        .unwrap_or_else(|| default_fault_dsl(args.clients));
-    let faulted = dsl
-        .split('|')
-        .filter(|p| !p.trim_start().starts_with('*'))
-        .count();
-    let schedule = FaultSchedule::parse(&dsl, args.seed).expect("fault schedule DSL");
-    let service = Service::bind(
-        "127.0.0.1:0",
-        ServiceConfig::new(scfg)
-            .with_push_queue(args.push_queue)
-            .with_faults(schedule),
-    )
-    .expect("bind chaos loopback");
-    let addr = service.local_addr();
-
-    let mut oracle = MonitorServer::new(scfg).expect("oracle");
-
-    // Control dials first (session 0 — never faulted by the default plan)
-    // and registers every query, keeping wire ids positional with the
-    // oracle's.
-    let mut control = ServiceClient::connect(addr).expect("control connect");
-    let mut query_ids = Vec::new();
-    for c in 0..args.clients {
-        let weights: Vec<f64> = (0..args.dims)
-            .map(|d| 0.25 + ((c + d * 3) % 7) as f64 / 4.0)
-            .collect();
-        let id = control.register_linear(args.k, &weights).expect("register");
-        let f = tkm_common::ScoreFn::linear(weights).unwrap();
-        oracle
-            .register(Query::top_k(f, args.k).unwrap())
-            .expect("oracle register");
-        query_ids.push(id);
-    }
-
-    // Subscribers connect *serially* so session ids — and therefore which
-    // connection each fault plan hits — are deterministic: sessions 1..=N.
-    // Reconnected sessions get fresh ids outside the plan and run clean.
-    let mut clients = Vec::new();
-    for (i, q) in query_ids.iter().enumerate() {
-        let policy = ReconnectPolicy {
-            base: std::time::Duration::from_millis(5),
-            max: std::time::Duration::from_millis(100),
-            retries: 40,
-            seed: args.seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            ..ReconnectPolicy::default()
-        };
-        let mut client = ServiceClient::connect(addr)
-            .expect("subscriber connect")
-            .with_reconnect(policy);
-        let baseline = client.subscribe(*q).expect("subscribe");
-        clients.push((client, *q, baseline));
-    }
-
-    let data_ticks = args.ticks;
-    let subs: Vec<_> = clients
-        .into_iter()
-        .enumerate()
-        .map(|(i, (mut client, q, baseline))| {
-            let hit = i % 2 == 0; // sessions 1,3,5,.. carry the default plan
-            std::thread::spawn(move || {
-                let mut mirror: BTreeMap<_, _> = [(q, baseline)].into_iter().collect();
-                let mut pushes = 0usize;
-                // Ride out the stream (auto-resuming on faults) until a
-                // push timestamped after the sentinel tick arrives —
-                // either the sentinel delta itself or a post-sentinel
-                // re-baseline snapshot.
-                loop {
-                    let push = client.next_push().expect("push stream");
-                    apply_push(&mut mirror, &push);
-                    pushes += 1;
-                    let at = match &push {
-                        Push::Delta { at, .. } | Push::Snapshot { at, .. } => at.0 as usize,
-                        _ => 0,
-                    };
-                    if at > data_ticks {
-                        break;
-                    }
-                }
-                // A garbled byte can corrupt a score digit into a line
-                // that still parses; the protocol's recovery story is an
-                // explicit re-baseline, so every faulted subscriber ends
-                // with one.
-                if hit {
-                    client.resume().expect("post-soak re-baseline");
-                    loop {
-                        match client.next_push().expect("re-baseline push") {
-                            p @ Push::Snapshot { .. } => {
-                                apply_push(&mut mirror, &p);
-                                break;
-                            }
-                            p => {
-                                apply_push(&mut mirror, &p);
-                            }
-                        }
-                    }
-                }
-                (
-                    client.reconnects(),
-                    pushes,
-                    mirror.remove(&q).unwrap_or_default(),
-                )
-            })
-        })
-        .collect();
-
-    // Ingest (session N+1 — outside the default plan) streams the soak,
-    // then a sentinel cycle of max-score tuples so every query's result
-    // changes on the final tick.
-    let mut ingest = ServiceClient::connect(addr).expect("ingest connect");
-    let mut gen = PointGen::new(args.dims, DataDist::Ind, args.seed ^ 42).expect("gen");
-    let mut batches: Vec<Vec<f64>> = Vec::with_capacity(data_ticks + 1);
-    for _ in 0..data_ticks {
-        let mut batch = Vec::with_capacity(args.rate * args.dims);
-        for _ in 0..args.rate {
-            batch.extend(gen.point());
-        }
-        batches.push(batch);
-    }
-    batches.push(vec![1.0; args.k * args.dims]); // sentinel
-    let started = Instant::now();
-    for batch in &batches {
-        ingest.tick(batch).expect("tick");
-        oracle.tick(batch).expect("oracle tick");
-    }
-    let soak_elapsed = started.elapsed();
-
-    let mut reconnects = 0u64;
-    let mut pushes = 0usize;
-    let mut all_ok = true;
-    for (c, handle) in subs.into_iter().enumerate() {
-        let (reconn, applied, mirror) = handle.join().expect("subscriber thread");
-        reconnects += reconn;
-        pushes += applied;
-        let expected = oracle.result(query_ids[c]).expect("oracle result");
-        if mirror != expected {
-            eprintln!("subscriber {c}: reconstruction != in-process oracle after chaos");
-            all_ok = false;
-        }
-    }
-
-    // Server-side truth must match the oracle too.
-    for (c, q) in query_ids.iter().enumerate() {
-        let (_, wire) = control.snapshot(*q).expect("verify snapshot");
-        let expected = oracle.result(*q).expect("oracle result");
-        if wire != expected {
-            eprintln!("query {c}: server snapshot != in-process oracle after chaos");
-            all_ok = false;
-        }
-    }
-
-    let stats = control.stats().expect("stats");
-    let stat = |k: &str| stats.get(k).map(String::as_str).unwrap_or("0").to_string();
-    let injected: u64 = stat("faults").parse().unwrap_or(0);
-    if injected == 0 {
-        eprintln!("chaos plan never fired (faults=0)");
-        all_ok = false;
-    }
-    if faulted > 0 && reconnects == 0 {
-        eprintln!("no subscriber ever reconnected under {faulted} faulted sessions");
-        all_ok = false;
-    }
-    let _ = ingest.quit();
-    let _ = control.quit();
-    service.shutdown();
-
-    if args.json {
-        println!(
-            "{{\"mode\":\"chaos\",\"engine\":\"{}\",\"dims\":{},\"window\":{},\"clients\":{},\
-             \"faulted\":{},\"seed\":{},\"ticks\":{},\"pushes\":{},\"reconnects\":{},\
-             \"resyncs\":{},\"reaped\":{},\"shed\":{},\"faults\":{},\"ok\":{}}}",
-            stat("engine"),
-            args.dims,
-            args.window,
-            args.clients,
-            faulted,
-            args.seed,
-            data_ticks + 1,
-            pushes,
-            reconnects,
-            stat("resyncs"),
-            stat("reaped"),
-            stat("shed"),
-            injected,
-            all_ok
-        );
-    } else {
-        println!("== serve chaos soak ==");
-        println!(
-            "   {} clients ({faulted} faulted) × top-{} over {} engine, window {} (d={})",
-            args.clients,
-            args.k,
-            stat("engine"),
-            args.window,
-            args.dims
-        );
-        println!("   plan: {dsl}  (seed {})", args.seed);
-        println!(
-            "   {} ticks in {:.3}s — {pushes} pushes applied, {reconnects} reconnects, \
-             {} resyncs, {injected} faults injected",
-            data_ticks + 1,
-            soak_elapsed.as_secs_f64(),
-            stat("resyncs"),
-        );
-        println!(
-            "   verification: {}",
-            if all_ok { "oracle-identical" } else { "FAILED" }
-        );
-    }
-    if !all_ok {
-        std::process::exit(1);
-    }
-}
-
 /// Subscriber-count tiers of the full `--fanout` sweep.
 const FANOUT_TIERS: [usize; 3] = [1_000, 5_000, 10_000];
 /// Distinct queries backing the fleet; subscriber `i` follows query
 /// `i % FANOUT_QUERIES`, so the encode-once path amortizes each tick's
 /// `FANOUT_QUERIES` encodes over the whole fleet.
 const FANOUT_QUERIES: usize = 64;
-/// Minimum acceptable fan-out rate (push lines delivered per second) at
-/// the gated tier.
-const FANOUT_RATE_FLOOR: f64 = 10_000.0;
-/// A committed fan-out rate may erode by at most this factor.
-const FANOUT_RATE_REGRESSION: f64 = 2.0;
-/// Push-completion p99 may regress by at most this factor …
-const FANOUT_P99_REGRESSION: f64 = 4.0;
-/// … and only counts as a regression above this absolute floor
-/// (scheduler jitter on a loopback fleet is large in relative terms).
-const FANOUT_P99_FLOOR_US: f64 = 50_000.0;
 
 fn engine_name(e: EngineKind) -> &'static str {
     match e {
@@ -693,6 +189,14 @@ fn engine_name(e: EngineKind) -> &'static str {
         EngineKind::Sma => "SMA",
         EngineKind::Tsl => "TSL",
         EngineKind::Oracle => "ORACLE",
+    }
+}
+
+/// The `p`-quantile of ascending `sorted` (0 when empty).
+fn percentile(sorted: &[f64], p: f64) -> f64 {
+    match sorted.len() {
+        0 => 0.0,
+        n => sorted[((n as f64 - 1.0) * p).round() as usize],
     }
 }
 
@@ -881,78 +385,17 @@ fn fanout_client(args: &Args) {
     let _ = control.quit();
 
     latencies.sort_by(|a, b| a.total_cmp(b));
-    let pct = |p: f64| -> f64 {
-        if latencies.is_empty() {
-            return 0.0;
-        }
-        let idx = ((latencies.len() as f64 - 1.0) * p).round() as usize;
-        latencies[idx]
-    };
     let per_s = pushes as f64 / elapsed.as_secs_f64();
     println!(
         "{{\"subs\":{n},\"queries\":{nq},\"ticks\":{ticks},\"pushes\":{pushes},\
          \"pushes_per_s\":{per_s:.0},\"push_p50_us\":{:.1},\"push_p99_us\":{:.1},\
          \"resyncs\":{resyncs},\"encodes\":{encodes},\"deltas\":{deltas},\"ok\":{ok}}}",
-        pct(0.50),
-        pct(0.99),
+        percentile(&latencies, 0.50),
+        percentile(&latencies, 0.99),
     );
     if !ok {
         std::process::exit(1);
     }
-}
-
-/// Scans the committed fan-out baseline for the matching subscriber
-/// tier's `key` — tier objects are flat, so anchoring on `"subs":N` and
-/// scanning forward stays inside that tier.
-fn json_tier_num(text: &str, subs: usize, key: &str) -> Option<f64> {
-    let anchor = format!("\"subs\":{subs},");
-    let start = text.find(&anchor)?;
-    json_num(&text[start..], key)
-}
-
-/// Compares the gated (largest) tier of this fan-out run against the
-/// same tier of the committed baseline: the push rate must clear
-/// [`FANOUT_RATE_FLOOR`] and not erode more than
-/// [`FANOUT_RATE_REGRESSION`] below the committed value, and the push
-/// completion p99 must stay within [`FANOUT_P99_REGRESSION`] of it
-/// (above the absolute jitter floor).
-///
-/// `Err` is structural (unreadable baseline, missing tier) and always
-/// fails the run; the returned list holds wall-clock *perf* findings,
-/// whose severity the caller decides (hard on the full sweep, warn-only
-/// in `--smoke` where shared-runner CPU variance would make them flaky).
-fn check_fanout_baseline(
-    path: &str,
-    subs: usize,
-    per_s: f64,
-    p99_us: f64,
-) -> Result<Vec<String>, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("check-baseline: cannot read {path}: {e}"))?;
-    let base_rate = json_tier_num(&text, subs, "pushes_per_s")
-        .ok_or_else(|| format!("check-baseline: {path} has no {subs}-subscriber tier"))?;
-    let base_p99 = json_tier_num(&text, subs, "push_p99_us")
-        .ok_or_else(|| format!("check-baseline: {path} tier {subs} has no push_p99_us"))?;
-    let mut findings = Vec::new();
-    if per_s < FANOUT_RATE_FLOOR {
-        findings.push(format!(
-            "check-baseline: fan-out rate {per_s:.0}/s is below the \
-             {FANOUT_RATE_FLOOR:.0}/s floor"
-        ));
-    }
-    if per_s * FANOUT_RATE_REGRESSION < base_rate {
-        findings.push(format!(
-            "check-baseline: fan-out rate regressed >{FANOUT_RATE_REGRESSION}x: \
-             {per_s:.0}/s now vs {base_rate:.0}/s in {path}"
-        ));
-    }
-    if p99_us > base_p99 * FANOUT_P99_REGRESSION && p99_us > FANOUT_P99_FLOOR_US {
-        findings.push(format!(
-            "check-baseline: push p99 regressed >{FANOUT_P99_REGRESSION}x: \
-             {p99_us:.0}µs now vs {base_p99:.0}µs in {path}"
-        ));
-    }
-    Ok(findings)
 }
 
 /// The `--fanout` parent: per tier, binds a fresh server and re-executes
@@ -964,8 +407,6 @@ fn check_fanout_baseline(
 fn fanout(args: &Args) {
     let tiers: Vec<usize> = if args.subs > 0 {
         vec![args.subs]
-    } else if args.smoke {
-        vec![FANOUT_TIERS[0]]
     } else {
         FANOUT_TIERS.to_vec()
     };
@@ -1010,29 +451,17 @@ fn fanout(args: &Args) {
     }
     let elapsed = started.elapsed();
 
-    // The sweep is ascending, so the last tier is the gated one.
-    let max_subs = tiers.last().copied().unwrap_or(0);
-    let last = tier_json.last().cloned().unwrap_or_default();
-    let per_s = json_num(&last, "pushes_per_s").unwrap_or(0.0);
-    let p50 = json_num(&last, "push_p50_us").unwrap_or(0.0);
-    let p99 = json_num(&last, "push_p99_us").unwrap_or(0.0);
-
     if args.json {
         println!(
-            "{{\"mode\":\"{}\",\"engine\":\"{}\",\"dims\":{},\"ticks\":{},\
-             \"tiers\":[{}],\"max_subs\":{max_subs},\"fanout_per_s\":{per_s:.0},\
-             \"fanout_p50_us\":{p50:.1},\"fanout_p99_us\":{p99:.1},\"ok\":{all_ok}}}",
-            if args.smoke { "fanout-smoke" } else { "fanout" },
+            "{{\"mode\":\"fanout\",\"engine\":\"{}\",\"dims\":{},\"ticks\":{},\
+             \"tiers\":[{}],\"ok\":{all_ok}}}",
             engine_name(args.engine),
             args.dims,
             args.ticks,
             tier_json.join(","),
         );
     } else {
-        println!(
-            "== serve fan-out ({}) ==",
-            if args.smoke { "smoke" } else { "sweep" }
-        );
+        println!("== serve fan-out ==");
         println!(
             "   {} tier(s) × {} ticks over {} engine (d={}), {:.3}s wall time",
             tiers.len(),
@@ -1064,71 +493,13 @@ fn fanout(args: &Args) {
             }
         );
     }
-
-    if let Some(path) = &args.baseline {
-        match check_fanout_baseline(path, max_subs, per_s, p99) {
-            Ok(findings) if findings.is_empty() => println!(
-                "baseline check ok ({per_s:.0} pushes/s ≥ {FANOUT_RATE_FLOOR:.0}/s, within \
-                 {FANOUT_RATE_REGRESSION}x of {path} at {max_subs} subs)"
-            ),
-            Ok(findings) => {
-                // Wall-clock drift: flaky on shared CI runners, so the
-                // smoke tier only warns; the full sweep (dedicated
-                // hardware) still gates hard. The functional verdicts
-                // (missed delivery, encode-once) stay hard either way.
-                for msg in &findings {
-                    if args.smoke {
-                        eprintln!("warning ({msg}) — perf comparison is warn-only in --smoke");
-                    } else {
-                        eprintln!("{msg}");
-                    }
-                }
-                if !args.smoke {
-                    all_ok = false;
-                }
-            }
-            Err(msg) => {
-                eprintln!("{msg}");
-                all_ok = false;
-            }
-        }
-    }
     if !all_ok {
         std::process::exit(1);
     }
 }
 
-/// One site of the mesh: its service plus the driver connection that
-/// feeds it shard batches.
-struct SiteHandle {
-    svc: Service,
-    driver: ServiceClient,
-}
-
-fn bind_site_handle(scfg: ServerConfig, site: u64, coord: &str) -> SiteHandle {
-    let svc = Service::bind(
-        "127.0.0.1:0",
-        ServiceConfig::new(scfg).with_role(Role::Site(SiteRole::new(site, coord.to_string()))),
-    )
-    .expect("bind site");
-    let driver = ServiceClient::connect(svc.local_addr()).expect("site driver connect");
-    SiteHandle { svc, driver }
-}
-
-/// Minimum acceptable uplink byte reduction vs forwarding the raw stream:
-/// the distributed tier only earns its keep when candidate shipping is at
-/// least this much cheaper.
-const DISTRIB_RATIO_FLOOR: f64 = 5.0;
-/// A committed byte ratio may erode by at most this factor.
-const DISTRIB_RATIO_REGRESSION: f64 = 1.5;
-/// Merge p99 may regress by at most this factor …
-const DISTRIB_P99_REGRESSION: f64 = 4.0;
-/// … and only counts as a regression above this absolute floor, which
-/// keeps scheduler jitter on loopback sockets from tripping CI.
-const DISTRIB_P99_FLOOR_US: f64 = 10_000.0;
-
 /// Scans `"key": <number>` (with or without the space) out of a flat JSON
-/// object — the committed baselines are written by this binary, so the
+/// object — the fan-out child's report is written by this binary, so the
 /// shape is known and a parser dependency stays unnecessary.
 fn json_num(text: &str, key: &str) -> Option<f64> {
     let pat = format!("\"{key}\":");
@@ -1140,44 +511,10 @@ fn json_num(text: &str, key: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
-/// Compares this multi-site run against the committed baseline: the byte
-/// ratio must clear [`DISTRIB_RATIO_FLOOR`], not erode more than
-/// [`DISTRIB_RATIO_REGRESSION`] below the committed value, and the merge
-/// p99 must stay within [`DISTRIB_P99_REGRESSION`] of it (above the
-/// absolute jitter floor).
-fn check_distrib_baseline(path: &str, ratio: f64, p99_us: f64) -> Result<(), String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("check-baseline: cannot read {path}: {e}"))?;
-    let base_ratio = json_num(&text, "bytes_ratio")
-        .ok_or_else(|| format!("check-baseline: {path} has no bytes_ratio"))?;
-    let base_p99 = json_num(&text, "merge_p99_us")
-        .ok_or_else(|| format!("check-baseline: {path} has no merge_p99_us"))?;
-    if ratio < DISTRIB_RATIO_FLOOR {
-        return Err(format!(
-            "check-baseline: uplink byte reduction {ratio:.1}x is below the \
-             {DISTRIB_RATIO_FLOOR}x floor"
-        ));
-    }
-    if ratio * DISTRIB_RATIO_REGRESSION < base_ratio {
-        return Err(format!(
-            "check-baseline: byte ratio regressed >{DISTRIB_RATIO_REGRESSION}x: \
-             {ratio:.1}x now vs {base_ratio:.1}x in {path}"
-        ));
-    }
-    if p99_us > base_p99 * DISTRIB_P99_REGRESSION && p99_us > DISTRIB_P99_FLOOR_US {
-        return Err(format!(
-            "check-baseline: merge p99 regressed >{DISTRIB_P99_REGRESSION}x: \
-             {p99_us:.0}µs now vs {base_p99:.0}µs in {path}"
-        ));
-    }
-    Ok(())
-}
-
 /// The multi-site harness: `--sites N` site services shard the stream,
 /// ship candidate deltas to one coordinator, and the merged global top-k
 /// is verified bit-exact against a single-node oracle fed the full
-/// stream in-process. With `--chaos`, one seeded site is killed and later
-/// restarted mid-soak.
+/// stream in-process.
 fn distrib(args: &Args) {
     // A time window distributes cleanly (each site expires its own shard
     // by timestamp); a quarter of the run keeps expiry churn in frame.
@@ -1223,20 +560,10 @@ fn distrib(args: &Args) {
         }
         let mut latencies = Vec::new();
         let mut pushes = 0usize;
-        let mut degraded = 0usize;
-        let mut healed = 0usize;
         loop {
             let push = client.next_push().expect("push stream");
             let received = Instant::now();
             pushes += 1;
-            if let Push::Degraded { sites, .. } = &push {
-                if sites.is_empty() {
-                    healed += 1;
-                } else {
-                    degraded += 1;
-                }
-                continue;
-            }
             let at = match &push {
                 Push::Delta { at, .. } | Push::Snapshot { at, .. } => Some(at.0),
                 _ => None,
@@ -1267,51 +594,37 @@ fn distrib(args: &Args) {
             }
         }
         let _ = client.quit();
-        (latencies, pushes, degraded, healed, ok)
+        (latencies, pushes, ok)
     });
 
-    let mut sites: Vec<Option<SiteHandle>> = (0..args.sites)
-        .map(|s| Some(bind_site_handle(scfg, s as u64, &coord_addr)))
+    // Each site: its service plus the driver connection that feeds it
+    // shard batches.
+    let mut sites: Vec<(Service, ServiceClient)> = (0..args.sites as u64)
+        .map(|s| {
+            let role = Role::Site(SiteRole::new(s, coord_addr.clone()));
+            let svc = Service::bind("127.0.0.1:0", ServiceConfig::new(scfg).with_role(role))
+                .expect("bind site");
+            let driver = ServiceClient::connect(svc.local_addr()).expect("site driver connect");
+            (svc, driver)
+        })
         .collect();
-    let victim = args.chaos.then(|| (args.seed as usize) % args.sites);
-    let t_kill = args.ticks / 3;
-    let t_heal = 2 * args.ticks / 3;
 
     let mut gen = PointGen::new(args.dims, DataDist::Ind, args.seed ^ 7).expect("gen");
     let mut base = 0u64;
-    let mut degraded_observed = false;
-    let mut snapshots_served = 0usize;
     let soak_start = Instant::now();
     for t in 1..=args.ticks {
-        if let Some(v) = victim {
-            if t == t_kill {
-                if let Some(h) = sites[v].take() {
-                    drop(h.driver);
-                    h.svc.shutdown();
-                }
-            }
-            if t == t_heal && sites[v].is_none() {
-                sites[v] = Some(bind_site_handle(scfg, v as u64, &coord_addr));
-            }
-        }
-        // Shard the round contiguously so global ids stay dense in
-        // arrival order; a dead site's share is simply lost (neither the
-        // mesh nor the oracle sees it).
-        let per = args.rate / args.sites;
+        // Shard the round contiguously (the remainder to the last site)
+        // so global ids stay dense in arrival order.
+        let (per, rest) = (args.rate / args.sites, args.rate % args.sites);
         send_instants.lock().unwrap().push(Instant::now());
         let mut full = Vec::with_capacity(args.rate * args.dims);
-        for s in 0..args.sites {
-            let n = if s + 1 == args.sites {
-                args.rate - per * (args.sites - 1)
-            } else {
-                per
-            };
+        for (s, (_, driver)) in sites.iter_mut().enumerate() {
+            let n = per + if s + 1 == args.sites { rest } else { 0 };
             let mut chunk = Vec::with_capacity(n * args.dims);
             for _ in 0..n {
                 chunk.extend(gen.point());
             }
-            let Some(h) = sites[s].as_mut() else { continue };
-            h.driver
+            driver
                 .site_ingest(tkm_common::Timestamp(t as u64), base, &chunk)
                 .expect("site ingest");
             base += n as u64;
@@ -1320,18 +633,6 @@ fn distrib(args: &Args) {
         oracle
             .tick_at(tkm_common::Timestamp(t as u64), &full)
             .expect("oracle tick");
-        if args.chaos {
-            // Graceful degradation, not an outage: the coordinator must
-            // answer every round of the soak.
-            control
-                .snapshot(query_ids[0])
-                .expect("snapshot during soak");
-            snapshots_served += 1;
-            if !degraded_observed {
-                let stats = control.stats().expect("stats");
-                degraded_observed = stats.get("degraded_sites").is_some_and(|v| !v.is_empty());
-            }
-        }
     }
     let soak_elapsed = soak_start.elapsed();
 
@@ -1340,22 +641,19 @@ fn distrib(args: &Args) {
     // rest so the frontier advances and the merge publishes.
     let sentinel_t = args.ticks as u64 + 1;
     let sentinel = vec![1.0; args.k * args.dims];
-    for (s, slot) in sites.iter_mut().enumerate() {
-        let Some(h) = slot.as_mut() else { continue };
+    for (s, (_, driver)) in sites.iter_mut().enumerate() {
         let chunk: &[f64] = if s == 0 { &sentinel } else { &[] };
-        h.driver
+        driver
             .site_ingest(tkm_common::Timestamp(sentinel_t), base, chunk)
             .expect("sentinel ingest");
     }
-    base += args.k as u64;
-    let _ = base;
     oracle
         .tick_at(tkm_common::Timestamp(sentinel_t), &sentinel)
         .expect("oracle sentinel");
 
     // Convergence: poll the coordinator against the oracle, driving
-    // empty catch-up cycles (lockstep on both sides) so re-dialed
-    // uplinks re-enroll and in-flight markers land.
+    // empty catch-up cycles (lockstep on both sides) so in-flight
+    // markers land.
     let deadline = Instant::now() + std::time::Duration::from_secs(60);
     let mut settle_t = sentinel_t;
     let mut converged = false;
@@ -1368,10 +666,8 @@ fn distrib(args: &Args) {
             break;
         }
         settle_t += 1;
-        for h in sites.iter_mut().flatten() {
-            let _ = h
-                .driver
-                .site_ingest(tkm_common::Timestamp(settle_t), 0, &[]);
+        for (_, driver) in &mut sites {
+            let _ = driver.site_ingest(tkm_common::Timestamp(settle_t), 0, &[]);
         }
         oracle
             .tick_at(tkm_common::Timestamp(settle_t), &[])
@@ -1379,22 +675,13 @@ fn distrib(args: &Args) {
         std::thread::sleep(std::time::Duration::from_millis(10));
     }
 
-    let (latencies, pushes, degraded_pushes, healed_pushes, sub_ok) =
-        sub.join().expect("subscriber thread");
-    let mut latencies = latencies;
+    let (mut latencies, pushes, sub_ok) = sub.join().expect("subscriber thread");
     latencies.sort_by(|a, b| a.total_cmp(b));
-    let pct = |p: f64| -> f64 {
-        if latencies.is_empty() {
-            return 0.0;
-        }
-        let idx = ((latencies.len() as f64 - 1.0) * p).round() as usize;
-        latencies[idx]
-    };
 
     let mut bytes_shipped = 0u64;
     let mut bytes_naive = 0u64;
-    for h in sites.iter_mut().flatten() {
-        let stats = h.driver.stats().expect("site stats");
+    for (_, driver) in &mut sites {
+        let stats = driver.stats().expect("site stats");
         let num = |k: &str| {
             stats
                 .get(k)
@@ -1405,53 +692,26 @@ fn distrib(args: &Args) {
         bytes_naive += num("bytes_naive");
     }
     let ratio = bytes_naive as f64 / bytes_shipped.max(1) as f64;
-    let coord_stats = control.stats().expect("coordinator stats");
-    let healed_now = coord_stats
-        .get("degraded_sites")
-        .is_some_and(String::is_empty);
 
-    let mut all_ok = sub_ok && converged;
+    let all_ok = sub_ok && converged;
     if !converged {
         eprintln!("mesh never converged with the single-node oracle");
     }
-    if args.chaos {
-        if !degraded_observed || degraded_pushes == 0 {
-            eprintln!("site kill was never surfaced as DEGRADED");
-            all_ok = false;
-        }
-        if !healed_now || healed_pushes == 0 {
-            eprintln!("restarted site never healed the DEGRADED flag");
-            all_ok = false;
-        }
-        if snapshots_served != args.ticks {
-            eprintln!(
-                "coordinator missed soak snapshots: {snapshots_served}/{}",
-                args.ticks
-            );
-            all_ok = false;
-        }
-    }
 
     let _ = control.quit();
-    for h in sites.into_iter().flatten() {
-        let _ = h.driver.quit();
-        h.svc.shutdown();
+    for (svc, driver) in sites {
+        let _ = driver.quit();
+        svc.shutdown();
     }
     coordinator.shutdown();
 
-    let mode = match (args.chaos, args.smoke) {
-        (true, _) => "distrib-chaos",
-        (false, true) => "distrib-smoke",
-        (false, false) => "distrib",
-    };
     if args.json {
         println!(
-            "{{\"mode\":\"{mode}\",\"sites\":{},\"dims\":{},\"window_ticks\":{},\
+            "{{\"mode\":\"distrib\",\"sites\":{},\"dims\":{},\"window_ticks\":{},\
              \"clients\":{},\"ticks\":{},\"rate\":{},\"k\":{},\"seed\":{},\
              \"bytes_shipped\":{bytes_shipped},\"bytes_naive\":{bytes_naive},\
              \"bytes_ratio\":{ratio:.2},\"merge_p50_us\":{:.1},\"merge_p99_us\":{:.1},\
-             \"pushes\":{pushes},\"degraded_pushes\":{degraded_pushes},\
-             \"healed_pushes\":{healed_pushes},\"ok\":{all_ok}}}",
+             \"pushes\":{pushes},\"ok\":{all_ok}}}",
             args.sites,
             args.dims,
             window_ticks,
@@ -1460,11 +720,11 @@ fn distrib(args: &Args) {
             args.rate,
             args.k,
             args.seed,
-            pct(0.50),
-            pct(0.99),
+            percentile(&latencies, 0.50),
+            percentile(&latencies, 0.99),
         );
     } else {
-        println!("== serve multi-site ({mode}) ==");
+        println!("== serve multi-site ==");
         println!(
             "   {} sites → 1 coordinator, {} queries × top-{} (d={}), window {} ticks",
             args.sites, args.clients, args.k, args.dims, window_ticks
@@ -1481,42 +741,78 @@ fn distrib(args: &Args) {
         );
         println!(
             "   merge latency     : p50 {:.1}µs   p99 {:.1}µs   ({} samples)",
-            pct(0.50),
-            pct(0.99),
+            percentile(&latencies, 0.50),
+            percentile(&latencies, 0.99),
             latencies.len()
         );
-        if args.chaos {
-            println!(
-                "   chaos: site {} killed @t{t_kill}, restarted @t{t_heal} — \
-                 {degraded_pushes} DEGRADED / {healed_pushes} heal pushes, \
-                 {snapshots_served}/{} soak snapshots answered",
-                victim.unwrap_or(0),
-                args.ticks
-            );
-        }
         println!(
             "   verification: {}",
             if all_ok { "oracle-identical" } else { "FAILED" }
         );
     }
-
-    if let Some(path) = &args.baseline {
-        if args.chaos {
-            println!("baseline check skipped (chaos mode measures robustness, not bytes)");
-        } else {
-            match check_distrib_baseline(path, ratio, pct(0.99)) {
-                Ok(()) => println!(
-                    "baseline check ok ({ratio:.1}x ≥ {DISTRIB_RATIO_FLOOR}x, within \
-                     {DISTRIB_RATIO_REGRESSION}x of {path})"
-                ),
-                Err(msg) => {
-                    eprintln!("{msg}");
-                    all_ok = false;
-                }
-            }
-        }
-    }
     if !all_ok {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse_args(&argv)
+    }
+
+    #[test]
+    fn absent_flags_take_the_mode_defaults() {
+        let a = parse("").unwrap();
+        assert_eq!(a.addr, "127.0.0.1:7171");
+        assert_eq!((a.dims, a.window, a.tick_ms), (2, 10_000, 100));
+        assert_eq!((a.engine, a.push_queue), (EngineKind::Sma, 1024));
+        assert!(!a.fanout && !a.fanout_client && !a.json && a.sites == 0);
+        let a = parse("--fanout --json").unwrap();
+        assert!(a.fanout && a.json);
+        assert_eq!((a.ticks, a.window, a.subs), (12, 2_000, 0));
+        let a = parse("--sites 3").unwrap();
+        assert_eq!((a.sites, a.clients, a.ticks), (3, 8, 150));
+        assert_eq!((a.rate, a.k, a.seed), (600, 8, 0xC4A05));
+    }
+
+    #[test]
+    fn accepted_values_are_read() {
+        let a = parse(
+            "--fanout-client --addr 0.0.0.0:9 --dims 3 --window 500 --tick-ms 5 --push-queue 16 \
+             --clients 2 --ticks 7 --rate 30 --k 4 --subs 100 --sites 2 --seed 9",
+        )
+        .unwrap();
+        assert!(a.fanout_client && a.addr == "0.0.0.0:9");
+        assert_eq!((a.dims, a.window, a.tick_ms), (3, 500, 5));
+        assert_eq!((a.push_queue, a.clients, a.ticks), (16, 2, 7));
+        assert_eq!((a.rate, a.k, a.subs), (30, 4, 100));
+        assert_eq!((a.sites, a.seed), (2, 9));
+        for name in ["tma", "sma", "tsl", "oracle"] {
+            let a = parse(&format!("--engine {name}")).unwrap();
+            assert_eq!(engine_name(a.engine).to_lowercase(), name);
+        }
+    }
+
+    #[test]
+    fn bad_values_missing_values_and_unknown_flags_are_usage_errors() {
+        let err = |line: &str| parse(line).unwrap_err();
+        assert_eq!(
+            err("--engine tls"),
+            "--engine: invalid value `tls` (accepted: tma|sma|tsl|oracle)"
+        );
+        assert!(err("--window 10k").starts_with("--window: invalid value `10k`"));
+        assert!(err("--sites -1").starts_with("--sites: invalid value `-1`"));
+        assert!(err("--json --ticks").starts_with("--ticks: missing value"));
+        assert!(err("--engine").starts_with("--engine: missing value"));
+        assert!(err("--addr").starts_with("--addr: missing value"));
+        // A removed mode's flag must not fall through to serving forever.
+        for flag in "--smoke --bench --chaos --fault".split(' ') {
+            let unknown = format!("{flag}: unknown flag");
+            assert!(err(&format!("--fanout {flag}")).starts_with(&unknown));
+        }
     }
 }

@@ -5,14 +5,12 @@
 //! Each figure/table has a dedicated binary in `src/bin/`; they share the
 //! machinery here: experiment configuration ([`params::ExpParams`]), the
 //! engine runner ([`harness`]) that warms a window, replays a measured
-//! stream and reports CPU time / space / structural statistics, the
-//! plain-text table printer ([`table`]), and the replicated sharding
-//! baseline the `scaleout` experiment measures against ([`replicated`]).
+//! stream and reports CPU time / space / structural statistics, and the
+//! plain-text table printer ([`table`]).
 
 pub mod cli;
 pub mod harness;
 pub mod params;
-pub mod replicated;
 pub mod table;
 
 pub use harness::{run_engine, EngineSel, RunMeasurement};

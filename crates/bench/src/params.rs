@@ -5,6 +5,7 @@
 //! *relative* comparison intact while finishing quickly. Every experiment
 //! binary accepts `--scale quick|default|paper`.
 
+use crate::cli;
 use tkm_datagen::{DataDist, FnFamily};
 
 /// Parameter-scale preset.
@@ -29,15 +30,25 @@ impl Scale {
         }
     }
 
-    /// Reads the scale from CLI args (`--scale X`), defaulting to
-    /// [`Scale::Default`].
+    /// Reads `--scale X` from a figure binary's arguments (program name
+    /// excluded): [`Scale::Default`] when the flag is absent, an error
+    /// line for an unknown flag, a missing value or an unknown preset.
+    pub fn from_arg_list(args: &[String]) -> Result<Scale, String> {
+        cli::check_flags(args, "--scale --csv")?;
+        cli::parse_flag(
+            args,
+            "--scale",
+            Scale::Default,
+            "quick|default|paper",
+            Scale::parse,
+        )
+    }
+
+    /// [`Scale::from_arg_list`] over the process arguments; a usage error
+    /// ends the process with exit code 2.
     pub fn from_args() -> Scale {
-        let args: Vec<String> = std::env::args().collect();
-        args.iter()
-            .position(|a| a == "--scale")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| Scale::parse(v))
-            .unwrap_or(Scale::Default)
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        cli::or_usage_exit(Scale::from_arg_list(&args))
     }
 }
 
@@ -150,12 +161,33 @@ impl ExpParams {
 mod tests {
     use super::*;
 
+    fn scale_of(words: &[&str]) -> Result<Scale, String> {
+        let args: Vec<String> = words.iter().map(|w| w.to_string()).collect();
+        Scale::from_arg_list(&args)
+    }
+
     #[test]
     fn scale_parsing() {
-        assert_eq!(Scale::parse("paper"), Some(Scale::Paper));
-        assert_eq!(Scale::parse("quick"), Some(Scale::Quick));
-        assert_eq!(Scale::parse("default"), Some(Scale::Default));
-        assert_eq!(Scale::parse("huge"), None);
+        assert_eq!(scale_of(&["--scale", "paper"]), Ok(Scale::Paper));
+        assert_eq!(scale_of(&["--csv", "--scale", "quick"]), Ok(Scale::Quick));
+        assert_eq!(scale_of(&["--scale", "default"]), Ok(Scale::Default));
+        assert_eq!(scale_of(&[]), Ok(Scale::Default));
+        assert_eq!(scale_of(&["--csv"]), Ok(Scale::Default));
+    }
+
+    #[test]
+    fn mistyped_scale_is_an_error_not_the_default() {
+        assert_eq!(
+            scale_of(&["--scale", "papr"]).unwrap_err(),
+            "--scale: invalid value `papr` (accepted: quick|default|paper)"
+        );
+        assert_eq!(
+            scale_of(&["--scale"]).unwrap_err(),
+            "--scale: missing value (accepted: quick|default|paper)"
+        );
+        assert!(scale_of(&["--smoke"])
+            .unwrap_err()
+            .starts_with("--smoke: unknown flag"));
     }
 
     #[test]

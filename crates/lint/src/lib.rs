@@ -4,7 +4,7 @@
 //! `tkm_lint` — workspace-aware static analysis for the top-k monitor.
 //!
 //! The paper's per-cycle cost model (§6, reproduced in `tkm_analysis`)
-//! only predicts the measured numbers in `BENCH_hotpath.json` while two
+//! only predicts the numbers `benchmark/` measures while two
 //! structural properties hold: the steady-state maintenance tick is
 //! allocation-free, and every heap-owning structure is counted by
 //! `space_bytes`. Both were established by hand (PR 3 / PR 4) and were

@@ -36,13 +36,12 @@
 //!   query (the ordering guarantees this gives subscribers are listed
 //!   in the module's docs);
 //! * [`client`] — a small blocking client used by the integration tests,
-//!   the loopback benchmark (`cargo run -p tkm_bench --bin serve`) and the
+//!   the benchmark's `serve` workload, the `serve` bench binary and the
 //!   README walkthrough, with optional reconnect/backoff/resume
 //!   resilience ([`ReconnectPolicy`]);
 //! * [`fault`] — the [`Transport`] seam plus a deterministic
 //!   fault-injection layer ([`FaultyStream`], [`FaultPlan`]) that the
-//!   chaos tests and `serve --chaos` script seeded stalls, resets, and
-//!   garbling through;
+//!   chaos tests script seeded stalls, resets, and garbling through;
 //! * [`distrib`] — the multi-site tier: a [`Role::Site`] server runs a
 //!   local engine over its partition of the stream and ships only result
 //!   *changes* (`SITEDELTA`) up one coordinator uplink, and a

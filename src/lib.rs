@@ -39,7 +39,6 @@
 //! | Crate | Contents |
 //! |-------|----------|
 //! | [`tkm_common`] | ids, ordered floats, hashing, scoring functions, rectangles |
-//! | [`tkm_ostree`] | order-statistic AVL tree |
 //! | [`tkm_window`] | count/time sliding windows, update-stream slab store |
 //! | [`tkm_grid`] | regular grid, point lists, influence lists |
 //! | [`tkm_skyband`] | k-skyband with dominance counters |
@@ -81,7 +80,6 @@ pub use tkm_common as common;
 pub use tkm_core as engines;
 pub use tkm_datagen as datagen;
 pub use tkm_grid as grid;
-pub use tkm_ostree as ostree;
 pub use tkm_service as service;
 pub use tkm_skyband as skyband;
 pub use tkm_tsl as baseline;

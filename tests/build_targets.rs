@@ -38,7 +38,6 @@ fn all_paper_figure_binaries_exist() {
         "fig20_space",
         "fig21_nonlinear",
         "model_vs_measured",
-        "replay",
         "scaleout",
         "serve",
         "table2_view_size",
@@ -105,20 +104,24 @@ fn all_examples_exist() {
 #[test]
 fn workspace_members_match_directories() {
     let manifest = std::fs::read_to_string(repo_root().join("Cargo.toml")).expect("root manifest");
-    for dir in [
-        "analysis", "bench", "common", "core", "datagen", "grid", "ostree", "service", "skyband",
-        "tsl", "window",
-    ] {
+    let members: BTreeSet<String> = manifest
+        .lines()
+        .filter_map(|l| l.trim().strip_prefix("\"crates/")?.strip_suffix("\","))
+        .map(String::from)
+        .collect();
+    let crates = repo_root().join("crates");
+    let on_disk: BTreeSet<String> = std::fs::read_dir(&crates)
+        .expect("crates/")
+        .map(|entry| entry.expect("dir entry").file_name())
+        .map(|name| name.to_str().expect("utf-8 directory name").to_string())
+        .collect();
+    assert_eq!(
+        members, on_disk,
+        "[workspace] members and the directories under crates/ differ"
+    );
+    for dir in &on_disk {
         assert!(
-            manifest.contains(&format!("\"crates/{dir}\"")),
-            "crates/{dir} missing from [workspace] members"
-        );
-        assert!(
-            repo_root()
-                .join("crates")
-                .join(dir)
-                .join("Cargo.toml")
-                .is_file(),
+            crates.join(dir).join("Cargo.toml").is_file(),
             "crates/{dir}/Cargo.toml missing"
         );
     }
