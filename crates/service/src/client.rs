@@ -26,14 +26,15 @@
 //! [`crate::session::LineFramer`].
 
 use std::collections::{BTreeMap, VecDeque};
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use crate::fault::splitmix64;
 use crate::protocol::{
-    parse_server_line, Family, Push, QuerySpec, Reply, Request, ServerLine, WireWindow,
+    parse_server_line, write_ingest, Family, Push, QuerySpec, Reply, Request, ServerLine,
+    WireWindow,
 };
 use tkm_common::{QueryId, Scored, Timestamp};
 
@@ -128,6 +129,9 @@ pub enum ClientStatus {
 pub struct ServiceClient {
     writer: TcpStream,
     reader: BufReader<TcpStream>,
+    /// The request line being sent and the server line being read.
+    line_out: String,
+    line_in: String,
     /// Pushes received while waiting for a reply, in arrival order.
     pending: VecDeque<Push>,
     /// The endpoint we dialed (needed to re-dial).
@@ -155,6 +159,8 @@ impl ServiceClient {
         Ok(ServiceClient {
             writer: stream,
             reader: BufReader::new(read_half),
+            line_out: String::new(),
+            line_in: String::new(),
             pending: VecDeque::new(),
             addr,
             policy: None,
@@ -296,17 +302,31 @@ impl ServiceClient {
 
     /// Sends a raw request line (terminator added here).
     pub fn send(&mut self, req: &Request) -> ClientResult<()> {
-        let line = format!("{req}\n");
-        self.writer.write_all(line.as_bytes())?;
+        self.send_with(|line| write!(line, "{req}"))
+    }
+
+    /// Sends the line `encode` writes into the reused request buffer.
+    fn send_with(&mut self, encode: impl FnOnce(&mut String) -> fmt::Result) -> ClientResult<()> {
+        self.line_out.clear();
+        let _ = encode(&mut self.line_out); // a `String` takes it all
+        self.line_out.push('\n');
+        self.writer.write_all(self.line_out.as_bytes())?;
         Ok(())
     }
 
     fn read_line(&mut self) -> ClientResult<ServerLine> {
-        let mut line = String::new();
-        if self.reader.read_line(&mut line)? == 0 {
+        self.line_in.clear();
+        if self.reader.read_line(&mut self.line_in)? == 0 {
             return Err(ClientError::Protocol("connection closed".into()));
         }
-        parse_server_line(line.trim()).map_err(ClientError::Protocol)
+        parse_server_line(self.line_in.trim()).map_err(ClientError::Protocol)
+    }
+
+    fn expect_tick(&mut self) -> ClientResult<Timestamp> {
+        match self.wait_reply()? {
+            Reply::OkTick { now, .. } => Ok(now),
+            other => fail(other),
+        }
     }
 
     /// Reads until the next *reply*, buffering any pushes that arrive
@@ -455,25 +475,14 @@ impl ServiceClient {
     /// Queues a batch of arrivals (and, under manual ticking, runs the
     /// cycle); returns the server's logical time after the request.
     pub fn tick(&mut self, arrivals: &[f64]) -> ClientResult<Timestamp> {
-        self.send(&Request::Tick {
-            arrivals: arrivals.to_vec(),
-        })?;
-        match self.wait_reply()? {
-            Reply::OkTick { now, .. } => Ok(now),
-            other => fail(other),
-        }
+        self.send_with(|line| write_ingest(line, None, arrivals))?;
+        self.expect_tick()
     }
 
     /// Like [`ServiceClient::tick`] with an explicit timestamp.
     pub fn tick_at(&mut self, at: Timestamp, arrivals: &[f64]) -> ClientResult<Timestamp> {
-        self.send(&Request::TickAt {
-            at,
-            arrivals: arrivals.to_vec(),
-        })?;
-        match self.wait_reply()? {
-            Reply::OkTick { now, .. } => Ok(now),
-            other => fail(other),
-        }
+        self.send_with(|line| write_ingest(line, Some((at, None)), arrivals))?;
+        self.expect_tick()
     }
 
     /// Enrolls this connection as site `site`'s uplink on a coordinator
@@ -499,25 +508,15 @@ impl ServiceClient {
         base: u64,
         arrivals: &[f64],
     ) -> ClientResult<Timestamp> {
-        self.send(&Request::SiteIngest {
-            at,
-            base,
-            arrivals: arrivals.to_vec(),
-        })?;
-        match self.wait_reply()? {
-            Reply::OkTick { now, .. } => Ok(now),
-            other => fail(other),
-        }
+        self.send_with(|line| write_ingest(line, Some((at, Some(base))), arrivals))?;
+        self.expect_tick()
     }
 
     /// Sends a bare cycle marker (`SITETICK @t`): an empty ingest cycle on
     /// a site, a watermark advance on a coordinator (uplink protocol).
     pub fn site_cycle(&mut self, at: Timestamp) -> ClientResult<Timestamp> {
         self.send(&Request::SiteCycle { at })?;
-        match self.wait_reply()? {
-            Reply::OkTick { now, .. } => Ok(now),
-            other => fail(other),
-        }
+        self.expect_tick()
     }
 
     /// Server counters as a key → value map. Idempotent, so a

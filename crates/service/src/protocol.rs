@@ -34,6 +34,7 @@
 //! section; the round-trip property is pinned by this module's tests.
 
 use std::fmt;
+use std::sync::Arc;
 
 use tkm_common::{QueryId, Scored, Timestamp, TupleId};
 use tkm_core::{DeltaList, ResultDelta};
@@ -394,23 +395,58 @@ pub enum ServerLine {
 
 // ---------------------------------------------------------------- encoding
 
-fn write_entries(out: &mut String, entries: &[Scored], sign: &str) {
+// lint: hot-path
+fn write_entries<W: fmt::Write>(out: &mut W, entries: &[Scored], sign: &str) -> fmt::Result {
     for e in entries {
-        out.push(' ');
-        out.push_str(sign);
-        out.push_str(&format!("t{}:{}", e.id.0, e.score.get()));
+        write!(out, " {sign}t{}:{}", e.id.0, e.score.get())?;
     }
+    Ok(())
 }
 
 /// Appends `<verb> <query> <at> +t..:.. … -t..:.. …` to `out`: the body
 /// `DELTA` and `SITEDELTA` share, written straight from a borrowed delta
-/// (the fan-out encodes every delta of a cycle without owning a copy).
-pub(crate) fn write_delta_line(out: &mut String, verb: &str, at: Timestamp, delta: &ResultDelta) {
-    use fmt::Write;
-    // Writing into a `String` cannot fail.
-    let _ = write!(out, "{verb} {} {at}", delta.query);
-    write_entries(out, &delta.added, "+");
-    write_entries(out, &delta.removed, "-");
+/// into whatever the caller is filling (a formatter, a reused line).
+// lint: hot-path
+fn write_delta_line<W: fmt::Write>(
+    out: &mut W,
+    verb: &str,
+    at: Timestamp,
+    delta: &ResultDelta,
+) -> fmt::Result {
+    write!(out, "{verb} {} {at}", delta.query)?;
+    write_entries(out, &delta.added, "+")?;
+    write_entries(out, &delta.removed, "-")
+}
+
+/// Encodes one `DELTA` push line, terminator included, into a payload
+/// every subscriber's queue can share. The text goes through `line`
+/// (cleared first, capacity kept): the payload is the only allocation.
+// lint: hot-path
+pub fn encode_delta_push(line: &mut String, at: Timestamp, delta: &ResultDelta) -> Arc<[u8]> {
+    line.clear();
+    let _ = write_delta_line(line, "DELTA", at, delta); // a `String` takes it all
+    line.push('\n');
+    // lint: allow(alloc, reason=the per-line payload: one exact-size allocation shared by every subscriber's queue)
+    Arc::from(line.as_bytes())
+}
+
+/// The three ingest requests from a borrowed slice — `TICK [v ..]`,
+/// `TICKAT @<at> [v ..]`, or with a `base` `SITETICK @<at> base=<base>
+/// [v ..]` — so a sender need not own the arrivals to encode them.
+pub(crate) fn write_ingest<W: fmt::Write>(
+    out: &mut W,
+    at: Option<(Timestamp, Option<u64>)>,
+    arrivals: &[f64],
+) -> fmt::Result {
+    match at {
+        None => out.write_str("TICK")?,
+        Some((at, None)) => write!(out, "TICKAT {at}")?,
+        Some((at, Some(base))) => write!(out, "SITETICK {at} base={base}")?,
+    }
+    for v in arrivals {
+        write!(out, " {v}")?;
+    }
+    Ok(())
 }
 
 impl fmt::Display for QuerySpec {
@@ -441,35 +477,15 @@ impl fmt::Display for Request {
             Request::Subscribe(q) => write!(f, "SUBSCRIBE {q}"),
             Request::Unsubscribe(q) => write!(f, "UNSUBSCRIBE {q}"),
             Request::Snapshot(q) => write!(f, "SNAPSHOT {q}"),
-            Request::Tick { arrivals } => {
-                write!(f, "TICK")?;
-                for v in arrivals {
-                    write!(f, " {v}")?;
-                }
-                Ok(())
-            }
-            Request::TickAt { at, arrivals } => {
-                write!(f, "TICKAT {at}")?;
-                for v in arrivals {
-                    write!(f, " {v}")?;
-                }
-                Ok(())
-            }
+            Request::Tick { arrivals } => write_ingest(f, None, arrivals),
+            Request::TickAt { at, arrivals } => write_ingest(f, Some((*at, None)), arrivals),
             Request::Stats => f.write_str("STATS"),
             Request::Ping => f.write_str("PING"),
             Request::Quit => f.write_str("QUIT"),
             Request::SiteHello { site, dims } => write!(f, "SITE {site} dims={dims}"),
-            Request::SiteDelta { at, delta } => {
-                let mut line = String::new();
-                write_delta_line(&mut line, "SITEDELTA", *at, delta);
-                f.write_str(&line)
-            }
+            Request::SiteDelta { at, delta } => write_delta_line(f, "SITEDELTA", *at, delta),
             Request::SiteIngest { at, base, arrivals } => {
-                write!(f, "SITETICK {at} base={base}")?;
-                for v in arrivals {
-                    write!(f, " {v}")?;
-                }
-                Ok(())
+                write_ingest(f, Some((*at, Some(*base))), arrivals)
             }
             Request::SiteCycle { at } => write!(f, "SITETICK {at}"),
         }
@@ -482,9 +498,8 @@ impl fmt::Display for Reply {
             Reply::OkQuery(q) => write!(f, "OK {q}"),
             Reply::OkTick { now, queued } => write!(f, "OK {now} queued={queued}"),
             Reply::OkSnapshot { query, at, entries } => {
-                let mut line = format!("OK SNAPSHOT {query} {at}");
-                write_entries(&mut line, entries, "");
-                f.write_str(&line)
+                write!(f, "OK SNAPSHOT {query} {at}")?;
+                write_entries(f, entries, "")
             }
             Reply::OkStats(pairs) => {
                 write!(f, "OK STATS")?;
@@ -504,15 +519,10 @@ impl fmt::Display for Reply {
 impl fmt::Display for Push {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Push::Delta { at, delta } => {
-                let mut line = String::new();
-                write_delta_line(&mut line, "DELTA", *at, delta);
-                f.write_str(&line)
-            }
+            Push::Delta { at, delta } => write_delta_line(f, "DELTA", *at, delta),
             Push::Snapshot { query, at, entries } => {
-                let mut line = format!("SNAPSHOT {query} {at}");
-                write_entries(&mut line, entries, "");
-                f.write_str(&line)
+                write!(f, "SNAPSHOT {query} {at}")?;
+                write_entries(f, entries, "")
             }
             Push::Resync { count } => write!(f, "RESYNC {count}"),
             Push::Adopt { query, spec } => match spec {
@@ -594,18 +604,91 @@ fn parse_floats(csv: &str) -> Result<Vec<f64>, String> {
     csv.split(',').map(parse_f64).collect()
 }
 
-fn one_arg<'a>(toks: &[&'a str], verb: &str) -> Result<&'a str, String> {
-    match toks {
-        [arg] => Ok(arg),
+/// The tokens of one line, split exactly where `str::split_whitespace`
+/// splits but by bytes: ASCII — all a conforming peer sends — costs one
+/// table load per byte and no character decoding. Parsers consume this
+/// directly (no token list); the field is the rest of the line.
+#[derive(Clone)]
+struct Toks<'a>(&'a str);
+
+/// Per byte: 0 = starts no whitespace, 1 = ASCII whitespace, 2 = decode
+/// to tell (the lead bytes of U+0085, U+00A0, U+1680, U+2000..U+205F and
+/// U+3000: every non-ASCII whitespace character starts with one).
+static WS_CLASS: [u8; 256] = {
+    let mut class = [0u8; 256];
+    let mut i = 0;
+    while i < 256 {
+        class[i] = match i as u8 {
+            b'\t'..=b'\r' | b' ' => 1,
+            0xC2 | 0xE1..=0xE3 => 2,
+            _ => 0,
+        };
+        i += 1;
+    }
+    class
+};
+
+/// Byte length of the whitespace character starting at `s[i]`, or 0.
+fn ws_len(s: &str, i: usize) -> usize {
+    match WS_CLASS[s.as_bytes()[i] as usize] {
+        2 => s[i..]
+            .chars()
+            .next()
+            .filter(|c| c.is_whitespace())
+            .map_or(0, char::len_utf8),
+        ascii => ascii as usize,
+    }
+}
+
+impl<'a> Iterator for Toks<'a> {
+    type Item = &'a str;
+
+    // lint: hot-path
+    fn next(&mut self) -> Option<&'a str> {
+        while !self.0.is_empty() {
+            let s = self.0;
+            // Cut at a whitespace character's first byte and resume just
+            // past it: both fall on character boundaries.
+            let (tok, rest) = match (0..s.len()).find(|&i| ws_len(s, i) != 0) {
+                Some(i) => (&s[..i], &s[i + ws_len(s, i)..]),
+                None => (s, ""),
+            };
+            self.0 = rest;
+            if !tok.is_empty() {
+                return Some(tok);
+            }
+        }
+        None
+    }
+}
+
+fn one_arg<'a>(toks: &mut Toks<'a>, verb: &str) -> Result<&'a str, String> {
+    match (toks.next(), toks.next()) {
+        (Some(arg), None) => Ok(arg),
         _ => Err(format!("{verb} takes exactly one argument")),
     }
+}
+
+/// Parses every remaining token as a finite coordinate: the tail of
+/// `TICK`, `TICKAT` and `SITETICK`.
+// lint: hot-path
+fn parse_values(toks: Toks<'_>) -> Result<Vec<f64>, String> {
+    // Room for the most values the remaining bytes can spell (a byte and a
+    // separator each), trimmed afterwards: two allocator calls, no regrowth.
+    // lint: allow(alloc, reason=the arrivals buffer the request owns; sized once per ingest line)
+    let mut vals = Vec::with_capacity(toks.0.len() / 2);
+    for tok in toks {
+        vals.push(parse_f64(tok)?);
+    }
+    vals.shrink_to_fit();
+    Ok(vals)
 }
 
 /// Parses the shared `k= weights= [fn=] [range=]` query-shape grammar of
 /// `REGISTER` (which additionally allows `window=`) and `ADOPT` (which
 /// rejects it: the window is the coordinator's, not per-query).
 fn parse_query_args(
-    toks: &[&str],
+    toks: Toks<'_>,
     verb: &str,
     allow_window: bool,
 ) -> Result<(QuerySpec, Option<WireWindow>), String> {
@@ -674,43 +757,36 @@ fn parse_query_args(
 /// Returns a human-readable description of the first problem found; the
 /// serving layer wraps it into an `ERR parse` reply.
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    let mut toks = line.split_whitespace();
+    let mut toks = Toks(line);
     let verb = toks.next().ok_or("empty request")?;
-    let rest: Vec<&str> = toks.collect();
     match verb {
         "REGISTER" => {
-            let (spec, window) = parse_query_args(&rest, "REGISTER", true)?;
+            let (spec, window) = parse_query_args(toks, "REGISTER", true)?;
             Ok(Request::Register { spec, window })
         }
-        "UNREGISTER" => Ok(Request::Unregister(parse_qid(one_arg(&rest, verb)?)?)),
-        "SUBSCRIBE" => Ok(Request::Subscribe(parse_qid(one_arg(&rest, verb)?)?)),
-        "UNSUBSCRIBE" => Ok(Request::Unsubscribe(parse_qid(one_arg(&rest, verb)?)?)),
-        "SNAPSHOT" => Ok(Request::Snapshot(parse_qid(one_arg(&rest, verb)?)?)),
+        "UNREGISTER" => Ok(Request::Unregister(parse_qid(one_arg(&mut toks, verb)?)?)),
+        "SUBSCRIBE" => Ok(Request::Subscribe(parse_qid(one_arg(&mut toks, verb)?)?)),
+        "UNSUBSCRIBE" => Ok(Request::Unsubscribe(parse_qid(one_arg(&mut toks, verb)?)?)),
+        "SNAPSHOT" => Ok(Request::Snapshot(parse_qid(one_arg(&mut toks, verb)?)?)),
         "TICK" => Ok(Request::Tick {
-            arrivals: rest
-                .iter()
-                .map(|t| parse_f64(t))
-                .collect::<Result<_, _>>()?,
+            arrivals: parse_values(toks)?,
         }),
         "TICKAT" => {
-            let (at, vals) = rest.split_first().ok_or("TICKAT requires a timestamp")?;
+            let at = toks.next().ok_or("TICKAT requires a timestamp")?;
             Ok(Request::TickAt {
                 at: parse_ts(at)?,
-                arrivals: vals
-                    .iter()
-                    .map(|t| parse_f64(t))
-                    .collect::<Result<_, _>>()?,
+                arrivals: parse_values(toks)?,
             })
         }
         "STATS" => Ok(Request::Stats),
         "PING" => Ok(Request::Ping),
         "QUIT" => Ok(Request::Quit),
         "SITE" => {
-            let (site, args) = rest.split_first().ok_or("SITE requires a site id")?;
+            let site = toks.next().ok_or("SITE requires a site id")?;
             let site = site
                 .parse::<u64>()
                 .map_err(|_| format!("expected site id, got `{site}`"))?;
-            let dims_arg = one_arg(args, "SITE <id>")?;
+            let dims_arg = one_arg(&mut toks, "SITE <id>")?;
             let dims = dims_arg
                 .strip_prefix("dims=")
                 .and_then(|d| d.parse::<usize>().ok())
@@ -721,24 +797,15 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             Ok(Request::SiteHello { site, dims })
         }
         "SITEDELTA" => {
-            let (query, rest) = rest.split_first().ok_or("SITEDELTA requires a query id")?;
-            let (at, entries) = rest.split_first().ok_or("SITEDELTA requires a timestamp")?;
-            let (added, removed) = parse_signed_entries(entries)?;
-            Ok(Request::SiteDelta {
-                at: parse_ts(at)?,
-                delta: ResultDelta {
-                    query: parse_qid(query)?,
-                    added,
-                    removed,
-                },
-            })
+            let (at, delta) = parse_delta_body(toks, "SITEDELTA")?;
+            Ok(Request::SiteDelta { at, delta })
         }
         "SITETICK" => {
-            let (at, rest) = rest.split_first().ok_or("SITETICK requires a timestamp")?;
+            let at = toks.next().ok_or("SITETICK requires a timestamp")?;
             let at = parse_ts(at)?;
-            match rest.split_first() {
+            match toks.next() {
                 None => Ok(Request::SiteCycle { at }),
-                Some((first, vals)) => {
+                Some(first) => {
                     let base = first
                         .strip_prefix("base=")
                         .and_then(|d| d.parse::<u64>().ok())
@@ -746,10 +813,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                     Ok(Request::SiteIngest {
                         at,
                         base,
-                        arrivals: vals
-                            .iter()
-                            .map(|t| parse_f64(t))
-                            .collect::<Result<_, _>>()?,
+                        arrivals: parse_values(toks)?,
                     })
                 }
             }
@@ -758,72 +822,79 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     }
 }
 
-fn parse_signed_entries(toks: &[&str]) -> Result<(DeltaList, DeltaList), String> {
-    let mut added = DeltaList::new();
-    let mut removed = DeltaList::new();
+/// Parses `q<ID> @<ts> [+entry].. [-entry]..`, the body `DELTA` and
+/// `SITEDELTA` share. Problems are reported entries first, then the
+/// timestamp, then the query id.
+// lint: hot-path
+fn parse_delta_body(mut toks: Toks<'_>, verb: &str) -> Result<(Timestamp, ResultDelta), String> {
+    let query = toks.next().ok_or_else(|| missing(verb, "a query id"))?;
+    let at = toks.next().ok_or_else(|| missing(verb, "a timestamp"))?;
+    let (mut added, mut removed) = (DeltaList::new(), DeltaList::new());
     for tok in toks {
         if let Some(body) = tok.strip_prefix('+') {
             added.push(parse_entry(body)?);
         } else if let Some(body) = tok.strip_prefix('-') {
             removed.push(parse_entry(body)?);
         } else {
+            // lint: allow(alloc, reason=rejection path: the line is dropped with this message)
             return Err(format!("DELTA entries are +t..:.. or -t..:.., got `{tok}`"));
         }
     }
-    Ok((added, removed))
+    let (at, query) = (parse_ts(at)?, parse_qid(query)?);
+    let delta = ResultDelta {
+        query,
+        added,
+        removed,
+    };
+    Ok((at, delta))
+}
+
+fn missing(verb: &str, what: &str) -> String {
+    format!("{verb} requires {what}")
 }
 
 /// Parses one server-to-client line into a reply or a push.
 pub fn parse_server_line(line: &str) -> Result<ServerLine, String> {
-    let mut toks = line.split_whitespace();
+    let mut toks = Toks(line);
     let head = toks.next().ok_or("empty server line")?;
-    let rest: Vec<&str> = toks.collect();
     match head {
-        "OK" => parse_ok(&rest).map(ServerLine::Reply),
+        "OK" => parse_ok(toks).map(ServerLine::Reply),
         "ERR" => {
-            let (code, msg) = rest.split_first().ok_or("ERR requires a code")?;
+            let code = toks.next().ok_or("ERR requires a code")?;
             let code =
                 ErrCode::from_str(code).ok_or_else(|| format!("unknown ERR code `{code}`"))?;
             Ok(ServerLine::Reply(Reply::Err {
                 code,
-                message: msg.join(" "),
+                message: toks.collect::<Vec<_>>().join(" "),
             }))
         }
         "DELTA" => {
-            let (query, rest) = rest.split_first().ok_or("DELTA requires a query id")?;
-            let (at, entries) = rest.split_first().ok_or("DELTA requires a timestamp")?;
-            let (added, removed) = parse_signed_entries(entries)?;
-            Ok(ServerLine::Push(Push::Delta {
-                at: parse_ts(at)?,
-                delta: ResultDelta {
-                    query: parse_qid(query)?,
-                    added,
-                    removed,
-                },
-            }))
+            let (at, delta) = parse_delta_body(toks, "DELTA")?;
+            Ok(ServerLine::Push(Push::Delta { at, delta }))
         }
         "SNAPSHOT" => {
-            let (query, at, entries) = parse_snapshot_body(&rest)?;
+            let (query, at, entries) = parse_snapshot_body(toks)?;
             Ok(ServerLine::Push(Push::Snapshot { query, at, entries }))
         }
         "RESYNC" => {
-            let count: usize = one_arg(&rest, "RESYNC")?
+            let count: usize = one_arg(&mut toks, "RESYNC")?
                 .parse()
                 .map_err(|_| "bad RESYNC count".to_string())?;
             Ok(ServerLine::Push(Push::Resync { count }))
         }
         "ADOPT" => {
-            let (query, args) = rest.split_first().ok_or("ADOPT requires a query id")?;
-            let query = parse_qid(query)?;
-            let spec = match args {
-                ["retire"] => None,
-                args => Some(parse_query_args(args, "ADOPT", false)?.0),
+            let query = parse_qid(toks.next().ok_or("ADOPT requires a query id")?)?;
+            let mut args = toks.clone();
+            let spec = if args.next() == Some("retire") && args.next().is_none() {
+                None
+            } else {
+                Some(parse_query_args(toks, "ADOPT", false)?.0)
             };
             Ok(ServerLine::Push(Push::Adopt { query, spec }))
         }
         "DEGRADED" => {
-            let (query, rest) = rest.split_first().ok_or("DEGRADED requires a query id")?;
-            let sites: Result<Vec<u64>, String> = rest.iter().map(|t| parse_site_id(t)).collect();
+            let query = toks.next().ok_or("DEGRADED requires a query id")?;
+            let sites: Result<Vec<u64>, String> = toks.map(parse_site_id).collect();
             Ok(ServerLine::Push(Push::Degraded {
                 query: parse_qid(query)?,
                 sites: sites?,
@@ -839,24 +910,25 @@ fn parse_site_id(tok: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("expected site id s<N>, got `{tok}`"))
 }
 
-fn parse_snapshot_body(toks: &[&str]) -> Result<(QueryId, Timestamp, Vec<Scored>), String> {
-    let (query, rest) = toks.split_first().ok_or("SNAPSHOT requires a query id")?;
-    let (at, entries) = rest.split_first().ok_or("SNAPSHOT requires a timestamp")?;
-    let entries: Result<Vec<Scored>, String> = entries.iter().map(|t| parse_entry(t)).collect();
+fn parse_snapshot_body(mut toks: Toks<'_>) -> Result<(QueryId, Timestamp, Vec<Scored>), String> {
+    let query = toks.next().ok_or("SNAPSHOT requires a query id")?;
+    let at = toks.next().ok_or("SNAPSHOT requires a timestamp")?;
+    let entries: Result<Vec<Scored>, String> = toks.map(parse_entry).collect();
     Ok((parse_qid(query)?, parse_ts(at)?, entries?))
 }
 
-fn parse_ok(toks: &[&str]) -> Result<Reply, String> {
-    match toks {
-        ["bye"] => Ok(Reply::OkBye),
-        ["pong"] => Ok(Reply::OkPong),
-        ["SNAPSHOT", rest @ ..] => {
-            let (query, at, entries) = parse_snapshot_body(rest)?;
+fn parse_ok(mut toks: Toks<'_>) -> Result<Reply, String> {
+    let all = toks.clone();
+    let (first, mut rest) = (toks.next(), toks.clone());
+    match (first, rest.next(), rest.next()) {
+        (Some("bye"), None, _) => Ok(Reply::OkBye),
+        (Some("pong"), None, _) => Ok(Reply::OkPong),
+        (Some("SNAPSHOT"), ..) => {
+            let (query, at, entries) = parse_snapshot_body(toks)?;
             Ok(Reply::OkSnapshot { query, at, entries })
         }
-        ["STATS", pairs @ ..] => {
-            let pairs: Result<Vec<(String, String)>, String> = pairs
-                .iter()
+        (Some("STATS"), ..) => {
+            let pairs: Result<Vec<(String, String)>, String> = toks
                 .map(|tok| {
                     tok.split_once('=')
                         .map(|(k, v)| (k.to_string(), v.to_string()))
@@ -865,17 +937,20 @@ fn parse_ok(toks: &[&str]) -> Result<Reply, String> {
                 .collect();
             Ok(Reply::OkStats(pairs?))
         }
-        [ts, queued] if queued.starts_with("queued=") => Ok(Reply::OkTick {
+        (Some(ts), Some(queued), None) if queued.starts_with("queued=") => Ok(Reply::OkTick {
             now: parse_ts(ts)?,
             queued: queued["queued=".len()..]
                 .parse()
                 .map_err(|_| "bad queued count".to_string())?,
         }),
-        [tok] => match parse_site_id(tok) {
+        (Some(tok), None, _) => match parse_site_id(tok) {
             Ok(id) => Ok(Reply::OkSite(id)),
             Err(_) => Ok(Reply::OkQuery(parse_qid(tok)?)),
         },
-        _ => Err(format!("unparseable OK reply `{}`", toks.join(" "))),
+        _ => Err(format!(
+            "unparseable OK reply `{}`",
+            all.collect::<Vec<_>>().join(" ")
+        )),
     }
 }
 
@@ -1106,6 +1181,38 @@ mod tests {
         ] {
             assert!(parse_server_line(bad).is_err(), "should reject `{bad}`");
         }
+    }
+
+    /// The byte tokenizer cuts exactly where `split_whitespace` cuts:
+    /// around every character there is (so every whitespace character is
+    /// found and no other is taken for one), and over runs, edges and
+    /// multi-byte neighbours.
+    #[test]
+    fn toks_split_exactly_like_split_whitespace() {
+        let same = |line: &str| {
+            let want: Vec<&str> = line.split_whitespace().collect();
+            assert_eq!(Toks(line).collect::<Vec<_>>(), want, "line {line:?}");
+        };
+        for c in (0..=char::MAX as u32).filter_map(char::from_u32) {
+            same(&format!("a{c}é{c}{c}b"));
+        }
+        for line in [
+            "",
+            " ",
+            "TICK",
+            "  TICK \t0.5\r\n",
+            "\u{2003}TICK\u{a0}0.5\u{3000}\u{85}0.25\u{1680}",
+            "é\u{2028}\u{c2}\u{e1}\u{e2}x\u{e3}\u{205f}→ λ🦀",
+            "\u{b}\u{c}a\u{1c}b\u{1f}c",
+        ] {
+            same(line);
+        }
+        assert_eq!(
+            parse_request("TICK\u{2003}0.5\u{a0}0.25"),
+            Ok(Request::Tick {
+                arrivals: vec![0.5, 0.25]
+            })
+        );
     }
 
     #[test]

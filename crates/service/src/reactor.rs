@@ -19,7 +19,9 @@
 //!   session actually has queued output;
 //! * a self-pipe `Waker` so the engine owner (which runs on another
 //!   thread) can hand the reactor freshly queued output without the
-//!   loop polling every session;
+//!   loop polling every session: enqueues only mark sessions dirty, and
+//!   the owner writes one byte per inbox event — one wake-up and one
+//!   coalesced write per touched session, however many lines it queued;
 //! * the PR 8 fault seam re-expressed for an event loop: injected stalls
 //!   become *deferred readiness deadlines* (the loop must never sleep),
 //!   while resets, garbles, truncations, and short writes act on the
@@ -246,54 +248,64 @@ impl Drop for Poller {
     }
 }
 
-/// Self-pipe wakeup channel into the reactor: the producer (the engine
-/// owner) records which sessions gained output and pokes one byte down
-/// a socketpair the reactor polls.
+/// Self-pipe wakeup channel into the reactor, in two steps so a burst of
+/// enqueues costs one wake-up: [`Waker::mark`] records that a session
+/// gained output (or was closed) and writes nothing; [`Waker::flush`],
+/// called by the engine owner once per inbox event after the event's last
+/// enqueue, pokes one byte down the socketpair the reactor polls.
+///
+/// No wake-up is lost: a producer marks *before* it signals, and
+/// [`Waker::take`] clears `signaled` *before* it swaps the dirty list
+/// out. So a mark either lands in the list being swapped out, or its
+/// `flush` runs after `signaled` was cleared and writes a fresh byte (at
+/// worst the reactor wakes once more, to an empty list). Marks made on
+/// the reactor's own thread (`ERR busy` sheds, teardown closes) need no
+/// byte: `Reactor::settle` keeps write interest on a non-empty queue.
 pub(crate) struct Waker {
     dirty: Mutex<Vec<SessionId>>,
     /// A wakeup byte is already in flight; coalesces pokes.
     signaled: AtomicBool,
     tx: std::os::unix::net::UnixStream,
+    metrics: Arc<Metrics>,
 }
 
 impl Waker {
-    fn signal(&self) {
+    fn lock_dirty(&self) -> std::sync::MutexGuard<'_, Vec<SessionId>> {
+        self.dirty
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Wakes the loop unless a byte is already in flight. With nothing
+    /// marked this is the shutdown notice: the loop re-checks its stop
+    /// flag on every wakeup.
+    pub(crate) fn notify(&self) {
         if !self.signaled.swap(true, Ordering::SeqCst) {
+            self.metrics.pokes.fetch_add(1, Ordering::Relaxed);
             // A full pipe means a byte is already pending — the wakeup
             // still happens.
             let _ = (&self.tx).write(&[1u8]);
         }
     }
 
-    /// Marks `sid` as having fresh output and wakes the loop.
-    pub(crate) fn wake(&self, sid: SessionId) {
-        {
-            let mut dirty = self
-                .dirty
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            dirty.push(sid);
+    /// Marks `sid` as having fresh output; wakes nobody.
+    pub(crate) fn mark(&self, sid: SessionId) {
+        self.lock_dirty().push(sid);
+    }
+
+    /// Wakes the loop if any session was marked since the last
+    /// [`Waker::take`].
+    pub(crate) fn flush(&self) {
+        if !self.lock_dirty().is_empty() {
+            self.notify();
         }
-        self.signal();
     }
 
-    /// Wakes the loop with no session attached (shutdown notice; the
-    /// loop re-checks its stop flag on every wakeup).
-    pub(crate) fn notify(&self) {
-        self.signal();
-    }
-
-    /// Drains the pending wakeup set. Clearing `signaled` *before*
-    /// swapping the dirty list means a producer racing this drain either
-    /// lands in the swapped-out list or triggers a fresh byte — never a
-    /// lost wakeup.
-    fn take(&self) -> Vec<SessionId> {
+    /// Swaps the marked sessions with `into` (cleared first).
+    fn take(&self, into: &mut Vec<SessionId>) {
         self.signaled.store(false, Ordering::SeqCst);
-        let mut dirty = self
-            .dirty
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        std::mem::take(&mut *dirty)
+        into.clear();
+        std::mem::swap(&mut *self.lock_dirty(), into);
     }
 }
 
@@ -364,16 +376,6 @@ struct Conn {
 }
 
 impl Conn {
-    /// Whether this connection currently wants read readiness.
-    fn wants_read(&self) -> bool {
-        self.pending.is_none() && self.read_stall.is_none() && !self.out.is_closed()
-    }
-
-    /// Whether this connection currently wants write readiness.
-    fn wants_write(&self) -> bool {
-        self.write_stall.is_none() && !self.out.is_drained()
-    }
-
     /// Whether any timed deadline needs the loop to wake without I/O.
     fn needs_timer(&self, write_timeout: Option<Duration>) -> bool {
         self.pending.is_some()
@@ -395,8 +397,11 @@ const LISTENER_TOKEN: u64 = u64::MAX;
 const WAKER_TOKEN: u64 = u64::MAX - 1;
 /// Per-wakeup read budget per connection (fairness under pipelining).
 const READ_BUDGET: usize = 16;
-/// Coalesced write staging size for clean (non-faulted) connections.
-const WRITE_CHUNK: usize = 16 * 1024;
+/// Read buffer size: a 200-tuple `TICK` line (8 KB) arrives in one `read`.
+const READ_CHUNK: usize = 64 * 1024;
+/// Coalesced write staging size for clean (non-faulted) connections: a
+/// busy tick's pushes to a subscriber (17 KB) leave in one `write`.
+const WRITE_CHUNK: usize = 64 * 1024;
 /// Per-wakeup write budget per connection, in staged chunks.
 const WRITE_BUDGET: usize = 16;
 
@@ -419,6 +424,10 @@ pub(crate) struct Reactor {
     parked_accept: Option<ParkedAccept>,
     next_sid: u64,
     scratch: Vec<u8>,
+    /// The buffer every connection reads through.
+    read_buf: Vec<u8>,
+    /// The marked-session list swapped with the waker's on each poke.
+    dirty: Vec<SessionId>,
 }
 
 impl Reactor {
@@ -438,6 +447,7 @@ impl Reactor {
             dirty: Mutex::new(Vec::new()),
             signaled: AtomicBool::new(false),
             tx: waker_tx,
+            metrics: Arc::clone(&metrics),
         });
         let poller = Poller::new()?;
         poller.add(listener.as_raw_fd(), LISTENER_TOKEN, true, false)?;
@@ -463,6 +473,8 @@ impl Reactor {
                 parked_accept: None,
                 next_sid: 0,
                 scratch: Vec::with_capacity(WRITE_CHUNK),
+                read_buf: vec![0; READ_CHUNK],
+                dirty: Vec::new(),
             },
             waker,
         ))
@@ -485,6 +497,7 @@ impl Reactor {
                 self.drain_and_exit();
                 return;
             }
+            self.ctx.metrics.wakeups.fetch_add(1, Ordering::Relaxed);
             for &ev in &events {
                 match ev.token {
                     LISTENER_TOKEN => {
@@ -681,16 +694,15 @@ impl Reactor {
     /// Drains the wakeup pipe and flushes every session producers marked
     /// dirty.
     fn waker_ready(&mut self) {
-        let mut sink = [0u8; 64];
-        while matches!((&self.waker_rx).read(&mut sink), Ok(n) if n > 0) {}
-        let mut dirty = self.waker.take();
-        dirty.sort_unstable();
-        dirty.dedup();
-        for sid in dirty {
-            if self.conns.contains_key(&sid.0) {
-                self.drive_writes(sid.0);
-            }
+        // `signaled` admits one byte between two `take`s: one read suffices.
+        let _ = (&self.waker_rx).read(&mut [0u8; 8]);
+        let mut dirty = std::mem::take(&mut self.dirty);
+        self.waker.take(&mut dirty);
+        // One entry per touched session (a repeat finds nothing to flush).
+        for sid in &dirty {
+            self.drive_writes(sid.0);
         }
+        self.dirty = dirty;
     }
 
     /// Handles readiness of one connection token.
@@ -710,10 +722,11 @@ impl Reactor {
             let Some(conn) = self.conns.get_mut(&token) else {
                 return;
             };
-            if !conn.wants_read() {
+            // (`read_some` itself stands down for a parked send or a stall.)
+            if conn.out.is_closed() {
                 return;
             }
-            read_some(conn, &self.ctx)
+            read_some(conn, &self.ctx, &mut self.read_buf)
         };
         self.settle(token, outcome);
     }
@@ -740,14 +753,15 @@ impl Reactor {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
+        let (closed, drained) = conn.out.flags();
         // A closed and fully drained queue is the engine saying goodbye
         // (QUIT, teardown): finish the socket.
-        if conn.out.is_closed() && conn.out.is_drained() {
+        if closed && drained {
             self.teardown(token);
             return;
         }
-        let wants_read = conn.wants_read();
-        let wants_write = conn.wants_write();
+        let wants_read = conn.pending.is_none() && conn.read_stall.is_none() && !closed;
+        let wants_write = conn.write_stall.is_none() && !drained;
         if wants_read != conn.reg_read || wants_write != conn.reg_write {
             if self
                 .poller
@@ -875,10 +889,10 @@ impl Reactor {
     }
 }
 
-/// Reads whatever the socket has ready (through the fault seam), feeds
-/// the framer, and dispatches complete lines.
-fn read_some(conn: &mut Conn, ctx: &Ctx) -> After {
-    let mut buf = [0u8; 4096];
+/// Reads whatever the socket has ready (through the fault seam) into
+/// the reactor's buffer, feeds the framer, and dispatches complete lines.
+// lint: hot-path
+fn read_some(conn: &mut Conn, ctx: &Ctx, buf: &mut [u8]) -> After {
     for _ in 0..READ_BUDGET {
         if conn.pending.is_some() || conn.read_stall.is_some() {
             return After::Keep;
@@ -904,13 +918,19 @@ fn read_some(conn: &mut Conn, ctx: &Ctx) -> After {
                 }
             }
         }
-        match conn.stream.read(&mut buf) {
+        ctx.metrics.sock_reads.fetch_add(1, Ordering::Relaxed);
+        match conn.stream.read(buf) {
             Ok(0) => return After::Drop,
             Ok(n) => {
                 conn.liveness.touch();
                 conn.framer.feed(&buf[..n]);
                 if dispatch_lines(conn, ctx) == After::Drop {
                     return After::Drop;
+                }
+                // A short read emptied the socket, and level-triggered
+                // epoll reports what arrives later: no `EAGAIN` probe.
+                if n < buf.len() {
+                    return After::Keep;
                 }
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => return After::Keep,
@@ -1028,9 +1048,9 @@ fn flush_some(conn: &mut Conn, ctx: &Ctx, scratch: &mut Vec<u8>) -> After {
         return After::Keep;
     }
     let outcome = if conn.decider.is_some() {
-        flush_faulted(conn)
+        flush_faulted(conn, ctx)
     } else {
-        flush_clean(conn, scratch)
+        flush_clean(conn, ctx, scratch)
     };
     if outcome == After::Drop {
         return After::Drop;
@@ -1045,13 +1065,15 @@ fn flush_some(conn: &mut Conn, ctx: &Ctx, scratch: &mut Vec<u8>) -> After {
 
 /// The fast path: stage up to [`WRITE_CHUNK`] bytes spanning queue
 /// entries and hand them to the kernel in one call.
-fn flush_clean(conn: &mut Conn, scratch: &mut Vec<u8>) -> After {
+// lint: hot-path
+fn flush_clean(conn: &mut Conn, ctx: &Ctx, scratch: &mut Vec<u8>) -> After {
     for _ in 0..WRITE_BUDGET {
         let staged = conn.out.peek_coalesced(scratch, WRITE_CHUNK);
         if staged == 0 {
             conn.blocked_since = None;
             return After::Keep;
         }
+        ctx.metrics.sock_writes.fetch_add(1, Ordering::Relaxed);
         match conn.stream.write(scratch) {
             Ok(0) => return After::Drop,
             Ok(n) => {
@@ -1078,7 +1100,7 @@ fn flush_clean(conn: &mut Conn, scratch: &mut Vec<u8>) -> After {
 /// The faulted path: one queue entry (one wire line) per fault decision,
 /// so garble/truncate/partial hit a single line the way the blocking
 /// writer's per-line writes did.
-fn flush_faulted(conn: &mut Conn) -> After {
+fn flush_faulted(conn: &mut Conn, ctx: &Ctx) -> After {
     for _ in 0..WRITE_BUDGET {
         let Some((bytes, cursor)) = conn.out.next_chunk() else {
             conn.blocked_since = None;
@@ -1121,6 +1143,7 @@ fn flush_faulted(conn: &mut Conn) -> After {
                 conn.stream.write(&chunk[..n])
             }
         };
+        ctx.metrics.sock_writes.fetch_add(1, Ordering::Relaxed);
         match wrote {
             Ok(0) => return After::Drop,
             Ok(n) => {
@@ -1195,27 +1218,83 @@ mod tests {
         drop(client);
     }
 
-    #[test]
-    fn waker_coalesces_and_drains() {
+    fn test_waker() -> (Waker, std::os::unix::net::UnixStream, Arc<Metrics>) {
         let (rx, tx) = std::os::unix::net::UnixStream::pair().expect("pair");
-        rx.set_nonblocking(true).expect("nonblocking");
         tx.set_nonblocking(true).expect("nonblocking");
+        let metrics = Arc::new(Metrics::default());
         let waker = Waker {
             dirty: Mutex::new(Vec::new()),
             signaled: AtomicBool::new(false),
             tx,
+            metrics: Arc::clone(&metrics),
         };
-        waker.wake(SessionId(3));
-        waker.wake(SessionId(5));
-        waker.wake(SessionId(3));
+        (waker, rx, metrics)
+    }
+
+    #[test]
+    fn waker_coalesces_and_drains() {
+        let (waker, rx, metrics) = test_waker();
+        rx.set_nonblocking(true).expect("nonblocking");
         let mut sink = [0u8; 16];
-        let n = (&rx).read(&mut sink).expect("one byte pending");
-        assert_eq!(n, 1, "pokes coalesce into one wakeup byte");
-        assert_eq!(waker.take(), vec![SessionId(3), SessionId(5), SessionId(3)]);
-        assert!(waker.take().is_empty(), "drained");
-        // After a drain the next wake writes a fresh byte.
-        waker.wake(SessionId(9));
-        let n = (&rx).read(&mut sink).expect("fresh byte");
-        assert_eq!(n, 1);
+        waker.flush();
+        waker.mark(SessionId(3));
+        waker.mark(SessionId(5));
+        waker.mark(SessionId(3));
+        assert!((&rx).read(&mut sink).is_err(), "marks write no byte");
+        waker.flush();
+        waker.flush();
+        assert_eq!((&rx).read(&mut sink).expect("the poke"), 1, "one byte");
+        assert_eq!(metrics.pokes.load(Ordering::Relaxed), 1);
+        // A mark that beats `take` rides in the swapped-out list: its
+        // flush finds a byte already in flight and writes none.
+        waker.mark(SessionId(7));
+        waker.flush();
+        let mut got = vec![SessionId(99)];
+        waker.take(&mut got);
+        assert_eq!(
+            got,
+            [SessionId(3), SessionId(5), SessionId(3), SessionId(7)]
+        );
+        assert!((&rx).read(&mut sink).is_err(), "still one byte in all");
+        // A mark that loses to `take` produces a fresh byte.
+        waker.mark(SessionId(9));
+        waker.flush();
+        assert_eq!((&rx).read(&mut sink).expect("fresh byte"), 1);
+        waker.take(&mut got);
+        assert_eq!(got, [SessionId(9)]);
+        waker.take(&mut got);
+        assert!(got.is_empty(), "drained");
+        waker.flush();
+        assert!((&rx).read(&mut sink).is_err(), "nothing marked, no byte");
+        assert_eq!(metrics.pokes.load(Ordering::Relaxed), 2);
+    }
+
+    /// A producer marking and flushing at full speed against a consumer
+    /// that sleeps on the pipe: every id arrives, so no interleaving of
+    /// mark / flush / take lost a wake-up (the consumer would time out).
+    #[test]
+    fn waker_loses_no_mark_under_a_racing_take() {
+        const N: u64 = 20_000;
+        let (waker, rx, metrics) = test_waker();
+        rx.set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        let mut seen = Vec::new();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for i in 0..N {
+                    waker.mark(SessionId(i));
+                    waker.flush();
+                }
+            });
+            let (mut sink, mut got) = ([0u8; 16], Vec::new());
+            while (seen.len() as u64) < N {
+                let n = (&rx).read(&mut sink).expect("a mark was stranded");
+                assert_eq!(n, 1, "at most one byte in flight");
+                waker.take(&mut got);
+                seen.extend_from_slice(&got);
+            }
+        });
+        assert!(seen.iter().map(|s| s.0).eq(0..N), "in order, exactly once");
+        assert!(metrics.pokes.load(Ordering::Relaxed) <= N);
     }
 }

@@ -17,7 +17,10 @@
 //! 3. drains the cycle's [`tkm_core::ResultDelta`]s and, for each one
 //!    with subscribers, encodes it **once** into a shared byte payload
 //!    and enqueues that payload onto every subscriber's queue, applying
-//!    the drop-to-snapshot backpressure policy to slow consumers.
+//!    the drop-to-snapshot backpressure policy to slow consumers;
+//! 4. signals the reactor **once** per inbox event, after its last
+//!    enqueue (pushes, reply, closes): enqueues only mark sessions dirty,
+//!    so the reactor writes each touched session's bytes in one call.
 //!
 //! There is one subscription table (a [`DeltaRouter`] whose entries
 //! carry the subscriber's queue handle) and one fan-out loop, so the
@@ -46,9 +49,11 @@ use std::time::{Duration, Instant};
 
 use crate::distrib::{CoordState, Role, SiteState};
 use crate::fault::FaultSchedule;
-use crate::protocol::{write_delta_line, ErrCode, Family, Push, QuerySpec, Reply, Request};
+use crate::protocol::{
+    encode_delta_push, write_ingest, ErrCode, Family, Push, QuerySpec, Reply, Request,
+};
 use crate::reactor::{Reactor, ReactorCfg, Waker};
-use crate::session::{line_bytes, SessionId, SessionOut};
+use crate::session::{SessionId, SessionOut};
 use tkm_common::{QueryId, Rect, Result, ScoreFn, Scored, Timestamp, TkmError};
 use tkm_core::{DeltaRouter, MonitorServer, Query, ResultDelta, ServerConfig};
 
@@ -183,6 +188,7 @@ pub(crate) const SHED_VERBS: [&str; 14] = [
 
 /// Robustness counters shared by the session threads (which record) and
 /// the engine owner (which reports them via `STATS`).
+#[derive(Default)]
 pub(crate) struct Metrics {
     /// Connections torn down by the idle deadline.
     pub(crate) reaped: AtomicU64,
@@ -199,18 +205,14 @@ pub(crate) struct Metrics {
     /// delta per tick, **not** one per subscriber (the encode-once
     /// invariant the fan-out tests assert against `STATS encodes=`).
     pub(crate) encodes: AtomicU64,
-}
-
-impl Default for Metrics {
-    fn default() -> Metrics {
-        Metrics {
-            reaped: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            shed_by_verb: std::array::from_fn(|_| AtomicU64::new(0)),
-            faults: Arc::new(AtomicU64::new(0)),
-            encodes: AtomicU64::new(0),
-        }
-    }
+    /// Bytes written to the reactor's wakeup socketpair.
+    pub(crate) pokes: AtomicU64,
+    /// `epoll_wait` returns of the reactor loop.
+    pub(crate) wakeups: AtomicU64,
+    /// `read` calls on connection sockets.
+    pub(crate) sock_reads: AtomicU64,
+    /// `write` calls on connection sockets.
+    pub(crate) sock_writes: AtomicU64,
 }
 
 impl Metrics {
@@ -325,8 +327,10 @@ impl Service {
             sessions: BTreeMap::new(),
             router: DeltaRouter::new(),
             pending: Vec::new(),
+            line: String::new(),
             stats: Counters::default(),
             metrics,
+            waker: Arc::clone(&waker),
         };
         threads.push(std::thread::spawn(move || owner.run(&rx)));
 
@@ -405,10 +409,14 @@ struct EngineOwner {
     sessions: BTreeMap<SessionId, SessionHandle>,
     /// The one subscription table: query → subscriber queues.
     router: DeltaRouter<Subscriber>,
-    /// Arrivals queued since the last flush (flat coordinate buffer).
+    /// Arrivals queued since the last flush (interval ticking only).
     pending: Vec<f64>,
+    /// The buffer every push line of a cycle is encoded through.
+    line: String,
     stats: Counters,
     metrics: Arc<Metrics>,
+    /// The reactor's waker: signalled once per inbox event.
+    waker: Arc<Waker>,
 }
 
 impl EngineOwner {
@@ -445,16 +453,19 @@ impl EngineOwner {
                 }
                 Event::Gone(sid) => self.teardown(sid),
                 Event::Flush => {
-                    if self.flush(None).is_err() {
+                    if self.flush().is_err() {
                         self.stats.tick_errors += 1;
                     }
                 }
                 Event::Shutdown => break,
             }
+            // The event's one poke, after its last enqueue.
+            self.waker.flush();
         }
         for handle in self.sessions.values() {
             handle.sub.out.close();
         }
+        self.waker.flush();
         // Connects that were still queued behind the Shutdown event would
         // otherwise leave the reactor holding sockets that can never be
         // adopted; closing their queues lets it shut them down.
@@ -780,14 +791,10 @@ impl EngineOwner {
         }
         // What forwarding the raw ingest upstream would have cost — the
         // baseline the distributed bench compares shipped bytes against.
-        let naive = Request::SiteIngest {
-            at,
-            base,
-            arrivals: arrivals.to_vec(),
-        }
-        .to_string()
-        .len() as u64
-            + 1;
+        self.line.clear();
+        // Writing into a `String` cannot fail.
+        let _ = write_ingest(&mut self.line, Some((at, Some(base))), arrivals);
+        let naive = self.line.len() as u64 + 1;
         if let Err(e) = self.server.tick_at(at, arrivals) {
             self.stats.tick_errors += 1;
             return err_reply(&e);
@@ -841,11 +848,13 @@ impl EngineOwner {
             };
         }
         let queued = arrivals.len() / dims;
-        self.pending.extend_from_slice(arrivals);
         if self.cfg.tick == TickPolicy::Manual {
-            if let Err(e) = self.flush(at) {
+            // Nothing is queued between manual ticks: run from the slice.
+            if let Err(e) = self.cycle(at, arrivals) {
                 return err_reply(&e);
             }
+        } else {
+            self.pending.extend_from_slice(arrivals);
         }
         Reply::OkTick {
             now: self.server.now(),
@@ -853,17 +862,23 @@ impl EngineOwner {
         }
     }
 
-    /// Runs one engine cycle over the queued arrivals and fans the
-    /// resulting deltas out to subscribers.
-    fn flush(&mut self, at: Option<Timestamp>) -> Result<()> {
-        let arrivals = std::mem::take(&mut self.pending);
-        let outcome = match at {
-            Some(t) => self.server.tick_at(t, &arrivals),
-            None => self.server.tick(&arrivals),
-        };
-        // A rejected cycle (e.g. a regressing TICKAT timestamp) drops its
-        // arrivals with it.
-        outcome?;
+    /// Runs one engine cycle over the queued arrivals (interval ticking),
+    /// keeping the queue's capacity for the next interval.
+    fn flush(&mut self) -> Result<()> {
+        let mut arrivals = std::mem::take(&mut self.pending);
+        let outcome = self.cycle(None, &arrivals);
+        arrivals.clear();
+        self.pending = arrivals;
+        outcome
+    }
+
+    /// Runs one engine cycle over `arrivals` and fans its deltas out. A
+    /// rejected cycle (e.g. a regressing TICKAT) drops its arrivals.
+    fn cycle(&mut self, at: Option<Timestamp>, arrivals: &[f64]) -> Result<()> {
+        match at {
+            Some(t) => self.server.tick_at(t, arrivals),
+            None => self.server.tick(arrivals),
+        }?;
         self.stats.ticks += 1;
         self.stats.arrivals += (arrivals.len() / self.server.dims().max(1)) as u64;
 
@@ -878,37 +893,38 @@ impl EngineOwner {
     /// the drop-to-snapshot backpressure policy to slow consumers.
     ///
     /// Each routed delta is encoded exactly **once** (tallied in
-    /// `STATS encodes=`) into an `Arc<[u8]>` payload whose bytes every
-    /// subscriber's queue shares; the per-subscriber work left is one
-    /// pointer enqueue.
+    /// `STATS encodes=`) through one reused line buffer into an
+    /// `Arc<[u8]>` payload whose bytes every subscriber's queue shares;
+    /// the per-subscriber work left is one pointer enqueue. The reactor
+    /// is signalled after the event's reply, not by these enqueues, so a
+    /// subscriber receives the whole cycle in one write.
+    // lint: hot-path
     fn fan_out(&mut self, now: Timestamp, deltas: &[ResultDelta]) {
-        // Encode the whole cycle before the first enqueue: a push into an
-        // idle queue wakes the reactor, and pushes that trickle in behind
-        // per-line encoding make it flush one tick in several small
-        // writes instead of one.
-        let mut lines: Vec<(&[Subscriber], Arc<[u8]>)> = Vec::new();
+        let cap = self.cfg.push_queue;
+        // lint: allow(alloc, reason=empty unless a subscriber overflowed; `Vec::new` does not allocate)
+        let mut overflowed: Vec<Subscriber> = Vec::new();
         for delta in deltas {
             let subscribers = self.router.subscribers(delta.query);
             if subscribers.is_empty() {
                 continue;
             }
-            let mut line = String::new();
-            write_delta_line(&mut line, "DELTA", now, delta);
+            let bytes = encode_delta_push(&mut self.line, now, delta);
             self.metrics.encodes.fetch_add(1, Ordering::Relaxed);
-            lines.push((subscribers, line_bytes(line)));
-        }
-        let cap = self.cfg.push_queue;
-        let mut overflowed: Vec<Subscriber> = Vec::new();
-        for (subscribers, bytes) in &lines {
-            for sub in *subscribers {
+            for sub in subscribers {
                 // Once a queue overflows, its latch refuses every later
                 // push of this cycle too, so a session can be collected
                 // here once per subscribed query.
-                if !sub.out.try_push_shared(Arc::clone(bytes), cap) {
+                if !sub.out.try_push_shared(Arc::clone(&bytes), cap) {
+                    // lint: allow(alloc, reason=overflow path only: a slow consumer is about to be re-baselined)
                     overflowed.push(sub.clone());
                 }
             }
         }
+        self.resync(now, overflowed);
+    }
+
+    /// Re-baselines the subscribers whose queues overflowed this cycle.
+    fn resync(&mut self, now: Timestamp, mut overflowed: Vec<Subscriber>) {
         overflowed.sort_unstable_by_key(|sub| sub.sid);
         overflowed.dedup_by_key(|sub| sub.sid);
         // Slow consumers lost their queued pushes: re-baseline every one
@@ -945,23 +961,15 @@ impl EngineOwner {
             ("ticks".into(), self.stats.ticks.to_string()),
             ("arrivals".into(), self.stats.arrivals.to_string()),
             ("deltas".into(), self.stats.deltas.to_string()),
-            (
-                "encodes".into(),
-                self.metrics.encodes.load(Ordering::Relaxed).to_string(),
-            ),
+            counter("encodes", &self.metrics.encodes),
             ("resyncs".into(), self.stats.resyncs.to_string()),
-            (
-                "reaped".into(),
-                self.metrics.reaped.load(Ordering::Relaxed).to_string(),
-            ),
-            (
-                "shed".into(),
-                self.metrics.shed.load(Ordering::Relaxed).to_string(),
-            ),
-            (
-                "faults".into(),
-                self.metrics.faults.load(Ordering::Relaxed).to_string(),
-            ),
+            counter("pokes", &self.metrics.pokes),
+            counter("wakeups", &self.metrics.wakeups),
+            counter("sock_reads", &self.metrics.sock_reads),
+            counter("sock_writes", &self.metrics.sock_writes),
+            counter("reaped", &self.metrics.reaped),
+            counter("shed", &self.metrics.shed),
+            counter("faults", &self.metrics.faults),
             ("tick_errors".into(), self.stats.tick_errors.to_string()),
             (
                 "pending".into(),
@@ -1015,6 +1023,11 @@ pub(crate) fn build_query(spec: &QuerySpec) -> Result<Query> {
             Rect::new(lo, hi).and_then(|rect| Query::constrained(f, spec.k, rect))
         }
     }
+}
+
+/// One relaxed counter as a `STATS` pair.
+fn counter(key: &str, value: &AtomicU64) -> (String, String) {
+    (key.into(), value.load(Ordering::Relaxed).to_string())
 }
 
 fn internal_reply(message: &str) -> Reply {

@@ -14,13 +14,16 @@
 //!   it with a *partial-write cursor*: a short write leaves the front
 //!   payload in place with its offset advanced, so flushing resumes
 //!   mid-line at the next write-readiness wakeup without ever splicing
-//!   two lines together.
+//!   two lines together. Filling an empty queue only *marks* the session
+//!   dirty on the reactor's `Waker`; the engine owner signals once per
+//!   inbox event, so the reactor writes all an event queued in one call.
 //! * [`LineFramer`] — incremental request-line reassembly. The reactor
 //!   reads whatever the socket has ready (possibly one byte, possibly a
 //!   dozen pipelined lines, possibly a UTF-8 sequence split across two
 //!   wakeups) and feeds the raw chunks in; the framer yields complete
 //!   lines plus the same oversized/non-UTF-8 classifications the
-//!   thread-per-connection reader used to produce.
+//!   thread-per-connection reader used to produce, moving a cursor —
+//!   not the buffer — per line and never searching a byte twice.
 //!
 //! **Backpressure policy** (drop-to-snapshot, unchanged since PR 5):
 //! replies are never dropped, but the number of queued *push* lines is
@@ -41,6 +44,7 @@
 //! deltas cannot land ahead of the pending resync.
 
 use std::collections::VecDeque;
+use std::io::BufRead;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -106,8 +110,8 @@ struct OutState {
 pub struct SessionOut {
     state: Mutex<OutState>,
     /// The reactor waker (set once when the reactor adopts the
-    /// connection); enqueues into an empty queue poke it so the event
-    /// loop learns there are bytes to flush.
+    /// connection); an enqueue into an empty queue marks this session
+    /// dirty there, and the engine owner's [`Waker::flush`] wakes the loop.
     waker: OnceLock<(Arc<Waker>, SessionId)>,
 }
 
@@ -133,14 +137,15 @@ impl SessionOut {
         let _ = self.waker.set((waker, sid));
     }
 
-    /// Pokes the reactor (when attached) that this session has pending
-    /// output or was closed.
-    fn wake(&self) {
+    /// Tells the reactor's waker (when attached) that this session has
+    /// pending output or was closed. No wake-up happens here.
+    fn mark(&self) {
         if let Some((waker, sid)) = self.waker.get() {
-            waker.wake(*sid);
+            waker.mark(*sid);
         }
     }
 
+    // lint: hot-path
     fn enqueue(&self, bytes: Arc<[u8]>, push: bool) {
         let was_idle = {
             let mut st = self.lock_state();
@@ -154,10 +159,10 @@ impl SessionOut {
             st.queue.push_back(OutEntry { bytes, push });
             was_idle
         };
-        // Only the empty→non-empty transition needs a wakeup: while the
-        // queue is non-empty the reactor already holds write interest.
+        // Only the empty→non-empty transition needs a mark: while the
+        // queue is non-empty the reactor is already due to flush it.
         if was_idle {
-            self.wake();
+            self.mark();
         }
     }
 
@@ -182,6 +187,7 @@ impl SessionOut {
     /// marks that re-baseline as underway, every further capped push is
     /// refused (returning `false` again) without touching the queue, so
     /// no later delta can land ahead of the pending `RESYNC`.
+    // lint: hot-path
     pub fn try_push_shared(&self, bytes: Arc<[u8]>, cap: usize) -> bool {
         let was_idle = {
             let mut st = self.lock_state();
@@ -210,7 +216,7 @@ impl SessionOut {
             was_idle
         };
         if was_idle {
-            self.wake();
+            self.mark();
         }
         true
     }
@@ -236,7 +242,7 @@ impl SessionOut {
             let mut st = self.lock_state();
             st.closed = true;
         }
-        self.wake();
+        self.mark();
     }
 
     /// Whether [`SessionOut::close`] has been called.
@@ -248,6 +254,12 @@ impl SessionOut {
     /// down).
     pub fn is_drained(&self) -> bool {
         self.lock_state().queue.is_empty()
+    }
+
+    /// `(closed, drained)` under one lock, for the reactor's `settle`.
+    pub(crate) fn flags(&self) -> (bool, bool) {
+        let st = self.lock_state();
+        (st.closed, st.queue.is_empty())
     }
 
     /// The front payload and how many of its bytes were already written.
@@ -266,6 +278,7 @@ impl SessionOut {
     /// lines into one socket write. Every entry copied from is recorded
     /// as staged — protected from the overflow drop — until the
     /// [`SessionOut::advance`] that accounts for the write.
+    // lint: hot-path
     pub fn peek_coalesced(&self, scratch: &mut Vec<u8>, max: usize) -> usize {
         scratch.clear();
         let mut st = self.lock_state();
@@ -289,6 +302,7 @@ impl SessionOut {
     /// past (partial progress stays in the cursor) and releasing the
     /// staged-entry protection (the write is fully accounted; anything
     /// left re-stages at the next peek).
+    // lint: hot-path
     pub fn advance(&self, n: usize) {
         let mut st = self.lock_state();
         st.cursor += n;
@@ -381,8 +395,15 @@ pub enum FramedLine {
 /// drain complete lines with [`LineFramer::next_line`]. Memory is bounded
 /// by the line cap: once a line exceeds it, the framer switches to a
 /// discard mode that scans (without storing) until the terminator.
+/// Yielding a line moves a cursor, not the buffer: the consumed prefix is
+/// reclaimed once per `feed`, and a partial line is searched for its
+/// terminator only past the bytes already searched.
 pub struct LineFramer {
     buf: Vec<u8>,
+    /// `buf[..head]` was already yielded as lines.
+    head: usize,
+    /// `buf[head..scanned]` is known to hold no terminator.
+    scanned: usize,
     /// An oversized line was reported; bytes are dropped until `\n`.
     discarding: bool,
     max: usize,
@@ -394,12 +415,15 @@ impl LineFramer {
     pub fn new(max: usize) -> LineFramer {
         LineFramer {
             buf: Vec::new(),
+            head: 0,
+            scanned: 0,
             discarding: false,
             max: max.max(1),
         }
     }
 
     /// Appends one read chunk.
+    // lint: hot-path
     pub fn feed(&mut self, mut chunk: &[u8]) {
         if self.discarding {
             match chunk.iter().position(|b| *b == b'\n') {
@@ -410,45 +434,61 @@ impl LineFramer {
                 None => return,
             }
         }
+        // The one compaction: the unyielded tail (a partial line) moves.
+        if self.head > 0 {
+            self.buf.drain(..self.head);
+            self.scanned -= self.head;
+            self.head = 0;
+        }
         self.buf.extend_from_slice(chunk);
     }
 
     /// Bytes currently buffered (partial line + any complete lines not
     /// yet drained).
     pub fn pending_len(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.head
+    }
+
+    /// How many of the [`LineFramer::pending_len`] bytes are known to hold
+    /// no terminator: [`LineFramer::next_line`] searches past them.
+    pub fn scanned_len(&self) -> usize {
+        self.scanned - self.head
     }
 
     /// Yields the next complete line (or cap/encoding rejection), `None`
     /// when more bytes are needed.
+    // lint: hot-path
     pub fn next_line(&mut self) -> Option<FramedLine> {
-        match self.buf.iter().position(|b| *b == b'\n') {
-            Some(pos) => {
-                let rest = self.buf.split_off(pos + 1);
-                let mut line = std::mem::replace(&mut self.buf, rest);
-                line.pop(); // the terminator
-                if line.last() == Some(&b'\r') {
-                    line.pop(); // tolerate CRLF peers
-                }
-                if line.len() > self.max {
-                    return Some(FramedLine::TooLong);
-                }
-                match String::from_utf8(line) {
-                    Ok(s) => Some(FramedLine::Line(s)),
-                    Err(_) => Some(FramedLine::NotUtf8),
-                }
+        // `memchr`, as the standard library offers it: consumes through
+        // the first terminator, or everything.
+        let skipped = (&self.buf[self.scanned..]).skip_until(b'\n').unwrap_or(0);
+        self.scanned += skipped;
+        if skipped == 0 || self.buf[self.scanned - 1] != b'\n' {
+            if self.pending_len() > self.max {
+                // Oversized with no terminator in sight: report once, drop
+                // what we hold (the next feed reclaims it), scan for it.
+                self.head = self.scanned;
+                self.discarding = true;
+                return Some(FramedLine::TooLong);
             }
-            None => {
-                if self.buf.len() > self.max {
-                    // Already oversized with no terminator in sight: report
-                    // once, drop what we hold, scan for the terminator.
-                    self.buf.clear();
-                    self.discarding = true;
-                    return Some(FramedLine::TooLong);
-                }
-                None
-            }
+            return None;
         }
+        let end = self.scanned - 1;
+        let mut line = &self.buf[self.head..end];
+        if line.last() == Some(&b'\r') {
+            line = &line[..line.len() - 1]; // tolerate CRLF peers
+        }
+        let framed = if line.len() > self.max {
+            FramedLine::TooLong
+        } else {
+            match std::str::from_utf8(line) {
+                // lint: allow(alloc, reason=the yielded line is owned by the caller; one exact-size copy per line)
+                Ok(s) => FramedLine::Line(s.to_owned()),
+                Err(_) => FramedLine::NotUtf8,
+            }
+        };
+        self.head = self.scanned;
+        Some(framed)
     }
 }
 

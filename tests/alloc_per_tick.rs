@@ -1,5 +1,5 @@
-//! Measures, with a counting global allocator, what the lint can only
-//! approximate.
+//! Measures, with the counting global allocator of `tests/counting_alloc`,
+//! what the lint can only approximate.
 //!
 //! * Reporting a cycle's result changes costs one heap allocation per
 //!   tick — the batch buffer `take_deltas` hands out — however many
@@ -17,40 +17,14 @@
 //! One `#[test]` only: the counter is process-wide, and a second test
 //! running on another thread would be counted too.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+mod counting_alloc;
 
+use counting_alloc::counted;
 use topk_monitor::engines::{GridSpec, IngestState};
 use topk_monitor::{
     DataDist, EngineKind, FnFamily, MonitorServer, PointGen, Query, QueryGen, ServerConfig,
     Timestamp, WindowSpec,
 };
-
-struct Counting;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every call is forwarded unchanged to `System`; the only addition
-// is a relaxed counter increment, which allocates nothing.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: same layout the caller handed us.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc`/`realloc` with `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: forwarded with the caller's arguments.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
 
 const DIMS: usize = 2;
 const Q: usize = 1024;
@@ -83,11 +57,11 @@ fn warmed(engine: EngineKind, tracked: bool, warm: &[Vec<f64>]) -> MonitorServer
 
 /// Allocations of one `tick` + `take_deltas`, and the deltas it returned.
 fn counted_tick(server: &mut MonitorServer, batch: &[f64]) -> (u64, usize) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    server.tick(batch).expect("tick");
-    let deltas = server.take_deltas();
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
-    (after - before, deltas.len())
+    let (calls, _, deltas) = counted(|| {
+        server.tick(batch).expect("tick");
+        server.take_deltas()
+    });
+    (calls, deltas.len())
 }
 
 /// Maintenance allocates on its own account on the ticks that recompute,
@@ -105,9 +79,9 @@ fn reporting_costs_one_allocation_per_tick_whatever_changed() {
     let mut ingest =
         IngestState::new(DIMS, WindowSpec::Count(1_000), GridSpec::default()).expect("config");
     for (t, batch) in warm.iter().chain(&ticks).enumerate() {
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
-        ingest.ingest(Timestamp(t as u64), batch).expect("ingest");
-        let allocated = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        let (allocated, _, ()) = counted(|| {
+            ingest.ingest(Timestamp(t as u64), batch).expect("ingest");
+        });
         assert!(
             t < warm.len() || allocated == 0,
             "warm ingest call {t} allocated {allocated} times"

@@ -20,10 +20,10 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use topk_monitor::service::{
-    apply_push, parse_request, parse_server_line, FramedLine, LineFramer, Push, Service,
-    ServiceConfig, SessionOut, MAX_REQUEST_LINE,
+    apply_push, parse_request, parse_server_line, FramedLine, LineFramer, Push, Reply, Request,
+    ServerLine, Service, ServiceConfig, SessionOut, MAX_REQUEST_LINE,
 };
-use topk_monitor::{Scored, ServerConfig};
+use topk_monitor::{QueryId, ResultDelta, Scored, ServerConfig, Timestamp, TupleId};
 
 /// A push payload as the server enqueues it: the line plus terminator.
 fn payload(line: &str) -> Arc<[u8]> {
@@ -178,6 +178,14 @@ proptest! {
         let vs: Vec<String> = arrivals.iter().map(|v| (*v as f64 / 1000.0).to_string()).collect();
         for line in [
             format!("REGISTER k={k} weights={} window=count:32", ws.join(",")),
+            format!("REGISTER k={k} weights=1,0.5 fn=quadratic range=0:0.5,0.25:1 window=time:{k}"),
+            format!("UNREGISTER q{k}"),
+            format!("SUBSCRIBE q{k}"),
+            format!("UNSUBSCRIBE {k}"),
+            format!("SNAPSHOT q{k}"),
+            "STATS".to_string(),
+            "PING".to_string(),
+            "QUIT".to_string(),
             format!("TICK {}", vs.join(" ")),
             format!("TICKAT @{k} {}", vs.join(" ")),
             format!("SITE {k} dims={}", weights.len()),
@@ -204,6 +212,11 @@ proptest! {
         for line in [
             format!("DELTA q1 @7{}", entries.iter().map(|e| format!(" {e}")).collect::<String>()),
             format!("OK SNAPSHOT q2 @9 t{}:0.5", ids[0]),
+            format!("SNAPSHOT q{} @3 t{}:0.5 t1:-0.25", ids[0], ids[0]),
+            format!("OK q{}", ids[0]),
+            format!("OK @{} queued={}", ids[0], ids.len()),
+            "OK pong".to_string(),
+            "OK bye".to_string(),
             "OK STATS sessions=3 faults=0".to_string(),
             "ERR busy server inbox full; request dropped, retry later".to_string(),
             "RESYNC 2".to_string(),
@@ -218,6 +231,164 @@ proptest! {
             let truncated = String::from_utf8_lossy(&line.as_bytes()[..cut]);
             assert_server_line_fixed_point(&truncated);
         }
+    }
+}
+
+/// `parse(encode(x)) == x` to the bit, on the values a shortest-round-trip
+/// text encoding is most likely to get wrong — signed zero, subnormals,
+/// the extremes, arbitrary bit patterns — with `u64::MAX` ids and
+/// timestamps, through every line shape that carries a float, and through
+/// a `TICK` as long as the request cap allows (25 000 tuples).
+#[test]
+fn edge_values_round_trip_bit_for_bit() {
+    let mut state = 0x5EED_u64;
+    let mut word = move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    let edges = [
+        0.0,
+        -0.0,
+        f64::MIN_POSITIVE,
+        -f64::MIN_POSITIVE,
+        f64::from_bits(1),
+        -f64::from_bits(1),
+        f64::from_bits(0x000F_FFFF_FFFF_FFFF),
+        f64::MAX,
+        f64::MIN,
+        f64::EPSILON,
+        0.1 + 0.2,
+        1.0 / 3.0,
+        1e23,
+        5e-324,
+        9_007_199_254_740_993.0,
+    ];
+    let mut value = |i: usize| match edges.get(i) {
+        Some(edge) => *edge,
+        // Any finite bit pattern.
+        None => loop {
+            let v = f64::from_bits(word());
+            if v.is_finite() {
+                break v;
+            }
+        },
+    };
+    let bits = |vals: &[f64]| vals.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+    let entry_bits = |entries: &[Scored]| {
+        let scores: Vec<f64> = entries.iter().map(|e| e.score.get()).collect();
+        (
+            bits(&scores),
+            entries.iter().map(|e| e.id).collect::<Vec<_>>(),
+        )
+    };
+
+    let vals: Vec<f64> = (0..400).map(&mut value).collect();
+    let ts = Timestamp(u64::MAX);
+    for req in [
+        Request::Tick {
+            arrivals: vals.clone(),
+        },
+        Request::TickAt {
+            at: ts,
+            arrivals: vals.clone(),
+        },
+        Request::SiteIngest {
+            at: ts,
+            base: u64::MAX,
+            arrivals: vals.clone(),
+        },
+    ] {
+        match parse_request(&req.to_string()).expect("own encoding") {
+            Request::Tick { arrivals } => assert_eq!(bits(&arrivals), bits(&vals)),
+            Request::TickAt { at, arrivals } => {
+                assert_eq!((at, bits(&arrivals)), (ts, bits(&vals)));
+            }
+            Request::SiteIngest { at, base, arrivals } => {
+                assert_eq!((at, base, bits(&arrivals)), (ts, u64::MAX, bits(&vals)));
+            }
+            other => panic!("{req} parsed as {other:?}"),
+        }
+    }
+
+    let entries: Vec<Scored> = vals
+        .iter()
+        .enumerate()
+        .map(|(i, v)| Scored::new(*v, TupleId(u64::MAX - i as u64)))
+        .collect();
+    let query = QueryId(u64::MAX);
+    let delta = ResultDelta {
+        query,
+        added: entries[..7].to_vec().into(),
+        removed: entries[7..40].to_vec().into(),
+    };
+    let want = (entry_bits(&delta.added), entry_bits(&delta.removed));
+    let shipped = Request::SiteDelta {
+        at: ts,
+        delta: delta.clone(),
+    }
+    .to_string();
+    match parse_request(&shipped).expect("own encoding") {
+        Request::SiteDelta { at, delta: got } => {
+            assert_eq!((at, got.query), (ts, query));
+            assert_eq!((entry_bits(&got.added), entry_bits(&got.removed)), want);
+        }
+        other => panic!("SITEDELTA parsed as {other:?}"),
+    }
+    let pushed = Push::Delta { at: ts, delta }.to_string();
+    match parse_server_line(&pushed).expect("own encoding") {
+        ServerLine::Push(Push::Delta { at, delta: got }) => {
+            assert_eq!((at, got.query), (ts, query));
+            assert_eq!((entry_bits(&got.added), entry_bits(&got.removed)), want);
+        }
+        other => panic!("DELTA parsed as {other:?}"),
+    }
+    for line in [
+        Push::Snapshot {
+            query,
+            at: ts,
+            entries: entries.clone(),
+        }
+        .to_string(),
+        Reply::OkSnapshot {
+            query,
+            at: ts,
+            entries: entries.clone(),
+        }
+        .to_string(),
+    ] {
+        match parse_server_line(&line).expect("own encoding") {
+            ServerLine::Push(Push::Snapshot {
+                query: q,
+                at,
+                entries: got,
+            })
+            | ServerLine::Reply(Reply::OkSnapshot {
+                query: q,
+                at,
+                entries: got,
+            }) => {
+                assert_eq!((q, at), (query, ts));
+                assert_eq!(entry_bits(&got), entry_bits(&entries));
+            }
+            other => panic!("snapshot parsed as {other:?}"),
+        }
+    }
+
+    // As many full-precision coordinates as fit under the request cap.
+    let long: Vec<f64> = (0..50_000)
+        .map(|_| (word() >> 11) as f64 / (1u64 << 53) as f64)
+        .collect();
+    let line = Request::Tick {
+        arrivals: long.clone(),
+    }
+    .to_string();
+    assert!(line.len() <= MAX_REQUEST_LINE, "{} bytes", line.len());
+    match parse_request(&line).expect("own encoding") {
+        Request::Tick { arrivals } => assert_eq!(bits(&arrivals), bits(&long)),
+        other => panic!("TICK parsed as {other:?}"),
     }
 }
 

@@ -13,12 +13,26 @@
 //! gapless delta stream).
 
 use std::collections::BTreeMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use topk_monitor::service::{
     apply_push, FaultSchedule, Push, ReconnectPolicy, Service, ServiceClient, ServiceConfig,
 };
 use topk_monitor::{MonitorServer, Query, QueryId, ScoreFn, Scored, ServerConfig, Timestamp};
+
+/// The tests of this binary share one process, and `/proc/self/fd` lists
+/// every thread's descriptors (`thread_count` can filter by thread name,
+/// `fd_count` cannot): a neighbour opening sockets mid-churn read as a
+/// leak about once in three runs. Every test that opens sockets holds
+/// this lock for its whole body, so the churn test's baseline is its own.
+static SOCKETS: Mutex<()> = Mutex::new(());
+
+fn sockets_to_myself() -> MutexGuard<'static, ()> {
+    // A neighbour that failed while holding the lock opened no more
+    // sockets: nothing to protect against.
+    SOCKETS.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Data coordinates stay strictly below 1.0 (max 30/32), so the sentinel
 /// tick of k tuples at exactly (1.0, ..) scores exactly `Σ wᵢ` — beyond
@@ -69,6 +83,7 @@ fn follow(
 /// been delivered more times than they were encoded.
 #[test]
 fn fanout_soak_mixed_fleet_matches_oracle_and_encodes_once() {
+    let _alone = sockets_to_myself();
     let dims = 2;
     let k = 8;
     let soak_ticks = 300u64;
@@ -331,6 +346,7 @@ fn fd_count() -> Option<usize> {
 /// plus the engine owner, nothing else, and `shutdown` joins both.
 #[test]
 fn connection_churn_leaks_no_fds_or_threads() {
+    let _alone = sockets_to_myself();
     if thread_count().is_none() || fd_count().is_none() {
         return; // no /proc — nothing to measure on this platform
     }
@@ -411,6 +427,7 @@ fn connection_churn_leaks_no_fds_or_threads() {
 /// delta with no gap and never sees a `RESYNC`.
 #[test]
 fn backpressure_is_per_session_and_fast_readers_see_no_gaps() {
+    let _alone = sockets_to_myself();
     let dims = 2;
     let k = 4;
     let scfg = ServerConfig::sma(dims, 200);

@@ -207,6 +207,86 @@ fn single_session_matches_oracle_per_query() {
     }
 }
 
+/// The owner → reactor handoff as exact counts. One ingest client, one
+/// mirror subscribed to 64 queries, 50 ticks that each change most of the
+/// results, a `PING` fence on the mirror connection per tick. However
+/// many `DELTA` lines a tick queues, the owner pokes the reactor once per
+/// request and the reactor hands each touched session to the kernel in
+/// one write — counted from `STATS`, not timed — and the mirror equals
+/// the brute-force oracle after every fence.
+#[test]
+fn handoff_costs_one_poke_per_request_and_one_write_per_session() {
+    const QUERIES: usize = 64;
+    let scfg = ServerConfig::sma(2, 64);
+    let service = Service::bind("127.0.0.1:0", ServiceConfig::new(scfg)).expect("bind");
+    let mut oracle = MonitorServer::new(scfg.with_engine(EngineKind::Oracle)).expect("oracle");
+    let mut ingest = ServiceClient::connect(service.local_addr()).expect("ingest");
+    let mut mirror_conn = ServiceClient::connect(service.local_addr()).expect("mirror");
+    let mut mirror: BTreeMap<QueryId, Vec<Scored>> = BTreeMap::new();
+    for i in 0..QUERIES {
+        let w = [1.0 + i as f64 / 8.0, 9.0 - i as f64 / 8.0];
+        let q = mirror_conn.register_linear(4, &w).expect("register");
+        let f = ScoreFn::linear(w.to_vec()).expect("weights");
+        let local = oracle.register(Query::top_k(f, 4).expect("query"));
+        assert_eq!(local.expect("oracle register"), q);
+        mirror.insert(q, mirror_conn.subscribe(q).expect("subscribe"));
+    }
+    let count = |stats: &BTreeMap<String, String>, key: &str| -> u64 {
+        let value = stats
+            .get(key)
+            .unwrap_or_else(|| panic!("STATS carries {key}"));
+        value.parse().expect("a count")
+    };
+
+    let before = ingest.stats().expect("stats");
+    let batches = lcg_batches(41, 50, 32, 2);
+    for batch in &batches {
+        ingest.tick(batch).expect("tick");
+        oracle.tick(batch).expect("oracle tick");
+        // The tick's pushes were queued before its reply, and the pong
+        // is queued behind them on the mirror's one ordered stream.
+        mirror_conn.ping().expect("fence");
+        while let Some(push) = mirror_conn.try_buffered_push() {
+            assert!(!matches!(push, Push::Resync { .. }), "no backpressure");
+            apply_push(&mut mirror, &push);
+        }
+        for (q, got) in &mirror {
+            assert_eq!(
+                got,
+                &oracle.result(*q).expect("oracle"),
+                "{q} after a fence"
+            );
+        }
+    }
+    let after = ingest.stats().expect("stats");
+    let spent = |key: &str| count(&after, key) - count(&before, key);
+
+    // Between the two snapshots: the first STATS' own handoff, 50 ticks
+    // and 50 pings.
+    let requests = 1 + 2 * batches.len() as u64;
+    let deltas = spent("deltas");
+    assert!(
+        deltas > (batches.len() * QUERIES / 2) as u64,
+        "the stream should change most results on most ticks ({deltas} deltas)"
+    );
+    assert_eq!(spent("encodes"), deltas, "one encode per routed delta");
+    assert!(
+        spent("pokes") <= requests,
+        "{} pokes for {requests} requests and {deltas} pushes",
+        spent("pokes")
+    );
+    // Per tick and fence: the tick's reply, the mirror's whole cycle in
+    // one write, the pong.
+    assert!(
+        spent("sock_writes") <= 2 * requests,
+        "{} socket writes for {requests} requests and {deltas} pushes",
+        spent("sock_writes")
+    );
+    ingest.quit().expect("quit");
+    mirror_conn.quit().expect("quit");
+    service.shutdown();
+}
+
 /// The drop-to-snapshot backpressure path: a subscriber that stops reading
 /// has its push backlog dropped, receives `RESYNC` + fresh snapshots when
 /// it resumes, and still converges to the oracle-exact result.
