@@ -25,8 +25,7 @@
 //! The scan of each processed cell streams `(ids, coords)` slices straight
 //! out of the cell's coordinate-inline chunks through the
 //! dim-specialized [`crate::kernel`] scan — the traversal performs **zero**
-//! per-tuple lookups into the window ring or slab (the old
-//! `TupleLookup::coords` indirection is gone from the signature entirely).
+//! per-tuple lookups into the window ring, and takes no window at all.
 //!
 //! The traversal state (visit stamps, the cell heap, the frontier list)
 //! lives in a caller-owned [`ComputeScratch`]: engines recompute queries
@@ -575,8 +574,6 @@ pub fn compute_topk_group(
 pub struct ComputeScratch {
     /// Reusable visited markers.
     pub stamps: VisitStamps,
-    /// Reusable coordinate buffer.
-    pub coords: [f64; MAX_DIMS],
     /// Cell heap of the top-k traversal (drained into `frontier` on
     /// completion).
     pub heap: BinaryHeap<(OrderedF64, CellId)>,
@@ -603,7 +600,6 @@ impl ComputeScratch {
     pub fn new(num_cells: usize) -> ComputeScratch {
         ComputeScratch {
             stamps: VisitStamps::new(num_cells),
-            coords: [0.0; MAX_DIMS],
             heap: BinaryHeap::new(),
             frontier: Vec::new(),
             popped: Vec::new(),
@@ -633,7 +629,7 @@ mod tests {
     /// No window exists in this harness at all: the traversal reads every
     /// coordinate from the grid's cell blocks, which is the whole point of
     /// the coordinate-inline layout (and the compile-time guarantee that
-    /// it performs zero `TupleLookup::coords` calls).
+    /// it resolves no tuple through a window).
     fn setup(points: &[[f64; 2]], per_dim: usize) -> (Grid, ComputeScratch, InfluenceTable) {
         let mut grid = Grid::new(2, per_dim, CellMode::Fifo).unwrap();
         for (i, p) in points.iter().enumerate() {

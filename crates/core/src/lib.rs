@@ -34,9 +34,11 @@
 //! * lazy **influence-list** book-keeping with frontier clean-up walks
 //!   ([`influence`]);
 //! * the §7 extensions: **constrained** top-k queries ([`query::Query`]),
-//!   **threshold** monitoring ([`threshold::ThresholdMonitor`]) and the
+//!   **threshold** monitoring ([`threshold::ThresholdMonitor`], on the
+//!   same ingest stage, with static influence lists and no bands) and the
 //!   explicit-deletion **update-stream** model
-//!   ([`update_stream::UpdateStreamTma`]);
+//!   ([`update_stream::UpdateStreamTma`], whose only tuple store is an
+//!   id-indexed grid);
 //! * a **brute-force oracle** ([`oracle::OracleMonitor`]) and a common
 //!   engine trait ([`engine::ContinuousTopK`]) under which TMA, SMA, the
 //!   TSL baseline and the oracle are interchangeable — and verified to

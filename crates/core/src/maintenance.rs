@@ -267,7 +267,7 @@ fn check_dims(shared: &IngestState, query: &Query) -> Result<()> {
 /// when nothing of the run survived (or the window is empty). The matching
 /// coordinates come from [`IngestState::arrival_run_points`] — the newest
 /// points of the cell's own chain.
-fn live_suffix<'a>(window: &Window, ids: &'a [TupleId]) -> Option<&'a [TupleId]> {
+pub(crate) fn live_suffix<'a>(window: &Window, ids: &'a [TupleId]) -> Option<&'a [TupleId]> {
     let oldest = window.oldest()?;
     let start = ids.partition_point(|&id| id < oldest);
     if start == ids.len() {

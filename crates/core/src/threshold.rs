@@ -5,13 +5,17 @@
 //! influence region is *static* (all cells with `maxscore > τ`), so the
 //! book-keeping is built once with a plain list walk (no heap — visiting
 //! order is irrelevant) and never recomputed; and maintenance merely
-//! reports arrivals/expiries of qualifying tuples.
+//! reports arrivals/expiries of qualifying tuples. The stream side is the
+//! shared one: an [`IngestState`] stores the tuples and each cycle's
+//! cell-grouped arrival and expiry runs are replayed against the static
+//! influence lists.
 
-use crate::ingest::GridSpec;
+use crate::ingest::{GridSpec, IngestState};
 use crate::kernel;
+use crate::maintenance::live_suffix;
 use crate::registry::QueryRegistry;
 use tkm_common::{FxHashSet, QueryId, Result, ScoreFn, Scored, Timestamp, TkmError, TupleId};
-use tkm_grid::{CellMode, Grid, InfluenceTable, VisitStamps};
+use tkm_grid::{InfluenceTable, VisitStamps};
 use tkm_window::{Window, WindowSpec};
 
 #[derive(Debug)]
@@ -26,11 +30,25 @@ struct ThresholdQuery {
     removed: Vec<TupleId>,
 }
 
+impl ThresholdQuery {
+    /// Streams a block of a cell's coordinate-inline points through the
+    /// scoring kernel (no window resolution per tuple); those above the
+    /// threshold start matching.
+    fn admit(&mut self, dims: usize, ids: &[TupleId], coords: &[f64]) {
+        let (threshold, matching, added) = (self.threshold, &mut self.matching, &mut self.added);
+        kernel::scan_block(&self.f, dims, ids, coords, None, |id, score| {
+            if score > threshold {
+                matching.insert(id);
+                added.push(Scored::new(score, id));
+            }
+        });
+    }
+}
+
 /// Continuous threshold-query monitor.
 #[derive(Debug)]
 pub struct ThresholdMonitor {
-    window: Window,
-    grid: Grid,
+    ingest: IngestState,
     influence: InfluenceTable,
     stamps: VisitStamps,
     queries: QueryRegistry<ThresholdQuery>,
@@ -39,14 +57,12 @@ pub struct ThresholdMonitor {
 impl ThresholdMonitor {
     /// Creates a monitor over `dims`-dimensional tuples.
     pub fn new(dims: usize, window: WindowSpec, grid: GridSpec) -> Result<ThresholdMonitor> {
-        let grid = grid.build(dims, CellMode::Fifo)?;
-        let stamps = VisitStamps::new(grid.num_cells());
-        let influence = InfluenceTable::new(grid.num_cells());
+        let ingest = IngestState::new(dims, window, grid)?;
+        let cells = ingest.grid().num_cells();
         Ok(ThresholdMonitor {
-            window: Window::new(dims, window)?,
-            grid,
-            influence,
-            stamps,
+            ingest,
+            influence: InfluenceTable::new(cells),
+            stamps: VisitStamps::new(cells),
             queries: QueryRegistry::new(),
         })
     }
@@ -54,13 +70,13 @@ impl ThresholdMonitor {
     /// Dimensionality.
     #[inline]
     pub fn dims(&self) -> usize {
-        self.window.dims()
+        self.ingest.dims()
     }
 
     /// The underlying window (read access).
     #[inline]
     pub fn window(&self) -> &Window {
-        &self.window
+        self.ingest.window()
     }
 
     /// Registers a threshold query: monitor all tuples with
@@ -89,12 +105,12 @@ impl ThresholdMonitor {
             },
         )?;
         let Self {
-            grid,
+            ingest,
             influence,
             stamps,
             queries,
-            ..
         } = self;
+        let grid = ingest.grid();
         let (_, st) = queries.slot_mut(slot);
         // List walk from the best corner over cells with maxscore > τ
         // (paper: "the search can be performed with a list instead of a
@@ -103,37 +119,23 @@ impl ThresholdMonitor {
         let start = grid.best_corner(&st.f);
         stamps.mark(start);
         let mut list = vec![start];
-        let ThresholdQuery {
-            f,
-            threshold,
-            matching,
-            added,
-            ..
-        } = st;
         while let Some(cell) = list.pop() {
-            if grid.maxscore(cell, f) <= *threshold {
+            if grid.maxscore(cell, &st.f) <= st.threshold {
                 continue;
             }
-            // Stream the cell's coordinate-inline chunks through the
-            // scoring kernel; no window resolution per tuple.
             for (ids, coords) in grid.points(cell).chunks() {
-                kernel::scan_block(f, grid.dims(), ids, coords, None, |tid, score| {
-                    if score > *threshold {
-                        matching.insert(tid);
-                        added.push(Scored::new(score, tid));
-                    }
-                });
+                st.admit(grid.dims(), ids, coords);
             }
             influence.insert(cell, slot);
             for dim in 0..grid.dims() {
-                if let Some(n) = grid.step_worse(cell, dim, f) {
+                if let Some(n) = grid.step_worse(cell, dim, &st.f) {
                     if stamps.mark(n) {
                         list.push(n);
                     }
                 }
             }
         }
-        added.sort_by(|a, b| b.cmp(a));
+        st.added.sort_by(|a, b| b.cmp(a));
         Ok(())
     }
 
@@ -142,16 +144,17 @@ impl ThresholdMonitor {
         let (slot, st) = self.queries.remove(id)?;
         // The influence region is static: sweep it with the same walk used
         // to build it.
+        let grid = self.ingest.grid();
         self.stamps.begin();
-        let start = self.grid.best_corner(&st.f);
+        let start = grid.best_corner(&st.f);
         self.stamps.mark(start);
         let mut list = vec![start];
         while let Some(cell) = list.pop() {
             if !self.influence.remove(cell, slot) {
                 continue;
             }
-            for dim in 0..self.grid.dims() {
-                if let Some(n) = self.grid.step_worse(cell, dim, &st.f) {
+            for dim in 0..grid.dims() {
+                if let Some(n) = grid.step_worse(cell, dim, &st.f) {
                     if self.stamps.mark(n) {
                         list.push(n);
                     }
@@ -163,52 +166,58 @@ impl ThresholdMonitor {
 
     /// Executes one processing cycle; afterwards, per-query deltas are
     /// available via [`ThresholdMonitor::added`] / [`ThresholdMonitor::removed`].
+    /// A rejected batch (see [`IngestState::ingest`]) changes nothing. A
+    /// tuple that arrives and expires within the cycle (a burst larger than
+    /// a count window) never matched at a cycle boundary and is reported in
+    /// neither delta.
     pub fn tick(&mut self, now: Timestamp, arrivals: &[f64]) -> Result<()> {
-        let dims = self.dims();
-        self.window.validate_tick(now, arrivals)?;
-        for q in self.queries.states_mut() {
+        let Self {
+            ingest,
+            influence,
+            queries,
+            ..
+        } = self;
+        ingest.ingest(now, arrivals)?;
+        for q in queries.states_mut() {
             q.added.clear();
             q.removed.clear();
         }
-
-        {
-            let Self {
-                window,
-                grid,
-                influence,
-                queries,
-                ..
-            } = self;
-            for coords in arrivals.chunks_exact(dims) {
-                let id = window.insert(coords, now)?;
-                let cell = grid.insert_point(coords, id);
-                for &slot in influence.as_slice(cell) {
-                    let (_, st) = queries.slot_mut(slot);
-                    let score = kernel::score_point(&st.f, coords);
-                    if score > st.threshold {
-                        st.matching.insert(id);
-                        st.added.push(Scored::new(score, id));
+        let dims = ingest.dims();
+        for (cell, ids) in ingest.arrival_runs() {
+            let slots = influence.as_slice(cell);
+            if slots.is_empty() {
+                continue;
+            }
+            let Some(ids) = live_suffix(ingest.window(), ids) else {
+                continue;
+            };
+            for (ids, coords) in ingest.arrival_run_points(cell, ids.len()).chunks() {
+                for &slot in slots {
+                    queries.slot_mut(slot).1.admit(dims, ids, coords);
+                }
+            }
+        }
+        for (cell, ids) in ingest.expiry_runs() {
+            for &slot in influence.as_slice(cell) {
+                let (_, st) = queries.slot_mut(slot);
+                for id in ids {
+                    if st.matching.remove(id) {
+                        st.removed.push(*id);
                     }
                 }
             }
-
-            window.drain_expired(now, |id, coords| {
-                let cell = grid
-                    .remove_point(coords, id)
-                    // lint: allow(panic, reason=window/grid lockstep is the ingest invariant; desync is unrecoverable)
-                    .expect("window and grid are updated in lockstep");
-                for &slot in influence.as_slice(cell) {
-                    let (_, st) = queries.slot_mut(slot);
-                    if st.matching.remove(&id) {
-                        st.removed.push(id);
-                    }
-                }
-            });
+        }
+        // The runs are grouped by cell; the deltas are reported in arrival
+        // order.
+        for q in queries.states_mut() {
+            q.added.sort_unstable_by_key(|s| s.id);
+            q.removed.sort_unstable();
         }
         Ok(())
     }
 
-    /// Tuples that started matching `id`'s predicate in the last tick.
+    /// Tuples that started matching `id`'s predicate in the last tick, in
+    /// arrival order.
     pub fn added(&self, id: QueryId) -> Result<&[Scored]> {
         self.queries
             .get(id)
@@ -216,7 +225,8 @@ impl ThresholdMonitor {
             .ok_or(TkmError::UnknownQuery(id))
     }
 
-    /// Tuples that stopped matching (expired) in the last tick.
+    /// Tuples that stopped matching (expired) in the last tick, in arrival
+    /// order.
     pub fn removed(&self, id: QueryId) -> Result<&[TupleId]> {
         self.queries
             .get(id)
@@ -235,8 +245,7 @@ impl ThresholdMonitor {
     /// Deep size estimate in bytes.
     pub fn space_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
-            + self.window.space_bytes()
-            + self.grid.space_bytes()
+            + self.ingest.space_bytes()
             + self.influence.space_bytes()
             + self.stamps.space_bytes()
             + self.queries.space_bytes()

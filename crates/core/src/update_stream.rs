@@ -1,10 +1,12 @@
 //! Top-k monitoring over *update streams* (paper §7): streams with explicit
 //! deletions instead of sliding-window expiry.
 //!
-//! Tuples no longer leave in arrival order, so the FIFO machinery is
-//! replaced: the backing store is a slab with hash lookup and the grid
-//! deletes from its coordinate-inline cells through an id → position
-//! index. TMA carries over directly — a deletion
+//! Tuples no longer leave in arrival order, so there is no FIFO list to
+//! keep: the grid's coordinate-inline cells are the only tuple store, and
+//! a deletion finds its victim through the grid's id → position index
+//! (the paper: "the point lists of the cells are implemented as
+//! hash-tables for supporting random insertions/deletions in constant
+//! expected time"). TMA carries over directly — a deletion
 //! hitting a result triggers recomputation. SMA does **not** apply: the
 //! skyband reduction requires knowing the expiry order in advance, which an
 //! update stream does not provide (constructing [`UpdateStreamTma`] is the
@@ -19,9 +21,8 @@ use crate::query::Query;
 use crate::registry::QueryRegistry;
 use crate::result::TopList;
 use crate::stats::EngineStats;
-use tkm_common::{QueryId, QuerySlot, Result, Scored, TkmError, TupleId};
+use tkm_common::{FxHashSet, QueryId, QuerySlot, Result, Scored, TkmError, TupleId};
 use tkm_grid::{CellMode, Grid, InfluenceTable};
-use tkm_window::SlabStore;
 
 /// One operation of an update stream.
 #[derive(Clone, Debug, PartialEq)]
@@ -47,8 +48,10 @@ struct UsQuery {
 /// TMA over an explicit-deletion update stream.
 #[derive(Debug)]
 pub struct UpdateStreamTma {
-    store: SlabStore,
+    /// The live tuples, each in its covering cell: the only copy.
     grid: Grid,
+    /// Next arrival id to assign (ids are never reused).
+    next_id: u64,
     influence: InfluenceTable,
     scratch: ComputeScratch,
     queries: QueryRegistry<UsQuery>,
@@ -64,8 +67,8 @@ impl UpdateStreamTma {
         let scratch = ComputeScratch::new(grid.num_cells());
         let influence = InfluenceTable::new(grid.num_cells());
         Ok(UpdateStreamTma {
-            store: SlabStore::new(dims)?,
             grid,
+            next_id: 0,
             influence,
             scratch,
             queries: QueryRegistry::new(),
@@ -77,16 +80,11 @@ impl UpdateStreamTma {
     /// Dimensionality.
     #[inline]
     pub fn dims(&self) -> usize {
-        self.store.dims()
+        self.grid.dims()
     }
 
-    /// The backing store (read access).
-    #[inline]
-    pub fn store(&self) -> &SlabStore {
-        &self.store
-    }
-
-    /// The underlying grid (read access, for diagnostics).
+    /// The underlying grid, whose cells hold the live tuples (read
+    /// access).
     #[inline]
     pub fn grid(&self) -> &Grid {
         &self.grid
@@ -110,6 +108,15 @@ impl UpdateStreamTma {
                 region_bound: f64::INFINITY,
             },
         )?;
+        self.recompute(slot);
+        Ok(())
+    }
+
+    /// Computes `slot`'s result from scratch, listing it in every cell of
+    /// its influence region not known to carry it already (none, for a
+    /// query just registered: its bound is still `+∞`), and leaves the
+    /// traversal's frontier in the scratch for a clean-up walk.
+    fn recompute(&mut self, slot: QuerySlot) {
         let Self {
             grid,
             influence,
@@ -122,7 +129,11 @@ impl UpdateStreamTma {
         let out = compute_topk(
             grid,
             scratch,
-            Some(InfluenceUpdate::fresh(influence, slot)),
+            Some(InfluenceUpdate {
+                table: influence,
+                slot,
+                listed_above: st.region_bound,
+            }),
             &st.query.f,
             st.query.k,
             st.query.constraint.as_ref(),
@@ -135,7 +146,6 @@ impl UpdateStreamTma {
         stats.points_scanned += out.stats.points_scanned;
         st.top = out.top;
         st.region_bound = out.region_bound;
-        Ok(())
     }
 
     /// Terminates a query, clearing its influence-list entries.
@@ -167,20 +177,27 @@ impl UpdateStreamTma {
             .ok_or(TkmError::UnknownQuery(id))
     }
 
-    /// Inserts a tuple, updating affected results immediately.
-    pub fn insert(&mut self, coords: &[f64]) -> Result<TupleId> {
+    /// What an insert must satisfy: whole tuples inside the unit workspace.
+    fn check_coords(&self, coords: &[f64]) -> Result<()> {
         if coords.len() != self.dims() {
             return Err(TkmError::DimensionMismatch {
                 expected: self.dims(),
                 got: coords.len(),
             });
         }
-        if let Some(bad) = coords.iter().find(|x| !(0.0..=1.0).contains(*x)) {
-            return Err(TkmError::InvalidParameter(format!(
+        match coords.iter().find(|x| !(0.0..=1.0).contains(*x)) {
+            Some(bad) => Err(TkmError::InvalidParameter(format!(
                 "insert: coordinate {bad} outside the unit workspace"
-            )));
+            ))),
+            None => Ok(()),
         }
-        let id = self.store.insert(coords)?;
+    }
+
+    /// Inserts a tuple, updating affected results immediately.
+    pub fn insert(&mut self, coords: &[f64]) -> Result<TupleId> {
+        self.check_coords(coords)?;
+        let id = TupleId(self.next_id);
+        self.next_id += 1;
         self.stats.arrivals += 1;
         let cell = self.grid.insert_point(coords, id);
         let queries = &mut self.queries;
@@ -207,15 +224,9 @@ impl UpdateStreamTma {
 
     /// Deletes a tuple, marking queries whose result it was part of.
     pub fn delete(&mut self, id: TupleId) -> Result<()> {
-        let mut scratch = self.scratch.coords;
-        self.store.remove_into(id, &mut scratch)?;
+        let cell = self.grid.cell_of(id).ok_or(TkmError::UnknownTuple(id))?;
+        self.grid.remove_at(cell, id)?;
         self.stats.expirations += 1;
-        let coords = &scratch[..self.dims()];
-        let cell = self
-            .grid
-            .remove_point(coords, id)
-            // lint: allow(panic, reason=store/grid lockstep is the ingest invariant; desync is unrecoverable)
-            .expect("store and grid are updated in lockstep");
         let queries = &mut self.queries;
         let slots = self.influence.as_slice(cell);
         self.stats.cell_probes += slots.len() as u64;
@@ -234,53 +245,47 @@ impl UpdateStreamTma {
     /// deletions since the last call.
     pub fn end_cycle(&mut self) {
         self.stats.ticks += 1;
-        let Self {
-            grid,
-            influence,
-            scratch,
-            queries,
-            stats,
-            affected,
-            ..
-        } = self;
-        for &slot in affected.iter() {
-            let (_, st) = queries.slot_mut(slot);
-            st.affected = false;
-            let out = compute_topk(
-                grid,
-                scratch,
-                Some(InfluenceUpdate {
-                    table: influence,
-                    slot,
-                    listed_above: st.region_bound,
-                }),
-                &st.query.f,
-                st.query.k,
-                st.query.constraint.as_ref(),
-                false,
-                Some(std::mem::take(&mut st.top)),
-            );
-            stats.recompute_queries += 1;
-            stats.recompute_groups += 1;
-            stats.cells_processed += out.stats.cells_processed;
-            stats.points_scanned += out.stats.points_scanned;
-            st.top = out.top;
-            st.region_bound = out.region_bound;
-            stats.cleanup_cells += cleanup_from_frontier(
-                grid,
-                influence,
-                scratch,
+        let mut affected = std::mem::take(&mut self.affected);
+        for slot in affected.drain(..) {
+            self.queries.slot_mut(slot).1.affected = false;
+            self.recompute(slot);
+            let (_, st) = self.queries.slot_mut(slot);
+            self.stats.cleanup_cells += cleanup_from_frontier(
+                &self.grid,
+                &mut self.influence,
+                &mut self.scratch,
                 slot,
                 &st.query.f,
                 st.query.constraint.as_ref(),
             );
         }
-        affected.clear();
+        self.affected = affected;
     }
 
     /// Applies a batch of operations as one processing cycle; returns the
-    /// ids assigned to the inserts, in order.
+    /// ids assigned to the inserts, in order. The whole batch is validated
+    /// before anything is mutated — every insert a whole tuple inside the
+    /// unit workspace, every delete naming a tuple that is live (or
+    /// inserted earlier in the batch) and not already deleted by it — so a
+    /// rejected batch changes nothing: a half-applied one would skip
+    /// [`UpdateStreamTma::end_cycle`] and leave results unresolved.
     pub fn apply(&mut self, ops: &[UpdateOp]) -> Result<Vec<TupleId>> {
+        let mut inserted = self.next_id..self.next_id;
+        let mut deleted = FxHashSet::default();
+        for op in ops {
+            match op {
+                UpdateOp::Insert(coords) => {
+                    self.check_coords(coords)?;
+                    inserted.end += 1;
+                }
+                UpdateOp::Delete(id) => {
+                    let live = self.grid.cell_of(*id).is_some() || inserted.contains(&id.0);
+                    if !live || !deleted.insert(*id) {
+                        return Err(TkmError::UnknownTuple(*id));
+                    }
+                }
+            }
+        }
         let mut ids = Vec::new();
         for op in ops {
             match op {
@@ -301,7 +306,6 @@ impl UpdateStreamTma {
     /// Deep size estimate in bytes.
     pub fn space_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
-            + self.store.space_bytes()
             + self.grid.space_bytes()
             + self.influence.space_bytes()
             + self.scratch.space_bytes()
@@ -318,6 +322,7 @@ impl UpdateStreamTma {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
     use tkm_common::ScoreFn;
 
     fn lcg(seed: &mut u64) -> f64 {
@@ -327,15 +332,51 @@ mod tests {
         ((*seed >> 11) as f64 / (1u64 << 53) as f64).clamp(0.0, 1.0)
     }
 
-    fn brute(store: &SlabStore, q: &Query) -> Vec<Scored> {
-        let mut all: Vec<Scored> = store
+    /// The tests' own record of the live tuples. The monitor keeps no
+    /// second store to read back, so results *and* the grid's cells are
+    /// held to this model.
+    type Live = BTreeMap<TupleId, Vec<f64>>;
+
+    /// Applies `ops` as one cycle to monitor and model alike.
+    fn apply(m: &mut UpdateStreamTma, live: &mut Live, ops: &[UpdateOp]) -> Vec<TupleId> {
+        let ids = m.apply(ops).unwrap();
+        let mut assigned = ids.iter();
+        for op in ops {
+            match op {
+                UpdateOp::Insert(coords) => {
+                    live.insert(*assigned.next().unwrap(), coords.clone());
+                }
+                UpdateOp::Delete(id) => {
+                    live.remove(id).expect("the model holds every victim");
+                }
+            }
+        }
+        ids
+    }
+
+    fn brute(live: &Live, q: &Query) -> Vec<Scored> {
+        let mut all: Vec<Scored> = live
             .iter()
             .filter(|(_, c)| q.constraint.as_ref().is_none_or(|r| r.contains(c)))
-            .map(|(id, c)| Scored::new(q.f.score(c), id))
+            .map(|(id, c)| Scored::new(q.f.score(c), *id))
             .collect();
         all.sort_by(|a, b| b.cmp(a));
         all.truncate(q.k);
         all
+    }
+
+    /// Every live tuple sits in exactly its covering cell with its
+    /// coordinates, and nothing else is indexed.
+    fn assert_grid_holds(m: &UpdateStreamTma, live: &Live) {
+        for (id, coords) in live {
+            let cell = m.grid().locate(coords);
+            assert_eq!(m.grid().cell_of(*id), Some(cell), "{id:?}");
+            let stored = m.grid().points(cell).iter();
+            let copies = stored.filter(|(pid, pc)| pid == id && pc == coords);
+            assert_eq!(copies.count(), 1, "{id:?} in its cell");
+        }
+        let indexed: usize = m.grid().cells().map(|(_, points)| points.len()).sum();
+        assert_eq!(indexed, live.len(), "grid indexes a dead tuple");
     }
 
     #[test]
@@ -344,6 +385,7 @@ mod tests {
         let q = Query::top_k(ScoreFn::linear(vec![1.0, 2.0]).unwrap(), 3).unwrap();
         m.register_query(QueryId(0), q.clone()).unwrap();
         let mut seed = 42u64;
+        let mut model = Live::new();
         let mut live: Vec<TupleId> = Vec::new();
         for cycle in 0..60 {
             let mut ops = Vec::new();
@@ -357,13 +399,14 @@ mod tests {
                     ops.push(UpdateOp::Delete(live.swap_remove(idx)));
                 }
             }
-            let new_ids = m.apply(&ops).unwrap();
+            let new_ids = apply(&mut m, &mut model, &ops);
             live.extend(new_ids);
             assert_eq!(
                 m.result(QueryId(0)).unwrap(),
-                &brute(m.store(), &q)[..],
+                &brute(&model, &q)[..],
                 "divergence at cycle {cycle}"
             );
+            assert_grid_holds(&m, &model);
         }
         assert!(m.stats().recomputations() > 1, "deletions hit the result");
     }
@@ -376,6 +419,10 @@ mod tests {
         assert!(matches!(m.delete(id), Err(TkmError::UnknownTuple(_))));
         assert!(m.insert(&[1.5]).is_err());
         assert!(m.insert(&[0.1, 0.2]).is_err());
+        // Rejected inserts consume no id, and a dead tuple's id is never
+        // handed out again.
+        assert_eq!(m.insert(&[0.5]).unwrap(), TupleId(id.0 + 1));
+        assert!(UpdateStreamTma::new(0, GridSpec::PerDim(4)).is_err());
     }
 
     #[test]
@@ -402,7 +449,7 @@ mod tests {
         let mut m = UpdateStreamTma::new(2, GridSpec::PerDim(4)).unwrap();
         let q = Query::top_k(ScoreFn::linear(vec![1.0, 1.0]).unwrap(), 2).unwrap();
         let a = m.insert(&[0.9, 0.9]).unwrap();
-        let _b = m.insert(&[0.5, 0.5]).unwrap();
+        let b = m.insert(&[0.5, 0.5]).unwrap();
         m.register_query(QueryId(0), q.clone()).unwrap();
         m.delete(a).unwrap(); // QueryId(0) is now pending recomputation
         m.remove_query(QueryId(0)).unwrap();
@@ -411,7 +458,9 @@ mod tests {
         let recomputes = m.stats().recomputations();
         m.end_cycle(); // must neither panic nor recompute the new query
         assert_eq!(m.stats().recomputations(), recomputes);
-        assert_eq!(m.result(QueryId(1)).unwrap(), &brute(m.store(), &q)[..]);
+        let model = Live::from([(b, vec![0.5, 0.5])]);
+        assert_eq!(m.result(QueryId(1)).unwrap(), &brute(&model, &q)[..]);
+        assert_grid_holds(&m, &model);
     }
 
     #[test]
@@ -421,16 +470,21 @@ mod tests {
         let q = Query::constrained(ScoreFn::linear(vec![1.0, 1.0]).unwrap(), 2, r).unwrap();
         m.register_query(QueryId(0), q.clone()).unwrap();
         let mut seed = 7u64;
+        let mut model = Live::new();
         let mut live = Vec::new();
         for _ in 0..30 {
-            let id = m.insert(&[lcg(&mut seed), lcg(&mut seed)]).unwrap();
+            let coords = vec![lcg(&mut seed), lcg(&mut seed)];
+            let id = m.insert(&coords).unwrap();
+            model.insert(id, coords);
             live.push(id);
             if live.len() > 10 {
                 let victim = live.remove(3);
                 m.delete(victim).unwrap();
+                model.remove(&victim);
             }
             m.end_cycle();
-            assert_eq!(m.result(QueryId(0)).unwrap(), &brute(m.store(), &q)[..]);
+            assert_eq!(m.result(QueryId(0)).unwrap(), &brute(&model, &q)[..]);
         }
+        assert_grid_holds(&m, &model);
     }
 }

@@ -232,6 +232,13 @@ impl PointArena {
         Ok(())
     }
 
+    /// The cell a stored id lives in — Hash mode only (a FIFO arena keeps
+    /// no index and answers `None`).
+    #[inline]
+    pub(crate) fn cell_of(&self, id: TupleId) -> Option<usize> {
+        self.index.get(&id).map(|slot| slot.0 as usize)
+    }
+
     #[inline]
     fn release(&mut self, chunk: u32) {
         self.next[chunk as usize] = self.free;
@@ -563,6 +570,10 @@ mod tests {
             Err(TkmError::UnknownTuple(TupleId(4)))
         );
         assert_eq!(a.points(0).len(), 4);
+        assert_eq!(
+            (a.cell_of(TupleId(4)), a.cell_of(TupleId(3))),
+            (Some(0), None)
+        );
         let mut pts: Vec<(u64, f64)> = a.points(0).iter().map(|(t, c)| (t.0, c[0])).collect();
         pts.sort_by(|a, b| a.partial_cmp(b).unwrap());
         assert_eq!(pts, vec![(0, 0.0), (1, 0.1), (2, 0.2), (4, 0.4)]);

@@ -22,7 +22,6 @@ pub struct Grid {
     /// dividing by `delta` (the float-guard comparisons stay in terms of
     /// `delta` products, so cell assignment is unchanged).
     inv_delta: f64,
-    mode: CellMode,
     /// Every cell's points (see [`crate::cell`]).
     points: PointArena,
     /// Precomputed closed bounds of every cell, `2·dims` values apiece
@@ -104,7 +103,6 @@ impl Grid {
             per_dim,
             delta,
             inv_delta: per_dim as f64,
-            mode,
             points: PointArena::new(mode, dims, total),
             bounds,
             axes,
@@ -141,12 +139,6 @@ impl Grid {
     #[inline]
     pub fn delta(&self) -> f64 {
         self.delta
-    }
-
-    /// Point-list mode of the cells.
-    #[inline]
-    pub fn mode(&self) -> CellMode {
-        self.mode
     }
 
     /// Total number of cells (`m^d`).
@@ -242,14 +234,6 @@ impl Grid {
         let base = id.0 as usize * 2 * self.dims;
         let block = &self.bounds[base..base + 2 * self.dims];
         block.split_at(self.dims)
-    }
-
-    /// Fills `lo`/`hi` with the closed bounds of the cell.
-    #[inline]
-    pub fn cell_bounds(&self, id: CellId, lo: &mut [f64], hi: &mut [f64]) {
-        let (src_lo, src_hi) = self.cell_lo_hi(id);
-        lo[..self.dims].copy_from_slice(src_lo);
-        hi[..self.dims].copy_from_slice(src_hi);
     }
 
     /// Upper bound for the score of any point inside the cell: the score of
@@ -449,6 +433,16 @@ impl Grid {
     #[inline]
     pub fn remove_at(&mut self, cell: CellId, id: TupleId) -> Result<()> {
         self.points.remove(cell.0 as usize, id)
+    }
+
+    /// The cell holding tuple `id`, from the id index a Hash grid keeps for
+    /// its removals: how an explicit-deletion stream, which has no window
+    /// to resolve an id through, finds the cell to delete from.
+    /// `None` if `id` is not stored — and always in a FIFO grid, which
+    /// keeps no index.
+    #[inline]
+    pub fn cell_of(&self, id: TupleId) -> Option<CellId> {
+        self.points.cell_of(id).map(|cell| CellId(cell as u32))
     }
 
     /// Chunks the point arena holds, in cells or free (diagnostics and
@@ -683,6 +677,34 @@ mod tests {
         assert_eq!(g.remove_at(cells[2], TupleId(2)), Ok(()));
     }
 
+    /// A Hash grid is the whole tuple store of an update stream: ids are
+    /// found without their coordinates, deleted in any order — the very
+    /// thing FIFO cells cannot do — and a dead id is unknown from then on.
+    #[test]
+    fn hash_grid_finds_and_deletes_by_id() {
+        let mut g = Grid::new(1, 4, CellMode::Hash).unwrap();
+        for i in 0..10u64 {
+            g.insert_point(&[i as f64 / 10.0], TupleId(i));
+        }
+        for i in [5u64, 0, 9, 3] {
+            let cell = g.cell_of(TupleId(i)).unwrap();
+            assert_eq!(cell, g.locate(&[i as f64 / 10.0]));
+            assert_eq!(g.remove_at(cell, TupleId(i)), Ok(()));
+            assert_eq!(g.cell_of(TupleId(i)), None);
+            assert!(g.remove_at(cell, TupleId(i)).is_err());
+        }
+        let mut left: Vec<(u64, f64)> = (g.cells())
+            .flat_map(|(_, points)| points.iter().map(|(id, c)| (id.0, c[0])))
+            .collect();
+        left.sort_by_key(|p| p.0);
+        let want = [1u64, 2, 4, 6, 7, 8].map(|i| (i, i as f64 / 10.0));
+        assert_eq!(left, want);
+
+        let mut fifo = Grid::new(1, 4, CellMode::Fifo).unwrap();
+        fifo.insert_point(&[0.5], TupleId(0));
+        assert_eq!(fifo.cell_of(TupleId(0)), None, "a FIFO grid keeps no index");
+    }
+
     #[test]
     fn three_dimensional_linearisation() {
         let g = Grid::new(3, 5, CellMode::Fifo).unwrap();
@@ -798,7 +820,7 @@ mod tests {
             prop_assert!(f.score(&[x, y]) <= g.maxscore(cell, &f) + 1e-9);
         }
 
-        /// `locate` is consistent with `cell_bounds` (closed bounds).
+        /// `locate` is consistent with `cell_lo_hi` (closed bounds).
         #[test]
         fn locate_consistent_with_bounds(
             x in 0.0f64..=1.0,
@@ -807,9 +829,7 @@ mod tests {
         ) {
             let g = Grid::new(2, m, CellMode::Fifo).unwrap();
             let cell = g.locate(&[x, y]);
-            let mut lo = [0.0; MAX_DIMS];
-            let mut hi = [0.0; MAX_DIMS];
-            g.cell_bounds(cell, &mut lo, &mut hi);
+            let (lo, hi) = g.cell_lo_hi(cell);
             prop_assert!(lo[0] <= x && x <= hi[0]);
             prop_assert!(lo[1] <= y && y <= hi[1]);
         }

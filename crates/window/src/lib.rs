@@ -1,76 +1,31 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-//! Sliding-window tuple stores.
+//! The sliding-window tuple store.
 //!
 //! The paper keeps all valid tuples in main memory in a single
 //! first-in-first-out list (§4.1): new arrivals append at the tail, expired
 //! tuples leave from the head, and this holds for both count-based and
-//! time-based windows. This crate provides that storage layer:
+//! time-based windows. This crate is that list:
 //!
-//! * [`FlatRing`] — the underlying ring buffer. Coordinates live in one flat
+//! * [`FlatRing`] — the ring buffer. Coordinates live in one flat
 //!   `Vec<f64>` (stride = dimensionality); because tuple ids are dense
 //!   arrival sequence numbers, `id → slot` is pure arithmetic and the score
 //!   evaluation hot path performs no hashing.
-//! * [`CountWindow`] — keeps the `N` most recent tuples.
-//! * [`TimeWindow`] — keeps every tuple that arrived within the last `T`
-//!   time units.
-//! * [`SlabStore`] — the §7 *update stream* model with explicit deletions,
-//!   where expiry order is unknown and lookups go through a hash map.
+//! * [`Window`] — one ring plus an expiry rule: keep the `N` most recent
+//!   tuples, or every tuple that arrived within the last `T` time units.
+//!   The rule decides only how long the expired prefix is; everything else
+//!   is the ring.
+//!
+//! The §7 *update stream* model (explicit deletions, no expiry order) has
+//! no list to keep: its tuples live only in the grid's id-indexed cells
+//! (`tkm_grid::CellMode::Hash`).
 
-pub mod count;
 pub mod ring;
-pub mod slab;
-pub mod time;
 
-pub use count::CountWindow;
 pub use ring::FlatRing;
-pub use slab::SlabStore;
-pub use time::TimeWindow;
 
 use tkm_common::{Result, Timestamp, TkmError, TupleId};
-
-/// Random access to the coordinates of valid tuples by id.
-///
-/// The top-k computation module is generic over this: sliding-window
-/// engines resolve ids through the FIFO ring, the update-stream engine
-/// through the slab store.
-pub trait TupleLookup {
-    /// Dimensionality of stored tuples.
-    fn dims(&self) -> usize;
-    /// Coordinates of a valid tuple, `None` if absent.
-    fn coords(&self, id: TupleId) -> Option<&[f64]>;
-    /// Number of valid tuples.
-    fn len(&self) -> usize;
-    /// Whether no tuples are valid.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl TupleLookup for Window {
-    fn dims(&self) -> usize {
-        Window::dims(self)
-    }
-    fn coords(&self, id: TupleId) -> Option<&[f64]> {
-        Window::coords(self, id)
-    }
-    fn len(&self) -> usize {
-        Window::len(self)
-    }
-}
-
-impl TupleLookup for SlabStore {
-    fn dims(&self) -> usize {
-        SlabStore::dims(self)
-    }
-    fn coords(&self, id: TupleId) -> Option<&[f64]> {
-        SlabStore::coords(self, id)
-    }
-    fn len(&self) -> usize {
-        SlabStore::len(self)
-    }
-}
 
 /// Which sliding-window semantics to instantiate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -91,75 +46,100 @@ pub enum WindowSpec {
     },
 }
 
+/// When a stored tuple stops being valid.
+#[derive(Clone, Copy, Debug)]
+enum Expiry {
+    /// Beyond the `N` most recent.
+    Count(usize),
+    /// Once `now − arrival ≥ T`.
+    Age(u64),
+}
+
 /// A sliding window over the stream — count-based or time-based.
 ///
-/// Both variants expire tuples strictly in arrival order, which the engines
-/// (and the skyband reduction) rely on.
+/// Both kinds expire tuples strictly in arrival order (arrival timestamps
+/// are non-decreasing, so age order is arrival order too), which the
+/// engines (and the skyband reduction) rely on.
+///
+/// Arrivals are buffered without immediate eviction so that a processing
+/// cycle can (as the paper's maintenance modules require) handle the arrival
+/// set `P_ins` *before* the expiry set `P_del`: the length may transiently
+/// exceed a count window's `N` between an append and the paired drain.
 #[derive(Debug)]
-pub enum Window {
-    /// Count-based window.
-    Count(CountWindow),
-    /// Time-based window.
-    Time(TimeWindow),
+pub struct Window {
+    ring: FlatRing,
+    expiry: Expiry,
 }
 
 impl Window {
-    /// Builds a window from its spec.
+    /// Ring slots a [`WindowSpec::Time`] window pre-allocates. High-rate
+    /// streams should give a [`WindowSpec::TimeSized`] hint so the warm-up
+    /// phase does not pay a regrow-and-copy per doubling.
+    const DEFAULT_TIME_SLOTS: usize = 64;
+
+    /// Builds a window from its spec. A [`WindowSpec::TimeSized`] capacity
+    /// is a hint — the natural one is `expected arrival rate × (duration +
+    /// 1)`, a cycle's arrivals being buffered before its expiries drain —
+    /// and the ring still grows beyond it if the stream bursts higher; a
+    /// zero hint is clamped rather than rejected.
     pub fn new(dims: usize, spec: WindowSpec) -> Result<Window> {
-        Ok(match spec {
-            WindowSpec::Count(n) => Window::Count(CountWindow::new(dims, n)?),
-            WindowSpec::Time(t) => Window::Time(TimeWindow::new(dims, t)?),
-            WindowSpec::TimeSized { duration, capacity } => {
-                Window::Time(TimeWindow::with_capacity(dims, duration, capacity)?)
-            }
+        let (expiry, slots) = match spec {
+            // Headroom above `n` so that a cycle's arrivals fit before the
+            // paired drain; the ring still grows if a cycle exceeds it.
+            WindowSpec::Count(n) => (Expiry::Count(n), n + (n / 8).max(16)),
+            WindowSpec::Time(t) => (Expiry::Age(t), Self::DEFAULT_TIME_SLOTS),
+            WindowSpec::TimeSized { duration, capacity } => (Expiry::Age(duration), capacity),
+        };
+        if matches!(expiry, Expiry::Count(0) | Expiry::Age(0)) {
+            return Err(TkmError::InvalidParameter(format!(
+                "Window: size must be positive, got {spec:?}"
+            )));
+        }
+        Ok(Window {
+            ring: FlatRing::new(dims, slots)?,
+            expiry,
         })
     }
 
     /// Dimensionality of stored tuples.
     #[inline]
     pub fn dims(&self) -> usize {
-        match self {
-            Window::Count(w) => w.dims(),
-            Window::Time(w) => w.dims(),
-        }
+        self.ring.dims()
     }
 
-    /// Number of currently valid tuples.
+    /// Number of currently stored tuples.
     #[inline]
     pub fn len(&self) -> usize {
-        match self {
-            Window::Count(w) => w.len(),
-            Window::Time(w) => w.len(),
-        }
+        self.ring.len()
     }
 
     /// Whether the window holds no tuples.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.ring.is_empty()
+    }
+
+    /// Tuples the ring can hold before the next reallocation.
+    #[inline]
+    pub fn capacity(&self) -> usize {
+        self.ring.capacity()
     }
 
     /// Coordinates of a valid tuple, `None` if expired or never inserted.
     #[inline]
     pub fn coords(&self, id: TupleId) -> Option<&[f64]> {
-        match self {
-            Window::Count(w) => w.coords(id),
-            Window::Time(w) => w.coords(id),
-        }
+        self.ring.coords(id)
     }
 
     /// Arrival time of a valid tuple.
     #[inline]
     pub fn arrival_time(&self, id: TupleId) -> Option<Timestamp> {
-        match self {
-            Window::Count(w) => w.arrival_time(id),
-            Window::Time(w) => w.arrival_time(id),
-        }
+        self.ring.arrival_time(id)
     }
 
     /// Validates one processing cycle's input before anything is
     /// mutated — the single entry-point check shared by every engine's
-    /// tick path (TMA/SMA via the ingest stage, threshold, TSL, the
+    /// tick path (TMA, SMA and threshold via the ingest stage, TSL, the
     /// brute-force oracle), so all of them reject malformed input with
     /// the same error. The flat arrival buffer must hold whole tuples
     /// inside the unit workspace, and `now` must not precede the newest
@@ -190,95 +170,73 @@ impl Window {
     /// Appends a tuple; returns its arrival id. `ts` must not precede
     /// [`Window::newest_time`] (see [`Window::validate_tick`]).
     pub fn insert(&mut self, coords: &[f64], ts: Timestamp) -> Result<TupleId> {
-        match self {
-            Window::Count(w) => w.insert(coords, ts),
-            Window::Time(w) => w.insert(coords, ts),
-        }
+        self.ring.push(coords, ts)
     }
 
     /// Removes every tuple that is no longer valid at `now`, invoking
     /// `on_expire(id, coords)` for each in expiry (arrival) order.
-    pub fn drain_expired(&mut self, now: Timestamp, on_expire: impl FnMut(TupleId, &[f64])) {
-        match self {
-            Window::Count(w) => w.drain_expired(on_expire),
-            Window::Time(w) => w.drain_expired(now, on_expire),
+    pub fn drain_expired(&mut self, now: Timestamp, mut on_expire: impl FnMut(TupleId, &[f64])) {
+        let expired = self.expired_prefix(now);
+        for (id, coords) in self.ring.iter().take(expired) {
+            on_expire(id, coords);
         }
+        self.ring.drop_front(expired);
     }
 
     /// Appends a whole arrival batch sharing the timestamp `ts` (`dims`
     /// packed values per tuple); returns the id of its first tuple — the
     /// batch takes the dense id range starting there. `ts` must not
-    /// precede [`Window::newest_time`].
+    /// precede [`Window::newest_time`]. See [`FlatRing::append_batch`].
     #[inline]
     pub fn append_batch(&mut self, coords: &[f64], ts: Timestamp) -> Result<TupleId> {
-        match self {
-            Window::Count(w) => w.append_batch(coords, ts),
-            Window::Time(w) => w.append_batch(coords, ts),
-        }
+        self.ring.append_batch(coords, ts)
     }
 
     /// Number of oldest tuples no longer valid at `now` — the prefix
     /// [`Window::drain_expired`] would evict — computed without touching
-    /// them. Paired with [`Window::drop_front`], this is the batch form of
-    /// the drain.
+    /// them: the overflow of a count window, a binary search for the cut
+    /// point on the non-decreasing arrival times of a time window. Paired
+    /// with [`Window::drop_front`], this is the batch form of the drain.
     #[inline]
     pub fn expired_prefix(&self, now: Timestamp) -> usize {
-        match self {
-            Window::Count(w) => w.expired_prefix(),
-            Window::Time(w) => w.expired_prefix(now),
+        match self.expiry {
+            Expiry::Count(n) => self.ring.len().saturating_sub(n),
+            Expiry::Age(t) => self.ring.expired_prefix(|arrived| now.since(arrived) >= t),
         }
     }
 
     /// Removes the `n` oldest tuples in one step.
     #[inline]
     pub fn drop_front(&mut self, n: usize) {
-        match self {
-            Window::Count(w) => w.drop_front(n),
-            Window::Time(w) => w.drop_front(n),
-        }
+        self.ring.drop_front(n);
     }
 
     /// Arrival time of the most recently inserted tuple.
     #[inline]
     pub fn newest_time(&self) -> Option<Timestamp> {
-        match self {
-            Window::Count(w) => w.newest_time(),
-            Window::Time(w) => w.newest_time(),
-        }
+        self.ring.back_time()
     }
 
     /// Oldest valid tuple id (the next to expire).
     #[inline]
     pub fn oldest(&self) -> Option<TupleId> {
-        match self {
-            Window::Count(w) => w.oldest(),
-            Window::Time(w) => w.oldest(),
-        }
+        self.ring.oldest()
     }
 
     /// Most recently inserted tuple id.
     #[inline]
     pub fn newest(&self) -> Option<TupleId> {
-        match self {
-            Window::Count(w) => w.newest(),
-            Window::Time(w) => w.newest(),
-        }
+        self.ring.newest()
     }
 
     /// Iterates valid tuples in arrival order.
     pub fn iter(&self) -> ring::RingIter<'_> {
-        match self {
-            Window::Count(w) => w.iter(),
-            Window::Time(w) => w.iter(),
-        }
+        self.ring.iter()
     }
 
     /// Deep size estimate in bytes (used by the space experiments).
     pub fn space_bytes(&self) -> usize {
-        match self {
-            Window::Count(w) => w.space_bytes(),
-            Window::Time(w) => w.space_bytes(),
-        }
+        std::mem::size_of::<Self>() - std::mem::size_of::<FlatRing>() + self.ring.space_bytes()
     }
 }
 
@@ -286,9 +244,21 @@ impl Window {
 mod tests {
     use super::*;
 
+    fn count(dims: usize, n: usize) -> Window {
+        Window::new(dims, WindowSpec::Count(n)).unwrap()
+    }
+
+    fn time(dims: usize, duration: u64) -> Window {
+        Window::new(dims, WindowSpec::Time(duration)).unwrap()
+    }
+
+    fn time_sized(dims: usize, duration: u64, capacity: usize) -> Window {
+        Window::new(dims, WindowSpec::TimeSized { duration, capacity }).unwrap()
+    }
+
     #[test]
-    fn enum_dispatch_roundtrip() {
-        let mut w = Window::new(2, WindowSpec::Count(2)).unwrap();
+    fn insert_drain_roundtrip() {
+        let mut w = count(2, 2);
         let a = w.insert(&[0.1, 0.2], Timestamp(0)).unwrap();
         let b = w.insert(&[0.3, 0.4], Timestamp(0)).unwrap();
         let c = w.insert(&[0.5, 0.6], Timestamp(1)).unwrap();
@@ -306,18 +276,8 @@ mod tests {
 
     #[test]
     fn time_sized_spec_presizes() {
-        let w = Window::new(
-            2,
-            WindowSpec::TimeSized {
-                duration: 3,
-                capacity: 512,
-            },
-        )
-        .unwrap();
-        match &w {
-            Window::Time(t) => assert_eq!(t.capacity(), 512),
-            Window::Count(_) => panic!("TimeSized must build a time window"),
-        }
+        let w = time_sized(2, 3, 512);
+        assert_eq!(w.capacity(), 512);
         assert_eq!(w.dims(), 2);
     }
 
@@ -364,12 +324,169 @@ mod tests {
 
     #[test]
     fn time_variant_expiry() {
-        let mut w = Window::new(1, WindowSpec::Time(2)).unwrap();
+        let mut w = time(1, 2);
         w.insert(&[0.1], Timestamp(0)).unwrap();
         w.insert(&[0.2], Timestamp(1)).unwrap();
         let mut gone = Vec::new();
         w.drain_expired(Timestamp(2), |id, _| gone.push(id));
         assert_eq!(gone, vec![TupleId(0)]);
         assert_eq!(w.len(), 1);
+    }
+
+    // ---- Count rule.
+
+    #[test]
+    fn rejects_zero_capacity() {
+        assert!(Window::new(2, WindowSpec::Count(0)).is_err());
+    }
+
+    #[test]
+    fn keeps_most_recent_n() {
+        let mut w = count(1, 3);
+        for i in 0..5u64 {
+            w.insert(&[i as f64], Timestamp(i)).unwrap();
+        }
+        let mut expired = Vec::new();
+        w.drain_expired(Timestamp(4), |id, c| expired.push((id.0, c[0])));
+        assert_eq!(expired, vec![(0, 0.0), (1, 1.0)]);
+        assert_eq!(w.len(), 3);
+        assert_eq!(w.oldest(), Some(TupleId(2)));
+        assert_eq!(w.newest(), Some(TupleId(4)));
+    }
+
+    #[test]
+    fn steady_state_one_in_one_out() {
+        let mut w = count(2, 100);
+        for i in 0..100u64 {
+            w.insert(&[0.5, 0.5], Timestamp(i)).unwrap();
+        }
+        for tick in 100..200u64 {
+            w.insert(&[0.1, 0.9], Timestamp(tick)).unwrap();
+            let mut count = 0;
+            w.drain_expired(Timestamp(tick), |_, _| count += 1);
+            assert_eq!(count, 1);
+            assert_eq!(w.len(), 100);
+        }
+    }
+
+    #[test]
+    fn drain_noop_when_under_capacity() {
+        let mut w = count(1, 10);
+        w.insert(&[0.3], Timestamp(0)).unwrap();
+        let mut count = 0;
+        w.drain_expired(Timestamp(0), |_, _| count += 1);
+        assert_eq!(count, 0);
+        assert_eq!(w.len(), 1);
+    }
+
+    // ---- Age rule.
+
+    #[test]
+    fn rejects_zero_duration() {
+        assert!(Window::new(2, WindowSpec::Time(0)).is_err());
+        let sized = WindowSpec::TimeSized {
+            duration: 0,
+            capacity: 128,
+        };
+        assert!(Window::new(2, sized).is_err());
+    }
+
+    #[test]
+    fn capacity_hint_presizes_the_ring() {
+        assert_eq!(time(2, 5).capacity(), 64, "default stays small");
+        assert_eq!(time_sized(2, 5, 1000).capacity(), 1000);
+        // A zero hint is clamped rather than rejected.
+        assert!(time_sized(2, 5, 0).capacity() >= 1);
+    }
+
+    #[test]
+    fn presized_ring_absorbs_rate_without_growth() {
+        // rate × (duration + 1) tuples fit exactly (arrivals land before
+        // expiries drain): no reallocation happens while the stream is
+        // steady.
+        let (rate, duration) = (50usize, 4u64);
+        let mut w = time_sized(1, duration, rate * (duration as usize + 1));
+        let cap0 = w.capacity();
+        for tick in 0..20u64 {
+            for i in 0..rate {
+                w.insert(&[i as f64 / rate as f64], Timestamp(tick))
+                    .unwrap();
+            }
+            w.drain_expired(Timestamp(tick), |_, _| {});
+        }
+        assert_eq!(w.capacity(), cap0, "steady state must not regrow");
+    }
+
+    #[test]
+    fn grow_path_crosses_several_doublings() {
+        // A deliberately tiny hint forces the ring through multiple
+        // doublings (4 → 8 → … → 256) while tuples stay addressable.
+        let mut w = time_sized(2, 1000, 4);
+        let mut growths = 0;
+        let mut cap = w.capacity();
+        for i in 0..200u64 {
+            let x = (i as f64 / 200.0).clamp(0.0, 1.0);
+            let id = w.insert(&[x, 1.0 - x], Timestamp(i)).unwrap();
+            assert_eq!(id, TupleId(i));
+            if w.capacity() != cap {
+                growths += 1;
+                cap = w.capacity();
+            }
+        }
+        assert!(growths >= 5, "expected ≥5 doublings, saw {growths}");
+        assert_eq!(w.len(), 200);
+        for i in 0..200u64 {
+            let x = (i as f64 / 200.0).clamp(0.0, 1.0);
+            assert_eq!(w.coords(TupleId(i)).unwrap(), &[x, 1.0 - x][..]);
+            assert_eq!(w.arrival_time(TupleId(i)), Some(Timestamp(i)));
+        }
+    }
+
+    #[test]
+    fn expiry_by_age() {
+        let mut w = time(1, 3);
+        w.insert(&[0.0], Timestamp(0)).unwrap();
+        w.insert(&[1.0], Timestamp(1)).unwrap();
+        w.insert(&[2.0], Timestamp(2)).unwrap();
+
+        let mut gone = Vec::new();
+        w.drain_expired(Timestamp(2), |id, _| gone.push(id.0));
+        assert!(gone.is_empty(), "age 2 < duration 3, nothing expires");
+
+        w.drain_expired(Timestamp(4), |id, _| gone.push(id.0));
+        assert_eq!(gone, vec![0, 1], "ages 4 and 3 have expired");
+        assert_eq!(w.len(), 1);
+        assert_eq!(w.oldest(), Some(TupleId(2)));
+    }
+
+    #[test]
+    fn variable_rate_stream() {
+        // Bursty arrivals: the window size fluctuates with the rate,
+        // which is exactly what distinguishes time from count windows.
+        let mut w = time(2, 10);
+        for tick in 0..30u64 {
+            let burst = if tick % 3 == 0 { 5 } else { 1 };
+            for _ in 0..burst {
+                w.insert(&[0.5, 0.5], Timestamp(tick)).unwrap();
+            }
+            w.drain_expired(Timestamp(tick), |_, _| {});
+            // All tuples are at most 10 ticks old.
+            for (id, _) in w.iter() {
+                assert!(tick.saturating_sub(w.arrival_time(id).unwrap().0) < 10);
+            }
+        }
+        assert!(w.len() > 10, "several ticks' worth of tuples stay valid");
+    }
+
+    #[test]
+    fn whole_window_can_expire() {
+        let mut w = time(1, 2);
+        w.insert(&[0.1], Timestamp(0)).unwrap();
+        w.insert(&[0.2], Timestamp(0)).unwrap();
+        let mut count = 0;
+        w.drain_expired(Timestamp(100), |_, _| count += 1);
+        assert_eq!(count, 2);
+        assert!(w.is_empty());
+        assert_eq!(w.oldest(), None);
     }
 }

@@ -173,30 +173,6 @@ impl FlatRing {
         Ok(id)
     }
 
-    /// Removes the oldest tuple, copying its coordinates into `scratch`
-    /// (which must have length ≥ dims) and returning its id.
-    pub fn pop_front_into(&mut self, scratch: &mut [f64]) -> Option<TupleId> {
-        if self.len == 0 {
-            return None;
-        }
-        let slot = self.head_slot;
-        scratch[..self.dims].copy_from_slice(&self.buf[slot * self.dims..(slot + 1) * self.dims]);
-        let id = TupleId(self.head_id);
-        self.head_slot = (self.head_slot + 1) % self.capacity;
-        self.head_id += 1;
-        self.len -= 1;
-        if self.len == 0 {
-            self.head_slot = 0;
-        }
-        Some(id)
-    }
-
-    /// Arrival time of the oldest tuple.
-    #[inline]
-    pub fn front_time(&self) -> Option<Timestamp> {
-        (self.len > 0).then(|| Timestamp(self.times[self.head_slot]))
-    }
-
     /// Arrival time of the newest tuple.
     #[inline]
     pub fn back_time(&self) -> Option<Timestamp> {
@@ -325,6 +301,14 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Removes and returns the oldest tuple: the per-tuple reference the
+    /// bulk operations are held to.
+    fn pop_front(r: &mut FlatRing) -> Option<(TupleId, Vec<f64>)> {
+        let front = r.iter().next().map(|(id, c)| (id, c.to_vec()))?;
+        r.drop_front(1);
+        Some(front)
+    }
+
     #[test]
     fn rejects_bad_dims() {
         assert!(FlatRing::new(0, 4).is_err());
@@ -340,26 +324,23 @@ mod tests {
         let b = r.push(&[0.3, 0.4], Timestamp(1)).unwrap();
         assert_eq!(a, TupleId(0));
         assert_eq!(b, TupleId(1));
-        let mut scratch = [0.0; 2];
-        assert_eq!(r.pop_front_into(&mut scratch), Some(a));
-        assert_eq!(scratch, [0.1, 0.2]);
+        assert_eq!(pop_front(&mut r), Some((a, vec![0.1, 0.2])));
         assert_eq!(r.coords(a), None, "popped tuple is gone");
         assert_eq!(r.coords(b), Some(&[0.3, 0.4][..]));
-        assert_eq!(r.pop_front_into(&mut scratch), Some(b));
-        assert_eq!(r.pop_front_into(&mut scratch), None);
+        assert_eq!(pop_front(&mut r), Some((b, vec![0.3, 0.4])));
+        assert_eq!(pop_front(&mut r), None);
     }
 
     #[test]
     fn growth_preserves_contents_and_wraps() {
         let mut r = FlatRing::new(3, 2).unwrap();
-        let mut scratch = [0.0; 3];
         // Interleave pushes and pops so head_slot is non-zero when growth
         // happens (exercises the re-linearisation).
         for i in 0..50u64 {
             r.push(&[i as f64, 0.5, 1.0 - i as f64 / 100.0], Timestamp(i))
                 .unwrap();
             if i % 3 == 0 {
-                r.pop_front_into(&mut scratch);
+                pop_front(&mut r);
             }
         }
         let items: Vec<(TupleId, Vec<f64>)> = r.iter().map(|(id, c)| (id, c.to_vec())).collect();
@@ -376,8 +357,7 @@ mod tests {
         let mut r = FlatRing::new(1, 2).unwrap();
         r.push(&[0.5], Timestamp(0)).unwrap();
         assert_eq!(r.coords(TupleId(5)), None);
-        let mut scratch = [0.0];
-        r.pop_front_into(&mut scratch);
+        pop_front(&mut r);
         assert_eq!(r.coords(TupleId(0)), None);
     }
 
@@ -437,7 +417,6 @@ mod tests {
         ) {
             let mut bulk = FlatRing::new(2, initial).unwrap();
             let mut single = FlatRing::new(2, initial).unwrap();
-            let mut scratch = [0.0; 2];
             let mut base = 0u64;
             for (t, (push, pop)) in steps.iter().enumerate() {
                 let ts = Timestamp(t as u64 / 2);
@@ -458,8 +437,7 @@ mod tests {
                 let pop = (*pop).min(bulk.len());
                 let mut want = Vec::new();
                 for _ in 0..pop {
-                    single.pop_front_into(&mut scratch);
-                    want.extend_from_slice(&scratch);
+                    want.extend(pop_front(&mut single).unwrap().1);
                 }
                 let (head_run, wrapped) = bulk.front_coords(pop);
                 prop_assert_eq!([head_run, wrapped].concat(), want);
@@ -478,14 +456,13 @@ mod tests {
         #[test]
         fn ids_are_dense_and_fifo(pushes in 1usize..200, pop_every in 1usize..5) {
             let mut r = FlatRing::new(2, 1).unwrap();
-            let mut scratch = [0.0; 2];
             let mut popped = Vec::new();
             for i in 0..pushes {
                 let id = r.push(&[i as f64, 0.0], Timestamp(i as u64)).unwrap();
                 prop_assert_eq!(id, TupleId(i as u64));
                 if i % pop_every == 0 {
-                    if let Some(p) = r.pop_front_into(&mut scratch) {
-                        popped.push(p.0);
+                    if let Some((id, _)) = pop_front(&mut r) {
+                        popped.push(id.0);
                     }
                 }
             }

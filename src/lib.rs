@@ -72,7 +72,7 @@ pub use tkm_datagen::{DataDist, FnFamily, PointGen, QueryGen, StreamSim};
 pub use tkm_service::{Service, ServiceClient, ServiceConfig, TickPolicy};
 pub use tkm_skyband::{tuned_kmax, Skyband};
 pub use tkm_tsl::{KmaxPolicy, TslMonitor};
-pub use tkm_window::{CountWindow, SlabStore, TimeWindow, TupleLookup, Window, WindowSpec};
+pub use tkm_window::{Window, WindowSpec};
 
 // Full sub-crate access for advanced use.
 pub use tkm_analysis as analysis;

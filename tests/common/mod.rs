@@ -4,9 +4,12 @@
 //! by one suite look dead to another.
 #![allow(dead_code)]
 
+use std::collections::BTreeMap;
+
 use topk_monitor::engines::{build_engine, ContinuousTopK, EngineKind, GridSpec};
 use topk_monitor::{
-    DataDist, KmaxPolicy, PointGen, Query, QueryId, ResultDelta, Timestamp, WindowSpec,
+    DataDist, KmaxPolicy, PointGen, Query, QueryId, ResultDelta, Scored, Timestamp, TkmError,
+    TupleId, UpdateOp, UpdateStreamTma, WindowSpec,
 };
 
 /// The engines under test (oracle last, as the reference).
@@ -120,5 +123,87 @@ impl BatchGen {
             *x = (*x * levels as f64).round() / levels as f64;
         }
         b
+    }
+}
+
+/// An update-stream monitor next to the tests' own `id → coords` record of
+/// the live tuples. The monitor keeps no second store to read back, so
+/// its results *and* the grid's cells are held to this model.
+pub struct TrackedStream {
+    pub m: UpdateStreamTma,
+    pub live: BTreeMap<TupleId, Vec<f64>>,
+}
+
+impl TrackedStream {
+    pub fn new(dims: usize, grid: GridSpec) -> TrackedStream {
+        TrackedStream {
+            m: UpdateStreamTma::new(dims, grid).expect("config"),
+            live: BTreeMap::new(),
+        }
+    }
+
+    pub fn insert(&mut self, coords: &[f64]) -> TupleId {
+        let id = self.m.insert(coords).expect("insert");
+        assert!(self.live.insert(id, coords.to_vec()).is_none(), "{id:?}");
+        id
+    }
+
+    pub fn delete(&mut self, id: TupleId) {
+        self.m.delete(id).expect("delete");
+        self.live.remove(&id).expect("the model holds every victim");
+    }
+
+    /// Applies `ops` as one cycle to monitor and model alike.
+    pub fn apply(&mut self, ops: &[UpdateOp]) -> Vec<TupleId> {
+        let ids = self.m.apply(ops).expect("apply");
+        let mut assigned = ids.iter();
+        for op in ops {
+            match op {
+                UpdateOp::Insert(coords) => {
+                    let id = *assigned.next().expect("one id per insert");
+                    assert!(self.live.insert(id, coords.clone()).is_none(), "{id:?}");
+                }
+                UpdateOp::Delete(id) => {
+                    self.live.remove(id).expect("the model holds every victim");
+                }
+            }
+        }
+        ids
+    }
+
+    /// The top-k of `q` by scoring every live tuple of the model.
+    pub fn brute(&self, q: &Query) -> Vec<Scored> {
+        let mut all: Vec<Scored> = self
+            .live
+            .iter()
+            .filter(|(_, c)| q.constraint.as_ref().is_none_or(|r| r.contains(c)))
+            .map(|(id, c)| Scored::new(q.f.score(c), *id))
+            .collect();
+        all.sort_by(|a, b| b.cmp(a));
+        all.truncate(q.k);
+        all
+    }
+
+    /// Every live tuple is in exactly its covering cell with its
+    /// coordinates aligned, nothing else is indexed, and deleting a dead
+    /// id is `UnknownTuple`.
+    pub fn assert_grid_holds(&mut self) {
+        let grid = self.m.grid();
+        for (id, coords) in &self.live {
+            let cell = grid.locate(coords);
+            assert_eq!(grid.cell_of(*id), Some(cell), "{id:?}");
+            let stored = grid.points(cell).iter();
+            let copies = stored.filter(|(pid, pc)| pid == id && pc == coords);
+            assert_eq!(copies.count(), 1, "tuple {id:?} in its cell");
+        }
+        let indexed: usize = grid.cells().map(|(_, points)| points.len()).sum();
+        assert_eq!(indexed, self.live.len(), "grid indexes a dead tuple");
+        let next = self.live.keys().next_back().map_or(0, |id| id.0 + 1);
+        let dead = (0..=next)
+            .map(TupleId)
+            .filter(|id| !self.live.contains_key(id));
+        for id in dead {
+            assert_eq!(self.m.delete(id), Err(TkmError::UnknownTuple(id)));
+        }
     }
 }

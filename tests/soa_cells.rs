@@ -8,9 +8,12 @@
 //! (arrivals staged per query, folded in by one sweep) to the oracle on
 //! the cycles that stress it: floods, overrun bursts, expiry waves.
 
+mod common;
+
+use common::TrackedStream;
 use proptest::prelude::*;
 use topk_monitor::engines::{
-    GridSpec, IngestState, IngestStats, OracleMonitor, SmaMonitor, TmaMonitor, UpdateStreamTma,
+    GridSpec, IngestState, IngestStats, OracleMonitor, SmaMonitor, TmaMonitor,
 };
 use topk_monitor::grid::{CellId, CellMode, Grid};
 use topk_monitor::{
@@ -289,10 +292,7 @@ fn staged_ingest_matches_reference_on_named_cases() {
                 (63, batch(5, 9)),
             ],
         );
-        match s.window() {
-            Window::Time(w) => assert_eq!(w.capacity(), 64, "one growth step, d={dims}"),
-            Window::Count(_) => unreachable!("time spec"),
-        }
+        assert_eq!(s.window().capacity(), 64, "one growth step, d={dims}");
         assert_eq!(s.window().len(), 5, "d={dims}");
         assert_eq!(s.stats().expirations, 67, "d={dims}");
     }
@@ -439,9 +439,9 @@ proptest! {
         ops in prop::collection::vec((0u32..32, 0u32..32, 0u32..4), 1..120),
     ) {
         let dims = 2;
-        let mut m = UpdateStreamTma::new(dims, GridSpec::PerDim(per_dim)).expect("config");
+        let mut t = TrackedStream::new(dims, GridSpec::PerDim(per_dim));
         let q = Query::top_k(ScoreFn::linear(vec![w1, w2]).expect("dims"), k).expect("k");
-        m.register_query(QueryId(0), q.clone()).expect("register");
+        t.m.register_query(QueryId(0), q.clone()).expect("register");
         let mut live: Vec<TupleId> = Vec::new();
         let mut cycle = Vec::new();
         for (i, (a, b, action)) in ops.iter().enumerate() {
@@ -453,39 +453,21 @@ proptest! {
                 cycle.push(UpdateOp::Insert(vec![*a as f64 / 31.0, *b as f64 / 31.0]));
             }
             if cycle.len() == 4 {
-                let ids = m.apply(&cycle).expect("apply");
+                let ids = t.apply(&cycle);
                 live.extend(ids);
                 cycle.clear();
                 // Engine result stays exact over the hash cells.
-                let mut all: Vec<Scored> = m
-                    .store()
-                    .iter()
-                    .map(|(id, c)| Scored::new(q.f.score(c), id))
-                    .collect();
-                all.sort_by(|x, y| y.cmp(x));
-                all.truncate(q.k);
-                prop_assert_eq!(m.result(QueryId(0)).expect("result"), &all[..]);
+                prop_assert_eq!(t.m.result(QueryId(0)).expect("result"), &t.brute(&q)[..]);
             }
         }
-        // Drain the remaining partial cycle so the store is settled, then
-        // check the index: every live tuple is in exactly its covering
-        // cell with its coordinates aligned, and nothing else is indexed.
+        // Drain the remaining partial cycle so the cells are settled, then
+        // check the index against the model: every live tuple is in exactly
+        // its covering cell with its coordinates aligned, and nothing else
+        // is indexed.
         if !cycle.is_empty() {
-            m.apply(&cycle).expect("apply");
+            t.apply(&cycle);
         }
-        let mut total = 0usize;
-        for (id, coords) in m.store().iter() {
-            let cid = m.grid().locate(coords);
-            let found = m
-                .grid()
-                .points(cid)
-                .iter()
-                .any(|(pid, pc)| pid == id && pc == coords);
-            prop_assert!(found, "tuple {id:?} missing from its cell");
-            total += 1;
-        }
-        let indexed: usize = m.grid().cells().map(|(_, points)| points.len()).sum();
-        prop_assert_eq!(indexed, total, "grid indexes a dead tuple");
+        t.assert_grid_holds();
     }
 
     /// Expiry-heavy engine differential: tiny windows and big bursts make

@@ -105,6 +105,46 @@ fn time_window_thresholds() {
     }
 }
 
+/// A burst larger than a count window: the tuples that arrive and expire
+/// within the cycle never matched at a cycle boundary, so they appear in
+/// neither delta (they used to be reported in both), the deltas still
+/// reconstruct the set, and the set is the brute-force one.
+#[test]
+fn same_cycle_transients_are_in_neither_delta() {
+    let dims = 2;
+    let mut m =
+        ThresholdMonitor::new(dims, WindowSpec::Count(10), GridSpec::PerDim(4)).expect("config");
+    // Matches everything, so every transient would show.
+    let f = ScoreFn::linear(vec![1.0, 1.0]).unwrap();
+    m.register_query(QueryId(0), f.clone(), -1.0)
+        .expect("register");
+    let mut reconstructed = std::collections::BTreeSet::new();
+    let mut stream = BatchGen::new(dims, DataDist::Ind, 3);
+    for (t, burst) in [6usize, 25, 4, 40, 10, 11].into_iter().enumerate() {
+        m.tick(Timestamp(t as u64), &stream.batch(burst))
+            .expect("tick");
+        let added = m.added(QueryId(0)).expect("added");
+        let removed = m.removed(QueryId(0)).expect("removed");
+        for add in added {
+            assert!(!removed.contains(&add.id), "{} in both deltas", add.id);
+            assert!(reconstructed.insert(add.id), "duplicate add {}", add.id);
+        }
+        assert_eq!(added.len(), burst.min(10), "survivors of burst {burst}");
+        for rem in removed {
+            assert!(reconstructed.remove(rem), "removal of absent {rem}");
+        }
+        let mut got: Vec<TupleId> = m
+            .matching(QueryId(0))
+            .expect("matching")
+            .iter()
+            .copied()
+            .collect();
+        got.sort_unstable();
+        assert_eq!(got, brute(m.window(), &f, -1.0), "tick {t}");
+        assert_eq!(got, reconstructed.iter().copied().collect::<Vec<_>>());
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
