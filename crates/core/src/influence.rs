@@ -64,45 +64,6 @@ pub fn cleanup_from_frontier(
     visited
 }
 
-/// Sweeps stale influence-list entries of a whole recomputation group
-/// downward from the shared frontier left by the preceding
-/// [`crate::compute::compute_topk_group`] call.
-///
-/// One walk serves every member: a cell is expanded to its worse
-/// neighbours when *any* slot was removed from it, so the walk traces the
-/// union of the members' stale bands (all members share per-axis
-/// monotonicity — `f` may be any member's function). Like
-/// [`cleanup_from_frontier`], it requires `scratch.stamps` to still be in
-/// the epoch of that group traversal: the marks stop the walk from
-/// re-entering the freshly processed envelope, whose stale entries the
-/// group's influence post-pass already removed. Returns cells visited.
-// lint: hot-path
-pub fn cleanup_group_from_frontier(
-    grid: &Grid,
-    influence: &mut InfluenceTable,
-    scratch: &mut ComputeScratch,
-    slots: &[QuerySlot],
-    f: &ScoreFn,
-) -> u64 {
-    let ComputeScratch {
-        stamps, frontier, ..
-    } = scratch;
-    let mut visited = 0;
-    while let Some(cell) = frontier.pop() {
-        visited += 1;
-        let mut any = false;
-        for &slot in slots {
-            // No short-circuit: every member's stale entry in this cell
-            // must go, not just the first one found.
-            any |= influence.remove(cell, slot);
-        }
-        if any {
-            push_worse_neighbours(grid, stamps, f, None, cell, frontier);
-        }
-    }
-    visited
-}
-
 /// Removes `slot` from every influence list (query termination). Walks
 /// from the query's best-corner cell; returns the number of cells visited.
 pub fn remove_query_walk(
@@ -226,88 +187,6 @@ mod tests {
         let mut got = listed_cells(&grid, &influence, q);
         got.sort_unstable();
         assert_eq!(got, want);
-    }
-
-    /// One group walk must sweep the stale bands of *all* members: after a
-    /// shared recomputation raised both thresholds, the surviving entries
-    /// of each member are exactly its new influence region.
-    #[test]
-    fn group_frontier_walk_removes_both_stale_bands() {
-        let f1 = ScoreFn::linear(vec![1.0, 2.0]).unwrap();
-        let f2 = ScoreFn::linear(vec![2.0, 1.0]).unwrap();
-        let mut grid = Grid::new(2, 7, CellMode::Fifo).unwrap();
-        let mut influence = InfluenceTable::new(grid.num_cells());
-        let mut scratch = ComputeScratch::new(grid.num_cells());
-        let mut w = Window::new(2, WindowSpec::Count(16)).unwrap();
-        let (q1, q2) = (QuerySlot(1), QuerySlot(2));
-
-        // Weak initial point → large influence regions for both queries.
-        let id0 = w.insert(&[0.3, 0.3], Timestamp(0)).unwrap();
-        grid.insert_point(&[0.3, 0.3], id0);
-        let out1 = compute_topk(
-            &grid,
-            &mut scratch,
-            Some(InfluenceUpdate::fresh(&mut influence, q1)),
-            &f1,
-            1,
-            None,
-            false,
-            None,
-        );
-        let out2 = compute_topk(
-            &grid,
-            &mut scratch,
-            Some(InfluenceUpdate::fresh(&mut influence, q2)),
-            &f2,
-            1,
-            None,
-            false,
-            None,
-        );
-
-        // A strong point arrives → both regions shrink; recompute the two
-        // queries as one group and sweep with one walk.
-        let id1 = w.insert(&[0.9, 0.9], Timestamp(1)).unwrap();
-        grid.insert_point(&[0.9, 0.9], id1);
-        let mut members = vec![
-            crate::compute::GroupMember {
-                slot: q1,
-                f: f1.clone(),
-                k: 1,
-                listed_above: out1.region_bound,
-                keep_superset: false,
-                track_ties: false,
-                reuse: None,
-            },
-            crate::compute::GroupMember {
-                slot: q2,
-                f: f2.clone(),
-                k: 1,
-                listed_above: out2.region_bound,
-                keep_superset: false,
-                track_ties: false,
-                reuse: None,
-            },
-        ];
-        let mut results = Vec::new();
-        crate::compute::compute_topk_group(
-            &grid,
-            &mut scratch,
-            &mut influence,
-            &mut members,
-            &mut results,
-        );
-        cleanup_group_from_frontier(&grid, &mut influence, &mut scratch, &[q1, q2], &f1);
-
-        for (f, r, slot) in [(&f1, &results[0], q1), (&f2, &results[1], q2)] {
-            let threshold = r.top.threshold();
-            let want: Vec<u32> = (0..grid.num_cells() as u32)
-                .filter(|i| grid.maxscore(CellId(*i), f) >= threshold)
-                .collect();
-            let mut got = listed_cells(&grid, &influence, slot);
-            got.sort_unstable();
-            assert_eq!(got, want, "slot {slot:?}");
-        }
     }
 
     #[test]

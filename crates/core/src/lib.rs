@@ -68,10 +68,7 @@ mod testutil;
 pub mod threshold;
 pub mod update_stream;
 
-pub use compute::{
-    compute_topk, compute_topk_group, ComputeOutcome, ComputeScratch, ComputeStats, GroupMember,
-    GroupOutcome, InfluenceUpdate,
-};
+pub use compute::{compute_topk, ComputeOutcome, ComputeScratch, ComputeStats, InfluenceUpdate};
 pub use engine::{build_engine, ContinuousTopK, EngineKind};
 pub use ingest::{GridSpec, IngestState, IngestStats};
 pub use maintenance::{

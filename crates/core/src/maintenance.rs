@@ -39,18 +39,14 @@
 //! threshold having been −∞, also sweeps the flood-sized influence
 //! region).
 //!
-//! The fallback is tiered to kill the worst-tick cliff:
-//!
-//! 1. **Batched shared recomputation.** Queries that fall back in the same
-//!    tick are grouped by per-axis monotonicity (constrained queries
-//!    recompute solo) and served by **one**
-//!    [`crate::compute::compute_topk_group`] grid traversal per group,
-//!    which scans each visited cell once per member instead of
-//!    re-walking the grid per query. A synchronized expiry wave that
-//!    forces hundreds of queries to recompute costs one traversal, not
-//!    hundreds.
-//! 2. **Solo recomputation** remains as the fallback for constrained
-//!    queries, singleton groups, and `set_batched_recompute(false)`.
+//! The fallback is the paper's computation module, one query per
+//! traversal ([`crate::compute::compute_topk`], Figure 6): each affected
+//! query that needs it is recomputed inline, walks only its own influence
+//! region, and reseeds its band from the traversal's result. A
+//! synchronized expiry wave that forces hundreds of queries to recompute
+//! costs hundreds of short traversals; a shared traversal serving a whole
+//! group at once was tried and measured slower per query on every workload
+//! shape (O(members × union of their regions), see CHANGES.md).
 //!
 //! The replay loop is built for throughput:
 //!
@@ -76,8 +72,8 @@
 //!   query absorbs tens of arrivals, used to pay for. A band merges early
 //!   only when its spare capacity runs out, so staging allocates nothing
 //!   and no structure remembers a flood tick's high-water mark;
-//! * the traversal heap, the frontier and a small pool of recycled result
-//!   lists live with the stage, so steady-state ticks allocate nothing;
+//! * the traversal heap, the frontier and one recycled result list live
+//!   with the stage, so a recomputation allocates nothing of its own;
 //! * the policy is a type parameter, monomorphised per engine: no runtime
 //!   branch on TMA-vs-SMA enters the loop.
 //!
@@ -99,20 +95,15 @@
 
 use std::marker::PhantomData;
 
-use crate::compute::{
-    compute_topk, compute_topk_group, ComputeScratch, ComputeStats, GroupMember, GroupOutcome,
-    InfluenceUpdate,
-};
-use crate::influence::{cleanup_from_frontier, cleanup_group_from_frontier, remove_query_walk};
+use crate::compute::{compute_topk, ComputeScratch, ComputeStats, InfluenceUpdate};
+use crate::influence::{cleanup_from_frontier, remove_query_walk};
 use crate::ingest::IngestState;
 use crate::kernel;
 use crate::query::Query;
 use crate::registry::QueryRegistry;
 use crate::result::{ResultDelta, TopList};
 use crate::stats::EngineStats;
-use tkm_common::{
-    Monotonicity, OrderedF64, QueryId, QuerySlot, Result, ScoreFn, Scored, TkmError, TupleId,
-};
+use tkm_common::{QueryId, QuerySlot, Result, Scored, TkmError, TupleId};
 use tkm_grid::InfluenceTable;
 use tkm_skyband::{tuned_kmax, MergeScratch, Skyband};
 use tkm_window::Window;
@@ -172,11 +163,6 @@ pub trait QueryMaintenance: Send {
 
     /// Deep size estimate of the per-query state in bytes.
     fn space_bytes(&self) -> usize;
-
-    /// Enables or disables batched shared recomputation (default: on).
-    /// With batching off every fallback recomputes solo — the reference
-    /// behaviour the differential suite compares the batched path against.
-    fn set_batched_recompute(&mut self, on: bool);
 }
 
 /// What distinguishes the paper's two maintenance modules once both keep a
@@ -231,20 +217,6 @@ pub type TmaMaintenance = BandMaintenance<TmaPolicy>;
 /// SMA maintenance: [`BandMaintenance`] under [`SmaPolicy`].
 pub type SmaMaintenance = BandMaintenance<SmaPolicy>;
 
-/// Cap on the member count of one shared recomputation traversal.
-///
-/// A shared traversal costs O(members × envelope cells): every popped
-/// cell runs a retire check and a bound test per still-active member, and
-/// the group heap key (the max over active members' bounds) keeps
-/// *everyone* active until the group's deepest member is satisfied. A
-/// recompute storm that throws thousands of queries into one group would
-/// make each of them pay the whole union envelope. Chunking the
-/// signature run — pre-sorted by descending stale threshold, a cheap
-/// proxy for traversal depth — bounds that product: members of similar
-/// depth retire together, so each chunk's traversal is only as deep as
-/// its own members need.
-const GROUP_CHUNK: usize = 64;
-
 fn check_dims(shared: &IngestState, query: &Query) -> Result<()> {
     if query.dims() != shared.dims() {
         return Err(TkmError::DimensionMismatch {
@@ -274,19 +246,6 @@ pub(crate) fn live_suffix<'a>(window: &Window, ids: &'a [TupleId]) -> Option<&'a
         return None;
     }
     Some(&ids[start..])
-}
-
-/// Per-axis monotonicity signature: bit `d` set iff the function is
-/// decreasing on axis `d`. Queries sharing a signature traverse the grid
-/// in the same order and can share one group traversal.
-fn mono_signature(f: &ScoreFn, dims: usize) -> u32 {
-    let mut sig = 0u32;
-    for d in 0..dims {
-        if f.monotonicity(d) == Monotonicity::Decreasing {
-            sig |= 1 << d;
-        }
-    }
-    sig
 }
 
 fn absorb_compute(stats: &mut EngineStats, cs: ComputeStats) {
@@ -357,19 +316,13 @@ fn baseline(dirty: &mut Vec<u64>, slot: QuerySlot, st: &mut BandQuery) {
 /// expirations miss the band — it only costs replay probes), so a
 /// threshold flip-flop between recomputations stops churning the
 /// influence lists.
-fn reseed(
-    st: &mut BandQuery,
-    seed: &mut Vec<Scored>,
-    top: &TopList,
-    boundary_ties: &[Scored],
-    region_bound: f64,
-) -> bool {
+fn reseed(st: &mut BandQuery, seed: &mut Vec<Scored>, top: &TopList, region_bound: f64) -> bool {
     // Seed the band with the top-depth plus the candidates tying the
     // depth-th score: a tie-loser outlives the tied band member and can
     // enter a future result, so dropping it would lose exactness.
     seed.clear();
     seed.extend_from_slice(top.as_slice());
-    seed.extend_from_slice(boundary_ties);
+    top.append_boundary_ties(seed);
     st.band.rebuild(seed);
     let resync = st.admit == f64::NEG_INFINITY;
     st.admit = top.threshold();
@@ -382,9 +335,8 @@ fn reseed(
 }
 
 /// The one maintenance stage behind TMA and SMA (module docs): exact top-k
-/// prefixes served from a per-query band, from-scratch (and, when several
-/// queries fall back in one tick, *batched*) recomputation only when a
-/// band drains below `k` or outgrows its policy's cap.
+/// prefixes served from a per-query band, from-scratch recomputation only
+/// when a band drains below `k` or outgrows its policy's cap.
 #[derive(Debug)]
 pub struct BandMaintenance<P> {
     influence: InfluenceTable,
@@ -406,16 +358,12 @@ pub struct BandMaintenance<P> {
     /// so a recycled slot never inherits its predecessor's mark, and the
     /// sweep visits slots in slot order without sorting anything.
     dirty: Vec<u64>,
-    batched: bool,
-    /// Reused per-tick scratch of the batching machinery.
-    pending: Vec<(QuerySlot, u32, OrderedF64)>,
-    members: Vec<GroupMember>,
-    outcomes: Vec<GroupOutcome>,
-    group_slots: Vec<QuerySlot>,
+    /// Band seed of the recomputation in progress: the traversal's top
+    /// list followed by its boundary ties.
     seed: Vec<Scored>,
-    /// Recycled result lists of past recomputations, shared by the whole
-    /// stage (at most one per member of a traversal, so ≤ `GROUP_CHUNK`).
-    recs: Vec<TopList>,
+    /// The result list every recomputation fills, recycled from the last
+    /// one (hollow until the first).
+    rec: TopList,
     policy: PhantomData<P>,
 }
 
@@ -454,7 +402,7 @@ impl<P: BandPolicy> BandMaintenance<P> {
         shared: &IngestState,
         stats: &mut EngineStats,
         seed: &mut Vec<Scored>,
-        recs: &mut Vec<TopList>,
+        rec: &mut TopList,
         slot: QuerySlot,
         st: &mut BandQuery,
     ) {
@@ -470,12 +418,12 @@ impl<P: BandPolicy> BandMaintenance<P> {
             st.band.k(),
             st.query.constraint.as_ref(),
             true,
-            recs.pop(),
+            Some(std::mem::take(rec)),
         );
         stats.recompute_queries += 1;
         stats.recompute_groups += 1;
         absorb_compute(stats, out.stats);
-        if reseed(st, seed, &out.top, &out.boundary_ties, out.region_bound) {
+        if reseed(st, seed, &out.top, out.region_bound) {
             stats.cleanup_cells += cleanup_from_frontier(
                 shared.grid(),
                 influence,
@@ -485,7 +433,7 @@ impl<P: BandPolicy> BandMaintenance<P> {
                 st.query.constraint.as_ref(),
             );
         }
-        recs.push(out.top);
+        *rec = out.top;
     }
 
     /// Whether `st` must fall back to a from-scratch computation: either
@@ -519,13 +467,8 @@ impl<P: BandPolicy> QueryMaintenance for BandMaintenance<P> {
             merge_scratch: MergeScratch::default(),
             tracking: false,
             dirty: Vec::new(),
-            batched: true,
-            pending: Vec::new(),
-            members: Vec::new(),
-            outcomes: Vec::new(),
-            group_slots: Vec::new(),
             seed: Vec::new(),
-            recs: Vec::new(),
+            rec: TopList::default(),
             policy: PhantomData,
         }
     }
@@ -551,11 +494,11 @@ impl<P: BandPolicy> QueryMaintenance for BandMaintenance<P> {
             queries,
             stats,
             seed,
-            recs,
+            rec,
             ..
         } = self;
         let (_, st) = queries.slot_mut(slot);
-        Self::recompute(influence, scratch, shared, stats, seed, recs, slot, st);
+        Self::recompute(influence, scratch, shared, stats, seed, rec, slot, st);
         if self.tracking {
             baseline(&mut self.dirty, slot, st);
         }
@@ -591,13 +534,8 @@ impl<P: BandPolicy> QueryMaintenance for BandMaintenance<P> {
             merge_scratch,
             tracking,
             dirty,
-            batched,
-            pending,
-            members,
-            outcomes,
-            group_slots,
             seed,
-            recs,
+            rec,
             policy: _,
         } = self;
         affected.clear();
@@ -712,10 +650,7 @@ impl<P: BandPolicy> QueryMaintenance for BandMaintenance<P> {
 
         // ---- Fallback recomputation (Figure 9 lines 12-21, Figure 11
         // lines 17-22) — only for the affected queries `needs_recompute`
-        // selects. Unconstrained fallbacks are grouped by monotonicity
-        // signature and served by one shared traversal per group;
-        // constrained ones (and singleton groups) go solo.
-        pending.clear();
+        // selects, one traversal each.
         for &slot in affected.iter() {
             let (_, st) = queries.slot_mut(slot);
             st.affected = false;
@@ -723,90 +658,9 @@ impl<P: BandPolicy> QueryMaintenance for BandMaintenance<P> {
                 let (word, bit) = mark_of(slot);
                 dirty[word] |= bit;
             }
-            if !Self::needs_recompute(st, shared) {
-                continue;
+            if Self::needs_recompute(st, shared) {
+                Self::recompute(influence, scratch, shared, stats, seed, rec, slot, st);
             }
-            if *batched && st.query.constraint.is_none() {
-                pending.push((
-                    slot,
-                    mono_signature(&st.query.f, dims),
-                    OrderedF64::new(st.admit),
-                ));
-            } else {
-                Self::recompute(influence, scratch, shared, stats, seed, recs, slot, st);
-            }
-        }
-
-        pending.sort_unstable_by_key(|&(slot, sig, depth)| (sig, std::cmp::Reverse(depth), slot.0));
-        let mut i = 0;
-        while i < pending.len() {
-            let sig = pending[i].1;
-            let mut sig_end = i + 1;
-            while sig_end < pending.len() && pending[sig_end].1 == sig {
-                sig_end += 1;
-            }
-            // One traversal per GROUP_CHUNK members, sliced off the
-            // signature run in descending-threshold order: a shared
-            // traversal costs O(members x envelope cells), and mixing a
-            // deep (stale or deficient) member into a shallow group makes
-            // every member pay its envelope. Depth-sorted chunks keep
-            // each traversal as shallow as its own members need.
-            let j = sig_end.min(i + GROUP_CHUNK);
-            if j - i == 1 {
-                let slot = pending[i].0;
-                let (_, st) = queries.slot_mut(slot);
-                Self::recompute(influence, scratch, shared, stats, seed, recs, slot, st);
-            } else {
-                members.clear();
-                // `group_slots` collects only the members that resync
-                // (previous traversal underfilled: admit −∞); everyone
-                // else keeps their superset listing (monotone region
-                // floor, see `reseed`) and needs no frontier sweep.
-                group_slots.clear();
-                let mut walk_f: Option<ScoreFn> = None;
-                for &(slot, _, _) in &pending[i..j] {
-                    let (_, st) = queries.slot_mut(slot);
-                    if walk_f.is_none() {
-                        // lint: allow(alloc, reason=one O(dims) coefficient copy per refill group, amortised by the traversal it seeds)
-                        walk_f = Some(st.query.f.clone());
-                    }
-                    let resync = st.admit == f64::NEG_INFINITY;
-                    members.push(GroupMember {
-                        slot,
-                        // lint: allow(alloc, reason=one O(dims) coefficient copy per member per refill, amortised by the shared traversal)
-                        f: st.query.f.clone(),
-                        k: st.band.k(),
-                        listed_above: st.region_bound,
-                        keep_superset: !resync,
-                        track_ties: true,
-                        reuse: recs.pop(),
-                    });
-                    if resync {
-                        group_slots.push(slot);
-                    }
-                }
-                let gstats =
-                    compute_topk_group(shared.grid(), scratch, influence, members, outcomes);
-                stats.recompute_groups += 1;
-                stats.recompute_queries += (j - i) as u64;
-                absorb_compute(stats, gstats);
-                debug_assert!(walk_f.is_some() || group_slots.is_empty());
-                if let Some(walk) = walk_f.as_ref().filter(|_| !group_slots.is_empty()) {
-                    stats.cleanup_cells += cleanup_group_from_frontier(
-                        shared.grid(),
-                        influence,
-                        scratch,
-                        group_slots,
-                        walk,
-                    );
-                }
-                for out in outcomes.drain(..) {
-                    let (_, st) = queries.slot_mut(out.slot);
-                    reseed(st, seed, &out.top, &out.boundary_ties, out.region_bound);
-                    recs.push(out.top);
-                }
-            }
-            i = j;
         }
         Ok(())
     }
@@ -866,13 +720,8 @@ impl<P: BandPolicy> QueryMaintenance for BandMaintenance<P> {
             + (self.affected.capacity() * std::mem::size_of::<QuerySlot>())
             + self.merge_scratch.space_bytes()
             + (self.dirty.capacity() * std::mem::size_of::<u64>())
-            + (self.pending.capacity() * std::mem::size_of::<(QuerySlot, u32, OrderedF64)>())
-            + (self.members.capacity() * std::mem::size_of::<GroupMember>())
-            + (self.outcomes.capacity() * std::mem::size_of::<GroupOutcome>())
-            + (self.group_slots.capacity() * std::mem::size_of::<QuerySlot>())
             + (self.seed.capacity() * std::mem::size_of::<Scored>())
-            + ((self.recs.capacity() - self.recs.len()) * std::mem::size_of::<TopList>())
-            + self.recs.iter().map(TopList::space_bytes).sum::<usize>()
+            + (self.rec.space_bytes() - std::mem::size_of::<TopList>())
             + self
                 .queries
                 .iter()
@@ -882,9 +731,5 @@ impl<P: BandPolicy> QueryMaintenance for BandMaintenance<P> {
                         + q.reported.capacity() * std::mem::size_of::<Scored>()
                 })
                 .sum::<usize>()
-    }
-
-    fn set_batched_recompute(&mut self, on: bool) {
-        self.batched = on;
     }
 }

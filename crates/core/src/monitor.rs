@@ -28,7 +28,7 @@
 //! [`TmaMonitor`] and [`SmaMonitor`] are the same sandwich over the two
 //! policies of [`crate::maintenance::BandMaintenance`]; every shard count
 //! reports exactly the results of the brute-force oracle (the differential
-//! suites `tests/shared_parallel.rs` and `shared_recompute` pin that under
+//! suites `tests/shared_parallel.rs` and `recompute` pin that under
 //! query churn, time windows and score ties).
 
 use std::collections::BTreeMap;
@@ -254,14 +254,6 @@ impl<M: QueryMaintenance> Monitor<M> {
     /// influence-list entries behind.
     pub fn snapshot(&mut self, query: &Query) -> Result<Vec<Scored>> {
         self.shards[0].snapshot(&self.shared, query)
-    }
-
-    /// Enables or disables batched shared recomputation on every shard
-    /// (default: on). With batching off every fallback recomputes solo.
-    pub fn set_batched_recompute(&mut self, on: bool) {
-        for s in &mut self.shards {
-            s.set_batched_recompute(on);
-        }
     }
 
     /// Cumulative counters: the shared ingest stage plus every shard's
@@ -722,7 +714,6 @@ mod tests {
         fn space_bytes(&self) -> usize {
             std::mem::size_of::<Self>()
         }
-        fn set_batched_recompute(&mut self, _: bool) {}
     }
 
     /// A shard panicking on the scoped-thread path the served

@@ -357,21 +357,21 @@ impl TopList {
         self.pool.clear();
     }
 
-    /// Boundary ties: candidates outside the top-k whose score equals the
-    /// k-th score, descending (only meaningful with tie tracking).
-    pub fn boundary_ties(&self) -> Vec<Scored> {
+    /// Appends the boundary ties — candidates outside the top-k whose score
+    /// equals the k-th score — to `out`, best first (only meaningful with
+    /// tie tracking). A traversal offers each tuple once, so the appended
+    /// run is strictly descending; following [`TopList::as_slice`] in one
+    /// buffer it continues that best-first list, which is the seed a
+    /// skyband rebuild wants.
+    // lint: hot-path
+    pub fn append_boundary_ties(&self, out: &mut Vec<Scored>) {
         let Some(kth) = self.kth() else {
-            return Vec::new();
+            return;
         };
-        let mut ties: Vec<Scored> = self
-            .pool
-            .iter()
-            .copied()
-            .filter(|s| s.score == kth.score)
-            .collect();
-        ties.sort_by(|a, b| b.cmp(a));
-        ties.dedup();
-        ties
+        let start = out.len();
+        out.extend(self.pool.iter().filter(|s| s.score == kth.score));
+        out[start..].sort_unstable_by(|a, b| b.cmp(a));
+        debug_assert!(out[start..].windows(2).all(|w| w[0] > w[1]));
     }
 
     /// Keeps the tie pool from growing past O(k) by discarding candidates
@@ -396,6 +396,12 @@ mod tests {
 
     fn s(score: f64, id: u64) -> Scored {
         Scored::new(score, TupleId(id))
+    }
+
+    fn ties_of(t: &TopList) -> Vec<Scored> {
+        let mut ties = Vec::new();
+        t.append_boundary_ties(&mut ties);
+        ties
     }
 
     #[test]
@@ -557,7 +563,7 @@ mod tests {
         t.offer(s(0.5, 2)); // rejected, ties the k-th
         t.offer(s(0.5, 3)); // rejected, ties the k-th
         t.offer(s(0.2, 4)); // rejected, no tie
-        let ties = t.boundary_ties();
+        let ties = ties_of(&t);
         let ids: Vec<u64> = ties.iter().map(|e| e.id.0).collect();
         assert_eq!(ids, vec![2, 3], "ties sorted best-first (older first)");
     }
@@ -569,10 +575,10 @@ mod tests {
         t.offer(s(0.5, 1)); // rejected tie
         t.offer(s(0.7, 2)); // evicts the 0.5/id0
                             // Boundary ties are relative to the *new* k-th (0.7): none.
-        assert!(t.boundary_ties().is_empty());
+        assert!(ties_of(&t).is_empty());
         // But if another 0.7 arrives it is captured.
         t.offer(s(0.7, 3));
-        assert_eq!(t.boundary_ties().len(), 1);
+        assert_eq!(ties_of(&t).len(), 1);
     }
 
     #[test]
@@ -584,6 +590,6 @@ mod tests {
             t.offer(s(i as f64 / 1000.0, i));
         }
         assert!(t.pool.len() <= 4 + 16, "pool pruned, was {}", t.pool.len());
-        assert!(t.boundary_ties().is_empty());
+        assert!(ties_of(&t).is_empty());
     }
 }

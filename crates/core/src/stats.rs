@@ -15,14 +15,11 @@ pub struct EngineStats {
     pub expirations: u64,
     /// Queries whose result was rebuilt from scratch by the top-k
     /// computation module (initial computations plus re-computations).
-    /// Formerly `recomputations`: with batched shared recomputation a
-    /// single grid traversal can serve several queries, so this counts
-    /// *queries served*, not traversals — see `recompute_groups`.
     pub recompute_queries: u64,
-    /// Grid traversals launched by the computation module. A solo
-    /// recomputation adds 1 to both counters; a shared traversal serving a
-    /// group of n queries adds 1 here and n to `recompute_queries`, so
-    /// `recompute_groups < recompute_queries` proves batching engaged.
+    /// Grid traversals launched by the computation module. A traversal
+    /// serves exactly one query, so this equals `recompute_queries`; the
+    /// field stays because callers outside the workspace build this struct
+    /// literally.
     pub recompute_groups: u64,
     /// Cells de-heaped (processed) by the computation module.
     pub cells_processed: u64,
@@ -111,10 +108,10 @@ mod tests {
     }
 
     #[test]
-    fn absorb_sums_group_counters() {
+    fn absorb_sums_recompute_counters() {
         let mut a = EngineStats {
             recompute_queries: 5,
-            recompute_groups: 2,
+            recompute_groups: 5,
             ..EngineStats::default()
         };
         let b = EngineStats {
@@ -124,6 +121,6 @@ mod tests {
         };
         a.absorb(b);
         assert_eq!(a.recompute_queries, 8);
-        assert_eq!(a.recompute_groups, 5);
+        assert_eq!(a.recompute_groups, 8);
     }
 }

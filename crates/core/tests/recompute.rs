@@ -1,17 +1,13 @@
-//! Differential suite for the tiered recomputation path.
+//! Differential suite for the recomputation path.
 //!
-//! The engines under test tier their fallback work: skyband refill first
-//! (TMA's default), then one *shared* grid traversal per monotonicity
-//! group when several queries recompute in the same tick, then solo
-//! recomputation. Every tier must be invisible in the results: batched,
-//! per-query (batching disabled) and sharded configurations all have to
-//! report exactly the brute-force oracle's answer on every tick of every
-//! stream — under query churn, heavy score ties, count and time windows,
-//! and synchronized expiry storms that drain the refill bands.
-//!
-//! The deterministic `storm_*` tests double as the proof that batching
-//! actually engages (`recompute_groups < recompute_queries`): correctness
-//! alone would also be satisfied by never grouping anything.
+//! The engines under test serve results from a per-query band (skyband
+//! refill) and fall back to the paper's computation module, one traversal
+//! per query, when a band drains or outgrows its cap. The fallback must be
+//! invisible in the results: unsharded and sharded configurations of both
+//! engines have to report exactly the brute-force oracle's answer on every
+//! tick of every stream — under query churn, heavy score ties, count and
+//! time windows, and synchronized expiry storms that drain the bands of
+//! most of the fleet in one tick.
 
 use tkm_common::{QueryId, Rect, ScoreFn, Scored, Timestamp};
 use tkm_core::{ContinuousTopK, GridSpec, OracleMonitor, Query, SmaMonitor, TmaMonitor};
@@ -64,18 +60,18 @@ fn query_set() -> Vec<(QueryId, Query)> {
             QueryId(2),
             Query::top_k(ScoreFn::linear(vec![0.5, 0.5]).unwrap(), 5).unwrap(),
         ),
-        // Product scoring is also increasing per axis: same monotonicity
-        // signature as the linear queries, so it can share their traversal.
+        // Product scoring: increasing per axis like the linear queries, but
+        // another scoring kernel.
         (
             QueryId(3),
             Query::top_k(ScoreFn::product(vec![0.1, 0.1]).unwrap(), 2).unwrap(),
         ),
-        // Different signature (decreasing on axis 1): its own group.
+        // Decreasing on axis 1: traverses from another corner.
         (
             QueryId(4),
             Query::top_k(ScoreFn::linear(vec![1.0, -1.0]).unwrap(), 3).unwrap(),
         ),
-        // Constrained: always recomputes solo.
+        // Constrained: the traversal is clipped to the rectangle's cells.
         (
             QueryId(5),
             Query::constrained(ScoreFn::linear(vec![1.0, 1.0]).unwrap(), 2, constraint).unwrap(),
@@ -89,33 +85,28 @@ struct Fleet {
 }
 
 impl Fleet {
-    /// The oracle plus TMA and SMA in batched/per-query × S∈{1,3}
-    /// configurations (S=1 runs the identical maintenance code inline; S=3
-    /// replays the same events from three shards).
+    /// The oracle plus TMA and SMA at S ∈ {1, 3} (S=1 runs the
+    /// maintenance code inline; S=3 replays the same events from three
+    /// shards).
     fn new(window: WindowSpec) -> Fleet {
-        let mut engines: Vec<(&'static str, Box<dyn ContinuousTopK>)> = Vec::new();
-        engines.push((
-            "tma-batched-s1",
-            Box::new(TmaMonitor::with_shards(DIMS, window, GRID, 1).unwrap()),
-        ));
-        let mut t = TmaMonitor::with_shards(DIMS, window, GRID, 1).unwrap();
-        t.set_batched_recompute(false);
-        engines.push(("tma-per-query-s1", Box::new(t)));
-        engines.push((
-            "tma-batched-s3",
-            Box::new(TmaMonitor::with_shards(DIMS, window, GRID, 3).unwrap()),
-        ));
-        engines.push((
-            "sma-batched-s1",
-            Box::new(SmaMonitor::with_shards(DIMS, window, GRID, 1).unwrap()),
-        ));
-        let mut s = SmaMonitor::with_shards(DIMS, window, GRID, 1).unwrap();
-        s.set_batched_recompute(false);
-        engines.push(("sma-per-query-s1", Box::new(s)));
-        engines.push((
-            "sma-batched-s3",
-            Box::new(SmaMonitor::with_shards(DIMS, window, GRID, 3).unwrap()),
-        ));
+        let engines: Vec<(&'static str, Box<dyn ContinuousTopK>)> = vec![
+            (
+                "tma-s1",
+                Box::new(TmaMonitor::with_shards(DIMS, window, GRID, 1).unwrap()),
+            ),
+            (
+                "tma-s3",
+                Box::new(TmaMonitor::with_shards(DIMS, window, GRID, 3).unwrap()),
+            ),
+            (
+                "sma-s1",
+                Box::new(SmaMonitor::with_shards(DIMS, window, GRID, 1).unwrap()),
+            ),
+            (
+                "sma-s3",
+                Box::new(SmaMonitor::with_shards(DIMS, window, GRID, 3).unwrap()),
+            ),
+        ];
         Fleet {
             engines,
             oracle: OracleMonitor::new(DIMS, window).unwrap(),
@@ -228,7 +219,7 @@ fn churn_time_window_matches_oracle() {
 #[test]
 fn storm_time_window_matches_oracle() {
     // Synchronized expiry waves: every query's refill band drains in the
-    // same tick, exercising the grouped traversal under ties.
+    // same tick, so the whole fleet recomputes back to back under ties.
     run_differential(WindowSpec::Time(2), 0x5eed_0004, 40, 4, true);
 }
 
@@ -237,79 +228,34 @@ fn storm_count_window_matches_oracle() {
     run_differential(WindowSpec::Count(35), 0x5eed_0005, 40, 9, true);
 }
 
-// ---- Batching proof: the grouped path must actually engage ----
+// ---- Storm proof: the scenario must actually force mass recomputation ----
 
-/// Drives a recompute storm into a plain TMA monitor and checks via the
-/// split counters that at least one traversal served several queries —
-/// and that results still match the oracle exactly.
-#[test]
-fn tma_storm_batches_recomputations() {
-    let window = WindowSpec::Time(2);
-    let mut m = TmaMonitor::new(DIMS, window, GRID).unwrap();
-    let mut oracle = OracleMonitor::new(DIMS, window).unwrap();
-    // Same-signature queries: all eligible for one shared traversal.
-    let qs: Vec<(QueryId, Query)> = (0..8u64)
-        .map(|i| {
-            let w = vec![1.0 + 0.25 * i as f64, 2.0 - 0.125 * i as f64];
-            (
-                QueryId(i),
-                Query::top_k(ScoreFn::linear(w).unwrap(), 2 + (i as usize % 3)).unwrap(),
-            )
-        })
-        .collect();
-    for (id, q) in &qs {
-        m.register_query(*id, q.clone()).unwrap();
-        oracle.register_query(*id, q.clone()).unwrap();
-    }
-    let registrations = m.stats().recompute_queries;
-    assert_eq!(registrations, 8, "one initial computation per query");
-
-    let mut state = 0xabcd_ef01u64;
-    for t in 0..30u64 {
-        let n = storm_tick_size(t, 5, 40, 2);
-        let arrivals = lattice_stream(&mut state, n, 9);
-        m.tick(Timestamp(t), &arrivals).unwrap();
-        oracle.tick(Timestamp(t), &arrivals).unwrap();
-        for (id, _) in &qs {
-            assert_eq!(
-                m.result(*id).unwrap(),
-                oracle.result(*id).unwrap(),
-                "query {id} diverged at tick {t}"
-            );
-        }
-    }
-    let s = m.stats();
-    let storm_queries = s.recompute_queries - registrations;
-    let storm_groups = s.recompute_groups - registrations;
-    assert!(
-        storm_queries > 0,
-        "the storm never forced a recomputation — the scenario is toothless"
-    );
-    assert!(
-        storm_groups < storm_queries,
-        "batching never engaged: {storm_groups} traversals for {storm_queries} recomputed queries"
-    );
-}
-
-/// Same proof for SMA: deficient skybands recomputed in groups.
-#[test]
-fn sma_storm_batches_recomputations() {
-    let window = WindowSpec::Time(2);
-    let mut m = SmaMonitor::new(DIMS, window, GRID).unwrap();
-    let mut oracle = OracleMonitor::new(DIMS, window).unwrap();
-    let qs: Vec<(QueryId, Query)> = (0..8u64)
+/// The eight queries of the storm scenarios: one traversal corner, eight
+/// directions, k ∈ {2, 3, 4}.
+fn storm_queries() -> Vec<(QueryId, Query)> {
+    (0..8u64)
         .map(|i| {
             let w = vec![0.5 + 0.25 * i as f64, 1.5 - 0.125 * i as f64];
-            (
-                QueryId(i),
-                Query::top_k(ScoreFn::linear(w).unwrap(), 2 + (i as usize % 3)).unwrap(),
-            )
+            let q = Query::top_k(ScoreFn::linear(w).unwrap(), 2 + (i as usize % 3)).unwrap();
+            (QueryId(i), q)
         })
-        .collect();
-    // Populate the window before registering: a skyband started over an
-    // empty window keeps its −∞ admission threshold and absorbs any storm
-    // (exact but never deficient). A populated window sets the threshold
-    // to the real k-th score, so the waves below can drain the band.
+        .collect()
+}
+
+/// Drives expiry waves into a monitor whose queries were registered over a
+/// populated window and checks that some single tick recomputes at least
+/// half the fleet (correctness alone would also be satisfied by a stream
+/// that never drains a band), that every tick stays oracle-exact, and that
+/// every recomputed query cost exactly one traversal.
+fn storm_recomputes_half_the_fleet<M: tkm_core::QueryMaintenance>() {
+    let window = WindowSpec::Time(2);
+    let mut m = tkm_core::Monitor::<M>::new(DIMS, window, GRID).unwrap();
+    let mut oracle = OracleMonitor::new(DIMS, window).unwrap();
+    let qs = storm_queries();
+    // Populate the window before registering: a band started over an empty
+    // window keeps its −∞ admission threshold and absorbs any storm (exact
+    // but never deficient). A populated window sets the threshold to the
+    // real depth-th score, so the waves below can drain the band.
     let mut state = 0x1234_5678u64;
     let warmup = lattice_stream(&mut state, 40, 9);
     m.tick(Timestamp(0), &warmup).unwrap();
@@ -318,9 +264,10 @@ fn sma_storm_batches_recomputations() {
         m.register_query(*id, q.clone()).unwrap();
         oracle.register_query(*id, q.clone()).unwrap();
     }
-    let registrations = m.stats().recompute_queries;
 
+    let mut worst_tick = 0;
     for t in 1..30u64 {
+        let before = m.stats().recompute_queries;
         let n = storm_tick_size(t, 5, 40, 2);
         let arrivals = lattice_stream(&mut state, n, 9);
         m.tick(Timestamp(t), &arrivals).unwrap();
@@ -329,23 +276,36 @@ fn sma_storm_batches_recomputations() {
             assert_eq!(
                 m.result(*id).unwrap(),
                 oracle.result(*id).unwrap(),
-                "query {id} diverged at tick {t}"
+                "{}: query {id} diverged at tick {t}",
+                M::LABEL
             );
         }
+        worst_tick = worst_tick.max(m.stats().recompute_queries - before);
     }
-    let s = m.stats();
-    let storm_queries = s.recompute_queries - registrations;
-    let storm_groups = s.recompute_groups - registrations;
-    assert!(storm_queries > 0, "the storm never drained a skyband");
     assert!(
-        storm_groups < storm_queries,
-        "batching never engaged: {storm_groups} traversals for {storm_queries} recomputed queries"
+        worst_tick as usize >= qs.len() / 2,
+        "{}: no tick recomputed half the fleet (most: {worst_tick} of {})",
+        M::LABEL,
+        qs.len()
     );
+    let s = m.stats();
+    assert_eq!(
+        s.recompute_groups,
+        s.recompute_queries,
+        "{}: one traversal per recomputed query",
+        M::LABEL
+    );
+}
+
+#[test]
+fn storm_recomputes_half_the_fleet_in_one_tick() {
+    storm_recomputes_half_the_fleet::<tkm_core::TmaMaintenance>();
+    storm_recomputes_half_the_fleet::<tkm_core::SmaMaintenance>();
 }
 
 // ---- Policy pin: the two engines must stay two different policies ----
 
-/// The storm stream of `sma_storm_batches_recomputations`, with the
+/// The storm stream of `storm_recomputes_half_the_fleet`, with the
 /// queries registered over an empty (`warm = false`) or a populated
 /// window; returns `[recompute_queries, recompute_groups, cells_processed,
 /// cell_probes, tuple_probes]`.
@@ -356,10 +316,8 @@ fn storm_counters<M: tkm_core::QueryMaintenance>(warm: bool) -> [u64; 5] {
         m.tick(Timestamp(0), &lattice_stream(&mut state, 40, 9))
             .unwrap();
     }
-    for i in 0..8u64 {
-        let w = vec![0.5 + 0.25 * i as f64, 1.5 - 0.125 * i as f64];
-        let q = Query::top_k(ScoreFn::linear(w).unwrap(), 2 + (i as usize % 3)).unwrap();
-        m.register_query(QueryId(i), q).unwrap();
+    for (id, q) in storm_queries() {
+        m.register_query(id, q).unwrap();
     }
     for t in u64::from(warm)..30 {
         let n = storm_tick_size(t, 5, 40, 2);
@@ -381,13 +339,16 @@ fn storm_counters<M: tkm_core::QueryMaintenance>(warm: bool) -> [u64; 5] {
 /// band at threshold −∞: TMA must take its cap-tightening path (16
 /// recomputations), SMA must never (the 8 registrations only) — so the
 /// rows differ wherever the policies do, and a merged stage that confuses
-/// them fails here.
+/// them fails here. Columns 0, 3 and 4 (which queries recompute, what the
+/// replay probes) are the decisions and predate the single recomputation
+/// path; columns 1 and 2 are its execution: one traversal per query, each
+/// walking its own influence region.
 #[test]
 fn policies_do_the_work_of_the_engines_they_replaced() {
     use tkm_core::{SmaMaintenance, TmaMaintenance};
     assert_eq!(
         storm_counters::<TmaMaintenance>(false),
-        [16, 13, 381, 1710, 2518]
+        [16, 16, 461, 1710, 2518]
     );
     assert_eq!(
         storm_counters::<SmaMaintenance>(false),
@@ -395,16 +356,16 @@ fn policies_do_the_work_of_the_engines_they_replaced() {
     );
     assert_eq!(
         storm_counters::<TmaMaintenance>(true),
-        [20, 12, 178, 1516, 2180]
+        [20, 20, 466, 1516, 2180]
     );
-    // Re-pinned (was `[37, 16, 355, 1475, 2130]`) by the drained-band fix
-    // in `needs_recompute`: a band that drains below `k` while holding the
-    // whole window now takes one last underfilling traversal that resets
-    // its threshold to −∞, instead of keeping the stale threshold and
-    // recomputing again every time the window outgrows it.
+    // A band that drains below `k` while holding the whole window takes one
+    // last underfilling traversal that resets its threshold to −∞ (the
+    // drained-band rule in `needs_recompute`); without it this row reads
+    // 37 recomputations, one every time the window outgrows the stale
+    // threshold.
     assert_eq!(
         storm_counters::<SmaMaintenance>(true),
-        [32, 13, 247, 1490, 2147]
+        [32, 32, 848, 1490, 2147]
     );
 }
 
@@ -528,9 +489,9 @@ mod properties {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
-        /// Batched ≡ per-query ≡ oracle for TMA and SMA at S ∈ {1, 3},
-        /// under churn, ties, storms, and random windows. Seeds committed
-        /// in `proptest-regressions/shared_recompute.txt` replay first.
+        /// TMA and SMA at S ∈ {1, 3} ≡ oracle, under churn, ties, storms,
+        /// and random windows. Seeds committed in
+        /// `proptest-regressions/recompute.txt` replay first.
         #[test]
         fn all_configurations_match_oracle(
             seed in any::<u64>(),

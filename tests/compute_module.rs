@@ -71,6 +71,8 @@ proptest! {
         // 1. Exact result.
         prop_assert_eq!(out.top.as_slice(), &naive(&points, &f, k, None)[..]);
 
+        let mut ties = Vec::new();
+        out.top.append_boundary_ties(&mut ties);
         if let Some(kth) = out.top.kth() {
             let threshold = kth.score.get();
             // 2. Coverage: every cell that could hold a qualifying tuple is
@@ -89,7 +91,7 @@ proptest! {
             }
             // 4. Boundary ties all tie the k-th score exactly and are not in
             //    the result.
-            for tie in &out.boundary_ties {
+            for tie in &ties {
                 prop_assert_eq!(tie.score, kth.score);
                 prop_assert!(!out.top.contains(tie.id));
             }
@@ -98,7 +100,7 @@ proptest! {
                 .top
                 .as_slice()
                 .iter()
-                .chain(&out.boundary_ties)
+                .chain(&ties)
                 .map(|s| s.id)
                 .collect();
             got.sort_unstable();
@@ -210,7 +212,7 @@ fn skyband_seed_equivalence() {
 
     // Seeded rebuild (what SMA does).
     let mut seed: Vec<Scored> = out.top.as_slice().to_vec();
-    seed.extend_from_slice(&out.boundary_ties);
+    out.top.append_boundary_ties(&mut seed);
     let mut seeded = Skyband::new(k).expect("k");
     seeded.rebuild(&seed);
 
@@ -233,11 +235,10 @@ fn skyband_seed_equivalence() {
 /// Hot cells that straddle chunks: the cell a traversal starts in holds
 /// exactly C−1, C, C+1 or 2C+1 points, behind a partly consumed head chunk
 /// (`shift` older points were pushed and popped first, so the live points
-/// start at every offset). Solo and grouped traversals must both report
-/// the brute-force result — the scan sees the cell as several slices.
+/// start at every offset). The traversal must report the brute-force
+/// result — the scan sees the cell as several slices.
 #[test]
 fn traversals_are_exact_when_hot_cells_straddle_chunks() {
-    use topk_monitor::engines::compute::{compute_topk_group, GroupMember};
     use topk_monitor::grid::CHUNK_POINTS as C;
 
     let fns = [
@@ -285,43 +286,10 @@ fn traversals_are_exact_when_hot_cells_straddle_chunks() {
             };
 
             let mut scratch = ComputeScratch::new(grid.num_cells());
-            let mut influence = InfluenceTable::new(grid.num_cells());
             for k in [1, size, size + 5] {
                 for f in &fns {
                     let out = compute_topk(&grid, &mut scratch, None, f, k, None, false, None);
-                    assert_eq!(
-                        out.top.as_slice(),
-                        &brute(f, k)[..],
-                        "solo {size}+{shift} k={k}"
-                    );
-                }
-                let mut members: Vec<GroupMember> = fns
-                    .iter()
-                    .enumerate()
-                    .map(|(i, f)| GroupMember {
-                        slot: QuerySlot(i as u32),
-                        f: f.clone(),
-                        k,
-                        listed_above: f64::INFINITY,
-                        keep_superset: false,
-                        track_ties: false,
-                        reuse: None,
-                    })
-                    .collect();
-                let mut results = Vec::new();
-                compute_topk_group(
-                    &grid,
-                    &mut scratch,
-                    &mut influence,
-                    &mut members,
-                    &mut results,
-                );
-                for (out, f) in results.iter().zip(&fns) {
-                    assert_eq!(
-                        out.top.as_slice(),
-                        &brute(f, k)[..],
-                        "group {size}+{shift} k={k}"
-                    );
+                    assert_eq!(out.top.as_slice(), &brute(f, k)[..], "{size}+{shift} k={k}");
                 }
             }
         }
