@@ -58,7 +58,6 @@ pub struct ComputeStats {
 /// follow-up [`crate::influence::cleanup_from_frontier`] walk can consume
 /// it in place without an allocation.
 #[derive(Debug)]
-// lint: allow(space, reason=transient per-computation value; its buffers are recycled into the counted ComputeScratch)
 pub struct ComputeOutcome {
     /// The top-k list (≤ k entries, best first). With tie tracking it
     /// also holds the candidates displaced at the k-th boundary — read
@@ -124,7 +123,6 @@ impl<'a> InfluenceUpdate<'a> {
 /// result (engines pass the query's old top-list so recomputations do not
 /// allocate); pass `None` to build a fresh list.
 #[allow(clippy::too_many_arguments)]
-// lint: hot-path
 pub fn compute_topk(
     grid: &Grid,
     scratch: &mut ComputeScratch,

@@ -38,7 +38,6 @@ use tkm_grid::{CellId, Grid, InfluenceTable, VisitStamps};
 /// marks prevent the walk from re-entering the freshly processed region);
 /// `scratch.frontier` is drained by the walk. Returns the number of cells
 /// visited.
-// lint: hot-path
 pub fn cleanup_from_frontier(
     grid: &Grid,
     influence: &mut InfluenceTable,

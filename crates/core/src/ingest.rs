@@ -244,7 +244,6 @@ impl IngestState {
     /// overrun by a burst) appear in both sets; their coordinates are no
     /// longer resolvable afterwards, which maintenance handles by skipping
     /// arrivals whose ids have already left the window.
-    // lint: hot-path
     pub fn ingest(&mut self, now: Timestamp, arrivals: &[f64]) -> Result<()> {
         let Self {
             window,
@@ -295,8 +294,11 @@ impl IngestState {
         located.extend_from_slice(&wrapped[..expired - split]);
         cells.drain(..expired);
         for (id, &cell) in (oldest.0..).zip(located.iter()) {
+            #[expect(
+                clippy::expect_used,
+                reason = "window/grid lockstep is the ingest invariant; desync is unrecoverable"
+            )]
             grid.remove_at(cell, TupleId(id))
-                // lint: allow(panic, reason=window/grid lockstep is the ingest invariant; desync is unrecoverable)
                 .expect("window and grid are updated in lockstep");
         }
         window.drop_front(expired);

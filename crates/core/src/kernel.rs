@@ -503,7 +503,6 @@ impl<E: FnMut(TupleId, f64)> ScorerVisitor for ScanVisitor<'_, E> {
 /// values per id, as produced by the grid's cell blocks and the ingest
 /// stage's cell-grouped runs.
 #[inline]
-// lint: hot-path
 pub fn scan_block(
     f: &ScoreFn,
     dims: usize,
@@ -532,7 +531,6 @@ pub fn scan_block(
 /// single-tuple scoring call sites (update-stream inserts, threshold
 /// arrivals, the oracle's rescan) as part of this module's surface.
 #[inline]
-// lint: hot-path
 pub fn score_point(f: &ScoreFn, coords: &[f64]) -> f64 {
     f.score(coords)
 }

@@ -395,7 +395,6 @@ impl<P: BandPolicy> BandMaintenance<P> {
     /// Runs the computation module for `slot` at band depth and reseeds
     /// its band.
     #[allow(clippy::too_many_arguments)]
-    // lint: hot-path
     fn recompute(
         influence: &mut InfluenceTable,
         scratch: &mut ComputeScratch,
@@ -522,7 +521,6 @@ impl<P: BandPolicy> QueryMaintenance for BandMaintenance<P> {
         Ok(())
     }
 
-    // lint: hot-path
     fn apply_events(&mut self, shared: &IngestState) -> Result<()> {
         let dims = shared.dims();
         let Self {
@@ -680,7 +678,6 @@ impl<P: BandPolicy> QueryMaintenance for BandMaintenance<P> {
         }
     }
 
-    // lint: hot-path
     fn drain_changes(&mut self, out: &mut Vec<ResultDelta>) {
         for (w, word) in self.dirty.iter_mut().enumerate() {
             let mut marks = std::mem::take(word);

@@ -37,7 +37,6 @@ use tkm_common::{
 /// A non-monotone preference function given as a partition of the
 /// workspace into regions with per-region monotone pieces.
 #[derive(Clone, Debug)]
-// lint: allow(space, reason=submitted query description, not retained engine state; registration keeps only k and the sub-query ids)
 pub struct PiecewiseQuery {
     pieces: Vec<(Rect, ScoreFn)>,
     k: usize,
@@ -151,7 +150,6 @@ impl PiecewiseQuery {
 
 /// `f(x) = −Σ (xᵢ − cᵢ)²` with a per-orthant monotonicity declaration.
 #[derive(Debug)]
-// lint: allow(space, reason=O(dims) boxed anchor owned by a ScoreFn; counted through ScoreFn::space_bytes)
 struct NegSquaredDistance {
     center: Box<[f64]>,
     mono: Box<[Monotonicity]>,

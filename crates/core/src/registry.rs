@@ -128,9 +128,12 @@ impl<T> QueryRegistry<T> {
     /// slot is freed, so a dead slot here is an engine invariant breach.
     #[inline]
     pub fn slot_mut(&mut self, slot: QuerySlot) -> (QueryId, &mut T) {
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic contract; a dead slot here is an engine invariant breach"
+        )]
         let e = self.slots[slot.index()]
             .as_mut()
-            // lint: allow(panic, reason=documented panic contract; a dead slot here is an engine invariant breach)
             .expect("influence lists are swept");
         (e.id, &mut e.state)
     }
@@ -138,9 +141,12 @@ impl<T> QueryRegistry<T> {
     /// Hot path: resolves a slot to the query's id and state.
     #[inline]
     pub fn slot_ref(&self, slot: QuerySlot) -> (QueryId, &T) {
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic contract; a dead slot here is an engine invariant breach"
+        )]
         let e = self.slots[slot.index()]
             .as_ref()
-            // lint: allow(panic, reason=documented panic contract; a dead slot here is an engine invariant breach)
             .expect("influence lists are swept");
         (e.id, &e.state)
     }

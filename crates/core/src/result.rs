@@ -198,7 +198,6 @@ impl ResultDelta {
     /// last-reported result `reported`, and when they differ appends the
     /// delta to `out` and refreshes `reported` in place (a copy into the
     /// buffer it already owns).
-    // lint: hot-path
     pub(crate) fn report(
         query: QueryId,
         reported: &mut Vec<Scored>,
@@ -363,7 +362,6 @@ impl TopList {
     /// run is strictly descending; following [`TopList::as_slice`] in one
     /// buffer it continues that best-first list, which is the seed a
     /// skyband rebuild wants.
-    // lint: hot-path
     pub fn append_boundary_ties(&self, out: &mut Vec<Scored>) {
         let Some(kth) = self.kth() else {
             return;

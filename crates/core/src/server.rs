@@ -204,7 +204,10 @@ impl MonitorServer {
         self.engine.result(id)
     }
 
-    /// Deep size estimate of the engine state in bytes.
+    /// Deep size estimate in bytes: engine state; excludes the batch
+    /// [`MonitorServer::take_deltas`] hands out (one `ResultDelta` per
+    /// query that changed last tick). `tests/space_accounting.rs` holds it
+    /// to the heap a live-bytes allocator sees.
     pub fn space_bytes(&self) -> usize {
         self.engine.space_bytes()
     }

@@ -52,6 +52,10 @@ impl QueryGen {
     }
 
     /// Generates the next random preference function.
+    #[expect(
+        clippy::expect_used,
+        reason = "generated coefficients are drawn from [0,1), which every family accepts"
+    )]
     pub fn next_fn(&mut self) -> ScoreFn {
         let coeffs: Vec<f64> = (0..self.dims).map(|_| self.rng.random::<f64>()).collect();
         match self.family {
@@ -59,7 +63,6 @@ impl QueryGen {
             FnFamily::Product => ScoreFn::product(coeffs),
             FnFamily::Quadratic => ScoreFn::quadratic(coeffs),
         }
-        // lint: allow(panic, reason=generated coefficients are drawn from [0,1), which every family accepts)
         .expect("coefficients in [0,1] are always valid")
     }
 

@@ -145,14 +145,13 @@ impl PointArena {
     }
 
     /// Appends a point to `cell` (the newest position).
-    // lint: hot-path
     #[inline]
     pub(crate) fn push(&mut self, cell: usize, id: TupleId, coords: &[f64]) {
         debug_assert_eq!(coords.len(), self.dims);
         let mut h = self.heads[cell];
         if h.tail_fill as usize == CHUNK_POINTS {
             if self.free == NIL {
-                // lint: allow(alloc, reason=bounded arena growth step; none once the window is full)
+                // Bounded arena growth step; none once the window is full.
                 self.grow();
             }
             let chunk = self.free;
@@ -188,7 +187,6 @@ impl PointArena {
     /// Removes `id` from `cell`: the cell's oldest point in FIFO mode, any
     /// of its points in Hash mode. Anything else is
     /// [`TkmError::UnknownTuple`] and changes nothing.
-    // lint: hot-path
     #[inline]
     pub(crate) fn remove(&mut self, cell: usize, id: TupleId) -> Result<()> {
         let mut h = self.heads[cell];
@@ -254,7 +252,7 @@ impl PointArena {
         let held = self.next.len();
         let step = (held / 8).max(GROW_MIN);
         let chunks = held + step;
-        // lint: allow(panic, reason=chunk indices and Hash positions are u32; wrapping would corrupt stored points)
+        // Chunk indices and Hash positions are u32; wrapping would corrupt stored points.
         assert!(
             chunks <= NIL as usize / CHUNK_POINTS,
             "point arena exceeds the u32 position space"
@@ -384,7 +382,6 @@ impl<'a> CellPoints<'a> {
 
     /// The view of the `n` newest points: O(1) when they sit in the tail
     /// chunk, one walk of the chain from the head otherwise.
-    // lint: hot-path
     #[inline]
     pub fn tail(&self, n: usize) -> CellPoints<'a> {
         debug_assert!(n <= self.len());

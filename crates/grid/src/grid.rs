@@ -240,7 +240,6 @@ impl Grid {
     /// the cell's preferred corner (paper §3.1). Runs on every heap push of
     /// the traversal, so it reads the precomputed corner directly.
     #[inline]
-    // lint: hot-path
     pub fn maxscore(&self, id: CellId, f: &ScoreFn) -> f64 {
         debug_assert_eq!(f.dims(), self.dims);
         let (lo, hi) = self.cell_lo_hi(id);
@@ -394,14 +393,12 @@ impl Grid {
     /// values per point) to `out` — [`Grid::locate`] as a sequential pass
     /// that computes and touches no cell, so a later pass over `out` can
     /// address the cells directly.
-    // lint: hot-path
     pub fn locate_batch(&self, coords: &[f64], out: &mut Vec<CellId>) {
         out.extend(coords.chunks_exact(self.dims).map(|p| self.locate(p)));
     }
 
     /// Inserts a tuple into its covering cell (coordinates are copied into
     /// the cell's point chain); returns the cell id.
-    // lint: hot-path
     pub fn insert_point(&mut self, coords: &[f64], id: TupleId) -> CellId {
         let cell = self.locate(coords);
         self.push_at(cell, id, coords);
@@ -410,7 +407,6 @@ impl Grid {
 
     /// [`Grid::insert_point`] for an already located point: appends the
     /// tuple to `cell`, which must be `locate(coords)`.
-    // lint: hot-path
     #[inline]
     pub fn push_at(&mut self, cell: CellId, id: TupleId, coords: &[f64]) {
         debug_assert_eq!(cell, self.locate(coords));
@@ -418,7 +414,6 @@ impl Grid {
     }
 
     /// Removes a tuple from its covering cell; returns the cell id.
-    // lint: hot-path
     pub fn remove_point(&mut self, coords: &[f64], id: TupleId) -> Result<CellId> {
         let cell = self.locate(coords);
         self.remove_at(cell, id)?;
@@ -429,7 +424,6 @@ impl Grid {
     /// from `cell`. In FIFO grids this is a pop-front — `id` must be the
     /// cell's oldest tuple; in Hash grids `id` must be stored in `cell`.
     /// Anything else is [`TkmError::UnknownTuple`] and changes nothing.
-    // lint: hot-path
     #[inline]
     pub fn remove_at(&mut self, cell: CellId, id: TupleId) -> Result<()> {
         self.points.remove(cell.0 as usize, id)

@@ -3,6 +3,13 @@
 // carries the workspace's only `#[allow(unsafe_code)]` for the four raw
 // epoll syscalls; everything else in the crate remains safe Rust.
 #![deny(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::unimplemented
+)]
 
 //! Multi-client TCP serving layer over the continuous top-k monitor.
 //!

@@ -395,7 +395,6 @@ pub enum ServerLine {
 
 // ---------------------------------------------------------------- encoding
 
-// lint: hot-path
 fn write_entries<W: fmt::Write>(out: &mut W, entries: &[Scored], sign: &str) -> fmt::Result {
     for e in entries {
         write!(out, " {sign}t{}:{}", e.id.0, e.score.get())?;
@@ -406,7 +405,6 @@ fn write_entries<W: fmt::Write>(out: &mut W, entries: &[Scored], sign: &str) -> 
 /// Appends `<verb> <query> <at> +t..:.. … -t..:.. …` to `out`: the body
 /// `DELTA` and `SITEDELTA` share, written straight from a borrowed delta
 /// into whatever the caller is filling (a formatter, a reused line).
-// lint: hot-path
 fn write_delta_line<W: fmt::Write>(
     out: &mut W,
     verb: &str,
@@ -421,12 +419,10 @@ fn write_delta_line<W: fmt::Write>(
 /// Encodes one `DELTA` push line, terminator included, into a payload
 /// every subscriber's queue can share. The text goes through `line`
 /// (cleared first, capacity kept): the payload is the only allocation.
-// lint: hot-path
 pub fn encode_delta_push(line: &mut String, at: Timestamp, delta: &ResultDelta) -> Arc<[u8]> {
     line.clear();
     let _ = write_delta_line(line, "DELTA", at, delta); // a `String` takes it all
     line.push('\n');
-    // lint: allow(alloc, reason=the per-line payload: one exact-size allocation shared by every subscriber's queue)
     Arc::from(line.as_bytes())
 }
 
@@ -643,7 +639,6 @@ fn ws_len(s: &str, i: usize) -> usize {
 impl<'a> Iterator for Toks<'a> {
     type Item = &'a str;
 
-    // lint: hot-path
     fn next(&mut self) -> Option<&'a str> {
         while !self.0.is_empty() {
             let s = self.0;
@@ -671,11 +666,9 @@ fn one_arg<'a>(toks: &mut Toks<'a>, verb: &str) -> Result<&'a str, String> {
 
 /// Parses every remaining token as a finite coordinate: the tail of
 /// `TICK`, `TICKAT` and `SITETICK`.
-// lint: hot-path
 fn parse_values(toks: Toks<'_>) -> Result<Vec<f64>, String> {
     // Room for the most values the remaining bytes can spell (a byte and a
     // separator each), trimmed afterwards: two allocator calls, no regrowth.
-    // lint: allow(alloc, reason=the arrivals buffer the request owns; sized once per ingest line)
     let mut vals = Vec::with_capacity(toks.0.len() / 2);
     for tok in toks {
         vals.push(parse_f64(tok)?);
@@ -825,7 +818,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 /// Parses `q<ID> @<ts> [+entry].. [-entry]..`, the body `DELTA` and
 /// `SITEDELTA` share. Problems are reported entries first, then the
 /// timestamp, then the query id.
-// lint: hot-path
 fn parse_delta_body(mut toks: Toks<'_>, verb: &str) -> Result<(Timestamp, ResultDelta), String> {
     let query = toks.next().ok_or_else(|| missing(verb, "a query id"))?;
     let at = toks.next().ok_or_else(|| missing(verb, "a timestamp"))?;
@@ -836,7 +828,6 @@ fn parse_delta_body(mut toks: Toks<'_>, verb: &str) -> Result<(Timestamp, Result
         } else if let Some(body) = tok.strip_prefix('-') {
             removed.push(parse_entry(body)?);
         } else {
-            // lint: allow(alloc, reason=rejection path: the line is dropped with this message)
             return Err(format!("DELTA entries are +t..:.. or -t..:.., got `{tok}`"));
         }
     }

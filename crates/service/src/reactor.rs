@@ -891,7 +891,6 @@ impl Reactor {
 
 /// Reads whatever the socket has ready (through the fault seam) into
 /// the reactor's buffer, feeds the framer, and dispatches complete lines.
-// lint: hot-path
 fn read_some(conn: &mut Conn, ctx: &Ctx, buf: &mut [u8]) -> After {
     for _ in 0..READ_BUDGET {
         if conn.pending.is_some() || conn.read_stall.is_some() {
@@ -1065,7 +1064,6 @@ fn flush_some(conn: &mut Conn, ctx: &Ctx, scratch: &mut Vec<u8>) -> After {
 
 /// The fast path: stage up to [`WRITE_CHUNK`] bytes spanning queue
 /// entries and hand them to the kernel in one call.
-// lint: hot-path
 fn flush_clean(conn: &mut Conn, ctx: &Ctx, scratch: &mut Vec<u8>) -> After {
     for _ in 0..WRITE_BUDGET {
         let staged = conn.out.peek_coalesced(scratch, WRITE_CHUNK);

@@ -898,10 +898,8 @@ impl EngineOwner {
     /// the per-subscriber work left is one pointer enqueue. The reactor
     /// is signalled after the event's reply, not by these enqueues, so a
     /// subscriber receives the whole cycle in one write.
-    // lint: hot-path
     fn fan_out(&mut self, now: Timestamp, deltas: &[ResultDelta]) {
         let cap = self.cfg.push_queue;
-        // lint: allow(alloc, reason=empty unless a subscriber overflowed; `Vec::new` does not allocate)
         let mut overflowed: Vec<Subscriber> = Vec::new();
         for delta in deltas {
             let subscribers = self.router.subscribers(delta.query);
@@ -915,7 +913,6 @@ impl EngineOwner {
                 // push of this cycle too, so a session can be collected
                 // here once per subscribed query.
                 if !sub.out.try_push_shared(Arc::clone(&bytes), cap) {
-                    // lint: allow(alloc, reason=overflow path only: a slow consumer is about to be re-baselined)
                     overflowed.push(sub.clone());
                 }
             }

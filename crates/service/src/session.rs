@@ -145,7 +145,6 @@ impl SessionOut {
         }
     }
 
-    // lint: hot-path
     fn enqueue(&self, bytes: Arc<[u8]>, push: bool) {
         let was_idle = {
             let mut st = self.lock_state();
@@ -187,7 +186,6 @@ impl SessionOut {
     /// marks that re-baseline as underway, every further capped push is
     /// refused (returning `false` again) without touching the queue, so
     /// no later delta can land ahead of the pending `RESYNC`.
-    // lint: hot-path
     pub fn try_push_shared(&self, bytes: Arc<[u8]>, cap: usize) -> bool {
         let was_idle = {
             let mut st = self.lock_state();
@@ -278,7 +276,6 @@ impl SessionOut {
     /// lines into one socket write. Every entry copied from is recorded
     /// as staged — protected from the overflow drop — until the
     /// [`SessionOut::advance`] that accounts for the write.
-    // lint: hot-path
     pub fn peek_coalesced(&self, scratch: &mut Vec<u8>, max: usize) -> usize {
         scratch.clear();
         let mut st = self.lock_state();
@@ -302,7 +299,6 @@ impl SessionOut {
     /// past (partial progress stays in the cursor) and releasing the
     /// staged-entry protection (the write is fully accounted; anything
     /// left re-stages at the next peek).
-    // lint: hot-path
     pub fn advance(&self, n: usize) {
         let mut st = self.lock_state();
         st.cursor += n;
@@ -423,7 +419,6 @@ impl LineFramer {
     }
 
     /// Appends one read chunk.
-    // lint: hot-path
     pub fn feed(&mut self, mut chunk: &[u8]) {
         if self.discarding {
             match chunk.iter().position(|b| *b == b'\n') {
@@ -457,7 +452,6 @@ impl LineFramer {
 
     /// Yields the next complete line (or cap/encoding rejection), `None`
     /// when more bytes are needed.
-    // lint: hot-path
     pub fn next_line(&mut self) -> Option<FramedLine> {
         // `memchr`, as the standard library offers it: consumes through
         // the first terminator, or everything.
@@ -482,7 +476,6 @@ impl LineFramer {
             FramedLine::TooLong
         } else {
             match std::str::from_utf8(line) {
-                // lint: allow(alloc, reason=the yielded line is owned by the caller; one exact-size copy per line)
                 Ok(s) => FramedLine::Line(s.to_owned()),
                 Err(_) => FramedLine::NotUtf8,
             }

