@@ -172,24 +172,27 @@ impl MonitorServer {
     /// Feeds one processing cycle of arrivals (flat coordinate buffer, one
     /// tuple per `dims` chunk) and advances time by one tick.
     pub fn tick(&mut self, arrivals: &[f64]) -> Result<()> {
-        self.engine.tick(self.now, arrivals)?;
-        self.now = self.now.advance(1);
-        self.engine.drain_changes(&mut self.deltas);
-        Ok(())
+        self.tick_at(self.now, arrivals)
     }
 
     /// Like [`MonitorServer::tick`] with an explicit timestamp (must be
     /// non-decreasing across cycles; FIFO expiry depends on it, so a
-    /// regressing timestamp is rejected rather than fed to the engine).
+    /// regressing timestamp is rejected rather than fed to the engine, and
+    /// so is one with no successor — the clock could not move past it).
     pub fn tick_at(&mut self, now: Timestamp, arrivals: &[f64]) -> Result<()> {
-        if now.advance(1) < self.now {
+        let Some(next) = now.0.checked_add(1).map(Timestamp) else {
+            return Err(TkmError::InvalidParameter(format!(
+                "timestamp {now} has no successor: the clock cannot move past it"
+            )));
+        };
+        if next < self.now {
             return Err(TkmError::InvalidParameter(format!(
                 "tick_at: timestamp {now} precedes the last processed cycle (now {})",
                 self.now
             )));
         }
         self.engine.tick(now, arrivals)?;
-        self.now = now.advance(1);
+        self.now = next;
         self.engine.drain_changes(&mut self.deltas);
         Ok(())
     }
@@ -299,6 +302,14 @@ mod tests {
         // …but going backwards is not.
         assert!(server.tick_at(Timestamp(2), &[0.3]).is_err());
         assert_eq!(server.now(), Timestamp(6), "rejected cycle left no trace");
+        // A timestamp with no successor would wrap the clock to zero and
+        // strand every later cycle behind the tuple it admitted.
+        assert!(server.tick_at(Timestamp(u64::MAX), &[0.3]).is_err());
+        assert_eq!(server.now(), Timestamp(6), "rejected cycle left no trace");
+        server.tick(&[0.2]).unwrap();
+        server.tick_at(Timestamp(u64::MAX - 1), &[0.1]).unwrap();
+        assert!(server.tick(&[0.1]).is_err(), "the clock is exhausted");
+        assert_eq!(server.now(), Timestamp(u64::MAX));
     }
 
     #[test]

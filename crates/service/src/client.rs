@@ -31,7 +31,6 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use crate::fault::splitmix64;
 use crate::protocol::{
     parse_server_line, write_ingest, Family, Push, QuerySpec, Reply, Request, ServerLine,
     WireWindow,
@@ -512,13 +511,6 @@ impl ServiceClient {
         self.expect_tick()
     }
 
-    /// Sends a bare cycle marker (`SITETICK @t`): an empty ingest cycle on
-    /// a site, a watermark advance on a coordinator (uplink protocol).
-    pub fn site_cycle(&mut self, at: Timestamp) -> ClientResult<Timestamp> {
-        self.send(&Request::SiteCycle { at })?;
-        self.expect_tick()
-    }
-
     /// Server counters as a key → value map. Idempotent, so a
     /// self-healing client retries it once across a resume.
     pub fn stats(&mut self) -> ClientResult<BTreeMap<String, String>> {
@@ -539,6 +531,16 @@ impl ServiceClient {
             other => fail(other),
         }
     }
+}
+
+/// SplitMix64: the deterministic generator behind the backoff jitter
+/// (kept dependency-free on purpose).
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 fn fail<T>(reply: Reply) -> ClientResult<T> {

@@ -38,7 +38,6 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use crate::fault::{FaultPlan, FaultyStream, Transport};
 use crate::protocol::{parse_server_line, Push, Reply, Request, ServerLine};
 use tkm_common::{QueryId, Scored, Timestamp, TupleId};
 use tkm_core::{DeltaList, MonitorServer, ResultDelta};
@@ -68,29 +67,15 @@ pub struct SiteRole {
     pub site: u64,
     /// Coordinator address, e.g. `127.0.0.1:7071`.
     pub coordinator: String,
-    /// Optional fault plan wrapped around the uplink transport (chaos
-    /// tests drive seeded resets/stalls/truncation on inter-site links).
-    pub uplink_faults: Option<FaultPlan>,
-    /// Seed for the uplink fault plan's stochastic choices.
-    pub uplink_seed: u64,
 }
 
 impl SiteRole {
-    /// A fault-free uplink to `coordinator` for site `site`.
+    /// An uplink to `coordinator` for site `site`.
     pub fn new(site: u64, coordinator: impl Into<String>) -> SiteRole {
         SiteRole {
             site,
             coordinator: coordinator.into(),
-            uplink_faults: None,
-            uplink_seed: 0,
         }
-    }
-
-    /// Wraps the uplink in a seeded fault plan (builder style).
-    pub fn with_uplink_faults(mut self, plan: FaultPlan, seed: u64) -> SiteRole {
-        self.uplink_faults = Some(plan);
-        self.uplink_seed = seed;
-        self
     }
 }
 
@@ -390,11 +375,11 @@ const UPLINK_WRITE_DEADLINE: Duration = Duration::from_secs(5);
 const MAX_UPLINK_LINE: u64 = 1 << 20;
 
 /// The site's half of the uplink: a buffered line reader and a writer over
-/// the [`Transport`] seam, plus the partial-line carry between read
-/// slices.
+/// the two handles of one socket, plus the partial-line carry between
+/// read slices.
 struct Uplink {
-    reader: BufReader<Box<dyn Transport>>,
-    writer: Box<dyn Transport>,
+    reader: BufReader<TcpStream>,
+    writer: TcpStream,
     buf: Vec<u8>,
 }
 
@@ -539,9 +524,8 @@ impl SiteState {
         self.ship_baseline(server);
     }
 
-    /// Opens the transport (optionally wrapped in the configured fault
-    /// plan) without speaking yet.
-    fn connect(&mut self) -> Option<Uplink> {
+    /// Opens the socket without speaking yet.
+    fn connect(&self) -> Option<Uplink> {
         let Ok(stream) = TcpStream::connect(&self.role.coordinator) else {
             return None;
         };
@@ -554,25 +538,12 @@ impl SiteState {
         if stream.set_nonblocking(true).is_err() {
             return None;
         }
-        let Ok(write_half) = stream.try_clone() else {
+        let Ok(writer) = stream.try_clone() else {
             return None;
         };
-        let (r, w): (Box<dyn Transport>, Box<dyn Transport>) = match &self.role.uplink_faults {
-            Some(plan) if !plan.is_empty() => {
-                let (r, w) = FaultyStream::pair(
-                    stream,
-                    write_half,
-                    plan.clone(),
-                    self.role.uplink_seed,
-                    None,
-                );
-                (Box::new(r), Box::new(w))
-            }
-            _ => (Box::new(stream), Box::new(write_half)),
-        };
         Some(Uplink {
-            reader: BufReader::new(r),
-            writer: w,
+            reader: BufReader::new(stream),
+            writer,
             buf: Vec::new(),
         })
     }

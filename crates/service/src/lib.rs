@@ -46,9 +46,6 @@
 //!   the benchmark's `serve` workload, the `serve` bench binary and the
 //!   README walkthrough, with optional reconnect/backoff/resume
 //!   resilience ([`ReconnectPolicy`]);
-//! * [`fault`] — the [`Transport`] seam plus a deterministic
-//!   fault-injection layer ([`FaultyStream`], [`FaultPlan`]) that the
-//!   chaos tests script seeded stalls, resets, and garbling through;
 //! * [`distrib`] — the multi-site tier: a [`Role::Site`] server runs a
 //!   local engine over its partition of the stream and ships only result
 //!   *changes* (`SITEDELTA`) up one coordinator uplink, and a
@@ -91,7 +88,6 @@
 
 pub mod client;
 pub mod distrib;
-pub mod fault;
 pub mod protocol;
 pub mod reactor;
 pub mod service;
@@ -101,7 +97,6 @@ pub use client::{
     apply_push, ClientError, ClientResult, ClientStatus, ReconnectPolicy, ServiceClient,
 };
 pub use distrib::{Role, SiteRole};
-pub use fault::{FaultKind, FaultPlan, FaultRule, FaultSchedule, FaultyStream, Transport};
 pub use protocol::{
     parse_request, parse_server_line, ErrCode, Family, Push, QuerySpec, Reply, Request, ServerLine,
     WireWindow,

@@ -22,10 +22,6 @@
 //!   loop polling every session: enqueues only mark sessions dirty, and
 //!   the owner writes one byte per inbox event — one wake-up and one
 //!   coalesced write per touched session, however many lines it queued;
-//! * the PR 8 fault seam re-expressed for an event loop: injected stalls
-//!   become *deferred readiness deadlines* (the loop must never sleep),
-//!   while resets, garbles, truncations, and short writes act on the
-//!   chunk in flight (see [`crate::fault`]);
 //! * the reader-side overload contract unchanged: when the engine inbox
 //!   stays full past the busy deadline and the session has no earlier
 //!   request awaiting its reply, the request is shed with `ERR busy`
@@ -50,7 +46,6 @@ use std::sync::mpsc::{SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::fault::{FaultDecider, FaultSchedule, Injected};
 use crate::protocol::{parse_request, ErrCode, Reply};
 use crate::service::{Event, Metrics};
 use crate::session::{FramedLine, LineFramer, Liveness, SessionId, SessionOut, MAX_REQUEST_LINE};
@@ -319,8 +314,6 @@ pub(crate) struct ReactorCfg {
     /// How long a full engine inbox may park a request before it is shed
     /// with `ERR busy`.
     pub(crate) busy: Duration,
-    /// Fault-injection schedule for accepted connections, if any.
-    pub(crate) faults: Option<FaultSchedule>,
 }
 
 /// A request parked on a full engine inbox (read interest is dropped
@@ -357,16 +350,7 @@ struct Conn {
     inflight: Arc<AtomicUsize>,
     framer: LineFramer,
     liveness: Liveness,
-    decider: Option<FaultDecider>,
     pending: Option<PendingSend>,
-    /// An injected read stall defers reads until this instant; the read
-    /// that then proceeds skips its fault decision (the stall *was* that
-    /// operation's fault).
-    read_stall: Option<Instant>,
-    skip_read_decide: bool,
-    /// Same, for writes.
-    write_stall: Option<Instant>,
-    skip_write_decide: bool,
     /// The socket has refused bytes since this instant while output was
     /// queued (the write-deadline clock).
     blocked_since: Option<Instant>,
@@ -378,10 +362,7 @@ struct Conn {
 impl Conn {
     /// Whether any timed deadline needs the loop to wake without I/O.
     fn needs_timer(&self, write_timeout: Option<Duration>) -> bool {
-        self.pending.is_some()
-            || self.read_stall.is_some()
-            || self.write_stall.is_some()
-            || (write_timeout.is_some() && self.blocked_since.is_some())
+        self.pending.is_some() || (write_timeout.is_some() && self.blocked_since.is_some())
     }
 }
 
@@ -399,8 +380,8 @@ const WAKER_TOKEN: u64 = u64::MAX - 1;
 const READ_BUDGET: usize = 16;
 /// Read buffer size: a 200-tuple `TICK` line (8 KB) arrives in one `read`.
 const READ_CHUNK: usize = 64 * 1024;
-/// Coalesced write staging size for clean (non-faulted) connections: a
-/// busy tick's pushes to a subscriber (17 KB) leave in one `write`.
+/// Coalesced write staging size: a busy tick's pushes to a subscriber
+/// (17 KB) leave in one `write`.
 const WRITE_CHUNK: usize = 64 * 1024;
 /// Per-wakeup write budget per connection, in staged chunks.
 const WRITE_BUDGET: usize = 16;
@@ -416,7 +397,7 @@ pub(crate) struct Reactor {
     ctx: Ctx,
     cfg: ReactorCfg,
     conns: HashMap<u64, Conn>,
-    /// Sessions with a timed deadline (stall, parked send, write block) —
+    /// Sessions with a timed deadline (parked send, write block) —
     /// scanned each loop so the common case stays O(ready), not O(conns).
     attention: BTreeSet<u64>,
     /// An accept awaiting engine-inbox room (listener interest is off
@@ -632,7 +613,7 @@ impl Reactor {
     }
 
     /// Finishes adoption of an accepted connection whose `Connect` event
-    /// the engine inbox took: fault plan, poller registration, state.
+    /// the engine inbox took: poller registration, state.
     fn adopt(
         &mut self,
         stream: TcpStream,
@@ -645,22 +626,6 @@ impl Reactor {
             // the Connect, so close the queue ourselves (idempotent).
             out.close();
         }
-        let decider = self
-            .cfg
-            .faults
-            .as_ref()
-            .and_then(|f| {
-                f.plan_for(sid.0)
-                    .filter(|p| !p.is_empty())
-                    .map(|plan| (plan.clone(), f.seed))
-            })
-            .map(|(plan, seed)| {
-                FaultDecider::new(
-                    plan,
-                    seed.wrapping_add(sid.0.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-                    Some(Arc::clone(&self.ctx.metrics.faults)),
-                )
-            });
         if self
             .poller
             .add(stream.as_raw_fd(), sid.0, true, false)
@@ -678,12 +643,7 @@ impl Reactor {
                 inflight,
                 framer: LineFramer::new(MAX_REQUEST_LINE),
                 liveness: Liveness::new(),
-                decider,
                 pending: None,
-                read_stall: None,
-                skip_read_decide: false,
-                write_stall: None,
-                skip_write_decide: false,
                 blocked_since: None,
                 reg_read: true,
                 reg_write: false,
@@ -715,14 +675,14 @@ impl Reactor {
         }
     }
 
-    /// Runs the read side of one connection: nonblocking reads through
-    /// the fault seam into the framer, then request dispatch.
+    /// Runs the read side of one connection: nonblocking reads into the
+    /// framer, then request dispatch.
     fn drive_reads(&mut self, token: u64) {
         let outcome = {
             let Some(conn) = self.conns.get_mut(&token) else {
                 return;
             };
-            // (`read_some` itself stands down for a parked send or a stall.)
+            // (`read_some` itself stands down for a parked send.)
             if conn.out.is_closed() {
                 return;
             }
@@ -731,8 +691,8 @@ impl Reactor {
         self.settle(token, outcome);
     }
 
-    /// Runs the write side of one connection (called on `EPOLLOUT`, on a
-    /// waker poke, and after stall expiry).
+    /// Runs the write side of one connection (called on `EPOLLOUT` and on
+    /// a waker poke).
     fn drive_writes(&mut self, token: u64) {
         let outcome = {
             let Some(conn) = self.conns.get_mut(&token) else {
@@ -760,8 +720,8 @@ impl Reactor {
             self.teardown(token);
             return;
         }
-        let wants_read = conn.pending.is_none() && conn.read_stall.is_none() && !closed;
-        let wants_write = conn.write_stall.is_none() && !drained;
+        let wants_read = conn.pending.is_none() && !closed;
+        let wants_write = !drained;
         if wants_read != conn.reg_read || wants_write != conn.reg_write {
             if self
                 .poller
@@ -781,54 +741,25 @@ impl Reactor {
         }
     }
 
-    /// Services timed deadlines: parked sends (retry/shed), injected
-    /// stalls (resume I/O), and write-block deadlines (kill).
+    /// Services timed deadlines: parked sends (retry/shed) and
+    /// write-block deadlines (kill).
     fn service_deadlines(&mut self) {
         let tokens: Vec<u64> = self.attention.iter().copied().collect();
         let now = Instant::now();
         for token in tokens {
-            let (resume_read, resume_write, outcome) = {
-                let Some(conn) = self.conns.get_mut(&token) else {
-                    self.attention.remove(&token);
-                    continue;
-                };
-                let mut resume_read = false;
-                let mut resume_write = false;
-                let mut outcome = After::Keep;
-                // The write deadline must fire from the timer: a socket
-                // whose buffer stays full never reports EPOLLOUT again.
-                if let (Some(limit), Some(since)) = (self.ctx.write_timeout, conn.blocked_since) {
-                    if now.duration_since(since) >= limit {
-                        outcome = After::Drop;
-                    }
-                }
-                if conn.read_stall.is_some_and(|t| now >= t) {
-                    conn.read_stall = None;
-                    resume_read = true;
-                }
-                if conn.write_stall.is_some_and(|t| now >= t) {
-                    conn.write_stall = None;
-                    resume_write = true;
-                }
-                if outcome == After::Keep {
-                    outcome = retry_pending(conn, &self.ctx, now);
-                }
-                (resume_read, resume_write, outcome)
-            };
-            if outcome == After::Drop {
-                self.teardown(token);
+            let Some(conn) = self.conns.get_mut(&token) else {
+                self.attention.remove(&token);
                 continue;
-            }
-            if resume_write {
-                self.drive_writes(token);
-            }
-            if resume_read {
-                self.drive_reads(token);
-            } else {
-                // retry_pending may have unparked the session; refresh
-                // interest and attention even without a resume.
-                self.settle(token, After::Keep);
-            }
+            };
+            // The write deadline must fire from the timer: a socket
+            // whose buffer stays full never reports EPOLLOUT again.
+            let outcome = match (self.ctx.write_timeout, conn.blocked_since) {
+                (Some(limit), Some(since)) if now.duration_since(since) >= limit => After::Drop,
+                _ => retry_pending(conn, &self.ctx, now),
+            };
+            // retry_pending may have unparked the session: settling
+            // refreshes its interest and attention membership.
+            self.settle(token, outcome);
         }
     }
 
@@ -889,33 +820,12 @@ impl Reactor {
     }
 }
 
-/// Reads whatever the socket has ready (through the fault seam) into
-/// the reactor's buffer, feeds the framer, and dispatches complete lines.
+/// Reads whatever the socket has ready into the reactor's buffer, feeds
+/// the framer, and dispatches complete lines.
 fn read_some(conn: &mut Conn, ctx: &Ctx, buf: &mut [u8]) -> After {
     for _ in 0..READ_BUDGET {
-        if conn.pending.is_some() || conn.read_stall.is_some() {
+        if conn.pending.is_some() {
             return After::Keep;
-        }
-        if let Some(decider) = &conn.decider {
-            if conn.skip_read_decide {
-                conn.skip_read_decide = false;
-            } else {
-                match decider.decide(false) {
-                    Injected::None => {}
-                    Injected::Stall(d) => {
-                        // The event loop never sleeps: park the read side
-                        // and resume (without a fresh decision) at the
-                        // deadline.
-                        conn.read_stall = Some(Instant::now() + d);
-                        conn.skip_read_decide = true;
-                        return After::Keep;
-                    }
-                    Injected::Reset
-                    | Injected::Garble { .. }
-                    | Injected::Truncate
-                    | Injected::Partial => return After::Drop,
-                }
-            }
         }
         ctx.metrics.sock_reads.fetch_add(1, Ordering::Relaxed);
         match conn.stream.read(buf) {
@@ -1040,31 +950,10 @@ fn retry_pending(conn: &mut Conn, ctx: &Ctx, now: Instant) -> After {
     }
 }
 
-/// Flushes queued output: coalesced writes for clean connections,
-/// per-line writes through the fault seam for faulted ones.
+/// Flushes queued output: stages up to [`WRITE_CHUNK`] bytes spanning
+/// queue entries and hands them to the kernel in one call, resuming a
+/// short write at the queue's cursor.
 fn flush_some(conn: &mut Conn, ctx: &Ctx, scratch: &mut Vec<u8>) -> After {
-    if conn.write_stall.is_some() {
-        return After::Keep;
-    }
-    let outcome = if conn.decider.is_some() {
-        flush_faulted(conn, ctx)
-    } else {
-        flush_clean(conn, ctx, scratch)
-    };
-    if outcome == After::Drop {
-        return After::Drop;
-    }
-    if let (Some(limit), Some(since)) = (ctx.write_timeout, conn.blocked_since) {
-        if since.elapsed() >= limit {
-            return After::Drop;
-        }
-    }
-    After::Keep
-}
-
-/// The fast path: stage up to [`WRITE_CHUNK`] bytes spanning queue
-/// entries and hand them to the kernel in one call.
-fn flush_clean(conn: &mut Conn, ctx: &Ctx, scratch: &mut Vec<u8>) -> After {
     for _ in 0..WRITE_BUDGET {
         let staged = conn.out.peek_coalesced(scratch, WRITE_CHUNK);
         if staged == 0 {
@@ -1085,75 +974,12 @@ fn flush_clean(conn: &mut Conn, ctx: &Ctx, scratch: &mut Vec<u8>) -> After {
                 }
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                // The write-deadline clock keeps running across refusals;
+                // the timer pass (`service_deadlines`) enforces it.
                 conn.blocked_since.get_or_insert_with(Instant::now);
                 return After::Keep;
             }
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => return After::Drop,
-        }
-    }
-    After::Keep
-}
-
-/// The faulted path: one queue entry (one wire line) per fault decision,
-/// so garble/truncate/partial hit a single line the way the blocking
-/// writer's per-line writes did.
-fn flush_faulted(conn: &mut Conn, ctx: &Ctx) -> After {
-    for _ in 0..WRITE_BUDGET {
-        let Some((bytes, cursor)) = conn.out.next_chunk() else {
-            conn.blocked_since = None;
-            return After::Keep;
-        };
-        let chunk = &bytes[cursor..];
-        let injected = if conn.skip_write_decide {
-            conn.skip_write_decide = false;
-            Injected::None
-        } else {
-            match &conn.decider {
-                Some(decider) => decider.decide(true),
-                None => Injected::None,
-            }
-        };
-        let wrote = match injected {
-            Injected::None => conn.stream.write(chunk),
-            Injected::Stall(d) => {
-                conn.write_stall = Some(Instant::now() + d);
-                conn.skip_write_decide = true;
-                return After::Keep;
-            }
-            Injected::Reset => return After::Drop,
-            Injected::Garble { pos, mask } => {
-                if chunk.is_empty() {
-                    conn.stream.write(chunk)
-                } else {
-                    let mut garbled = chunk.to_vec();
-                    let idx = (pos % garbled.len() as u64) as usize;
-                    garbled[idx] ^= mask;
-                    conn.stream.write(&garbled)
-                }
-            }
-            Injected::Truncate => {
-                let _ = conn.stream.write(&chunk[..chunk.len() / 2]);
-                return After::Drop;
-            }
-            Injected::Partial => {
-                let n = chunk.len().div_ceil(2).clamp(1, chunk.len().max(1));
-                conn.stream.write(&chunk[..n])
-            }
-        };
-        ctx.metrics.sock_writes.fetch_add(1, Ordering::Relaxed);
-        match wrote {
-            Ok(0) => return After::Drop,
-            Ok(n) => {
-                conn.out.advance(n);
-                conn.liveness.touch();
-                conn.blocked_since = None;
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                conn.blocked_since.get_or_insert_with(Instant::now);
-                return After::Keep;
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(_) => return After::Drop,
         }
     }

@@ -48,7 +48,6 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::distrib::{CoordState, Role, SiteState};
-use crate::fault::FaultSchedule;
 use crate::protocol::{
     encode_delta_push, write_ingest, ErrCode, Family, Push, QuerySpec, Reply, Request,
 };
@@ -97,9 +96,6 @@ pub struct ServiceConfig {
     /// session sheds it with `ERR busy` (only when no earlier request of
     /// the same session is still awaiting its reply).
     pub busy_timeout: Duration,
-    /// Fault-injection schedule wrapped around accepted connections
-    /// (tests and the chaos bench; `None` in production).
-    pub faults: Option<FaultSchedule>,
     /// The part this server plays in a deployment (see
     /// [`crate::distrib`]); standalone unless configured otherwise.
     pub role: Role,
@@ -107,8 +103,8 @@ pub struct ServiceConfig {
 
 impl ServiceConfig {
     /// A manual-tick service over the given engine configuration, with a
-    /// 1024-line push cap, a 1024-event inbox, no idle/write deadlines,
-    /// a 250 ms shedding deadline, and no fault injection.
+    /// 1024-line push cap, a 1024-event inbox, no idle/write deadlines
+    /// and a 250 ms shedding deadline.
     pub fn new(server: ServerConfig) -> ServiceConfig {
         ServiceConfig {
             server: server.with_delta_tracking(true),
@@ -118,7 +114,6 @@ impl ServiceConfig {
             idle_timeout: None,
             write_timeout: None,
             busy_timeout: Duration::from_millis(250),
-            faults: None,
             role: Role::Standalone,
         }
     }
@@ -150,12 +145,6 @@ impl ServiceConfig {
     /// Selects the overload-shedding deadline.
     pub fn with_busy_timeout(mut self, deadline: Duration) -> ServiceConfig {
         self.busy_timeout = deadline;
-        self
-    }
-
-    /// Wraps accepted connections in a fault-injection schedule.
-    pub fn with_faults(mut self, faults: FaultSchedule) -> ServiceConfig {
-        self.faults = Some(faults);
         self
     }
 
@@ -198,9 +187,6 @@ pub(crate) struct Metrics {
     /// so shedding of site uplink traffic is distinguishable from
     /// shedding of subscriber traffic.
     pub(crate) shed_by_verb: [AtomicU64; SHED_VERBS.len()],
-    /// Faults injected by the configured [`FaultSchedule`] (behind an
-    /// `Arc` so fault deciders can tally into it directly).
-    pub(crate) faults: Arc<AtomicU64>,
     /// `DELTA` payload encodings performed — exactly one per routed
     /// delta per tick, **not** one per subscriber (the encode-once
     /// invariant the fan-out tests assert against `STATS encodes=`).
@@ -283,7 +269,6 @@ impl Service {
                 idle: cfg.idle_timeout,
                 write_timeout: cfg.write_timeout,
                 busy: cfg.busy_timeout,
-                faults: cfg.faults.clone(),
             },
         )
         .map_err(|e| TkmError::Internal(format!("reactor setup: {e}")))?;
@@ -966,7 +951,6 @@ impl EngineOwner {
             counter("sock_writes", &self.metrics.sock_writes),
             counter("reaped", &self.metrics.reaped),
             counter("shed", &self.metrics.shed),
-            counter("faults", &self.metrics.faults),
             ("tick_errors".into(), self.stats.tick_errors.to_string()),
             (
                 "pending".into(),

@@ -33,9 +33,9 @@
 //! `RESYNC` marker followed by a fresh `SNAPSHOT` per subscription. Two
 //! subtleties are new with the reactor. First, a push the reactor has
 //! *staged for a socket write* — copied out by
-//! [`SessionOut::peek_coalesced`] / [`SessionOut::next_chunk`], with the
-//! write itself happening lock-free and [`SessionOut::advance`]
-//! accounting for it afterwards — is never discarded: dropping it would
+//! [`SessionOut::peek_coalesced`], with the write itself happening
+//! lock-free and [`SessionOut::advance`] accounting for it afterwards —
+//! is never discarded: dropping it would
 //! desynchronize that accounting (popping lines that were never written)
 //! or resume the stream mid-line and garble the next payload. Second, an
 //! overflow *latches*: until the engine owner re-arms the queue with
@@ -80,10 +80,10 @@ struct OutState {
     /// Number of `push` entries currently queued.
     pushes: usize,
     /// Front entries currently *staged* by the reactor for a socket
-    /// write: [`SessionOut::peek_coalesced`] / [`SessionOut::next_chunk`]
-    /// copy their bytes out under the lock, the socket write happens with
-    /// the lock released, and [`SessionOut::advance`] accounts for it
-    /// afterwards by popping exactly these entries. The overflow drop
+    /// write: [`SessionOut::peek_coalesced`] copies their bytes out under
+    /// the lock, the socket write happens with the lock released, and
+    /// [`SessionOut::advance`] accounts for it afterwards by popping
+    /// exactly these entries. The overflow drop
     /// must never discard a staged entry: `advance` would then pop lines
     /// enqueued *after* the drop (losing replies/`RESYNC`s) or leave the
     /// cursor mid-entry (garbling the stream).
@@ -104,7 +104,7 @@ struct OutState {
 ///
 /// A `Service` gives each queue exactly two parties: the engine-owner
 /// thread enqueues, the reactor thread drains. Consumption
-/// ([`SessionOut::next_chunk`] / [`SessionOut::advance`]) is
+/// ([`SessionOut::peek_coalesced`] / [`SessionOut::advance`]) is
 /// single-consumer by contract; enqueueing is safe from any thread.
 #[derive(Default)]
 pub struct SessionOut {
@@ -260,22 +260,12 @@ impl SessionOut {
         (st.closed, st.queue.is_empty())
     }
 
-    /// The front payload and how many of its bytes were already written.
-    /// Single-consumer: only the draining thread may pair this with
-    /// [`SessionOut::advance`]. The front entry is recorded as staged —
-    /// protected from the overflow drop — until that `advance`.
-    pub fn next_chunk(&self) -> Option<(Arc<[u8]>, usize)> {
-        let mut st = self.lock_state();
-        st.staged = usize::from(!st.queue.is_empty());
-        st.queue.front().map(|e| (Arc::clone(&e.bytes), st.cursor))
-    }
-
     /// Copies up to `max` pending bytes (starting at the partial-write
     /// cursor, spanning entries) into `scratch`, returning how many were
-    /// staged — the coalescing path that turns a burst of small push
-    /// lines into one socket write. Every entry copied from is recorded
-    /// as staged — protected from the overflow drop — until the
-    /// [`SessionOut::advance`] that accounts for the write.
+    /// staged — a burst of small push lines becomes one socket write.
+    /// Single-consumer: only the draining thread may pair this with
+    /// [`SessionOut::advance`]. Every entry copied from is recorded as
+    /// staged — protected from the overflow drop — until that `advance`.
     pub fn peek_coalesced(&self, scratch: &mut Vec<u8>, max: usize) -> usize {
         scratch.clear();
         let mut st = self.lock_state();
@@ -489,14 +479,23 @@ impl LineFramer {
 mod tests {
     use super::*;
 
+    /// Drains the queue through `step`-byte stages, as a socket accepting
+    /// at most that much per write would.
+    fn drain_by(out: &SessionOut, step: usize) -> Vec<u8> {
+        let (mut got, mut scratch) = (Vec::new(), Vec::new());
+        loop {
+            let n = out.peek_coalesced(&mut scratch, step);
+            if n == 0 {
+                return got;
+            }
+            got.extend_from_slice(&scratch);
+            out.advance(n);
+        }
+    }
+
     /// Drains the queue as a writer with unbounded appetite would.
     fn drain_all(out: &SessionOut) -> Vec<u8> {
-        let mut got = Vec::new();
-        while let Some((bytes, cursor)) = out.next_chunk() {
-            got.extend_from_slice(&bytes[cursor..]);
-            out.advance(bytes.len() - cursor);
-        }
-        got
+        drain_by(out, usize::MAX)
     }
 
     #[test]
@@ -586,14 +585,9 @@ mod tests {
         let out = SessionOut::new();
         out.send_reply("0123456789".into());
         out.send_reply("ab".into());
-        let mut got = Vec::new();
-        // Drain in 4-byte nibbles.
-        while let Some((bytes, cursor)) = out.next_chunk() {
-            let n = (bytes.len() - cursor).min(4);
-            got.extend_from_slice(&bytes[cursor..cursor + n]);
-            out.advance(n);
-        }
-        assert_eq!(got, b"0123456789\nab\n");
+        // Drain in 4-byte nibbles: the cursor stops mid-line twice and
+        // the third stage spans the entry boundary.
+        assert_eq!(drain_by(&out, 4), b"0123456789\nab\n");
     }
 
     #[test]
@@ -622,7 +616,7 @@ mod tests {
         );
         out.force_push("late force".into());
         assert!(out.is_drained());
-        assert!(out.next_chunk().is_none());
+        assert_eq!(out.peek_coalesced(&mut Vec::new(), 64), 0);
     }
 
     #[test]

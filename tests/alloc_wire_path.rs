@@ -25,7 +25,7 @@
 //! | `LineFramer::{feed, next_line}` | frame |
 //! | `SessionOut::{try_push_shared, peek_coalesced, advance}` | session queues |
 //! | `SessionOut::enqueue` | session queues (through `send_reply`) |
-//! | `reactor::{read_some, flush_clean}`, `EngineOwner::fan_out` | loopback |
+//! | `reactor::{read_some, flush_some}`, `EngineOwner::fan_out` | loopback |
 //!
 //! One `#[test]` only: the counters are process-wide, and a second test
 //! running on another thread would be counted too.
@@ -209,7 +209,7 @@ fn wire_path_allocates_per_line_not_per_token_entry_or_buffered_byte() {
     // each tick is one tuple that beats all earlier ones, so every top-1
     // changes and nothing recomputes. The reactor reads the line
     // (`read_some`), the engine owner runs the cycle and fans it out
-    // (`fan_out`), the reactor writes the session's queue (`flush_clean`).
+    // (`fan_out`), the reactor writes the session's queue (`flush_some`).
     // What that may allocate is the sum of the parts pinned above and in
     // `alloc_per_tick`: the framed line (1), its arrivals (2), the batch
     // `take_deltas` hands out (1), one payload per delta, the reply's

@@ -217,7 +217,7 @@ proptest! {
             format!("OK @{} queued={}", ids[0], ids.len()),
             "OK pong".to_string(),
             "OK bye".to_string(),
-            "OK STATS sessions=3 faults=0".to_string(),
+            "OK STATS sessions=3 shed=0".to_string(),
             "ERR busy server inbox full; request dropped, retry later".to_string(),
             "RESYNC 2".to_string(),
             format!("OK s{}", ids[0]),
@@ -470,10 +470,10 @@ proptest! {
         }
     }
 
-    /// A writer that resumes partial writes at arbitrary step sizes —
-    /// alternating between the single-entry (`next_chunk`) and coalesced
-    /// (`peek_coalesced`) paths — reproduces the queued byte stream
-    /// exactly, regardless of how lines were enqueued.
+    /// A writer that stages arbitrary step sizes (from one byte, leaving
+    /// the cursor mid-entry, to stages spanning entries) and whose socket
+    /// takes all or only part of each stage reproduces the queued byte
+    /// stream exactly, regardless of how lines were enqueued.
     #[test]
     fn session_out_partial_writes_reproduce_the_exact_stream(
         specs in prop::collection::vec(
@@ -499,22 +499,14 @@ proptest! {
         let mut scratch = Vec::new();
         let mut i = 0usize;
         while !out.is_drained() {
-            let (path, step) = steps[i % steps.len()];
+            let (short, step) = steps[i % steps.len()];
             i += 1;
-            let step = step as usize;
-            if path % 2 == 0 {
-                // The per-entry path a blocked socket resumes on.
-                let (bytes, cursor) = out.next_chunk().expect("non-drained queue");
-                let n = step.min(bytes.len() - cursor);
-                collected.extend_from_slice(&bytes[cursor..cursor + n]);
-                out.advance(n);
-            } else {
-                // The burst-coalescing path, spanning entries.
-                let n = out.peek_coalesced(&mut scratch, step);
-                prop_assert!(n >= 1, "coalesced peek of a non-drained queue");
-                collected.extend_from_slice(&scratch[..n]);
-                out.advance(n);
-            }
+            let staged = out.peek_coalesced(&mut scratch, step as usize);
+            prop_assert!(staged >= 1, "coalesced peek of a non-drained queue");
+            // A short write: the socket takes a strict part of the stage.
+            let wrote = if short % 2 == 0 { staged } else { 1 + short as usize % staged };
+            collected.extend_from_slice(&scratch[..wrote]);
+            out.advance(wrote);
         }
         prop_assert_eq!(&collected, &expected);
         prop_assert_eq!(out.queued_pushes(), 0);
@@ -572,10 +564,9 @@ fn session_out_overflow_keeps_the_stream_line_aligned() {
     assert!(!out.try_push_shared(payload("DELTA q0 @3 +t3:0.5"), 2));
     assert_eq!(out.queued_pushes(), 1, "only the in-flight front survives");
     out.force_push("RESYNC 1".into());
-    while let Some((bytes, cursor)) = out.next_chunk() {
-        collected.extend_from_slice(&bytes[cursor..]);
-        out.advance(bytes.len() - cursor);
-    }
+    let n = out.peek_coalesced(&mut scratch, usize::MAX);
+    collected.extend_from_slice(&scratch);
+    out.advance(n);
     assert_eq!(collected, b"DELTA q0 @1 +t1:0.5\nRESYNC 1\n");
     // A closed queue swallows pushes without demanding a resync.
     out.close();

@@ -1,15 +1,18 @@
 //! Distributed-tier integration tests: a coordinator merging per-site
 //! candidate deltas must track a single-node oracle bit-exactly, keep
 //! serving (flagged `DEGRADED`) while a site is down, reap silent sites
-//! through the lease, reconverge across seeded uplink faults, and ship at
-//! least 5× fewer uplink bytes than forwarding the stream would.
+//! through the lease, reconverge across uplink resets, and ship at least
+//! 5× fewer uplink bytes than forwarding the stream would.
+
+mod chaos_proxy;
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
+use chaos_proxy::{ChaosProxy, Dir, Kind};
 use topk_monitor::datagen::{DataDist, PointGen};
 use topk_monitor::service::{
-    apply_push, Family, FaultPlan, Push, Role, Service, ServiceClient, ServiceConfig, SiteRole,
+    apply_push, Family, Push, Role, Service, ServiceClient, ServiceConfig, SiteRole,
 };
 use topk_monitor::{QueryId, Scored, ServerConfig, Timestamp, WindowSpec};
 
@@ -409,9 +412,10 @@ fn silent_site_misses_its_lease_and_is_reaped() {
     coordinator.shutdown();
 }
 
-/// Seeded connection resets on one site's uplink force repeated redials
-/// and re-enrollments; every heal re-ships the site's baseline and the
-/// mesh still lands bit-exact on the oracle.
+/// One site reaches its coordinator through a proxy that resets the first
+/// two uplink connections at their 25th upstream line, forcing redials and
+/// re-enrollments; every heal re-ships the site's baseline and the mesh
+/// still lands bit-exact on the oracle.
 #[test]
 fn uplink_resets_redial_and_reconverge() {
     let cfg = ServerConfig::sma(2, 64).with_window(WindowSpec::Time(8));
@@ -425,10 +429,10 @@ fn uplink_resets_redial_and_reconverge() {
         .expect("register q0");
     oracle.register_linear(3, &[0.4, 0.9]).expect("oracle q0");
 
-    let (site0, mut d0) = bind_site(&cfg, SiteRole::new(0, coord_addr.clone()));
-    let faulty = SiteRole::new(1, coord_addr)
-        .with_uplink_faults(FaultPlan::parse("reset@25").expect("plan"), 42);
-    let (site1, mut d1) = bind_site(&cfg, faulty);
+    let (site0, mut d0) = bind_site(&cfg, SiteRole::new(0, coord_addr));
+    let resets = [(Dir::Up, Kind::Reset, 25, 0)];
+    let flaky = ChaosProxy::start(coordinator.local_addr(), &resets, 2, 42);
+    let (site1, mut d1) = bind_site(&cfg, SiteRole::new(1, flaky.addr().to_string()));
 
     let mut base = 0u64;
     let mut ts = 0u64;
@@ -463,6 +467,7 @@ fn uplink_resets_redial_and_reconverge() {
         "resets should force re-enrollment: {stats:?}"
     );
     assert!(errors >= 1, "resets should be counted: {stats:?}");
+    assert!(!flaky.log().is_empty(), "the proxy never reset the uplink");
 
     site0.shutdown();
     site1.shutdown();

@@ -12,12 +12,15 @@
 //! the configured cap while a fast subscriber of the *same* query sees a
 //! gapless delta stream).
 
+mod chaos_proxy;
+
 use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
+use chaos_proxy::{ChaosProxy, Dir, Kind};
 use topk_monitor::service::{
-    apply_push, FaultSchedule, Push, ReconnectPolicy, Service, ServiceClient, ServiceConfig,
+    apply_push, Push, ReconnectPolicy, Service, ServiceClient, ServiceConfig,
 };
 use topk_monitor::{MonitorServer, Query, QueryId, ScoreFn, Scored, ServerConfig, Timestamp};
 
@@ -89,16 +92,13 @@ fn fanout_soak_mixed_fleet_matches_oracle_and_encodes_once() {
     let soak_ticks = 300u64;
     let scfg = ServerConfig::sma(dims, 200);
 
-    // Sessions are numbered in accept order: control/ingest dials first
-    // (session 0), then the six initial fleet members. Session 4 — the
-    // second q2 subscriber — gets its socket reset mid-soak and must
-    // self-heal through its reconnect policy.
-    let schedule = FaultSchedule::parse("4=reset@40", 0xFA0007).expect("schedule dsl");
-    let cfg = ServiceConfig::new(scfg)
-        .with_push_queue(16)
-        .with_faults(schedule);
+    // The second q2 subscriber dials a proxy that resets its link at the
+    // 40th line the service sends down it, mid-soak; it must self-heal
+    // through its reconnect policy (the redial passes through clean).
+    let cfg = ServiceConfig::new(scfg).with_push_queue(16);
     let service = Service::bind("127.0.0.1:0", cfg).expect("bind");
     let addr = service.local_addr();
+    let flaky = ChaosProxy::start(addr, &[(Dir::Down, Kind::Reset, 40, 0)], 1, 0xFA0007);
 
     // One registering connection keeps wire query ids positional with the
     // oracle's registration order.
@@ -123,10 +123,9 @@ fn fanout_soak_mixed_fleet_matches_oracle_and_encodes_once() {
         assert!(qids.contains(&oid), "wire and oracle ids diverged");
     }
 
-    // The fleet connects serially so session ids (and the fault plan's
-    // target) are deterministic; consumption is concurrent.
-    let connect_sub = |q: QueryId, seed: u64| {
-        let mut client = ServiceClient::connect(addr)
+    // The fleet connects serially; consumption is concurrent.
+    let connect_sub = |dial, q: QueryId, seed: u64| {
+        let mut client = ServiceClient::connect(dial)
             .expect("subscriber connect")
             .with_reconnect(ReconnectPolicy {
                 base: Duration::from_millis(5),
@@ -139,17 +138,17 @@ fn fanout_soak_mixed_fleet_matches_oracle_and_encodes_once() {
         let mirror: BTreeMap<_, _> = [(q, baseline)].into_iter().collect();
         (client, mirror)
     };
-    // Sessions 1..=3: one steady reader per query q0..q2.
+    // One steady reader per query q0..q2.
     let steady: Vec<_> = (0..3)
-        .map(|i| connect_sub(qids[i], 0x57EAD0 + i as u64))
+        .map(|i| connect_sub(addr, qids[i], 0x57EAD0 + i as u64))
         .collect();
-    // Session 4: the faulted second q2 subscriber.
-    let faulted = connect_sub(qids[2], 0xFA17ED);
-    // Session 5: the leaver — unsubscribes q1 and quits mid-soak.
-    let leaver = connect_sub(qids[1], 0x1EAFE5);
-    // Session 6: the slow reader — subscribes q3 and reads nothing until
-    // the soak is over.
-    let (mut slow, mut slow_mirror) = connect_sub(qids[3], 0x510000);
+    // The faulted second q2 subscriber.
+    let faulted = connect_sub(flaky.addr(), qids[2], 0xFA17ED);
+    // The leaver — unsubscribes q1 and quits mid-soak.
+    let leaver = connect_sub(addr, qids[1], 0x1EAFE5);
+    // The slow reader — subscribes q3 and reads nothing until the soak is
+    // over.
+    let (mut slow, mut slow_mirror) = connect_sub(addr, qids[3], 0x510000);
 
     let mut handles = Vec::new();
     for (i, (mut client, mut mirror)) in steady.into_iter().enumerate() {
@@ -300,7 +299,6 @@ fn fanout_soak_mixed_fleet_matches_oracle_and_encodes_once() {
     let stats = verifier.stats().expect("stats");
     let encodes: u64 = stats["encodes"].parse().expect("encodes");
     let deltas: u64 = stats["deltas"].parse().expect("deltas");
-    let faults: u64 = stats["faults"].parse().expect("faults");
     assert!(encodes > 0, "no deltas were ever encoded: {stats:?}");
     assert_eq!(
         encodes, deltas,
@@ -311,7 +309,7 @@ fn fanout_soak_mixed_fleet_matches_oracle_and_encodes_once() {
         "fan-out amortisation: {applied_deltas} deliveries should exceed \
          {encodes} encodings"
     );
-    assert!(faults >= 1, "the reset plan never fired: {stats:?}");
+    assert_eq!(flaky.log().len(), 1, "the reset fires once: {stats:?}");
     verifier.quit().expect("verifier quit");
     let _ = ingest.quit();
     service.shutdown();

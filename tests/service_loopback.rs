@@ -123,10 +123,9 @@ fn four_subscribers_reconstruct_oracle_results() {
     assert_eq!(stats["subscriptions"], "4");
     assert_eq!(stats["resyncs"], "0", "no backpressure at this scale");
     // The robustness counters exist and stay zero on a healthy run: no
-    // idle reaping, no overload shedding, no fault injection.
+    // idle reaping, no overload shedding.
     assert_eq!(stats["reaped"], "0", "nothing idle long enough to reap");
     assert_eq!(stats["shed"], "0", "inbox never stayed full");
-    assert_eq!(stats["faults"], "0", "no fault schedule configured");
     ingested.wait();
 
     for handle in handles {

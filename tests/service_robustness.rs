@@ -55,8 +55,8 @@ fn ping_pong_heartbeat() {
 
 /// An oversized request line is answered with `ERR parse` and the session
 /// keeps working — it used to kill the connection. Same for binary junk
-/// that is not UTF-8, and for a hostile `k` that must be rejected before
-/// it reaches an allocator.
+/// that is not UTF-8, for a hostile `k` that must be rejected before it
+/// reaches an allocator, and for a `TICKAT` the clock cannot move past.
 #[test]
 fn oversized_and_binary_lines_answer_err_and_survive() {
     let service =
@@ -90,6 +90,16 @@ fn oversized_and_binary_lines_answer_err_and_survive() {
 
     let reply = ask(&mut raw, &mut lines, "REGISTER k=999999999999 weights=1,1");
     assert!(reply.starts_with("ERR bad-arg "), "huge k reply: {reply:?}");
+
+    // A timestamp with no successor used to panic the engine owner (debug)
+    // or wrap the clock to @0 and strand every later TICK (release).
+    let reply = ask(&mut raw, &mut lines, "TICKAT 18446744073709551615 0.5 0.5");
+    assert!(
+        reply.starts_with("ERR bad-arg "),
+        "TICKAT u64::MAX: {reply:?}"
+    );
+    let reply = ask(&mut raw, &mut lines, "TICK 0.5 0.5");
+    assert!(reply.starts_with("OK @1 "), "TICK after it: {reply:?}");
     assert_eq!(ask(&mut raw, &mut lines, "QUIT"), "OK bye");
     service.shutdown();
 }
