@@ -533,9 +533,9 @@ impl ServiceClient {
     }
 }
 
-/// SplitMix64: the deterministic generator behind the backoff jitter
-/// (kept dependency-free on purpose).
-fn splitmix64(state: &mut u64) -> u64 {
+/// SplitMix64: the deterministic generator behind the backoff jitter and
+/// the float writer's seeded tests (kept dependency-free on purpose).
+pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

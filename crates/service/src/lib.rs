@@ -88,6 +88,7 @@
 
 pub mod client;
 pub mod distrib;
+mod float;
 pub mod protocol;
 pub mod reactor;
 pub mod service;

@@ -20,8 +20,8 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use topk_monitor::service::{
-    apply_push, parse_request, parse_server_line, FramedLine, LineFramer, Push, Reply, Request,
-    ServerLine, Service, ServiceConfig, SessionOut, MAX_REQUEST_LINE,
+    apply_push, parse_request, parse_server_line, Family, FramedLine, LineFramer, Push, QuerySpec,
+    Reply, Request, ServerLine, Service, ServiceConfig, SessionOut, MAX_REQUEST_LINE,
 };
 use topk_monitor::{QueryId, ResultDelta, Scored, ServerConfig, Timestamp, TupleId};
 
@@ -325,6 +325,119 @@ fn edge_values_round_trip_bit_for_bit() {
         removed: entries[7..40].to_vec().into(),
     };
     let want = (entry_bits(&delta.added), entry_bits(&delta.removed));
+
+    // The crate prints floats with its own writer; its reference is std's
+    // `Display`. Every line shape that carries a float equals the line
+    // assembled here with `{}` per value.
+    let std_vals = |vals: &[f64]| vals.iter().map(|v| format!(" {v}")).collect::<String>();
+    let std_entries = |sign: &str, entries: &[Scored]| {
+        entries
+            .iter()
+            .map(|e| format!(" {sign}t{}:{}", e.id.0, e.score.get()))
+            .collect::<String>()
+    };
+    let spec = QuerySpec {
+        k: 3,
+        weights: vals[..20].to_vec(),
+        family: Family::Quadratic,
+        range: Some(vals[20..60].chunks(2).map(|c| (c[0], c[1])).collect()),
+    };
+    let std_spec = format!(
+        "k=3 weights={} fn=quadratic range={}",
+        vals[..20]
+            .iter()
+            .map(f64::to_string)
+            .collect::<Vec<_>>()
+            .join(","),
+        vals[20..60]
+            .chunks(2)
+            .map(|c| format!("{}:{}", c[0], c[1]))
+            .collect::<Vec<_>>()
+            .join(",")
+    );
+    let (added, removed) = (
+        std_entries("+", &delta.added),
+        std_entries("-", &delta.removed),
+    );
+    for (line, std_line) in [
+        (
+            Request::Tick {
+                arrivals: vals.clone(),
+            }
+            .to_string(),
+            format!("TICK{}", std_vals(&vals)),
+        ),
+        (
+            Request::TickAt {
+                at: ts,
+                arrivals: vals.clone(),
+            }
+            .to_string(),
+            format!("TICKAT {ts}{}", std_vals(&vals)),
+        ),
+        (
+            Request::SiteIngest {
+                at: ts,
+                base: 9,
+                arrivals: vals.clone(),
+            }
+            .to_string(),
+            format!("SITETICK {ts} base=9{}", std_vals(&vals)),
+        ),
+        (
+            Request::SiteDelta {
+                at: ts,
+                delta: delta.clone(),
+            }
+            .to_string(),
+            format!("SITEDELTA {query} {ts}{added}{removed}"),
+        ),
+        (
+            Push::Delta {
+                at: ts,
+                delta: delta.clone(),
+            }
+            .to_string(),
+            format!("DELTA {query} {ts}{added}{removed}"),
+        ),
+        (
+            Push::Snapshot {
+                query,
+                at: ts,
+                entries: entries.clone(),
+            }
+            .to_string(),
+            format!("SNAPSHOT {query} {ts}{}", std_entries("", &entries)),
+        ),
+        (
+            Reply::OkSnapshot {
+                query,
+                at: ts,
+                entries: entries.clone(),
+            }
+            .to_string(),
+            format!("OK SNAPSHOT {query} {ts}{}", std_entries("", &entries)),
+        ),
+        (
+            Request::Register {
+                spec: spec.clone(),
+                window: None,
+            }
+            .to_string(),
+            format!("REGISTER {std_spec}"),
+        ),
+        (
+            Push::Adopt {
+                query,
+                spec: Some(spec),
+            }
+            .to_string(),
+            format!("ADOPT {query} {std_spec}"),
+        ),
+    ] {
+        assert_eq!(line, std_line);
+    }
+
     let shipped = Request::SiteDelta {
         at: ts,
         delta: delta.clone(),
@@ -386,6 +499,7 @@ fn edge_values_round_trip_bit_for_bit() {
     }
     .to_string();
     assert!(line.len() <= MAX_REQUEST_LINE, "{} bytes", line.len());
+    assert_eq!(line, format!("TICK{}", std_vals(&long)));
     match parse_request(&line).expect("own encoding") {
         Request::Tick { arrivals } => assert_eq!(bits(&arrivals), bits(&long)),
         other => panic!("TICK parsed as {other:?}"),
