@@ -724,7 +724,7 @@ impl<P: BandPolicy> QueryMaintenance for BandMaintenance<P> {
                 .iter()
                 .map(|(_, q)| {
                     std::mem::size_of::<BandQuery>()
-                        + q.band.space_bytes()
+                        + (q.band.space_bytes() - std::mem::size_of::<Skyband>())
                         + q.reported.capacity() * std::mem::size_of::<Scored>()
                 })
                 .sum::<usize>()
