@@ -168,6 +168,28 @@ mod tests {
         );
     }
 
+    /// Why the default grid puts one cell per k tuples: over every grid
+    /// of m cells per axis, `T_comp` is least where a cell holds k tuples
+    /// (`C = 1`, `|C| = k`). A finer grid pops more cells for the same k
+    /// points, a coarser one scans more points. N = k·8^d so that m = 8
+    /// gives exactly k a cell.
+    #[test]
+    fn t_comp_is_least_at_k_tuples_per_cell() {
+        for d in [2.0, 4.0] {
+            let grid = |m: u32| ModelParams {
+                n: 20.0 * 8f64.powf(d),
+                d,
+                delta: 1.0 / f64::from(m),
+                ..p()
+            };
+            let best = (1..=64)
+                .map(grid)
+                .min_by(|a, b| a.t_comp().total_cmp(&b.t_comp()))
+                .unwrap_or_else(p);
+            assert_eq!(best.tuples_per_cell(), best.k, "d = {d}");
+        }
+    }
+
     #[test]
     fn space_ordering() {
         let m = p();

@@ -37,31 +37,58 @@ use tkm_grid::{CellId, CellMode, CellPoints, Grid};
 use tkm_window::{Window, WindowSpec};
 
 /// How the grid is dimensioned.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum GridSpec {
+    /// Sized for the window it will hold (the default), resolved by
+    /// [`IngestState::new`]: `m = round((N / 20)^(1/d))` cells per axis,
+    /// clamped to `[1, round(12⁴^(1/d))]`, where `N` is a
+    /// [`WindowSpec::Count`]'s size or a [`WindowSpec::TimeSized`]'s
+    /// capacity. 20 is Table 1's k: §6's `T_comp = C·log C + |C|·log k`,
+    /// with `C = ⌈k/x⌉` cells of `x` tuples, is least at `x = k`. The cap
+    /// keeps every grid within the paper's tuned
+    /// [`GridSpec::DEFAULT_BUDGET`], so Table 1's stream (d = 4, N = 1M)
+    /// keeps its 12⁴ cells. With no size to fit (a [`WindowSpec::Time`]
+    /// window, or [`GridSpec::build`] called directly) it is that budget.
+    #[default]
+    FitWindow,
     /// Approximately this many cells in total (`m = round(budget^(1/d))`
-    /// per axis) — the paper's sizing rule, default 12⁴.
+    /// per axis) — the paper's sizing rule, tuned at 12⁴ for Table 1.
     CellBudget(usize),
     /// Exactly this many cells per axis.
     PerDim(usize),
 }
 
 impl GridSpec {
-    /// The paper's default budget of 12⁴ ≈ 20.7k cells.
+    /// The paper's grid budget of 12⁴ ≈ 20.7k cells (Figure 14, Table 1).
     pub const DEFAULT_BUDGET: usize = 20_736;
 
-    /// Builds the grid.
+    /// Tuples a [`GridSpec::FitWindow`] cell aims at: Table 1's k.
+    const TUPLES_PER_CELL: f64 = 20.0;
+
+    /// Resolves [`GridSpec::FitWindow`] over a sized window to its cells
+    /// per axis; every other spec, and a time window without a size, is
+    /// returned as is.
+    pub(crate) fn for_window(self, dims: usize, window: WindowSpec) -> GridSpec {
+        let n = match (self, window) {
+            (GridSpec::FitWindow, WindowSpec::Count(n))
+            | (GridSpec::FitWindow, WindowSpec::TimeSized { capacity: n, .. }) => n,
+            _ => return self,
+        };
+        let root = |x: f64| x.powf(1.0 / dims as f64).round() as usize;
+        let cap = root(Self::DEFAULT_BUDGET as f64);
+        let fitted = root(n as f64 / Self::TUPLES_PER_CELL);
+        GridSpec::PerDim(fitted.min(cap).max(1))
+    }
+
+    /// Builds the grid. [`GridSpec::FitWindow`] has no window to fit here
+    /// and builds the paper's 12⁴ budget; [`IngestState::new`] resolves it
+    /// first.
     pub fn build(self, dims: usize, mode: CellMode) -> Result<Grid> {
         match self {
+            GridSpec::FitWindow => Grid::with_cell_budget(dims, Self::DEFAULT_BUDGET, mode),
             GridSpec::CellBudget(b) => Grid::with_cell_budget(dims, b, mode),
             GridSpec::PerDim(m) => Grid::new(dims, m, mode),
         }
-    }
-}
-
-impl Default for GridSpec {
-    fn default() -> Self {
-        GridSpec::CellBudget(Self::DEFAULT_BUDGET)
     }
 }
 
@@ -200,9 +227,10 @@ pub struct IngestState {
 }
 
 impl IngestState {
-    /// Creates the shared state for `dims`-dimensional tuples.
+    /// Creates the shared state for `dims`-dimensional tuples; a
+    /// [`GridSpec::FitWindow`] grid is sized for `window`.
     pub fn new(dims: usize, window: WindowSpec, grid: GridSpec) -> Result<IngestState> {
-        let grid = grid.build(dims, CellMode::Fifo)?;
+        let grid = grid.for_window(dims, window).build(dims, CellMode::Fifo)?;
         let cells = grid.num_cells();
         Ok(IngestState {
             window: Window::new(dims, window)?,
@@ -407,6 +435,46 @@ mod tests {
                 .collect();
             assert_eq!(tail, want, "{context}: tail of {cell:?}");
         }
+    }
+
+    /// Cells per axis of the grid the default spec builds for `window`.
+    fn fitted(dims: usize, window: WindowSpec) -> usize {
+        GridSpec::default()
+            .for_window(dims, window)
+            .build(dims, CellMode::Fifo)
+            .unwrap()
+            .per_dim()
+    }
+
+    #[test]
+    fn default_grid_puts_one_cell_per_k_tuples_up_to_the_paper_budget() {
+        let sized = |capacity| WindowSpec::TimeSized {
+            duration: 1,
+            capacity,
+        };
+        // Table 1's stream: 14.95 an axis, held at the paper's 12.
+        assert_eq!(fitted(4, WindowSpec::Count(1_000_000)), 12);
+        // The benchmark's d = 2 shapes: steady / serve, storm, fanout.
+        assert_eq!(fitted(2, WindowSpec::Count(10_000)), 22);
+        assert_eq!(fitted(2, sized(18_000)), 30);
+        assert_eq!(fitted(2, WindowSpec::Count(1_000)), 7);
+        // A one-tuple window is one cell.
+        assert_eq!(fitted(2, WindowSpec::Count(1)), 1);
+        // A time window has no size to fit: the 12⁴ budget, 144².
+        assert_eq!(fitted(2, WindowSpec::Time(5)), 144);
+        // The cap holds without overflow however large the window.
+        assert_eq!(fitted(4, WindowSpec::Count(usize::MAX)), 12);
+        // d = 6: 6.07 fitted, capped at round(12^(4/6)) = 5.
+        assert_eq!(fitted(6, WindowSpec::Count(1_000_000)), 5);
+
+        // The engines size their grid the same way; explicit specs and a
+        // grid built without a window keep the paper's budget.
+        let s = IngestState::new(2, WindowSpec::Count(10_000), GridSpec::default()).unwrap();
+        assert_eq!(s.grid().per_dim(), 22);
+        let spec = GridSpec::CellBudget(GridSpec::DEFAULT_BUDGET);
+        assert_eq!(spec.for_window(2, WindowSpec::Count(10_000)), spec);
+        let bare = GridSpec::default().build(2, CellMode::Fifo).unwrap();
+        assert_eq!(bare.per_dim(), 144);
     }
 
     #[test]

@@ -37,8 +37,9 @@ pub struct ServerConfig {
 }
 
 impl ServerConfig {
-    /// A sensible default: SMA over a count-based window of `n` tuples with
-    /// the paper's 12⁴-cell grid budget, unsharded.
+    /// A sensible default: SMA over a count-based window of `n` tuples on
+    /// a grid sized for it (about one cell per 20 tuples, at most the
+    /// paper's 12⁴ cells; see [`GridSpec::FitWindow`]), unsharded.
     pub fn sma(dims: usize, n: usize) -> ServerConfig {
         ServerConfig {
             dims,

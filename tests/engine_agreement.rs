@@ -294,6 +294,27 @@ fn six_dimensional_agreement() {
     }
 }
 
+/// The default grid over a count window: 2 000 tuples at d = 2 resolve to
+/// 10² cells of about k = 20 tuples each, so results sit inside one or two
+/// dense cells, and a k of 50 spans several.
+#[test]
+fn default_grid_at_window_occupancy() {
+    let dims = 2;
+    let mut engines = build_all(dims, WindowSpec::Count(2_000), GridSpec::default());
+    let mut queries = Vec::new();
+    for (i, k) in [1, 10, 20, 50].into_iter().enumerate() {
+        let q = linear_queries(dims, 8 + i as u64, 1, k).remove(0);
+        let id = QueryId(i as u64);
+        let held = register_all(&mut engines, id, &q);
+        queries.push((id, held));
+    }
+    let mut stream = BatchGen::new(dims, DataDist::Ind, 29);
+    for tick in 0..40u64 {
+        let batch = stream.batch(200);
+        tick_and_compare(&mut engines, Timestamp(tick), &batch, &queries);
+    }
+}
+
 /// Correlated data (the easy case): skybands stay minimal and all engines
 /// agree.
 #[test]
