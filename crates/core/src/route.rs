@@ -131,6 +131,26 @@ impl<S: PartialEq + Clone> DeltaRouter<S> {
     }
 }
 
+impl<S: Ord + Clone> DeltaRouter<S> {
+    /// [`DeltaRouter::subscriptions_of`] for many subscribers in one pass
+    /// over the `(query, subscriber)` pairs: entry `i` lists `who[i]`'s
+    /// queries, ascending. `who` must be sorted ascending without
+    /// duplicates; each pair then costs one binary search, where a call
+    /// per subscriber would scan every pair once per subscriber.
+    pub fn subscriptions_of_each(&self, who: &[S]) -> Vec<Vec<QueryId>> {
+        debug_assert!(who.windows(2).all(|w| w[0] < w[1]), "who not sorted");
+        let mut groups = vec![Vec::new(); who.len()];
+        for (query, list) in &self.subs {
+            for s in list {
+                if let Ok(i) = who.binary_search(s) {
+                    groups[i].push(*query);
+                }
+            }
+        }
+        groups
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,5 +196,32 @@ mod tests {
 
         assert_eq!(r.drop_query(QueryId(2)), vec!["b"]);
         assert!(r.is_empty());
+    }
+
+    #[test]
+    fn subscriptions_of_each_groups_like_subscriptions_of() {
+        let mut r: DeltaRouter<u32> = DeltaRouter::new();
+        // Subscriber s follows every query q with (q * s) % 3 == 0, in a
+        // scrambled subscribe order so lists are not sorted.
+        for q in [5u64, 1, 9, 0, 7, 3, 8, 2] {
+            for s in [4u32, 0, 6, 2, 9, 1] {
+                if (q * u64::from(s)) % 3 == 0 {
+                    r.subscribe(QueryId(q), s);
+                }
+            }
+        }
+        r.unsubscribe(QueryId(0), &6);
+        // 3 and 11 hold no subscription; 5 was never seen.
+        let who = [0u32, 1, 3, 4, 5, 6, 9, 11];
+        let groups = r.subscriptions_of_each(&who);
+        assert_eq!(groups.len(), who.len());
+        for (s, group) in who.iter().zip(&groups) {
+            assert_eq!(group, &r.subscriptions_of(s), "subscriber {s}");
+        }
+        assert_eq!(groups[0].len(), 8, "0 follows every query");
+        assert_eq!(groups[1], [QueryId(0), QueryId(3), QueryId(9)]);
+        assert_eq!(groups[5].len(), 7, "6 left q0");
+        assert!(groups[2].is_empty() && groups[4].is_empty() && groups[7].is_empty());
+        assert!(r.subscriptions_of_each(&[]).is_empty());
     }
 }

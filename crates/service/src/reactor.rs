@@ -713,9 +713,12 @@ impl Reactor {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
+        // One lock-free read of the queue's mirror word. A stale "drained"
+        // only delays: the enqueue that made it busy marked the session,
+        // and the waker's next pass flushes it. A closed and fully
+        // drained queue is the engine saying goodbye (QUIT, teardown):
+        // nothing can be enqueued any more, so finish the socket.
         let (closed, drained) = conn.out.flags();
-        // A closed and fully drained queue is the engine saying goodbye
-        // (QUIT, teardown): finish the socket.
         if closed && drained {
             self.teardown(token);
             return;
@@ -952,7 +955,9 @@ fn retry_pending(conn: &mut Conn, ctx: &Ctx, now: Instant) -> After {
 
 /// Flushes queued output: stages up to [`WRITE_CHUNK`] bytes spanning
 /// queue entries and hands them to the kernel in one call, resuming a
-/// short write at the queue's cursor.
+/// short write at the queue's cursor. The peek that finds the queue
+/// emptied takes no lock, so a one-line flush locks the queue twice (the
+/// peek that stages the line and the `advance` that pops it).
 fn flush_some(conn: &mut Conn, ctx: &Ctx, scratch: &mut Vec<u8>) -> After {
     for _ in 0..WRITE_BUDGET {
         let staged = conn.out.peek_coalesced(scratch, WRITE_CHUNK);
@@ -1120,5 +1125,60 @@ mod tests {
         });
         assert!(seen.iter().map(|s| s.0).eq(0..N), "in order, exactly once");
         assert!(metrics.pokes.load(Ordering::Relaxed) <= N);
+    }
+
+    /// The session queue's lock-free "empty" read against a producer on
+    /// another thread: the consumer follows `flush_some`'s contract (drain
+    /// until the peek answers 0, then sleep on the waker socket and
+    /// `take`), so a stale "empty" that no mark or byte covered would
+    /// strand lines and time the read out.
+    #[test]
+    fn session_queue_loses_no_line_to_a_lock_free_empty_read() {
+        const LINES: usize = 10_000;
+        let (waker, rx, _) = test_waker();
+        let waker = Arc::new(waker);
+        rx.set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        let out = SessionOut::new();
+        out.attach_waker(Arc::clone(&waker), SessionId(1));
+        let line = |i: usize| format!("DELTA q{i}");
+        let mut got = Vec::new();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let mut i = 0;
+                // Bursts of 1, 2, … 7 lines, each ended by one flush.
+                for burst in (1..=7).cycle() {
+                    for _ in 0..burst {
+                        if i == LINES {
+                            return;
+                        }
+                        out.send_reply(line(i));
+                        i += 1;
+                    }
+                    waker.flush();
+                }
+            });
+            let (mut scratch, mut dirty, mut sink) = (Vec::new(), Vec::new(), [0u8; 16]);
+            let mut lines = 0;
+            while lines < LINES {
+                loop {
+                    let staged = out.peek_coalesced(&mut scratch, 4096);
+                    if staged == 0 {
+                        break;
+                    }
+                    lines += scratch.iter().filter(|b| **b == b'\n').count();
+                    got.extend_from_slice(&scratch);
+                    out.advance(staged);
+                }
+                if lines < LINES {
+                    let n = (&rx).read(&mut sink).expect("a line was stranded");
+                    assert_eq!(n, 1, "at most one byte in flight");
+                    waker.take(&mut dirty);
+                }
+            }
+        });
+        let want: String = (0..LINES).map(|i| line(i) + "\n").collect();
+        assert!(got == want.as_bytes(), "every line, in order, once");
+        assert!(out.is_drained());
     }
 }

@@ -379,6 +379,20 @@ impl PartialEq for Subscriber {
     }
 }
 
+impl Eq for Subscriber {}
+
+impl Ord for Subscriber {
+    fn cmp(&self, other: &Subscriber) -> std::cmp::Ordering {
+        self.sid.cmp(&other.sid)
+    }
+}
+
+impl PartialOrd for Subscriber {
+    fn partial_cmp(&self, other: &Subscriber) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
 /// Role-specific state carried by the engine owner (a separate field from
 /// the engine so site/coordinator code can borrow both disjointly).
 enum RoleState {
@@ -907,15 +921,20 @@ impl EngineOwner {
 
     /// Re-baselines the subscribers whose queues overflowed this cycle.
     fn resync(&mut self, now: Timestamp, mut overflowed: Vec<Subscriber>) {
-        overflowed.sort_unstable_by_key(|sub| sub.sid);
-        overflowed.dedup_by_key(|sub| sub.sid);
+        if overflowed.is_empty() {
+            return;
+        }
+        overflowed.sort_unstable();
+        overflowed.dedup();
+        // One pass over the subscription table for the whole batch: a
+        // fleet overflowing in one cycle must not scan it per session.
+        let groups = self.router.subscriptions_of_each(&overflowed);
         // Slow consumers lost their queued pushes: re-baseline every one
         // of their subscriptions from the (post-cycle) current results.
         // Nothing else pushes while this loop runs, so no delta can land
         // between clearing the overflow latch and the RESYNC.
-        for sub in overflowed {
+        for (sub, subs) in overflowed.iter().zip(groups) {
             self.stats.resyncs += 1;
-            let subs = self.router.subscriptions_of(&sub);
             sub.out.clear_overflow();
             sub.out
                 .force_push(Push::Resync { count: subs.len() }.to_string());

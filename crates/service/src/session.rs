@@ -17,6 +17,16 @@
 //!   two lines together. Filling an empty queue only *marks* the session
 //!   dirty on the reactor's `Waker`; the engine owner signals once per
 //!   inbox event, so the reactor writes all an event queued in one call.
+//!   The front line sits inline in the queue state, so a session that
+//!   holds one line at a time never allocates; lines behind it spill to
+//!   a `VecDeque`. One atomic word mirrors "empty" and "closed": it is
+//!   stored only while the queue lock is held and read without it, so
+//!   the drain's last peek, `is_drained` and the reactor's `settle` take
+//!   no lock. A stale "empty" read only delays a flush, never loses one:
+//!   every idle→busy enqueue stores the mirror *before* it marks the
+//!   session on the `Waker`, so the reactor's next `take` sees it busy.
+//!   A closed queue refuses every enqueue, so "closed and drained" never
+//!   un-happens and one read of the word may tear the socket down.
 //! * [`LineFramer`] — incremental request-line reassembly. The reactor
 //!   reads whatever the socket has ready (possibly one byte, possibly a
 //!   dozen pipelined lines, possibly a UTF-8 sequence split across two
@@ -45,7 +55,7 @@
 
 use std::collections::VecDeque;
 use std::io::BufRead;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -74,7 +84,10 @@ struct OutEntry {
 
 #[derive(Default)]
 struct OutState {
-    queue: VecDeque<OutEntry>,
+    /// The oldest queued line, inline: a one-line queue owns no buffer.
+    front: Option<OutEntry>,
+    /// The lines behind `front`, in order; empty whenever `front` is.
+    rest: VecDeque<OutEntry>,
     /// Bytes of the front entry already written to the socket.
     cursor: usize,
     /// Number of `push` entries currently queued.
@@ -98,6 +111,38 @@ struct OutState {
     closed: bool,
 }
 
+/// [`OutState::mirror`] bit: at least one line is queued.
+const BUSY: u8 = 1;
+/// [`OutState::mirror`] bit: the queue was closed.
+const CLOSED: u8 = 2;
+
+impl OutState {
+    fn is_empty(&self) -> bool {
+        self.front.is_none()
+    }
+
+    fn push_back(&mut self, entry: OutEntry) {
+        match self.front {
+            None => self.front = Some(entry),
+            Some(_) => self.rest.push_back(entry),
+        }
+    }
+
+    fn pop_front(&mut self) {
+        self.front = self.rest.pop_front();
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &OutEntry> {
+        self.front.iter().chain(&self.rest)
+    }
+
+    /// The [`BUSY`] / [`CLOSED`] word this state publishes.
+    fn mirror(&self) -> u8 {
+        let busy = if self.is_empty() { 0 } else { BUSY };
+        busy | if self.closed { CLOSED } else { 0 }
+    }
+}
+
 /// The outbound side of one session: an ordered reply/push byte queue
 /// produced by the engine owner, consumed by the reactor with
 /// partial-write resumption.
@@ -106,9 +151,20 @@ struct OutState {
 /// thread enqueues, the reactor thread drains. Consumption
 /// ([`SessionOut::peek_coalesced`] / [`SessionOut::advance`]) is
 /// single-consumer by contract; enqueueing is safe from any thread.
+///
+/// "Empty" and "closed" are mirrored in one atomic word, stored only
+/// while the queue lock is held, so [`SessionOut::is_drained`],
+/// [`SessionOut::is_closed`] and a peek at an empty queue take no lock.
+/// A reader may see "empty" a moment late, never wrongly for good: the
+/// enqueue that makes an idle queue busy stores the word before it marks
+/// the session on the reactor's waker, so the flush that mark triggers
+/// sees the line. A closed queue accepts nothing, so a word reading
+/// "closed and empty" stays true.
 #[derive(Default)]
 pub struct SessionOut {
     state: Mutex<OutState>,
+    /// [`OutState::mirror`] as of the last change under `state`'s lock.
+    mirror: AtomicU8,
     /// The reactor waker (set once when the reactor adopts the
     /// connection); an enqueue into an empty queue marks this session
     /// dirty there, and the engine owner's [`Waker::flush`] wakes the loop.
@@ -145,17 +201,32 @@ impl SessionOut {
         }
     }
 
+    /// Stores `st`'s mirror word; callers hold the lock `st` came from,
+    /// so stores follow the lock order. The `Release` pairs with
+    /// [`SessionOut::observe`]'s `Acquire`: a reader that sees a word
+    /// also sees every queue change made before it was stored.
+    fn publish(&self, st: &OutState) {
+        self.mirror.store(st.mirror(), Ordering::Release);
+    }
+
+    /// The mirror word, read without the lock (see
+    /// [`SessionOut::publish`]).
+    fn observe(&self) -> u8 {
+        self.mirror.load(Ordering::Acquire)
+    }
+
     fn enqueue(&self, bytes: Arc<[u8]>, push: bool) {
         let was_idle = {
             let mut st = self.lock_state();
             if st.closed {
                 return;
             }
-            let was_idle = st.queue.is_empty();
+            let was_idle = st.is_empty();
             if push {
                 st.pushes += 1;
             }
-            st.queue.push_back(OutEntry { bytes, push });
+            st.push_back(OutEntry { bytes, push });
+            self.publish(&st);
             was_idle
         };
         // Only the empty→non-empty transition needs a mark: while the
@@ -197,20 +268,27 @@ impl SessionOut {
                 return false;
             }
             if st.pushes >= cap {
+                let st = &mut *st;
                 let protect = st.staged.max(usize::from(st.cursor > 0));
+                if let Some(front) = st.front.take() {
+                    st.rest.push_front(front);
+                }
                 let mut idx = 0usize;
-                st.queue.retain(|l| {
+                st.rest.retain(|l| {
                     let keep = !l.push || idx < protect;
                     idx += 1;
                     keep
                 });
-                st.pushes = st.queue.iter().filter(|l| l.push).count();
+                st.pop_front();
+                st.pushes = st.iter().filter(|l| l.push).count();
                 st.overflowed = true;
+                self.publish(st);
                 return false;
             }
-            let was_idle = st.queue.is_empty();
-            st.queue.push_back(OutEntry { bytes, push: true });
+            let was_idle = st.is_empty();
+            st.push_back(OutEntry { bytes, push: true });
             st.pushes += 1;
+            self.publish(&st);
             was_idle
         };
         if was_idle {
@@ -239,25 +317,27 @@ impl SessionOut {
         {
             let mut st = self.lock_state();
             st.closed = true;
+            self.publish(&st);
         }
         self.mark();
     }
 
-    /// Whether [`SessionOut::close`] has been called.
+    /// Whether [`SessionOut::close`] has been called. Takes no lock.
     pub fn is_closed(&self) -> bool {
-        self.lock_state().closed
+        self.observe() & CLOSED != 0
     }
 
     /// Whether nothing is queued (a closed, drained session can be shut
-    /// down).
+    /// down). Takes no lock.
     pub fn is_drained(&self) -> bool {
-        self.lock_state().queue.is_empty()
+        self.observe() & BUSY == 0
     }
 
-    /// `(closed, drained)` under one lock, for the reactor's `settle`.
+    /// `(closed, drained)` from one read of the mirror word, for the
+    /// reactor's `settle`: "closed and drained" read together is final.
     pub(crate) fn flags(&self) -> (bool, bool) {
-        let st = self.lock_state();
-        (st.closed, st.queue.is_empty())
+        let word = self.observe();
+        (word & CLOSED != 0, word & BUSY == 0)
     }
 
     /// Copies up to `max` pending bytes (starting at the partial-write
@@ -266,12 +346,19 @@ impl SessionOut {
     /// Single-consumer: only the draining thread may pair this with
     /// [`SessionOut::advance`]. Every entry copied from is recorded as
     /// staged — protected from the overflow drop — until that `advance`.
+    /// An empty queue answers 0 without taking the lock.
     pub fn peek_coalesced(&self, scratch: &mut Vec<u8>, max: usize) -> usize {
         scratch.clear();
+        if self.is_drained() {
+            // Nothing staged either: entries leave only through `advance`
+            // (which unstages) or the overflow drop (which keeps staged
+            // ones), so an empty queue has `staged == 0` already.
+            return 0;
+        }
         let mut st = self.lock_state();
         let mut skip = st.cursor;
         let mut staged = 0usize;
-        for entry in &st.queue {
+        for entry in st.iter() {
             if scratch.len() >= max {
                 break;
             }
@@ -290,26 +377,27 @@ impl SessionOut {
     /// staged-entry protection (the write is fully accounted; anything
     /// left re-stages at the next peek).
     pub fn advance(&self, n: usize) {
-        let mut st = self.lock_state();
+        let mut guard = self.lock_state();
+        let st = &mut *guard;
         st.cursor += n;
-        while let Some(front) = st.queue.front() {
+        while let Some(front) = &st.front {
             let len = front.bytes.len();
-            let push = front.push;
             if st.cursor < len {
                 break;
             }
             st.cursor -= len;
-            if push {
+            if front.push {
                 st.pushes -= 1;
             }
-            st.queue.pop_front();
+            st.pop_front();
         }
         st.staged = 0;
         // An over-advance past the queue tail cannot represent bytes on
         // the wire; clamp so a buggy caller cannot wedge the cursor.
-        if st.queue.is_empty() {
+        if st.is_empty() {
             st.cursor = 0;
         }
+        self.publish(st);
     }
 
     /// Number of currently queued push lines (test/stats hook).

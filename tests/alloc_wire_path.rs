@@ -10,7 +10,9 @@
 //!   (it used to re-copy the whole remaining buffer per line), and a long
 //!   line arriving in small reads is searched for its terminator once;
 //! * pushing a shared payload into a session queue allocates nothing, and
-//!   neither does draining the queue through a warm scratch buffer;
+//!   neither does draining the queue through a warm scratch buffer; a
+//!   queue holding one line at a time allocates nothing from its first
+//!   cycle on (the front line is inline);
 //! * a warm `TICK` through a real service on loopback allocates, over
 //!   every thread of the process, the sum of those parts and no more.
 //!
@@ -196,6 +198,36 @@ fn wire_path_allocates_per_line_not_per_token_entry_or_buffered_byte() {
             !warm || (pushed, drained) == (0, 0),
             "{} pushes allocated {pushed} times, draining them {drained} times",
             SESSIONS * D
+        );
+    }
+    // One line a cycle, the `fanout` workload's shape: the front line
+    // sits inline in the queue, so fresh queues need no warm-up cycle.
+    let fresh: Vec<SessionOut> = (0..SESSIONS).map(|_| SessionOut::new()).collect();
+    for cycle in ["cold", "warm"] {
+        let (pushed, _, ()) = counted(|| {
+            for out in &fresh {
+                assert!(out.try_push_shared(Arc::clone(&payloads[0]), PUSH_CAP));
+            }
+        });
+        let (drained, _, bytes) = counted(|| {
+            let mut bytes = 0;
+            for out in &fresh {
+                loop {
+                    let staged = out.peek_coalesced(&mut scratch, DRAIN_CHUNK);
+                    if staged == 0 {
+                        break;
+                    }
+                    out.advance(staged);
+                    bytes += staged;
+                }
+            }
+            bytes
+        });
+        assert_eq!(bytes, SESSIONS * payloads[0].len());
+        assert_eq!(
+            (pushed, drained),
+            (0, 0),
+            "{cycle} one-line cycle: pushing allocated {pushed} times, draining {drained}"
         );
     }
     // A reply goes through the same private `enqueue` and owns its line:

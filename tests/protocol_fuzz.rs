@@ -12,7 +12,7 @@
 //! multi-byte UTF-8 and an absurd `k=`) gets a clean `ERR` per line and
 //! the session keeps serving.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -587,42 +587,117 @@ proptest! {
     /// A writer that stages arbitrary step sizes (from one byte, leaving
     /// the cursor mid-entry, to stages spanning entries) and whose socket
     /// takes all or only part of each stage reproduces the queued byte
-    /// stream exactly, regardless of how lines were enqueued.
+    /// stream exactly, however enqueues and partial drains interleave:
+    /// the queue empties, refills from its inline front line, spills
+    /// behind it and drains back, overflows (dropping every push but a
+    /// half-written front) and is closed, all checked against a model
+    /// after every step, `peek_coalesced` answering 0 exactly when the
+    /// model is empty and `is_drained()` agreeing.
     #[test]
     fn session_out_partial_writes_reproduce_the_exact_stream(
         specs in prop::collection::vec(
             (any::<u8>(), 0u32..2000, 0u32..2000, any::<u8>()), 1..10),
         steps in prop::collection::vec((any::<u8>(), 1u16..96), 1..32),
+        close_at in any::<u8>(),
     ) {
+        // The model: queued lines with their push flag, the bytes of the
+        // front already written, and the two latches.
+        let mut model: VecDeque<(Vec<u8>, bool)> = VecDeque::new();
+        let (mut cursor, mut overflowed, mut closed) = (0usize, false, false);
         let out = SessionOut::new();
-        let mut expected = Vec::new();
-        for (kind, a, b, mode) in &specs {
+        let mut scratch = Vec::new();
+        let mut step_no = 0usize;
+        let close_at = usize::from(close_at) % (specs.len() + 1);
+        // One partial write: stage a step, let the socket take all or a
+        // strict part of it, check both against the model.
+        let mut drain_step = |model: &mut VecDeque<(Vec<u8>, bool)>,
+                              cursor: &mut usize|
+         -> Result<(), proptest::test_runner::TestCaseError> {
+            let (short, step) = steps[step_no % steps.len()];
+            step_no += 1;
+            let staged = out.peek_coalesced(&mut scratch, usize::from(step));
+            let want: Vec<u8> = model
+                .iter()
+                .flat_map(|(bytes, _)| bytes)
+                .skip(*cursor)
+                .take(usize::from(step))
+                .copied()
+                .collect();
+            prop_assert_eq!(&scratch[..], &want[..], "staged bytes");
+            if staged == 0 {
+                return Ok(());
+            }
+            let wrote = if short % 2 == 0 { staged } else { 1 + short as usize % staged };
+            out.advance(wrote);
+            *cursor += wrote;
+            while model.front().is_some_and(|(bytes, _)| *cursor >= bytes.len()) {
+                if let Some((bytes, _)) = model.pop_front() {
+                    *cursor -= bytes.len();
+                }
+            }
+            Ok(())
+        };
+        for (i, (kind, a, b, mode)) in specs.iter().enumerate() {
+            if i == close_at {
+                out.close();
+                closed = true;
+            }
             let line = near_token(*kind, *a, *b);
-            expected.extend_from_slice(line.as_bytes());
-            expected.push(b'\n');
-            match mode % 3 {
-                0 => out.send_reply(line),
-                1 => prop_assert!(
-                    out.try_push_shared(payload(&line), 1 << 20),
-                    "uncapped push dropped"
-                ),
-                _ => out.force_push(line),
+            let mut bytes = line.clone().into_bytes();
+            bytes.push(b'\n');
+            let pushes = model.iter().filter(|(_, push)| *push).count();
+            match mode % 4 {
+                0 => {
+                    out.send_reply(line);
+                    if !closed {
+                        model.push_back((bytes, false));
+                    }
+                }
+                // Uncapped and capped (2) pushes: refused while latched,
+                // the capped one overflowing, which drops every queued
+                // push except a half-written front.
+                op @ (1 | 2) => {
+                    let cap = if op == 1 { 1 << 20 } else { 2 };
+                    let accepted = out.try_push_shared(payload(&line), cap);
+                    let overflow = !closed && !overflowed && pushes >= cap;
+                    if overflow {
+                        let mut idx = 0;
+                        model.retain(|(_, push)| {
+                            let keep = !push || (idx == 0 && cursor > 0);
+                            idx += 1;
+                            keep
+                        });
+                        overflowed = true;
+                    } else if !closed && !overflowed {
+                        model.push_back((bytes, true));
+                    }
+                    prop_assert_eq!(accepted, closed || !overflowed, "push verdict");
+                }
+                // The engine owner's re-baseline: re-arm, then force.
+                _ => {
+                    out.clear_overflow();
+                    overflowed = false;
+                    out.force_push(line);
+                    if !closed {
+                        model.push_back((bytes, true));
+                    }
+                }
+            }
+            prop_assert_eq!(out.is_drained(), model.is_empty(), "after enqueue {}", i);
+            for _ in 0..(mode / 4) % 4 {
+                drain_step(&mut model, &mut cursor)?;
+                prop_assert_eq!(out.is_drained(), model.is_empty(), "after a drain");
             }
         }
-        let mut collected = Vec::new();
-        let mut scratch = Vec::new();
-        let mut i = 0usize;
-        while !out.is_drained() {
-            let (short, step) = steps[i % steps.len()];
-            i += 1;
-            let staged = out.peek_coalesced(&mut scratch, step as usize);
-            prop_assert!(staged >= 1, "coalesced peek of a non-drained queue");
-            // A short write: the socket takes a strict part of the stage.
-            let wrote = if short % 2 == 0 { staged } else { 1 + short as usize % staged };
-            collected.extend_from_slice(&scratch[..wrote]);
-            out.advance(wrote);
+        if close_at == specs.len() {
+            out.close();
         }
-        prop_assert_eq!(&collected, &expected);
+        while !model.is_empty() {
+            drain_step(&mut model, &mut cursor)?;
+            prop_assert_eq!(out.is_drained(), model.is_empty(), "final drain");
+        }
+        prop_assert_eq!(out.peek_coalesced(&mut Vec::new(), 64), 0);
+        prop_assert!(out.is_drained() && out.is_closed());
         prop_assert_eq!(out.queued_pushes(), 0);
     }
 }
