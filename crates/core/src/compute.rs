@@ -25,7 +25,7 @@
 //! The scan of each processed cell streams `(ids, coords)` slices straight
 //! out of the cell's coordinate-inline chunks through the
 //! dim-specialized [`crate::kernel`] scan — the traversal performs **zero**
-//! per-tuple lookups into the window ring, and takes no window at all.
+//! per-tuple lookups by id, and takes no window at all.
 //!
 //! The traversal state (visit stamps, the cell heap, the frontier list)
 //! lives in a caller-owned [`ComputeScratch`]: engines recompute queries

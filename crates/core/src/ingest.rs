@@ -1,40 +1,44 @@
-//! The shared ingest stage: one window + one grid, populated exactly once
-//! per processing cycle.
+//! The shared ingest stage: one window timeline + one grid, populated
+//! exactly once per processing cycle.
 //!
 //! The paper's server couples tuple storage and query maintenance in one
 //! loop. For scale-out we split them: [`IngestState`] owns everything that
-//! is *per-stream* (the sliding window, the grid's point lists, the expiry
-//! bookkeeping), while the per-query state (influence regions, top-lists,
-//! skybands) lives in [`crate::maintenance::QueryMaintenance`]
+//! is *per-stream* (the window's timeline, the grid's point lists, the
+//! expiry bookkeeping), while the per-query state (influence regions,
+//! top-lists, skybands) lives in [`crate::maintenance::QueryMaintenance`]
 //! implementations that can be partitioned across shards. Each tick,
 //! [`IngestState::ingest`] applies the arrival set and the expiry set to
-//! window and grid *once* and records both grouped by cell; maintenance
+//! timeline and grid *once* and records both grouped by cell; maintenance
 //! shards then replay the events against their own queries through
 //! immutable `&IngestState` views. Tuple storage therefore stays O(1) in
 //! the shard count, instead of the S-fold replication a replica-per-shard
 //! design pays.
 //!
 //! The stage runs as a fixed sequence of tight passes over the whole
-//! batch — bulk window append, locate, scatter into cells, remember the
+//! batch — extend the timeline, locate, scatter into cells, remember the
 //! cells, pop the expired prefix from the cells it was remembered in, drop
-//! it from the window, group by cell — rather than one loop that walks
+//! it from the timeline, group by cell — rather than one loop that walks
 //! each tuple through the whole chain. A pass that only computes (locate)
 //! and a pass that only touches cells (scatter, removal) keep many
 //! independent cache misses in flight; a fused loop, whose iterations are
 //! each ~60 dependent operations long, fits only a few iterations in the
 //! reorder window and fetches the cold cell lines almost one at a time.
 //!
-//! A tuple is located **once**, on arrival: its cell id goes into a ring
-//! as long as the window (4 bytes per tuple; arrival order is expiry
-//! order), and the expiry pass pops the expired prefix's cells from that
-//! ring instead of re-reading 8·d cold bytes per tuple from the window and
-//! locating them again.
+//! Every tuple is stored **once** (§4.1's single FIFO list): its
+//! coordinates go into its grid cell and nowhere else. The list itself is
+//! a ring of covering cell ids, oldest first, beside a coordinate-free
+//! [`Timeline`] that knows the resident id range and when its tuples
+//! arrived — 4 bytes per tuple, plus one `(timestamp, count)` run per
+//! distinct arrival time on a time window. A tuple is located once, on
+//! arrival; the expiry pass pops the expired prefix's cells off the ring's
+//! front, and [`IngestState::coords`] finds any resident tuple through
+//! its ring entry and a scan of that cell.
 
 use std::collections::VecDeque;
 
 use tkm_common::{Result, Timestamp, TupleId};
 use tkm_grid::{CellId, CellMode, CellPoints, Grid};
-use tkm_window::{Window, WindowSpec};
+use tkm_window::{Timeline, WindowSpec};
 
 /// How the grid is dimensioned.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -206,15 +210,17 @@ impl CellGroups {
     }
 }
 
-/// Shared per-stream state: window, grid and the cell-grouped events of
-/// the most recent processing cycle.
+/// Shared per-stream state: the window's timeline, the grid that stores
+/// its tuples and the cell-grouped events of the most recent processing
+/// cycle.
 #[derive(Debug)]
 pub struct IngestState {
-    window: Window,
+    timeline: Timeline,
     grid: Grid,
-    /// The covering cell of every resident tuple, oldest first: in
-    /// lockstep with the window, so the expired prefix's cells are popped
-    /// from here rather than located a second time.
+    /// The covering cell of every resident tuple, oldest first — the
+    /// paper's FIFO list, in lockstep with the timeline: tuple `id` is
+    /// stored in cell `cells[id − oldest]`, and the expired prefix's cells
+    /// are popped from here rather than located a second time.
     cells: VecDeque<CellId>,
     /// Per-pass scratch: the cells of the dense id range being scattered
     /// (arrivals) or popped (expiries).
@@ -233,7 +239,7 @@ impl IngestState {
         let grid = grid.for_window(dims, window).build(dims, CellMode::Fifo)?;
         let cells = grid.num_cells();
         Ok(IngestState {
-            window: Window::new(dims, window)?,
+            timeline: Timeline::new(window)?,
             grid,
             cells: VecDeque::new(),
             located: Vec::new(),
@@ -246,13 +252,25 @@ impl IngestState {
     /// Dimensionality of the monitored stream.
     #[inline]
     pub fn dims(&self) -> usize {
-        self.window.dims()
+        self.grid.dims()
     }
 
-    /// The shared window (read access).
+    /// The window's resident id range, arrival times and expiry rule.
     #[inline]
-    pub fn window(&self) -> &Window {
-        &self.window
+    pub fn timeline(&self) -> &Timeline {
+        &self.timeline
+    }
+
+    /// Coordinates of a resident tuple, read from its grid cell: the ring
+    /// names the cell, and the cell's chain is scanned for the id. `None`
+    /// for an id that has expired or was never issued.
+    pub fn coords(&self, id: TupleId) -> Option<&[f64]> {
+        let cell = *self.cells.get(self.timeline.offset(id)?)?;
+        let dims = self.dims();
+        self.grid.points(cell).chunks().find_map(|(ids, coords)| {
+            let at = ids.iter().position(|&stored| stored == id)?;
+            Some(&coords[at * dims..(at + 1) * dims])
+        })
     }
 
     /// The shared grid (read access).
@@ -262,7 +280,7 @@ impl IngestState {
     }
 
     /// Executes the stream half of one processing cycle: validates the
-    /// arrival batch, inserts it (window + grid), then removes the expiry
+    /// arrival batch, inserts it (timeline + grid), then removes the expiry
     /// set, recording both grouped by cell for the maintenance stage. A
     /// rejected batch — misaligned, a coordinate outside the unit
     /// workspace, a timestamp earlier than the newest resident tuple's —
@@ -274,7 +292,7 @@ impl IngestState {
     /// arrivals whose ids have already left the window.
     pub fn ingest(&mut self, now: Timestamp, arrivals: &[f64]) -> Result<()> {
         let Self {
-            window,
+            timeline,
             grid,
             cells,
             located,
@@ -282,13 +300,13 @@ impl IngestState {
             expiry_groups,
             stats,
         } = self;
-        let dims = window.dims();
-        window.validate_tick(now, arrivals)?;
+        let dims = grid.dims();
+        timeline.validate_tick(dims, now, arrivals)?;
 
-        // Arrivals: append to the window in bulk, locate sequentially,
-        // then scatter — the scatter body is only cell head → push — and
+        // Arrivals: take the next dense ids, locate sequentially, then
+        // scatter — the scatter body is only cell head → push — and
         // remember the cells for the expiry pass of a later cycle.
-        let first = window.append_batch(arrivals, now)?;
+        let first = timeline.append(arrivals.len() / dims, now);
         stats.ticks += 1;
         located.clear();
         grid.locate_batch(arrivals, located);
@@ -313,8 +331,8 @@ impl IngestState {
         // Expiries: the expired prefix is known up front and its cells
         // come off the ring's front; the removal body is only the FIFO
         // front check + offset bump.
-        let expired = window.expired_prefix(now);
-        let oldest = window.oldest().unwrap_or(first);
+        let expired = timeline.expired_prefix(now);
+        let oldest = timeline.oldest().unwrap_or(first);
         located.clear();
         let (head_run, wrapped) = cells.as_slices();
         let split = expired.min(head_run.len());
@@ -324,12 +342,12 @@ impl IngestState {
         for (id, &cell) in (oldest.0..).zip(located.iter()) {
             #[expect(
                 clippy::expect_used,
-                reason = "window/grid lockstep is the ingest invariant; desync is unrecoverable"
+                reason = "ring/grid lockstep is the ingest invariant; desync is unrecoverable"
             )]
             grid.remove_at(cell, TupleId(id))
-                .expect("window and grid are updated in lockstep");
+                .expect("cell ring and grid are updated in lockstep");
         }
-        window.drop_front(expired);
+        timeline.drop_front(expired);
         stats.expirations += expired as u64;
         expiry_groups.rebuild(located, oldest);
         Ok(())
@@ -375,8 +393,8 @@ impl IngestState {
     /// Deep size estimate in bytes: the tuple storage that sharded
     /// maintenance *shares* instead of replicating.
     pub fn space_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.window.space_bytes()
+        std::mem::size_of::<Self>() - std::mem::size_of::<Timeline>() - std::mem::size_of::<Grid>()
+            + self.timeline.space_bytes()
             + self.grid.space_bytes()
             + (self.cells.capacity() + self.located.capacity()) * std::mem::size_of::<CellId>()
             + self.arrival_groups.space_bytes()
@@ -402,38 +420,46 @@ mod tests {
         events.iter().map(|(_, id)| id.0).collect()
     }
 
-    /// What must hold after every cycle: the cell ring, the window and the
-    /// cells describe the same tuples in the same order, and each arrival
-    /// run's live suffix is found, point for point, at the tail of its
-    /// cell.
+    /// What must hold after every cycle: the cell ring, the timeline and
+    /// the cells describe the same tuples in the same order — every
+    /// resident id sits in the cell its ring entry names, which covers its
+    /// coordinates, and every stored id is resident — and each arrival
+    /// run's live suffix is found, id for id, at the tail of its cell.
     fn assert_lockstep(s: &IngestState, context: &str) {
+        let t = s.timeline();
         let stored: usize = s.grid().cells().map(|(_, points)| points.len()).sum();
         assert_eq!(
             (s.cells.len(), stored),
-            (s.window().len(), s.window().len()),
-            "{context}: ring / cells / window sizes"
+            (t.len(), t.len()),
+            "{context}: ring / cells / timeline sizes"
         );
-        for ((id, coords), &cell) in s.window().iter().zip(&s.cells) {
+        for (id, &cell) in (t.oldest().map_or(0, |id| id.0)..).zip(&s.cells) {
+            let coords = s.coords(TupleId(id)).expect("resident");
             assert_eq!(
                 cell,
                 s.grid().locate(coords),
                 "{context}: ring entry of {id}"
             );
         }
-        if let (Some(oldest), Some(&cell)) = (s.window().oldest(), s.cells.front()) {
+        for (_, points) in s.grid().cells() {
+            assert!(
+                points.iter().all(|(id, _)| t.offset(id).is_some()),
+                "{context}"
+            );
+        }
+        if let (Some(oldest), Some(&cell)) = (t.oldest(), s.cells.front()) {
             let front = s.grid().points(cell).iter().next().map(|(id, _)| id);
             assert_eq!(front, Some(oldest), "{context}: the ring's front cell");
         }
-        let oldest = s.window().oldest().unwrap_or(TupleId(u64::MAX));
+        let oldest = t.oldest().unwrap_or(TupleId(u64::MAX));
         for (cell, run) in s.arrival_runs() {
             let live = &run[run.partition_point(|id| *id < oldest)..];
-            let tail: Vec<(TupleId, &[f64])> =
-                s.arrival_run_points(cell, live.len()).iter().collect();
-            let want: Vec<(TupleId, &[f64])> = live
+            let tail: Vec<TupleId> = s
+                .arrival_run_points(cell, live.len())
                 .iter()
-                .map(|id| (*id, s.window().coords(*id).expect("live")))
+                .map(|(id, _)| id)
                 .collect();
-            assert_eq!(tail, want, "{context}: tail of {cell:?}");
+            assert_eq!(tail, live, "{context}: tail of {cell:?}");
         }
     }
 
@@ -483,7 +509,7 @@ mod tests {
         s.ingest(Timestamp(0), &[0.1, 0.1, 0.9, 0.9]).unwrap();
         assert_eq!(ids(&events(s.arrival_runs())), vec![0, 1]);
         assert!(s.expiry_runs().next().is_none());
-        assert_eq!(s.window().len(), 2);
+        assert_eq!(s.timeline().len(), 2);
 
         // Two more arrivals overflow the count window by one.
         s.ingest(Timestamp(1), &[0.5, 0.5, 0.2, 0.8]).unwrap();
@@ -493,7 +519,7 @@ mod tests {
             events(s.expiry_runs()),
             vec![(s.grid().locate(&[0.1, 0.1]), TupleId(0))]
         );
-        assert_eq!(s.window().len(), 3);
+        assert_eq!(s.timeline().len(), 3);
         assert_lockstep(&s, "one over");
 
         let st = s.stats();
@@ -511,8 +537,8 @@ mod tests {
             "same-cycle transients"
         );
         // Transients are gone from the window; survivors resolve.
-        assert!(s.window().coords(TupleId(0)).is_none());
-        assert!(s.window().coords(TupleId(3)).is_some());
+        assert!(s.coords(TupleId(0)).is_none());
+        assert_eq!(s.coords(TupleId(3)), Some(&[0.7][..]));
         assert_lockstep(&s, "4 into Count(2)");
 
         // The same with runs long enough to straddle chunks: 100 tuples
@@ -531,13 +557,12 @@ mod tests {
             s.ingest(Timestamp(t as u64), batch).unwrap();
             assert_lockstep(&s, &format!("burst {t}"));
         }
-        assert_eq!(s.window().len(), 30);
+        assert_eq!(s.timeline().len(), 30);
         assert_eq!(s.stats().expirations, 203 - 30);
     }
 
     /// The ring follows a time window through everything a count window
-    /// never does: growth past the window ring's initial 64 slots and its
-    /// own first allocation, equal timestamps, an idle tick that drains
+    /// never does: growth from its first allocation, equal timestamps, an idle tick that drains
     /// the whole window (ring and arena empty, chunks all free) and the
     /// refill after it.
     #[test]
@@ -563,13 +588,13 @@ mod tests {
         for (ts, coords) in &cycles {
             s.ingest(Timestamp(*ts), coords).unwrap();
             assert_lockstep(&s, &format!("@{ts}"));
-            most = most.max(s.window().len());
+            most = most.max(s.timeline().len());
             if *ts == 40 {
-                assert!(s.window().is_empty() && s.cells.is_empty());
+                assert!(s.timeline().is_empty() && s.cells.is_empty());
                 assert_eq!(s.grid().chunks_in_use(), 0);
             }
         }
-        assert_eq!(most, 227, "past the initial capacity of 64");
+        assert_eq!(most, 227);
         assert!(s.cells.capacity() >= most && s.cells.capacity() <= most + most / 8);
     }
 
@@ -637,16 +662,19 @@ mod tests {
                     other => panic!("{window:?}: expected InvalidParameter, got {other:?}"),
                 }
             }
-            assert_eq!(s.window().len(), 3, "{window:?}");
+            assert_eq!(s.timeline().len(), 3, "{window:?}");
             s.ingest(Timestamp(6), &[0.5]).unwrap();
-            assert_eq!(s.window().newest(), Some(TupleId(3)), "{window:?}");
+            assert_eq!(s.timeline().newest(), Some(TupleId(3)), "{window:?}");
         }
     }
 
     /// Everything a rejected batch could have touched.
     fn trace(s: &IngestState) -> impl PartialEq + std::fmt::Debug {
         (
-            (s.window().len(), s.window().oldest(), s.window().newest()),
+            {
+                let t = s.timeline();
+                (t.len(), t.oldest(), t.newest(), t.newest_time())
+            },
             s.grid()
                 .cells()
                 .map(|(_, points)| points.iter().map(|(id, c)| (id, c.to_vec())).collect())
@@ -660,7 +688,7 @@ mod tests {
     }
 
     /// Validation runs before any mutation: a batch whose *last* value is
-    /// bad, a misaligned one and a regressing timestamp all leave window,
+    /// bad, a misaligned one and a regressing timestamp all leave timeline,
     /// cells, arena, cell ring, counters (ticks included) and the previous
     /// cycle's runs as they were, and the next valid batch gets the next
     /// dense ids.
@@ -687,7 +715,7 @@ mod tests {
         assert_lockstep(&s, "after the rejected batches");
     }
 
-    /// Every tick entry point funnels through [`Window::validate_tick`]
+    /// Every tick entry point funnels through [`Timeline::validate_tick`]
     /// before it mutates anything, so a misaligned buffer, a bad
     /// coordinate in the middle of a batch and a regressing timestamp
     /// each produce the *identical* error from all five engines — a
@@ -705,11 +733,11 @@ mod tests {
             name: &str,
             engine: &mut E,
             tick: impl Fn(&mut E, Timestamp, &[f64]) -> Result<()>,
-            window: impl Fn(&E) -> &Window,
+            timeline: impl Fn(&E) -> &Timeline,
         ) {
             tick(engine, Timestamp(5), &[0.1, 0.2, 0.3, 0.4]).unwrap();
             tick(engine, Timestamp(5), &[0.5, 0.6]).unwrap();
-            let before = (window(engine).len(), window(engine).newest());
+            let before = (timeline(engine).len(), timeline(engine).newest());
             assert_eq!(before, (3, Some(TupleId(2))), "{name}");
             let regressing =
                 "tick: timestamp @3 is earlier than the newest tuple's arrival time @5";
@@ -732,11 +760,11 @@ mod tests {
                     Err(TkmError::InvalidParameter(msg)) => assert_eq!(msg, want, "{name}"),
                     other => panic!("{name}: expected InvalidParameter, got {other:?}"),
                 }
-                let after = (window(engine).len(), window(engine).newest());
+                let after = (timeline(engine).len(), timeline(engine).newest());
                 assert_eq!(after, before, "{name}: {batch:?} @{ts}");
             }
             tick(engine, Timestamp(6), &[0.9, 0.9]).unwrap();
-            assert_eq!(window(engine).newest(), Some(TupleId(3)), "{name}");
+            assert_eq!(timeline(engine).newest(), Some(TupleId(3)), "{name}");
         }
 
         let (spec, grid) = (WindowSpec::Count(8), GridSpec::PerDim(4));
@@ -750,21 +778,194 @@ mod tests {
             .unwrap();
         tsl.register_query(tkm_common::QueryId(0), f, 2).unwrap();
 
-        check("TMA", &mut tma, TmaMonitor::tick, TmaMonitor::window);
-        check("SMA", &mut sma, SmaMonitor::tick, SmaMonitor::window);
+        fn oracle_timeline(m: &OracleMonitor) -> &Timeline {
+            m.window().timeline()
+        }
+        fn tsl_timeline(m: &TslMonitor) -> &Timeline {
+            m.window().timeline()
+        }
+        check("TMA", &mut tma, TmaMonitor::tick, TmaMonitor::timeline);
+        check("SMA", &mut sma, SmaMonitor::tick, SmaMonitor::timeline);
         check(
             "threshold",
             &mut thr,
             ThresholdMonitor::tick,
-            ThresholdMonitor::window,
+            ThresholdMonitor::timeline,
         );
-        check(
-            "oracle",
-            &mut orc,
-            OracleMonitor::tick,
-            OracleMonitor::window,
-        );
-        check("TSL", &mut tsl, TslMonitor::tick, TslMonitor::window);
+        check("oracle", &mut orc, OracleMonitor::tick, oracle_timeline);
+        check("TSL", &mut tsl, TslMonitor::tick, tsl_timeline);
         assert_eq!(tsl.stats().ticks, 3, "a rejected TSL tick is not counted");
+    }
+
+    /// The three stores a tick can be refused by — the ingest stage, a
+    /// bare [`tkm_window::Window`] (TSL's and the oracle's store) and the
+    /// threshold monitor on top of the stage — give the same error for a
+    /// ragged buffer, a coordinate outside `[0, 1]` (NaN included) and a
+    /// regressing timestamp, on both window kinds, and each leaves its
+    /// state exactly as it was.
+    #[test]
+    fn validation_parity_on_both_window_kinds() {
+        use crate::threshold::ThresholdMonitor;
+        use tkm_common::{QueryId, ScoreFn};
+        use tkm_window::Window;
+
+        fn window_tick(w: &mut Window, now: Timestamp, batch: &[f64]) -> Result<()> {
+            w.validate_tick(now, batch)?;
+            for coords in batch.chunks_exact(w.dims()) {
+                w.insert(coords, now)?;
+            }
+            w.drain_expired(now, |_, _| {});
+            Ok(())
+        }
+        fn window_trace(w: &Window) -> impl PartialEq + std::fmt::Debug {
+            let t = w.timeline();
+            (
+                (t.len(), t.oldest(), t.newest(), t.newest_time()),
+                w.iter().map(|(id, c)| (id, c.to_vec())).collect::<Vec<_>>(),
+            )
+        }
+        fn threshold_trace(m: &ThresholdMonitor) -> impl PartialEq + std::fmt::Debug {
+            let t = m.timeline();
+            let mut matching: Vec<TupleId> =
+                m.matching(QueryId(0)).unwrap().iter().copied().collect();
+            matching.sort_unstable();
+            (
+                (t.len(), t.oldest(), t.newest(), t.newest_time()),
+                m.grid()
+                    .cells()
+                    .map(|(_, points)| points.iter().map(|(id, c)| (id, c.to_vec())).collect())
+                    .collect::<Vec<Vec<_>>>(),
+                matching,
+                m.added(QueryId(0)).unwrap().to_vec(),
+                m.removed(QueryId(0)).unwrap().to_vec(),
+            )
+        }
+
+        let rejected: [(u64, &[f64]); 6] = [
+            (4, &[0.3, 0.3, 0.6]),
+            (4, &[0.3, 0.3, 0.6, 1.5]),
+            (4, &[0.3, 0.3, -0.25, 0.6]),
+            (4, &[0.3, f64::NAN, 0.6, 0.6]),
+            (2, &[0.3, 0.3]),
+            (2, &[]),
+        ];
+        for spec in [WindowSpec::Count(3), WindowSpec::Time(2)] {
+            let grid = GridSpec::PerDim(4);
+            let mut stage = IngestState::new(2, spec, grid).unwrap();
+            let mut window = Window::new(2, spec).unwrap();
+            let mut thr = ThresholdMonitor::new(2, spec, grid).unwrap();
+            let f = ScoreFn::linear(vec![1.0, 1.0]).unwrap();
+            thr.register_query(QueryId(0), f, 0.5).unwrap();
+            for (ts, batch) in [(1, [0.1, 0.1, 0.9, 0.9]), (3, [0.5, 0.5, 0.2, 0.8])] {
+                stage.ingest(Timestamp(ts), &batch).unwrap();
+                window_tick(&mut window, Timestamp(ts), &batch).unwrap();
+                thr.tick(Timestamp(ts), &batch).unwrap();
+            }
+            let before = (trace(&stage), window_trace(&window), threshold_trace(&thr));
+            for (ts, batch) in rejected {
+                let now = Timestamp(ts);
+                let context = format!("{spec:?}: {batch:?} @{ts}");
+                let errors = [
+                    stage.ingest(now, batch),
+                    window_tick(&mut window, now, batch),
+                    thr.tick(now, batch),
+                ];
+                let Err(TkmError::InvalidParameter(msg)) = &errors[0] else {
+                    panic!("{context}: expected InvalidParameter, got {:?}", errors[0]);
+                };
+                assert!(
+                    errors.iter().all(|e| e == &errors[0]),
+                    "{context}: {errors:?}"
+                );
+                assert!(msg.starts_with("tick: "), "{context}: {msg}");
+                let after = (trace(&stage), window_trace(&window), threshold_trace(&thr));
+                assert_eq!(after, before, "{context}");
+            }
+            // An equal timestamp is accepted by all three.
+            stage.ingest(Timestamp(3), &[0.4, 0.4]).unwrap();
+            window_tick(&mut window, Timestamp(3), &[0.4, 0.4]).unwrap();
+            thr.tick(Timestamp(3), &[0.4, 0.4]).unwrap();
+            assert_eq!(stage.timeline().newest(), Some(TupleId(4)), "{spec:?}");
+            assert_eq!(window.newest(), Some(TupleId(4)), "{spec:?}");
+            assert_eq!(thr.timeline().newest(), Some(TupleId(4)), "{spec:?}");
+        }
+    }
+
+    /// `coords(id)` returns exactly what was fed for every resident id, on
+    /// count and time windows, with cells deep enough that every lookup
+    /// crosses chunk boundaries and with expiry waves in between; expired
+    /// ids and ids never issued are `None`.
+    #[test]
+    fn coords_returns_what_was_fed() {
+        let dims = 3;
+        let sized = WindowSpec::TimeSized {
+            duration: 2,
+            capacity: 300,
+        };
+        for spec in [WindowSpec::Count(200), WindowSpec::Time(2), sized] {
+            // Two cells an axis: ~25 points a cell, six-plus chunks deep.
+            let mut s = IngestState::new(dims, spec, GridSpec::PerDim(2)).unwrap();
+            let mut fed: Vec<f64> = Vec::new();
+            // Bursts of 150, 40 and 0 tuples on timestamps 0, 0, 1, 1, 2,
+            // …: the count window overruns, the time window drains whole
+            // timestamps at a time.
+            for tick in 0..12u64 {
+                let count = [150, 40, 0][tick as usize % 3];
+                let batch: Vec<f64> = crate::testutil::lcg_stream(tick, count, dims);
+                fed.extend_from_slice(&batch);
+                s.ingest(Timestamp(tick / 2), &batch).unwrap();
+                let t = s.timeline();
+                let issued = (fed.len() / dims) as u64;
+                let oldest = t.oldest().map_or(issued, |id| id.0);
+                assert_eq!(t.newest().map_or(issued, |id| id.0 + 1), issued);
+                for id in 0..issued + 3 {
+                    let got = s.coords(TupleId(id));
+                    let context = format!("{spec:?} tick {tick}: id {id}");
+                    if id < oldest || id >= issued {
+                        assert_eq!(got, None, "{context}");
+                    } else {
+                        let at = id as usize * dims;
+                        assert_eq!(got, Some(&fed[at..at + dims]), "{context}");
+                    }
+                }
+                assert_lockstep(&s, &format!("{spec:?} tick {tick}"));
+            }
+            assert!(s.stats().expirations > 0, "{spec:?}: no expiry wave");
+        }
+    }
+
+    /// A tenth of the benchmark's `ingest` stream (d = 4, N = 100k, r =
+    /// 10k a tick): outside the grid the stage holds its 4-byte cell ring
+    /// and an amount fixed by the grid and the batch size — no coordinate
+    /// copy (3.2 MB here) and no per-tuple timestamp (0.8 MB) — on both
+    /// window kinds.
+    #[test]
+    fn ingest_state_keeps_tuples_only_in_the_grid() {
+        const DIMS: usize = 4;
+        const N: usize = 100_000;
+        const R: usize = 10_000;
+        let sized = WindowSpec::TimeSized {
+            duration: (N / R) as u64,
+            capacity: N + R,
+        };
+        for spec in [WindowSpec::Count(N), sized] {
+            let mut s = IngestState::new(DIMS, spec, GridSpec::default()).unwrap();
+            for tick in 0..(2 * N / R) as u64 {
+                let batch = crate::testutil::lcg_stream(tick, R, DIMS);
+                s.ingest(Timestamp(tick), &batch).unwrap();
+            }
+            assert_eq!(s.timeline().len(), N, "{spec:?}");
+            let outside = s.space_bytes() - s.grid().space_bytes();
+            // The two cell-grouping tables (8 B a cell each), one cycle's
+            // event buffers (at most 52 B an arrival: ids, runs and
+            // cursors of both groupings, the located cells), the
+            // timeline's few runs and the struct itself.
+            let fixed = 16 * s.grid().num_cells() + 52 * R + 4096;
+            let budget = 4 * s.cells.capacity() + fixed;
+            assert!(
+                outside <= budget,
+                "{spec:?}: {outside} bytes outside the grid, budget {budget}"
+            );
+        }
     }
 }

@@ -34,8 +34,8 @@
 //!   holds ≥ k entries its k-prefix is the exact top-k; a traversal is
 //!   needed only when a band drains below `k` (or outgrows its cap);
 //! * **one monitor sandwich** ([`monitor::Monitor`]): a shared **ingest
-//!   stage** ([`ingest::IngestState`] — one window + grid, populated once
-//!   per tick) under `S ≥ 1` shardable **query maintenance** stages
+//!   stage** ([`ingest::IngestState`] — one grid holding each tuple once,
+//!   ordered by a window timeline, populated once per tick) under `S ≥ 1` shardable **query maintenance** stages
 //!   ([`maintenance::QueryMaintenance`]), replayed inline at `S = 1` and
 //!   from scoped threads above;
 //! * lazy **influence-list** book-keeping with frontier clean-up walks

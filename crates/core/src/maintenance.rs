@@ -3,12 +3,12 @@
 //! A [`QueryMaintenance`] value owns everything that is *per-query*: the
 //! queries themselves, their result book-keeping, the influence lists
 //! covering them, and the traversal scratch. It never mutates the shared
-//! window or grid — every cycle it *replays* the event lists recorded by
+//! timeline or grid — every cycle it *replays* the event lists recorded by
 //! [`IngestState::ingest`] against an immutable `&IngestState` view. That
 //! is what makes the stage shardable: [`crate::Monitor`] partitions the
 //! queries over several `QueryMaintenance` values and runs
 //! [`QueryMaintenance::apply_events`] on each from its own thread, all
-//! reading the same window and grid.
+//! reading the same timeline and grid.
 //!
 //! # One stage, two policies
 //!
@@ -60,8 +60,7 @@
 //!   chunks stream through the dim-specialized [`crate::kernel`] scan for
 //!   every listed query with that query's state hot in cache (the loop
 //!   order is cell → chunk → query → tuple) — replay scoring never
-//!   resolves a tuple through the window ring and never copies a
-//!   coordinate;
+//!   resolves a tuple by id and never copies a coordinate;
 //! * the arrival replay is two passes, *score-and-stage* then *merge*: an
 //!   arrival at or above its query's threshold is only appended to the
 //!   band's staged tail ([`Skyband::stage`], inside capacity the band
@@ -106,7 +105,7 @@ use crate::stats::EngineStats;
 use tkm_common::{QueryId, QuerySlot, Result, Scored, TkmError, TupleId};
 use tkm_grid::InfluenceTable;
 use tkm_skyband::{tuned_kmax, MergeScratch, Skyband};
-use tkm_window::Window;
+use tkm_window::Timeline;
 
 /// One shard's worth of per-query monitoring state.
 ///
@@ -235,12 +234,12 @@ fn check_dims(shared: &IngestState, query: &Query) -> Result<()> {
 /// strictly in id order, so the live window is the contiguous id range
 /// `[oldest, newest]`; within a run the ids ascend, which makes the live
 /// subset a suffix that can be sliced off without copying and without
-/// resolving a single tuple through the window's storage. Returns `None`
+/// resolving a single tuple. Returns `None`
 /// when nothing of the run survived (or the window is empty). The matching
 /// coordinates come from [`IngestState::arrival_run_points`] — the newest
 /// points of the cell's own chain.
-pub(crate) fn live_suffix<'a>(window: &Window, ids: &'a [TupleId]) -> Option<&'a [TupleId]> {
-    let oldest = window.oldest()?;
+pub(crate) fn live_suffix<'a>(timeline: &Timeline, ids: &'a [TupleId]) -> Option<&'a [TupleId]> {
+    let oldest = timeline.oldest()?;
     let start = ids.partition_point(|&id| id < oldest);
     if start == ids.len() {
         return None;
@@ -446,7 +445,7 @@ impl<P: BandPolicy> BandMaintenance<P> {
     /// every tick would be wasted work and is skipped.
     fn needs_recompute(st: &BandQuery, shared: &IngestState) -> bool {
         let len = st.band.len();
-        (len < st.query.k && (len < shared.window().len() || st.admit > f64::NEG_INFINITY))
+        (len < st.query.k && (len < shared.timeline().len() || st.admit > f64::NEG_INFINITY))
             || len > P::cap(st.band.k())
     }
 }
@@ -554,7 +553,7 @@ impl<P: BandPolicy> QueryMaintenance for BandMaintenance<P> {
             if slots.is_empty() {
                 continue;
             }
-            let Some(ids) = live_suffix(shared.window(), ids) else {
+            let Some(ids) = live_suffix(shared.timeline(), ids) else {
                 continue;
             };
             stats.cell_probes += slots.len() as u64;
@@ -622,7 +621,7 @@ impl<P: BandPolicy> QueryMaintenance for BandMaintenance<P> {
             probes += influence.as_slice(cell).len() * tuples.len();
         }
         if probes > 2 * queries.len() {
-            let cutoff = shared.window().oldest().unwrap_or(TupleId(u64::MAX));
+            let cutoff = shared.timeline().oldest().unwrap_or(TupleId(u64::MAX));
             for (slot, _, st) in queries.slots_mut() {
                 stats.tuple_probes += 1;
                 if st.band.expire_before(cutoff).is_some() && !st.affected {

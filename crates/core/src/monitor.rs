@@ -40,9 +40,9 @@ use crate::maintenance::{
 use crate::query::Query;
 use crate::result::ResultDelta;
 use crate::stats::EngineStats;
-use tkm_common::{QueryId, Result, Scored, Timestamp, TkmError};
+use tkm_common::{QueryId, Result, Scored, Timestamp, TkmError, TupleId};
 use tkm_grid::Grid;
-use tkm_window::{Window, WindowSpec};
+use tkm_window::{Timeline, WindowSpec};
 
 /// Estimated per-entry overhead of the `assignment` bookkeeping (BTreeMap
 /// node amortisation), mirroring the per-entry constants the other
@@ -128,10 +128,17 @@ impl<M: QueryMaintenance> Monitor<M> {
         self.shared.dims()
     }
 
-    /// The underlying window (read access).
+    /// The window's resident id range, arrival times and expiry rule.
     #[inline]
-    pub fn window(&self) -> &Window {
-        self.shared.window()
+    pub fn timeline(&self) -> &Timeline {
+        self.shared.timeline()
+    }
+
+    /// Coordinates of a resident tuple, read from its grid cell (`None`
+    /// for an id that has expired or was never issued).
+    #[inline]
+    pub fn coords(&self, id: TupleId) -> Option<&[f64]> {
+        self.shared.coords(id)
     }
 
     /// The underlying grid (read access, for diagnostics).
@@ -267,7 +274,7 @@ impl<M: QueryMaintenance> Monitor<M> {
     }
 
     /// Deep size estimate in bytes: the shared tuple storage **once**
-    /// (window + grid), the per-shard query state (`O(d + 3·depth)` per
+    /// (timeline + grid), the per-shard query state (`O(d + 3·depth)` per
     /// query as analysed in §6), and the assignment bookkeeping.
     pub fn space_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
@@ -360,7 +367,7 @@ mod tests {
             for (i, q) in queries.iter().enumerate() {
                 assert_eq!(
                     m.result(QueryId(i as u64)).unwrap(),
-                    brute(m.window(), q),
+                    brute(m.grid(), q),
                     "{}: query {i} diverged at tick {tick}",
                     m.name()
                 );
@@ -494,7 +501,7 @@ mod tests {
         // within their own cycle.
         let q = linear(&[1.0, 1.0], 2);
         track(&mut m, &[q], 2, 99, |tick| 7 + 2 * tick as usize);
-        assert_eq!(m.window().len(), 4);
+        assert_eq!(m.timeline().len(), 4);
     }
 
     fn sharded_matches_unsharded_engine<P: BandPolicy>() {

@@ -281,9 +281,10 @@ mod tests {
     use tkm_common::TupleId;
     use tkm_window::WindowSpec;
 
-    fn brute_knn(window: &tkm_window::Window, center: &[f64], k: usize) -> Vec<Scored> {
-        let mut all: Vec<Scored> = window
-            .iter()
+    fn brute_knn(grid: &tkm_grid::Grid, center: &[f64], k: usize) -> Vec<Scored> {
+        let mut all: Vec<Scored> = grid
+            .cells()
+            .flat_map(|(_, points)| points.iter())
             .map(|(id, c)| {
                 let d2: f64 = c.iter().zip(center).map(|(x, c)| (x - c) * (x - c)).sum();
                 Scored::new(-d2, id)
@@ -317,7 +318,7 @@ mod tests {
                 .unwrap();
             assert_eq!(
                 m.result(QueryId(0)).unwrap(),
-                brute_knn(m.engine().window(), &[0.4, 0.6], 5),
+                brute_knn(m.engine().grid(), &[0.4, 0.6], 5),
                 "tick {tick}"
             );
         }
@@ -336,7 +337,7 @@ mod tests {
                 .unwrap();
             assert_eq!(
                 m.result(QueryId(0)).unwrap(),
-                brute_knn(m.engine().window(), &center, 4),
+                brute_knn(m.engine().grid(), &center, 4),
                 "tick {tick}"
             );
         }
@@ -355,7 +356,7 @@ mod tests {
                 .unwrap();
             assert_eq!(
                 m.result(QueryId(0)).unwrap(),
-                brute_knn(m.engine().window(), &[0.0, 1.0], 3)
+                brute_knn(m.engine().grid(), &[0.0, 1.0], 3)
             );
         }
     }

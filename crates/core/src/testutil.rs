@@ -2,7 +2,7 @@
 
 use crate::query::Query;
 use tkm_common::Scored;
-use tkm_window::Window;
+use tkm_grid::Grid;
 
 /// `n` pseudo-random `dims`-dimensional tuples in the unit workspace, as a
 /// flat coordinate buffer (a seeded LCG: deterministic per `seed`).
@@ -18,10 +18,11 @@ pub(crate) fn lcg_stream(seed: u64, n: usize, dims: usize) -> Vec<f64> {
     out
 }
 
-/// The top-k of `q` by scoring every tuple of `window`.
-pub(crate) fn brute(window: &Window, q: &Query) -> Vec<Scored> {
-    let mut all: Vec<Scored> = window
-        .iter()
+/// The top-k of `q` by scoring every tuple stored in `grid`'s cells.
+pub(crate) fn brute(grid: &Grid, q: &Query) -> Vec<Scored> {
+    let mut all: Vec<Scored> = grid
+        .cells()
+        .flat_map(|(_, points)| points.iter())
         .filter(|(_, c)| q.constraint.as_ref().is_none_or(|r| r.contains(c)))
         .map(|(id, c)| Scored::new(q.f.score(c), id))
         .collect();

@@ -15,8 +15,8 @@ use crate::kernel;
 use crate::maintenance::live_suffix;
 use crate::registry::QueryRegistry;
 use tkm_common::{FxHashSet, QueryId, Result, ScoreFn, Scored, Timestamp, TkmError, TupleId};
-use tkm_grid::{InfluenceTable, VisitStamps};
-use tkm_window::{Window, WindowSpec};
+use tkm_grid::{Grid, InfluenceTable, VisitStamps};
+use tkm_window::{Timeline, WindowSpec};
 
 #[derive(Debug)]
 struct ThresholdQuery {
@@ -73,10 +73,23 @@ impl ThresholdMonitor {
         self.ingest.dims()
     }
 
-    /// The underlying window (read access).
+    /// The window's resident id range, arrival times and expiry rule.
     #[inline]
-    pub fn window(&self) -> &Window {
-        self.ingest.window()
+    pub fn timeline(&self) -> &Timeline {
+        self.ingest.timeline()
+    }
+
+    /// Coordinates of a resident tuple, read from its grid cell (`None`
+    /// for an id that has expired or was never issued).
+    #[inline]
+    pub fn coords(&self, id: TupleId) -> Option<&[f64]> {
+        self.ingest.coords(id)
+    }
+
+    /// The grid that stores the window's tuples (read access).
+    #[inline]
+    pub fn grid(&self) -> &Grid {
+        self.ingest.grid()
     }
 
     /// Registers a threshold query: monitor all tuples with
@@ -188,7 +201,7 @@ impl ThresholdMonitor {
             if slots.is_empty() {
                 continue;
             }
-            let Some(ids) = live_suffix(ingest.window(), ids) else {
+            let Some(ids) = live_suffix(ingest.timeline(), ids) else {
                 continue;
             };
             for (ids, coords) in ingest.arrival_run_points(cell, ids.len()).chunks() {
@@ -267,9 +280,10 @@ mod tests {
     use super::*;
     use crate::testutil::lcg_stream;
 
-    fn brute_matching(window: &Window, f: &ScoreFn, tau: f64) -> Vec<TupleId> {
-        let mut out: Vec<TupleId> = window
-            .iter()
+    fn brute_matching(grid: &Grid, f: &ScoreFn, tau: f64) -> Vec<TupleId> {
+        let mut out: Vec<TupleId> = grid
+            .cells()
+            .flat_map(|(_, points)| points.iter())
             .filter(|(_, c)| f.score(c) > tau)
             .map(|(id, _)| id)
             .collect();
@@ -293,7 +307,7 @@ mod tests {
             m.tick(Timestamp(tick), &lcg_stream(tick, 8, 2)).unwrap();
             let mut got: Vec<TupleId> = m.matching(QueryId(0)).unwrap().iter().copied().collect();
             got.sort_unstable();
-            assert_eq!(got, brute_matching(m.window(), &f, 1.4));
+            assert_eq!(got, brute_matching(m.grid(), &f, 1.4));
         }
     }
 

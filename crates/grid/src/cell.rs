@@ -32,11 +32,12 @@
 //! pushed and popped once; recomputation scans a few hundred points a
 //! tick), which is why the layout favours the writer.
 //!
-//! [`CHUNK_POINTS`] is 4 by measurement (tables in
-//! `docs/ARCHITECTURE.md`). On the benchmark's ingest-bound workload 4, 8
-//! and 16 run at the same speed — the write side is bound by the cold
-//! lines it touches, not by chunk turnover. On the sparse,
-//! maintenance-bound ones (half a point per cell) every chunk is mostly
+//! [`CHUNK_POINTS`] is 4 by a measurement that predates the default grid
+//! sized for its window (tables in `docs/ARCHITECTURE.md`). On the
+//! benchmark's ingest-bound workload 4, 8 and 16 ran at the same speed —
+//! the write side is bound by the cold lines it touches, not by chunk
+//! turnover. On the sparse, maintenance-bound ones, then on the paper's
+//! 12⁴-cell grid at half a point per cell, every chunk was mostly
 //! air, and the bigger the chunk the more of the cache the arena takes
 //! from the per-query state: 8 costs 2–4 % of throughput there and 16
 //! also holds *more* memory than the per-cell `Vec`s did, while 4 runs
@@ -45,7 +46,9 @@
 //! 48-point d = 4 cells costs 2.8 ns a point against 1.5 over one
 //! contiguous block (when the sizes were compared: +50 % at 4, +25 % at
 //! 8, +15 % at 16). The kernels' four-point lanes make 4 the smallest
-//! size worth having.
+//! size worth having. Fitted grids now hold about 20 points a cell on
+//! every shape, so the choice is due to be measured again (ROADMAP
+//! item 4).
 //!
 //! The two deletion disciplines share the storage:
 //!

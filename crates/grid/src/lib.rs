@@ -17,7 +17,7 @@
 //! * a coordinate-inline *point list* of the valid tuples inside it — a
 //!   chain of fixed-size chunks in one grid-owned arena of id and
 //!   packed-coordinate arrays ([`cell`]), so cell scans never chase
-//!   pointers back into the window ring and no cell owns a heap object.
+//!   pointers into other storage and no cell owns a heap object.
 //!   Deletion is a pop-front for sliding windows (per-cell arrival order
 //!   equals per-cell expiry order) or id-indexed for the §7
 //!   explicit-deletion stream model.

@@ -61,7 +61,7 @@ fn main() -> Result<(), TkmError> {
         );
         // Every reported tuple really lies inside the pane.
         for hit in top {
-            let coords = dash.window().coords(hit.id).expect("valid result");
+            let coords = dash.coords(hit.id).expect("valid result");
             assert!(pane.contains(coords));
         }
     }

@@ -63,7 +63,7 @@ fn main() -> Result<(), TkmError> {
         }
         if tick % 8 == 0 {
             let top = ranking.result(QueryId(0))?;
-            let window_size = ranking.window().len();
+            let window_size = ranking.timeline().len();
             println!(
                 "tick {tick:>2}: window holds {window_size} trades; top-{} scores: {}",
                 top.len(),

@@ -46,7 +46,7 @@
 //! | Crate | Contents |
 //! |-------|----------|
 //! | [`tkm_common`] | ids, ordered floats, hashing, scoring functions, rectangles |
-//! | [`tkm_window`] | count/time sliding windows, update-stream slab store |
+//! | [`tkm_window`] | count/time sliding windows: a coordinate-free timeline plus a coordinate ring |
 //! | [`tkm_grid`] | regular grid, point lists, influence lists |
 //! | [`tkm_skyband`] | k-skyband with dominance counters |
 //! | [`tkm_tsl`] | TSL baseline (sorted lists + TA + kmax views) |
@@ -79,7 +79,7 @@ pub use tkm_datagen::{DataDist, FnFamily, PointGen, QueryGen, StreamSim};
 pub use tkm_service::{Service, ServiceClient, ServiceConfig, TickPolicy};
 pub use tkm_skyband::{tuned_kmax, Skyband};
 pub use tkm_tsl::{KmaxPolicy, TslMonitor};
-pub use tkm_window::{Window, WindowSpec};
+pub use tkm_window::{Timeline, Window, WindowSpec};
 
 // Full sub-crate access for advanced use.
 pub use tkm_analysis as analysis;

@@ -8,7 +8,8 @@
 //!
 //! * A warm `IngestState::ingest` call allocates nothing: cells are chunk
 //!   chains in one arena that stops growing once the window is full, the
-//!   cell ring and the grouping buffers keep their capacity.
+//!   cell ring, the timeline's timestamp runs and the grouping buffers
+//!   keep their capacity.
 //! * Reporting a cycle's result changes costs one heap allocation per
 //!   tick — the batch buffer `take_deltas` hands out — however many
 //!   queries are registered and however many of them changed. Twin
@@ -30,9 +31,8 @@
 //! | function | counted in |
 //! |---|---|
 //! | `IngestState::ingest` | ingest alone, both streams |
-//! | `FlatRing::{append_batch, drop_front}` | ingest alone, both streams |
-//! | `FlatRing::expired_prefix` | ingest alone on `storm` (a count window knows its expired prefix without asking the ring) |
-//! | `Grid::{locate_batch, push_at, remove_at}`, `CellArena::{push, remove}` | ingest alone, both streams |
+//! | `Timeline::{validate_tick, append, expired_prefix, drop_front}` | ingest alone, both streams (`storm`'s time window bumps, pushes and pops its `(timestamp, count)` runs) |
+//! | `Grid::{locate_batch, push_at, remove_at}`, `PointArena::{push, remove}` | ingest alone, both streams |
 //! | `Grid::{insert_point, remove_point, maxscore}`, `kernel::score_point` | bare grid replay (no engine calls them per tick) |
 //! | `BandMaintenance::{apply_events, recompute, drain_changes}` | twin servers, both streams |
 //! | `kernel::scan_block`, `CellPoints::tail` | twin servers: arrival replay (`storm`'s constrained query takes the filter branch) |

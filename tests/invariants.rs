@@ -53,10 +53,11 @@ fn sma_skyband_invariants_over_time() {
     let mut stream = BatchGen::new(dims, DataDist::Ant, 12);
     for t in 0..80u64 {
         m.tick(Timestamp(t), &stream.batch(20)).expect("tick");
-        // Brute-force top-k from the window.
+        // Brute-force top-k from the tuples the grid stores.
         let mut want: Vec<topk_monitor::Scored> = m
-            .window()
-            .iter()
+            .grid()
+            .cells()
+            .flat_map(|(_, points)| points.iter())
             .map(|(id, c)| topk_monitor::Scored::new(f.score(c), id))
             .collect();
         want.sort_by(|a, b| b.cmp(a));
@@ -90,15 +91,15 @@ fn grid_window_lockstep() {
         for (cid, points) in m.grid().cells() {
             for (id, cell_coords) in points.iter() {
                 grid_total += 1;
-                let coords = m.window().coords(id).expect("grid tuple must be valid");
+                let coords = m.coords(id).expect("grid tuple must be valid");
                 assert_eq!(
                     cell_coords, coords,
-                    "cell coords diverge from window for tuple {id}"
+                    "coords({id}) does not resolve to its cell's copy"
                 );
                 assert_eq!(m.grid().locate(coords), cid, "tuple {id} in wrong cell");
             }
         }
-        assert_eq!(grid_total, m.window().len(), "index/window size mismatch");
+        assert_eq!(grid_total, m.timeline().len(), "index/window size mismatch");
     }
 }
 

@@ -45,9 +45,10 @@ fn assert_cells_match(grid: &Grid, window: &Window, context: &str) {
     }
 }
 
-fn brute(window: &Window, q: &Query) -> Vec<Scored> {
-    let mut all: Vec<Scored> = window
-        .iter()
+fn brute(grid: &Grid, q: &Query) -> Vec<Scored> {
+    let mut all: Vec<Scored> = grid
+        .cells()
+        .flat_map(|(_, points)| points.iter())
         .filter(|(_, c)| q.constraint.as_ref().is_none_or(|r| r.contains(c)))
         .map(|(id, c)| Scored::new(q.f.score(c), id))
         .collect();
@@ -132,12 +133,15 @@ fn assert_runs_cover<'a>(
 /// Everything the staged ingest must share with the per-tuple reference
 /// after a cycle.
 fn assert_staged_matches(staged: &IngestState, reference: &PerTupleIngest, context: &str) {
-    let (window, want) = (staged.window(), &reference.window);
+    let (timeline, want) = (staged.timeline(), &reference.window);
     assert_eq!(
-        (window.len(), window.oldest(), window.newest()),
+        (timeline.len(), timeline.oldest(), timeline.newest()),
         (want.len(), want.oldest(), want.newest()),
         "{context}: window"
     );
+    for (id, coords) in want.iter() {
+        assert_eq!(staged.coords(id), Some(coords), "{context}: coords({id})");
+    }
     assert_eq!(staged.stats(), reference.stats, "{context}: stats");
     for ((cid, points), (_, want)) in staged.grid().cells().zip(reference.grid.cells()) {
         assert!(
@@ -157,12 +161,10 @@ fn assert_staged_matches(staged: &IngestState, reference: &PerTupleIngest, conte
     );
     // Tail-slice invariant: a run's still-live tuples are the newest
     // points of the cell, ids and coordinates alike.
-    let oldest = window.oldest().unwrap_or(TupleId(u64::MAX));
+    let oldest = timeline.oldest().unwrap_or(TupleId(u64::MAX));
     for (cell, ids) in staged.arrival_runs() {
         let live = &ids[ids.partition_point(|id| *id < oldest)..];
-        let want = live
-            .iter()
-            .map(|id| (*id, window.coords(*id).expect("live")));
+        let want = live.iter().map(|id| (*id, want.coords(*id).expect("live")));
         assert!(
             staged.arrival_run_points(cell, live.len()).iter().eq(want),
             "{context}: tail slices of {cell:?}"
@@ -220,7 +222,7 @@ fn assert_engines_match_oracle(
             let want = oracle.result(id).expect("oracle");
             assert_eq!(tma.result(id).expect("tma"), want, "TMA {id} cycle {cycle}");
             assert_eq!(sma.result(id).expect("sma"), want, "SMA {id} cycle {cycle}");
-            assert_eq!(brute(tma.window(), q), want, "window drift cycle {cycle}");
+            assert_eq!(brute(tma.grid(), q), want, "window drift cycle {cycle}");
         }
     }
 }
@@ -269,9 +271,9 @@ fn staged_ingest_matches_reference_on_named_cases() {
             "d={dims}"
         );
 
-        // Time window of 3 ticks on a 2-slot ring: 40 tuples share
-        // timestamp 0 (2 → 64 slots in one call), more arrive at equal and
-        // later timestamps, the whole group from timestamp 0 expires in
+        // Time window of 3 ticks hinted at 2 tuples: 40 share timestamp 0
+        // (the reference's ring grows 2 → 64 slots in one call), more
+        // arrive at equal and later timestamps, the whole group from timestamp 0 expires in
         // one cycle, and a jump empties the window before it refills.
         let s = drive_differential(
             dims,
@@ -292,8 +294,7 @@ fn staged_ingest_matches_reference_on_named_cases() {
                 (63, batch(5, 9)),
             ],
         );
-        assert_eq!(s.window().capacity(), 64, "one growth step, d={dims}");
-        assert_eq!(s.window().len(), 5, "d={dims}");
+        assert_eq!(s.timeline().len(), 5, "d={dims}");
         assert_eq!(s.stats().expirations, 67, "d={dims}");
     }
 }
@@ -402,7 +403,8 @@ proptest! {
         drive_differential(dims, window, per_dim, cycles);
     }
 
-    /// FIFO cells vs the window under arbitrary arrival/expiry churn.
+    /// FIFO cells vs a reference window fed the same batches, under
+    /// arbitrary arrival/expiry churn.
     /// Small capacities force constant expiry (chunks handed back and
     /// reused every few cycles) and bursts larger than the window create
     /// same-cycle transients.
@@ -413,8 +415,9 @@ proptest! {
         bursts in prop::collection::vec(prop::collection::vec((0u32..32, 0u32..32), 0..50), 1..20),
     ) {
         let dims = 2;
-        let mut s = IngestState::new(dims, WindowSpec::Count(capacity), GridSpec::PerDim(per_dim))
-            .expect("config");
+        let spec = WindowSpec::Count(capacity);
+        let mut s = IngestState::new(dims, spec, GridSpec::PerDim(per_dim)).expect("config");
+        let mut window = Window::new(dims, spec).expect("config");
         for (t, burst) in bursts.iter().enumerate() {
             let mut batch = Vec::with_capacity(burst.len() * dims);
             for (a, b) in burst {
@@ -422,7 +425,11 @@ proptest! {
                 batch.push(*b as f64 / 31.0);
             }
             s.ingest(Timestamp(t as u64), &batch).expect("ingest");
-            assert_cells_match(s.grid(), s.window(), &format!("tick {t}"));
+            for coords in batch.chunks_exact(dims) {
+                window.insert(coords, Timestamp(t as u64)).expect("insert");
+            }
+            window.drain_expired(Timestamp(t as u64), |_, _| {});
+            assert_cells_match(s.grid(), &window, &format!("tick {t}"));
         }
     }
 

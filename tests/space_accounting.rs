@@ -3,8 +3,9 @@
 //! server really owns, measured by the live-bytes tally of
 //! `tests/counting_alloc`.
 //!
-//! SMA and TMA must agree with the allocator within ±2 % on three shapes,
-//! delta tracking off and on; TSL, whose tuples and queries sit in `std`
+//! SMA and TMA must agree with the allocator within ±2 % on four shapes —
+//! three count windows and a time window, whose arrival times are
+//! `(timestamp, count)` runs — delta tracking off and on; TSL, whose tuples and queries sit in `std`
 //! B-trees that expose no node count (the estimate states a fill), within
 //! ±5 %. `space_bytes` is engine state: it leaves out the facade's batch
 //! buffer (`MonitorServer::deltas`, one `ResultDelta` per query that
@@ -21,18 +22,25 @@ mod counting_alloc;
 use counting_alloc::live_bytes;
 use topk_monitor::{
     DataDist, EngineKind, FnFamily, MonitorServer, PointGen, Query, QueryGen, ResultDelta,
-    ServerConfig,
+    ServerConfig, Timestamp, WindowSpec,
 };
 
 /// Ticks run after registration, each followed by `take_deltas`.
 const WARM_TICKS: usize = 30;
 
-/// `(dims, N, Q, k)`; a tenth of the window turns over every tick.
-const SHAPES: [(usize, usize, usize, usize); 3] = [
-    (2, 10_000, 1_024, 10), // the benchmark's `steady` workload
-    (4, 100_000, 16, 20),   // tuple storage dominates; four sorted lists under TSL
-    (2, 1_000, 256, 3),     // query state dominates
+/// `(dims, N, Q, k, timed)`; `N / 10` tuples arrive every tick. A timed
+/// shape is a `TimeSized` window like the benchmark's `storm`: three ticks
+/// share each timestamp and a tuple lives three timestamps, so 7–9 ticks'
+/// worth of `N / 10` are resident and whole timestamps leave at once.
+const SHAPES: [(usize, usize, usize, usize, bool); 4] = [
+    (2, 10_000, 1_024, 10, false), // the benchmark's `steady` workload
+    (4, 100_000, 16, 20, false),   // tuple storage dominates; four sorted lists under TSL
+    (2, 1_000, 256, 3, false),     // query state dominates
+    (2, 12_000, 256, 10, true),    // a time window: tuples and timestamp runs
 ];
+
+/// Ticks that share one timestamp on a timed shape.
+const TICKS_PER_TIMESTAMP: u64 = 3;
 
 /// Most `space_bytes` may differ from the live heap, as a fraction of it.
 fn tolerance(engine: EngineKind) -> f64 {
@@ -46,17 +54,34 @@ fn tolerance(engine: EngineKind) -> f64 {
 /// reported cycles behind it, and the bytes of its batch buffer; the
 /// generators that fed it are dropped.
 fn warmed(
-    (dims, n, q, k): (usize, usize, usize, usize),
+    (dims, n, q, k, timed): (usize, usize, usize, usize, bool),
     engine: EngineKind,
     tracked: bool,
 ) -> (MonitorServer, usize) {
-    let cfg = ServerConfig::sma(dims, n)
+    let mut cfg = ServerConfig::sma(dims, n)
         .with_engine(engine)
         .with_delta_tracking(tracked);
+    if timed {
+        let duration = 3;
+        cfg = cfg.with_window(WindowSpec::TimeSized {
+            duration,
+            capacity: n / 10 * (TICKS_PER_TIMESTAMP * (duration + 1)) as usize,
+        });
+    }
     let mut server = MonitorServer::new(cfg).expect("server");
     let mut points = PointGen::new(dims, DataDist::Ind, 11).expect("dims");
+    let mut tick = 0u64;
+    let mut tick = |server: &mut MonitorServer, batch: &[f64]| {
+        let now = if timed {
+            tick / TICKS_PER_TIMESTAMP
+        } else {
+            tick
+        };
+        tick += 1;
+        server.tick_at(Timestamp(now), batch)
+    };
     for _ in 0..10 {
-        server.tick(&points.batch(n / 10)).expect("fill tick");
+        tick(&mut server, &points.batch(n / 10)).expect("fill tick");
     }
     let mut queries = QueryGen::new(dims, FnFamily::Linear, 5).expect("dims");
     for f in queries.workload(q) {
@@ -66,7 +91,7 @@ fn warmed(
     }
     let mut batch = Vec::new();
     for _ in 0..WARM_TICKS {
-        server.tick(&points.batch(n / 10)).expect("warm tick");
+        tick(&mut server, &points.batch(n / 10)).expect("warm tick");
         batch = server.take_deltas();
     }
     let buffer = batch.capacity() * std::mem::size_of::<ResultDelta>();

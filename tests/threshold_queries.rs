@@ -6,13 +6,13 @@ mod common;
 use common::BatchGen;
 use proptest::prelude::*;
 use topk_monitor::engines::GridSpec;
-use topk_monitor::{
-    DataDist, QueryId, ScoreFn, ThresholdMonitor, Timestamp, TupleId, Window, WindowSpec,
-};
+use topk_monitor::grid::Grid;
+use topk_monitor::{DataDist, QueryId, ScoreFn, ThresholdMonitor, Timestamp, TupleId, WindowSpec};
 
-fn brute(window: &Window, f: &ScoreFn, tau: f64) -> Vec<TupleId> {
-    let mut out: Vec<TupleId> = window
-        .iter()
+fn brute(grid: &Grid, f: &ScoreFn, tau: f64) -> Vec<TupleId> {
+    let mut out: Vec<TupleId> = grid
+        .cells()
+        .flat_map(|(_, points)| points.iter())
         .filter(|(_, c)| f.score(c) > tau)
         .map(|(id, _)| id)
         .collect();
@@ -45,7 +45,7 @@ fn matching_set_tracks_brute_force() {
                 .copied()
                 .collect();
             got.sort_unstable();
-            assert_eq!(got, brute(m.window(), f, *tau), "query {i} at tick {t}");
+            assert_eq!(got, brute(m.grid(), f, *tau), "query {i} at tick {t}");
         }
     }
 }
@@ -101,7 +101,7 @@ fn time_window_thresholds() {
             .copied()
             .collect();
         got.sort_unstable();
-        assert_eq!(got, brute(m.window(), &f, 1.2), "tick {t}");
+        assert_eq!(got, brute(m.grid(), &f, 1.2), "tick {t}");
     }
 }
 
@@ -140,7 +140,7 @@ fn same_cycle_transients_are_in_neither_delta() {
             .copied()
             .collect();
         got.sort_unstable();
-        assert_eq!(got, brute(m.window(), &f, -1.0), "tick {t}");
+        assert_eq!(got, brute(m.grid(), &f, -1.0), "tick {t}");
         assert_eq!(got, reconstructed.iter().copied().collect::<Vec<_>>());
     }
 }
@@ -170,7 +170,7 @@ proptest! {
             let mut got: Vec<TupleId> =
                 m.matching(QueryId(0)).expect("matching").iter().copied().collect();
             got.sort_unstable();
-            prop_assert_eq!(got, brute(m.window(), &f, tau));
+            prop_assert_eq!(got, brute(m.grid(), &f, tau));
         }
     }
 }
