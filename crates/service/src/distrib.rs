@@ -25,10 +25,10 @@
 //! heals the degradation — after which the published results are again
 //! bit-exact against a single-node engine fed the union stream.
 //!
-//! Everything here is driven by the engine-owner thread (see
+//! Everything here runs on the one serving thread (see
 //! [`crate::service`]); this module only holds the two role state
 //! machines, `CoordState` and `SiteState`. Uplink and subscriber
-//! connections alike are ordinary sessions owned by the epoll reactor
+//! connections alike are ordinary sessions of the epoll loop
 //! ([`crate::reactor`]), so a coordinator inherits the fan-out tier's
 //! scaling: its merged `DELTA`s are encoded once per cycle and the bytes
 //! shared across every subscriber queue.
@@ -368,7 +368,7 @@ const HELLO_DEADLINE: Duration = Duration::from_secs(2);
 
 /// Deadline on one uplink write; a coordinator that stopped reading kills
 /// the uplink (and the site redials next cycle) instead of wedging the
-/// engine owner.
+/// serving thread.
 const UPLINK_WRITE_DEADLINE: Duration = Duration::from_secs(5);
 
 /// Hard cap on one uplink line (same bound as the session reader).

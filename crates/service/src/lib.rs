@@ -28,20 +28,21 @@
 //!   keep up with its delta stream loses its backlog and is re-baselined
 //!   with fresh snapshots instead of growing an unbounded queue — plus
 //!   the incremental [`session::LineFramer`] request framing;
-//! * [`reactor`] — the readiness-based connection event loop (PR 10): a
-//!   hand-rolled level-triggered `epoll` loop on **one thread** owns
-//!   every subscriber socket (nonblocking accept/read/write, no async
-//!   runtime), so the thread count is constant, not O(connections);
-//! * [`service`] — the engine-owner event loop, the second and last
-//!   thread of the core: requests from all sessions are serialized
-//!   through one bounded inbox, queued arrivals are batched into **one
-//!   engine cycle per tick** (immediate under manual ticking, once per
-//!   wall-clock interval otherwise), and each cycle's
-//!   [`tkm_core::ResultDelta`]s are encoded **once per delta** into
-//!   shared byte payloads and enqueued, by one loop over the one
-//!   subscription table, onto exactly the sessions subscribed to each
-//!   query (the ordering guarantees this gives subscribers are listed
-//!   in the module's docs);
+//! * [`reactor`] — the serving event loop: a hand-rolled
+//!   level-triggered `epoll` loop on **one thread** owns the listener and
+//!   every socket (nonblocking accept/read/write, no async runtime), so
+//!   the thread count is constant, not O(connections), and runs each
+//!   framed request's handler inline, under a per-wakeup request budget
+//!   per session;
+//! * [`service`] — the request handlers and the [`Service`] handle: the
+//!   one serving thread holds the engine and the one subscription table,
+//!   executes requests in arrival order, batches queued arrivals into
+//!   **one engine cycle per tick** (immediate under manual ticking, once
+//!   per wall-clock interval otherwise), and encodes each cycle's
+//!   [`tkm_core::ResultDelta`]s **once per delta** into shared byte
+//!   payloads enqueued, by one loop over the subscription table, onto
+//!   exactly the sessions subscribed to each query (the ordering
+//!   guarantees this gives subscribers are listed in the module's docs);
 //! * [`client`] — a small blocking client used by the integration tests,
 //!   the benchmark's `serve` workload, the `serve` bench binary and the
 //!   README walkthrough, with optional reconnect/backoff/resume
@@ -54,7 +55,7 @@
 //!   frontier, and graceful `DEGRADED` degradation when sites die.
 //!
 //! The failure model (idle reaping, write deadlines, `PING`/`PONG`
-//! heartbeats, `ERR busy` overload shedding, client backoff) is
+//! heartbeats, per-session request budgets, client backoff) is
 //! documented in the README's *Failure model* section and in
 //! `docs/ARCHITECTURE.md`.
 //!

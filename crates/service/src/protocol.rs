@@ -179,9 +179,8 @@ pub enum Request {
 }
 
 impl Request {
-    /// The wire verb of this request — the first token of its encoding.
-    /// Used by the overload-shedding metrics to attribute `ERR busy`
-    /// sheds per verb.
+    /// The wire verb of this request — the first token of its encoding
+    /// (named in role-guard rejections).
     pub fn verb(&self) -> &'static str {
         match self {
             Request::Register { .. } => "REGISTER",
@@ -247,7 +246,9 @@ pub enum ErrCode {
     /// The operation is not supported in this server mode.
     Unsupported,
     /// The server is overloaded and shed this request before it reached
-    /// the engine; the request had no effect and can be retried.
+    /// the engine; the request had no effect and can be retried. Part of
+    /// the grammar only: this server no longer sheds (a flooding client
+    /// meets TCP backpressure instead), but clients still parse it.
     Busy,
     /// The engine reported an internal error.
     Internal,

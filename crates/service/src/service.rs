@@ -1,33 +1,33 @@
-//! The serving event loop.
+//! The serving layer's request handlers and its public handle.
 //!
 //! One [`Service`] owns one [`MonitorServer`] and any number of TCP
-//! clients, on **two threads**: the [`crate::reactor`] event loop owns
-//! every socket, and a single **engine-owner thread**, fed by a bounded
-//! inbox channel, owns the engine, the subscription table and every
-//! enqueue onto a session's outbound queue ([`TickPolicy::Interval`]
-//! adds a third thread, the ticker). The owner thread:
+//! clients on **one thread**: the [`crate::reactor`] event loop owns the
+//! listener and every socket, and when it frames a request line it calls
+//! the handlers of this module's `EngineOwner` directly. The owner holds
+//! the engine, the subscription table and the role state, and:
 //!
 //! 1. executes requests in arrival order, replying on the issuing
 //!    session's queue;
 //! 2. accumulates `TICK`/`TICKAT` arrivals and flushes them as **one**
 //!    `tick_at` per processing cycle — immediately under
 //!    [`TickPolicy::Manual`], or once per wall-clock interval under
-//!    [`TickPolicy::Interval`], so a burst of ingest requests inside one
-//!    interval becomes a single engine cycle;
+//!    [`TickPolicy::Interval`] (the loop's `epoll_wait` timeout is the next
+//!    flush deadline), so a burst of ingest requests inside one interval
+//!    becomes a single engine cycle;
 //! 3. drains the cycle's [`tkm_core::ResultDelta`]s and, for each one
 //!    with subscribers, encodes it **once** into a shared byte payload
 //!    and enqueues that payload onto every subscriber's queue, applying
-//!    the drop-to-snapshot backpressure policy to slow consumers;
-//! 4. signals the reactor **once** per inbox event, after its last
-//!    enqueue (pushes, reply, closes): enqueues only mark sessions dirty,
-//!    so the reactor writes each touched session's bytes in one call.
+//!    the drop-to-snapshot backpressure policy to slow consumers.
+//!
+//! Enqueues only put sessions on the loop's dirty list; at the end of a
+//! wakeup pass the loop writes each touched session once.
 //!
 //! There is one subscription table (a [`DeltaRouter`] whose entries
 //! carry the subscriber's queue handle) and one fan-out loop, so the
-//! ordering subscribers rely on is program order on the owner thread:
+//! ordering subscribers rely on is program order on the one thread:
 //!
 //! * a baseline `SNAPSHOT` precedes the subscriber's first `DELTA` — the
-//!   subscribe handler enqueues it before the next inbox event runs;
+//!   subscribe handler enqueues it before the next request runs;
 //! * a tick's pushes precede that tick's reply — the fan-out loop runs
 //!   inside the tick handler, before the reply is enqueued;
 //! * no `DELTA` lands between an overflow drop and its `RESYNC` — the
@@ -41,8 +41,8 @@
 
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender};
+use std::os::unix::net::UnixStream;
+use std::rc::Rc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -51,7 +51,7 @@ use crate::distrib::{CoordState, Role, SiteState};
 use crate::protocol::{
     encode_delta_push, write_ingest, ErrCode, Family, Push, QuerySpec, Reply, Request,
 };
-use crate::reactor::{Reactor, ReactorCfg, Waker};
+use crate::reactor::Reactor;
 use crate::session::{SessionId, SessionOut};
 use tkm_common::{QueryId, Rect, Result, ScoreFn, Scored, Timestamp, TkmError};
 use tkm_core::{DeltaRouter, MonitorServer, Query, ResultDelta, ServerConfig};
@@ -79,10 +79,6 @@ pub struct ServiceConfig {
     /// Per-session cap on queued push lines before the drop-to-snapshot
     /// policy kicks in.
     pub push_queue: usize,
-    /// Bound of the engine-owner inbox (requests in flight across all
-    /// sessions); senders block when full, back-pressuring readers — until
-    /// the [`ServiceConfig::busy_timeout`] shedding deadline.
-    pub inbox: usize,
     /// Tear down a connection with no traffic in either direction for
     /// this long (`None` = never reap). Silent clients stay alive by
     /// sending `PING`.
@@ -92,10 +88,6 @@ pub struct ServiceConfig {
     /// socket produces no write readiness, so the reactor enforces this
     /// deadline from its timer pass, not from `epoll`.
     pub write_timeout: Option<Duration>,
-    /// How long a full engine inbox may stall a request before the
-    /// session sheds it with `ERR busy` (only when no earlier request of
-    /// the same session is still awaiting its reply).
-    pub busy_timeout: Duration,
     /// The part this server plays in a deployment (see
     /// [`crate::distrib`]); standalone unless configured otherwise.
     pub role: Role,
@@ -103,17 +95,14 @@ pub struct ServiceConfig {
 
 impl ServiceConfig {
     /// A manual-tick service over the given engine configuration, with a
-    /// 1024-line push cap, a 1024-event inbox, no idle/write deadlines
-    /// and a 250 ms shedding deadline.
+    /// 1024-line push cap and no idle/write deadlines.
     pub fn new(server: ServerConfig) -> ServiceConfig {
         ServiceConfig {
             server: server.with_delta_tracking(true),
             tick: TickPolicy::Manual,
             push_queue: 1024,
-            inbox: 1024,
             idle_timeout: None,
             write_timeout: None,
-            busy_timeout: Duration::from_millis(250),
             role: Role::Standalone,
         }
     }
@@ -142,12 +131,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Selects the overload-shedding deadline.
-    pub fn with_busy_timeout(mut self, deadline: Duration) -> ServiceConfig {
-        self.busy_timeout = deadline;
-        self
-    }
-
     /// Selects the deployment role (site or coordinator).
     pub fn with_role(mut self, role: Role) -> ServiceConfig {
         self.role = role;
@@ -155,96 +138,20 @@ impl ServiceConfig {
     }
 }
 
-/// Verbs a session can shed with `ERR busy`, in the order their counters
-/// appear in [`Metrics::shed_by_verb`]; `parse` stands for lines that
-/// never parsed into a verb at all.
-pub(crate) const SHED_VERBS: [&str; 14] = [
-    "REGISTER",
-    "UNREGISTER",
-    "SUBSCRIBE",
-    "UNSUBSCRIBE",
-    "SNAPSHOT",
-    "TICK",
-    "TICKAT",
-    "STATS",
-    "PING",
-    "SITE",
-    "SITEDELTA",
-    "SITETICK",
-    "QUIT",
-    "parse",
-];
-
-/// Robustness counters shared by the session threads (which record) and
-/// the engine owner (which reports them via `STATS`).
-#[derive(Default)]
-pub(crate) struct Metrics {
-    /// Connections torn down by the idle deadline.
-    pub(crate) reaped: AtomicU64,
-    /// Requests answered `ERR busy` without reaching the engine.
-    pub(crate) shed: AtomicU64,
-    /// The same sheds broken down per verb (indexed like [`SHED_VERBS`]),
-    /// so shedding of site uplink traffic is distinguishable from
-    /// shedding of subscriber traffic.
-    pub(crate) shed_by_verb: [AtomicU64; SHED_VERBS.len()],
-    /// `DELTA` payload encodings performed — exactly one per routed
-    /// delta per tick, **not** one per subscriber (the encode-once
-    /// invariant the fan-out tests assert against `STATS encodes=`).
-    pub(crate) encodes: AtomicU64,
-    /// Bytes written to the reactor's wakeup socketpair.
-    pub(crate) pokes: AtomicU64,
-    /// `epoll_wait` returns of the reactor loop.
-    pub(crate) wakeups: AtomicU64,
-    /// `read` calls on connection sockets.
-    pub(crate) sock_reads: AtomicU64,
-    /// `write` calls on connection sockets.
-    pub(crate) sock_writes: AtomicU64,
-}
-
-impl Metrics {
-    /// Tallies one `ERR busy` shed of `verb` (both the total and the
-    /// per-verb slot).
-    pub(crate) fn record_shed(&self, verb: &str) {
-        self.shed.fetch_add(1, Ordering::Relaxed);
-        if let Some(i) = SHED_VERBS.iter().position(|v| *v == verb) {
-            self.shed_by_verb[i].fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
-/// An event consumed by the engine-owner thread.
-pub(crate) enum Event {
-    /// A new connection: its id, its outbound queue, and its in-flight
-    /// request counter (see `session::forward` for the shedding
-    /// contract).
-    Connect(SessionId, Arc<SessionOut>, Arc<AtomicUsize>),
-    /// A parsed request from a session.
-    Request(SessionId, Request),
-    /// An unparseable line from a session (the parse error).
-    Bad(SessionId, String),
-    /// A session's reader hit EOF/error; tear the session down.
-    Gone(SessionId),
-    /// Timer fired (interval mode): flush queued arrivals.
-    Flush,
-    /// Stop the event loop and close every session.
-    Shutdown,
-}
-
 /// A running TCP serving layer over one [`MonitorServer`].
 ///
-/// Dropping a `Service` without calling [`Service::shutdown`] leaves the
-/// background threads running detached; call `shutdown` for an orderly
-/// stop.
+/// Dropping a `Service` without calling [`Service::shutdown`] stops it
+/// too (its event loop sees the stop socket close) but does not wait for
+/// the thread to finish; call `shutdown` for an orderly stop.
 pub struct Service {
     addr: SocketAddr,
-    inbox: SyncSender<Event>,
-    stopping: Arc<AtomicBool>,
-    waker: Arc<Waker>,
-    threads: Vec<JoinHandle<()>>,
+    /// Closing this end of a socket pair wakes the loop to stop.
+    stop: UnixStream,
+    thread: JoinHandle<()>,
 }
 
 impl Service {
-    /// Binds a listener and spawns the accept + engine (+ timer) threads.
+    /// Binds a listener and spawns the thread that serves it.
     ///
     /// Bind to port 0 to let the OS choose; [`Service::local_addr`] reports
     /// the actual endpoint.
@@ -255,76 +162,19 @@ impl Service {
         let local = listener
             .local_addr()
             .map_err(|e| TkmError::Internal(format!("local_addr: {e}")))?;
-        let (tx, rx) = std::sync::mpsc::sync_channel(cfg.inbox.max(1));
-        let stopping = Arc::new(AtomicBool::new(false));
-        let metrics = Arc::new(Metrics::default());
-        let mut threads = Vec::new();
-
-        let (mut reactor, waker) = Reactor::new(
-            listener,
-            tx.clone(),
-            Arc::clone(&stopping),
-            Arc::clone(&metrics),
-            ReactorCfg {
-                idle: cfg.idle_timeout,
-                write_timeout: cfg.write_timeout,
-                busy: cfg.busy_timeout,
-            },
-        )
-        .map_err(|e| TkmError::Internal(format!("reactor setup: {e}")))?;
-        threads.push(std::thread::spawn(move || reactor.run()));
-
-        if let TickPolicy::Interval(period) = cfg.tick {
-            let timer_tx = tx.clone();
-            let timer_stop = Arc::clone(&stopping);
-            threads.push(std::thread::spawn(move || {
-                // Deadline-based so the cadence tracks `period` exactly,
-                // sleeping in short slices so shutdown is not held hostage
-                // by a long tick interval.
-                let slice = Duration::from_millis(25);
-                let mut next = Instant::now() + period;
-                loop {
-                    if timer_stop.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    let now = Instant::now();
-                    if now < next {
-                        std::thread::sleep((next - now).min(slice));
-                        continue;
-                    }
-                    next += period;
-                    if timer_tx.send(Event::Flush).is_err() {
-                        return;
-                    }
-                }
-            }));
-        }
-
-        let role = match cfg.role.clone() {
-            Role::Standalone => RoleState::Standalone,
-            Role::Coordinator => RoleState::Coordinator(CoordState::new()),
-            Role::Site(site) => RoleState::Site(SiteState::new(site)),
-        };
-        let mut owner = EngineOwner {
-            server,
-            cfg,
-            role,
-            sessions: BTreeMap::new(),
-            router: DeltaRouter::new(),
-            pending: Vec::new(),
-            line: String::new(),
-            stats: Counters::default(),
-            metrics,
-            waker: Arc::clone(&waker),
-        };
-        threads.push(std::thread::spawn(move || owner.run(&rx)));
-
+        let (stop, stop_rx) =
+            UnixStream::pair().map_err(|e| TkmError::Internal(format!("stop socket: {e}")))?;
+        let poller = Reactor::poller(&listener, &stop_rx)
+            .map_err(|e| TkmError::Internal(format!("reactor setup: {e}")))?;
+        // The session queues are shared through `Rc`s, so the loop and
+        // its owner are built on the thread that runs them.
+        let thread = std::thread::spawn(move || {
+            Reactor::new(poller, listener, stop_rx, EngineOwner::new(server, cfg)).run();
+        });
         Ok(Service {
             addr: local,
-            inbox: tx,
-            stopping,
-            waker,
-            threads,
+            stop,
+            thread,
         })
     }
 
@@ -333,35 +183,36 @@ impl Service {
         self.addr
     }
 
-    /// Stops accepting, closes every session, and joins the reactor /
-    /// timer / engine threads. The reactor performs one final
-    /// best-effort flush of queued output before closing sockets, so
-    /// delivery of already-queued lines is best-effort on shutdown.
-    pub fn shutdown(mut self) {
-        self.stopping.store(true, Ordering::Relaxed);
-        let _ = self.inbox.send(Event::Shutdown);
-        self.waker.notify();
-        for handle in self.threads.drain(..) {
-            let _ = handle.join();
-        }
+    /// Stops accepting, closes every session, and joins the serving
+    /// thread. The loop performs one final best-effort flush of queued
+    /// output before closing sockets, so delivery of already-queued lines
+    /// is best-effort on shutdown.
+    pub fn shutdown(self) {
+        drop(self.stop);
+        let _ = self.thread.join();
     }
 }
 
+/// Serving-layer counters, reported by `STATS`.
 #[derive(Default)]
-struct Counters {
+pub(crate) struct Counters {
     ticks: u64,
     arrivals: u64,
     deltas: u64,
     resyncs: u64,
     tick_errors: u64,
-}
-
-/// The engine owner's view of one live session.
-struct SessionHandle {
-    sub: Subscriber,
-    /// Requests accepted by the reader but not yet replied to; the engine
-    /// decrements it *after* enqueuing each reply (shedding contract).
-    inflight: Arc<AtomicUsize>,
+    /// Connections torn down by the idle deadline.
+    pub(crate) reaped: u64,
+    /// `DELTA` payload encodings performed — exactly one per routed
+    /// delta per tick, **not** one per subscriber (the encode-once
+    /// invariant the fan-out tests assert against `STATS encodes=`).
+    encodes: u64,
+    /// `epoll_wait` returns of the event loop.
+    pub(crate) wakeups: u64,
+    /// `read` calls on connection sockets.
+    pub(crate) sock_reads: u64,
+    /// `write` calls on connection sockets.
+    pub(crate) sock_writes: u64,
 }
 
 /// A session and its outbound queue — also the entry type of the
@@ -370,7 +221,7 @@ struct SessionHandle {
 #[derive(Clone)]
 struct Subscriber {
     sid: SessionId,
-    out: Arc<SessionOut>,
+    out: Rc<SessionOut>,
 }
 
 impl PartialEq for Subscriber {
@@ -401,99 +252,91 @@ enum RoleState {
     Site(SiteState),
 }
 
-struct EngineOwner {
+/// The engine, the subscription table and the role state, with the
+/// request handlers the event loop calls.
+pub(crate) struct EngineOwner {
     server: MonitorServer,
-    cfg: ServiceConfig,
+    pub(crate) cfg: ServiceConfig,
     role: RoleState,
-    sessions: BTreeMap<SessionId, SessionHandle>,
+    sessions: BTreeMap<SessionId, Subscriber>,
     /// The one subscription table: query → subscriber queues.
     router: DeltaRouter<Subscriber>,
     /// Arrivals queued since the last flush (interval ticking only).
     pending: Vec<f64>,
     /// The buffer every push line of a cycle is encoded through.
     line: String,
-    stats: Counters,
-    metrics: Arc<Metrics>,
-    /// The reactor's waker: signalled once per inbox event.
-    waker: Arc<Waker>,
+    /// Counted by the handlers and the event loop.
+    pub(crate) stats: Counters,
+    started: Instant,
 }
 
 impl EngineOwner {
-    fn run(&mut self, rx: &Receiver<Event>) {
-        let started = Instant::now();
-        while let Ok(event) = rx.recv() {
-            match event {
-                Event::Connect(sid, out, inflight) => {
-                    let sub = Subscriber { sid, out };
-                    self.sessions.insert(sid, SessionHandle { sub, inflight });
-                }
-                Event::Request(sid, req) => {
-                    let quitting = matches!(req, Request::Quit);
-                    if quitting {
-                        self.reply(sid, &Reply::OkBye);
-                    } else {
-                        let reply = self.execute(sid, req, started);
-                        self.reply(sid, &reply);
-                    }
-                    self.acknowledge(sid);
-                    if quitting {
-                        self.teardown(sid);
-                    }
-                }
-                Event::Bad(sid, msg) => {
-                    self.reply(
-                        sid,
-                        &Reply::Err {
-                            code: ErrCode::Parse,
-                            message: msg,
-                        },
-                    );
-                    self.acknowledge(sid);
-                }
-                Event::Gone(sid) => self.teardown(sid),
-                Event::Flush => {
-                    if self.flush().is_err() {
-                        self.stats.tick_errors += 1;
-                    }
-                }
-                Event::Shutdown => break,
-            }
-            // The event's one poke, after its last enqueue.
-            self.waker.flush();
+    fn new(server: MonitorServer, cfg: ServiceConfig) -> EngineOwner {
+        let role = match cfg.role.clone() {
+            Role::Standalone => RoleState::Standalone,
+            Role::Coordinator => RoleState::Coordinator(CoordState::new()),
+            Role::Site(site) => RoleState::Site(SiteState::new(site)),
+        };
+        EngineOwner {
+            server,
+            cfg,
+            role,
+            sessions: BTreeMap::new(),
+            router: DeltaRouter::new(),
+            pending: Vec::new(),
+            line: String::new(),
+            stats: Counters::default(),
+            started: Instant::now(),
         }
-        for handle in self.sessions.values() {
-            handle.sub.out.close();
-        }
-        self.waker.flush();
-        // Connects that were still queued behind the Shutdown event would
-        // otherwise leave the reactor holding sockets that can never be
-        // adopted; closing their queues lets it shut them down.
-        while let Ok(event) = rx.try_recv() {
-            if let Event::Connect(_, out, _) = event {
-                out.close();
+    }
+
+    /// Adopts a new connection's outbound queue.
+    pub(crate) fn connect(&mut self, sid: SessionId, out: Rc<SessionOut>) {
+        self.sessions.insert(sid, Subscriber { sid, out });
+    }
+
+    /// Serves one framed request line of session `sid` (`Err` carries the
+    /// parse error): its reply, and every push it causes, are on the
+    /// session queues when this returns.
+    pub(crate) fn serve(&mut self, sid: SessionId, req: std::result::Result<Request, String>) {
+        match req {
+            Ok(Request::Quit) => {
+                self.reply(sid, &Reply::OkBye);
+                self.teardown(sid);
             }
+            Ok(req) => {
+                let reply = self.execute(sid, req);
+                self.reply(sid, &reply);
+            }
+            Err(message) => self.reply(
+                sid,
+                &Reply::Err {
+                    code: ErrCode::Parse,
+                    message,
+                },
+            ),
+        }
+    }
+
+    /// The interval timer fired: flush queued arrivals as one cycle.
+    pub(crate) fn tick_timer(&mut self) {
+        if self.flush().is_err() {
+            self.stats.tick_errors += 1;
         }
     }
 
     fn reply(&self, sid: SessionId, reply: &Reply) {
-        if let Some(handle) = self.sessions.get(&sid) {
-            handle.sub.out.send_reply(reply.to_string());
+        if let Some(sub) = self.sessions.get(&sid) {
+            sub.out.send_reply(reply.to_string());
         }
     }
 
-    /// Releases one in-flight token *after* the corresponding reply was
-    /// enqueued — the ordering that makes reader-side `ERR busy` shedding
-    /// safe (see `session::forward`).
-    fn acknowledge(&self, sid: SessionId) {
-        if let Some(handle) = self.sessions.get(&sid) {
-            handle.inflight.fetch_sub(1, Ordering::SeqCst);
-        }
-    }
-
-    fn teardown(&mut self, sid: SessionId) {
-        if let Some(handle) = self.sessions.remove(&sid) {
-            self.router.drop_subscriber(&handle.sub);
-            handle.sub.out.close();
+    /// Forgets a session (idempotent): its subscriptions go and its queue
+    /// closes.
+    pub(crate) fn teardown(&mut self, sid: SessionId) {
+        if let Some(sub) = self.sessions.remove(&sid) {
+            self.router.drop_subscriber(&sub);
+            sub.out.close();
         }
         // If the dead session was a site uplink, the site just missed its
         // lease: drop its contribution, keep serving from the survivors,
@@ -511,7 +354,7 @@ impl EngineOwner {
 
     /// Executes one request, returning its reply. `Quit` is handled by the
     /// caller.
-    fn execute(&mut self, sid: SessionId, req: Request, started: Instant) -> Reply {
+    fn execute(&mut self, sid: SessionId, req: Request) -> Reply {
         if let Some(reject) = self.role_guard(&req) {
             return reject;
         }
@@ -533,7 +376,7 @@ impl EngineOwner {
                     // Baseline the subscriber immediately before its OK:
                     // FIFO ordering guarantees the snapshot arrives with
                     // the reply and before any subsequent delta.
-                    if let Some(SessionHandle { sub, .. }) = self.sessions.get(&sid) {
+                    if let Some(sub) = self.sessions.get(&sid) {
                         self.router.subscribe(q, sub.clone());
                         sub.out.force_push(
                             Push::Snapshot {
@@ -558,8 +401,8 @@ impl EngineOwner {
                 Err(e) => err_reply(&e),
             },
             Request::Unsubscribe(q) => {
-                if let Some(handle) = self.sessions.get(&sid) {
-                    self.router.unsubscribe(q, &handle.sub);
+                if let Some(sub) = self.sessions.get(&sid) {
+                    self.router.unsubscribe(q, sub);
                 }
                 Reply::OkQuery(q)
             }
@@ -583,7 +426,7 @@ impl EngineOwner {
                 }
                 self.ingest(&arrivals, Some(at))
             }
-            Request::Stats => self.stats_reply(started),
+            Request::Stats => self.stats_reply(),
             Request::Ping => Reply::OkPong,
             Request::SiteHello { site, dims } => self.site_hello(sid, site, dims),
             Request::SiteDelta { at: _, delta } => self.site_delta(sid, &delta),
@@ -671,8 +514,8 @@ impl EngineOwner {
         };
         let line = Push::Adopt { query, spec }.to_string();
         for sid in coord.uplink_sids() {
-            if let Some(handle) = self.sessions.get(&sid) {
-                handle.sub.out.force_push(line.clone());
+            if let Some(sub) = self.sessions.get(&sid) {
+                sub.out.force_push(line.clone());
             }
         }
     }
@@ -712,9 +555,9 @@ impl EngineOwner {
             };
         }
         let replay = coord.enroll(sid, site);
-        if let Some(handle) = self.sessions.get(&sid) {
+        if let Some(sub) = self.sessions.get(&sid) {
             for (q, spec) in replay {
-                handle.sub.out.force_push(
+                sub.out.force_push(
                     Push::Adopt {
                         query: q,
                         spec: Some(spec),
@@ -894,8 +737,8 @@ impl EngineOwner {
     /// Each routed delta is encoded exactly **once** (tallied in
     /// `STATS encodes=`) through one reused line buffer into an
     /// `Arc<[u8]>` payload whose bytes every subscriber's queue shares;
-    /// the per-subscriber work left is one pointer enqueue. The reactor
-    /// is signalled after the event's reply, not by these enqueues, so a
+    /// the per-subscriber work left is one pointer enqueue. The loop
+    /// writes each touched session once at the end of its pass, so a
     /// subscriber receives the whole cycle in one write.
     fn fan_out(&mut self, now: Timestamp, deltas: &[ResultDelta]) {
         let cap = self.cfg.push_queue;
@@ -906,7 +749,7 @@ impl EngineOwner {
                 continue;
             }
             let bytes = encode_delta_push(&mut self.line, now, delta);
-            self.metrics.encodes.fetch_add(1, Ordering::Relaxed);
+            self.stats.encodes += 1;
             for sub in subscribers {
                 // Once a queue overflows, its latch refuses every later
                 // push of this cycle too, so a session can be collected
@@ -952,7 +795,7 @@ impl EngineOwner {
         }
     }
 
-    fn stats_reply(&self, started: Instant) -> Reply {
+    fn stats_reply(&self) -> Reply {
         let mut pairs = vec![
             ("engine".into(), self.server.engine_name().to_string()),
             ("dims".into(), self.server.dims().to_string()),
@@ -962,14 +805,15 @@ impl EngineOwner {
             ("ticks".into(), self.stats.ticks.to_string()),
             ("arrivals".into(), self.stats.arrivals.to_string()),
             ("deltas".into(), self.stats.deltas.to_string()),
-            counter("encodes", &self.metrics.encodes),
+            ("encodes".into(), self.stats.encodes.to_string()),
             ("resyncs".into(), self.stats.resyncs.to_string()),
-            counter("pokes", &self.metrics.pokes),
-            counter("wakeups", &self.metrics.wakeups),
-            counter("sock_reads", &self.metrics.sock_reads),
-            counter("sock_writes", &self.metrics.sock_writes),
-            counter("reaped", &self.metrics.reaped),
-            counter("shed", &self.metrics.shed),
+            ("wakeups".into(), self.stats.wakeups.to_string()),
+            ("sock_reads".into(), self.stats.sock_reads.to_string()),
+            ("sock_writes".into(), self.stats.sock_writes.to_string()),
+            ("reaped".into(), self.stats.reaped.to_string()),
+            // Nothing is shed any more; the key stays because the frozen
+            // benchmark reads it (ROADMAP item 6 retires it).
+            ("shed".into(), "0".into()),
             ("tick_errors".into(), self.stats.tick_errors.to_string()),
             (
                 "pending".into(),
@@ -979,17 +823,9 @@ impl EngineOwner {
             ("router_bytes".into(), self.router.space_bytes().to_string()),
             (
                 "uptime_ms".into(),
-                started.elapsed().as_millis().to_string(),
+                self.started.elapsed().as_millis().to_string(),
             ),
         ];
-        // Per-verb shed breakdown (only non-zero slots, to keep the line
-        // short); the sum over these equals `shed=`.
-        for (i, verb) in SHED_VERBS.iter().enumerate() {
-            let n = self.metrics.shed_by_verb[i].load(Ordering::Relaxed);
-            if n > 0 {
-                pairs.push((format!("shed_{verb}"), n.to_string()));
-            }
-        }
         match &self.role {
             RoleState::Standalone => pairs.push(("role".into(), "standalone".into())),
             RoleState::Coordinator(coord) => pairs.extend(coord.stats()),
@@ -1023,11 +859,6 @@ pub(crate) fn build_query(spec: &QuerySpec) -> Result<Query> {
             Rect::new(lo, hi).and_then(|rect| Query::constrained(f, spec.k, rect))
         }
     }
-}
-
-/// One relaxed counter as a `STATS` pair.
-fn counter(key: &str, value: &AtomicU64) -> (String, String) {
-    (key.into(), value.load(Ordering::Relaxed).to_string())
 }
 
 fn internal_reply(message: &str) -> Reply {

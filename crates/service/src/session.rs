@@ -1,32 +1,23 @@
 //! Per-connection session state: outbound byte queue and line framing.
 //!
-//! Since PR 10 connections are **not** driven by per-connection threads:
-//! the [`crate::reactor`] event loop owns every subscriber socket and
-//! drives all of them from one thread. This module provides the two
-//! pieces of per-connection state the reactor and the engine owner
-//! feeding it share:
+//! Connections are **not** driven by per-connection threads: the
+//! [`crate::reactor`] event loop owns every socket and serves all of them
+//! from one thread, the same thread that runs the engine. This module
+//! provides the two pieces of per-connection state that loop keeps:
 //!
 //! * [`SessionOut`] — one ordered outbound queue per connection, shared by
-//!   replies and pushes. Its one producer (the engine-owner thread)
-//!   enqueues whole lines as reference-counted byte payloads —
-//!   one tick's `DELTA` line is encoded **once** per query and the same
-//!   `Arc<[u8]>` is enqueued for every subscriber — and the reactor drains
-//!   it with a *partial-write cursor*: a short write leaves the front
-//!   payload in place with its offset advanced, so flushing resumes
-//!   mid-line at the next write-readiness wakeup without ever splicing
-//!   two lines together. Filling an empty queue only *marks* the session
-//!   dirty on the reactor's `Waker`; the engine owner signals once per
-//!   inbox event, so the reactor writes all an event queued in one call.
-//!   The front line sits inline in the queue state, so a session that
-//!   holds one line at a time never allocates; lines behind it spill to
-//!   a `VecDeque`. One atomic word mirrors "empty" and "closed": it is
-//!   stored only while the queue lock is held and read without it, so
-//!   the drain's last peek, `is_drained` and the reactor's `settle` take
-//!   no lock. A stale "empty" read only delays a flush, never loses one:
-//!   every idle→busy enqueue stores the mirror *before* it marks the
-//!   session on the `Waker`, so the reactor's next `take` sees it busy.
-//!   A closed queue refuses every enqueue, so "closed and drained" never
-//!   un-happens and one read of the word may tear the socket down.
+//!   replies and pushes. The request handlers enqueue whole lines as
+//!   reference-counted byte payloads — one tick's `DELTA` line is encoded
+//!   **once** per query and the same `Arc<[u8]>` is enqueued for every
+//!   subscriber — and the loop drains it with a *partial-write cursor*: a
+//!   short write leaves the front payload in place with its offset
+//!   advanced, so flushing resumes mid-line at the next write-readiness
+//!   wakeup without ever splicing two lines together. Filling an empty
+//!   queue (or closing it) puts the session on the loop's dirty list, so
+//!   at the end of a wakeup pass the loop writes each touched session
+//!   once, however many lines the pass queued. The front line sits inline
+//!   in the queue state, so a session that holds one line at a time never
+//!   allocates; lines behind it spill to a `VecDeque`.
 //! * [`LineFramer`] — incremental request-line reassembly. The reactor
 //!   reads whatever the socket has ready (possibly one byte, possibly a
 //!   dozen pipelined lines, possibly a UTF-8 sequence split across two
@@ -37,29 +28,26 @@
 //!
 //! **Backpressure policy** (drop-to-snapshot, unchanged since PR 5):
 //! replies are never dropped, but the number of queued *push* lines is
-//! capped. When a producer pushes to a session whose cap is reached — a
+//! capped. When a handler pushes to a session whose cap is reached — a
 //! consumer reading slower than its subscriptions produce — every queued
 //! push is discarded and the engine re-baselines the session with a
 //! `RESYNC` marker followed by a fresh `SNAPSHOT` per subscription. Two
-//! subtleties are new with the reactor. First, a push the reactor has
-//! *staged for a socket write* — copied out by
-//! [`SessionOut::peek_coalesced`], with the write itself happening
-//! lock-free and [`SessionOut::advance`] accounting for it afterwards —
-//! is never discarded: dropping it would
-//! desynchronize that accounting (popping lines that were never written)
-//! or resume the stream mid-line and garble the next payload. Second, an
-//! overflow *latches*: until the engine owner re-arms the queue with
-//! [`SessionOut::clear_overflow`] right before the `RESYNC` baseline,
-//! every capped push is refused outright, so the rest of the cycle's
-//! deltas cannot land ahead of the pending resync.
+//! subtleties come with coalesced writes. First, a push *staged for a
+//! socket write* — copied out by [`SessionOut::peek_coalesced`] and
+//! accounted for afterwards by [`SessionOut::advance`] — is never
+//! discarded: dropping it would desynchronize that accounting (popping
+//! lines that were never written) or resume the stream mid-line and
+//! garble the next payload. Second, an overflow *latches*: until the
+//! engine re-arms the queue with [`SessionOut::clear_overflow`] right
+//! before the `RESYNC` baseline, every capped push is refused outright,
+//! so the rest of the cycle's deltas cannot land ahead of the pending
+//! resync.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::io::BufRead;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::time::{Duration, Instant};
-
-use crate::reactor::Waker;
+use std::rc::Rc;
+use std::sync::Arc;
 
 /// Identifier of one accepted connection, unique within a service run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -70,6 +58,11 @@ impl std::fmt::Display for SessionId {
         write!(f, "c{}", self.0)
     }
 }
+
+/// The sessions whose queue became non-empty (or was closed) since the
+/// event loop last flushed: the loop's dirty list, shared with every
+/// queue it adopted.
+pub(crate) type DirtyList = Rc<RefCell<Vec<SessionId>>>;
 
 /// A queued outbound line, classed by droppability.
 struct OutEntry {
@@ -92,29 +85,23 @@ struct OutState {
     cursor: usize,
     /// Number of `push` entries currently queued.
     pushes: usize,
-    /// Front entries currently *staged* by the reactor for a socket
-    /// write: [`SessionOut::peek_coalesced`] copies their bytes out under
-    /// the lock, the socket write happens with the lock released, and
-    /// [`SessionOut::advance`] accounts for it afterwards by popping
-    /// exactly these entries. The overflow drop
+    /// Front entries currently *staged* for a socket write:
+    /// [`SessionOut::peek_coalesced`] copies their bytes out, the socket
+    /// write happens, and [`SessionOut::advance`] accounts for it
+    /// afterwards by popping exactly these entries. The overflow drop
     /// must never discard a staged entry: `advance` would then pop lines
     /// enqueued *after* the drop (losing replies/`RESYNC`s) or leave the
     /// cursor mid-entry (garbling the stream).
     staged: usize,
-    /// The push backlog was dropped on overflow and the engine owner has
-    /// not yet re-baselined this session: further capped pushes are
-    /// refused (not enqueued) so no producer can slip a delta in ahead of
-    /// the pending `RESYNC`.
+    /// The push backlog was dropped on overflow and the engine has not
+    /// yet re-baselined this session: further capped pushes are refused
+    /// (not enqueued) so no delta can slip in ahead of the pending
+    /// `RESYNC`.
     overflowed: bool,
     /// No further lines will be accepted; the reactor drains what is
     /// queued and then shuts the socket down.
     closed: bool,
 }
-
-/// [`OutState::mirror`] bit: at least one line is queued.
-const BUSY: u8 = 1;
-/// [`OutState::mirror`] bit: the queue was closed.
-const CLOSED: u8 = 2;
 
 impl OutState {
     fn is_empty(&self) -> bool {
@@ -135,89 +122,53 @@ impl OutState {
     fn iter(&self) -> impl Iterator<Item = &OutEntry> {
         self.front.iter().chain(&self.rest)
     }
-
-    /// The [`BUSY`] / [`CLOSED`] word this state publishes.
-    fn mirror(&self) -> u8 {
-        let busy = if self.is_empty() { 0 } else { BUSY };
-        busy | if self.closed { CLOSED } else { 0 }
-    }
 }
 
 /// The outbound side of one session: an ordered reply/push byte queue
-/// produced by the engine owner, consumed by the reactor with
+/// filled by the request handlers and drained by the event loop with
 /// partial-write resumption.
 ///
-/// A `Service` gives each queue exactly two parties: the engine-owner
-/// thread enqueues, the reactor thread drains. Consumption
+/// Every method takes `&self`, so the subscription table and the loop's
+/// connection can share one queue. Consumption
 /// ([`SessionOut::peek_coalesced`] / [`SessionOut::advance`]) is
-/// single-consumer by contract; enqueueing is safe from any thread.
-///
-/// "Empty" and "closed" are mirrored in one atomic word, stored only
-/// while the queue lock is held, so [`SessionOut::is_drained`],
-/// [`SessionOut::is_closed`] and a peek at an empty queue take no lock.
-/// A reader may see "empty" a moment late, never wrongly for good: the
-/// enqueue that makes an idle queue busy stores the word before it marks
-/// the session on the reactor's waker, so the flush that mark triggers
-/// sees the line. A closed queue accepts nothing, so a word reading
-/// "closed and empty" stays true.
+/// single-consumer by contract.
 #[derive(Default)]
 pub struct SessionOut {
-    state: Mutex<OutState>,
-    /// [`OutState::mirror`] as of the last change under `state`'s lock.
-    mirror: AtomicU8,
-    /// The reactor waker (set once when the reactor adopts the
-    /// connection); an enqueue into an empty queue marks this session
-    /// dirty there, and the engine owner's [`Waker::flush`] wakes the loop.
-    waker: OnceLock<(Arc<Waker>, SessionId)>,
+    state: RefCell<OutState>,
+    /// The event loop's dirty list and this session's id there (set when
+    /// the loop adopts the connection); an enqueue into an empty queue
+    /// marks the session on it.
+    dirty: Option<(DirtyList, SessionId)>,
 }
 
 impl SessionOut {
-    /// Locks the queue state, recovering from poisoning: the queue's
-    /// push/pop operations keep it structurally consistent even if a
-    /// holder panicked mid-update, and losing one session's backlog is
-    /// strictly better than wedging every thread that touches it.
-    fn lock_state(&self) -> std::sync::MutexGuard<'_, OutState> {
-        self.state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
     /// Creates an empty open queue.
     pub fn new() -> SessionOut {
         SessionOut::default()
     }
 
-    /// Attaches the reactor waker; called once when the reactor adopts
-    /// the connection.
-    pub(crate) fn attach_waker(&self, waker: Arc<Waker>, sid: SessionId) {
-        let _ = self.waker.set((waker, sid));
-    }
-
-    /// Tells the reactor's waker (when attached) that this session has
-    /// pending output or was closed. No wake-up happens here.
-    fn mark(&self) {
-        if let Some((waker, sid)) = self.waker.get() {
-            waker.mark(*sid);
+    /// An empty open queue whose idle→busy transitions mark `sid` on the
+    /// event loop's dirty list.
+    pub(crate) fn marking(dirty: DirtyList, sid: SessionId) -> SessionOut {
+        SessionOut {
+            state: RefCell::default(),
+            dirty: Some((dirty, sid)),
         }
     }
 
-    /// Stores `st`'s mirror word; callers hold the lock `st` came from,
-    /// so stores follow the lock order. The `Release` pairs with
-    /// [`SessionOut::observe`]'s `Acquire`: a reader that sees a word
-    /// also sees every queue change made before it was stored.
-    fn publish(&self, st: &OutState) {
-        self.mirror.store(st.mirror(), Ordering::Release);
-    }
-
-    /// The mirror word, read without the lock (see
-    /// [`SessionOut::publish`]).
-    fn observe(&self) -> u8 {
-        self.mirror.load(Ordering::Acquire)
+    /// Puts this session on the loop's dirty list (when attached). Only
+    /// the empty→non-empty transition and `close` need a mark: while the
+    /// queue is non-empty the loop is already due to flush it, through
+    /// either this list or its write interest.
+    fn mark(&self) {
+        if let Some((dirty, sid)) = &self.dirty {
+            dirty.borrow_mut().push(*sid);
+        }
     }
 
     fn enqueue(&self, bytes: Arc<[u8]>, push: bool) {
         let was_idle = {
-            let mut st = self.lock_state();
+            let mut st = self.state.borrow_mut();
             if st.closed {
                 return;
             }
@@ -226,11 +177,8 @@ impl SessionOut {
                 st.pushes += 1;
             }
             st.push_back(OutEntry { bytes, push });
-            self.publish(&st);
             was_idle
         };
-        // Only the empty→non-empty transition needs a mark: while the
-        // queue is non-empty the reactor is already due to flush it.
         if was_idle {
             self.mark();
         }
@@ -247,19 +195,20 @@ impl SessionOut {
     /// Tries to enqueue an already-encoded push payload (terminator
     /// included) under a cap of `cap` pending pushes.
     ///
-    /// On overflow every queued push is discarded — except entries the
-    /// reactor has staged for (or partially completed) a socket write,
-    /// which must stay so the write's accounting pops the right lines and
-    /// the byte stream stays line-aligned — replies are retained in
-    /// order, and `false` is returned: the caller must re-baseline the
-    /// session with `RESYNC` + `SNAPSHOT` pushes via
-    /// [`SessionOut::force_push`]. Until [`SessionOut::clear_overflow`]
-    /// marks that re-baseline as underway, every further capped push is
-    /// refused (returning `false` again) without touching the queue, so
-    /// no later delta can land ahead of the pending `RESYNC`.
+    /// On overflow every queued push is discarded — except entries
+    /// staged for (or partially completed by) a socket write, which must
+    /// stay so the write's accounting pops the right lines and the byte
+    /// stream stays line-aligned — replies are retained in order, and
+    /// `false` is returned: the caller must re-baseline the session with
+    /// `RESYNC` + `SNAPSHOT` pushes via [`SessionOut::force_push`]. Until
+    /// [`SessionOut::clear_overflow`] marks that re-baseline as underway,
+    /// every further capped push is refused (returning `false` again)
+    /// without touching the queue, so no later delta can land ahead of
+    /// the pending `RESYNC`.
     pub fn try_push_shared(&self, bytes: Arc<[u8]>, cap: usize) -> bool {
         let was_idle = {
-            let mut st = self.lock_state();
+            let mut guard = self.state.borrow_mut();
+            let st = &mut *guard;
             if st.closed {
                 // A vanishing session needs no resync.
                 return true;
@@ -268,7 +217,6 @@ impl SessionOut {
                 return false;
             }
             if st.pushes >= cap {
-                let st = &mut *st;
                 let protect = st.staged.max(usize::from(st.cursor > 0));
                 if let Some(front) = st.front.take() {
                     st.rest.push_front(front);
@@ -282,13 +230,11 @@ impl SessionOut {
                 st.pop_front();
                 st.pushes = st.iter().filter(|l| l.push).count();
                 st.overflowed = true;
-                self.publish(st);
                 return false;
             }
             let was_idle = st.is_empty();
             st.push_back(OutEntry { bytes, push: true });
             st.pushes += 1;
-            self.publish(&st);
             was_idle
         };
         if was_idle {
@@ -298,10 +244,10 @@ impl SessionOut {
     }
 
     /// Re-arms capped pushes after an overflow drop. Called by the engine
-    /// owner immediately before it enqueues the `RESYNC` + `SNAPSHOT`
-    /// baseline (it is the only pusher, so nothing can land in between).
+    /// immediately before it enqueues the `RESYNC` + `SNAPSHOT` baseline
+    /// (nothing else pushes in between).
     pub fn clear_overflow(&self) {
-        self.lock_state().overflowed = false;
+        self.state.borrow_mut().overflowed = false;
     }
 
     /// Enqueues a push line bypassing the cap — used only for the `RESYNC`
@@ -314,48 +260,30 @@ impl SessionOut {
     /// Marks the queue closed: already-queued lines are still delivered,
     /// then the reactor shuts the socket down.
     pub fn close(&self) {
-        {
-            let mut st = self.lock_state();
-            st.closed = true;
-            self.publish(&st);
-        }
+        self.state.borrow_mut().closed = true;
         self.mark();
     }
 
-    /// Whether [`SessionOut::close`] has been called. Takes no lock.
+    /// Whether [`SessionOut::close`] has been called.
     pub fn is_closed(&self) -> bool {
-        self.observe() & CLOSED != 0
+        self.state.borrow().closed
     }
 
     /// Whether nothing is queued (a closed, drained session can be shut
-    /// down). Takes no lock.
+    /// down).
     pub fn is_drained(&self) -> bool {
-        self.observe() & BUSY == 0
-    }
-
-    /// `(closed, drained)` from one read of the mirror word, for the
-    /// reactor's `settle`: "closed and drained" read together is final.
-    pub(crate) fn flags(&self) -> (bool, bool) {
-        let word = self.observe();
-        (word & CLOSED != 0, word & BUSY == 0)
+        self.state.borrow().is_empty()
     }
 
     /// Copies up to `max` pending bytes (starting at the partial-write
     /// cursor, spanning entries) into `scratch`, returning how many were
     /// staged — a burst of small push lines becomes one socket write.
-    /// Single-consumer: only the draining thread may pair this with
+    /// Single-consumer: only the drainer may pair this with
     /// [`SessionOut::advance`]. Every entry copied from is recorded as
     /// staged — protected from the overflow drop — until that `advance`.
-    /// An empty queue answers 0 without taking the lock.
     pub fn peek_coalesced(&self, scratch: &mut Vec<u8>, max: usize) -> usize {
         scratch.clear();
-        if self.is_drained() {
-            // Nothing staged either: entries leave only through `advance`
-            // (which unstages) or the overflow drop (which keeps staged
-            // ones), so an empty queue has `staged == 0` already.
-            return 0;
-        }
-        let mut st = self.lock_state();
+        let mut st = self.state.borrow_mut();
         let mut skip = st.cursor;
         let mut staged = 0usize;
         for entry in st.iter() {
@@ -377,7 +305,7 @@ impl SessionOut {
     /// staged-entry protection (the write is fully accounted; anything
     /// left re-stages at the next peek).
     pub fn advance(&self, n: usize) {
-        let mut guard = self.lock_state();
+        let mut guard = self.state.borrow_mut();
         let st = &mut *guard;
         st.cursor += n;
         while let Some(front) = &st.front {
@@ -397,12 +325,11 @@ impl SessionOut {
         if st.is_empty() {
             st.cursor = 0;
         }
-        self.publish(st);
     }
 
     /// Number of currently queued push lines (test/stats hook).
     pub fn queued_pushes(&self) -> usize {
-        self.lock_state().pushes
+        self.state.borrow().pushes
     }
 }
 
@@ -412,35 +339,6 @@ pub(crate) fn line_bytes(line: String) -> Arc<[u8]> {
     let mut bytes = line.into_bytes();
     bytes.push(b'\n');
     Arc::from(bytes)
-}
-
-/// Bidirectional last-activity clock of one connection: inbound bytes and
-/// successful flushes both count (a pure subscriber is kept alive by its
-/// own delta stream; a connection silent in both directions must `PING`).
-pub(crate) struct Liveness {
-    epoch: Instant,
-    last_ms: AtomicU64,
-}
-
-impl Liveness {
-    pub(crate) fn new() -> Liveness {
-        Liveness {
-            epoch: Instant::now(),
-            last_ms: AtomicU64::new(0),
-        }
-    }
-
-    /// Records activity now.
-    pub(crate) fn touch(&self) {
-        let ms = self.epoch.elapsed().as_millis() as u64;
-        self.last_ms.fetch_max(ms, Ordering::Relaxed);
-    }
-
-    /// Time since the last recorded activity in either direction.
-    pub(crate) fn idle(&self) -> Duration {
-        let now = self.epoch.elapsed().as_millis() as u64;
-        Duration::from_millis(now.saturating_sub(self.last_ms.load(Ordering::Relaxed)))
-    }
 }
 
 /// Hard cap on one request line, keeping per-connection framing memory
@@ -754,16 +652,5 @@ mod tests {
         framer.feed(&[0xFF, 0xFE, b'\n', b'o', b'k', b'\n']);
         assert_eq!(framer.next_line(), Some(FramedLine::NotUtf8));
         assert_eq!(framer.next_line(), Some(FramedLine::Line("ok".into())));
-    }
-
-    #[test]
-    fn liveness_tracks_latest_touch() {
-        let liv = Liveness::new();
-        liv.touch();
-        assert!(liv.idle() < Duration::from_millis(100));
-        std::thread::sleep(Duration::from_millis(30));
-        assert!(liv.idle() >= Duration::from_millis(20));
-        liv.touch();
-        assert!(liv.idle() < Duration::from_millis(20));
     }
 }

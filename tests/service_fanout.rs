@@ -6,7 +6,7 @@
 //! encode-once counter (`STATS encodes=`) pinned to the engine's delta
 //! count and strictly below the number of deliveries it amortised.
 //!
-//! Also here: the two-thread / no-fd-leak regression (hundreds of
+//! Also here: the one-thread / no-fd-leak regression (hundreds of
 //! connect/disconnect cycles against `/proc/self` baselines) and the
 //! per-session backpressure determinism check (a slow reader resyncs at
 //! the configured cap while a fast subscriber of the *same* query sees a
@@ -340,8 +340,8 @@ fn fd_count() -> Option<usize> {
 /// counts: the reactor owns all sockets on one thread, so churn
 /// may not leak either resource. (Both sides of every connection live in
 /// this process, so `/proc/self` sees server-side leaks too.) The thread
-/// inventory itself is pinned too: a manual-tick service is the reactor
-/// plus the engine owner, nothing else, and `shutdown` joins both.
+/// inventory itself is pinned too: a service is its one serving thread,
+/// nothing else, and `shutdown` joins it.
 #[test]
 fn connection_churn_leaks_no_fds_or_threads() {
     let _alone = sockets_to_myself();
@@ -353,8 +353,8 @@ fn connection_churn_leaks_no_fds_or_threads() {
         Service::bind("127.0.0.1:0", ServiceConfig::new(ServerConfig::sma(2, 50))).expect("bind");
     assert_eq!(
         thread_count().expect("bound threads"),
-        unbound_threads + 2,
-        "a manual-tick service is exactly two threads: reactor + engine owner"
+        unbound_threads + 1,
+        "a service is exactly one thread"
     );
     let addr = service.local_addr();
     let mut control = ServiceClient::connect(addr).expect("control");

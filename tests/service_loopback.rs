@@ -123,9 +123,9 @@ fn four_subscribers_reconstruct_oracle_results() {
     assert_eq!(stats["subscriptions"], "4");
     assert_eq!(stats["resyncs"], "0", "no backpressure at this scale");
     // The robustness counters exist and stay zero on a healthy run: no
-    // idle reaping, no overload shedding.
+    // idle reaping, nothing shed.
     assert_eq!(stats["reaped"], "0", "nothing idle long enough to reap");
-    assert_eq!(stats["shed"], "0", "inbox never stayed full");
+    assert_eq!(stats["shed"], "0", "nothing is ever shed");
     ingested.wait();
 
     for handle in handles {
@@ -145,7 +145,7 @@ fn four_subscribers_reconstruct_oracle_results() {
 /// subscriber's queries match the oracle one-to-one, and its mirror —
 /// subscribe baselines plus the delta stream alone — reconstructs them,
 /// for both engines, unsharded and over a 3-shard engine (the serving
-/// layer is the same two threads either way).
+/// layer is the same one thread either way).
 #[test]
 fn single_session_matches_oracle_per_query() {
     for (engine, shards) in [
@@ -206,15 +206,15 @@ fn single_session_matches_oracle_per_query() {
     }
 }
 
-/// The owner → reactor handoff as exact counts. One ingest client, one
-/// mirror subscribed to 64 queries, 50 ticks that each change most of the
-/// results, a `PING` fence on the mirror connection per tick. However
-/// many `DELTA` lines a tick queues, the owner pokes the reactor once per
-/// request and the reactor hands each touched session to the kernel in
-/// one write — counted from `STATS`, not timed — and the mirror equals
-/// the brute-force oracle after every fence.
+/// The serving loop's cost per request as exact counts. One ingest
+/// client, one mirror subscribed to 64 queries, 50 ticks that each change
+/// most of the results, a `PING` fence on the mirror connection per tick.
+/// However many `DELTA` lines a tick queues, the loop wakes once per
+/// request (plus its idle timeouts) and hands each touched session to the
+/// kernel in one write — counted from `STATS`, not timed — and the mirror
+/// equals the brute-force oracle after every fence.
 #[test]
-fn handoff_costs_one_poke_per_request_and_one_write_per_session() {
+fn one_wakeup_per_request_and_one_write_per_session() {
     const QUERIES: usize = 64;
     let scfg = ServerConfig::sma(2, 64);
     let service = Service::bind("127.0.0.1:0", ServiceConfig::new(scfg)).expect("bind");
@@ -238,6 +238,7 @@ fn handoff_costs_one_poke_per_request_and_one_write_per_session() {
     };
 
     let before = ingest.stats().expect("stats");
+    let started = std::time::Instant::now();
     let batches = lcg_batches(41, 50, 32, 2);
     for batch in &batches {
         ingest.tick(batch).expect("tick");
@@ -258,10 +259,11 @@ fn handoff_costs_one_poke_per_request_and_one_write_per_session() {
         }
     }
     let after = ingest.stats().expect("stats");
+    // The loop's 500 ms poll timeout may also have expired in between.
+    let timeouts = 1 + started.elapsed().as_millis() as u64 / 500;
     let spent = |key: &str| count(&after, key) - count(&before, key);
 
-    // Between the two snapshots: the first STATS' own handoff, 50 ticks
-    // and 50 pings.
+    // Between the two snapshots: the second STATS, 50 ticks and 50 pings.
     let requests = 1 + 2 * batches.len() as u64;
     let deltas = spent("deltas");
     assert!(
@@ -270,9 +272,9 @@ fn handoff_costs_one_poke_per_request_and_one_write_per_session() {
     );
     assert_eq!(spent("encodes"), deltas, "one encode per routed delta");
     assert!(
-        spent("pokes") <= requests,
-        "{} pokes for {requests} requests and {deltas} pushes",
-        spent("pokes")
+        spent("wakeups") <= requests + timeouts,
+        "{} wakeups for {requests} requests and {deltas} pushes",
+        spent("wakeups")
     );
     // Per tick and fence: the tick's reply, the mirror's whole cycle in
     // one write, the pong.
