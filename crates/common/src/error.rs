@@ -30,9 +30,10 @@ pub enum TkmError {
     /// The operation is not supported by this engine/stream-model
     /// combination (e.g. SMA over explicit-deletion update streams, §7).
     Unsupported(String),
-    /// An internal invariant failed (e.g. a worker thread panicked). The
-    /// monitor that produced it may hold inconsistent state; callers should
-    /// rebuild it rather than continue ticking.
+    /// An internal invariant failed (e.g. a query id mapped to a freed
+    /// slot), or the service could not set up its sockets. A monitor that
+    /// reports it may hold inconsistent state; callers should rebuild it
+    /// rather than continue ticking.
     Internal(String),
 }
 

@@ -110,11 +110,10 @@ impl<'a> InfluenceUpdate<'a> {
 /// list of every processed cell not already known to carry it (see
 /// [`InfluenceUpdate::listed_above`]); with `influence = None` the
 /// traversal is a side-effect-free *snapshot* query. The grid itself is
-/// only read, so one shared grid can serve concurrent computations as long
-/// as each caller brings its own table and scratch. `scratch` must be
-/// sized for the same grid; after return its stamp epoch still marks every
-/// en-heaped cell and [`ComputeScratch::frontier`] holds the unprocessed
-/// frontier — the clean-up walk relies on both.
+/// only read; the caller brings the influence table and scratch.
+/// `scratch` must be sized for the same grid; after return its stamp
+/// epoch still marks every en-heaped cell and [`ComputeScratch::frontier`]
+/// holds the unprocessed frontier — the clean-up walk relies on both.
 ///
 /// All point data is read from the grid's coordinate-inline cells;
 /// the window/slab is not consulted (and not a parameter).
@@ -294,10 +293,10 @@ impl kernel::ScorerVisitor for Traversal<'_> {
     }
 }
 
-/// Reusable traversal buffers owned by one maintenance domain (engine or
-/// shard). Keeping them here makes steady-state processing cycles
-/// allocation-free: the computation heap and the frontier list retain
-/// their capacity across ticks.
+/// Reusable traversal buffers owned by one engine's maintenance stage.
+/// Keeping them here makes steady-state processing cycles allocation-free:
+/// the computation heap and the frontier list retain their capacity across
+/// ticks.
 #[derive(Debug)]
 pub struct ComputeScratch {
     /// Reusable visited markers.

@@ -22,8 +22,7 @@ use tkm_window::WindowSpec;
 /// engine is plain owned data (custom scoring functions are already
 /// `Send + Sync` via [`tkm_common::ScoringFunction`]).
 pub trait ContinuousTopK: Send {
-    /// Engine name for reports ("TMA", "SMA", "TSL", "ORACLE"; the grid
-    /// engines report "TMA-SHARED" / "SMA-SHARED" on several shards).
+    /// Engine name for reports ("TMA", "SMA", "TSL", "ORACLE").
     fn name(&self) -> &'static str;
 
     /// Dimensionality of the monitored stream.
@@ -186,30 +185,17 @@ pub enum EngineKind {
     Oracle,
 }
 
-/// Builds a boxed engine from the common configuration knobs. `shards`
-/// partitions the queries of a grid engine (TMA/SMA) over that many
-/// maintenance threads; TSL and the oracle run unsharded only.
+/// Builds a boxed engine from the common configuration knobs.
 pub fn build_engine(
     kind: EngineKind,
     dims: usize,
     window: WindowSpec,
     grid: GridSpec,
     kmax: KmaxPolicy,
-    shards: usize,
 ) -> Result<Box<dyn ContinuousTopK>> {
-    if shards == 0 {
-        return Err(TkmError::InvalidParameter(
-            "build_engine: at least one shard required".into(),
-        ));
-    }
     Ok(match kind {
-        EngineKind::Tma => Box::new(TmaMonitor::with_shards(dims, window, grid, shards)?),
-        EngineKind::Sma => Box::new(SmaMonitor::with_shards(dims, window, grid, shards)?),
-        EngineKind::Tsl | EngineKind::Oracle if shards > 1 => {
-            return Err(TkmError::Unsupported(
-                "query sharding requires a grid-based engine (TMA or SMA)".into(),
-            ))
-        }
+        EngineKind::Tma => Box::new(TmaMonitor::new(dims, window, grid)?),
+        EngineKind::Sma => Box::new(SmaMonitor::new(dims, window, grid)?),
         EngineKind::Tsl => Box::new(TslMonitor::new(dims, window, kmax)?),
         EngineKind::Oracle => Box::new(OracleMonitor::new(dims, window)?),
     })
@@ -237,7 +223,6 @@ mod tests {
                 WindowSpec::Count(6),
                 GridSpec::PerDim(4),
                 KmaxPolicy::Tuned,
-                1,
             )
             .unwrap()
         })
@@ -272,7 +257,6 @@ mod tests {
             WindowSpec::Count(4),
             GridSpec::default(),
             KmaxPolicy::Tuned,
-            1,
         )
         .unwrap();
         let r = Rect::new(vec![0.0, 0.0], vec![0.5, 0.5]).unwrap();

@@ -19,8 +19,8 @@
 //! entries.
 //!
 //! The walks read the grid (geometry only) and mutate the caller's
-//! [`InfluenceTable`] — the grid itself stays immutable, so shards of a
-//! shared-ingest monitor can sweep their own tables concurrently. Both
+//! [`InfluenceTable`] — the grid itself stays immutable, so a maintenance
+//! stage sweeps its table through the ingest stage's `&IngestState`. Both
 //! walks run entirely inside the caller's [`ComputeScratch`]:
 //! [`cleanup_from_frontier`] consumes [`ComputeScratch::frontier`] (left
 //! behind by the preceding [`crate::compute::compute_topk`] call) in place

@@ -1,18 +1,16 @@
-//! The shared ingest stage: one window timeline + one grid, populated
+//! The ingest stage: one window timeline + one grid, populated
 //! exactly once per processing cycle.
 //!
 //! The paper's server couples tuple storage and query maintenance in one
-//! loop. For scale-out we split them: [`IngestState`] owns everything that
-//! is *per-stream* (the window's timeline, the grid's point lists, the
-//! expiry bookkeeping), while the per-query state (influence regions,
-//! top-lists, skybands) lives in [`crate::maintenance::QueryMaintenance`]
-//! implementations that can be partitioned across shards. Each tick,
-//! [`IngestState::ingest`] applies the arrival set and the expiry set to
-//! timeline and grid *once* and records both grouped by cell; maintenance
-//! shards then replay the events against their own queries through
-//! immutable `&IngestState` views. Tuple storage therefore stays O(1) in
-//! the shard count, instead of the S-fold replication a replica-per-shard
-//! design pays.
+//! loop; the engines here split it in two. [`IngestState`] owns everything
+//! that is *per-stream* (the window's timeline, the grid's point lists,
+//! the expiry bookkeeping), while the per-query state (influence regions,
+//! top-lists, skybands) lives in a [`crate::maintenance::QueryMaintenance`]
+//! implementation (or in [`crate::ThresholdMonitor`]'s own tables). Each
+//! tick, [`IngestState::ingest`] applies the arrival set and the expiry
+//! set to timeline and grid *once* and records both grouped by cell; the
+//! maintenance stage then replays the events against its queries through
+//! an immutable `&IngestState` view.
 //!
 //! The stage runs as a fixed sequence of tight passes over the whole
 //! batch — extend the timeline, locate, scatter into cells, remember the
@@ -390,8 +388,8 @@ impl IngestState {
         self.stats
     }
 
-    /// Deep size estimate in bytes: the tuple storage that sharded
-    /// maintenance *shares* instead of replicating.
+    /// Deep size estimate in bytes: the tuple storage, this struct's
+    /// inline fields included.
     pub fn space_bytes(&self) -> usize {
         std::mem::size_of::<Self>() - std::mem::size_of::<Timeline>() - std::mem::size_of::<Grid>()
             + self.timeline.space_bytes()

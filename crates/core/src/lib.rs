@@ -25,19 +25,19 @@
 //!   admission threshold and serve its k-prefix; the compile-time
 //!   [`maintenance::BandPolicy`] carries what differs:
 //!
-//!   | policy | band depth | tightening cap | labels |
-//!   |--------|------------|----------------|--------|
-//!   | **TMA** ([`TmaMonitor`]) | `tuned_kmax(k)` | `2·depth + 8` | `TMA` / `TMA-SHARED` |
-//!   | **SMA** ([`SmaMonitor`]) | `k` | never | `SMA` / `SMA-SHARED` |
+//!   | policy | band depth | tightening cap | label |
+//!   |--------|------------|----------------|-------|
+//!   | **TMA** ([`TmaMonitor`]) | `tuned_kmax(k)` | `2·depth + 8` | `TMA` |
+//!   | **SMA** ([`SmaMonitor`]) | `k` | never | `SMA` |
 //!
 //!   Every band entry scores ≥ the admission threshold, so while the band
 //!   holds ≥ k entries its k-prefix is the exact top-k; a traversal is
 //!   needed only when a band drains below `k` (or outgrows its cap);
-//! * **one monitor sandwich** ([`monitor::Monitor`]): a shared **ingest
+//! * **one monitor sandwich** ([`monitor::Monitor`]): one **ingest
 //!   stage** ([`ingest::IngestState`] — one grid holding each tuple once,
-//!   ordered by a window timeline, populated once per tick) under `S ≥ 1` shardable **query maintenance** stages
-//!   ([`maintenance::QueryMaintenance`]), replayed inline at `S = 1` and
-//!   from scoped threads above;
+//!   ordered by a window timeline, populated once per tick) under one
+//!   **query maintenance** stage ([`maintenance::QueryMaintenance`]) that
+//!   replays the tick's events;
 //! * lazy **influence-list** book-keeping with frontier clean-up walks
 //!   ([`influence`]);
 //! * the §7 extensions: **constrained** top-k queries ([`query::Query`]),

@@ -2,13 +2,11 @@
 //!
 //! A [`QueryMaintenance`] value owns everything that is *per-query*: the
 //! queries themselves, their result book-keeping, the influence lists
-//! covering them, and the traversal scratch. It never mutates the shared
+//! covering them, and the traversal scratch. It never mutates the
 //! timeline or grid — every cycle it *replays* the event lists recorded by
-//! [`IngestState::ingest`] against an immutable `&IngestState` view. That
-//! is what makes the stage shardable: [`crate::Monitor`] partitions the
-//! queries over several `QueryMaintenance` values and runs
-//! [`QueryMaintenance::apply_events`] on each from its own thread, all
-//! reading the same timeline and grid.
+//! [`IngestState::ingest`] against an immutable `&IngestState` view, so
+//! [`crate::Monitor`] is exactly one ingest stage plus one maintenance
+//! stage, and [`crate::ThresholdMonitor`] plugs into the same ingest.
 //!
 //! # One stage, two policies
 //!
@@ -21,10 +19,10 @@
 //! window could not fill the band), and the band's k-prefix is the result.
 //! A compile-time [`BandPolicy`] carries the only things that differ:
 //!
-//! | policy | band depth | tightening cap (band size) | labels |
-//! |--------|------------|----------------------------|--------|
-//! | [`TmaPolicy`] | [`tuned_kmax`]`(k)` | `2·depth + 8` | `TMA` / `TMA-SHARED` |
-//! | [`SmaPolicy`] | `k` | never | `SMA` / `SMA-SHARED` |
+//! | policy | band depth | tightening cap (band size) | label |
+//! |--------|------------|----------------------------|-------|
+//! | [`TmaPolicy`] | [`tuned_kmax`]`(k)` | `2·depth + 8` | `TMA` |
+//! | [`SmaPolicy`] | `k` | never | `SMA` |
 //!
 //! Exactness is a one-liner: the threshold is static between
 //! recomputations and every band entry scores ≥ it, so the band is the
@@ -89,8 +87,8 @@
 //! order would, and an arrival that already has `depth` newer same-cycle
 //! arrivals above it is never stored at all (`result_updates` counts the
 //! arrivals a band *kept*). The differential suites pin the merge to the
-//! per-arrival reference (`tkm_skyband`) and sharded and unsharded
-//! results to the oracle (`tests/soa_cells.rs` and friends) either way.
+//! per-arrival reference (`tkm_skyband`) and the results to the oracle
+//! (`tests/soa_cells.rs` and friends) either way.
 
 use std::marker::PhantomData;
 
@@ -107,17 +105,14 @@ use tkm_grid::InfluenceTable;
 use tkm_skyband::{tuned_kmax, MergeScratch, Skyband};
 use tkm_window::Timeline;
 
-/// One shard's worth of per-query monitoring state.
+/// The per-query monitoring state of one monitor.
 ///
-/// Implementations must be [`Send`] so a sharded monitor can drive them
-/// from scoped threads; the shared state they read is only borrowed
-/// immutably.
+/// Implementations must be [`Send`] so the monitor built on them can move
+/// onto a serving thread (`tkm_service`'s `Service::bind` does); the
+/// ingest state they read is only borrowed immutably.
 pub trait QueryMaintenance: Send {
-    /// Label reported by an unsharded monitor built on this stage.
+    /// Label reported by a monitor built on this stage.
     const LABEL: &'static str;
-
-    /// Label reported by a monitor running this stage on several shards.
-    const SHARED_LABEL: &'static str;
 
     /// Creates an empty maintenance stage sized for `shared`'s grid.
     fn new_for(shared: &IngestState) -> Self
@@ -125,7 +120,7 @@ pub trait QueryMaintenance: Send {
         Self: Sized;
 
     /// Registers a query and computes its initial result against the
-    /// current shared window.
+    /// current window.
     fn register_query(&mut self, shared: &IngestState, id: QueryId, query: Query) -> Result<()>;
 
     /// Terminates a query, clearing its influence-list entries.
@@ -150,27 +145,27 @@ pub trait QueryMaintenance: Send {
     /// from its baseline, refreshing the baseline, and clears the marks.
     /// Appends nothing before [`QueryMaintenance::track_changes`]. The
     /// order within the appended run is the stage's own;
-    /// [`crate::Monitor`] puts the shards' runs into `QueryId` order.
+    /// [`crate::Monitor`] puts it into `QueryId` order.
     fn drain_changes(&mut self, out: &mut Vec<ResultDelta>);
 
-    /// One-shot top-k over the shared window, leaving no state behind.
+    /// One-shot top-k over the current window, leaving no state behind.
     fn snapshot(&mut self, shared: &IngestState, query: &Query) -> Result<Vec<Scored>>;
 
     /// Cumulative maintenance-side counters (stream-side counters live in
     /// [`IngestState::stats`]).
     fn stats(&self) -> EngineStats;
 
-    /// Deep size estimate of the per-query state in bytes.
+    /// Deep size estimate of the per-query state in bytes, the stage's
+    /// own inline struct included.
     fn space_bytes(&self) -> usize;
 }
 
 /// What distinguishes the paper's two maintenance modules once both keep a
-/// band (see the module docs for the table).
+/// band (see the module docs for the table). `Send` because
+/// [`BandMaintenance`] carries its policy and must be [`QueryMaintenance`].
 pub trait BandPolicy: Send {
-    /// Engine label, unsharded.
+    /// Engine label.
     const LABEL: &'static str;
-    /// Engine label on several shards.
-    const SHARED_LABEL: &'static str;
     /// Dominance parameter of the band kept for a top-`k` query.
     fn depth(k: usize) -> usize;
     /// Band size above which a healthy band is recomputed anyway to
@@ -186,7 +181,6 @@ pub struct TmaPolicy;
 
 impl BandPolicy for TmaPolicy {
     const LABEL: &'static str = "TMA";
-    const SHARED_LABEL: &'static str = "TMA-SHARED";
     fn depth(k: usize) -> usize {
         tuned_kmax(k)
     }
@@ -202,7 +196,6 @@ pub struct SmaPolicy;
 
 impl BandPolicy for SmaPolicy {
     const LABEL: &'static str = "SMA";
-    const SHARED_LABEL: &'static str = "SMA-SHARED";
     fn depth(k: usize) -> usize {
         k
     }
@@ -386,9 +379,13 @@ impl<P: BandPolicy> BandMaintenance<P> {
             .ok_or(TkmError::UnknownQuery(id))
     }
 
-    /// Sum of the band sizes over this stage's queries.
-    pub fn total_band_len(&self) -> usize {
-        self.queries.iter().map(|(_, q)| q.band.len()).sum()
+    /// Mean band size across queries (Table 2 reports it for SMA).
+    pub fn avg_band_len(&self) -> f64 {
+        if self.queries.is_empty() {
+            return 0.0;
+        }
+        let total: usize = self.queries.iter().map(|(_, q)| q.band.len()).sum();
+        total as f64 / self.queries.len() as f64
     }
 
     /// Runs the computation module for `slot` at band depth and reseeds
@@ -452,7 +449,6 @@ impl<P: BandPolicy> BandMaintenance<P> {
 
 impl<P: BandPolicy> QueryMaintenance for BandMaintenance<P> {
     const LABEL: &'static str = P::LABEL;
-    const SHARED_LABEL: &'static str = P::SHARED_LABEL;
 
     fn new_for(shared: &IngestState) -> Self {
         let cells = shared.grid().num_cells();

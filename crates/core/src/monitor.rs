@@ -14,24 +14,17 @@
 //!    frontier clean-up walk that removes the query from cells it no
 //!    longer influences.
 //!
-//! [`Monitor`] splits that loop in two. [`IngestState`] (one window + one
-//! grid) applies the arrival and expiry sets exactly once per tick and
-//! records them as event lists; `S ≥ 1` [`QueryMaintenance`] shards, each
-//! owning a partition of the queries, then replay the events through
-//! immutable `&IngestState` views — inline at `S = 1`, from
-//! [`std::thread::scope`] threads above. Tuple storage is O(1) in `S`;
-//! only the per-query state (influence lists, bands, scratch) is
-//! per-shard. The paper's server is single-threaded and its per-cycle cost
-//! is essentially linear in the number of queries `Q` (Figure 18), which
-//! makes this *query sharding* the natural scale-out.
+//! [`Monitor`] splits that loop in two. [`IngestState`] (one window
+//! timeline + one grid) applies the arrival and expiry sets exactly once
+//! per tick and records them as event lists; one [`QueryMaintenance`]
+//! stage, owning every query, then replays the events through an
+//! immutable `&IngestState` view.
 //!
 //! [`TmaMonitor`] and [`SmaMonitor`] are the same sandwich over the two
-//! policies of [`crate::maintenance::BandMaintenance`]; every shard count
-//! reports exactly the results of the brute-force oracle (the differential
-//! suites `tests/shared_parallel.rs` and `recompute` pin that under
-//! query churn, time windows and score ties).
-
-use std::collections::BTreeMap;
+//! policies of [`crate::maintenance::BandMaintenance`]; both report
+//! exactly the results of the brute-force oracle (the differential suites
+//! `tests/proptest_engines.rs` and `recompute` pin that under query churn,
+//! time windows and score ties).
 
 use crate::ingest::{GridSpec, IngestState};
 use crate::maintenance::{
@@ -40,42 +33,16 @@ use crate::maintenance::{
 use crate::query::Query;
 use crate::result::ResultDelta;
 use crate::stats::EngineStats;
-use tkm_common::{QueryId, Result, Scored, Timestamp, TkmError, TupleId};
+use tkm_common::{QueryId, Result, Scored, Timestamp, TupleId};
 use tkm_grid::Grid;
 use tkm_window::{Timeline, WindowSpec};
 
-/// Estimated per-entry overhead of the `assignment` bookkeeping (BTreeMap
-/// node amortisation), mirroring the per-entry constants the other
-/// `space_bytes` impls use for hash containers.
-const MAP_ENTRY_OVERHEAD: usize = 16;
-
-/// Converts a scoped-thread join outcome into an engine result, surfacing
-/// a shard panic as [`TkmError::Internal`] instead of aborting the server.
-fn join_outcome(joined: std::thread::Result<Result<()>>) -> Result<()> {
-    match joined {
-        Ok(r) => r,
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "shard thread panicked".into());
-            Err(TkmError::Internal(format!("shard panicked: {msg}")))
-        }
-    }
-}
-
-/// Continuous top-k monitor: one shared window and grid under `S ≥ 1`
-/// query-maintenance shards (see the module docs).
+/// Continuous top-k monitor: one window and grid under one
+/// query-maintenance stage (see the module docs).
 #[derive(Debug)]
 pub struct Monitor<M> {
     shared: IngestState,
-    shards: Vec<M>,
-    /// Which shard serves each query. Kept only when `S > 1`: a single
-    /// shard's own registry already answers every lookup.
-    assignment: BTreeMap<QueryId, usize>,
-    /// Queries per shard (for balanced placement).
-    load: Vec<usize>,
+    maint: M,
 }
 
 /// The paper's TMA (§4) in its skyband-refill configuration.
@@ -84,42 +51,16 @@ pub type TmaMonitor = Monitor<TmaMaintenance>;
 pub type SmaMonitor = Monitor<SmaMaintenance>;
 
 impl<M: QueryMaintenance> Monitor<M> {
-    /// Creates an unsharded monitor over `dims`-dimensional tuples.
+    /// Creates a monitor over `dims`-dimensional tuples.
     pub fn new(dims: usize, window: WindowSpec, grid: GridSpec) -> Result<Monitor<M>> {
-        Monitor::with_shards(dims, window, grid, 1)
-    }
-
-    /// Creates a monitor with `shards` maintenance shards over one shared
-    /// window and grid.
-    pub fn with_shards(
-        dims: usize,
-        window: WindowSpec,
-        grid: GridSpec,
-        shards: usize,
-    ) -> Result<Monitor<M>> {
-        if shards == 0 {
-            return Err(TkmError::InvalidParameter(
-                "Monitor: at least one shard required".into(),
-            ));
-        }
         let shared = IngestState::new(dims, window, grid)?;
-        let shards: Vec<M> = (0..shards).map(|_| M::new_for(&shared)).collect();
-        let load = vec![0; shards.len()];
-        Ok(Monitor {
-            shared,
-            shards,
-            assignment: BTreeMap::new(),
-            load,
-        })
+        let maint = M::new_for(&shared);
+        Ok(Monitor { shared, maint })
     }
 
-    /// Engine label: the stage's own at `S = 1`, its shared label above.
+    /// Engine label: the maintenance stage's.
     pub fn name(&self) -> &'static str {
-        if self.shards.len() == 1 {
-            M::LABEL
-        } else {
-            M::SHARED_LABEL
-        }
+        M::LABEL
     }
 
     /// Dimensionality of the monitored stream.
@@ -147,95 +88,40 @@ impl<M: QueryMaintenance> Monitor<M> {
         self.shared.grid()
     }
 
-    /// The maintenance shards (read access, for diagnostics).
+    /// The maintenance stage (read access, for diagnostics).
     #[inline]
-    pub fn shards(&self) -> &[M] {
-        &self.shards
+    pub fn maintenance(&self) -> &M {
+        &self.maint
     }
 
-    /// Queries per shard, for observability.
-    pub fn shard_loads(&self) -> &[usize] {
-        &self.load
-    }
-
-    fn shard_of(&self, id: QueryId) -> Result<usize> {
-        if self.shards.len() == 1 {
-            return Ok(0);
-        }
-        self.assignment
-            .get(&id)
-            .copied()
-            .ok_or(TkmError::UnknownQuery(id))
-    }
-
-    /// Registers a query on the least-loaded shard and computes its
-    /// initial result.
+    /// Registers a query and computes its initial result.
     pub fn register_query(&mut self, id: QueryId, query: Query) -> Result<()> {
-        let sharded = self.shards.len() > 1;
-        if sharded && self.assignment.contains_key(&id) {
-            return Err(TkmError::DuplicateQuery(id));
-        }
-        let shard = (0..self.load.len())
-            .min_by_key(|&i| self.load[i])
-            .unwrap_or(0);
-        self.shards[shard].register_query(&self.shared, id, query)?;
-        if sharded {
-            self.assignment.insert(id, shard);
-        }
-        self.load[shard] += 1;
-        Ok(())
+        self.maint.register_query(&self.shared, id, query)
     }
 
     /// Terminates a query, clearing its influence-list entries.
     pub fn remove_query(&mut self, id: QueryId) -> Result<()> {
-        let shard = self.shard_of(id)?;
-        self.shards[shard].remove_query(&self.shared, id)?;
-        self.assignment.remove(&id);
-        self.load[shard] -= 1;
-        Ok(())
+        self.maint.remove_query(&self.shared, id)
     }
 
     /// The current top-k result of a query, best first.
     pub fn result(&self, id: QueryId) -> Result<Vec<Scored>> {
-        self.shards[self.shard_of(id)?].result(id)
+        self.maint.result(id)
     }
 
     /// Executes one processing cycle: the arrival/expiry sets are applied
-    /// to the shared window and grid exactly once (`arrivals` is a flat
-    /// coordinate buffer, one tuple per `dims` chunk), then every shard
-    /// replays the recorded events against its own queries — inline at
-    /// `S = 1`, in parallel above.
-    ///
-    /// A panicking shard is reported as [`TkmError::Internal`] (after every
-    /// shard has been joined) rather than poisoning the whole process.
+    /// to the window and grid exactly once (`arrivals` is a flat
+    /// coordinate buffer, one tuple per `dims` chunk), then the
+    /// maintenance stage replays the recorded events against its queries.
     pub fn tick(&mut self, now: Timestamp, arrivals: &[f64]) -> Result<()> {
         self.shared.ingest(now, arrivals)?;
-        let shared = &self.shared;
-        if let [only] = self.shards.as_mut_slice() {
-            // No point paying thread spawn for a single shard.
-            return only.apply_events(shared);
-        }
-        let mut outcomes: Vec<Result<()>> = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter_mut()
-                .map(|shard| scope.spawn(move || shard.apply_events(shared)))
-                .collect();
-            outcomes = handles
-                .into_iter()
-                .map(|h| join_outcome(h.join()))
-                .collect();
-        });
-        outcomes.into_iter().collect()
+        self.maint.apply_events(&self.shared)
     }
 
-    /// Starts change reporting on every shard: the current results become
-    /// the baseline [`Monitor::drain_changes`] reports against.
+    /// Starts change reporting: the current results become the baseline
+    /// [`Monitor::drain_changes`] reports against.
     pub fn track_changes(&mut self) {
-        for s in &mut self.shards {
-            s.track_changes();
-        }
+        self.maint.track_changes();
     }
 
     /// Appends, in ascending `QueryId` order, the change of every query
@@ -245,11 +131,9 @@ impl<M: QueryMaintenance> Monitor<M> {
     /// appended before [`Monitor::track_changes`].
     pub fn drain_changes(&mut self, out: &mut Vec<ResultDelta>) {
         let start = out.len();
-        for s in &mut self.shards {
-            s.drain_changes(out);
-        }
-        // A shard reports in slot order, which is id order until a slot is
-        // recycled; several shards interleave.
+        self.maint.drain_changes(out);
+        // The stage reports in slot order, which is id order until a slot
+        // is recycled.
         let fresh = &mut out[start..];
         if !fresh.is_sorted_by_key(|d| d.query) {
             fresh.sort_unstable_by_key(|d| d.query);
@@ -260,31 +144,25 @@ impl<M: QueryMaintenance> Monitor<M> {
     /// registering anything: the computation module runs but leaves no
     /// influence-list entries behind.
     pub fn snapshot(&mut self, query: &Query) -> Result<Vec<Scored>> {
-        self.shards[0].snapshot(&self.shared, query)
+        self.maint.snapshot(&self.shared, query)
     }
 
-    /// Cumulative counters: the shared ingest stage plus every shard's
-    /// maintenance counters.
+    /// Cumulative counters: the ingest stage's plus the maintenance
+    /// stage's.
     pub fn stats(&self) -> EngineStats {
         let mut total = EngineStats::default().with_ingest(self.shared.stats());
-        for s in &self.shards {
-            total.absorb(s.stats());
-        }
+        total.absorb(self.maint.stats());
         total
     }
 
-    /// Deep size estimate in bytes: the shared tuple storage **once**
-    /// (timeline + grid), the per-shard query state (`O(d + 3·depth)` per
-    /// query as analysed in §6), and the assignment bookkeeping.
+    /// Deep size estimate in bytes: the tuple storage (timeline + grid)
+    /// and the per-query state (`O(d + 3·depth)` per query as analysed in
+    /// §6). Both stages count their own inline struct, so only the bytes
+    /// `Self` adds around them (padding) are counted here.
     pub fn space_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
+        std::mem::size_of::<Self>() - std::mem::size_of::<IngestState>() - std::mem::size_of::<M>()
             + self.shared.space_bytes()
-            + self.shards.iter().map(|s| s.space_bytes()).sum::<usize>()
-            + self.assignment.len()
-                * (std::mem::size_of::<QueryId>()
-                    + std::mem::size_of::<usize>()
-                    + MAP_ENTRY_OVERHEAD)
-            + std::mem::size_of_val(self.load.as_slice())
+            + self.maint.space_bytes()
     }
 }
 
@@ -292,17 +170,12 @@ impl<P: BandPolicy> Monitor<BandMaintenance<P>> {
     /// Current band size of a query (between `k` and a little over the
     /// policy's depth).
     pub fn band_len(&self, id: QueryId) -> Result<usize> {
-        self.shards[self.shard_of(id)?].band_len(id)
+        self.maint.band_len(id)
     }
 
     /// Mean band size across queries (Table 2 reports it for SMA).
     pub fn avg_band_len(&self) -> f64 {
-        let queries: usize = self.load.iter().sum();
-        if queries == 0 {
-            return 0.0;
-        }
-        let total: usize = self.shards.iter().map(|s| s.total_band_len()).sum();
-        total as f64 / queries as f64
+        self.maint.avg_band_len()
     }
 }
 
@@ -311,7 +184,7 @@ mod tests {
     use super::*;
     use crate::maintenance::{SmaPolicy, TmaPolicy};
     use crate::testutil::{brute, lcg_stream};
-    use tkm_common::{Rect, ScoreFn};
+    use tkm_common::{Rect, ScoreFn, TkmError};
 
     type Mon<P> = Monitor<BandMaintenance<P>>;
 
@@ -338,9 +211,6 @@ mod tests {
         rejects_bad_input,
         query_removal_clears_influence,
         burst_overrunning_window_stays_exact,
-        sharded_matches_unsharded_engine,
-        query_churn_rebalances,
-        space_stays_flat_as_shards_grow,
         reports_changes_of_touched_queries_only,
         recycled_slot_starts_from_its_own_baseline,
     }
@@ -376,27 +246,22 @@ mod tests {
     }
 
     fn registration_and_removal<P: BandPolicy>() {
-        let build = |s| Mon::<P>::with_shards(2, WindowSpec::Count(10), GridSpec::PerDim(4), s);
-        assert!(build(0).is_err(), "zero shards");
-        for shards in [1, 3] {
-            let mut m = build(shards).unwrap();
-            assert!(
-                m.register_query(QueryId(0), linear(&[1.0], 1)).is_err(),
-                "dims mismatch"
-            );
-            let q = linear(&[1.0, 1.0], 2);
-            m.register_query(QueryId(0), q.clone()).unwrap();
-            assert!(matches!(
-                m.register_query(QueryId(0), q),
-                Err(TkmError::DuplicateQuery(_))
-            ));
-            assert!(m.remove_query(QueryId(9)).is_err());
-            m.remove_query(QueryId(0)).unwrap();
-            assert!(m.remove_query(QueryId(0)).is_err());
-            assert!(m.result(QueryId(0)).is_err());
-            let entries = |s: &BandMaintenance<P>| s.influence().total_entries();
-            assert_eq!(m.shards().iter().map(entries).sum::<usize>(), 0);
-        }
+        let mut m = Mon::<P>::new(2, WindowSpec::Count(10), GridSpec::PerDim(4)).unwrap();
+        assert!(
+            m.register_query(QueryId(0), linear(&[1.0], 1)).is_err(),
+            "dims mismatch"
+        );
+        let q = linear(&[1.0, 1.0], 2);
+        m.register_query(QueryId(0), q.clone()).unwrap();
+        assert!(matches!(
+            m.register_query(QueryId(0), q),
+            Err(TkmError::DuplicateQuery(_))
+        ));
+        assert!(m.remove_query(QueryId(9)).is_err());
+        m.remove_query(QueryId(0)).unwrap();
+        assert!(m.remove_query(QueryId(0)).is_err());
+        assert!(m.result(QueryId(0)).is_err());
+        assert_eq!(m.maintenance().influence().total_entries(), 0);
     }
 
     fn tracks_brute_force_over_stream<P: BandPolicy>() {
@@ -405,30 +270,29 @@ mod tests {
             linear(&[1.0, -1.0], 5),
             Query::top_k(ScoreFn::quadratic(vec![1.0, 0.3]).unwrap(), 6).unwrap(),
         ];
-        for shards in [1, 3] {
-            let mut m =
-                Mon::<P>::with_shards(2, WindowSpec::Count(50), GridSpec::PerDim(8), shards)
-                    .unwrap();
-            track(&mut m, &queries, 60, 1, |_| 8);
-            let s = m.stats();
-            assert!(
-                s.recompute_queries >= 3,
-                "registrations run the computation module"
-            );
-            assert!(s.cells_processed > 0);
-            // The headline claims. SMA rarely/never recomputes in steady
-            // state (for uniform data, little beyond the three initial
-            // computations); TMA's refill band absorbs result expiries, so
-            // its recomputations stay far below the once-per-affected-tick
-            // rate of the paper's bare TMA.
-            let max = if P::cap(1) == usize::MAX { 6 } else { 20 };
-            assert!(
-                s.recomputations() <= max,
-                "{} recomputed {} times — band maintenance is broken",
-                m.name(),
-                s.recomputations()
-            );
-        }
+        let mut m = Mon::<P>::new(2, WindowSpec::Count(50), GridSpec::PerDim(8)).unwrap();
+        track(&mut m, &queries, 60, 1, |_| 8);
+        assert_eq!(m.name(), P::LABEL);
+        let s = m.stats();
+        // Stream-side counters come from the ingest stage alone.
+        assert_eq!((s.ticks, s.arrivals), (60, 480));
+        assert!(
+            s.recompute_queries >= 3,
+            "registrations run the computation module"
+        );
+        assert!(s.cells_processed > 0);
+        // The headline claims. SMA rarely/never recomputes in steady
+        // state (for uniform data, little beyond the three initial
+        // computations); TMA's refill band absorbs result expiries, so
+        // its recomputations stay far below the once-per-affected-tick
+        // rate of the paper's bare TMA.
+        let max = if P::cap(1) == usize::MAX { 6 } else { 20 };
+        assert!(
+            s.recomputations() <= max,
+            "{} recomputed {} times — band maintenance is broken",
+            m.name(),
+            s.recomputations()
+        );
     }
 
     fn constrained_query_tracks_brute_force<P: BandPolicy>() {
@@ -486,9 +350,9 @@ mod tests {
         m.tick(Timestamp(0), &lcg_stream(3, 5, 2)).unwrap();
         m.register_query(QueryId(1), linear(&[1.0, 1.0], 2))
             .unwrap();
-        assert!(m.shards()[0].influence().total_entries() > 0);
+        assert!(m.maintenance().influence().total_entries() > 0);
         m.remove_query(QueryId(1)).unwrap();
-        assert_eq!(m.shards()[0].influence().total_entries(), 0);
+        assert_eq!(m.maintenance().influence().total_entries(), 0);
         // Subsequent ticks must not touch the removed query.
         m.tick(Timestamp(1), &lcg_stream(4, 5, 2)).unwrap();
     }
@@ -504,135 +368,56 @@ mod tests {
         assert_eq!(m.timeline().len(), 4);
     }
 
-    fn sharded_matches_unsharded_engine<P: BandPolicy>() {
-        let build =
-            |s| Mon::<P>::with_shards(2, WindowSpec::Count(50), GridSpec::PerDim(5), s).unwrap();
-        for shards in [2, 3] {
-            let (mut sharded, mut single) = (build(shards), build(1));
-            assert_eq!(sharded.name(), P::SHARED_LABEL);
-            assert_eq!(single.name(), P::LABEL);
-            for i in 0..7u64 {
-                let q = linear(&[1.0 + i as f64 * 0.3, 2.0 - i as f64 * 0.2], 3);
-                sharded.register_query(QueryId(i), q.clone()).unwrap();
-                single.register_query(QueryId(i), q).unwrap();
-            }
-            // Balanced placement: 7 queries over 3 shards → loads 3/2/2.
-            let mut loads = sharded.shard_loads().to_vec();
-            loads.sort_unstable();
-            assert_eq!(loads, [vec![3, 4], vec![2, 2, 3]][shards - 2]);
-
-            for tick in 0..30u64 {
-                let batch = lcg_stream(tick + 1, 8, 2);
-                sharded.tick(Timestamp(tick), &batch).unwrap();
-                single.tick(Timestamp(tick), &batch).unwrap();
-                for i in 0..7u64 {
-                    assert_eq!(
-                        sharded.result(QueryId(i)).unwrap(),
-                        single.result(QueryId(i)).unwrap(),
-                        "query {i} diverged at tick {tick}"
-                    );
-                }
-            }
-            // Stream-side counters are counted once, not per shard.
-            let st = sharded.stats();
-            assert_eq!(st.ticks, 30);
-            assert_eq!(st.arrivals, 240);
-        }
-    }
-
-    fn query_churn_rebalances<P: BandPolicy>() {
-        let mut m =
-            Mon::<P>::with_shards(2, WindowSpec::Count(50), GridSpec::PerDim(5), 2).unwrap();
-        m.register_query(QueryId(0), linear(&[0.5, 1.0], 2))
-            .unwrap();
-        m.register_query(QueryId(1), linear(&[1.5, 1.0], 2))
-            .unwrap();
-        m.remove_query(QueryId(0)).unwrap();
-        // The freed slot is reused by the next registration.
-        m.register_query(QueryId(2), linear(&[0.7, 1.0], 2))
-            .unwrap();
-        assert_eq!(m.shard_loads(), &[1, 1]);
-        m.tick(Timestamp(0), &[0.4, 0.6]).unwrap();
-        assert_eq!(m.result(QueryId(2)).unwrap().len(), 1);
-    }
-
-    fn space_stays_flat_as_shards_grow<P: BandPolicy>() {
-        let build = |shards| {
-            let mut m =
-                Mon::<P>::with_shards(2, WindowSpec::Count(2000), GridSpec::PerDim(12), shards)
-                    .unwrap();
-            for i in 0..8u64 {
-                m.register_query(QueryId(i), linear(&[1.0, 1.0 + i as f64], 4))
-                    .unwrap();
-            }
-            for tick in 0..10u64 {
-                m.tick(Timestamp(tick), &lcg_stream(tick, 200, 2)).unwrap();
-            }
-            m.space_bytes()
-        };
-        let (s1, s4) = (build(1), build(4));
-        assert!(
-            (s4 as f64) < 1.5 * s1 as f64,
-            "S=4 uses {s4} bytes vs {s1} at S=1 — tuple storage is replicated?"
-        );
-    }
-
     /// Replaying the drained deltas onto registration-time mirrors must
-    /// reconstruct `result()`; the stream is id-ordered and the same at
-    /// every shard count; nothing is reported before `track_changes`, and
-    /// calling it mid-stream discards what was pending.
+    /// reconstruct `result()`; the stream is id-ordered; nothing is
+    /// reported before `track_changes`, and calling it mid-stream discards
+    /// what was pending.
     fn reports_changes_of_touched_queries_only<P: BandPolicy>() {
-        let mut streams = Vec::new();
-        for shards in [1, 3] {
-            let mut m =
-                Mon::<P>::with_shards(2, WindowSpec::Count(40), GridSpec::PerDim(5), shards)
-                    .unwrap();
-            let mut out = Vec::new();
-            m.register_query(QueryId(0), linear(&[1.0, 0.2], 3))
-                .unwrap();
-            m.tick(Timestamp(0), &lcg_stream(5, 12, 2)).unwrap();
-            m.drain_changes(&mut out);
-            assert!(out.is_empty(), "not tracking yet");
+        let mut m = Mon::<P>::new(2, WindowSpec::Count(40), GridSpec::PerDim(5)).unwrap();
+        let mut out = Vec::new();
+        m.register_query(QueryId(0), linear(&[1.0, 0.2], 3))
+            .unwrap();
+        m.tick(Timestamp(0), &lcg_stream(5, 12, 2)).unwrap();
+        m.drain_changes(&mut out);
+        assert!(out.is_empty(), "not tracking yet");
 
-            // Mid-stream: the current results are the baseline, so the
-            // tick above is never reported.
-            m.track_changes();
-            let mut mirrors = vec![m.result(QueryId(0)).unwrap()];
-            for i in 1..9u64 {
-                let q = linear(
-                    &[1.0 + i as f64 * 0.3, 2.0 - i as f64 * 0.2],
-                    1 + i as usize % 4,
-                );
-                m.register_query(QueryId(i), q).unwrap();
-                mirrors.push(m.result(QueryId(i)).unwrap());
-            }
-            m.drain_changes(&mut out);
-            assert!(out.is_empty(), "registration results are the baseline");
-
-            let mut stream = Vec::new();
-            for tick in 1..=40u64 {
-                m.tick(Timestamp(tick), &lcg_stream(tick + 7, 6, 2))
-                    .unwrap();
-                if tick % 3 == 0 {
-                    continue; // changes of several cycles fold into one delta
-                }
-                m.drain_changes(&mut out);
-                assert!(out.windows(2).all(|w| w[0].query < w[1].query));
-                for d in &out {
-                    assert!(!d.is_empty());
-                    d.apply(&mut mirrors[d.query.0 as usize]);
-                }
-                for (i, mirror) in mirrors.iter().enumerate() {
-                    assert_eq!(mirror, &m.result(QueryId(i as u64)).unwrap());
-                }
-                stream.append(&mut out);
-            }
-            m.drain_changes(&mut out);
-            assert!(out.is_empty(), "drained");
-            assert!(stream.len() > 20, "the stream moved results");
-            streams.push(stream);
+        // Mid-stream: the current results are the baseline, so the tick
+        // above is never reported.
+        m.track_changes();
+        let mut mirrors = vec![m.result(QueryId(0)).unwrap()];
+        for i in 1..9u64 {
+            let q = linear(
+                &[1.0 + i as f64 * 0.3, 2.0 - i as f64 * 0.2],
+                1 + i as usize % 4,
+            );
+            m.register_query(QueryId(i), q).unwrap();
+            mirrors.push(m.result(QueryId(i)).unwrap());
         }
-        assert_eq!(streams[0], streams[1], "shard count changed the stream");
+        m.drain_changes(&mut out);
+        assert!(out.is_empty(), "registration results are the baseline");
+
+        let mut moved = 0;
+        for tick in 1..=40u64 {
+            m.tick(Timestamp(tick), &lcg_stream(tick + 7, 6, 2))
+                .unwrap();
+            if tick % 3 == 0 {
+                continue; // changes of several cycles fold into one delta
+            }
+            m.drain_changes(&mut out);
+            assert!(out.windows(2).all(|w| w[0].query < w[1].query));
+            for d in &out {
+                assert!(!d.is_empty());
+                d.apply(&mut mirrors[d.query.0 as usize]);
+            }
+            for (i, mirror) in mirrors.iter().enumerate() {
+                assert_eq!(mirror, &m.result(QueryId(i as u64)).unwrap());
+            }
+            moved += out.len();
+            out.clear();
+        }
+        m.drain_changes(&mut out);
+        assert!(out.is_empty(), "drained");
+        assert!(moved > 20, "the stream moved results");
     }
 
     /// A query removed while its slot is marked, and another registered
@@ -652,7 +437,7 @@ mod tests {
         m.register_query(QueryId(2), linear(&[1.0, 0.1], 4))
             .unwrap();
         assert_eq!(
-            m.shards()[0].query_slot(QueryId(2)),
+            m.maintenance().query_slot(QueryId(2)),
             Some(tkm_common::QuerySlot(0)),
             "slot reused"
         );
@@ -682,70 +467,5 @@ mod tests {
         m.drain_changes(&mut out);
         let ids: Vec<u64> = out.iter().map(|d| d.query.0).collect();
         assert_eq!(ids, [1, 2]);
-    }
-
-    /// A maintenance stage that panics on replay once armed.
-    struct PanicStage {
-        armed: bool,
-    }
-
-    impl QueryMaintenance for PanicStage {
-        const LABEL: &'static str = "PANIC";
-        const SHARED_LABEL: &'static str = "PANIC-SHARED";
-        fn new_for(_: &IngestState) -> PanicStage {
-            PanicStage { armed: false }
-        }
-        fn register_query(&mut self, _: &IngestState, _: QueryId, _: Query) -> Result<()> {
-            Ok(())
-        }
-        fn remove_query(&mut self, _: &IngestState, _: QueryId) -> Result<()> {
-            Ok(())
-        }
-        fn apply_events(&mut self, _: &IngestState) -> Result<()> {
-            if self.armed {
-                panic!("injected shard failure");
-            }
-            Ok(())
-        }
-        fn result(&self, _: QueryId) -> Result<Vec<Scored>> {
-            Ok(Vec::new())
-        }
-        fn track_changes(&mut self) {}
-        fn drain_changes(&mut self, _: &mut Vec<ResultDelta>) {}
-        fn snapshot(&mut self, _: &IngestState, _: &Query) -> Result<Vec<Scored>> {
-            Ok(Vec::new())
-        }
-        fn stats(&self) -> EngineStats {
-            EngineStats::default()
-        }
-        fn space_bytes(&self) -> usize {
-            std::mem::size_of::<Self>()
-        }
-    }
-
-    /// A shard panicking on the scoped-thread path the served
-    /// `with_shards(n)` configuration uses must surface as
-    /// `TkmError::Internal`, not abort the process.
-    #[test]
-    fn panicking_shard_reports_internal_error() {
-        let mut m =
-            Monitor::<PanicStage>::with_shards(1, WindowSpec::Count(4), GridSpec::PerDim(2), 2)
-                .unwrap();
-        m.shards[1].armed = true;
-        // Silence the default panic hook for the injected panic; restore
-        // afterwards so unrelated failures still print. The tick runs under
-        // catch_unwind so the hook is restored even if it panics itself.
-        let hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            m.tick(Timestamp(0), &[0.5])
-        }));
-        std::panic::set_hook(hook);
-        match out.expect("tick itself must not panic") {
-            Err(TkmError::Internal(msg)) => {
-                assert!(msg.contains("injected shard failure"), "got: {msg}")
-            }
-            other => panic!("expected Internal error, got {other:?}"),
-        }
     }
 }

@@ -25,10 +25,6 @@ pub struct ServerConfig {
     pub engine: EngineKind,
     /// `kmax` policy (TSL only).
     pub kmax: KmaxPolicy,
-    /// Query-maintenance shards of a [`crate::Monitor`] (TMA/SMA): one
-    /// shared window + grid, queries partitioned across `shards` threads;
-    /// `1` replays inline on the caller's thread.
-    pub shards: usize,
     /// Whether per-tick result-change reporting starts enabled (see
     /// [`MonitorServer::enable_delta_tracking`]). Serving layers that fan
     /// deltas out to subscribers turn this on so no tick can slip through
@@ -39,7 +35,7 @@ pub struct ServerConfig {
 impl ServerConfig {
     /// A sensible default: SMA over a count-based window of `n` tuples on
     /// a grid sized for it (about one cell per 20 tuples, at most the
-    /// paper's 12⁴ cells; see [`GridSpec::FitWindow`]), unsharded.
+    /// paper's 12⁴ cells; see [`GridSpec::FitWindow`]).
     pub fn sma(dims: usize, n: usize) -> ServerConfig {
         ServerConfig {
             dims,
@@ -47,7 +43,6 @@ impl ServerConfig {
             grid: GridSpec::default(),
             engine: EngineKind::Sma,
             kmax: KmaxPolicy::Tuned,
-            shards: 1,
             delta_tracking: false,
         }
     }
@@ -67,12 +62,6 @@ impl ServerConfig {
     /// Selects a different grid sizing.
     pub fn with_grid(mut self, grid: GridSpec) -> ServerConfig {
         self.grid = grid;
-        self
-    }
-
-    /// Selects the number of query-maintenance shards (TMA/SMA only).
-    pub fn with_shards(mut self, shards: usize) -> ServerConfig {
-        self.shards = shards;
         self
     }
 
@@ -96,9 +85,7 @@ pub struct MonitorServer {
 impl MonitorServer {
     /// Builds a server from its configuration.
     pub fn new(cfg: ServerConfig) -> Result<MonitorServer> {
-        let engine = build_engine(
-            cfg.engine, cfg.dims, cfg.window, cfg.grid, cfg.kmax, cfg.shards,
-        )?;
+        let engine = build_engine(cfg.engine, cfg.dims, cfg.window, cfg.grid, cfg.kmax)?;
         let mut server = MonitorServer {
             engine,
             config: cfg,
@@ -112,8 +99,7 @@ impl MonitorServer {
         Ok(server)
     }
 
-    /// The engine in use ("TMA", "SMA", "TSL", "ORACLE", or
-    /// "TMA-SHARED" / "SMA-SHARED" on several shards).
+    /// The engine in use ("TMA", "SMA", "TSL" or "ORACLE").
     pub fn engine_name(&self) -> &'static str {
         self.engine.name()
     }
@@ -235,62 +221,6 @@ mod tests {
         assert_eq!(res[0].score.get(), 1.8);
         server.unregister(q).unwrap();
         assert!(server.result(q).is_err());
-    }
-
-    #[test]
-    fn sharded_server_matches_unsharded() {
-        let mut sharded = MonitorServer::new(ServerConfig::sma(2, 30).with_shards(3)).unwrap();
-        let mut single = MonitorServer::new(ServerConfig::sma(2, 30)).unwrap();
-        assert_eq!(sharded.engine_name(), "SMA-SHARED");
-        let mk = |w: f64| Query::top_k(ScoreFn::linear(vec![w, 1.0]).unwrap(), 3).unwrap();
-        let mut ids = Vec::new();
-        for i in 0..5 {
-            let q = mk(0.2 * i as f64);
-            let a = sharded.register(q.clone()).unwrap();
-            let b = single.register(q).unwrap();
-            assert_eq!(a, b);
-            ids.push(a);
-        }
-        let mut state = 3u64;
-        for _ in 0..20 {
-            let mut batch = Vec::new();
-            for _ in 0..8 {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                batch.push(((state >> 11) as f64 / (1u64 << 53) as f64).clamp(0.0, 1.0));
-            }
-            sharded.tick(&batch).unwrap();
-            single.tick(&batch).unwrap();
-            for id in &ids {
-                assert_eq!(sharded.result(*id).unwrap(), single.result(*id).unwrap());
-            }
-        }
-    }
-
-    #[test]
-    fn sharding_validation() {
-        assert!(matches!(
-            MonitorServer::new(ServerConfig::sma(2, 10).with_shards(0)),
-            Err(TkmError::InvalidParameter(_))
-        ));
-        for engine in [EngineKind::Tsl, EngineKind::Oracle] {
-            let cfg = ServerConfig::sma(2, 10).with_engine(engine);
-            assert!(matches!(
-                MonitorServer::new(cfg.with_shards(0)),
-                Err(TkmError::InvalidParameter(_))
-            ));
-            assert!(matches!(
-                MonitorServer::new(cfg.with_shards(2)),
-                Err(TkmError::Unsupported(_))
-            ));
-        }
-        assert!(MonitorServer::new(
-            ServerConfig::sma(2, 10)
-                .with_engine(EngineKind::Tma)
-                .with_shards(2)
-        )
-        .is_ok());
     }
 
     #[test]

@@ -57,7 +57,8 @@ impl EngineStats {
         self
     }
 
-    /// Accumulates another stats block field-wise (summing over shards).
+    /// Accumulates another stats block field-wise (a monitor adds its
+    /// maintenance stage's counters to its ingest stage's).
     pub fn absorb(&mut self, other: EngineStats) {
         self.ticks += other.ticks;
         self.arrivals += other.arrivals;

@@ -3,11 +3,10 @@
 //! The engines under test serve results from a per-query band (skyband
 //! refill) and fall back to the paper's computation module, one traversal
 //! per query, when a band drains or outgrows its cap. The fallback must be
-//! invisible in the results: unsharded and sharded configurations of both
-//! engines have to report exactly the brute-force oracle's answer on every
-//! tick of every stream — under query churn, heavy score ties, count and
-//! time windows, and synchronized expiry storms that drain the bands of
-//! most of the fleet in one tick.
+//! invisible in the results: both engines have to report exactly the
+//! brute-force oracle's answer on every tick of every stream — under query
+//! churn, heavy score ties, count and time windows, and synchronized expiry
+//! storms that drain the bands of most of the fleet in one tick.
 
 use tkm_common::{QueryId, Rect, ScoreFn, Scored, Timestamp};
 use tkm_core::{ContinuousTopK, GridSpec, OracleMonitor, Query, SmaMonitor, TmaMonitor};
@@ -85,26 +84,16 @@ struct Fleet {
 }
 
 impl Fleet {
-    /// The oracle plus TMA and SMA at S ∈ {1, 3} (S=1 runs the
-    /// maintenance code inline; S=3 replays the same events from three
-    /// shards).
+    /// The oracle plus TMA and SMA.
     fn new(window: WindowSpec) -> Fleet {
         let engines: Vec<(&'static str, Box<dyn ContinuousTopK>)> = vec![
             (
-                "tma-s1",
-                Box::new(TmaMonitor::with_shards(DIMS, window, GRID, 1).unwrap()),
+                "tma",
+                Box::new(TmaMonitor::new(DIMS, window, GRID).unwrap()),
             ),
             (
-                "tma-s3",
-                Box::new(TmaMonitor::with_shards(DIMS, window, GRID, 3).unwrap()),
-            ),
-            (
-                "sma-s1",
-                Box::new(SmaMonitor::with_shards(DIMS, window, GRID, 1).unwrap()),
-            ),
-            (
-                "sma-s3",
-                Box::new(SmaMonitor::with_shards(DIMS, window, GRID, 3).unwrap()),
+                "sma",
+                Box::new(SmaMonitor::new(DIMS, window, GRID).unwrap()),
             ),
         ];
         Fleet {

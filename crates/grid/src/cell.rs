@@ -3,8 +3,7 @@
 //!
 //! Influence lists live *outside* the cells (see
 //! [`crate::influence::InfluenceTable`]) so that the grid stays immutable
-//! during query maintenance and can be shared read-only across maintenance
-//! shards.
+//! during query maintenance.
 //!
 //! §4.1 gives each cell a FIFO point list with O(1) append at the tail and
 //! O(1) removal at the head, and every stream tuple pays both whatever the

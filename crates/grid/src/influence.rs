@@ -3,10 +3,9 @@
 //! The paper attaches an influence list to every grid cell. Keeping those
 //! lists out of the cell storage ([`crate::cell`]) — in a parallel table
 //! indexed by [`CellId`] — preserves the same O(1) search/insert/delete
-//! while making the grid itself immutable during query maintenance. That
-//! split is what allows a single shared grid (point lists + geometry) to
-//! serve many maintenance shards concurrently: each shard owns its own
-//! `InfluenceTable` for its own queries and only ever *reads* the grid.
+//! while making the grid itself immutable during query maintenance: the
+//! maintenance stage owns the `InfluenceTable` for its queries and only
+//! ever *reads* the grid (point lists + geometry).
 //!
 //! The lists hold **dense query slots** (`QuerySlot`, 4 bytes) rather than
 //! `QueryId`s, and each cell stores them as a sorted small-vector: up to
@@ -144,7 +143,7 @@ impl CellList {
 }
 
 /// Influence lists for every cell of one grid, owned by one maintenance
-/// domain (a whole engine, or one shard of a sharded monitor).
+/// domain (one engine's maintenance stage).
 #[derive(Debug)]
 pub struct InfluenceTable {
     cells: Vec<CellList>,

@@ -26,9 +26,8 @@
 //! influence region intersects a cell, hash sets for O(1)
 //! search/insert/delete) are kept in a parallel [`InfluenceTable`] indexed
 //! by cell id rather than inside the cells themselves: query maintenance
-//! then only ever *reads* the grid, so one shared grid can serve many
-//! maintenance shards concurrently while each shard owns the lists for its
-//! own queries.
+//! then only ever *reads* the grid, and the lists belong to whichever
+//! maintenance stage owns the queries.
 //!
 //! The grid also provides the geometric primitives the top-k computation
 //! module needs: locating a tuple's cell in O(1), the `maxscore` of a cell

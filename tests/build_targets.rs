@@ -38,7 +38,6 @@ fn all_paper_figure_binaries_exist() {
         "fig20_space",
         "fig21_nonlinear",
         "model_vs_measured",
-        "scaleout",
         "serve",
         "table2_view_size",
         "tune_kmax",

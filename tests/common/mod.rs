@@ -23,11 +23,22 @@ pub const KINDS: [EngineKind; 4] = [
 /// Builds one engine of each kind with a common configuration, change
 /// reporting on.
 pub fn build_all(dims: usize, window: WindowSpec, grid: GridSpec) -> Vec<Box<dyn ContinuousTopK>> {
-    KINDS
+    build_kinds(&KINDS, dims, window, grid)
+}
+
+/// Builds one engine per listed kind (the oracle last, for
+/// [`tick_and_compare`]), change reporting on.
+pub fn build_kinds(
+    kinds: &[EngineKind],
+    dims: usize,
+    window: WindowSpec,
+    grid: GridSpec,
+) -> Vec<Box<dyn ContinuousTopK>> {
+    kinds
         .iter()
         .map(|k| {
             let mut e =
-                build_engine(*k, dims, window, grid, KmaxPolicy::Tuned, 1).expect("engine builds");
+                build_engine(*k, dims, window, grid, KmaxPolicy::Tuned).expect("engine builds");
             e.track_changes();
             e
         })

@@ -6,8 +6,8 @@
 //! misses a tick's deltas and re-baselines from a fresh snapshot stays
 //! exact from then on). This is the contract the `tkm_service` wire
 //! protocol (`DELTA` / `SNAPSHOT` / `RESYNC`) is built on. The stream
-//! itself is part of the contract too: SMA and TMA, on one shard or
-//! three, emit the same deltas in the same order on every tick.
+//! itself is part of the contract too: SMA and TMA emit the same deltas in
+//! the same order on every tick.
 
 use std::collections::BTreeMap;
 
@@ -46,16 +46,10 @@ fn apply_tick_deltas(
 /// Runs the churn sequence and returns every tick's delta batch. Under a
 /// time window every other step (`k` even) ticks without arrivals, so the
 /// window, and with it the bands, drain.
-fn run_churn(
-    engine: EngineKind,
-    shards: usize,
-    window: WindowSpec,
-    steps: &[Step],
-) -> Vec<Vec<ResultDelta>> {
+fn run_churn(engine: EngineKind, window: WindowSpec, steps: &[Step]) -> Vec<Vec<ResultDelta>> {
     let cfg = ServerConfig::sma(2, 0)
         .with_window(window)
         .with_engine(engine)
-        .with_shards(shards)
         .with_delta_tracking(true);
     let mut server = MonitorServer::new(cfg).expect("server");
     let mut mirrors: BTreeMap<QueryId, Vec<Scored>> = BTreeMap::new();
@@ -94,7 +88,7 @@ fn run_churn(
         let deltas = server.take_deltas();
         assert!(
             deltas.windows(2).all(|w| w[0].query < w[1].query),
-            "{engine:?}/{shards}: deltas not in query order"
+            "{engine:?}: deltas not in query order"
         );
         let dropped = if action % 5 == 4 {
             mirrors.keys().next().copied()
@@ -113,7 +107,7 @@ fn run_churn(
             let truth = server.result(*id).expect("result");
             assert_eq!(
                 mirror, &truth,
-                "{engine:?}/{shards}: mirror of {id} diverged from result()"
+                "{engine:?}: mirror of {id} diverged from result()"
             );
         }
         stream.push(deltas);
@@ -237,7 +231,7 @@ proptest! {
             1..30,
         ),
     ) {
-        run_churn(EngineKind::Sma, 1, WindowSpec::Count(capacity), &steps);
+        run_churn(EngineKind::Sma, WindowSpec::Count(capacity), &steps);
     }
 
     /// TMA delta streams replay exactly under churn and resyncs.
@@ -250,16 +244,15 @@ proptest! {
             1..30,
         ),
     ) {
-        run_churn(EngineKind::Tma, 1, WindowSpec::Count(capacity), &steps);
+        run_churn(EngineKind::Tma, WindowSpec::Count(capacity), &steps);
     }
 
-    /// The per-tick delta stream does not depend on the engine or on the
-    /// shard count: under registration, termination (the next registration
-    /// reuses the freed slot, on whichever shard it lands) and a time
-    /// window that idle ticks drain, SMA and TMA on one shard and on three
-    /// report the same deltas in the same order, and each replays exactly.
+    /// The per-tick delta stream does not depend on the engine: under
+    /// registration, termination (the next registration reuses the freed
+    /// slot) and a time window that idle ticks drain, SMA and TMA report
+    /// the same deltas in the same order, and each replays exactly.
     #[test]
-    fn delta_stream_is_engine_and_shard_invariant(
+    fn delta_stream_is_engine_invariant(
         capacity in 4usize..48,
         steps in prop::collection::vec(
             (prop::collection::vec((0u32..64, 0u32..64), 0..10),
@@ -272,15 +265,9 @@ proptest! {
         } else {
             WindowSpec::Time(1 + capacity as u64 % 4)
         };
-        let reference = run_churn(EngineKind::Sma, 1, window, &steps);
-        for (engine, shards) in [
-            (EngineKind::Sma, 3),
-            (EngineKind::Tma, 1),
-            (EngineKind::Tma, 3),
-        ] {
-            let stream = run_churn(engine, shards, window, &steps);
-            prop_assert_eq!(&stream, &reference, "{:?} on {} shards", engine, shards);
-        }
+        let reference = run_churn(EngineKind::Sma, window, &steps);
+        let stream = run_churn(EngineKind::Tma, window, &steps);
+        prop_assert_eq!(&stream, &reference);
     }
 
     /// SMA streams stay exact through the wire encoding under churn with

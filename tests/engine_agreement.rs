@@ -238,40 +238,27 @@ fn empty_ticks() {
 #[test]
 fn drained_band_readmits_below_stale_threshold() {
     let window = WindowSpec::Time(2);
-    for shards in [1, 3] {
-        let mut engines: Vec<_> = [
-            (EngineKind::Tma, shards),
-            (EngineKind::Sma, shards),
-            (EngineKind::Oracle, 1),
-        ]
+    let mut engines: Vec<_> = [EngineKind::Tma, EngineKind::Sma, EngineKind::Oracle]
         .into_iter()
-        .map(|(kind, shards)| {
-            build_engine(
-                kind,
-                1,
-                window,
-                GridSpec::PerDim(8),
-                KmaxPolicy::Tuned,
-                shards,
-            )
-            .expect("engine builds")
+        .map(|kind| {
+            build_engine(kind, 1, window, GridSpec::PerDim(8), KmaxPolicy::Tuned)
+                .expect("engine builds")
         })
         .collect();
-        let first: Vec<f64> = (0..12).map(|i| 0.60 + 0.03 * f64::from(i)).collect();
-        let silence = Vec::new();
-        let q = Query::top_k(ScoreFn::linear(vec![1.0]).expect("dims"), 3).expect("k");
-        for e in engines.iter_mut() {
-            e.tick(Timestamp(0), &first).expect("tick succeeds");
-        }
-        let held = register_all(&mut engines, QueryId(0), &q);
-        let queries = vec![(QueryId(0), held)];
-        for t in 1..=3 {
-            tick_and_compare(&mut engines, Timestamp(t), &silence, &queries);
-        }
-        tick_and_compare(&mut engines, Timestamp(4), &[0.1, 0.2], &queries);
-        let last = engines[0].result(QueryId(0)).expect("result");
-        assert_eq!(last.len(), 2, "the whole window is the result");
+    let first: Vec<f64> = (0..12).map(|i| 0.60 + 0.03 * f64::from(i)).collect();
+    let silence = Vec::new();
+    let q = Query::top_k(ScoreFn::linear(vec![1.0]).expect("dims"), 3).expect("k");
+    for e in engines.iter_mut() {
+        e.tick(Timestamp(0), &first).expect("tick succeeds");
     }
+    let held = register_all(&mut engines, QueryId(0), &q);
+    let queries = vec![(QueryId(0), held)];
+    for t in 1..=3 {
+        tick_and_compare(&mut engines, Timestamp(t), &silence, &queries);
+    }
+    tick_and_compare(&mut engines, Timestamp(4), &[0.1, 0.2], &queries);
+    let last = engines[0].result(QueryId(0)).expect("result");
+    assert_eq!(last.len(), 2, "the whole window is the result");
 }
 
 /// The paper's largest dimensionality (d = 6) with the 12⁴-cell budget

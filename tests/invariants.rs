@@ -27,7 +27,7 @@ fn tma_influence_lists_cover_influence_region() {
             continue;
         }
         let threshold = top.last().expect("k = 5").score.get();
-        let maint = &m.shards()[0];
+        let maint = m.maintenance();
         let slot = maint.query_slot(QueryId(0)).expect("live query");
         for (cid, _) in m.grid().cells() {
             if m.grid().maxscore(cid, &f) >= threshold {
@@ -138,8 +138,8 @@ fn no_influence_leaks_after_removal() {
     let leaks = |label: &str, total: usize| {
         assert_eq!(total, 0, "{label} leaked {total} influence entries");
     };
-    leaks("TMA", tma.shards()[0].influence().total_entries());
-    leaks("SMA", sma.shards()[0].influence().total_entries());
+    leaks("TMA", tma.maintenance().influence().total_entries());
+    leaks("SMA", sma.maintenance().influence().total_entries());
 }
 
 /// Engine statistics are self-consistent after a run.

@@ -144,19 +144,12 @@ fn four_subscribers_reconstruct_oracle_results() {
 /// Subscriber-side identity check with deterministic ids: a single
 /// subscriber's queries match the oracle one-to-one, and its mirror —
 /// subscribe baselines plus the delta stream alone — reconstructs them,
-/// for both engines, unsharded and over a 3-shard engine (the serving
-/// layer is the same one thread either way).
+/// for both engines.
 #[test]
 fn single_session_matches_oracle_per_query() {
-    for (engine, shards) in [
-        (EngineKind::Tma, 1),
-        (EngineKind::Tma, 3),
-        (EngineKind::Sma, 1),
-        (EngineKind::Sma, 3),
-    ] {
+    for engine in [EngineKind::Tma, EngineKind::Sma] {
         let scfg = ServerConfig::sma(2, 120).with_engine(engine);
-        let service = Service::bind("127.0.0.1:0", ServiceConfig::new(scfg.with_shards(shards)))
-            .expect("bind");
+        let service = Service::bind("127.0.0.1:0", ServiceConfig::new(scfg)).expect("bind");
         let mut oracle = MonitorServer::new(scfg).expect("oracle");
 
         let mut client = ServiceClient::connect(service.local_addr()).expect("connect");
@@ -186,7 +179,7 @@ fn single_session_matches_oracle_per_query() {
             assert_eq!(
                 truth,
                 oracle.result(*q).expect("oracle"),
-                "wire vs oracle ({engine:?}, {shards} shards)"
+                "wire vs oracle ({engine:?})"
             );
         }
         // Every tick's pushes were enqueued ahead of that tick's reply,
@@ -198,7 +191,7 @@ fn single_session_matches_oracle_per_query() {
             assert_eq!(
                 mirror[q],
                 oracle.result(*q).expect("oracle"),
-                "delta mirror vs oracle ({engine:?}, {shards} shards)"
+                "delta mirror vs oracle ({engine:?})"
             );
         }
         client.quit().expect("quit");

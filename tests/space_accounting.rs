@@ -3,8 +3,9 @@
 //! server really owns, measured by the live-bytes tally of
 //! `tests/counting_alloc`.
 //!
-//! SMA and TMA must agree with the allocator within ±2 % on four shapes —
-//! three count windows and a time window, whose arrival times are
+//! SMA and TMA must agree with the allocator within ±2 % on five shapes —
+//! four count windows, one of them small enough that a struct counted
+//! twice stands out, and a time window, whose arrival times are
 //! `(timestamp, count)` runs — delta tracking off and on; TSL, whose tuples and queries sit in `std`
 //! B-trees that expose no node count (the estimate states a fill), within
 //! ±5 %. `space_bytes` is engine state: it leaves out the facade's batch
@@ -32,11 +33,12 @@ const WARM_TICKS: usize = 30;
 /// shape is a `TimeSized` window like the benchmark's `storm`: three ticks
 /// share each timestamp and a tuple lives three timestamps, so 7–9 ticks'
 /// worth of `N / 10` are resident and whole timestamps leave at once.
-const SHAPES: [(usize, usize, usize, usize, bool); 4] = [
+const SHAPES: [(usize, usize, usize, usize, bool); 5] = [
     (2, 10_000, 1_024, 10, false), // the benchmark's `steady` workload
     (4, 100_000, 16, 20, false),   // tuple storage dominates; four sorted lists under TSL
     (2, 1_000, 256, 3, false),     // query state dominates
     (2, 12_000, 256, 10, true),    // a time window: tuples and timestamp runs
+    (2, 100, 2, 3, false),         // so small that a struct counted twice shows
 ];
 
 /// Ticks that share one timestamp on a timed shape.
