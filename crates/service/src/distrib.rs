@@ -27,18 +27,22 @@
 //!
 //! Everything here runs on the one serving thread (see
 //! [`crate::service`]); this module only holds the two role state
-//! machines, `CoordState` and `SiteState`. Uplink and subscriber
-//! connections alike are ordinary sessions of the epoll loop
-//! ([`crate::reactor`]), so a coordinator inherits the fan-out tier's
-//! scaling: its merged `DELTA`s are encoded once per cycle and the bytes
-//! shared across every subscriber queue.
+//! machines, `CoordState` and `SiteState`. Subscriber connections and
+//! both ends of every uplink alike are ordinary sessions of the epoll
+//! loop ([`crate::reactor`]) — a site enrolls inside the `SITETICK` that
+//! finds its uplink down, then hands the socket to the loop — so a
+//! coordinator inherits the fan-out tier's scaling: its merged `DELTA`s
+//! are encoded once per cycle and the bytes shared across every
+//! subscriber queue.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::io::{ErrorKind, Read, Write};
+use std::net::{TcpStream, ToSocketAddrs};
+use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 use crate::protocol::{parse_server_line, Push, Reply, Request, ServerLine};
+use crate::session::{FramedLine, LineFramer, SessionOpener, SessionOut, MAX_REQUEST_LINE};
 use tkm_common::{QueryId, Scored, Timestamp, TupleId};
 use tkm_core::{DeltaList, MonitorServer, ResultDelta};
 use tkm_window::WindowSpec;
@@ -355,116 +359,33 @@ struct Chunk {
     at: Timestamp,
 }
 
-/// How long an uplink read may block while draining queued coordinator
-/// traffic at the top of each cycle (also the slice width of the blocking
-/// hello read loop). The uplink socket is nonblocking — a timeout-based
-/// read would round up to a scheduler jiffy (~4ms) on the ingest RPC's
-/// critical path; this is only the sleep quantum between explicit polls.
-const DRAIN_SLICE: Duration = Duration::from_millis(1);
-
-/// Overall deadline on the enrollment hello (connect, `SITE`, `ADOPT`
-/// replay, `OK s<id>`).
+/// Overall deadline on dialing and the enrollment hello (connect, `SITE`,
+/// `ADOPT` replay, `OK s<id>`).
 const HELLO_DEADLINE: Duration = Duration::from_secs(2);
 
-/// Deadline on one uplink write; a coordinator that stopped reading kills
-/// the uplink (and the site redials next cycle) instead of wedging the
-/// serving thread.
-const UPLINK_WRITE_DEADLINE: Duration = Duration::from_secs(5);
+/// Write deadline of the uplink session: a coordinator that stops reading
+/// this long gets the uplink torn down, and the site redials next cycle.
+/// Fault recovery, not tuning, so not a [`crate::ServiceConfig`] field.
+pub(crate) const UPLINK_WRITE_DEADLINE: Duration = Duration::from_secs(5);
 
-/// Hard cap on one uplink line (same bound as the session reader).
-const MAX_UPLINK_LINE: u64 = 1 << 20;
-
-/// The site's half of the uplink: a buffered line reader and a writer over
-/// the two handles of one socket, plus the partial-line carry between
-/// read slices.
-struct Uplink {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-    buf: Vec<u8>,
-}
-
-/// One polled uplink line.
-enum Polled {
-    Line(String),
-    Empty,
-    Dead,
-}
-
-impl Uplink {
-    /// Reads one line if available, resuming partial lines across read
-    /// timeout slices. With a deadline, keeps polling until it passes
-    /// (the hello path); without one, returns after the first empty slice
-    /// (the per-cycle drain).
-    fn poll_line(&mut self, deadline: Option<Instant>) -> Polled {
-        use std::io::{ErrorKind, Read};
-        loop {
-            let room = MAX_UPLINK_LINE.saturating_sub(self.buf.len() as u64);
-            if room == 0 {
-                return Polled::Dead;
-            }
-            match self
-                .reader
-                .by_ref()
-                .take(room)
-                .read_until(b'\n', &mut self.buf)
-            {
-                Ok(0) => return Polled::Dead,
-                Ok(_) => {
-                    if self.buf.last() == Some(&b'\n') {
-                        let line = match std::str::from_utf8(&self.buf) {
-                            Ok(s) => s.trim().to_string(),
-                            Err(_) => return Polled::Dead,
-                        };
-                        self.buf.clear();
-                        return Polled::Line(line);
-                    }
-                }
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                    match deadline {
-                        Some(d) if Instant::now() < d => std::thread::sleep(DRAIN_SLICE),
-                        _ => return Polled::Empty,
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => return Polled::Dead,
-            }
-        }
-    }
-
-    /// Writes one line, returning the bytes put on the wire. The socket is
-    /// nonblocking, so a full send buffer is paced out explicitly — up to
-    /// [`UPLINK_WRITE_DEADLINE`], after which the uplink counts as dead.
-    fn send_line(&mut self, line: &str) -> std::io::Result<u64> {
-        use std::io::ErrorKind;
-        let mut bytes = Vec::with_capacity(line.len() + 1);
-        bytes.extend_from_slice(line.as_bytes());
-        bytes.push(b'\n');
-        let deadline = Instant::now() + UPLINK_WRITE_DEADLINE;
-        let mut off = 0;
-        while off < bytes.len() {
-            match self.writer.write(&bytes[off..]) {
-                Ok(0) => return Err(std::io::Error::from(ErrorKind::WriteZero)),
-                Ok(n) => off += n,
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                    if Instant::now() >= deadline {
-                        return Err(e);
-                    }
-                    std::thread::sleep(DRAIN_SLICE);
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        self.writer.flush()?;
-        Ok(bytes.len() as u64)
-    }
+/// A site's uplink that finished its hello, on its way from the request
+/// handler that dialed it to the event loop that owns it from then on.
+pub(crate) struct Dialed {
+    pub(crate) sid: SessionId,
+    pub(crate) out: Rc<SessionOut>,
+    /// Nonblocking by now.
+    pub(crate) stream: TcpStream,
+    /// Holds whatever the coordinator sent past the hello's `OK`.
+    pub(crate) framer: LineFramer,
 }
 
 /// Site-role state: the coordinator uplink, the local↔global id maps, and
 /// the communication accounting the distributed bench reports.
 pub(crate) struct SiteState {
     role: SiteRole,
-    uplink: Option<Uplink>,
+    /// The uplink session and its queue (`None` while down). The event
+    /// loop owns the socket; the site only enqueues.
+    uplink: Option<(SessionId, Rc<SessionOut>)>,
     /// global query id → local engine query id.
     gmap: BTreeMap<QueryId, QueryId>,
     /// local engine query id → global query id.
@@ -475,13 +396,14 @@ pub(crate) struct SiteState {
     /// Local arrival sequence: the engine assigns dense ids in ingest
     /// order, so this mirrors its internal counter.
     next_local: u64,
-    /// Bytes actually shipped up the uplink (deltas + markers + hello).
+    /// Bytes queued up the uplink (deltas + markers + hello).
     pub(crate) bytes_shipped: u64,
     /// Bytes naive forwarding would have shipped (the raw ingest lines).
     pub(crate) bytes_naive: u64,
-    /// Failed uplink writes / rejected uplink replies / bad uplink lines.
+    /// Failed hellos / torn-down uplinks / rejected uplink replies / bad
+    /// uplink lines.
     pub(crate) uplink_errors: u64,
-    /// Uplink (re)connection attempts that completed the hello.
+    /// Dials that completed the hello (enrollments and re-enrollments).
     pub(crate) enrollments: u64,
     /// Local tuple ids that could not be translated (accounting bug
     /// guard; shipped deltas skip them instead of killing the site).
@@ -506,81 +428,82 @@ impl SiteState {
     }
 
     /// Ensures the uplink is connected and enrolled, redialing (one
-    /// attempt; the next cycle retries) after a failure. On a successful
-    /// re-enrollment the coordinator has cleared this site's pools, so the
-    /// current local results are re-shipped as baseline `SITEDELTA`s.
-    pub(crate) fn ensure_uplink(&mut self, server: &mut MonitorServer) {
+    /// attempt; the next cycle retries) after a failure. Dial and hello are
+    /// synchronous, inside [`HELLO_DEADLINE`], so queries registered before
+    /// a site enrolls are adopted at one fixed point of its first cycle. A
+    /// failed hello counts as an uplink error, a failed dial does not. The
+    /// coordinator cleared this site's pools at enrollment, so the local
+    /// results are queued as baseline `SITEDELTA`s, and the new session is
+    /// returned for the event loop to take over.
+    pub(crate) fn ensure_uplink(
+        &mut self,
+        server: &mut MonitorServer,
+        opener: &mut SessionOpener,
+    ) -> Option<Dialed> {
         if self.uplink.is_some() {
-            return;
+            return None;
         }
-        let Some(mut link) = self.connect() else {
-            return;
-        };
-        if !self.hello(&mut link, server) {
-            return;
+        let deadline = Instant::now() + HELLO_DEADLINE;
+        let stream = dial(&self.role.coordinator, deadline)?;
+        let mut framer = LineFramer::new(MAX_REQUEST_LINE);
+        if self.enroll(&stream, &mut framer, deadline, server).is_err() {
+            self.uplink_errors += 1;
+            return None;
         }
-        self.uplink = Some(link);
+        let (sid, out) = opener.open();
+        self.uplink = Some((sid, Rc::clone(&out)));
         self.enrollments += 1;
         self.ship_baseline(server);
-    }
-
-    /// Opens the socket without speaking yet.
-    fn connect(&self) -> Option<Uplink> {
-        let Ok(stream) = TcpStream::connect(&self.role.coordinator) else {
-            return None;
-        };
-        // Deltas and watermarks are small lines on the merge's critical
-        // path; Nagle batching would cost tens of ms per cycle. The
-        // socket is nonblocking (both halves share the fd): the per-cycle
-        // drain must return instantly when no coordinator traffic is
-        // queued, and [`Uplink`] paces reads and writes explicitly.
-        let _ = stream.set_nodelay(true);
-        if stream.set_nonblocking(true).is_err() {
-            return None;
-        }
-        let Ok(writer) = stream.try_clone() else {
-            return None;
-        };
-        Some(Uplink {
-            reader: BufReader::new(stream),
-            writer,
-            buf: Vec::new(),
+        Some(Dialed {
+            sid,
+            out,
+            stream,
+            framer,
         })
     }
 
-    /// Speaks the enrollment hello: `SITE <id> dims=<d>`, then drains the
-    /// coordinator's `ADOPT` replay (installing each query locally) until
-    /// the `OK s<id>` reply.
-    fn hello(&mut self, link: &mut Uplink, server: &mut MonitorServer) -> bool {
-        let hello = Request::SiteHello {
-            site: self.role.site,
-            dims: server.dims(),
-        }
-        .to_string();
-        let Ok(n) = link.send_line(&hello) else {
-            self.uplink_errors += 1;
-            return false;
-        };
-        self.bytes_shipped += n;
-        let deadline = Instant::now() + HELLO_DEADLINE;
+    /// Sends `SITE <id> dims=<d>` on the still-blocking socket, then reads
+    /// the coordinator's `ADOPT` replay (installing each query locally)
+    /// up to the `OK s<id>` reply, and leaves the socket nonblocking.
+    fn enroll(
+        &mut self,
+        mut stream: &TcpStream,
+        framer: &mut LineFramer,
+        deadline: Instant,
+        server: &mut MonitorServer,
+    ) -> std::io::Result<()> {
+        let (site, dims) = (self.role.site, server.dims());
+        let hello = format!("{}\n", Request::SiteHello { site, dims });
+        stream.set_write_timeout(Some(time_left(deadline)?))?;
+        stream.write_all(hello.as_bytes())?;
+        self.bytes_shipped += hello.len() as u64;
+        let mut buf = [0u8; 4096];
         loop {
-            match link.poll_line(Some(deadline)) {
-                Polled::Line(line) => match parse_server_line(&line) {
+            while let Some(framed) = framer.next_line() {
+                let FramedLine::Line(line) = framed else {
+                    return Err(ErrorKind::InvalidData.into());
+                };
+                match parse_server_line(line.trim()) {
                     Ok(ServerLine::Push(push)) => {
                         // ship_baseline after enrollment covers these.
                         let _ = self.apply_adopt(&push, server);
                     }
-                    Ok(ServerLine::Reply(Reply::OkSite(_))) => return true,
+                    Ok(ServerLine::Reply(Reply::OkSite(_))) => {
+                        stream.set_read_timeout(None)?;
+                        return stream.set_nonblocking(true);
+                    }
                     Ok(ServerLine::Reply(Reply::Err { .. })) | Err(_) => {
-                        self.uplink_errors += 1;
-                        return false;
+                        return Err(ErrorKind::InvalidData.into());
                     }
                     Ok(ServerLine::Reply(_)) => {}
-                },
-                Polled::Empty | Polled::Dead => {
-                    self.uplink_errors += 1;
-                    return false;
                 }
+            }
+            stream.set_read_timeout(Some(time_left(deadline)?))?;
+            match stream.read(&mut buf) {
+                Ok(0) => return Err(ErrorKind::UnexpectedEof.into()),
+                Ok(n) => framer.feed(&buf[..n]),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
             }
         }
     }
@@ -623,37 +546,35 @@ impl SiteState {
         }
     }
 
-    /// Drains queued coordinator traffic (query adoptions, acks of shipped
-    /// deltas) without blocking past one empty read slice. A query adopted
-    /// mid-run immediately ships its current local result as a baseline
-    /// `SITEDELTA` — the coordinator's pool for it starts empty.
-    pub(crate) fn drain(&mut self, server: &mut MonitorServer) {
-        let Some(mut link) = self.uplink.take() else {
+    /// Handles one line the coordinator sent up the uplink, read when the
+    /// socket turned readable. A query adopted mid-run queues its current
+    /// local result as a baseline `SITEDELTA` right away — the
+    /// coordinator's pool for it starts empty. Acks of shipped lines need
+    /// nothing; an `ERR` or an unreadable line counts as an uplink error.
+    pub(crate) fn receive(&mut self, framed: FramedLine, server: &mut MonitorServer) {
+        let FramedLine::Line(line) = framed else {
+            self.uplink_errors += 1;
             return;
         };
-        loop {
-            match link.poll_line(None) {
-                Polled::Line(line) => match parse_server_line(&line) {
-                    Ok(ServerLine::Push(push)) => {
-                        if let Some((gid, lid)) = self.apply_adopt(&push, server) {
-                            if !self.ship_query_baseline(&mut link, gid, lid, server) {
-                                self.uplink_errors += 1;
-                                return;
-                            }
-                        }
-                    }
-                    Ok(ServerLine::Reply(Reply::Err { .. })) => self.uplink_errors += 1,
-                    Ok(ServerLine::Reply(_)) => {}
-                    Err(_) => self.uplink_errors += 1,
-                },
-                Polled::Empty => break,
-                Polled::Dead => {
-                    self.uplink_errors += 1;
-                    return;
+        match parse_server_line(line.trim()) {
+            Ok(ServerLine::Push(push)) => {
+                if let Some((gid, lid)) = self.apply_adopt(&push, server) {
+                    self.ship_query_baseline(gid, lid, server);
                 }
             }
+            Ok(ServerLine::Reply(Reply::Err { .. })) | Err(_) => self.uplink_errors += 1,
+            Ok(ServerLine::Reply(_)) => {}
         }
-        self.uplink = Some(link);
+    }
+
+    /// The event loop tore down session `sid` (EOF, reset, write
+    /// deadline). If it was the uplink, the uplink is down until the next
+    /// `SITETICK` redials.
+    pub(crate) fn gone(&mut self, sid: SessionId) {
+        if self.uplink.as_ref().is_some_and(|(up, _)| *up == sid) {
+            self.uplink = None;
+            self.uplink_errors += 1;
+        }
     }
 
     /// Records one ingest batch's local↔global id mapping and prunes
@@ -736,101 +657,64 @@ impl SiteState {
         Some(translated)
     }
 
-    /// Ships one cycle's worth of local result changes plus the cycle
-    /// marker up the uplink, and tallies what naive forwarding of the raw
-    /// ingest line would have cost instead.
+    /// Queues one line up the uplink, if it is up, in the queue's
+    /// never-dropped class, counting its bytes.
+    fn ship(&mut self, req: &Request) {
+        if let Some((_, out)) = &self.uplink {
+            let line = req.to_string();
+            self.bytes_shipped += line.len() as u64 + 1;
+            out.send_reply(line);
+        }
+    }
+
+    /// Queues one cycle's worth of local result changes plus the cycle
+    /// marker up the uplink — the event loop writes them together — and
+    /// tallies what naive forwarding of the raw ingest line would have
+    /// cost instead.
     pub(crate) fn ship_cycle(&mut self, at: Timestamp, deltas: &[ResultDelta], naive_bytes: u64) {
         self.bytes_naive += naive_bytes;
-        let Some(mut link) = self.uplink.take() else {
+        if self.uplink.is_none() {
             return;
-        };
-        for delta in deltas {
-            let Some(translated) = self.translate(delta) else {
+        }
+        for local in deltas {
+            let Some(delta) = self.translate(local) else {
                 continue;
             };
-            if translated.is_empty() {
-                continue;
-            }
-            let line = Request::SiteDelta {
-                at,
-                delta: translated,
-            }
-            .to_string();
-            match link.send_line(&line) {
-                Ok(n) => self.bytes_shipped += n,
-                Err(_) => {
-                    self.uplink_errors += 1;
-                    return;
-                }
+            if !delta.is_empty() {
+                self.ship(&Request::SiteDelta { at, delta });
             }
         }
-        let marker = Request::SiteCycle { at }.to_string();
-        match link.send_line(&marker) {
-            Ok(n) => {
-                self.bytes_shipped += n;
-                self.uplink = Some(link);
-            }
-            Err(_) => self.uplink_errors += 1,
-        }
+        self.ship(&Request::SiteCycle { at });
     }
 
     /// Re-ships the full current local result of every adopted query as
     /// baseline `SITEDELTA`s (the heal path: the coordinator cleared this
     /// site's pools at re-enrollment).
     fn ship_baseline(&mut self, server: &MonitorServer) {
-        let Some(mut link) = self.uplink.take() else {
-            return;
-        };
-        let adopted: Vec<(QueryId, QueryId)> = self.gmap.iter().map(|(g, l)| (*g, *l)).collect();
-        for (gid, lid) in adopted {
-            if !self.ship_query_baseline(&mut link, gid, lid, server) {
-                self.uplink_errors += 1;
-                return;
-            }
+        for (gid, lid) in self.gmap.clone() {
+            self.ship_query_baseline(gid, lid, server);
         }
-        self.uplink = Some(link);
     }
 
-    /// Ships one query's full current local result as a baseline `SITEDELTA`
-    /// over `link`. Returns false when the uplink write failed (the caller
-    /// drops the link and counts the error).
-    fn ship_query_baseline(
-        &mut self,
-        link: &mut Uplink,
-        gid: QueryId,
-        lid: QueryId,
-        server: &MonitorServer,
-    ) -> bool {
+    /// Ships one query's full current local result as a baseline
+    /// `SITEDELTA`.
+    fn ship_query_baseline(&mut self, gid: QueryId, lid: QueryId, server: &MonitorServer) {
         let Ok(entries) = server.result(lid) else {
-            return true;
+            return;
         };
-        let mut baseline = ResultDelta {
+        let mut delta = ResultDelta {
             query: gid,
             added: DeltaList::new(),
             removed: DeltaList::new(),
         };
         for e in &entries {
-            if let Some(global) = self.global_id(e.id) {
-                baseline.added.push(Scored {
-                    score: e.score,
-                    id: global,
-                });
+            if let Some(id) = self.global_id(e.id) {
+                delta.added.push(Scored { score: e.score, id });
             }
         }
-        if baseline.added.is_empty() {
-            return true;
-        }
-        let line = Request::SiteDelta {
-            at: server.now(),
-            delta: baseline,
-        }
-        .to_string();
-        match link.send_line(&line) {
-            Ok(n) => {
-                self.bytes_shipped += n;
-                true
-            }
-            Err(_) => false,
+        if !delta.added.is_empty() {
+            let at = server.now();
+            self.ship(&Request::SiteDelta { at, delta });
         }
     }
 
@@ -851,6 +735,35 @@ impl SiteState {
             ("translate_misses".into(), self.translate_misses.to_string()),
         ]
     }
+}
+
+/// Connects to `addr`, trying each address it resolves to, no attempt
+/// outlasting `deadline`: a blackholed coordinator would otherwise hold
+/// the serving thread for the kernel's whole SYN retry schedule.
+fn dial(addr: &str, deadline: Instant) -> Option<TcpStream> {
+    for addr in addr.to_socket_addrs().ok()? {
+        let Ok(left) = time_left(deadline) else {
+            break;
+        };
+        if let Ok(stream) = TcpStream::connect_timeout(&addr, left) {
+            // Deltas and watermarks are small lines on the merge's
+            // critical path; Nagle batching would cost tens of ms per
+            // cycle.
+            let _ = stream.set_nodelay(true);
+            return Some(stream);
+        }
+    }
+    None
+}
+
+/// What is left until `deadline`, or `TimedOut` once it passed (socket
+/// timeouts refuse a zero duration).
+fn time_left(deadline: Instant) -> std::io::Result<Duration> {
+    let left = deadline.saturating_duration_since(Instant::now());
+    if left.is_zero() {
+        return Err(ErrorKind::TimedOut.into());
+    }
+    Ok(left)
 }
 
 #[cfg(test)]

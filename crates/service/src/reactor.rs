@@ -7,7 +7,9 @@
 //! request handlers of [`crate::service`] inline:
 //!
 //! * nonblocking `accept`, with each new socket registered for read
-//!   readiness under its session-id token;
+//!   readiness under its session-id token — and likewise a site's uplink,
+//!   which a `SITETICK` handler dials and the loop then takes over; its
+//!   framed lines (`ADOPT`s, acks) go to the site role, not to `serve`;
 //! * incremental line framing on partial reads — a request line split
 //!   across any number of `epoll` wakeups (even mid-UTF-8-sequence)
 //!   reassembles through [`crate::session::LineFramer`] — and each framed
@@ -25,9 +27,9 @@
 //!   payload, so a short write resumes exactly where the kernel stopped
 //!   accepting bytes, and `EPOLLOUT` interest is held only while a
 //!   session actually has queued output;
-//! * timers from the `epoll_wait` timeout: write deadlines, idle reaping
-//!   and, under [`crate::TickPolicy::Interval`], the next flush of queued
-//!   arrivals;
+//! * timers from the `epoll_wait` timeout: write deadlines (a fixed one
+//!   for an uplink), idle reaping (which spares an uplink) and, under
+//!   [`crate::TickPolicy::Interval`], the next flush of queued arrivals;
 //! * a stop socket: [`crate::Service::shutdown`] closes its peer, the
 //!   loop reads EOF, flushes what it can and closes every connection.
 //!
@@ -43,9 +45,10 @@ use std::os::unix::net::UnixStream;
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
+use crate::distrib::{Dialed, UPLINK_WRITE_DEADLINE};
 use crate::protocol::parse_request;
 use crate::service::{Counters, EngineOwner, TickPolicy};
-use crate::session::{DirtyList, FramedLine, LineFramer, SessionId, SessionOut, MAX_REQUEST_LINE};
+use crate::session::{FramedLine, LineFramer, SessionId, SessionOut, MAX_REQUEST_LINE};
 
 /// Raw `epoll` bindings — the workspace's only `unsafe` code, scoped to
 /// four syscalls and one `#[repr(C)]` struct. Everything above this
@@ -253,6 +256,12 @@ struct Conn {
     stream: TcpStream,
     out: Rc<SessionOut>,
     framer: LineFramer,
+    /// A site's uplink to its coordinator: its lines go to the site role,
+    /// not to the request handlers, and the idle sweep skips it.
+    uplink: bool,
+    /// How long queued output may make no progress before the session is
+    /// torn down (`None` = wait forever).
+    write_deadline: Option<Duration>,
     /// The last inbound bytes or successful flush (the idle clock): a
     /// pure subscriber is kept alive by its own delta stream, a
     /// connection silent in both directions must `PING`.
@@ -300,15 +309,12 @@ pub(crate) struct Reactor {
     /// Sessions with a write deadline running — scanned each loop so the
     /// common case stays O(ready), not O(conns).
     attention: BTreeSet<u64>,
-    /// Sessions whose queue became non-empty or closed since the last
-    /// flush; each queue marks itself here.
-    dirty: DirtyList,
-    /// The list being flushed, swapped with `dirty` (keeps both buffers).
+    /// The list being flushed, swapped with the owner's dirty list (keeps
+    /// both buffers).
     flushing: Vec<SessionId>,
     /// When the interval timer next flushes queued arrivals, and its
     /// period (`None` under manual ticking).
     ticker: Option<(Instant, Duration)>,
-    next_sid: u64,
     scratch: Vec<u8>,
     /// The buffer every connection reads through.
     read_buf: Vec<u8>,
@@ -346,9 +352,7 @@ impl Reactor {
             conns: HashMap::new(),
             backlog: BTreeSet::new(),
             attention: BTreeSet::new(),
-            dirty: DirtyList::default(),
             flushing: Vec::new(),
-            next_sid: 0,
             scratch: Vec::with_capacity(WRITE_CHUNK),
             read_buf: vec![0; READ_CHUNK],
         }
@@ -434,32 +438,61 @@ impl Reactor {
             if stream.set_nonblocking(true).is_err() {
                 continue;
             }
-            let sid = SessionId(self.next_sid);
-            self.next_sid += 1;
-            if self
-                .poller
-                .add(stream.as_raw_fd(), sid.0, true, false)
-                .is_err()
-            {
-                continue;
-            }
-            let out = Rc::new(SessionOut::marking(Rc::clone(&self.dirty), sid));
-            self.owner.connect(sid, Rc::clone(&out));
-            self.conns.insert(
-                sid.0,
-                Conn {
-                    sid,
-                    stream,
-                    out,
-                    framer: LineFramer::new(MAX_REQUEST_LINE),
-                    active: Instant::now(),
-                    more: false,
-                    blocked_since: None,
-                    reg_read: true,
-                    reg_write: false,
-                },
-            );
+            let (sid, out) = self.owner.connect();
+            self.add_conn(sid, stream, out, LineFramer::new(MAX_REQUEST_LINE), false);
         }
+    }
+
+    /// Takes over the uplink a site's request handler just dialed: from
+    /// here on it is a session of this loop like an accepted one.
+    fn adopt_uplink(&mut self, dialed: Dialed) {
+        // Lines framed past the hello's `OK` are read already: no
+        // readiness will announce them, so serve them next pass.
+        if dialed.framer.pending_len() > 0 {
+            self.backlog.insert(dialed.sid.0);
+        }
+        self.add_conn(dialed.sid, dialed.stream, dialed.out, dialed.framer, true);
+    }
+
+    /// Registers a session's socket for read readiness and starts driving
+    /// it; the session is torn down if the poller refuses it. An uplink
+    /// runs under its fixed write deadline, any other session under the
+    /// configured one.
+    fn add_conn(
+        &mut self,
+        sid: SessionId,
+        stream: TcpStream,
+        out: Rc<SessionOut>,
+        framer: LineFramer,
+        uplink: bool,
+    ) {
+        if self
+            .poller
+            .add(stream.as_raw_fd(), sid.0, true, false)
+            .is_err()
+        {
+            self.owner.teardown(sid);
+            return;
+        }
+        let write_deadline = if uplink {
+            Some(UPLINK_WRITE_DEADLINE)
+        } else {
+            self.owner.cfg.write_timeout
+        };
+        let conn = Conn {
+            sid,
+            stream,
+            out,
+            framer,
+            uplink,
+            write_deadline,
+            active: Instant::now(),
+            more: false,
+            blocked_since: None,
+            reg_read: true,
+            reg_write: false,
+        };
+        self.conns.insert(sid.0, conn);
     }
 
     /// Writes every session the pass queued output for (or closed), once
@@ -467,7 +500,10 @@ impl Reactor {
     /// nothing is marked.
     fn flush_dirty(&mut self) {
         loop {
-            std::mem::swap(&mut *self.dirty.borrow_mut(), &mut self.flushing);
+            std::mem::swap(
+                &mut *self.owner.opener.dirty.borrow_mut(),
+                &mut self.flushing,
+            );
             if self.flushing.is_empty() {
                 return;
             }
@@ -491,7 +527,8 @@ impl Reactor {
     }
 
     /// Runs the read side of one connection: nonblocking reads into the
-    /// framer, each framed request served inline.
+    /// framer, each framed request served inline. A request that dialed a
+    /// site uplink leaves it for the loop to adopt here.
     fn drive_reads(&mut self, token: u64) {
         let outcome = {
             let Some(conn) = self.conns.get_mut(&token) else {
@@ -506,6 +543,9 @@ impl Reactor {
             }
             outcome
         };
+        if let Some(dialed) = self.owner.dialed.take() {
+            self.adopt_uplink(dialed);
+        }
         self.settle(token, outcome);
     }
 
@@ -553,7 +593,7 @@ impl Reactor {
             conn.reg_read = wants_read;
             conn.reg_write = wants_write;
         }
-        if self.owner.cfg.write_timeout.is_some() && conn.blocked_since.is_some() {
+        if conn.write_deadline.is_some() && conn.blocked_since.is_some() {
             self.attention.insert(token);
         } else {
             self.attention.remove(&token);
@@ -563,15 +603,13 @@ impl Reactor {
     /// Enforces write deadlines: a socket whose buffer stays full never
     /// reports `EPOLLOUT` again, so the deadline fires from here.
     fn service_deadlines(&mut self) {
-        let Some(limit) = self.owner.cfg.write_timeout else {
-            return;
-        };
         let tokens: Vec<u64> = self.attention.iter().copied().collect();
         let now = Instant::now();
         for token in tokens {
             let expired = self.conns.get(&token).is_some_and(|conn| {
                 conn.blocked_since
-                    .is_some_and(|since| now.duration_since(since) >= limit)
+                    .zip(conn.write_deadline)
+                    .is_some_and(|(since, limit)| now.duration_since(since) >= limit)
             });
             if expired {
                 self.teardown(token);
@@ -583,12 +621,13 @@ impl Reactor {
     }
 
     /// Reaps connections silent in both directions past the idle
-    /// deadline.
+    /// deadline. A site's own uplink is exempt: the coordinator's lease
+    /// is the one liveness rule for it.
     fn idle_sweep(&mut self, idle: Duration) {
         let reap: Vec<u64> = self
             .conns
             .values()
-            .filter(|c| c.active.elapsed() >= idle)
+            .filter(|c| !c.uplink && c.active.elapsed() >= idle)
             .map(|c| c.sid.0)
             .collect();
         for token in reap {
@@ -672,13 +711,19 @@ fn read_some(conn: &mut Conn, owner: &mut EngineOwner, buf: &mut [u8]) -> After 
     }
 }
 
-/// Serves up to `budget` complete lines out of the framer, stopping once
-/// the session is closed (`QUIT`); returns the budget left.
+/// Serves up to `budget` complete lines out of the framer (an uplink's go
+/// to the site role), stopping once the session is closed (`QUIT`);
+/// returns the budget left.
 fn serve_lines(conn: &mut Conn, owner: &mut EngineOwner, mut budget: usize) -> usize {
     while budget > 0 && !conn.out.is_closed() {
         let Some(framed) = conn.framer.next_line() else {
             break;
         };
+        if conn.uplink {
+            owner.uplink_line(framed);
+            budget -= 1;
+            continue;
+        }
         let req = match framed {
             FramedLine::TooLong => Err(format!("request line exceeds {MAX_REQUEST_LINE} bytes")),
             FramedLine::NotUtf8 => Err("request line is not UTF-8".into()),

@@ -47,12 +47,12 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::distrib::{CoordState, Role, SiteState};
+use crate::distrib::{CoordState, Dialed, Role, SiteState};
 use crate::protocol::{
     encode_delta_push, write_ingest, ErrCode, Family, Push, QuerySpec, Reply, Request,
 };
 use crate::reactor::Reactor;
-use crate::session::{SessionId, SessionOut};
+use crate::session::{FramedLine, SessionId, SessionOpener, SessionOut};
 use tkm_common::{QueryId, Rect, Result, ScoreFn, Scored, Timestamp, TkmError};
 use tkm_core::{DeltaRouter, MonitorServer, Query, ResultDelta, ServerConfig};
 
@@ -258,6 +258,10 @@ pub(crate) struct EngineOwner {
     server: MonitorServer,
     pub(crate) cfg: ServiceConfig,
     role: RoleState,
+    /// Allocates every session of the loop, the site's uplink included.
+    pub(crate) opener: SessionOpener,
+    /// A site uplink the last request dialed, for the loop to take over.
+    pub(crate) dialed: Option<Dialed>,
     sessions: BTreeMap<SessionId, Subscriber>,
     /// The one subscription table: query → subscriber queues.
     router: DeltaRouter<Subscriber>,
@@ -281,6 +285,8 @@ impl EngineOwner {
             server,
             cfg,
             role,
+            opener: SessionOpener::default(),
+            dialed: None,
             sessions: BTreeMap::new(),
             router: DeltaRouter::new(),
             pending: Vec::new(),
@@ -290,9 +296,13 @@ impl EngineOwner {
         }
     }
 
-    /// Adopts a new connection's outbound queue.
-    pub(crate) fn connect(&mut self, sid: SessionId, out: Rc<SessionOut>) {
-        self.sessions.insert(sid, Subscriber { sid, out });
+    /// Opens a session for a new connection: its id and outbound queue.
+    pub(crate) fn connect(&mut self) -> (SessionId, Rc<SessionOut>) {
+        let (sid, out) = self.opener.open();
+        let sub = Subscriber { sid, out };
+        let out = Rc::clone(&sub.out);
+        self.sessions.insert(sid, sub);
+        (sid, out)
     }
 
     /// Serves one framed request line of session `sid` (`Err` carries the
@@ -318,6 +328,14 @@ impl EngineOwner {
         }
     }
 
+    /// Hands one framed line of the site's coordinator uplink to the site
+    /// role (the uplink's lines are coordinator output, not requests).
+    pub(crate) fn uplink_line(&mut self, framed: FramedLine) {
+        if let RoleState::Site(site) = &mut self.role {
+            site.receive(framed, &mut self.server);
+        }
+    }
+
     /// The interval timer fired: flush queued arrivals as one cycle.
     pub(crate) fn tick_timer(&mut self) {
         if self.flush().is_err() {
@@ -338,17 +356,22 @@ impl EngineOwner {
             self.router.drop_subscriber(&sub);
             sub.out.close();
         }
-        // If the dead session was a site uplink, the site just missed its
-        // lease: drop its contribution, keep serving from the survivors,
-        // and flag every query degraded (graceful degradation — the
-        // coordinator never stops answering).
-        if let RoleState::Coordinator(coord) = &mut self.role {
-            if coord.gone(sid).is_some() {
-                let deltas = coord.republish();
-                let at = coord.publish_ts();
-                self.fan_out(at, &deltas);
-                self.push_degraded();
+        match &mut self.role {
+            // If the dead session was a site uplink, the site just missed
+            // its lease: drop its contribution, keep serving from the
+            // survivors, and flag every query degraded (graceful
+            // degradation — the coordinator never stops answering).
+            RoleState::Coordinator(coord) => {
+                if coord.gone(sid).is_some() {
+                    let deltas = coord.republish();
+                    let at = coord.publish_ts();
+                    self.fan_out(at, &deltas);
+                    self.push_degraded();
+                }
             }
+            // A site's own uplink is down until its next SITETICK redials.
+            RoleState::Site(site) => site.gone(sid),
+            RoleState::Standalone => {}
         }
     }
 
@@ -611,16 +634,18 @@ impl EngineOwner {
         Reply::OkTick { now, queued: 0 }
     }
 
-    /// Runs one site-local ingest cycle (`SITETICK … base=…`): tick the
-    /// local engine, record the local↔global id mapping, and ship the
-    /// resulting deltas plus the cycle marker up the coordinator uplink.
+    /// Runs one site-local ingest cycle (`SITETICK … base=…`): redial the
+    /// coordinator uplink if it is down, tick the local engine, record the
+    /// local↔global id mapping, and queue the resulting deltas plus the
+    /// cycle marker up the uplink.
     fn site_ingest(&mut self, at: Timestamp, base: u64, arrivals: &[f64]) -> Reply {
         let window = self.cfg.server.window;
         let RoleState::Site(site) = &mut self.role else {
             return internal_reply("SITETICK ingest outside the site role");
         };
-        site.ensure_uplink(&mut self.server);
-        site.drain(&mut self.server);
+        if let Some(dialed) = site.ensure_uplink(&mut self.server, &mut self.opener) {
+            self.dialed = Some(dialed);
+        }
         let dims = self.server.dims();
         if !arrivals.len().is_multiple_of(dims) {
             return Reply::Err {

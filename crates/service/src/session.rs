@@ -49,7 +49,8 @@ use std::io::BufRead;
 use std::rc::Rc;
 use std::sync::Arc;
 
-/// Identifier of one accepted connection, unique within a service run.
+/// Identifier of one session of the event loop (an accepted connection or
+/// a site's uplink), unique within a service run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SessionId(pub u64);
 
@@ -63,6 +64,29 @@ impl std::fmt::Display for SessionId {
 /// event loop last flushed: the loop's dirty list, shared with every
 /// queue it adopted.
 pub(crate) type DirtyList = Rc<RefCell<Vec<SessionId>>>;
+
+/// Opens the event loop's sessions — accepted connections and a site's
+/// coordinator uplink alike: ids unique within a service run, and queues
+/// that mark the loop's dirty list.
+#[derive(Default)]
+pub(crate) struct SessionOpener {
+    /// The loop's dirty list, shared with every queue opened here.
+    pub(crate) dirty: DirtyList,
+    next: u64,
+}
+
+impl SessionOpener {
+    /// A fresh session id and its empty open queue.
+    pub(crate) fn open(&mut self) -> (SessionId, Rc<SessionOut>) {
+        let sid = SessionId(self.next);
+        self.next += 1;
+        let out = SessionOut {
+            state: RefCell::default(),
+            dirty: Some((Rc::clone(&self.dirty), sid)),
+        };
+        (sid, Rc::new(out))
+    }
+}
 
 /// A queued outbound line, classed by droppability.
 struct OutEntry {
@@ -145,15 +169,6 @@ impl SessionOut {
     /// Creates an empty open queue.
     pub fn new() -> SessionOut {
         SessionOut::default()
-    }
-
-    /// An empty open queue whose idle→busy transitions mark `sid` on the
-    /// event loop's dirty list.
-    pub(crate) fn marking(dirty: DirtyList, sid: SessionId) -> SessionOut {
-        SessionOut {
-            state: RefCell::default(),
-            dirty: Some((dirty, sid)),
-        }
     }
 
     /// Puts this session on the loop's dirty list (when attached). Only

@@ -1,12 +1,15 @@
 //! Distributed-tier integration tests: a coordinator merging per-site
 //! candidate deltas must track a single-node oracle bit-exactly, keep
 //! serving (flagged `DEGRADED`) while a site is down, reap silent sites
-//! through the lease, reconverge across uplink resets, and ship at least
-//! 5× fewer uplink bytes than forwarding the stream would.
+//! through the lease, reconverge across uplink resets, read coordinator
+//! traffic as events, survive a coordinator that refuses or ignores the
+//! hello, and ship at least 5× fewer uplink bytes than forwarding the
+//! stream would.
 
 mod chaos_proxy;
 
 use std::collections::BTreeMap;
+use std::net::TcpListener;
 use std::time::{Duration, Instant};
 
 use chaos_proxy::{ChaosProxy, Dir, Kind};
@@ -473,6 +476,78 @@ fn uplink_resets_redial_and_reconverge() {
     site1.shutdown();
     oracle_svc.shutdown();
     coordinator.shutdown();
+}
+
+/// A query registered after a site enrolled reaches the site on its
+/// uplink session's readiness alone: with no further `SITETICK`, the
+/// site adopts it. Each `STATS` round trip paces the site's loop.
+#[test]
+fn adopt_is_read_as_an_event() {
+    let cfg = ServerConfig::sma(2, 16);
+    let coordinator = bind_coordinator(&cfg);
+    let mut control = ServiceClient::connect(coordinator.local_addr()).expect("connect control");
+    let (site, mut driver) =
+        bind_site(&cfg, SiteRole::new(0, coordinator.local_addr().to_string()));
+    driver
+        .site_ingest(Timestamp(1), 0, &[])
+        .expect("enrolling cycle");
+    let stats = driver.stats().expect("site stats");
+    assert_eq!(stats["enrollments"], "1");
+    assert_eq!(stats["adopted"], "0");
+
+    control
+        .register_linear(2, &[1.0, 1.0])
+        .expect("register q0");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let stats = driver.stats().expect("site stats");
+        if stats["adopted"] == "1" {
+            assert_eq!(stats["ticks"], "1", "no ingest ran: {stats:?}");
+            assert_eq!(stats["uplink_errors"], "0");
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the ADOPT was never read: {stats:?}"
+        );
+    }
+
+    site.shutdown();
+    coordinator.shutdown();
+}
+
+/// A coordinator that refuses the dial, and one whose kernel completes the
+/// handshake but which never answers the hello: either way the site's
+/// cycle still answers `OK` within the 2 s hello deadline plus 1 s, and
+/// the uplink stays down. Only the unanswered hello counts as an uplink
+/// error.
+#[test]
+fn failed_dial_and_unanswered_hello_leave_the_uplink_down() {
+    let refusing = {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        listener.local_addr().expect("addr")
+    };
+    let silent = TcpListener::bind("127.0.0.1:0").expect("bind silent coordinator");
+    let cfg = ServerConfig::sma(2, 16);
+    for (coordinator, errors) in [(refusing, "0"), (silent.local_addr().expect("addr"), "1")] {
+        let (site, mut driver) = bind_site(&cfg, SiteRole::new(0, coordinator.to_string()));
+        let started = Instant::now();
+        driver
+            .site_ingest(Timestamp(1), 0, &[0.5, 0.5])
+            .expect("the cycle answers without its coordinator");
+        let took = started.elapsed();
+        assert!(
+            took < Duration::from_secs(3),
+            "SITETICK against {coordinator} took {took:?}"
+        );
+        let stats = driver.stats().expect("site stats");
+        assert_eq!(stats["uplink"], "down", "{coordinator}: {stats:?}");
+        assert_eq!(stats["enrollments"], "0", "{coordinator}: {stats:?}");
+        assert_eq!(stats["uplink_errors"], errors, "{coordinator}: {stats:?}");
+        assert_eq!(stats["ticks"], "1", "{coordinator}: {stats:?}");
+        site.shutdown();
+    }
+    drop(silent);
 }
 
 /// One run of the uplink-efficiency shape (3 sites, d = 2, a 10-tick time
