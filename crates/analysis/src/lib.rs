@@ -13,9 +13,9 @@
 //! Closed-form estimates of the cost and space of TMA and SMA under the
 //! paper's assumptions: `N` tuples uniformly distributed in the unit
 //! d-dimensional workspace, arrival rate `r` per cycle, `Q` queries with
-//! result size `k`, grid cell extent `δ` per axis. The `model_vs_measured`
-//! experiment compares these formulas against counters collected from the
-//! running engines.
+//! result size `k`, grid cell extent `δ` per axis. The `model` figure of
+//! the `paper` binary compares these formulas against counters collected
+//! from the running engines.
 //!
 //! All quantities are *unit-free operation counts*, not seconds: the paper
 //! uses them for asymptotic comparison (e.g. `Pr_rec · T_comp` explains why

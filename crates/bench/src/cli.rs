@@ -1,19 +1,8 @@
-//! Shared CLI plumbing for the experiment binaries.
+//! Shared CLI plumbing for the `paper` and `serve` binaries.
 //!
-//! Every figure binary accepts:
-//!
-//! * `--scale quick|default|paper` — parameter preset (see [`crate::params`]);
-//! * `--csv` — additionally print the table as CSV.
-//!
-//! A flag the binary does not know, a flag without its value and a value
-//! outside the accepted set are usage errors: one line on stderr, exit
-//! code 2 — never a silent fall-back to some default run.
-
-// Emitting results on stdout is this module's entire purpose.
-#![allow(clippy::print_stdout)]
-
-use crate::params::Scale;
-use crate::table::Table;
+//! A flag or figure name the binary does not know, a flag without its
+//! value and a value outside the accepted set are usage errors: one line
+//! on stderr, exit code 2 — never a silent fall-back to some default run.
 
 /// Rejects every `--flag` in `args` that `known` (space-separated) does
 /// not list.
@@ -52,26 +41,4 @@ pub fn or_usage_exit<T>(parsed: Result<T, String>) -> T {
         eprintln!("{msg}");
         std::process::exit(2)
     })
-}
-
-/// Whether `--csv` was passed.
-pub fn csv_requested() -> bool {
-    std::env::args().any(|a| a == "--csv")
-}
-
-/// Prints the standard experiment header.
-pub fn header(experiment: &str, paper_ref: &str, scale: Scale, setting: &str) {
-    println!("== {experiment} ==");
-    println!("   reproduces: {paper_ref}");
-    println!("   scale: {scale:?}   setting: {setting}");
-    println!();
-}
-
-/// Prints a table (and its CSV form if requested).
-pub fn emit(table: &Table) {
-    println!("{}", table.render());
-    if csv_requested() {
-        println!("--- csv ---");
-        println!("{}", table.to_csv());
-    }
 }

@@ -3,8 +3,10 @@
 use std::time::Instant;
 
 use crate::params::ExpParams;
-use tkm_common::{QueryId, Result, Timestamp};
-use tkm_core::{GridSpec, Query, SmaMonitor, TmaMonitor};
+use tkm_common::{QueryId, Rect, Result, ScoreFn, Timestamp};
+use tkm_core::{
+    BandMaintenance, BandPolicy, ContinuousTopK, GridSpec, Monitor, Query, SmaMonitor, TmaMonitor,
+};
 use tkm_datagen::{QueryGen, StreamSim};
 use tkm_tsl::{KmaxPolicy, TslMonitor};
 use tkm_window::WindowSpec;
@@ -12,8 +14,8 @@ use tkm_window::WindowSpec;
 /// Engine selection for an experiment run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EngineSel {
-    /// Threshold Sorted List baseline.
-    Tsl,
+    /// Threshold Sorted List baseline with its `kmax` policy.
+    Tsl(KmaxPolicy),
     /// Top-k Monitoring Algorithm.
     Tma,
     /// Skyband Monitoring Algorithm.
@@ -21,16 +23,16 @@ pub enum EngineSel {
 }
 
 impl EngineSel {
-    /// All three engines in the paper's reporting order.
-    pub const ALL: [EngineSel; 3] = [EngineSel::Tsl, EngineSel::Tma, EngineSel::Sma];
+    /// TSL with the paper's fine-tuned `kmax` table.
+    pub const TSL: EngineSel = EngineSel::Tsl(KmaxPolicy::Tuned);
 
-    /// The pair of grid-based engines (Figure 14).
-    pub const GRID: [EngineSel; 2] = [EngineSel::Tma, EngineSel::Sma];
+    /// All three engines in the paper's reporting order.
+    pub const ALL: [EngineSel; 3] = [EngineSel::TSL, EngineSel::Tma, EngineSel::Sma];
 
     /// Display label.
     pub fn label(self) -> &'static str {
         match self {
-            EngineSel::Tsl => "TSL",
+            EngineSel::Tsl(_) => "TSL",
             EngineSel::Tma => "TMA",
             EngineSel::Sma => "SMA",
         }
@@ -52,99 +54,109 @@ pub struct RunMeasurement {
     pub avg_view_len: f64,
 }
 
-enum EngineBox {
-    Tsl(TslMonitor),
-    Tma(TmaMonitor),
-    Sma(SmaMonitor),
+/// The counters a run reads off an engine beyond [`ContinuousTopK`].
+trait Counters: ContinuousTopK {
+    /// Refills (TSL) or from-scratch computations (TMA/SMA) so far.
+    fn recomputations(&self) -> u64;
+    /// Mean view (TSL) or band (TMA/SMA) length per query.
+    fn avg_view_len(&self) -> f64;
 }
 
-impl EngineBox {
-    fn build(sel: EngineSel, p: &ExpParams) -> Result<EngineBox> {
-        let window = WindowSpec::Count(p.n);
-        let grid = GridSpec::CellBudget(p.grid_cells);
-        Ok(match sel {
-            EngineSel::Tsl => EngineBox::Tsl(TslMonitor::new(p.dims, window, KmaxPolicy::Tuned)?),
-            EngineSel::Tma => EngineBox::Tma(TmaMonitor::new(p.dims, window, grid)?),
-            EngineSel::Sma => EngineBox::Sma(SmaMonitor::new(p.dims, window, grid)?),
-        })
+impl<P: BandPolicy> Counters for Monitor<BandMaintenance<P>> {
+    fn recomputations(&self) -> u64 {
+        self.stats().recomputations()
     }
-
-    fn tick(&mut self, now: Timestamp, arrivals: &[f64]) -> Result<()> {
-        match self {
-            EngineBox::Tsl(m) => m.tick(now, arrivals),
-            EngineBox::Tma(m) => m.tick(now, arrivals),
-            EngineBox::Sma(m) => m.tick(now, arrivals),
-        }
-    }
-
-    fn register(&mut self, id: QueryId, q: Query) -> Result<()> {
-        match self {
-            EngineBox::Tsl(m) => m.register_query(id, q.f, q.k),
-            EngineBox::Tma(m) => m.register_query(id, q),
-            EngineBox::Sma(m) => m.register_query(id, q),
-        }
-    }
-
-    fn space_bytes(&self) -> usize {
-        match self {
-            EngineBox::Tsl(m) => m.space_bytes(),
-            EngineBox::Tma(m) => m.space_bytes(),
-            EngineBox::Sma(m) => m.space_bytes(),
-        }
-    }
-
-    /// Refills (TSL) or from-scratch computations (TMA/SMA) so far.
-    fn recompute_counter(&self) -> u64 {
-        match self {
-            EngineBox::Tsl(m) => m.stats().refills,
-            EngineBox::Tma(m) => m.stats().recomputations(),
-            EngineBox::Sma(m) => m.stats().recomputations(),
-        }
-    }
-
     fn avg_view_len(&self) -> f64 {
-        match self {
-            EngineBox::Tsl(m) => m.avg_view_len(),
-            EngineBox::Tma(m) => m.avg_band_len(),
-            EngineBox::Sma(m) => m.avg_band_len(),
-        }
+        self.avg_band_len()
     }
+}
+
+impl Counters for TslMonitor {
+    fn recomputations(&self) -> u64 {
+        self.stats().refills
+    }
+    fn avg_view_len(&self) -> f64 {
+        TslMonitor::avg_view_len(self)
+    }
+}
+
+/// The `Q` scoring functions of the experiment defined by `p`.
+pub fn query_workload(p: &ExpParams) -> Result<Vec<ScoreFn>> {
+    Ok(QueryGen::new(p.dims, p.family, p.seed ^ 0x9e37_79b9_7f4a_7c15)?.workload(p.q))
+}
+
+/// The constraint box of the `i`-th constrained query (§7): the same
+/// 0.4-wide interval on every axis, at one of seven offsets.
+fn constraint_for(dims: usize, i: usize) -> Result<Rect> {
+    let f = (i % 7) as f64 / 10.0;
+    Rect::new(vec![f * 0.6; dims], vec![(f * 0.6 + 0.4).min(1.0); dims])
+}
+
+/// Feeds the first `n` tuples of `stream` to `feed` in large batches, so
+/// the window is full before any query registers and the initial
+/// computations run at steady-state density.
+pub fn warm_up(
+    stream: &mut StreamSim,
+    n: usize,
+    mut feed: impl FnMut(Timestamp, &[f64]) -> Result<()>,
+) -> Result<()> {
+    const WARM_CHUNK: usize = 50_000;
+    let mut remaining = n;
+    while remaining > 0 {
+        let chunk = remaining.min(WARM_CHUNK);
+        let (ts, batch) = stream.warmup_batch(chunk);
+        feed(ts, batch)?;
+        remaining -= chunk;
+    }
+    Ok(())
+}
+
+/// Feeds `ticks` processing cycles of `stream` to `feed` and returns the
+/// wall-clock seconds they took.
+pub fn timed_cycles(
+    stream: &mut StreamSim,
+    ticks: usize,
+    mut feed: impl FnMut(Timestamp, &[f64]) -> Result<()>,
+) -> Result<f64> {
+    let start = Instant::now();
+    for _ in 0..ticks {
+        let (ts, batch) = stream.next_batch();
+        feed(ts, batch)?;
+    }
+    Ok(start.elapsed().as_secs_f64())
 }
 
 /// Runs one engine over the experiment defined by `p`: build, warm the
 /// window with `N` tuples, register `Q` queries, then measure `ticks`
 /// cycles of `r` arrivals each.
 pub fn run_engine(sel: EngineSel, p: &ExpParams) -> Result<RunMeasurement> {
-    let workload = QueryGen::new(p.dims, p.family, p.seed ^ 0x9e37_79b9_7f4a_7c15)?.workload(p.q);
+    let window = WindowSpec::Count(p.n);
+    let grid = GridSpec::CellBudget(p.grid_cells);
+    match sel {
+        EngineSel::Tsl(kmax) => measure(TslMonitor::new(p.dims, window, kmax)?, p),
+        EngineSel::Tma => measure(TmaMonitor::new(p.dims, window, grid)?, p),
+        EngineSel::Sma => measure(SmaMonitor::new(p.dims, window, grid)?, p),
+    }
+}
+
+fn measure(mut engine: impl Counters, p: &ExpParams) -> Result<RunMeasurement> {
     let mut stream = StreamSim::new(p.dims, p.dist, p.r, p.seed)?;
-    let mut engine = EngineBox::build(sel, p)?;
-
-    // Warm-up: fill the window before registering queries so the initial
-    // computations run at steady-state density.
-    const WARM_CHUNK: usize = 50_000;
-    let mut remaining = p.n;
-    while remaining > 0 {
-        let chunk = remaining.min(WARM_CHUNK);
-        let (ts, batch) = stream.warmup_batch(chunk);
-        engine.tick(ts, batch)?;
-        remaining -= chunk;
-    }
-    for (i, f) in workload.into_iter().enumerate() {
-        engine.register(QueryId(i as u64), Query::top_k(f, p.k)?)?;
+    warm_up(&mut stream, p.n, |ts, batch| engine.tick(ts, batch))?;
+    for (i, f) in query_workload(p)?.into_iter().enumerate() {
+        let query = if p.constrained {
+            Query::constrained(f, p.k, constraint_for(p.dims, i)?)?
+        } else {
+            Query::top_k(f, p.k)?
+        };
+        engine.register_query(QueryId(i as u64), query)?;
     }
 
-    let recomputes_before = engine.recompute_counter();
-    let start = Instant::now();
-    for _ in 0..p.ticks {
-        let (ts, batch) = stream.next_batch();
-        engine.tick(ts, batch)?;
-    }
-    let cpu_seconds = start.elapsed().as_secs_f64();
-
+    let recomputes_before = engine.recomputations();
+    let cpu_seconds = timed_cycles(&mut stream, p.ticks, |ts, batch| engine.tick(ts, batch))?;
     Ok(RunMeasurement {
         cpu_seconds,
         space_bytes: engine.space_bytes(),
-        recomputations: engine.recompute_counter() - recomputes_before,
+        recomputations: engine.recomputations() - recomputes_before,
         avg_view_len: engine.avg_view_len(),
     })
 }

@@ -9,13 +9,14 @@
 
 //! Experiment harness for reproducing the paper's tables and figures.
 //!
-//! Each figure/table has a dedicated binary in `src/bin/`; they share the
-//! machinery here: experiment configuration ([`params::ExpParams`]), the
-//! engine runner ([`harness`]) that warms a window, replays a measured
-//! stream and reports CPU time / space / structural statistics, and the
-//! plain-text table printer ([`table`]).
+//! The `paper` binary runs the figures and tables listed in [`figures`].
+//! They share the machinery here: experiment configuration
+//! ([`params::ExpParams`]), the engine runner ([`harness`]) that warms a
+//! window, replays a measured stream and reports CPU time / space /
+//! structural statistics, and the plain-text table printer ([`table`]).
 
 pub mod cli;
+pub mod figures;
 pub mod harness;
 pub mod params;
 pub mod table;

@@ -2,7 +2,7 @@
 //!
 //! The paper's full-scale setting (N up to 5M tuples, 100 cycles) runs in
 //! minutes-to-hours depending on the engine; the scaled presets keep every
-//! *relative* comparison intact while finishing quickly. Every experiment
+//! *relative* comparison intact while finishing quickly. The `paper`
 //! binary accepts `--scale quick|default|paper`.
 
 use crate::cli;
@@ -30,7 +30,7 @@ impl Scale {
         }
     }
 
-    /// Reads `--scale X` from a figure binary's arguments (program name
+    /// Reads `--scale X` from the `paper` binary's arguments (program name
     /// excluded): [`Scale::Default`] when the flag is absent, an error
     /// line for an unknown flag, a missing value or an unknown preset.
     pub fn from_arg_list(args: &[String]) -> Result<Scale, String> {
@@ -43,17 +43,10 @@ impl Scale {
             Scale::parse,
         )
     }
-
-    /// [`Scale::from_arg_list`] over the process arguments; a usage error
-    /// ends the process with exit code 2.
-    pub fn from_args() -> Scale {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        cli::or_usage_exit(Scale::from_arg_list(&args))
-    }
 }
 
 /// One experiment setting (the knobs of Table 1).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ExpParams {
     /// Data dimensionality `d`.
     pub dims: usize,
@@ -73,6 +66,8 @@ pub struct ExpParams {
     pub dist: DataDist,
     /// Scoring-function family.
     pub family: FnFamily,
+    /// Whether each query is restricted to a constraint box (§7).
+    pub constrained: bool,
     /// RNG seed (data and queries derive sub-seeds from it).
     pub seed: u64,
 }
@@ -93,6 +88,7 @@ impl ExpParams {
                 ticks: 100,
                 dist: DataDist::Ind,
                 family: FnFamily::Linear,
+                constrained: false,
                 seed: 20060627, // SIGMOD 2006, June 27
             },
             Scale::Default => ExpParams {

@@ -1,8 +1,8 @@
 //! Cumulative counters exposed by the monitoring engines.
 //!
 //! The counters mirror the cost factors of the paper's §6 analysis, so the
-//! `model_vs_measured` experiment can put the analytical model side by side
-//! with observed behaviour.
+//! `model` figure of the `paper` binary can put the analytical model side
+//! by side with observed behaviour.
 
 /// Cumulative counters of a grid-based engine (TMA / SMA / variants).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

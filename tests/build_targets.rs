@@ -1,7 +1,8 @@
 //! Smoke guarantees for target wiring: every benchmark binary, criterion
-//! bench and example the ROADMAP's experiments rely on must exist on disk
-//! exactly where the manifests expect them, so `cargo check --workspace
-//! --all-targets` (run in CI) compiles them all and none can silently rot.
+//! bench, example and paper figure the ROADMAP's experiments rely on must
+//! exist exactly where the manifests expect them, so `cargo check
+//! --workspace --all-targets` (run in CI) compiles them all and none can
+//! silently rot.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -26,29 +27,26 @@ fn stems(dir: &Path) -> BTreeSet<String> {
 
 #[test]
 fn all_paper_figure_binaries_exist() {
-    let expected: BTreeSet<String> = [
-        "ext_variants",
-        "fig13_datasets",
-        "fig14_grid",
-        "fig15_dimensionality",
-        "fig16_cardinality",
-        "fig17_arrival_rate",
-        "fig18_query_count",
-        "fig19_k",
-        "fig20_space",
-        "fig21_nonlinear",
-        "model_vs_measured",
-        "serve",
-        "table2_view_size",
-        "tune_kmax",
-    ]
-    .into_iter()
-    .map(String::from)
-    .collect();
+    let expected: BTreeSet<String> = ["paper", "serve"].into_iter().map(String::from).collect();
     let found = stems(&repo_root().join("crates/bench/src/bin"));
     assert_eq!(
         found, expected,
         "bench binaries drifted; update this list *and* README.md"
+    );
+}
+
+/// The `paper` binary runs the rows of one figure table; a figure that
+/// dropped out of it would vanish as silently as a deleted binary.
+#[test]
+fn figure_table_lists_every_paper_figure() {
+    let ids: Vec<&str> = tkm_bench::figures::FIGURES.iter().map(|f| f.id).collect();
+    assert_eq!(
+        ids,
+        [
+            "fig13", "fig14", "fig15", "fig16", "fig17", "fig18", "fig19", "fig20", "fig21",
+            "table2", "model", "kmax", "ext"
+        ],
+        "figure table drifted; update this list *and* README.md"
     );
 }
 
