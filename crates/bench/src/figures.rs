@@ -12,7 +12,7 @@
 #![allow(clippy::print_stdout)]
 
 use crate::harness::{query_workload, timed_cycles, warm_up, EngineSel, RunMeasurement};
-use crate::params::{ExpParams, Scale};
+use crate::params::{ExpParams, Scale, CYCLES};
 use crate::table::{fmt_mb, fmt_secs, Table};
 use tkm_analysis::ModelParams;
 use tkm_common::{QueryId, Result};
@@ -542,7 +542,7 @@ fn model(s: &mut Session) -> Result<()> {
         };
         let tma = s.run(Tma, &p)?;
         let sma = s.run(Sma, &p)?;
-        let rate = tma.recomputations as f64 / (p.q as f64 * p.ticks as f64);
+        let rate = tma.recomputations as f64 / (p.q * CYCLES) as f64;
         table.row(vec![
             k.to_string(),
             format!("{:.3}", model.pr_rec()),
@@ -657,7 +657,7 @@ fn threshold_run(p: &ExpParams) -> Result<f64> {
         let tau = 0.97 * f.max_score_rect(&vec![0.0; p.dims], &vec![1.0; p.dims]);
         m.register_query(QueryId(i as u64), f, tau)?;
     }
-    timed_cycles(&mut stream, p.ticks, |ts, batch| m.tick(ts, batch))
+    timed_cycles(&mut stream, |ts, batch| m.tick(ts, batch))
 }
 
 /// Seconds and recomputations of the measured cycles of update-stream
@@ -678,7 +678,7 @@ fn update_stream_run(p: &ExpParams) -> Result<(f64, u64)> {
     }
     let before = m.stats().recomputations();
     let mut state = p.seed | 1;
-    let secs = timed_cycles(&mut stream, p.ticks, |_, batch| {
+    let secs = timed_cycles(&mut stream, |_, batch| {
         for coords in batch.chunks_exact(p.dims) {
             live.push(m.insert(coords)?);
         }

@@ -2,7 +2,7 @@
 
 use std::time::Instant;
 
-use crate::params::ExpParams;
+use crate::params::{ExpParams, CYCLES};
 use tkm_common::{QueryId, Rect, Result, ScoreFn, Timestamp};
 use tkm_core::{
     BandMaintenance, BandPolicy, ContinuousTopK, GridSpec, Monitor, Query, SmaMonitor, TmaMonitor,
@@ -111,15 +111,14 @@ pub fn warm_up(
     Ok(())
 }
 
-/// Feeds `ticks` processing cycles of `stream` to `feed` and returns the
-/// wall-clock seconds they took.
+/// Feeds [`CYCLES`] processing cycles of `stream` to `feed` and returns
+/// the wall-clock seconds they took.
 pub fn timed_cycles(
     stream: &mut StreamSim,
-    ticks: usize,
     mut feed: impl FnMut(Timestamp, &[f64]) -> Result<()>,
 ) -> Result<f64> {
     let start = Instant::now();
-    for _ in 0..ticks {
+    for _ in 0..CYCLES {
         let (ts, batch) = stream.next_batch();
         feed(ts, batch)?;
     }
@@ -127,8 +126,8 @@ pub fn timed_cycles(
 }
 
 /// Runs one engine over the experiment defined by `p`: build, warm the
-/// window with `N` tuples, register `Q` queries, then measure `ticks`
-/// cycles of `r` arrivals each.
+/// window with `N` tuples, register `Q` queries, then measure
+/// [`CYCLES`] cycles of `r` arrivals each.
 pub fn run_engine(sel: EngineSel, p: &ExpParams) -> Result<RunMeasurement> {
     let window = WindowSpec::Count(p.n);
     let grid = GridSpec::CellBudget(p.grid_cells);
@@ -152,7 +151,7 @@ fn measure(mut engine: impl Counters, p: &ExpParams) -> Result<RunMeasurement> {
     }
 
     let recomputes_before = engine.recomputations();
-    let cpu_seconds = timed_cycles(&mut stream, p.ticks, |ts, batch| engine.tick(ts, batch))?;
+    let cpu_seconds = timed_cycles(&mut stream, |ts, batch| engine.tick(ts, batch))?;
     Ok(RunMeasurement {
         cpu_seconds,
         space_bytes: engine.space_bytes(),

@@ -8,6 +8,10 @@
 use crate::cli;
 use tkm_datagen::{DataDist, FnFamily};
 
+/// Measured processing cycles per run: the paper's 100. `N/r = 100` in
+/// every preset's default setting, so a run sees one full window turnover.
+pub const CYCLES: usize = 100;
+
 /// Parameter-scale preset.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scale {
@@ -60,8 +64,6 @@ pub struct ExpParams {
     pub k: usize,
     /// Total grid-cell budget.
     pub grid_cells: usize,
-    /// Number of measured processing cycles.
-    pub ticks: usize,
     /// Data distribution.
     pub dist: DataDist,
     /// Scoring-function family.
@@ -74,8 +76,8 @@ pub struct ExpParams {
 
 impl ExpParams {
     /// The default setting at a given scale: the paper's
-    /// `d=4, N=1M, r=10K, Q=1K, k=20`, grid 12⁴, 100 cycles — divided down
-    /// for the smaller presets.
+    /// `d=4, N=1M, r=10K, Q=1K, k=20`, grid 12⁴ — divided down for the
+    /// smaller presets.
     pub fn defaults(scale: Scale) -> ExpParams {
         match scale {
             Scale::Paper => ExpParams {
@@ -85,7 +87,6 @@ impl ExpParams {
                 q: 1_000,
                 k: 20,
                 grid_cells: 20_736,
-                ticks: 100,
                 dist: DataDist::Ind,
                 family: FnFamily::Linear,
                 constrained: false,
@@ -95,14 +96,12 @@ impl ExpParams {
                 n: 100_000,
                 r: 1_000,
                 q: 100,
-                ticks: 50,
                 ..ExpParams::defaults(Scale::Paper)
             },
             Scale::Quick => ExpParams {
                 n: 10_000,
                 r: 100,
                 q: 20,
-                ticks: 20,
                 grid_cells: 4_096,
                 ..ExpParams::defaults(Scale::Paper)
             },
@@ -146,7 +145,7 @@ impl ExpParams {
             self.q,
             self.k,
             self.grid_cells,
-            self.ticks,
+            CYCLES,
             self.dist.label(),
             self.family.label()
         )
@@ -194,6 +193,14 @@ mod tests {
             (4, 1_000_000, 10_000, 1_000, 20)
         );
         assert_eq!(p.grid_cells, 12usize.pow(4));
+    }
+
+    #[test]
+    fn every_run_covers_a_window_turnover() {
+        for scale in [Scale::Quick, Scale::Default, Scale::Paper] {
+            let p = ExpParams::defaults(scale);
+            assert!(CYCLES * p.r >= p.n, "{scale:?}: r={} N={}", p.r, p.n);
+        }
     }
 
     #[test]
