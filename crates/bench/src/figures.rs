@@ -5,13 +5,15 @@
 //! a [`Body::Sweep`] names the swept [`Axis`], the panels and the
 //! [`Column`]s, each a projection of one engine's [`RunMeasurement`]. The
 //! other four print the datasets, the §6 model, the TSL `kmax` tuning and
-//! the §7 variants. All engine runs go through [`Session::run`], which runs
-//! each distinct `(EngineSel, ExpParams)` once per invocation.
+//! the §7 variants. All engine runs of one invocation go through its
+//! [`Session`], which runs each distinct `(EngineSel, ExpParams)` once.
 
 // Printing the figures is this module's purpose.
 #![allow(clippy::print_stdout)]
 
-use crate::harness::{query_workload, timed_cycles, warm_up, EngineSel, RunMeasurement};
+use crate::harness::{
+    query_workload, run_engine, timed_cycles, warm_up, EngineSel, RunMeasurement,
+};
 use crate::params::{ExpParams, Scale, CYCLES};
 use crate::table::{fmt_mb, fmt_secs, Table};
 use tkm_analysis::ModelParams;
@@ -339,17 +341,17 @@ pub static FIGURES: [Figure; 13] = [
 /// run made so far.
 pub struct Session {
     /// Parameter preset.
-    pub scale: Scale,
+    scale: Scale,
     /// The default setting every figure varies.
-    pub base: ExpParams,
+    base: ExpParams,
     /// Whether each table is also printed as CSV.
-    pub csv: bool,
+    csv: bool,
     runs: Vec<(EngineSel, ExpParams, RunMeasurement)>,
 }
 
 impl Session {
     /// A session at `scale`'s default setting.
-    pub fn new(scale: Scale, csv: bool) -> Session {
+    fn new(scale: Scale, csv: bool) -> Session {
         Session {
             scale,
             base: ExpParams::defaults(scale),
@@ -358,12 +360,12 @@ impl Session {
         }
     }
 
-    /// [`crate::run_engine`], run once per distinct `(sel, p)` in this session.
-    pub fn run(&mut self, sel: EngineSel, p: &ExpParams) -> Result<RunMeasurement> {
+    /// [`run_engine`], run once per distinct `(sel, p)` in this session.
+    fn run(&mut self, sel: EngineSel, p: &ExpParams) -> Result<RunMeasurement> {
         if let Some((_, _, m)) = self.runs.iter().find(|(s, q, _)| *s == sel && q == p) {
             return Ok(*m);
         }
-        let m = crate::harness::run_engine(sel, p)?;
+        let m = run_engine(sel, p)?;
         self.runs.push((sel, *p, m));
         Ok(m)
     }

@@ -26,9 +26,6 @@ impl EngineSel {
     /// TSL with the paper's fine-tuned `kmax` table.
     pub const TSL: EngineSel = EngineSel::Tsl(KmaxPolicy::Tuned);
 
-    /// All three engines in the paper's reporting order.
-    pub const ALL: [EngineSel; 3] = [EngineSel::TSL, EngineSel::Tma, EngineSel::Sma];
-
     /// Display label.
     pub fn label(self) -> &'static str {
         match self {
@@ -81,7 +78,7 @@ impl Counters for TslMonitor {
 }
 
 /// The `Q` scoring functions of the experiment defined by `p`.
-pub fn query_workload(p: &ExpParams) -> Result<Vec<ScoreFn>> {
+pub(crate) fn query_workload(p: &ExpParams) -> Result<Vec<ScoreFn>> {
     Ok(QueryGen::new(p.dims, p.family, p.seed ^ 0x9e37_79b9_7f4a_7c15)?.workload(p.q))
 }
 
@@ -95,7 +92,7 @@ fn constraint_for(dims: usize, i: usize) -> Result<Rect> {
 /// Feeds the first `n` tuples of `stream` to `feed` in large batches, so
 /// the window is full before any query registers and the initial
 /// computations run at steady-state density.
-pub fn warm_up(
+pub(crate) fn warm_up(
     stream: &mut StreamSim,
     n: usize,
     mut feed: impl FnMut(Timestamp, &[f64]) -> Result<()>,
@@ -113,7 +110,7 @@ pub fn warm_up(
 
 /// Feeds [`CYCLES`] processing cycles of `stream` to `feed` and returns
 /// the wall-clock seconds they took.
-pub fn timed_cycles(
+pub(crate) fn timed_cycles(
     stream: &mut StreamSim,
     mut feed: impl FnMut(Timestamp, &[f64]) -> Result<()>,
 ) -> Result<f64> {
@@ -168,7 +165,7 @@ mod tests {
     #[test]
     fn quick_run_all_engines() {
         let p = ExpParams::defaults(Scale::Quick);
-        for sel in EngineSel::ALL {
+        for sel in [EngineSel::TSL, EngineSel::Tma, EngineSel::Sma] {
             let m = run_engine(sel, &p).unwrap();
             assert!(m.cpu_seconds > 0.0, "{}", sel.label());
             assert!(m.space_bytes > 0, "{}", sel.label());

@@ -20,7 +20,3 @@ pub mod figures;
 pub mod harness;
 pub mod params;
 pub mod table;
-
-pub use harness::{run_engine, EngineSel, RunMeasurement};
-pub use params::{ExpParams, Scale};
-pub use table::Table;
