@@ -9,10 +9,10 @@ use std::hint::black_box;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use tkm_common::{QuerySlot, ScoreFn, Timestamp};
 use tkm_core::influence::cleanup_from_frontier;
+use tkm_core::tsl::{ta_search, SortedLists};
 use tkm_core::{compute_topk, ComputeScratch, GridSpec, InfluenceUpdate, TopList};
 use tkm_datagen::{DataDist, FnFamily, PointGen, QueryGen};
 use tkm_grid::{CellMode, Grid, InfluenceTable};
-use tkm_tsl::{ta_search, SortedLists};
 use tkm_window::{Window, WindowSpec};
 
 const N: usize = 50_000;

@@ -6,9 +6,8 @@ use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use tkm_common::QueryId;
-use tkm_core::{GridSpec, Query, SmaMonitor, TmaMonitor};
+use tkm_core::{ContinuousTopK, GridSpec, KmaxPolicy, Query, SmaMonitor, TmaMonitor, TslMonitor};
 use tkm_datagen::{DataDist, FnFamily, QueryGen, StreamSim};
-use tkm_tsl::{KmaxPolicy, TslMonitor};
 use tkm_window::WindowSpec;
 
 const DIMS: usize = 4;
@@ -80,7 +79,7 @@ fn bench_ticks(c: &mut Criterion) {
         let (mut engine, mut stream) = setup(
             || TslMonitor::new(DIMS, WindowSpec::Count(N), KmaxPolicy::Tuned).expect("config"),
             |e, ts, batch| e.tick(ts, batch).expect("tick"),
-            |e, id, q| e.register_query(id, q.f, q.k).expect("register"),
+            |e, id, q| e.register_query(id, q).expect("register"),
         );
         b.iter(|| {
             let (ts, batch) = stream.next_batch();

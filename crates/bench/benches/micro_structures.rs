@@ -6,9 +6,9 @@ use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use tkm_common::{ScoreFn, Scored, Timestamp, TupleId};
+use tkm_core::skyband::{MergeScratch, Skyband};
 use tkm_core::{GridSpec, IngestState};
 use tkm_grid::{CellMode, Grid};
-use tkm_skyband::{MergeScratch, Skyband};
 use tkm_window::{Window, WindowSpec};
 
 fn lcg(state: &mut u64) -> f64 {

@@ -1,13 +1,3 @@
-#![deny(missing_docs)]
-#![forbid(unsafe_code)]
-#![deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::unreachable,
-    clippy::unimplemented
-)]
-
 //! Analytical performance model (paper §6).
 //!
 //! Closed-form estimates of the cost and space of TMA and SMA under the

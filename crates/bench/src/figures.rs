@@ -11,16 +11,16 @@
 // Printing the figures is this module's purpose.
 #![allow(clippy::print_stdout)]
 
+use crate::analysis::ModelParams;
 use crate::harness::{
     query_workload, run_engine, timed_cycles, warm_up, EngineSel, RunMeasurement,
 };
 use crate::params::{ExpParams, Scale, CYCLES};
 use crate::table::{fmt_mb, fmt_secs, Table};
-use tkm_analysis::ModelParams;
 use tkm_common::{QueryId, Result};
-use tkm_core::{GridSpec, Query, ThresholdMonitor, UpdateStreamTma};
+use tkm_core::skyband::tuned_kmax;
+use tkm_core::{GridSpec, KmaxPolicy, Query, ThresholdMonitor, UpdateStreamTma};
 use tkm_datagen::{DataDist, FnFamily, PointGen, StreamSim};
-use tkm_tsl::{tuned_kmax, KmaxPolicy};
 use tkm_window::WindowSpec;
 
 use DataDist::{Ant, Ind};

@@ -5,10 +5,10 @@ use std::time::Instant;
 use crate::params::{ExpParams, CYCLES};
 use tkm_common::{QueryId, Rect, Result, ScoreFn, Timestamp};
 use tkm_core::{
-    BandMaintenance, BandPolicy, ContinuousTopK, GridSpec, Monitor, Query, SmaMonitor, TmaMonitor,
+    BandMaintenance, BandPolicy, ContinuousTopK, GridSpec, KmaxPolicy, Monitor, Query, SmaMonitor,
+    TmaMonitor, TslMonitor,
 };
 use tkm_datagen::{QueryGen, StreamSim};
-use tkm_tsl::{KmaxPolicy, TslMonitor};
 use tkm_window::WindowSpec;
 
 /// Engine selection for an experiment run.

@@ -15,6 +15,7 @@
 //! window, replays a measured stream and reports CPU time / space /
 //! structural statistics, and the plain-text table printer ([`table`]).
 
+pub(crate) mod analysis;
 pub mod cli;
 pub mod figures;
 pub mod harness;

@@ -184,11 +184,8 @@ impl kernel::ScorerVisitor for Traversal<'_> {
         let dims = grid.dims();
         let mut stats = ComputeStats::default();
 
-        let range = constraint.map(|r| grid.cell_range(r));
-        let start = match &range {
-            Some(r) => grid.best_corner_in(r, f),
-            None => grid.best_corner(f),
-        };
+        let range = grid.cell_range(constraint);
+        let start = grid.best_corner(&range, f);
         // Resolve each axis' monotonicity once; the per-cell neighbour
         // steps below run on the cached directions.
         let mut dirs = [Monotonicity::Increasing; MAX_DIMS];
@@ -269,11 +266,7 @@ impl kernel::ScorerVisitor for Traversal<'_> {
             }
 
             for (dim, &dir) in dirs.iter().enumerate().take(dims) {
-                let next = match &range {
-                    Some(r) => grid.step_worse_in_dir(cell, dim, dir, r),
-                    None => grid.step_worse_dir(cell, dim, dir),
-                };
-                if let Some(n) = next {
+                if let Some(n) = grid.step_worse(cell, dim, dir, &range) {
                     if stamps.mark(n) {
                         heap.push((OrderedF64::new(cell_bound(n)), n));
                         stats.heap_pushes += 1;
@@ -478,7 +471,7 @@ mod tests {
         );
         assert_eq!(out.top.as_slice()[0].id, TupleId(1), "p2 wins inside R");
         // Cells outside the constraint range are never touched.
-        let range = grid.cell_range(&r);
+        let range = grid.cell_range(Some(&r));
         for (cid, _) in grid.cells() {
             if influence.contains(cid, QuerySlot(2)) {
                 let cc = grid.cell_coords(cid);

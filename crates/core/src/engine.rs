@@ -7,8 +7,8 @@ use crate::monitor::{Monitor, SmaMonitor, TmaMonitor};
 use crate::oracle::OracleMonitor;
 use crate::query::Query;
 use crate::result::ResultDelta;
-use tkm_common::{QueryId, Result, Scored, Timestamp, TkmError};
-use tkm_tsl::{KmaxPolicy, TslMonitor};
+use crate::tsl::{KmaxPolicy, TslMonitor};
+use tkm_common::{QueryId, Result, Scored, Timestamp};
 use tkm_window::WindowSpec;
 
 /// A continuous top-k monitoring engine.
@@ -93,52 +93,6 @@ impl<M: QueryMaintenance> ContinuousTopK for Monitor<M> {
     }
 }
 
-impl ContinuousTopK for TslMonitor {
-    fn name(&self) -> &'static str {
-        "TSL"
-    }
-    fn dims(&self) -> usize {
-        TslMonitor::dims(self)
-    }
-    fn register_query(&mut self, id: QueryId, query: Query) -> Result<()> {
-        if query.constraint.is_some() {
-            return Err(TkmError::Unsupported(
-                "TSL (the baseline) handles plain top-k queries only".into(),
-            ));
-        }
-        TslMonitor::register_query(self, id, query.f, query.k)
-    }
-    fn remove_query(&mut self, id: QueryId) -> Result<()> {
-        TslMonitor::remove_query(self, id)
-    }
-    fn tick(&mut self, now: Timestamp, arrivals: &[f64]) -> Result<()> {
-        TslMonitor::tick(self, now, arrivals)
-    }
-    fn result(&self, id: QueryId) -> Result<Vec<Scored>> {
-        TslMonitor::result(self, id).map(<[Scored]>::to_vec)
-    }
-    fn track_changes(&mut self) {
-        TslMonitor::track_reported(self)
-    }
-    fn drain_changes(&mut self, out: &mut Vec<ResultDelta>) {
-        // No affected list: every query is marked every cycle.
-        self.visit_reported(|id, reported, current| {
-            ResultDelta::report(id, reported, current, out);
-        });
-    }
-    fn snapshot(&mut self, query: &Query) -> Result<Vec<Scored>> {
-        if query.constraint.is_some() {
-            return Err(TkmError::Unsupported(
-                "TSL (the baseline) handles plain top-k queries only".into(),
-            ));
-        }
-        TslMonitor::snapshot(self, &query.f, query.k)
-    }
-    fn space_bytes(&self) -> usize {
-        TslMonitor::space_bytes(self)
-    }
-}
-
 impl ContinuousTopK for OracleMonitor {
     fn name(&self) -> &'static str {
         "ORACLE"
@@ -204,7 +158,7 @@ pub fn build_engine(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tkm_common::{Rect, ScoreFn};
+    use tkm_common::{Rect, ScoreFn, TkmError};
 
     #[test]
     fn all_engines_build_and_agree_on_a_tiny_stream() {
@@ -261,6 +215,7 @@ mod tests {
         .unwrap();
         let r = Rect::new(vec![0.0, 0.0], vec![0.5, 0.5]).unwrap();
         let q = Query::constrained(ScoreFn::linear(vec![1.0, 1.0]).unwrap(), 1, r).unwrap();
+        assert!(matches!(e.snapshot(&q), Err(TkmError::Unsupported(_))));
         assert!(matches!(
             e.register_query(QueryId(0), q),
             Err(TkmError::Unsupported(_))

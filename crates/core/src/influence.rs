@@ -29,7 +29,7 @@
 
 use crate::compute::ComputeScratch;
 use tkm_common::{QuerySlot, Rect, ScoreFn};
-use tkm_grid::{CellId, Grid, InfluenceTable, VisitStamps};
+use tkm_grid::{CellId, CellRange, Grid, InfluenceTable, VisitStamps};
 
 /// Sweeps stale influence-list entries of `slot` downward from the
 /// frontier recorded in `scratch` by the preceding computation.
@@ -46,7 +46,7 @@ pub fn cleanup_from_frontier(
     f: &ScoreFn,
     constraint: Option<&Rect>,
 ) -> u64 {
-    let range = constraint.map(|r| grid.cell_range(r));
+    let range = grid.cell_range(constraint);
     let ComputeScratch {
         stamps, frontier, ..
     } = scratch;
@@ -58,14 +58,14 @@ pub fn cleanup_from_frontier(
             // stale either (influence regions are upward-closed).
             continue;
         }
-        push_worse_neighbours(grid, stamps, f, range.as_ref(), cell, frontier);
+        push_worse_neighbours(grid, stamps, f, &range, cell, frontier);
     }
     visited
 }
 
 /// Removes `slot` from every influence list (query termination). Walks
 /// from the query's best-corner cell; returns the number of cells visited.
-pub fn remove_query_walk(
+pub(crate) fn remove_query_walk(
     grid: &Grid,
     influence: &mut InfluenceTable,
     scratch: &mut ComputeScratch,
@@ -73,11 +73,8 @@ pub fn remove_query_walk(
     f: &ScoreFn,
     constraint: Option<&Rect>,
 ) -> u64 {
-    let range = constraint.map(|r| grid.cell_range(r));
-    let start = match &range {
-        Some(r) => grid.best_corner_in(r, f),
-        None => grid.best_corner(f),
-    };
+    let range = grid.cell_range(constraint);
+    let start = grid.best_corner(&range, f);
     let ComputeScratch {
         stamps, frontier, ..
     } = scratch;
@@ -91,27 +88,21 @@ pub fn remove_query_walk(
         if !influence.remove(cell, slot) {
             continue;
         }
-        push_worse_neighbours(grid, stamps, f, range.as_ref(), cell, frontier);
+        push_worse_neighbours(grid, stamps, f, &range, cell, frontier);
     }
     visited
 }
-
-type CellRange = ([usize; tkm_common::MAX_DIMS], [usize; tkm_common::MAX_DIMS]);
 
 fn push_worse_neighbours(
     grid: &Grid,
     stamps: &mut VisitStamps,
     f: &ScoreFn,
-    range: Option<&CellRange>,
+    range: &CellRange,
     cell: CellId,
     list: &mut Vec<CellId>,
 ) {
     for dim in 0..grid.dims() {
-        let next = match range {
-            Some(r) => grid.step_worse_in(cell, dim, f, r),
-            None => grid.step_worse(cell, dim, f),
-        };
-        if let Some(n) = next {
+        if let Some(n) = grid.step_worse(cell, dim, f.monotonicity(dim), range) {
             if stamps.mark(n) {
                 list.push(n);
             }

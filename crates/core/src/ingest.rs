@@ -721,11 +721,12 @@ mod tests {
     /// window as it was; an equal timestamp is accepted by all of them.
     #[test]
     fn dims_mismatch_message_is_shared_across_engines() {
+        use crate::engine::ContinuousTopK;
         use crate::monitor::{SmaMonitor, TmaMonitor};
         use crate::oracle::OracleMonitor;
         use crate::threshold::ThresholdMonitor;
+        use crate::tsl::{KmaxPolicy, TslMonitor};
         use tkm_common::ScoreFn;
-        use tkm_tsl::{KmaxPolicy, TslMonitor};
 
         fn check<E>(
             name: &str,
@@ -774,7 +775,11 @@ mod tests {
         let f = ScoreFn::linear(vec![1.0, 1.0]).unwrap();
         thr.register_query(tkm_common::QueryId(0), f.clone(), 0.5)
             .unwrap();
-        tsl.register_query(tkm_common::QueryId(0), f, 2).unwrap();
+        tsl.register_query(
+            tkm_common::QueryId(0),
+            crate::query::Query::top_k(f, 2).unwrap(),
+        )
+        .unwrap();
 
         fn oracle_timeline(m: &OracleMonitor) -> &Timeline {
             m.window().timeline()

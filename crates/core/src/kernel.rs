@@ -538,11 +538,12 @@ pub fn score_point(f: &ScoreFn, coords: &[f64]) -> f64 {
 /// Upper bound of `f` over the closed cell bounds `(lo, hi)` — the score
 /// of the preferred corner, specialised per family so the built-ins pick
 /// each corner coordinate with one sign test and never materialise the
-/// corner. Bitwise identical to [`ScoreFn::max_score_rect`]. (The top-k
-/// traversal needs this on every heap push and therefore holds a
-/// [`Scorer`] for the whole traversal instead of re-dispatching here.)
-#[inline]
-pub fn cell_bound(f: &ScoreFn, lo: &[f64], hi: &[f64]) -> f64 {
+/// corner. Bitwise identical to [`ScoreFn::max_score_rect`], which the
+/// tests check through this entry point. (The top-k traversal needs the
+/// bound on every heap push and therefore holds a [`Scorer`] for the
+/// whole traversal instead of re-dispatching here.)
+#[cfg(test)]
+fn cell_bound(f: &ScoreFn, lo: &[f64], hi: &[f64]) -> f64 {
     struct BoundVisitor<'a> {
         lo: &'a [f64],
         hi: &'a [f64],

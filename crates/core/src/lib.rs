@@ -32,7 +32,9 @@
 //!
 //!   Every band entry scores ≥ the admission threshold, so while the band
 //!   holds ≥ k entries its k-prefix is the exact top-k; a traversal is
-//!   needed only when a band drains below `k` (or outgrows its cap);
+//!   needed only when a band drains below `k` (or outgrows its cap). The
+//!   band is a [`skyband::Skyband`]: k-skyband maintenance with dominance
+//!   counters in the (score, expiry-time) space of §3.1;
 //! * **one monitor sandwich** ([`monitor::Monitor`]): one **ingest
 //!   stage** ([`ingest::IngestState`] — one grid holding each tuple once,
 //!   ordered by a window timeline, populated once per tick) under one
@@ -46,6 +48,9 @@
 //!   explicit-deletion **update-stream** model
 //!   ([`update_stream::UpdateStreamTma`], whose only tuple store is an
 //!   id-indexed grid);
+//! * the **TSL baseline** of §3.2 ([`tsl::TslMonitor`]: per-dimension
+//!   sorted lists, Fagin's Threshold Algorithm and `kmax` views), the
+//!   competitor of §8;
 //! * a **brute-force oracle** ([`oracle::OracleMonitor`]) and a common
 //!   engine trait ([`engine::ContinuousTopK`]) under which TMA, SMA, the
 //!   TSL baseline and the oracle are interchangeable — and verified to
@@ -69,10 +74,12 @@ pub mod registry;
 pub mod result;
 pub mod route;
 pub mod server;
+pub mod skyband;
 pub mod stats;
 #[cfg(test)]
 mod testutil;
 pub mod threshold;
+pub mod tsl;
 pub mod update_stream;
 
 pub use compute::{compute_topk, ComputeOutcome, ComputeScratch, ComputeStats, InfluenceUpdate};
@@ -92,4 +99,5 @@ pub use route::DeltaRouter;
 pub use server::{MonitorServer, ServerConfig};
 pub use stats::EngineStats;
 pub use threshold::ThresholdMonitor;
+pub use tsl::{KmaxPolicy, TslMonitor};
 pub use update_stream::{UpdateOp, UpdateStreamTma};

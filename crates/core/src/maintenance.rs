@@ -87,7 +87,7 @@
 //! order would, and an arrival that already has `depth` newer same-cycle
 //! arrivals above it is never stored at all (`result_updates` counts the
 //! arrivals a band *kept*). The differential suites pin the merge to the
-//! per-arrival reference (`tkm_skyband`) and the results to the oracle
+//! per-arrival reference ([`Skyband::insert`]) and the results to the oracle
 //! (`tests/soa_cells.rs` and friends) either way.
 
 use std::marker::PhantomData;
@@ -99,10 +99,10 @@ use crate::kernel;
 use crate::query::Query;
 use crate::registry::QueryRegistry;
 use crate::result::{ResultDelta, TopList};
+use crate::skyband::{tuned_kmax, MergeScratch, Skyband};
 use crate::stats::EngineStats;
 use tkm_common::{QueryId, QuerySlot, Result, Scored, TkmError, TupleId};
 use tkm_grid::InfluenceTable;
-use tkm_skyband::{tuned_kmax, MergeScratch, Skyband};
 use tkm_window::Timeline;
 
 /// The per-query monitoring state of one monitor.

@@ -105,7 +105,7 @@ impl<T> QueryRegistry<T> {
 
     /// The slot of a live query.
     #[inline]
-    pub fn slot_of(&self, id: QueryId) -> Option<QuerySlot> {
+    pub(crate) fn slot_of(&self, id: QueryId) -> Option<QuerySlot> {
         self.index.get(&id).copied()
     }
 
@@ -127,7 +127,7 @@ impl<T> QueryRegistry<T> {
     /// Panics if the slot is dead — influence lists are swept before a
     /// slot is freed, so a dead slot here is an engine invariant breach.
     #[inline]
-    pub fn slot_mut(&mut self, slot: QuerySlot) -> (QueryId, &mut T) {
+    pub(crate) fn slot_mut(&mut self, slot: QuerySlot) -> (QueryId, &mut T) {
         #[expect(
             clippy::expect_used,
             reason = "documented panic contract; a dead slot here is an engine invariant breach"
@@ -138,33 +138,20 @@ impl<T> QueryRegistry<T> {
         (e.id, &mut e.state)
     }
 
-    /// Hot path: resolves a slot to the query's id and state.
-    #[inline]
-    pub fn slot_ref(&self, slot: QuerySlot) -> (QueryId, &T) {
-        #[expect(
-            clippy::expect_used,
-            reason = "documented panic contract; a dead slot here is an engine invariant breach"
-        )]
-        let e = self.slots[slot.index()]
-            .as_ref()
-            .expect("influence lists are swept");
-        (e.id, &e.state)
-    }
-
     /// Iterates live `(QueryId, &state)` pairs in slot order.
     pub fn iter(&self) -> impl Iterator<Item = (QueryId, &T)> {
         self.slots.iter().flatten().map(|e| (e.id, &e.state))
     }
 
     /// Iterates live states mutably, in slot order.
-    pub fn states_mut(&mut self) -> impl Iterator<Item = &mut T> {
+    pub(crate) fn states_mut(&mut self) -> impl Iterator<Item = &mut T> {
         self.slots.iter_mut().flatten().map(|e| &mut e.state)
     }
 
     /// Iterates live `(QuerySlot, QueryId, &mut state)` triples in slot
     /// order (the mass-expiry sweep visits every band without going
     /// through the influence lists).
-    pub fn slots_mut(&mut self) -> impl Iterator<Item = (QuerySlot, QueryId, &mut T)> {
+    pub(crate) fn slots_mut(&mut self) -> impl Iterator<Item = (QuerySlot, QueryId, &mut T)> {
         self.slots.iter_mut().enumerate().filter_map(|(i, s)| {
             s.as_mut()
                 .map(|e| (QuerySlot(i as u32), e.id, &mut e.state))
@@ -211,7 +198,7 @@ mod tests {
         assert_eq!(r.len(), 2);
         assert!(r.contains(QueryId(10)));
         assert_eq!(r.get(QueryId(20)), Some(&"b"));
-        assert_eq!(r.slot_ref(s0), (QueryId(10), &"a"));
+        assert_eq!(r.slot_mut(s0), (QueryId(10), &mut "a"));
         assert_eq!(r.slot_mut(s1).0, QueryId(20));
         assert!(matches!(
             r.insert(QueryId(10), "dup"),
@@ -239,7 +226,7 @@ mod tests {
         assert_eq!(r.insert(QueryId(9), 9).unwrap(), QuerySlot(3));
         assert_eq!(r.insert(QueryId(8), 8).unwrap(), QuerySlot(1));
         // A recycled slot resolves to the *new* query.
-        assert_eq!(r.slot_ref(QuerySlot(1)), (QueryId(8), &8));
+        assert_eq!(r.slot_mut(QuerySlot(1)), (QueryId(8), &mut 8));
         let ids: Vec<u64> = r.ids().map(|q| q.0).collect();
         assert_eq!(ids, vec![0, 8, 2, 9], "slot order");
     }
@@ -250,7 +237,7 @@ mod tests {
         let mut r: QueryRegistry<u8> = QueryRegistry::new();
         let slot = r.insert(QueryId(0), 1).unwrap();
         r.remove(QueryId(0)).unwrap();
-        let _ = r.slot_ref(slot);
+        let _ = r.slot_mut(slot);
     }
 
     #[test]

@@ -243,7 +243,7 @@ impl TopList {
 
     /// Creates a list that additionally collects candidates displaced at
     /// the k-th boundary (needed by SMA's skyband seeding under ties).
-    pub fn with_tie_tracking(k: usize) -> TopList {
+    pub(crate) fn with_tie_tracking(k: usize) -> TopList {
         let mut t = TopList::new(k);
         t.track_ties = true;
         t
@@ -282,7 +282,7 @@ impl TopList {
 
     /// Whether the list holds `k` entries.
     #[inline]
-    pub fn is_full(&self) -> bool {
+    pub(crate) fn is_full(&self) -> bool {
         self.entries.len() >= self.k
     }
 
@@ -312,7 +312,7 @@ impl TopList {
 
     /// Offers a candidate; inserts it if it belongs in the top-k, evicting
     /// the current k-th if full. Returns `true` when the list changed.
-    pub fn offer(&mut self, s: Scored) -> bool {
+    pub(crate) fn offer(&mut self, s: Scored) -> bool {
         if self.is_full() {
             let worst = self.entries[self.k - 1];
             if s <= worst {

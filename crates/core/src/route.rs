@@ -83,8 +83,10 @@ impl<S: PartialEq + Clone> DeltaRouter<S> {
         self.subs.get(&query).map_or(&[], Vec::as_slice)
     }
 
-    /// The queries `who` is subscribed to, ascending.
-    pub fn subscriptions_of(&self, who: &S) -> Vec<QueryId> {
+    /// The queries `who` is subscribed to, ascending: the one-subscriber
+    /// reference the tests hold [`DeltaRouter::subscriptions_of_each`] to.
+    #[cfg(test)]
+    fn subscriptions_of(&self, who: &S) -> Vec<QueryId> {
         self.subs
             .iter()
             .filter(|(_, list)| list.contains(who))
@@ -132,7 +134,7 @@ impl<S: PartialEq + Clone> DeltaRouter<S> {
 }
 
 impl<S: Ord + Clone> DeltaRouter<S> {
-    /// [`DeltaRouter::subscriptions_of`] for many subscribers in one pass
+    /// The queries each of many subscribers is subscribed to, in one pass
     /// over the `(query, subscriber)` pairs: entry `i` lists `who[i]`'s
     /// queries, ascending. `who` must be sorted ascending without
     /// duplicates; each pair then costs one binary search, where a call

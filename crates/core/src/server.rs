@@ -8,8 +8,8 @@ use crate::engine::{build_engine, ContinuousTopK, EngineKind};
 use crate::ingest::GridSpec;
 use crate::query::Query;
 use crate::result::ResultDelta;
+use crate::tsl::KmaxPolicy;
 use tkm_common::{QueryId, Result, Scored, Timestamp, TkmError};
-use tkm_tsl::KmaxPolicy;
 use tkm_window::WindowSpec;
 
 /// Configuration of a [`MonitorServer`].

@@ -1,13 +1,3 @@
-#![deny(missing_docs)]
-#![forbid(unsafe_code)]
-#![deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::unreachable,
-    clippy::unimplemented
-)]
-
 //! k-skyband maintenance in the 2-dimensional *(score, expiry-time)* space
 //! (paper §3.1 and §5).
 //!
@@ -108,7 +98,7 @@ pub struct MergeScratch {
 
 impl MergeScratch {
     /// Deep size estimate in bytes.
-    pub fn space_bytes(&self) -> usize {
+    pub(crate) fn space_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.scored.capacity() * std::mem::size_of::<Scored>()
             + self.dcs.capacity() * std::mem::size_of::<u32>()
@@ -199,7 +189,7 @@ fn sweep(
 ///
 /// ```
 /// use tkm_common::{Scored, TupleId};
-/// use tkm_skyband::Skyband;
+/// use tkm_core::skyband::Skyband;
 ///
 /// let mut band = Skyband::new(2).unwrap();
 /// band.insert(Scored::new(0.9, TupleId(0)));
@@ -249,7 +239,7 @@ impl Skyband {
 
     /// The dominance parameter `k` of this skyband.
     #[inline]
-    pub fn k(&self) -> usize {
+    pub(crate) fn k(&self) -> usize {
         self.k
     }
 
@@ -268,8 +258,9 @@ impl Skyband {
 
     /// Whether fewer than `k` entries remain — the condition that forces
     /// SMA to recompute from scratch (paper Figure 11, lines 20–22).
+    #[cfg(test)]
     #[inline]
-    pub fn is_deficient(&self) -> bool {
+    fn is_deficient(&self) -> bool {
         self.len() < self.k
     }
 
@@ -287,8 +278,9 @@ impl Skyband {
     }
 
     /// The dominance counters, parallel to [`Skyband::scored`].
+    #[cfg(test)]
     #[inline]
-    pub fn dcs(&self) -> &[u32] {
+    fn dcs(&self) -> &[u32] {
         &self.dcs
     }
 
@@ -302,22 +294,24 @@ impl Skyband {
     /// The first `min(n, len)` scored entries — the top-n prefix of a band
     /// whose dominance parameter exceeds the result size (`n ≤ k`).
     #[inline]
-    pub fn prefix(&self, n: usize) -> &[Scored] {
+    pub(crate) fn prefix(&self, n: usize) -> &[Scored] {
         debug_assert!(n <= self.k, "prefix size must not exceed the band's k");
         debug_assert!(self.is_merged(), "staged arrivals outlived their cycle");
         &self.scored[..n.min(self.len())]
     }
 
     /// Score/id of the k-th best entry if the skyband has `k` of them.
+    #[cfg(test)]
     #[inline]
-    pub fn kth(&self) -> Option<Scored> {
+    fn kth(&self) -> Option<Scored> {
         debug_assert!(self.is_merged(), "staged arrivals outlived their cycle");
         (self.len() >= self.k).then(|| self.scored[self.k - 1])
     }
 
     /// Whether a tuple id is currently in the skyband (O(len) scan over the
     /// ~k entries).
-    pub fn contains(&self, id: TupleId) -> bool {
+    #[cfg(test)]
+    fn contains(&self, id: TupleId) -> bool {
         self.scored().iter().any(|e| e.id == id)
     }
 
@@ -503,7 +497,7 @@ impl Skyband {
     /// query). No counters change, for the same reason as in `expire`.
     /// Returns the smallest position among the removed entries (0 = best;
     /// `None` when nothing was removed).
-    pub fn expire_before(&mut self, cutoff: TupleId) -> Option<usize> {
+    pub(crate) fn expire_before(&mut self, cutoff: TupleId) -> Option<usize> {
         debug_assert!(self.is_merged(), "staged arrivals outlived their cycle");
         if self.min_id >= cutoff {
             // Every retained entry is at least as new as the cutoff.
@@ -531,7 +525,7 @@ impl Skyband {
     }
 
     /// Removes every entry, staged ones included.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.scored.clear();
         self.dcs.clear();
         self.min_id = TupleId(u64::MAX);
@@ -539,14 +533,15 @@ impl Skyband {
 
     /// Deep size estimate in bytes. Matches the paper's `O(d + 3k)` per
     /// query: id, score and dominance counter per entry.
-    pub fn space_bytes(&self) -> usize {
+    pub(crate) fn space_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.scored.capacity() * std::mem::size_of::<Scored>()
             + self.dcs.capacity() * std::mem::size_of::<u32>()
     }
 
     /// Validates internal invariants (tests/debugging).
-    pub fn check_invariants(&self) {
+    #[cfg(test)]
+    fn check_invariants(&self) {
         // Opt-in invariant checker; aborting on breach is its contract.
         assert_eq!(
             self.scored.len(),

@@ -81,32 +81,11 @@ impl EngineStats {
     pub fn recomputations(&self) -> u64 {
         self.recompute_queries
     }
-
-    /// Recomputations per tick (the measured counterpart of the paper's
-    /// `Pr_rec` per query — divide by the query count for the per-query
-    /// probability).
-    pub fn recomputations_per_tick(&self) -> f64 {
-        if self.ticks == 0 {
-            0.0
-        } else {
-            self.recompute_queries as f64 / self.ticks as f64
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn per_tick_rate() {
-        let mut s = EngineStats::default();
-        assert_eq!(s.recomputations_per_tick(), 0.0);
-        s.ticks = 4;
-        s.recompute_queries = 6;
-        assert_eq!(s.recomputations_per_tick(), 1.5);
-        assert_eq!(s.recomputations(), 6);
-    }
 
     #[test]
     fn absorb_sums_recompute_counters() {
@@ -123,5 +102,6 @@ mod tests {
         a.absorb(b);
         assert_eq!(a.recompute_queries, 8);
         assert_eq!(a.recompute_groups, 8);
+        assert_eq!(a.recomputations(), 8);
     }
 }

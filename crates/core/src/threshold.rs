@@ -10,12 +10,14 @@
 //! cell-grouped arrival and expiry runs are replayed against the static
 //! influence lists.
 
+use crate::compute::ComputeScratch;
+use crate::influence::remove_query_walk;
 use crate::ingest::{GridSpec, IngestState};
 use crate::kernel;
 use crate::maintenance::live_suffix;
 use crate::registry::QueryRegistry;
 use tkm_common::{FxHashSet, QueryId, Result, ScoreFn, Scored, Timestamp, TkmError, TupleId};
-use tkm_grid::{Grid, InfluenceTable, VisitStamps};
+use tkm_grid::{Grid, InfluenceTable};
 use tkm_window::{Timeline, WindowSpec};
 
 #[derive(Debug)]
@@ -50,7 +52,9 @@ impl ThresholdQuery {
 pub struct ThresholdMonitor {
     ingest: IngestState,
     influence: InfluenceTable,
-    stamps: VisitStamps,
+    /// Visit stamps and worklist of the influence walks (its heap stays
+    /// empty: the visiting order is irrelevant here).
+    scratch: ComputeScratch,
     queries: QueryRegistry<ThresholdQuery>,
 }
 
@@ -62,7 +66,7 @@ impl ThresholdMonitor {
         Ok(ThresholdMonitor {
             ingest,
             influence: InfluenceTable::new(cells),
-            stamps: VisitStamps::new(cells),
+            scratch: ComputeScratch::new(cells),
             queries: QueryRegistry::new(),
         })
     }
@@ -120,7 +124,7 @@ impl ThresholdMonitor {
         let Self {
             ingest,
             influence,
-            stamps,
+            scratch,
             queries,
         } = self;
         let grid = ingest.grid();
@@ -128,10 +132,17 @@ impl ThresholdMonitor {
         // List walk from the best corner over cells with maxscore > τ
         // (paper: "the search can be performed with a list instead of a
         // heap, since the visiting order is not important").
+        let ComputeScratch {
+            stamps,
+            frontier: list,
+            ..
+        } = scratch;
+        let all = grid.cell_range(None);
         stamps.begin();
-        let start = grid.best_corner(&st.f);
+        let start = grid.best_corner(&all, &st.f);
         stamps.mark(start);
-        let mut list = vec![start];
+        list.clear();
+        list.push(start);
         while let Some(cell) = list.pop() {
             if grid.maxscore(cell, &st.f) <= st.threshold {
                 continue;
@@ -141,7 +152,7 @@ impl ThresholdMonitor {
             }
             influence.insert(cell, slot);
             for dim in 0..grid.dims() {
-                if let Some(n) = grid.step_worse(cell, dim, &st.f) {
+                if let Some(n) = grid.step_worse(cell, dim, st.f.monotonicity(dim), &all) {
                     if stamps.mark(n) {
                         list.push(n);
                     }
@@ -155,25 +166,14 @@ impl ThresholdMonitor {
     /// Terminates a query, clearing its influence-list entries.
     pub fn remove_query(&mut self, id: QueryId) -> Result<()> {
         let (slot, st) = self.queries.remove(id)?;
-        // The influence region is static: sweep it with the same walk used
-        // to build it.
-        let grid = self.ingest.grid();
-        self.stamps.begin();
-        let start = grid.best_corner(&st.f);
-        self.stamps.mark(start);
-        let mut list = vec![start];
-        while let Some(cell) = list.pop() {
-            if !self.influence.remove(cell, slot) {
-                continue;
-            }
-            for dim in 0..grid.dims() {
-                if let Some(n) = grid.step_worse(cell, dim, &st.f) {
-                    if self.stamps.mark(n) {
-                        list.push(n);
-                    }
-                }
-            }
-        }
+        remove_query_walk(
+            self.ingest.grid(),
+            &mut self.influence,
+            &mut self.scratch,
+            slot,
+            &st.f,
+            None,
+        );
         Ok(())
     }
 
@@ -260,7 +260,7 @@ impl ThresholdMonitor {
         std::mem::size_of::<Self>()
             + self.ingest.space_bytes()
             + self.influence.space_bytes()
-            + self.stamps.space_bytes()
+            + self.scratch.space_bytes()
             + self.queries.space_bytes()
             + self
                 .queries

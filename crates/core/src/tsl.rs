@@ -1,13 +1,3 @@
-#![deny(missing_docs)]
-#![forbid(unsafe_code)]
-#![deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::unreachable,
-    clippy::unimplemented
-)]
-
 //! The **Threshold Sorted List** (TSL) baseline of the paper (§3.2).
 //!
 //! TSL is the benchmark competitor assembled from prior work: the initial
@@ -23,12 +13,11 @@
 //! `r·Q` score evaluations (every arrival is scored against every view) —
 //! the costs that the paper's grid-based TMA/SMA avoid.
 
-pub mod lists;
-pub mod monitor;
-pub mod ta;
-pub mod view;
+mod lists;
+mod monitor;
+mod ta;
+mod view;
 
 pub use lists::SortedLists;
-pub use monitor::{tuned_kmax, KmaxPolicy, TslMonitor, TslStats};
-pub use ta::ta_search;
-pub use view::TopView;
+pub use monitor::{KmaxPolicy, TslMonitor, TslStats};
+pub use ta::{ta_search, TaAccessStats};

@@ -31,19 +31,19 @@ impl SortedLists {
 
     /// Dimensionality.
     #[inline]
-    pub fn dims(&self) -> usize {
+    pub(crate) fn dims(&self) -> usize {
         self.lists.len()
     }
 
     /// Number of tuples indexed (same in every list).
-    #[inline]
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.lists[0].len()
     }
 
     /// Whether the lists are empty.
     #[inline]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.lists[0].is_empty()
     }
 
@@ -57,7 +57,7 @@ impl SortedLists {
     }
 
     /// Removes a tuple from all `d` lists.
-    pub fn remove(&mut self, id: TupleId, coords: &[f64]) {
+    pub(crate) fn remove(&mut self, id: TupleId, coords: &[f64]) {
         debug_assert_eq!(coords.len(), self.dims());
         for (list, &x) in self.lists.iter_mut().zip(coords) {
             let existed = list.remove(&(OrderedF64::new(x), id));
@@ -68,7 +68,7 @@ impl SortedLists {
     /// Iterates one dimension's list starting from the end preferred under
     /// `mono` (sorted access of TA): descending values for increasing
     /// dimensions, ascending for decreasing ones.
-    pub fn sorted_access(
+    pub(crate) fn sorted_access(
         &self,
         dim: usize,
         mono: Monotonicity,
@@ -87,7 +87,7 @@ impl SortedLists {
     /// freshly filled (≈ 7.6 entries a node, the ln 2 fill of random
     /// insertion); 7 entries a node is 29.1. `tests/space_accounting.rs`
     /// holds the engine's total to ±5 % of its live heap.
-    pub fn space_bytes(&self) -> usize {
+    pub(crate) fn space_bytes(&self) -> usize {
         const ENTRIES_PER_NODE: f64 = 7.0;
         std::mem::size_of::<Self>()
             + self

@@ -2,14 +2,18 @@
 //!
 //! Combines the valid-tuple window, the `d` per-dimension sorted lists, one
 //! [`TopView`] per query, TA-based (re)computation and a `kmax` selection
-//! policy into a continuous top-k monitor with the same tick interface as
-//! TMA/SMA.
+//! policy into a continuous top-k monitor behind the same
+//! [`ContinuousTopK`] interface as TMA/SMA.
 
 use std::collections::BTreeMap;
 
-use crate::lists::{btree_bytes, SortedLists};
-use crate::ta::ta_search;
-use crate::view::TopView;
+use crate::engine::ContinuousTopK;
+use crate::query::Query;
+use crate::result::ResultDelta;
+use crate::skyband::tuned_kmax;
+use crate::tsl::lists::{btree_bytes, SortedLists};
+use crate::tsl::ta::ta_search;
+use crate::tsl::view::TopView;
 use tkm_common::{QueryId, Result, ScoreFn, Scored, Timestamp, TkmError};
 use tkm_window::{Window, WindowSpec};
 
@@ -31,17 +35,13 @@ pub enum KmaxPolicy {
 
 impl KmaxPolicy {
     /// Initial `kmax` for a query with result size `k`.
-    pub fn initial_kmax(self, k: usize) -> usize {
+    fn initial_kmax(self, k: usize) -> usize {
         match self {
             KmaxPolicy::Tuned | KmaxPolicy::Dynamic => tuned_kmax(k),
             KmaxPolicy::Fixed(m) => m.max(k),
         }
     }
 }
-
-/// The paper's fine-tuned `kmax` values — shared with the skyband crate so
-/// TMA's refill band and the TSL views agree on the table.
-pub use tkm_skyband::tuned_kmax;
 
 /// Cumulative counters of a [`TslMonitor`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -67,7 +67,7 @@ struct QState {
     f: ScoreFn,
     view: TopView,
     last_refill_tick: u64,
-    /// The result as last reported (unused until `track_reported`).
+    /// The result as last reported (unused until `track_changes`).
     reported: Vec<Scored>,
 }
 
@@ -97,27 +97,59 @@ impl TslMonitor {
         })
     }
 
-    /// Dimensionality.
-    #[inline]
-    pub fn dims(&self) -> usize {
-        self.window.dims()
-    }
-
     /// The underlying window (read access).
-    #[inline]
-    pub fn window(&self) -> &Window {
+    #[cfg(test)]
+    pub(crate) fn window(&self) -> &Window {
         &self.window
     }
 
-    /// Registers a continuous top-k query. The initial result is computed
-    /// immediately with TA over the current window contents.
-    pub fn register_query(&mut self, id: QueryId, f: ScoreFn, k: usize) -> Result<()> {
-        if f.dims() != self.dims() {
+    /// Mean view size across queries.
+    pub fn avg_view_len(&self) -> f64 {
+        if self.queries.is_empty() {
+            return 0.0;
+        }
+        self.queries.values().map(|q| q.view.len()).sum::<usize>() as f64
+            / self.queries.len() as f64
+    }
+
+    /// Cumulative counters.
+    #[inline]
+    pub fn stats(&self) -> TslStats {
+        self.stats
+    }
+
+    /// Rejects what TSL cannot answer: a constrained query (the sorted
+    /// lists index the whole workspace) or one of another dimensionality.
+    fn check_query(&self, query: &Query) -> Result<()> {
+        if query.constraint.is_some() {
+            return Err(TkmError::Unsupported(
+                "TSL (the baseline) handles plain top-k queries only".into(),
+            ));
+        }
+        if query.dims() != self.dims() {
             return Err(TkmError::DimensionMismatch {
                 expected: self.dims(),
-                got: f.dims(),
+                got: query.dims(),
             });
         }
+        Ok(())
+    }
+}
+
+impl ContinuousTopK for TslMonitor {
+    fn name(&self) -> &'static str {
+        "TSL"
+    }
+
+    fn dims(&self) -> usize {
+        self.window.dims()
+    }
+
+    /// The initial result is computed immediately with TA over the current
+    /// window contents.
+    fn register_query(&mut self, id: QueryId, query: Query) -> Result<()> {
+        self.check_query(&query)?;
+        let Query { f, k, .. } = query;
         if k == 0 {
             return Err(TkmError::InvalidParameter(
                 "register_query: k must be positive".into(),
@@ -150,85 +182,14 @@ impl TslMonitor {
         Ok(())
     }
 
-    /// Removes a query.
-    pub fn remove_query(&mut self, id: QueryId) -> Result<()> {
+    fn remove_query(&mut self, id: QueryId) -> Result<()> {
         self.queries
             .remove(&id)
             .map(|_| ())
             .ok_or(TkmError::UnknownQuery(id))
     }
 
-    /// Registered query ids.
-    pub fn query_ids(&self) -> impl Iterator<Item = QueryId> + '_ {
-        self.queries.keys().copied()
-    }
-
-    /// The current top-k result of a query (best first; shorter than `k`
-    /// only when fewer than `k` tuples are valid).
-    pub fn result(&self, id: QueryId) -> Result<&[Scored]> {
-        self.queries
-            .get(&id)
-            .map(|q| q.view.result())
-            .ok_or(TkmError::UnknownQuery(id))
-    }
-
-    /// Starts keeping, per query, a copy of the result as last reported to
-    /// the client: the current results become that baseline, and a query
-    /// registered later starts from its registration result.
-    pub fn track_reported(&mut self) {
-        self.tracking = true;
-        for q in self.queries.values_mut() {
-            q.reported.clear();
-            q.reported.extend_from_slice(q.view.result());
-        }
-    }
-
-    /// Calls `visit` per query, ascending by id, with the last-reported
-    /// result (for the caller to diff against and refresh) and the current
-    /// one. Visits nothing before [`TslMonitor::track_reported`].
-    pub fn visit_reported(&mut self, mut visit: impl FnMut(QueryId, &mut Vec<Scored>, &[Scored])) {
-        if !self.tracking {
-            return;
-        }
-        for (id, q) in &mut self.queries {
-            visit(*id, &mut q.reported, q.view.result());
-        }
-    }
-
-    /// Current view size `k′` of a query (Table 2 reports its average).
-    pub fn view_len(&self, id: QueryId) -> Result<usize> {
-        self.queries
-            .get(&id)
-            .map(|q| q.view.len())
-            .ok_or(TkmError::UnknownQuery(id))
-    }
-
-    /// One-shot (snapshot) top-k over the current window contents via a
-    /// fresh TA run (no view is materialised).
-    pub fn snapshot(&self, f: &ScoreFn, k: usize) -> Result<Vec<Scored>> {
-        if f.dims() != self.dims() {
-            return Err(TkmError::DimensionMismatch {
-                expected: self.dims(),
-                got: f.dims(),
-            });
-        }
-        let (res, _) = ta_search(&self.lists, &self.window, f, k);
-        Ok(res)
-    }
-
-    /// Mean view size across queries.
-    pub fn avg_view_len(&self) -> f64 {
-        if self.queries.is_empty() {
-            return 0.0;
-        }
-        self.queries.values().map(|q| q.view.len()).sum::<usize>() as f64
-            / self.queries.len() as f64
-    }
-
-    /// Executes one processing cycle: `arrivals` is a flat coordinate
-    /// buffer (`len` a multiple of `dims`, one tuple per `dims` chunk),
-    /// `now` drives time-based expiry.
-    pub fn tick(&mut self, now: Timestamp, arrivals: &[f64]) -> Result<()> {
+    fn tick(&mut self, now: Timestamp, arrivals: &[f64]) -> Result<()> {
         let dims = self.dims();
         self.window.validate_tick(now, arrivals)?;
         self.tick_count += 1;
@@ -288,16 +249,42 @@ impl TslMonitor {
         Ok(())
     }
 
-    /// Cumulative counters.
-    #[inline]
-    pub fn stats(&self) -> TslStats {
-        self.stats
+    fn result(&self, id: QueryId) -> Result<Vec<Scored>> {
+        self.queries
+            .get(&id)
+            .map(|q| q.view.result().to_vec())
+            .ok_or(TkmError::UnknownQuery(id))
     }
 
-    /// Deep size estimate in bytes: window + d sorted lists + the query
-    /// map's nodes (each query's state lives inline in one) + what every
-    /// query keeps on the heap (view entries, reported copy, weights).
-    pub fn space_bytes(&self) -> usize {
+    fn track_changes(&mut self) {
+        self.tracking = true;
+        for q in self.queries.values_mut() {
+            q.reported.clear();
+            q.reported.extend_from_slice(q.view.result());
+        }
+    }
+
+    /// No affected list: every query is compared every cycle.
+    fn drain_changes(&mut self, out: &mut Vec<ResultDelta>) {
+        if !self.tracking {
+            return;
+        }
+        for (id, q) in &mut self.queries {
+            ResultDelta::report(*id, &mut q.reported, q.view.result(), out);
+        }
+    }
+
+    /// A fresh TA run; no view is materialised.
+    fn snapshot(&mut self, query: &Query) -> Result<Vec<Scored>> {
+        self.check_query(query)?;
+        let (res, _) = ta_search(&self.lists, &self.window, &query.f, query.k);
+        Ok(res)
+    }
+
+    /// Window + d sorted lists + the query map's nodes (each query's state
+    /// lives inline in one) + what every query keeps on the heap (view
+    /// entries, reported copy, weights).
+    fn space_bytes(&self) -> usize {
         // Query ids arrive in ascending order, and a node split at its
         // right edge keeps 6 of its 11 entries.
         const QUERIES_PER_NODE: f64 = 6.0;
@@ -320,6 +307,16 @@ impl TslMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A plain query built without `Query::top_k`'s own checks, so the
+    /// monitor's are the ones exercised.
+    fn plain(f: ScoreFn, k: usize) -> Query {
+        Query {
+            f,
+            k,
+            constraint: None,
+        }
+    }
 
     fn brute_topk(window: &Window, f: &ScoreFn, k: usize) -> Vec<Scored> {
         let mut all: Vec<Scored> = window
@@ -350,12 +347,12 @@ mod tests {
         let mut m = TslMonitor::new(2, WindowSpec::Count(10), KmaxPolicy::Tuned).unwrap();
         let f = ScoreFn::linear(vec![1.0, 1.0]).unwrap();
         assert!(m
-            .register_query(QueryId(0), ScoreFn::linear(vec![1.0]).unwrap(), 2)
+            .register_query(QueryId(0), plain(ScoreFn::linear(vec![1.0]).unwrap(), 2))
             .is_err());
-        assert!(m.register_query(QueryId(0), f.clone(), 0).is_err());
-        m.register_query(QueryId(0), f.clone(), 2).unwrap();
+        assert!(m.register_query(QueryId(0), plain(f.clone(), 0)).is_err());
+        m.register_query(QueryId(0), plain(f.clone(), 2)).unwrap();
         assert!(matches!(
-            m.register_query(QueryId(0), f, 2),
+            m.register_query(QueryId(0), plain(f, 2)),
             Err(TkmError::DuplicateQuery(_))
         ));
         assert!(m.remove_query(QueryId(1)).is_err());
@@ -367,8 +364,8 @@ mod tests {
         let mut m = TslMonitor::new(2, WindowSpec::Count(60), KmaxPolicy::Tuned).unwrap();
         let f1 = ScoreFn::linear(vec![1.0, 2.0]).unwrap();
         let f2 = ScoreFn::linear(vec![1.0, -1.0]).unwrap();
-        m.register_query(QueryId(1), f1.clone(), 3).unwrap();
-        m.register_query(QueryId(2), f2.clone(), 5).unwrap();
+        m.register_query(QueryId(1), plain(f1.clone(), 3)).unwrap();
+        m.register_query(QueryId(2), plain(f2.clone(), 5)).unwrap();
         for tick in 0..40u64 {
             let arrivals = lcg_stream(tick + 1, 10, 2);
             m.tick(Timestamp(tick), &arrivals).unwrap();
@@ -389,7 +386,7 @@ mod tests {
     fn time_window_variant() {
         let mut m = TslMonitor::new(2, WindowSpec::Time(4), KmaxPolicy::Fixed(8)).unwrap();
         let f = ScoreFn::product(vec![0.2, 0.2]).unwrap();
-        m.register_query(QueryId(7), f.clone(), 2).unwrap();
+        m.register_query(QueryId(7), plain(f.clone(), 2)).unwrap();
         for tick in 0..20u64 {
             let arrivals = lcg_stream(tick + 99, 6, 2);
             m.tick(Timestamp(tick), &arrivals).unwrap();
@@ -404,7 +401,7 @@ mod tests {
     fn dynamic_policy_still_exact() {
         let mut m = TslMonitor::new(2, WindowSpec::Count(30), KmaxPolicy::Dynamic).unwrap();
         let f = ScoreFn::quadratic(vec![1.0, 0.5]).unwrap();
-        m.register_query(QueryId(3), f.clone(), 4).unwrap();
+        m.register_query(QueryId(3), plain(f.clone(), 4)).unwrap();
         for tick in 0..60u64 {
             let arrivals = lcg_stream(tick + 7, 5, 2);
             m.tick(Timestamp(tick), &arrivals).unwrap();
@@ -427,18 +424,10 @@ mod tests {
     fn window_smaller_than_k() {
         let mut m = TslMonitor::new(1, WindowSpec::Count(100), KmaxPolicy::Tuned).unwrap();
         let f = ScoreFn::linear(vec![1.0]).unwrap();
-        m.register_query(QueryId(0), f, 5).unwrap();
+        m.register_query(QueryId(0), plain(f, 5)).unwrap();
         m.tick(Timestamp(0), &[0.3, 0.9]).unwrap();
         let res = m.result(QueryId(0)).unwrap();
         assert_eq!(res.len(), 2, "reports what exists");
         assert_eq!(res[0].score.get(), 0.9);
-    }
-
-    #[test]
-    fn tuned_table_matches_paper() {
-        for (k, m) in [(1, 4), (5, 10), (10, 20), (20, 30), (50, 70), (100, 120)] {
-            assert_eq!(tuned_kmax(k), m);
-        }
-        assert!(tuned_kmax(7) > 7);
     }
 }

@@ -15,7 +15,7 @@
 
 use std::collections::BTreeSet;
 
-use crate::lists::SortedLists;
+use crate::tsl::lists::SortedLists;
 use tkm_common::{FxHashSet, ScoreFn, Scored, TupleId, MAX_DIMS};
 use tkm_window::Window;
 
@@ -36,7 +36,7 @@ pub struct TaAccessStats {
 ///
 /// ```
 /// use tkm_common::{ScoreFn, Timestamp};
-/// use tkm_tsl::{ta_search, SortedLists};
+/// use tkm_core::tsl::{ta_search, SortedLists};
 /// use tkm_window::{Window, WindowSpec};
 ///
 /// let mut window = Window::new(2, WindowSpec::Count(8)).unwrap();

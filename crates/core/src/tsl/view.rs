@@ -65,18 +65,6 @@ impl TopView {
         self.entries.len()
     }
 
-    /// Whether the view is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// All `k′` entries, best first.
-    #[inline]
-    pub fn entries(&self) -> &[Scored] {
-        &self.entries
-    }
-
     /// The reported result: the first `min(k, k′)` entries.
     #[inline]
     pub fn result(&self) -> &[Scored] {
@@ -205,7 +193,7 @@ mod tests {
                 let mut want = valid.clone();
                 want.sort_by(|a, b| b.cmp(a));
                 want.truncate(kp);
-                prop_assert_eq!(view.entries(), &want[..]);
+                prop_assert_eq!(&view.entries[..], &want[..]);
                 // And k′ stays within bounds after maintenance.
                 prop_assert!(kp >= k.min(valid.len()));
                 prop_assert!(kp <= kmax);
@@ -229,7 +217,7 @@ mod tests {
         assert_eq!(v.len(), 3);
         // Beats the worst: inserted, worst leaves, k′ stays at kmax.
         assert!(v.on_arrival(s(0.85, 4)));
-        let ids: Vec<u64> = v.entries().iter().map(|e| e.id.0).collect();
+        let ids: Vec<u64> = v.entries.iter().map(|e| e.id.0).collect();
         assert_eq!(ids, vec![0, 4, 1]);
         assert_eq!(v.result().len(), 2);
     }

@@ -458,7 +458,7 @@ fn kmax_band_space_is_pinned() {
     };
     let (len_small, space_small) = build(1);
     let (len_large, space_large) = build(50);
-    assert!(len_small >= 1 && len_small <= tkm_skyband::tuned_kmax(1) + 2);
+    assert!(len_small >= 1 && len_small <= tkm_core::skyband::tuned_kmax(1) + 2);
     assert!(len_large >= 50, "window of 300 must fill a k=50 band");
     // Each band entry costs at least a Scored (16 bytes) plus its
     // dominance counter (4 bytes).

@@ -1,11 +1,15 @@
 //! The regular grid: geometry and cell container.
 
 use crate::cell::{CellMode, CellPoints, PointArena};
-use tkm_common::{Rect, Result, ScoreFn, TkmError, TupleId, MAX_DIMS};
+use tkm_common::{Monotonicity, Rect, Result, ScoreFn, TkmError, TupleId, MAX_DIMS};
 
 /// Hard cap on the number of cells (memory guard: a `d`-dimensional grid
 /// has `m^d` cells and `m` is easy to over-specify).
 pub const MAX_CELLS: usize = 1 << 24;
+
+/// An inclusive per-axis cell index range `(lo, hi)` (see
+/// [`Grid::cell_range`]).
+pub type CellRange = ([usize; MAX_DIMS], [usize; MAX_DIMS]);
 
 /// Linear index of a grid cell. `u32` keeps heap entries small.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -270,117 +274,62 @@ impl Grid {
         f.max_score_rect(&lo[..self.dims], &hi[..self.dims])
     }
 
-    /// The cell with the highest `maxscore` for `f` — the traversal start
-    /// (top-right corner for functions increasing on every axis).
-    pub fn best_corner(&self, f: &ScoreFn) -> CellId {
+    /// Per-axis cell index range `[lo, hi]` (inclusive) of the cells that
+    /// may intersect a constraint rectangle; the whole grid,
+    /// `[0, m−1]^d`, without one.
+    pub fn cell_range(&self, rect: Option<&Rect>) -> CellRange {
+        debug_assert!(rect.is_none_or(|r| r.dims() == self.dims));
+        let mut lo = [0usize; MAX_DIMS];
+        let mut hi = [0usize; MAX_DIMS];
+        for dim in 0..self.dims {
+            (lo[dim], hi[dim]) = match rect {
+                Some(r) => (
+                    self.axis_index(r.lo()[dim].clamp(0.0, 1.0)),
+                    self.axis_index(r.hi()[dim].clamp(0.0, 1.0)),
+                ),
+                None => (0, self.per_dim - 1),
+            };
+        }
+        (lo, hi)
+    }
+
+    /// The highest-`maxscore` cell for `f` within an inclusive per-axis
+    /// cell range — the traversal start (top-right corner of the range for
+    /// functions increasing on every axis).
+    pub fn best_corner(&self, range: &CellRange, f: &ScoreFn) -> CellId {
         let mut coords = [0usize; MAX_DIMS];
         for (dim, slot) in coords.iter_mut().enumerate().take(self.dims) {
             *slot = match f.monotonicity(dim) {
-                tkm_common::Monotonicity::Increasing => self.per_dim - 1,
-                tkm_common::Monotonicity::Decreasing => 0,
+                Monotonicity::Increasing => range.1[dim],
+                Monotonicity::Decreasing => range.0[dim],
             };
         }
         self.cell_from_coords(&coords[..self.dims])
     }
 
     /// The neighbour of `id` one step toward lower scores along `dim`
-    /// (`c_{i-1,j}` / `c_{i,j-1}` of Figure 6 generalised to monotonicity
-    /// direction), or `None` at the workspace boundary. One axis-table
-    /// read and one stride add — this runs for every processed cell ×
-    /// dimension of every traversal and clean-up walk.
+    /// (`c_{i-1,j}` / `c_{i,j-1}` of Figure 6 generalised to the axis'
+    /// monotonicity direction `dir`), or `None` at the boundary of the
+    /// inclusive per-axis cell `range`. One axis-table read and one stride
+    /// add — this runs for every processed cell × dimension of every
+    /// traversal and clean-up walk.
     #[inline]
-    pub fn step_worse(&self, id: CellId, dim: usize, f: &ScoreFn) -> Option<CellId> {
-        self.step_worse_dir(id, dim, f.monotonicity(dim))
-    }
-
-    /// [`Grid::step_worse`] with the monotonicity direction already
-    /// resolved — traversals resolve each axis once up front instead of
-    /// dispatching into the scoring function on every step.
-    #[inline]
-    pub fn step_worse_dir(
+    pub fn step_worse(
         &self,
         id: CellId,
         dim: usize,
-        dir: tkm_common::Monotonicity,
-    ) -> Option<CellId> {
-        let axis = self.axis_of(id, dim);
-        match dir {
-            tkm_common::Monotonicity::Increasing => {
-                if axis == 0 {
-                    return None;
-                }
-                Some(CellId(id.0 - self.strides[dim]))
-            }
-            tkm_common::Monotonicity::Decreasing => {
-                if axis as usize + 1 >= self.per_dim {
-                    return None;
-                }
-                Some(CellId(id.0 + self.strides[dim]))
-            }
-        }
-    }
-
-    /// Per-axis cell index range `[lo, hi]` (inclusive) of the cells that
-    /// may intersect a constraint rectangle.
-    pub fn cell_range(&self, rect: &Rect) -> ([usize; MAX_DIMS], [usize; MAX_DIMS]) {
-        debug_assert_eq!(rect.dims(), self.dims);
-        let mut lo = [0usize; MAX_DIMS];
-        let mut hi = [0usize; MAX_DIMS];
-        for dim in 0..self.dims {
-            lo[dim] = self.axis_index(rect.lo()[dim].clamp(0.0, 1.0));
-            hi[dim] = self.axis_index(rect.hi()[dim].clamp(0.0, 1.0));
-        }
-        (lo, hi)
-    }
-
-    /// The highest-`maxscore` cell within an inclusive per-axis cell range
-    /// (start cell of a constrained top-k search, §7).
-    pub fn best_corner_in(
-        &self,
-        range: &([usize; MAX_DIMS], [usize; MAX_DIMS]),
-        f: &ScoreFn,
-    ) -> CellId {
-        let mut coords = [0usize; MAX_DIMS];
-        for (dim, slot) in coords.iter_mut().enumerate().take(self.dims) {
-            *slot = match f.monotonicity(dim) {
-                tkm_common::Monotonicity::Increasing => range.1[dim],
-                tkm_common::Monotonicity::Decreasing => range.0[dim],
-            };
-        }
-        self.cell_from_coords(&coords[..self.dims])
-    }
-
-    /// [`Grid::step_worse`] restricted to an inclusive per-axis cell range.
-    #[inline]
-    pub fn step_worse_in(
-        &self,
-        id: CellId,
-        dim: usize,
-        f: &ScoreFn,
-        range: &([usize; MAX_DIMS], [usize; MAX_DIMS]),
-    ) -> Option<CellId> {
-        self.step_worse_in_dir(id, dim, f.monotonicity(dim), range)
-    }
-
-    /// [`Grid::step_worse_dir`] restricted to an inclusive per-axis cell
-    /// range.
-    #[inline]
-    pub fn step_worse_in_dir(
-        &self,
-        id: CellId,
-        dim: usize,
-        dir: tkm_common::Monotonicity,
-        range: &([usize; MAX_DIMS], [usize; MAX_DIMS]),
+        dir: Monotonicity,
+        range: &CellRange,
     ) -> Option<CellId> {
         let axis = self.axis_of(id, dim) as usize;
         match dir {
-            tkm_common::Monotonicity::Increasing => {
+            Monotonicity::Increasing => {
                 if axis <= range.0[dim] {
                     return None;
                 }
                 Some(CellId(id.0 - self.strides[dim]))
             }
-            tkm_common::Monotonicity::Decreasing => {
+            Monotonicity::Decreasing => {
                 if axis >= range.1[dim] {
                     return None;
                 }
@@ -522,29 +471,33 @@ mod tests {
     fn best_corner_follows_monotonicity() {
         let g = Grid::new(2, 7, CellMode::Fifo).unwrap();
         // Increasing on both axes: start top-right (Figure 5).
+        let all = g.cell_range(None);
         let f = linear2(1.0, 2.0);
-        assert_eq!(g.cell_coords(g.best_corner(&f))[..2], [6, 6]);
+        assert_eq!(g.cell_coords(g.best_corner(&all, &f))[..2], [6, 6]);
         // f = x1 - x2 (Figure 7a): start bottom-right.
         let f = linear2(1.0, -1.0);
-        assert_eq!(g.cell_coords(g.best_corner(&f))[..2], [6, 0]);
+        assert_eq!(g.cell_coords(g.best_corner(&all, &f))[..2], [6, 0]);
     }
 
     #[test]
     fn step_worse_direction_and_boundary() {
         let g = Grid::new(2, 7, CellMode::Fifo).unwrap();
+        let all = g.cell_range(None);
+        assert_eq!((&all.0[..2], &all.1[..2]), (&[0, 0][..], &[6, 6][..]));
         let f = linear2(1.0, -1.0);
-        let start = g.best_corner(&f); // (6, 0)
-                                       // Worse along x1 (increasing): index decreases.
-        let a = g.step_worse(start, 0, &f).unwrap();
+        let step = |c, dim| g.step_worse(c, dim, f.monotonicity(dim), &all);
+        let start = g.best_corner(&all, &f); // (6, 0)
+                                             // Worse along x1 (increasing): index decreases.
+        let a = step(start, 0).unwrap();
         assert_eq!(g.cell_coords(a)[..2], [5, 0]);
         // Worse along x2 (decreasing): index increases (Figure 7a en-heaps
         // c_{i,j+1} instead of c_{i,j-1}).
-        let b = g.step_worse(start, 1, &f).unwrap();
+        let b = step(start, 1).unwrap();
         assert_eq!(g.cell_coords(b)[..2], [6, 1]);
         // Boundary cells have no worse neighbour.
         let worst = g.cell_from_coords(&[0, 6]);
-        assert_eq!(g.step_worse(worst, 0, &f), None);
-        assert_eq!(g.step_worse(worst, 1, &f), None);
+        assert_eq!(step(worst, 0), None);
+        assert_eq!(step(worst, 1), None);
     }
 
     #[test]
@@ -560,17 +513,18 @@ mod tests {
         let g = Grid::new(2, 7, CellMode::Fifo).unwrap();
         // Figure 12: constrained top-1 with R in the middle-right area.
         let rect = Rect::new(vec![0.55, 0.35], vec![0.85, 0.75]).unwrap();
-        let range = g.cell_range(&rect);
+        let range = g.cell_range(Some(&rect));
         assert_eq!(range.0[..2], [3, 2]);
         assert_eq!(range.1[..2], [5, 5]);
         let f = linear2(1.0, 2.0);
-        let start = g.best_corner_in(&range, &f);
+        let step = |c, dim| g.step_worse(c, dim, f.monotonicity(dim), &range);
+        let start = g.best_corner(&range, &f);
         assert_eq!(g.cell_coords(start)[..2], [5, 5]);
         // Stepping stays inside the range.
-        assert!(g.step_worse_in(start, 0, &f, &range).is_some());
+        assert!(step(start, 0).is_some());
         let lo_corner = g.cell_from_coords(&[3, 2]);
-        assert_eq!(g.step_worse_in(lo_corner, 0, &f, &range), None);
-        assert_eq!(g.step_worse_in(lo_corner, 1, &f, &range), None);
+        assert_eq!(step(lo_corner, 0), None);
+        assert_eq!(step(lo_corner, 1), None);
     }
 
     /// The construction-time bounds table must agree exactly (bitwise, not
@@ -717,7 +671,9 @@ mod tests {
         let c = g.cell_from_coords(&[2, 2, 2]);
         let neighbours: Vec<[usize; 3]> = (0..3)
             .map(|dim| {
-                let n = g.step_worse(c, dim, &f).unwrap();
+                let n = g
+                    .step_worse(c, dim, f.monotonicity(dim), &g.cell_range(None))
+                    .unwrap();
                 let cc = g.cell_coords(n);
                 [cc[0], cc[1], cc[2]]
             })
@@ -785,7 +741,7 @@ mod tests {
                 vec![lo1, lo2],
                 vec![(lo1 + ext1).min(1.0), (lo2 + ext2).min(1.0)],
             ).unwrap();
-            let range = g.cell_range(&rect);
+            let range = g.cell_range(Some(&rect));
             if rect.contains(&[px, py]) {
                 let cc = g.cell_coords(g.locate(&[px, py]));
                 for dim in 0..2 {
@@ -840,7 +796,7 @@ mod tests {
             let f = linear2(w1, w2);
             let c = g.cell_from_coords(&[i, j]);
             for dim in 0..2 {
-                if let Some(n) = g.step_worse(c, dim, &f) {
+                if let Some(n) = g.step_worse(c, dim, f.monotonicity(dim), &g.cell_range(None)) {
                     prop_assert!(g.maxscore(n, &f) <= g.maxscore(c, &f) + 1e-12);
                 }
             }

@@ -41,6 +41,6 @@ pub mod influence;
 pub mod visit;
 
 pub use cell::{CellMode, CellPoints, Chunks, CHUNK_POINTS};
-pub use grid::{CellId, Grid};
+pub use grid::{CellId, CellRange, Grid};
 pub use influence::InfluenceTable;
 pub use visit::VisitStamps;

@@ -48,12 +48,9 @@
 //! | [`tkm_common`] | ids, ordered floats, hashing, scoring functions, rectangles |
 //! | [`tkm_window`] | count/time sliding windows: a coordinate-free timeline plus a coordinate ring |
 //! | [`tkm_grid`] | regular grid, point lists, influence lists |
-//! | [`tkm_skyband`] | k-skyband with dominance counters |
-//! | [`tkm_tsl`] | TSL baseline (sorted lists + TA + kmax views) |
-//! | [`tkm_core`] | TMA, SMA, computation module, §7 extensions, server |
+//! | [`tkm_core`] | TMA, SMA, k-skyband, computation module, TSL baseline, §7 extensions, server |
 //! | [`tkm_service`] | TCP serving layer: wire protocol, sessions, delta fan-out |
 //! | [`tkm_datagen`] | IND/ANT generators, query workloads, stream simulator |
-//! | [`tkm_analysis`] | §6 analytical cost model |
 //!
 //! The most common items are re-exported at the root.
 
@@ -64,30 +61,26 @@
 #[cfg(doctest)]
 pub struct ReadmeDoctests;
 
-pub use tkm_analysis::ModelParams;
 pub use tkm_common::{
     LinearFn, Monotonicity, OrderedF64, ProductFn, QuadraticFn, QueryId, QuerySlot, Rect, Result,
     ScoreFn, Scored, ScoringFunction, Timestamp, TkmError, TupleId, MAX_DIMS,
 };
 pub use tkm_core::{
-    build_engine, compute_topk, ComputeScratch, ContinuousTopK, DeltaList, EngineKind, EngineStats,
-    GridSpec, IngestState, Monitor, MonitorServer, OracleMonitor, PiecewiseMonitor, PiecewiseQuery,
-    Query, QueryMaintenance, QueryRegistry, ResultDelta, ServerConfig, SmaMaintenance, SmaMonitor,
-    ThresholdMonitor, TmaMaintenance, TmaMonitor, UpdateOp, UpdateStreamTma,
+    build_engine, compute_topk,
+    skyband::{tuned_kmax, Skyband},
+    ComputeScratch, ContinuousTopK, DeltaList, EngineKind, EngineStats, GridSpec, IngestState,
+    KmaxPolicy, Monitor, MonitorServer, OracleMonitor, PiecewiseMonitor, PiecewiseQuery, Query,
+    QueryMaintenance, QueryRegistry, ResultDelta, ServerConfig, SmaMaintenance, SmaMonitor,
+    ThresholdMonitor, TmaMaintenance, TmaMonitor, TslMonitor, UpdateOp, UpdateStreamTma,
 };
 pub use tkm_datagen::{DataDist, FnFamily, PointGen, QueryGen, StreamSim};
 pub use tkm_service::{Service, ServiceClient, ServiceConfig, TickPolicy};
-pub use tkm_skyband::{tuned_kmax, Skyband};
-pub use tkm_tsl::{KmaxPolicy, TslMonitor};
 pub use tkm_window::{Timeline, Window, WindowSpec};
 
 // Full sub-crate access for advanced use.
-pub use tkm_analysis as analysis;
 pub use tkm_common as common;
 pub use tkm_core as engines;
 pub use tkm_datagen as datagen;
 pub use tkm_grid as grid;
 pub use tkm_service as service;
-pub use tkm_skyband as skyband;
-pub use tkm_tsl as baseline;
 pub use tkm_window as window;

@@ -115,43 +115,56 @@ fn deltas_reconstruct_results() {
 
 /// Deltas are not produced before tracking is enabled, and a freshly
 /// registered query starts from its initial result (no spurious "added"
-/// burst).
+/// burst) — on every engine.
 #[test]
 fn delta_tracking_lifecycle() {
-    let mut s = server(EngineKind::Tma);
-    let mut stream = BatchGen::new(2, DataDist::Ind, 5);
-    s.tick(&stream.batch(10)).expect("tick");
-    assert!(s.take_deltas().is_empty(), "tracking off by default");
+    for kind in [
+        EngineKind::Tma,
+        EngineKind::Sma,
+        EngineKind::Tsl,
+        EngineKind::Oracle,
+    ] {
+        let mut s = server(kind);
+        let mut stream = BatchGen::new(2, DataDist::Ind, 5);
+        s.tick(&stream.batch(10)).expect("tick");
+        assert!(
+            s.take_deltas().is_empty(),
+            "{kind:?}: tracking off by default"
+        );
 
-    let q1 = s
-        .register(Query::top_k(ScoreFn::linear(vec![1.0, 0.0]).expect("d"), 3).expect("k"))
-        .expect("register");
-    s.enable_delta_tracking().expect("enable");
-    assert!(s.take_deltas().is_empty(), "enabling emits nothing");
+        let q1 = s
+            .register(Query::top_k(ScoreFn::linear(vec![1.0, 0.0]).expect("d"), 3).expect("k"))
+            .expect("register");
+        s.enable_delta_tracking().expect("enable");
+        assert!(
+            s.take_deltas().is_empty(),
+            "{kind:?}: enabling emits nothing"
+        );
 
-    // A hopeless arrival produces no delta.
-    s.tick(&[0.0, 0.0]).expect("tick");
-    assert!(s.take_deltas().is_empty());
+        // A hopeless arrival produces no delta.
+        s.tick(&[0.0, 0.0]).expect("tick");
+        assert!(s.take_deltas().is_empty(), "{kind:?}");
 
-    // A top arrival produces exactly one delta for q1.
-    s.tick(&[0.99, 0.99]).expect("tick");
-    let deltas = s.take_deltas();
-    assert_eq!(deltas.len(), 1);
-    assert_eq!(deltas[0].query, q1);
-    assert_eq!(deltas[0].added.len(), 1);
+        // A top arrival produces exactly one delta for q1.
+        s.tick(&[0.99, 0.99]).expect("tick");
+        let deltas = s.take_deltas();
+        assert_eq!(deltas.len(), 1, "{kind:?}");
+        assert_eq!(deltas[0].query, q1, "{kind:?}");
+        assert_eq!(deltas[0].added.len(), 1, "{kind:?}");
 
-    // Queries registered while tracking start silently from their initial
-    // result.
-    let q2 = s
-        .register(Query::top_k(ScoreFn::linear(vec![0.0, 1.0]).expect("d"), 2).expect("k"))
-        .expect("register");
-    assert!(s.take_deltas().is_empty());
-    s.tick(&[0.5, 0.999]).expect("tick");
-    let deltas = s.take_deltas();
-    assert!(deltas.iter().any(|d| d.query == q2));
+        // Queries registered while tracking start silently from their
+        // initial result.
+        let q2 = s
+            .register(Query::top_k(ScoreFn::linear(vec![0.0, 1.0]).expect("d"), 2).expect("k"))
+            .expect("register");
+        assert!(s.take_deltas().is_empty(), "{kind:?}");
+        s.tick(&[0.5, 0.999]).expect("tick");
+        let deltas = s.take_deltas();
+        assert!(deltas.iter().any(|d| d.query == q2), "{kind:?}");
 
-    // Unregistered queries stop reporting.
-    s.unregister(q1).expect("unregister");
-    s.tick(&[0.98, 0.98]).expect("tick");
-    assert!(s.take_deltas().iter().all(|d| d.query != q1));
+        // Unregistered queries stop reporting.
+        s.unregister(q1).expect("unregister");
+        s.tick(&[0.98, 0.98]).expect("tick");
+        assert!(s.take_deltas().iter().all(|d| d.query != q1), "{kind:?}");
+    }
 }
