@@ -704,8 +704,16 @@ impl<P: BandPolicy> QueryMaintenance for BandMaintenance<P> {
         self.stats
     }
 
+    /// `Self` plus the heap its members own: the members whose own
+    /// `space_bytes` count their inline struct are counted once, inside
+    /// `size_of::<Self>()`.
     fn space_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
+            - std::mem::size_of::<InfluenceTable>()
+            - std::mem::size_of::<ComputeScratch>()
+            - std::mem::size_of::<QueryRegistry<BandQuery>>()
+            - std::mem::size_of::<MergeScratch>()
+            - std::mem::size_of::<TopList>()
             + self.influence.space_bytes()
             + self.scratch.space_bytes()
             + self.queries.space_bytes()
@@ -713,15 +721,64 @@ impl<P: BandPolicy> QueryMaintenance for BandMaintenance<P> {
             + self.merge_scratch.space_bytes()
             + (self.dirty.capacity() * std::mem::size_of::<u64>())
             + (self.seed.capacity() * std::mem::size_of::<Scored>())
-            + (self.rec.space_bytes() - std::mem::size_of::<TopList>())
+            + self.rec.space_bytes()
             + self
                 .queries
                 .iter()
                 .map(|(_, q)| {
-                    std::mem::size_of::<BandQuery>()
-                        + (q.band.space_bytes() - std::mem::size_of::<Skyband>())
+                    (q.band.space_bytes() - std::mem::size_of::<Skyband>())
                         + q.reported.capacity() * std::mem::size_of::<Scored>()
                 })
                 .sum::<usize>()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ingest::GridSpec;
+    use crate::testutil::lcg_stream;
+    use std::mem::size_of;
+    use tkm_common::{ScoreFn, Timestamp};
+    use tkm_window::WindowSpec;
+
+    /// Beyond its own struct, the stage reports exactly the heap its
+    /// members own: no inline member is counted a second time.
+    #[test]
+    fn space_bytes_counts_inline_members_once() {
+        let mut shared = IngestState::new(2, WindowSpec::Count(200), GridSpec::PerDim(6)).unwrap();
+        let mut m = SmaMaintenance::new_for(&shared);
+        m.track_changes();
+        for q in 0..5u64 {
+            let f = ScoreFn::linear(vec![1.0, q as f64 / 4.0]).unwrap();
+            let query = Query::top_k(f, 3).unwrap();
+            m.register_query(&shared, QueryId(q), query).unwrap();
+        }
+        for tick in 0..12u64 {
+            shared
+                .ingest(Timestamp(tick), &lcg_stream(tick, 40, 2))
+                .unwrap();
+            m.apply_events(&shared).unwrap();
+        }
+        let heap = m.influence.space_bytes() - size_of::<InfluenceTable>()
+            + m.scratch.space_bytes()
+            - size_of::<ComputeScratch>()
+            + m.queries.space_bytes()
+            - size_of::<QueryRegistry<BandQuery>>()
+            + m.affected.capacity() * size_of::<QuerySlot>()
+            + m.merge_scratch.space_bytes()
+            - size_of::<MergeScratch>()
+            + m.dirty.capacity() * size_of::<u64>()
+            + m.seed.capacity() * size_of::<Scored>()
+            + m.rec.space_bytes()
+            - size_of::<TopList>()
+            + m.queries
+                .iter()
+                .map(|(_, q)| {
+                    q.band.space_bytes() - size_of::<Skyband>()
+                        + q.reported.capacity() * size_of::<Scored>()
+                })
+                .sum::<usize>();
+        assert_eq!(m.space_bytes() - size_of::<SmaMaintenance>(), heap);
     }
 }

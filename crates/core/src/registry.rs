@@ -163,21 +163,16 @@ impl<T> QueryRegistry<T> {
         self.slots.iter().flatten().map(|e| e.id)
     }
 
-    /// Deep size of the registry's own bookkeeping (slot wrappers, free
-    /// list, id index) — per-query state (`T` itself, stored inline in the slot
-    /// vec) is accounted by the caller via [`QueryRegistry::iter`], so the
-    /// slot-vec term here counts only the per-slot wrapper bytes
-    /// (`Option<Entry<T>>` minus `T`: the id, the discriminant and
-    /// padding), not `T` again.
+    /// Deep size of the registry: every slot at capacity, live or free
+    /// (each holds a `T` inline), the free list and the id index. The heap
+    /// a live `T` owns is the caller's to add, via [`QueryRegistry::iter`].
     pub fn space_bytes(&self) -> usize {
         /// Amortised per-entry overhead of the hash index (control bytes
         /// plus load-factor headroom), mirroring the constants used for
         /// other hash containers in the workspace.
         const MAP_ENTRY_OVERHEAD: usize = 8;
-        let slot_wrapper =
-            std::mem::size_of::<Option<Entry<T>>>().saturating_sub(std::mem::size_of::<T>());
         std::mem::size_of::<Self>()
-            + self.slots.capacity() * slot_wrapper
+            + self.slots.capacity() * std::mem::size_of::<Option<Entry<T>>>()
             + self.free.capacity() * std::mem::size_of::<QuerySlot>()
             + self.index.capacity()
                 * (std::mem::size_of::<(QueryId, QuerySlot)>() + MAP_ENTRY_OVERHEAD)

@@ -255,9 +255,15 @@ impl ThresholdMonitor {
             .ok_or(TkmError::UnknownQuery(id))
     }
 
-    /// Deep size estimate in bytes.
+    /// Deep size estimate in bytes: `Self` plus the heap its members own
+    /// (the members whose own `space_bytes` count their inline struct are
+    /// counted once, inside `size_of::<Self>()`).
     pub fn space_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
+            - std::mem::size_of::<IngestState>()
+            - std::mem::size_of::<InfluenceTable>()
+            - std::mem::size_of::<ComputeScratch>()
+            - std::mem::size_of::<QueryRegistry<ThresholdQuery>>()
             + self.ingest.space_bytes()
             + self.influence.space_bytes()
             + self.scratch.space_bytes()
@@ -266,8 +272,7 @@ impl ThresholdMonitor {
                 .queries
                 .iter()
                 .map(|(_, q)| {
-                    std::mem::size_of::<ThresholdQuery>()
-                        + q.matching.capacity() * (std::mem::size_of::<TupleId>() + 8)
+                    q.matching.capacity() * (std::mem::size_of::<TupleId>() + 8)
                         + q.added.capacity() * std::mem::size_of::<Scored>()
                         + q.removed.capacity() * std::mem::size_of::<TupleId>()
                 })
@@ -334,6 +339,34 @@ mod tests {
         assert!(m.remove_query(QueryId(2)).is_err());
         assert_eq!(m.influence.total_entries(), 0);
         m.tick(Timestamp(0), &lcg_stream(5, 4, 2)).unwrap();
+    }
+
+    /// Beyond its own struct, the monitor reports exactly the heap its
+    /// members own: no inline member is counted a second time.
+    #[test]
+    fn space_bytes_counts_inline_members_once() {
+        use std::mem::size_of;
+        let mut m = ThresholdMonitor::new(2, WindowSpec::Count(40), GridSpec::PerDim(6)).unwrap();
+        let f = ScoreFn::linear(vec![1.0, 1.0]).unwrap();
+        m.register_query(QueryId(0), f, 1.2).unwrap();
+        for tick in 0..10u64 {
+            m.tick(Timestamp(tick), &lcg_stream(tick, 8, 2)).unwrap();
+        }
+        let heap = m.ingest.space_bytes() - size_of::<IngestState>() + m.influence.space_bytes()
+            - size_of::<InfluenceTable>()
+            + m.scratch.space_bytes()
+            - size_of::<ComputeScratch>()
+            + m.queries.space_bytes()
+            - size_of::<QueryRegistry<ThresholdQuery>>()
+            + m.queries
+                .iter()
+                .map(|(_, q)| {
+                    q.matching.capacity() * (size_of::<TupleId>() + 8)
+                        + q.added.capacity() * size_of::<Scored>()
+                        + q.removed.capacity() * size_of::<TupleId>()
+                })
+                .sum::<usize>();
+        assert_eq!(m.space_bytes() - size_of::<ThresholdMonitor>(), heap);
     }
 
     #[test]

@@ -314,7 +314,7 @@ impl UpdateStreamTma {
             + self
                 .queries
                 .iter()
-                .map(|(_, q)| std::mem::size_of::<UsQuery>() + q.top.space_bytes())
+                .map(|(_, q)| q.top.space_bytes() - std::mem::size_of::<TopList>())
                 .sum::<usize>()
     }
 }
