@@ -253,6 +253,9 @@ pub static FIGURES: [Figure; 13] = [
                 col("TMA recomputes", Tma, Recomputes),
             ],
         ),
+        // The TMA column runs the engine labelled TMA: an SMA-style band
+        // at `tuned_kmax` depth, not the paper's Figure 9 TMA, which
+        // recomputes on every result expiry.
         shape_check: "cost grows with k; the TMA/SMA gap widens with k as \
          TMA's recomputation count climbs.",
     },

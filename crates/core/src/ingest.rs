@@ -21,21 +21,29 @@
 //! independent cache misses in flight; a fused loop, whose iterations are
 //! each ~60 dependent operations long, fits only a few iterations in the
 //! reorder window and fetches the cold cell lines almost one at a time.
+//! The scatter runs before the removal: removing first keeps the cells
+//! within the window, but measured about 8 % slower a tick on the
+//! benchmark's `ingest` shape, so a sized window's arena plans for the
+//! window plus one batch instead.
 //!
 //! Every tuple is stored **once** (§4.1's single FIFO list): its
 //! coordinates go into its grid cell and nowhere else. The list itself is
 //! a ring of covering cell ids, oldest first, beside a coordinate-free
 //! [`Timeline`] that knows the resident id range and when its tuples
-//! arrived — 4 bytes per tuple, plus one `(timestamp, count)` run per
-//! distinct arrival time on a time window. A tuple is located once, on
+//! arrived — 2 bytes per tuple (the grid has at most
+//! [`IngestState::MAX_CELLS`] = 65 536 cells), plus one `(timestamp,
+//! count)` run per distinct arrival time on a time window. In the grid a
+//! tuple costs its 4-byte stored id, its coordinates and a quarter of a
+//! chunk link, and a sized window stops the arena's growth at the chunks
+//! it can need (see [`IngestState::new`]). A tuple is located once, on
 //! arrival; the expiry pass pops the expired prefix's cells off the ring's
 //! front, and [`IngestState::coords`] finds any resident tuple through
 //! its ring entry and a scan of that cell.
 
 use std::collections::VecDeque;
 
-use tkm_common::{Result, Timestamp, TupleId};
-use tkm_grid::{CellId, CellMode, CellPoints, Grid};
+use tkm_common::{Result, Timestamp, TkmError, TupleId};
+use tkm_grid::{CellId, CellMode, CellPoints, Grid, CHUNK_POINTS};
 use tkm_window::{Timeline, WindowSpec};
 
 /// How the grid is dimensioned.
@@ -215,11 +223,15 @@ impl CellGroups {
 pub struct IngestState {
     timeline: Timeline,
     grid: Grid,
+    /// The window's size, `N` of a [`WindowSpec::Count`] or the capacity
+    /// of a [`WindowSpec::TimeSized`]: what the grid's arena plans for.
+    window_size: Option<usize>,
     /// The covering cell of every resident tuple, oldest first — the
     /// paper's FIFO list, in lockstep with the timeline: tuple `id` is
     /// stored in cell `cells[id − oldest]`, and the expired prefix's cells
-    /// are popped from here rather than located a second time.
-    cells: VecDeque<CellId>,
+    /// are popped from here rather than located a second time. Two bytes
+    /// an entry: the grid has at most [`IngestState::MAX_CELLS`] cells.
+    cells: VecDeque<u16>,
     /// Per-pass scratch: the cells of the dense id range being scattered
     /// (arrivals) or popped (expiries).
     located: Vec<CellId>,
@@ -231,14 +243,35 @@ pub struct IngestState {
 }
 
 impl IngestState {
+    /// Most cells the stage's grid may have, so that a ring entry fits in
+    /// two bytes. [`GridSpec::FitWindow`] stays at or below 12⁴ = 20 736.
+    pub const MAX_CELLS: usize = 1 << 16;
+
     /// Creates the shared state for `dims`-dimensional tuples; a
-    /// [`GridSpec::FitWindow`] grid is sized for `window`.
+    /// [`GridSpec::FitWindow`] grid is sized for `window`. A grid of more
+    /// than [`IngestState::MAX_CELLS`] cells is refused. For a window of
+    /// known size `n`, each [`IngestState::ingest`] plans the grid's arena
+    /// for the window and its batch of `r`: growth steps stop at `⌈(n +
+    /// r) / CHUNK_POINTS⌉` chunks plus one per cell (a partly filled chunk
+    /// a cell), and only past that plan go on an eighth at a time. Nothing
+    /// is allocated for the plan up front.
     pub fn new(dims: usize, window: WindowSpec, grid: GridSpec) -> Result<IngestState> {
         let grid = grid.for_window(dims, window).build(dims, CellMode::Fifo)?;
         let cells = grid.num_cells();
+        if cells > Self::MAX_CELLS {
+            return Err(TkmError::InvalidParameter(format!(
+                "IngestState: {cells} grid cells exceed the cap of {} (2-byte cell ring)",
+                Self::MAX_CELLS
+            )));
+        }
+        let window_size = match window {
+            WindowSpec::Count(n) | WindowSpec::TimeSized { capacity: n, .. } => Some(n),
+            WindowSpec::Time(_) => None,
+        };
         Ok(IngestState {
             timeline: Timeline::new(window)?,
             grid,
+            window_size,
             cells: VecDeque::new(),
             located: Vec::new(),
             arrival_groups: CellGroups::new(cells),
@@ -263,10 +296,10 @@ impl IngestState {
     /// names the cell, and the cell's chain is scanned for the id. `None`
     /// for an id that has expired or was never issued.
     pub fn coords(&self, id: TupleId) -> Option<&[f64]> {
-        let cell = *self.cells.get(self.timeline.offset(id)?)?;
+        let cell = CellId(u32::from(*self.cells.get(self.timeline.offset(id)?)?));
         let dims = self.dims();
         self.grid.points(cell).chunks().find_map(|(ids, coords)| {
-            let at = ids.iter().position(|&stored| stored == id)?;
+            let at = ids.iter().position(|stored| stored == id)?;
             Some(&coords[at * dims..(at + 1) * dims])
         })
     }
@@ -292,6 +325,7 @@ impl IngestState {
         let Self {
             timeline,
             grid,
+            window_size,
             cells,
             located,
             arrival_groups,
@@ -303,11 +337,17 @@ impl IngestState {
 
         // Arrivals: take the next dense ids, locate sequentially, then
         // scatter — the scatter body is only cell head → push — and
-        // remember the cells for the expiry pass of a later cycle.
+        // remember the cells for the expiry pass of a later cycle. The
+        // cells hold the window and this batch until the expiry pass, and
+        // a sized window's arena plans for just that.
         let first = timeline.append(arrivals.len() / dims, now);
         stats.ticks += 1;
         located.clear();
         grid.locate_batch(arrivals, located);
+        if let Some(n) = *window_size {
+            let chunks = n.saturating_add(located.len()).div_ceil(CHUNK_POINTS);
+            grid.plan_chunks(chunks.saturating_add(grid.num_cells()));
+        }
         for ((id, &cell), coords) in (first.0..)
             .zip(located.iter())
             .zip(arrivals.chunks_exact(dims))
@@ -324,7 +364,8 @@ impl IngestState {
             let room = resident.max(cells.capacity() + cells.capacity() / 8);
             cells.reserve_exact(room - cells.len());
         }
-        cells.extend(located.iter().copied());
+        // Cell ids fit: the grid has at most `MAX_CELLS` cells.
+        cells.extend(located.iter().map(|cell| cell.0 as u16));
 
         // Expiries: the expired prefix is known up front and its cells
         // come off the ring's front; the removal body is only the FIFO
@@ -332,11 +373,7 @@ impl IngestState {
         let expired = timeline.expired_prefix(now);
         let oldest = timeline.oldest().unwrap_or(first);
         located.clear();
-        let (head_run, wrapped) = cells.as_slices();
-        let split = expired.min(head_run.len());
-        located.extend_from_slice(&head_run[..split]);
-        located.extend_from_slice(&wrapped[..expired - split]);
-        cells.drain(..expired);
+        located.extend(cells.drain(..expired).map(|cell| CellId(u32::from(cell))));
         for (id, &cell) in (oldest.0..).zip(located.iter()) {
             #[expect(
                 clippy::expect_used,
@@ -345,9 +382,9 @@ impl IngestState {
             grid.remove_at(cell, TupleId(id))
                 .expect("cell ring and grid are updated in lockstep");
         }
-        timeline.drop_front(expired);
         stats.expirations += expired as u64;
         expiry_groups.rebuild(located, oldest);
+        timeline.drop_front(expired);
         Ok(())
     }
 
@@ -394,7 +431,8 @@ impl IngestState {
         std::mem::size_of::<Self>() - std::mem::size_of::<Timeline>() - std::mem::size_of::<Grid>()
             + self.timeline.space_bytes()
             + self.grid.space_bytes()
-            + (self.cells.capacity() + self.located.capacity()) * std::mem::size_of::<CellId>()
+            + self.cells.capacity() * std::mem::size_of::<u16>()
+            + self.located.capacity() * std::mem::size_of::<CellId>()
             + self.arrival_groups.space_bytes()
             + self.expiry_groups.space_bytes()
     }
@@ -434,7 +472,7 @@ mod tests {
         for (id, &cell) in (t.oldest().map_or(0, |id| id.0)..).zip(&s.cells) {
             let coords = s.coords(TupleId(id)).expect("resident");
             assert_eq!(
-                cell,
+                CellId(u32::from(cell)),
                 s.grid().locate(coords),
                 "{context}: ring entry of {id}"
             );
@@ -446,7 +484,8 @@ mod tests {
             );
         }
         if let (Some(oldest), Some(&cell)) = (t.oldest(), s.cells.front()) {
-            let front = s.grid().points(cell).iter().next().map(|(id, _)| id);
+            let front = s.grid().points(CellId(u32::from(cell))).iter().next();
+            let front = front.map(|(id, _)| id);
             assert_eq!(front, Some(oldest), "{context}: the ring's front cell");
         }
         let oldest = t.oldest().unwrap_or(TupleId(u64::MAX));
@@ -635,6 +674,40 @@ mod tests {
         cells.sort_unstable();
         cells.dedup();
         assert_eq!(cells.len(), distinct, "exactly one run per distinct cell");
+    }
+
+    /// The ring's two-byte entries cap the grid at 65 536 cells: one more
+    /// is refused with a message naming the cap, exactly that many works.
+    #[test]
+    fn grid_above_the_ring_cap_is_refused() {
+        let window = WindowSpec::Count(10);
+        for (dims, per_dim) in [(1, 65_537), (2, 257), (4, 17)] {
+            match IngestState::new(dims, window, GridSpec::PerDim(per_dim)) {
+                Err(TkmError::InvalidParameter(msg)) => assert!(msg.contains("65536"), "{msg}"),
+                other => panic!("{dims}-d {per_dim}: expected InvalidParameter, got {other:?}"),
+            }
+        }
+        for (dims, per_dim) in [(1, 65_536), (2, 256), (4, 16)] {
+            let mut s = IngestState::new(dims, window, GridSpec::PerDim(per_dim)).unwrap();
+            assert_eq!(s.grid().num_cells(), IngestState::MAX_CELLS);
+            // The last cell's id survives the ring.
+            s.ingest(Timestamp(0), &vec![1.0; dims]).unwrap();
+            assert_eq!(s.coords(TupleId(0)), Some(&vec![1.0; dims][..]));
+            assert_lockstep(&s, "the cap");
+        }
+    }
+
+    /// A window too large to ever fill plans an arena it never allocates:
+    /// building the stage and running a tick are both cheap.
+    #[test]
+    fn unbounded_count_window_allocates_nothing_up_front() {
+        let mut s =
+            IngestState::new(4, WindowSpec::Count(usize::MAX), GridSpec::default()).unwrap();
+        s.ingest(Timestamp(0), &[0.5; 8]).unwrap();
+        assert_eq!(s.timeline().len(), 2);
+        // One minimal growth step of 64 chunks.
+        assert_eq!(s.grid().chunks_held(), 64);
+        assert_lockstep(&s, "Count(usize::MAX)");
     }
 
     #[test]
@@ -938,10 +1011,12 @@ mod tests {
     }
 
     /// A tenth of the benchmark's `ingest` stream (d = 4, N = 100k, r =
-    /// 10k a tick): outside the grid the stage holds its 4-byte cell ring
+    /// 10k a tick): outside the grid the stage holds its 2-byte cell ring
     /// and an amount fixed by the grid and the batch size — no coordinate
     /// copy (3.2 MB here) and no per-tuple timestamp (0.8 MB) — on both
-    /// window kinds.
+    /// window kinds; and after two window generations the count window's
+    /// arena holds no more than its plan, `⌈(N + R) / 4⌉` chunks plus one
+    /// a cell.
     #[test]
     fn ingest_state_keeps_tuples_only_in_the_grid() {
         const DIMS: usize = 4;
@@ -964,11 +1039,16 @@ mod tests {
             // cursors of both groupings, the located cells), the
             // timeline's few runs and the struct itself.
             let fixed = 16 * s.grid().num_cells() + 52 * R + 4096;
-            let budget = 4 * s.cells.capacity() + fixed;
+            let budget = 2 * s.cells.capacity() + fixed;
             assert!(
                 outside <= budget,
                 "{spec:?}: {outside} bytes outside the grid, budget {budget}"
             );
+            if let WindowSpec::Count(n) = spec {
+                let plan = (n + R).div_ceil(CHUNK_POINTS) + s.grid().num_cells();
+                let held = s.grid().chunks_held();
+                assert!(held <= plan, "{held} chunks held, plan {plan}");
+            }
         }
     }
 }

@@ -35,6 +35,7 @@
 #![allow(clippy::needless_range_loop)]
 
 use tkm_common::{Rect, ScoreFn, TupleId};
+use tkm_grid::StoredIds;
 
 /// A scoring function pinned to a concrete family and dimensionality:
 /// the monomorphized view of a [`ScoreFn`] that the hot loops run on.
@@ -55,7 +56,7 @@ pub trait Scorer {
     #[inline]
     fn scan(
         &self,
-        ids: &[TupleId],
+        ids: StoredIds<'_>,
         coords: &[f64],
         constraint: Option<&Rect>,
         emit: impl FnMut(TupleId, f64),
@@ -135,7 +136,7 @@ fn dispatch_fixed<const D: usize, V: ScorerVisitor>(f: &ScoreFn, v: V) -> V::Out
 #[inline(always)]
 fn scan_chunks(
     dims: usize,
-    ids: &[TupleId],
+    ids: StoredIds<'_>,
     coords: &[f64],
     constraint: Option<&Rect>,
     score: impl Fn(&[f64]) -> f64,
@@ -145,14 +146,14 @@ fn scan_chunks(
     let chunks = ids.iter().zip(coords.chunks_exact(dims));
     match constraint {
         None => {
-            for (&id, c) in chunks {
+            for (id, c) in chunks {
                 emit(id, score(c));
             }
         }
         Some(r) => {
             let lo = r.lo();
             let hi = r.hi();
-            'points: for (&id, c) in chunks {
+            'points: for (id, c) in chunks {
                 for d in 0..dims {
                     if c[d] < lo[d] || c[d] > hi[d] {
                         continue 'points;
@@ -181,7 +182,7 @@ const LANES: usize = 4;
 /// the filter makes lanes diverge, and constrained queries are rare.
 #[inline(always)]
 fn scan_lanes<const D: usize>(
-    ids: &[TupleId],
+    ids: StoredIds<'_>,
     coords: &[f64],
     init: f64,
     step: impl Fn(&mut f64, usize, f64),
@@ -200,12 +201,12 @@ fn scan_lanes<const D: usize>(
             }
         }
         for lane in 0..LANES {
-            emit(ids[i + lane], acc[lane]);
+            emit(ids.get(i + lane), acc[lane]);
         }
         i += LANES;
     }
     for j in i..n {
-        emit(ids[j], score(&coords[j * D..(j + 1) * D]));
+        emit(ids.get(j), score(&coords[j * D..(j + 1) * D]));
     }
 }
 
@@ -227,7 +228,7 @@ impl<const D: usize> Scorer for LinearK<D> {
     #[inline]
     fn scan(
         &self,
-        ids: &[TupleId],
+        ids: StoredIds<'_>,
         coords: &[f64],
         constraint: Option<&Rect>,
         emit: impl FnMut(TupleId, f64),
@@ -310,7 +311,7 @@ impl<const D: usize> Scorer for ProductK<D> {
     #[inline]
     fn scan(
         &self,
-        ids: &[TupleId],
+        ids: StoredIds<'_>,
         coords: &[f64],
         constraint: Option<&Rect>,
         emit: impl FnMut(TupleId, f64),
@@ -392,7 +393,7 @@ impl<const D: usize> Scorer for QuadraticK<D> {
     #[inline]
     fn scan(
         &self,
-        ids: &[TupleId],
+        ids: StoredIds<'_>,
         coords: &[f64],
         constraint: Option<&Rect>,
         emit: impl FnMut(TupleId, f64),
@@ -484,7 +485,7 @@ impl Scorer for CustomScorer<'_> {
 }
 
 struct ScanVisitor<'a, E> {
-    ids: &'a [TupleId],
+    ids: StoredIds<'a>,
     coords: &'a [f64],
     constraint: Option<&'a Rect>,
     emit: E,
@@ -500,13 +501,15 @@ impl<E: FnMut(TupleId, f64)> ScorerVisitor for ScanVisitor<'_, E> {
 
 /// Invokes `emit(id, score)` for every point of the block that lies inside
 /// `constraint` (all points when `None`). `coords` holds `dims` packed
-/// values per id, as produced by the grid's cell blocks and the ingest
-/// stage's cell-grouped runs.
+/// values per id, as produced by the grid's cell chunks and the ingest
+/// stage's cell-grouped runs. Each id is resolved from its stored 4 bytes
+/// right at the `emit` call, so an inlined `emit` that drops the point
+/// never pays for it.
 #[inline]
 pub fn scan_block(
     f: &ScoreFn,
     dims: usize,
-    ids: &[TupleId],
+    ids: StoredIds<'_>,
     coords: &[f64],
     constraint: Option<&Rect>,
     emit: impl FnMut(TupleId, f64),
@@ -564,6 +567,9 @@ mod tests {
     use std::sync::Arc;
     use tkm_common::{Monotonicity, ScoringFunction};
 
+    /// The id of a block's first point: blocks cross a 2³² boundary.
+    const FIRST: u64 = (1 << 32) - 5;
+
     fn block(dims: usize, n: usize) -> (Vec<TupleId>, Vec<f64>) {
         let mut state = 0x2545_f491_4f6c_dd1du64;
         let mut coords = Vec::with_capacity(n * dims);
@@ -573,7 +579,7 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             coords.push(((state >> 11) as f64 / (1u64 << 53) as f64).clamp(0.0, 1.0));
         }
-        ((0..n as u64).map(TupleId).collect(), coords)
+        ((FIRST..FIRST + n as u64).map(TupleId).collect(), coords)
     }
 
     fn collect(
@@ -583,8 +589,12 @@ mod tests {
         coords: &[f64],
         r: Option<&Rect>,
     ) -> Vec<(TupleId, f64)> {
+        let raw: Vec<u32> = ids.iter().map(|id| id.0 as u32).collect();
+        let newest = ids.last().map_or(0, |id| id.0);
         let mut out = Vec::new();
-        scan_block(f, dims, ids, coords, r, |id, s| out.push((id, s)));
+        scan_block(f, dims, StoredIds::new(&raw, newest), coords, r, |id, s| {
+            out.push((id, s))
+        });
         out
     }
 
@@ -720,7 +730,7 @@ mod tests {
     fn empty_block_is_a_no_op() {
         let f = ScoreFn::linear(vec![1.0, 1.0]).unwrap();
         let mut calls = 0;
-        scan_block(&f, 2, &[], &[], None, |_, _| calls += 1);
+        scan_block(&f, 2, StoredIds::new(&[], 0), &[], None, |_, _| calls += 1);
         assert_eq!(calls, 0);
     }
 }

@@ -10,9 +10,11 @@
 //!
 //! # One stage, two policies
 //!
-//! The paper's §5 reduces top-k monitoring to k-skyband maintenance, and
-//! its §8 refill idea gives TMA a buffered band too, so TMA (Figure 9) and
-//! SMA (Figure 11) are the *same* algorithm at two band depths.
+//! The paper's §5 reduces top-k monitoring to k-skyband maintenance. The
+//! engine labelled `TMA` here is not the paper's TMA (Figure 9, which keeps
+//! the top k and recomputes when one of them expires): it is an SMA-style
+//! band at [`tuned_kmax`] depth, §8's refill idea, so it and SMA (Figure
+//! 11) are the *same* algorithm at two band depths.
 //! [`BandMaintenance`] is that algorithm: each query keeps a
 //! [`Skyband`] of the tuples scoring at least its *admission threshold*
 //! (the depth-th score at the last from-scratch computation, −∞ while the
@@ -173,9 +175,10 @@ pub trait BandPolicy: Send {
     fn cap(depth: usize) -> usize;
 }
 
-/// TMA (paper Figure 9) in its skyband-refill configuration: a
-/// [`tuned_kmax`]-deep band absorbs result expiries without touching the
-/// grid, and a band past `2·depth + 8` entries is tightened.
+/// The engine labelled `TMA`: an SMA-style band at [`tuned_kmax`] depth,
+/// not the paper's TMA of Figure 9 (which recomputes whenever a result
+/// tuple expires). The deeper band absorbs result expiries without
+/// touching the grid, and a band past `2·depth + 8` entries is tightened.
 #[derive(Debug)]
 pub struct TmaPolicy;
 

@@ -45,7 +45,8 @@ pub struct Monitor<M> {
     maint: M,
 }
 
-/// The paper's TMA (§4) in its skyband-refill configuration.
+/// The engine labelled `TMA`: an SMA-style band at `tuned_kmax(k)` depth,
+/// not the paper's TMA of Figure 9 (see [`crate::maintenance`]).
 pub type TmaMonitor = Monitor<TmaMaintenance>;
 /// The paper's SMA (§5).
 pub type SmaMonitor = Monitor<SmaMaintenance>;

@@ -55,8 +55,9 @@
 //!
 //! Storage is two parallel arrays (`Vec<Scored>` + `Vec<u32>` counters)
 //! rather than an array of structs: the scored column is contiguous, so a
-//! monitor that stores its result *inside* the skyband (TMA with `k_max`
-//! refill keeps a `k_max`-band and answers top-k queries from its prefix)
+//! monitor that stores its result *inside* the skyband (the engine
+//! labelled TMA is an SMA-style band at `k_max` depth and answers top-k
+//! queries from its prefix)
 //! can hand out `&[Scored]` result slices without copying.
 //!
 //! The dominance parameter need not equal the result size: maintaining a
@@ -728,8 +729,8 @@ mod tests {
     }
 
     /// A band with dominance parameter `k_max > k` serves exact top-k
-    /// results from its prefix — the refill configuration TMA runs by
-    /// default.
+    /// results from its prefix — the SMA-style band at `tuned_kmax` depth
+    /// that the engine labelled TMA runs.
     #[test]
     fn prefix_of_wider_band_is_exact_topk() {
         let k = 2;

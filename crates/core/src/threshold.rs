@@ -17,7 +17,7 @@ use crate::kernel;
 use crate::maintenance::live_suffix;
 use crate::registry::QueryRegistry;
 use tkm_common::{FxHashSet, QueryId, Result, ScoreFn, Scored, Timestamp, TkmError, TupleId};
-use tkm_grid::{Grid, InfluenceTable};
+use tkm_grid::{Grid, InfluenceTable, StoredIds};
 use tkm_window::{Timeline, WindowSpec};
 
 #[derive(Debug)]
@@ -36,7 +36,7 @@ impl ThresholdQuery {
     /// Streams a block of a cell's coordinate-inline points through the
     /// scoring kernel (no window resolution per tuple); those above the
     /// threshold start matching.
-    fn admit(&mut self, dims: usize, ids: &[TupleId], coords: &[f64]) {
+    fn admit(&mut self, dims: usize, ids: StoredIds<'_>, coords: &[f64]) {
         let (threshold, matching, added) = (self.threshold, &mut self.matching, &mut self.added);
         kernel::scan_block(&self.f, dims, ids, coords, None, |id, score| {
             if score > threshold {

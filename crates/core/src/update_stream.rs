@@ -50,7 +50,8 @@ struct UsQuery {
 pub struct UpdateStreamTma {
     /// The live tuples, each in its covering cell: the only copy.
     grid: Grid,
-    /// Next arrival id to assign (ids are never reused).
+    /// Next arrival id to assign (ids are never reused; at most
+    /// [`UpdateStreamTma::MAX_IDS`] are issued).
     next_id: u64,
     influence: InfluenceTable,
     scratch: ComputeScratch,
@@ -61,6 +62,12 @@ pub struct UpdateStreamTma {
 }
 
 impl UpdateStreamTma {
+    /// Tuple ids the monitor issues, `0..2³²`: the grid's cells store the
+    /// low 32 bits of an id, which name it uniquely only while every id
+    /// stored is less than 2³² apart from the newest. An insert past the
+    /// last id is refused.
+    pub const MAX_IDS: u64 = 1 << 32;
+
     /// Creates a monitor over `dims`-dimensional tuples.
     pub fn new(dims: usize, grid: GridSpec) -> Result<UpdateStreamTma> {
         let grid = grid.build(dims, CellMode::Hash)?;
@@ -75,6 +82,14 @@ impl UpdateStreamTma {
             stats: EngineStats::default(),
             affected: Vec::new(),
         })
+    }
+
+    /// A monitor whose next insert gets id `next_id`.
+    #[cfg(test)]
+    fn with_next_id(dims: usize, grid: GridSpec, next_id: u64) -> Result<UpdateStreamTma> {
+        let mut m = UpdateStreamTma::new(dims, grid)?;
+        m.next_id = next_id;
+        Ok(m)
     }
 
     /// Dimensionality.
@@ -193,9 +208,20 @@ impl UpdateStreamTma {
         }
     }
 
+    /// The refusal of an insert once every id has been issued.
+    fn ids_exhausted() -> TkmError {
+        TkmError::Unsupported(format!(
+            "update stream: all {} tuple ids have been issued",
+            Self::MAX_IDS
+        ))
+    }
+
     /// Inserts a tuple, updating affected results immediately.
     pub fn insert(&mut self, coords: &[f64]) -> Result<TupleId> {
         self.check_coords(coords)?;
+        if self.next_id >= Self::MAX_IDS {
+            return Err(Self::ids_exhausted());
+        }
         let id = TupleId(self.next_id);
         self.next_id += 1;
         self.stats.arrivals += 1;
@@ -276,6 +302,9 @@ impl UpdateStreamTma {
             match op {
                 UpdateOp::Insert(coords) => {
                     self.check_coords(coords)?;
+                    if inserted.end >= Self::MAX_IDS {
+                        return Err(Self::ids_exhausted());
+                    }
                     inserted.end += 1;
                 }
                 UpdateOp::Delete(id) => {
@@ -423,6 +452,36 @@ mod tests {
         // handed out again.
         assert_eq!(m.insert(&[0.5]).unwrap(), TupleId(id.0 + 1));
         assert!(UpdateStreamTma::new(0, GridSpec::PerDim(4)).is_err());
+    }
+
+    /// The last id is 2³² − 1: the insert after it is refused, alone or
+    /// inside a batch, and leaves the monitor as it was; deletes still
+    /// work.
+    #[test]
+    fn refuses_to_issue_id_two_to_the_32() {
+        let mut m = UpdateStreamTma::with_next_id(1, GridSpec::PerDim(4), (1 << 32) - 2).unwrap();
+        let q = Query::top_k(ScoreFn::linear(vec![1.0]).unwrap(), 2).unwrap();
+        m.register_query(QueryId(0), q.clone()).unwrap();
+        let below = m.insert(&[0.4]).unwrap();
+        let ops = [UpdateOp::Insert(vec![0.9]), UpdateOp::Insert(vec![0.7])];
+        let exhausted = UpdateStreamTma::ids_exhausted();
+        assert_eq!(
+            m.apply(&ops).unwrap_err(),
+            exhausted,
+            "the batch's second insert"
+        );
+        let last = m.insert(&[0.6]).unwrap();
+        assert_eq!(last, TupleId((1 << 32) - 1));
+        assert_eq!(m.insert(&[0.8]).unwrap_err(), exhausted);
+        assert_eq!(m.apply(&ops[..1]).unwrap_err(), exhausted);
+        m.end_cycle();
+        let live = Live::from([(below, vec![0.4]), (last, vec![0.6])]);
+        assert_eq!(m.result(QueryId(0)).unwrap(), &brute(&live, &q)[..]);
+        assert_grid_holds(&m, &live);
+        m.apply(&[UpdateOp::Delete(last)]).unwrap();
+        let live = Live::from([(below, vec![0.4])]);
+        assert_eq!(m.result(QueryId(0)).unwrap(), &brute(&live, &q)[..]);
+        assert_grid_holds(&m, &live);
     }
 
     #[test]

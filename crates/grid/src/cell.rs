@@ -21,11 +21,26 @@
 //! bump, handing an exhausted chunk back. No cell owns a heap object,
 //! nothing is compacted, and a stored point never moves; the arena grows
 //! in bounded steps (an eighth at a time) until the window is full and
-//! keeps its high-water mark from then on.
+//! keeps its high-water mark from then on. A window of known size hands
+//! the arena a plan ([`crate::Grid::plan_chunks`]: the chunks its points
+//! and one batch fill, plus one a cell), and no step overshoots it; past
+//! the plan the eighth steps resume.
+//!
+//! An id is stored as its low 32 bits, 4 bytes instead of 8. The arena
+//! keeps the newest id pushed, and a stored `s` stands for `newest −
+//! (newest as u32 − s mod 2³²)`: the one id in `(newest − 2³², newest]`
+//! with those bits. That names every stored point exactly while the stored
+//! ids span less than 2³² — a window's resident ids are a dense range
+//! shorter than that, and an update stream issues fewer ids
+//! (`UpdateStreamTma::MAX_IDS`). Ids must rise from push to push, which is
+//! checked. The read side hands out [`StoredIds`], which resolves an id
+//! with two subtractions when it is read, so the scoring kernels pay for
+//! it only on the points they keep. A point of `d` coordinates costs
+//! `4 + 8·d` bytes plus a quarter of a 4-byte link: 37 B at d = 4.
 //!
 //! Reads go through [`CellPoints`], a `Copy` view that yields the cell's
-//! points as `(ids, coords)` slices chunk by chunk, oldest first: the
-//! scoring kernels see the same two contiguous blocks as before, in runs
+//! points as `(ids, coords)` pairs chunk by chunk, oldest first: the
+//! scoring kernels see two contiguous blocks, in runs
 //! of at most [`CHUNK_POINTS`] points, at the price of one link hop per
 //! chunk. Cells are written far more often than read (every tuple is
 //! pushed and popped once; recomputation scans a few hundred points a
@@ -89,6 +104,14 @@ const GROW_MIN: usize = 64;
 /// (`chunk · CHUNK_POINTS + offset`).
 type Slot = (u32, u32);
 
+/// The tuple id a stored `u32` stands for, given the newest id the arena
+/// was pushed: the one id in `(newest − 2³², newest]` with those low 32
+/// bits.
+#[inline(always)]
+fn resolve(newest: u64, stored: u32) -> TupleId {
+    TupleId(newest - u64::from((newest as u32).wrapping_sub(stored)))
+}
+
 /// One cell's chain: 16 bytes, four to a cache line.
 #[derive(Clone, Copy, Debug)]
 struct CellHead {
@@ -120,14 +143,20 @@ pub(crate) struct PointArena {
     mode: CellMode,
     dims: usize,
     heads: Vec<CellHead>,
-    /// Tuple ids, [`CHUNK_POINTS`] per chunk.
-    ids: Vec<TupleId>,
+    /// The low 32 bits of the tuple ids, [`CHUNK_POINTS`] per chunk; the
+    /// full id is resolved against `newest` on read.
+    ids: Vec<u32>,
     /// Packed coordinates, `dims` per point, parallel to `ids`.
     coords: Vec<f64>,
     /// Per chunk: the next (newer) chunk of its cell, or the next free one.
     next: Vec<u32>,
     /// First free chunk.
     free: u32,
+    /// The newest id pushed (`None` before the first push).
+    newest: Option<u64>,
+    /// Chunks a growth step may not overshoot: the most a sized window
+    /// needs (0 when unsized).
+    plan: usize,
     /// Hash mode only: where each stored id lives.
     index: FxHashMap<TupleId, Slot>,
 }
@@ -142,14 +171,36 @@ impl PointArena {
             coords: Vec::new(),
             next: Vec::new(),
             free: NIL,
+            newest: None,
+            plan: 0,
             index: FxHashMap::default(),
         }
     }
 
-    /// Appends a point to `cell` (the newest position).
+    /// Caps growth steps at `chunks` held: below the plan a step never
+    /// passes it; past it, steps are an eighth again. Allocates nothing.
+    pub(crate) fn plan_chunks(&mut self, chunks: usize) {
+        self.plan = chunks;
+    }
+
+    /// The id every stored `u32` resolves against.
+    #[inline]
+    fn newest(&self) -> u64 {
+        self.newest.unwrap_or(0)
+    }
+
+    /// Appends a point to `cell` (the newest position). `id` must be
+    /// larger than every id pushed before it, and the stored ids must span
+    /// less than 2³² (a window's resident range does; an update stream
+    /// issues fewer ids than that).
     #[inline]
     pub(crate) fn push(&mut self, cell: usize, id: TupleId, coords: &[f64]) {
         debug_assert_eq!(coords.len(), self.dims);
+        assert!(
+            self.newest.is_none_or(|newest| id.0 > newest),
+            "point arena: {id:?} pushed after a newer id"
+        );
+        self.newest = Some(id.0);
         let mut h = self.heads[cell];
         if h.tail_fill as usize == CHUNK_POINTS {
             if self.free == NIL {
@@ -169,7 +220,7 @@ impl PointArena {
             h.tail_fill = 0;
         }
         let pos = h.tail as usize * CHUNK_POINTS + h.tail_fill as usize;
-        self.ids[pos] = id;
+        self.ids[pos] = id.0 as u32;
         let base = pos * self.dims;
         // Element-wise stores: `copy_from_slice` lowers to a memcpy call
         // for runtime-length slices, which costs more than d stores for
@@ -198,7 +249,7 @@ impl PointArena {
         let front = h.head as usize * CHUNK_POINTS + h.head_off as usize;
         match self.mode {
             CellMode::Fifo => {
-                if self.ids[front] != id {
+                if resolve(self.newest(), self.ids[front]) != id {
                     return Err(TkmError::UnknownTuple(id));
                 }
             }
@@ -212,6 +263,7 @@ impl PointArena {
                     self.ids[pos] = moved;
                     let d = self.dims;
                     self.coords.copy_within(front * d..(front + 1) * d, pos * d);
+                    let moved = resolve(self.newest(), moved);
                     self.index.insert(moved, (cell as u32, pos as u32));
                 }
             }
@@ -246,13 +298,17 @@ impl PointArena {
     }
 
     /// Adds an eighth more chunks (at least [`GROW_MIN`]) to an arena whose
-    /// free list ran dry, so the chunks held never exceed 1.125 × the most
-    /// ever in use plus one minimal step. The new chunks go on the free
-    /// list in address order.
+    /// free list ran dry, but no more than reaches the plan while below
+    /// it, so the chunks held never exceed the larger of the plan and
+    /// 1.125 × the most ever in use plus one minimal step. The new chunks
+    /// go on the free list in address order.
     #[cold]
     fn grow(&mut self) {
         let held = self.next.len();
-        let step = (held / 8).max(GROW_MIN);
+        let mut step = (held / 8).max(GROW_MIN);
+        if held < self.plan {
+            step = step.min(self.plan - held);
+        }
         let chunks = held + step;
         // Chunk indices and Hash positions are u32; wrapping would corrupt stored points.
         assert!(
@@ -261,7 +317,7 @@ impl PointArena {
         );
         let points = chunks * CHUNK_POINTS;
         self.ids.reserve_exact(step * CHUNK_POINTS);
-        self.ids.resize(points, TupleId(0));
+        self.ids.resize(points, 0);
         self.coords.reserve_exact(step * CHUNK_POINTS * self.dims);
         self.coords.resize(points * self.dims, 0.0);
         self.next.reserve_exact(step);
@@ -280,7 +336,7 @@ impl PointArena {
         self.view(self.heads[cell])
     }
 
-    /// The view of the chain `head` describes, its first pair sliced.
+    /// The view of the chain `head` describes, its first chunk sliced.
     #[inline]
     fn view(&self, head: CellHead) -> CellPoints<'_> {
         let (ids, coords) = if head.len == 0 {
@@ -298,7 +354,7 @@ impl PointArena {
 
     /// The points of `chunk` from offset `off` on, at most `left` of them.
     #[inline]
-    fn slices(&self, chunk: u32, off: usize, left: usize) -> (&[TupleId], &[f64]) {
+    fn slices(&self, chunk: u32, off: usize, left: usize) -> (&[u32], &[f64]) {
         let n = (CHUNK_POINTS - off).min(left);
         let start = chunk as usize * CHUNK_POINTS + off;
         let d = self.dims;
@@ -329,7 +385,7 @@ impl PointArena {
     /// array size.
     pub(crate) fn space_bytes(&self) -> usize {
         self.heads.capacity() * std::mem::size_of::<CellHead>()
-            + self.ids.capacity() * std::mem::size_of::<TupleId>()
+            + self.ids.capacity() * std::mem::size_of::<u32>()
             + self.coords.capacity() * std::mem::size_of::<f64>()
             + self.next.capacity() * std::mem::size_of::<u32>()
             + hash_index_bytes(self.index.capacity())
@@ -337,7 +393,8 @@ impl PointArena {
 }
 
 /// Read view of one cell's points (or of a suffix of them): oldest first
-/// in FIFO grids, arbitrary order in Hash grids. The view slices its first
+/// in FIFO grids, arbitrary order in Hash grids. Ids come out whole,
+/// resolved from their stored 4 bytes. The view slices its first
 /// chunk out of the arena when it is made, so a site that scans one view
 /// for many queries pays that once.
 #[derive(Clone, Copy, Debug)]
@@ -345,7 +402,7 @@ pub struct CellPoints<'a> {
     arena: &'a PointArena,
     head: CellHead,
     /// The live points of the head chunk.
-    ids: &'a [TupleId],
+    ids: &'a [u32],
     coords: &'a [f64],
 }
 
@@ -362,8 +419,8 @@ impl<'a> CellPoints<'a> {
         self.head.len == 0
     }
 
-    /// The points as `(ids, packed coords)` slice pairs, one per chunk, at
-    /// most [`CHUNK_POINTS`] points apiece and `dims` coordinates per id.
+    /// The points as `(ids, packed coords)` pairs, one per chunk, at most
+    /// [`CHUNK_POINTS`] points apiece and `dims` coordinates per id.
     #[inline]
     pub fn chunks(&self) -> Chunks<'a> {
         Chunks {
@@ -379,7 +436,7 @@ impl<'a> CellPoints<'a> {
     pub fn iter(&self) -> impl Iterator<Item = (TupleId, &'a [f64])> + 'a {
         let dims = self.arena.dims;
         self.chunks()
-            .flat_map(move |(ids, coords)| ids.iter().copied().zip(coords.chunks_exact(dims)))
+            .flat_map(move |(ids, coords)| ids.iter().zip(coords.chunks_exact(dims)))
     }
 
     /// The view of the `n` newest points: O(1) when they sit in the tail
@@ -408,7 +465,7 @@ impl<'a> CellPoints<'a> {
 pub struct Chunks<'a> {
     arena: &'a PointArena,
     /// The pair `next` yields (empty once exhausted).
-    ids: &'a [TupleId],
+    ids: &'a [u32],
     coords: &'a [f64],
     /// The chunk that pair lies in, and the points beyond it.
     chunk: u32,
@@ -416,14 +473,14 @@ pub struct Chunks<'a> {
 }
 
 impl<'a> Iterator for Chunks<'a> {
-    type Item = (&'a [TupleId], &'a [f64]);
+    type Item = (StoredIds<'a>, &'a [f64]);
 
     #[inline]
     fn next(&mut self) -> Option<Self::Item> {
         if self.ids.is_empty() {
             return None;
         }
-        let item = (self.ids, self.coords);
+        let item = (StoredIds::new(self.ids, self.arena.newest()), self.coords);
         if self.left > 0 {
             self.chunk = self.arena.next[self.chunk as usize];
             (self.ids, self.coords) = self.arena.slices(self.chunk, 0, self.left);
@@ -432,6 +489,51 @@ impl<'a> Iterator for Chunks<'a> {
             (self.ids, self.coords) = (&[], &[]);
         }
         Some(item)
+    }
+}
+
+/// One chunk's tuple ids as the arena stores them, 4 bytes apiece, with
+/// what resolves them: [`StoredIds::get`] turns the `u32` at a position
+/// into its full [`TupleId`] with two subtractions, so a scan pays for it
+/// only on the points it keeps.
+#[derive(Clone, Copy, Debug)]
+pub struct StoredIds<'a> {
+    raw: &'a [u32],
+    newest: u64,
+}
+
+impl<'a> StoredIds<'a> {
+    /// Ids stored as `raw`, in an arena whose newest id is `newest`: each
+    /// stands for the one id in `(newest − 2³², newest]` with those low 32
+    /// bits.
+    #[inline]
+    pub fn new(raw: &'a [u32], newest: u64) -> StoredIds<'a> {
+        StoredIds { raw, newest }
+    }
+
+    /// Number of ids.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.raw.len()
+    }
+
+    /// Whether there are none.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.raw.is_empty()
+    }
+
+    /// The full id at position `i`.
+    #[inline(always)]
+    pub fn get(&self, i: usize) -> TupleId {
+        resolve(self.newest, self.raw[i])
+    }
+
+    /// The full ids, in order.
+    #[inline]
+    pub fn iter(&self) -> impl Iterator<Item = TupleId> + 'a {
+        let newest = self.newest;
+        self.raw.iter().map(move |&stored| resolve(newest, stored))
     }
 }
 
@@ -489,7 +591,7 @@ mod tests {
             for (chunk_ids, chunk_coords) in view.chunks() {
                 assert!(!chunk_ids.is_empty() && chunk_ids.len() <= CHUNK_POINTS);
                 assert_eq!(chunk_coords.len(), chunk_ids.len() * d);
-                ids.extend_from_slice(chunk_ids);
+                ids.extend(chunk_ids.iter());
                 coords.extend_from_slice(chunk_coords);
             }
             assert_eq!(ids, want.iter().map(|p| p.0).collect::<Vec<_>>());
@@ -514,7 +616,7 @@ mod tests {
         *most_in_use = (*most_in_use).max(in_use);
         let held = arena.chunks_held();
         assert!(
-            held <= *most_in_use + *most_in_use / 8 + GROW_MIN,
+            held <= (*most_in_use + *most_in_use / 8 + GROW_MIN).max(arena.plan),
             "{held} chunks held for a high-water mark of {most_in_use}"
         );
         assert_eq!(
@@ -524,7 +626,7 @@ mod tests {
         assert_eq!(
             arena.space_bytes(),
             model.len() * 16
-                + arena.ids.capacity() * 8
+                + arena.ids.capacity() * 4
                 + arena.coords.capacity() * 8
                 + arena.next.capacity() * 4
                 + hash_index_bytes(arena.index.capacity())
@@ -553,6 +655,75 @@ mod tests {
         assert_eq!(left, [(TupleId(5), &[0.3, 0.4][..])]);
         assert!(a.remove(0, TupleId(5)).is_ok());
         assert!(a.points(0).is_empty());
+    }
+
+    /// A FIFO remove compares the front's resolved id with the full
+    /// `u64`: an alias 2³² away is refused and changes nothing, across a
+    /// chain whose ids cross a 2³² boundary.
+    #[test]
+    fn fifo_remove_refuses_an_alias_of_the_front() {
+        let mut a = PointArena::new(CellMode::Fifo, 1, 2);
+        let first = (1u64 << 32) - 2;
+        for id in first..first + 6 {
+            a.push((id % 2) as usize, TupleId(id), &[0.5]);
+        }
+        let ids =
+            |a: &PointArena, cell| a.points(cell).iter().map(|(t, _)| t.0).collect::<Vec<_>>();
+        let before = (ids(&a, 0), ids(&a, 1), a.chunks_in_use(), a.space_bytes());
+        assert_eq!(before.0, [first, first + 2, first + 4]);
+        for cell in 0..2 {
+            let front = a.points(cell).iter().next().unwrap().0;
+            let below = front.0.checked_sub(1 << 32);
+            for alias in below.into_iter().chain([front.0 + (1 << 32)]) {
+                assert_eq!(
+                    a.remove(cell, TupleId(alias)),
+                    Err(TkmError::UnknownTuple(TupleId(alias)))
+                );
+            }
+        }
+        assert_eq!(
+            (ids(&a, 0), ids(&a, 1), a.chunks_in_use(), a.space_bytes()),
+            before
+        );
+        assert_eq!(a.remove(1, TupleId(first + 1)), Ok(()));
+    }
+
+    /// Ids must rise: pushing one that is not newer than the newest is a
+    /// broken precondition, caught rather than stored under a wrong alias.
+    #[test]
+    #[should_panic(expected = "pushed after a newer id")]
+    fn push_refuses_an_id_that_is_not_newer() {
+        let mut a = PointArena::new(CellMode::Hash, 1, 2);
+        a.push(0, TupleId(7), &[0.5]);
+        a.push(1, TupleId(7), &[0.5]);
+    }
+
+    /// A plan caps each growth step at the chunks it names, allocates
+    /// nothing up front, and past the plan the eighth steps resume.
+    #[test]
+    fn growth_stops_at_the_plan() {
+        let mut a = PointArena::new(CellMode::Fifo, 1, 1);
+        a.plan_chunks(100);
+        assert_eq!(a.space_bytes(), 16, "a plan allocates nothing");
+        let mut id = 0;
+        let mut fill = |a: &mut PointArena, chunks: usize| {
+            while a.chunks_in_use() < chunks {
+                a.push(0, TupleId(id), &[0.5]);
+                id += 1;
+            }
+        };
+        fill(&mut a, 65);
+        assert_eq!(a.chunks_held(), 100, "64, then 36 up to the plan");
+        fill(&mut a, 101);
+        assert_eq!(a.chunks_held(), 100 + GROW_MIN, "past the plan: a step");
+        let mut unplanned = PointArena::new(CellMode::Fifo, 1, 1);
+        unplanned.plan_chunks(usize::MAX);
+        unplanned.push(0, TupleId(0), &[0.5]);
+        assert_eq!(
+            unplanned.chunks_held(),
+            GROW_MIN,
+            "an unreachable plan: eighths"
+        );
     }
 
     #[test]
@@ -688,9 +859,9 @@ mod tests {
         };
         // Byte offsets into the two arenas (growth may move an arena as a
         // whole; only a copy *inside* it would change an offset).
-        let at = |a: &PointArena, ids: &[TupleId], coords: &[f64]| {
+        let at = |a: &PointArena, ids: StoredIds, coords: &[f64]| {
             (
-                ids.as_ptr() as usize - a.ids.as_ptr() as usize,
+                ids.raw.as_ptr() as usize - a.ids.as_ptr() as usize,
                 coords.as_ptr() as usize - a.coords.as_ptr() as usize,
             )
         };
@@ -708,7 +879,7 @@ mod tests {
                 let (cell, written_at) = resident.pop_front().unwrap();
                 let (ids, coords) = a.points(cell).chunks().next().unwrap();
                 assert_eq!(at(a, ids, coords), written_at, "a stored point moved");
-                a.remove(cell, ids[0]).unwrap();
+                a.remove(cell, ids.get(0)).unwrap();
             }
         };
         let generation = n / r;
@@ -744,13 +915,15 @@ mod tests {
         fn storage_matches_model(
             hash in any::<bool>(),
             dims in 1usize..5,
+            base in 0usize..3,
             ops in prop::collection::vec((0u32..5, 0usize..4, 0usize..64), 1..160),
         ) {
             let mode = if hash { CellMode::Hash } else { CellMode::Fifo };
             let mut a = PointArena::new(mode, dims, 4);
             let mut model: Model = vec![VecDeque::new(); 4];
             let mut most = 0;
-            let mut next_id = 0u64;
+            // Chains that cross a 2³² boundary, in both modes.
+            let mut next_id = [0u64, (1 << 32) - 40, 5 * (1 << 32) - 3][base];
             for (op, cell, pick) in ops {
                 let len = model[cell].len();
                 match op {
@@ -771,6 +944,8 @@ mod tests {
                         // nowhere (both modes).
                         let mut bad = vec![TupleId(next_id + pick as u64)];
                         bad.extend(model[(cell + 1) % 4].front().map(|p| p.0));
+                        // The front's alias 2³² away shares its stored bits.
+                        bad.extend(model[cell].front().map(|p| TupleId(p.0 .0 + (1 << 32))));
                         if !hash && len > 1 {
                             bad.push(model[cell][1 + pick % (len - 1)].0);
                         }

@@ -388,6 +388,15 @@ impl Grid {
         self.points.cell_of(id).map(|cell| CellId(cell as u32))
     }
 
+    /// Caps the point arena's growth steps at `chunks` held: a step below
+    /// the plan never passes it, and past it the arena grows an eighth at
+    /// a time as without one. Allocates nothing. For a window of known
+    /// size `n` taking a batch of `r`, `⌈(n + r) / CHUNK_POINTS⌉` plus one
+    /// partly filled chunk per cell is what its cells need at once.
+    pub fn plan_chunks(&mut self, chunks: usize) {
+        self.points.plan_chunks(chunks);
+    }
+
     /// Chunks the point arena holds, in cells or free (diagnostics and
     /// space tests; each is [`crate::CHUNK_POINTS`] points).
     pub fn chunks_held(&self) -> usize {
@@ -651,6 +660,36 @@ mod tests {
         let mut fifo = Grid::new(1, 4, CellMode::Fifo).unwrap();
         fifo.insert_point(&[0.5], TupleId(0));
         assert_eq!(fifo.cell_of(TupleId(0)), None, "a FIFO grid keeps no index");
+    }
+
+    /// Cells store 4-byte ids: ids past 2³² (the window has run that
+    /// long) come back from `cells()` exactly, in both cell modes, and the
+    /// FIFO front check still takes the full id.
+    #[test]
+    fn ids_above_two_to_the_32_come_back_whole() {
+        for mode in [CellMode::Fifo, CellMode::Hash] {
+            let mut g = Grid::new(1, 4, mode).unwrap();
+            let first = 3 * (1u64 << 32) - 5;
+            for id in first..first + 12 {
+                g.insert_point(&[(id % 4) as f64 / 4.0 + 0.1], TupleId(id));
+            }
+            let mut got: Vec<u64> = g
+                .cells()
+                .flat_map(|(_, points)| points.iter().map(|(id, _)| id.0))
+                .collect();
+            got.sort_unstable();
+            assert_eq!(got, (first..first + 12).collect::<Vec<_>>(), "{mode:?}");
+            let front = TupleId(first);
+            let alias = TupleId(first + (1 << 32));
+            assert_eq!(
+                g.remove_point(&[(first % 4) as f64 / 4.0 + 0.1], alias),
+                Err(TkmError::UnknownTuple(alias)),
+                "{mode:?}"
+            );
+            assert!(g
+                .remove_point(&[(first % 4) as f64 / 4.0 + 0.1], front)
+                .is_ok());
+        }
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub mod grid;
 pub mod influence;
 pub mod visit;
 
-pub use cell::{CellMode, CellPoints, Chunks, CHUNK_POINTS};
+pub use cell::{CellMode, CellPoints, Chunks, StoredIds, CHUNK_POINTS};
 pub use grid::{CellId, CellRange, Grid};
 pub use influence::InfluenceTable;
 pub use visit::VisitStamps;
