@@ -7,6 +7,7 @@
 //! harmless, missing one would not be).
 
 use crate::error::{Result, TkmError};
+use crate::heap::HeapBytes;
 
 /// A closed axis-parallel rectangle `[lo, hi]` in d-dimensional space.
 #[derive(Clone, Debug, PartialEq)]
@@ -127,6 +128,12 @@ impl Rect {
             .zip(self.hi.iter())
             .map(|(l, h)| h - l)
             .product()
+    }
+}
+
+impl HeapBytes for Rect {
+    fn heap_bytes(&self) -> usize {
+        self.lo.heap_bytes() + self.hi.heap_bytes()
     }
 }
 

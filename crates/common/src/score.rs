@@ -23,6 +23,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::error::{Result, TkmError};
+use crate::heap::HeapBytes;
 use crate::ids::TupleId;
 use crate::ordered::OrderedF64;
 
@@ -343,6 +344,17 @@ impl ScoreFn {
             corner[dim] = self.monotonicity(dim).worst(lo[dim], hi[dim]);
         }
         self.score(&corner[..self.dims()])
+    }
+}
+
+/// A built-in family's parameters, one `f64` a dimension. A `Custom`
+/// function is shared through its `Arc` and is no one query's to count.
+impl HeapBytes for ScoreFn {
+    fn heap_bytes(&self) -> usize {
+        match self {
+            ScoreFn::Custom(_) => 0,
+            _ => self.dims() * std::mem::size_of::<f64>(),
+        }
     }
 }
 

@@ -36,7 +36,7 @@ use std::collections::BinaryHeap;
 
 use crate::kernel;
 use crate::result::TopList;
-use tkm_common::{Monotonicity, OrderedF64, QuerySlot, Rect, ScoreFn, Scored, MAX_DIMS};
+use tkm_common::{HeapBytes, Monotonicity, OrderedF64, QuerySlot, Rect, ScoreFn, Scored, MAX_DIMS};
 use tkm_grid::{CellId, Grid, InfluenceTable, VisitStamps};
 
 /// Counters of one computation-module invocation.
@@ -311,13 +311,12 @@ impl ComputeScratch {
             frontier: Vec::new(),
         }
     }
+}
 
-    /// Deep size estimate of the retained buffers in bytes.
-    pub fn space_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.stamps.space_bytes()
-            + self.heap.capacity() * std::mem::size_of::<(OrderedF64, CellId)>()
-            + self.frontier.capacity() * std::mem::size_of::<CellId>()
+/// The retained buffers.
+impl HeapBytes for ComputeScratch {
+    fn heap_bytes(&self) -> usize {
+        self.stamps.heap_bytes() + self.heap.heap_bytes() + self.frontier.heap_bytes()
     }
 }
 
@@ -555,6 +554,6 @@ mod tests {
             None,
         );
         assert_eq!(out.top.as_slice(), &naive_topk(&points, &f2, 1, None)[..]);
-        assert!(scratch.space_bytes() > std::mem::size_of::<ComputeScratch>());
+        assert!(scratch.heap_bytes() > scratch.stamps.heap_bytes());
     }
 }

@@ -42,7 +42,7 @@
 
 use std::collections::VecDeque;
 
-use tkm_common::{Result, Timestamp, TkmError, TupleId};
+use tkm_common::{HeapBytes, Result, Timestamp, TkmError, TupleId};
 use tkm_grid::{CellId, CellMode, CellPoints, Grid, CHUNK_POINTS};
 use tkm_window::{Timeline, WindowSpec};
 
@@ -207,12 +207,14 @@ impl CellGroups {
             (cell, &self.ids[start as usize..(start + len) as usize])
         })
     }
+}
 
-    fn space_bytes(&self) -> usize {
-        self.cell_run.capacity() * std::mem::size_of::<(u32, u32)>()
-            + self.cursors.capacity() * std::mem::size_of::<u32>()
-            + self.runs.capacity() * std::mem::size_of::<(CellId, u32, u32)>()
-            + self.ids.capacity() * std::mem::size_of::<TupleId>()
+impl HeapBytes for CellGroups {
+    fn heap_bytes(&self) -> usize {
+        self.cell_run.heap_bytes()
+            + self.runs.heap_bytes()
+            + self.cursors.heap_bytes()
+            + self.ids.heap_bytes()
     }
 }
 
@@ -231,6 +233,8 @@ pub struct IngestState {
     /// stored in cell `cells[id − oldest]`, and the expired prefix's cells
     /// are popped from here rather than located a second time. Two bytes
     /// an entry: the grid has at most [`IngestState::MAX_CELLS`] cells.
+    /// It grows an eighth at a time, and a sized window's no further than
+    /// the window plus its largest batch.
     cells: VecDeque<u16>,
     /// Per-pass scratch: the cells of the dense id range being scattered
     /// (arrivals) or popped (expiries).
@@ -251,10 +255,11 @@ impl IngestState {
     /// [`GridSpec::FitWindow`] grid is sized for `window`. A grid of more
     /// than [`IngestState::MAX_CELLS`] cells is refused. For a window of
     /// known size `n`, each [`IngestState::ingest`] plans the grid's arena
-    /// for the window and its batch of `r`: growth steps stop at `⌈(n +
-    /// r) / CHUNK_POINTS⌉` chunks plus one per cell (a partly filled chunk
-    /// a cell), and only past that plan go on an eighth at a time. Nothing
-    /// is allocated for the plan up front.
+    /// and the cell ring for the window and its batch of `r`: growth steps
+    /// stop at `⌈(n + r) / CHUNK_POINTS⌉` chunks plus one per cell (a
+    /// partly filled chunk a cell) and at `n + r` ring entries, and only
+    /// past that plan go on an eighth at a time. Nothing is allocated for
+    /// the plan up front.
     pub fn new(dims: usize, window: WindowSpec, grid: GridSpec) -> Result<IngestState> {
         let grid = grid.for_window(dims, window).build(dims, CellMode::Fifo)?;
         let cells = grid.num_cells();
@@ -338,14 +343,15 @@ impl IngestState {
         // Arrivals: take the next dense ids, locate sequentially, then
         // scatter — the scatter body is only cell head → push — and
         // remember the cells for the expiry pass of a later cycle. The
-        // cells hold the window and this batch until the expiry pass, and
-        // a sized window's arena plans for just that.
+        // cells and the ring hold the window and this batch until the
+        // expiry pass, and a sized window plans both for just that.
         let first = timeline.append(arrivals.len() / dims, now);
         stats.ticks += 1;
         located.clear();
         grid.locate_batch(arrivals, located);
-        if let Some(n) = *window_size {
-            let chunks = n.saturating_add(located.len()).div_ceil(CHUNK_POINTS);
+        let plan = window_size.map(|n| n.saturating_add(located.len()));
+        if let Some(plan) = plan {
+            let chunks = plan.div_ceil(CHUNK_POINTS);
             grid.plan_chunks(chunks.saturating_add(grid.num_cells()));
         }
         for ((id, &cell), coords) in (first.0..)
@@ -358,11 +364,16 @@ impl IngestState {
         arrival_groups.rebuild(located, first);
         let resident = cells.len() + located.len();
         if resident > cells.capacity() {
-            // An eighth at a time, like the point arena: a count window's
-            // ring settles at N plus its largest batch, a time window's
-            // follows the window without doubling past it.
-            let room = resident.max(cells.capacity() + cells.capacity() / 8);
-            cells.reserve_exact(room - cells.len());
+            // An eighth at a time, like the point arena, and never past the
+            // plan from below it: a sized window's ring settles at its size
+            // plus its largest batch, a time window's follows the window
+            // without doubling past it.
+            let held = cells.capacity();
+            let step = held + held / 8;
+            let room = plan
+                .filter(|&plan| held < plan)
+                .map_or(step, |plan| step.min(plan));
+            cells.reserve_exact(resident.max(room) - cells.len());
         }
         // Cell ids fit: the grid has at most `MAX_CELLS` cells.
         cells.extend(located.iter().map(|cell| cell.0 as u16));
@@ -424,17 +435,19 @@ impl IngestState {
     pub fn stats(&self) -> IngestStats {
         self.stats
     }
+}
 
-    /// Deep size estimate in bytes: the tuple storage, this struct's
-    /// inline fields included.
-    pub fn space_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() - std::mem::size_of::<Timeline>() - std::mem::size_of::<Grid>()
-            + self.timeline.space_bytes()
-            + self.grid.space_bytes()
-            + self.cells.capacity() * std::mem::size_of::<u16>()
-            + self.located.capacity() * std::mem::size_of::<CellId>()
-            + self.arrival_groups.space_bytes()
-            + self.expiry_groups.space_bytes()
+/// The tuple storage (timeline, grid, cell ring) and the last cycle's
+/// event buffers. The stage lives inline in its engine, which counts the
+/// struct itself.
+impl HeapBytes for IngestState {
+    fn heap_bytes(&self) -> usize {
+        self.timeline.heap_bytes()
+            + self.grid.heap_bytes()
+            + self.cells.heap_bytes()
+            + self.located.heap_bytes()
+            + self.arrival_groups.heap_bytes()
+            + self.expiry_groups.heap_bytes()
     }
 }
 
@@ -1014,9 +1027,10 @@ mod tests {
     /// 10k a tick): outside the grid the stage holds its 2-byte cell ring
     /// and an amount fixed by the grid and the batch size — no coordinate
     /// copy (3.2 MB here) and no per-tuple timestamp (0.8 MB) — on both
-    /// window kinds; and after two window generations the count window's
-    /// arena holds no more than its plan, `⌈(N + R) / 4⌉` chunks plus one
-    /// a cell.
+    /// window kinds; and after two window generations both plan what
+    /// they hold for the window's size `n` plus the batch: the ring at
+    /// most `n + R` entries, the arena at most `⌈(n + R) / 4⌉` chunks plus
+    /// one a cell.
     #[test]
     fn ingest_state_keeps_tuples_only_in_the_grid() {
         const DIMS: usize = 4;
@@ -1026,29 +1040,33 @@ mod tests {
             duration: (N / R) as u64,
             capacity: N + R,
         };
-        for spec in [WindowSpec::Count(N), sized] {
+        for (spec, n) in [(WindowSpec::Count(N), N), (sized, N + R)] {
             let mut s = IngestState::new(DIMS, spec, GridSpec::default()).unwrap();
             for tick in 0..(2 * N / R) as u64 {
                 let batch = crate::testutil::lcg_stream(tick, R, DIMS);
                 s.ingest(Timestamp(tick), &batch).unwrap();
             }
             assert_eq!(s.timeline().len(), N, "{spec:?}");
-            let outside = s.space_bytes() - s.grid().space_bytes();
+            let outside = s.heap_bytes() - s.grid().heap_bytes();
             // The two cell-grouping tables (8 B a cell each), one cycle's
             // event buffers (at most 52 B an arrival: ids, runs and
-            // cursors of both groupings, the located cells), the
-            // timeline's few runs and the struct itself.
+            // cursors of both groupings, the located cells) and the
+            // timeline's few runs.
             let fixed = 16 * s.grid().num_cells() + 52 * R + 4096;
             let budget = 2 * s.cells.capacity() + fixed;
             assert!(
                 outside <= budget,
                 "{spec:?}: {outside} bytes outside the grid, budget {budget}"
             );
-            if let WindowSpec::Count(n) = spec {
-                let plan = (n + R).div_ceil(CHUNK_POINTS) + s.grid().num_cells();
-                let held = s.grid().chunks_held();
-                assert!(held <= plan, "{held} chunks held, plan {plan}");
-            }
+            let ring = s.cells.capacity();
+            assert!(
+                ring <= n + R,
+                "{spec:?}: {ring} ring entries, plan {}",
+                n + R
+            );
+            let plan = (n + R).div_ceil(CHUNK_POINTS) + s.grid().num_cells();
+            let held = s.grid().chunks_held();
+            assert!(held <= plan, "{spec:?}: {held} chunks held, plan {plan}");
         }
     }
 }

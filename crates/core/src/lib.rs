@@ -101,3 +101,69 @@ pub use stats::EngineStats;
 pub use threshold::ThresholdMonitor;
 pub use tsl::{KmaxPolicy, TslMonitor};
 pub use update_stream::{UpdateOp, UpdateStreamTma};
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::mem::size_of;
+    use tkm_common::{HeapBytes, Scored};
+    use tkm_window::WindowSpec;
+
+    /// A non-root counts no inline bytes: built empty or over a one-cell
+    /// grid, every type below a root reports only the buffers it
+    /// allocates — none, or exactly the ones its constructor sizes.
+    #[test]
+    fn non_roots_count_no_inline_bytes() {
+        let one_cell = IngestState::new(2, WindowSpec::Count(10), GridSpec::PerDim(1)).unwrap();
+        let grid = one_cell.grid().heap_bytes();
+        // One cell: an influence list (16 B) and a visit stamp (4 B).
+        let stage = 16 + 4;
+        let table = [
+            ("ComputeScratch", ComputeScratch::new(0).heap_bytes(), 0),
+            (
+                "MergeScratch",
+                skyband::MergeScratch::default().heap_bytes(),
+                0,
+            ),
+            ("TopList", TopList::default().heap_bytes(), 0),
+            (
+                "QueryRegistry",
+                QueryRegistry::<TopList>::new().heap_bytes(),
+                0,
+            ),
+            (
+                "Skyband",
+                skyband::Skyband::new(4).unwrap().heap_bytes(),
+                7 * (size_of::<Scored>() + 4),
+            ),
+            (
+                "TopView",
+                tsl::view::TopView::new(2, 5).unwrap().heap_bytes(),
+                6 * size_of::<Scored>(),
+            ),
+            (
+                "SortedLists",
+                tsl::SortedLists::new(3).unwrap().heap_bytes(),
+                3 * size_of::<
+                    std::collections::BTreeSet<(tkm_common::OrderedF64, tkm_common::TupleId)>,
+                >(),
+            ),
+            // The grid, and one `(stamp, run)` entry in each of the two
+            // cell-grouping tables.
+            ("IngestState", one_cell.heap_bytes(), grid + 2 * 8),
+            (
+                "TmaMaintenance",
+                TmaMaintenance::new_for(&one_cell).heap_bytes(),
+                stage,
+            ),
+            (
+                "SmaMaintenance",
+                SmaMaintenance::new_for(&one_cell).heap_bytes(),
+                stage,
+            ),
+        ];
+        for (name, heap, want) in table {
+            assert_eq!(heap, want, "{name}");
+        }
+    }
+}

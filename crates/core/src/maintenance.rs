@@ -103,7 +103,7 @@ use crate::registry::QueryRegistry;
 use crate::result::{ResultDelta, TopList};
 use crate::skyband::{tuned_kmax, MergeScratch, Skyband};
 use crate::stats::EngineStats;
-use tkm_common::{QueryId, QuerySlot, Result, Scored, TkmError, TupleId};
+use tkm_common::{HeapBytes, QueryId, QuerySlot, Result, Scored, TkmError, TupleId};
 use tkm_grid::InfluenceTable;
 use tkm_window::Timeline;
 
@@ -111,8 +111,10 @@ use tkm_window::Timeline;
 ///
 /// Implementations must be [`Send`] so the monitor built on them can move
 /// onto a serving thread (`tkm_service`'s `Service::bind` does); the
-/// ingest state they read is only borrowed immutably.
-pub trait QueryMaintenance: Send {
+/// ingest state they read is only borrowed immutably. A stage lives inline
+/// in its [`crate::Monitor`], so its [`HeapBytes`] counts the heap it owns
+/// and not its struct: the monitor, the root, adds that once.
+pub trait QueryMaintenance: HeapBytes + Send {
     /// Label reported by a monitor built on this stage.
     const LABEL: &'static str;
 
@@ -156,10 +158,6 @@ pub trait QueryMaintenance: Send {
     /// Cumulative maintenance-side counters (stream-side counters live in
     /// [`IngestState::stats`]).
     fn stats(&self) -> EngineStats;
-
-    /// Deep size estimate of the per-query state in bytes, the stage's
-    /// own inline struct included.
-    fn space_bytes(&self) -> usize;
 }
 
 /// What distinguishes the paper's two maintenance modules once both keep a
@@ -280,6 +278,12 @@ struct BandQuery {
     ///
     /// [`ComputeOutcome::region_bound`]: crate::compute::ComputeOutcome
     region_bound: f64,
+}
+
+impl HeapBytes for BandQuery {
+    fn heap_bytes(&self) -> usize {
+        self.query.heap_bytes() + self.band.heap_bytes() + self.reported.heap_bytes()
+    }
 }
 
 /// Where `slot`'s mark lives in the `dirty` bitmap: word index, bit mask.
@@ -706,33 +710,18 @@ impl<P: BandPolicy> QueryMaintenance for BandMaintenance<P> {
     fn stats(&self) -> EngineStats {
         self.stats
     }
+}
 
-    /// `Self` plus the heap its members own: the members whose own
-    /// `space_bytes` count their inline struct are counted once, inside
-    /// `size_of::<Self>()`.
-    fn space_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            - std::mem::size_of::<InfluenceTable>()
-            - std::mem::size_of::<ComputeScratch>()
-            - std::mem::size_of::<QueryRegistry<BandQuery>>()
-            - std::mem::size_of::<MergeScratch>()
-            - std::mem::size_of::<TopList>()
-            + self.influence.space_bytes()
-            + self.scratch.space_bytes()
-            + self.queries.space_bytes()
-            + (self.affected.capacity() * std::mem::size_of::<QuerySlot>())
-            + self.merge_scratch.space_bytes()
-            + (self.dirty.capacity() * std::mem::size_of::<u64>())
-            + (self.seed.capacity() * std::mem::size_of::<Scored>())
-            + self.rec.space_bytes()
-            + self
-                .queries
-                .iter()
-                .map(|(_, q)| {
-                    (q.band.space_bytes() - std::mem::size_of::<Skyband>())
-                        + q.reported.capacity() * std::mem::size_of::<Scored>()
-                })
-                .sum::<usize>()
+impl<P> HeapBytes for BandMaintenance<P> {
+    fn heap_bytes(&self) -> usize {
+        self.influence.heap_bytes()
+            + self.scratch.heap_bytes()
+            + self.queries.heap_bytes()
+            + self.affected.heap_bytes()
+            + self.merge_scratch.heap_bytes()
+            + self.dirty.heap_bytes()
+            + self.seed.heap_bytes()
+            + self.rec.heap_bytes()
     }
 }
 
@@ -741,12 +730,11 @@ mod tests {
     use super::*;
     use crate::ingest::GridSpec;
     use crate::testutil::lcg_stream;
-    use std::mem::size_of;
     use tkm_common::{ScoreFn, Timestamp};
     use tkm_window::WindowSpec;
 
-    /// Beyond its own struct, the stage reports exactly the heap its
-    /// members own: no inline member is counted a second time.
+    /// The stage reports exactly the heap its members own, every live
+    /// query's band and reported copy included, and no inline struct.
     #[test]
     fn space_bytes_counts_inline_members_once() {
         let mut shared = IngestState::new(2, WindowSpec::Count(200), GridSpec::PerDim(6)).unwrap();
@@ -763,25 +751,20 @@ mod tests {
                 .unwrap();
             m.apply_events(&shared).unwrap();
         }
-        let heap = m.influence.space_bytes() - size_of::<InfluenceTable>()
-            + m.scratch.space_bytes()
-            - size_of::<ComputeScratch>()
-            + m.queries.space_bytes()
-            - size_of::<QueryRegistry<BandQuery>>()
-            + m.affected.capacity() * size_of::<QuerySlot>()
-            + m.merge_scratch.space_bytes()
-            - size_of::<MergeScratch>()
-            + m.dirty.capacity() * size_of::<u64>()
-            + m.seed.capacity() * size_of::<Scored>()
-            + m.rec.space_bytes()
-            - size_of::<TopList>()
-            + m.queries
-                .iter()
-                .map(|(_, q)| {
-                    q.band.space_bytes() - size_of::<Skyband>()
-                        + q.reported.capacity() * size_of::<Scored>()
-                })
-                .sum::<usize>();
-        assert_eq!(m.space_bytes() - size_of::<SmaMaintenance>(), heap);
+        let bands: usize = m
+            .queries
+            .iter()
+            .map(|(_, q)| q.band.heap_bytes() + q.reported.heap_bytes())
+            .sum();
+        assert!(bands > 0 && m.queries.heap_bytes() > bands);
+        let members = m.influence.heap_bytes()
+            + m.scratch.heap_bytes()
+            + m.queries.heap_bytes()
+            + m.affected.heap_bytes()
+            + m.merge_scratch.heap_bytes()
+            + m.dirty.heap_bytes()
+            + m.seed.heap_bytes()
+            + m.rec.heap_bytes();
+        assert_eq!(m.heap_bytes(), members);
     }
 }

@@ -33,7 +33,7 @@ use crate::maintenance::{
 use crate::query::Query;
 use crate::result::ResultDelta;
 use crate::stats::EngineStats;
-use tkm_common::{QueryId, Result, Scored, Timestamp, TupleId};
+use tkm_common::{HeapBytes, QueryId, Result, Scored, Timestamp, TupleId};
 use tkm_grid::Grid;
 use tkm_window::{Timeline, WindowSpec};
 
@@ -158,12 +158,10 @@ impl<M: QueryMaintenance> Monitor<M> {
 
     /// Deep size estimate in bytes: the tuple storage (timeline + grid)
     /// and the per-query state (`O(d + 3·depth)` per query as analysed in
-    /// §6). Both stages count their own inline struct, so only the bytes
-    /// `Self` adds around them (padding) are counted here.
+    /// §6). The monitor is a root: both stages live inline in it and
+    /// report only the heap they own, so its struct is added here, once.
     pub fn space_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() - std::mem::size_of::<IngestState>() - std::mem::size_of::<M>()
-            + self.shared.space_bytes()
-            + self.maint.space_bytes()
+        std::mem::size_of::<Self>() + self.shared.heap_bytes() + self.maint.heap_bytes()
     }
 }
 

@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use crate::kernel;
 use crate::query::Query;
 use crate::result::ResultDelta;
-use tkm_common::{QueryId, Result, Scored, Timestamp, TkmError};
+use tkm_common::{HeapBytes, QueryId, Result, Scored, Timestamp, TkmError};
 use tkm_window::{Window, WindowSpec};
 
 #[derive(Debug)]
@@ -20,6 +20,12 @@ struct OracleQuery {
     result: Vec<Scored>,
     /// The result as last reported (unused until `track_changes`).
     reported: Vec<Scored>,
+}
+
+impl HeapBytes for OracleQuery {
+    fn heap_bytes(&self) -> usize {
+        self.query.heap_bytes() + self.result.heap_bytes() + self.reported.heap_bytes()
+    }
 }
 
 /// Ground-truth continuous top-k monitor (full rescan per tick).
@@ -151,18 +157,15 @@ impl OracleMonitor {
         Ok(())
     }
 
-    /// Deep size estimate in bytes.
+    /// Deep size estimate in bytes: the struct, the window and every
+    /// query's map entry with the heap it owns.
     pub fn space_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
-            + self.window.space_bytes()
+            + self.window.heap_bytes()
             + self
                 .queries
                 .values()
-                .map(|q| {
-                    std::mem::size_of::<OracleQuery>()
-                        + (q.result.capacity() + q.reported.capacity())
-                            * std::mem::size_of::<Scored>()
-                })
+                .map(|q| std::mem::size_of::<OracleQuery>() + q.heap_bytes())
                 .sum::<usize>()
     }
 }

@@ -30,8 +30,8 @@ use std::sync::Arc;
 use crate::engine::ContinuousTopK;
 use crate::query::Query;
 use tkm_common::{
-    FxHashMap, Monotonicity, QueryId, Rect, Result, ScoreFn, Scored, ScoringFunction, Timestamp,
-    TkmError, MAX_DIMS,
+    FxHashMap, HeapBytes, Monotonicity, QueryId, Rect, Result, ScoreFn, Scored, ScoringFunction,
+    Timestamp, TkmError, MAX_DIMS,
 };
 
 /// A non-monotone preference function given as a partition of the
@@ -261,13 +261,15 @@ impl<E: ContinuousTopK> PiecewiseMonitor<E> {
         Ok(merged)
     }
 
-    /// Deep size estimate of the wrapped engine in bytes.
+    /// Deep size estimate in bytes: the wrapped engine's figure plus the
+    /// heap of the query fan-out table.
     pub fn space_bytes(&self) -> usize {
         self.engine.space_bytes()
+            + self.queries.heap_bytes()
             + self
                 .queries
                 .values()
-                .map(|r| std::mem::size_of::<Registered>() + r.sub_ids.capacity() * 8)
+                .map(|r| r.sub_ids.heap_bytes())
                 .sum::<usize>()
     }
 }

@@ -1,6 +1,6 @@
 //! Continuous query definitions.
 
-use tkm_common::{Rect, Result, ScoreFn, TkmError};
+use tkm_common::{HeapBytes, Rect, Result, ScoreFn, TkmError};
 
 /// A continuous top-k query: a monotone preference function, a result size,
 /// and (optionally, §7) an axis-parallel constraint region restricting the
@@ -48,6 +48,13 @@ impl Query {
     #[inline]
     pub fn dims(&self) -> usize {
         self.f.dims()
+    }
+}
+
+/// The function's parameters and the constraint's corners.
+impl HeapBytes for Query {
+    fn heap_bytes(&self) -> usize {
+        self.f.heap_bytes() + self.constraint.as_ref().map_or(0, Rect::heap_bytes)
     }
 }
 

@@ -17,7 +17,7 @@
 //! query's entries to the newcomer — the differential churn suite pins
 //! this.
 
-use tkm_common::{FxHashMap, QueryId, QuerySlot, Result, TkmError};
+use tkm_common::{FxHashMap, HeapBytes, QueryId, QuerySlot, Result, TkmError};
 
 #[derive(Debug)]
 struct Entry<T> {
@@ -162,20 +162,19 @@ impl<T> QueryRegistry<T> {
     pub fn ids(&self) -> impl Iterator<Item = QueryId> + '_ {
         self.slots.iter().flatten().map(|e| e.id)
     }
+}
 
-    /// Deep size of the registry: every slot at capacity, live or free
-    /// (each holds a `T` inline), the free list and the id index. The heap
-    /// a live `T` owns is the caller's to add, via [`QueryRegistry::iter`].
-    pub fn space_bytes(&self) -> usize {
-        /// Amortised per-entry overhead of the hash index (control bytes
-        /// plus load-factor headroom), mirroring the constants used for
-        /// other hash containers in the workspace.
-        const MAP_ENTRY_OVERHEAD: usize = 8;
-        std::mem::size_of::<Self>()
-            + self.slots.capacity() * std::mem::size_of::<Option<Entry<T>>>()
-            + self.free.capacity() * std::mem::size_of::<QuerySlot>()
-            + self.index.capacity()
-                * (std::mem::size_of::<(QueryId, QuerySlot)>() + MAP_ENTRY_OVERHEAD)
+/// Every slot at capacity, live or free (each holds a `T` inline), the
+/// free list, the id index and the heap every live `T` owns.
+impl<T: HeapBytes> HeapBytes for QueryRegistry<T> {
+    fn heap_bytes(&self) -> usize {
+        self.slots.heap_bytes()
+            + self.free.heap_bytes()
+            + self.index.heap_bytes()
+            + self
+                .iter()
+                .map(|(_, state)| state.heap_bytes())
+                .sum::<usize>()
     }
 }
 
@@ -244,6 +243,19 @@ mod tests {
         r.remove(QueryId(2)).unwrap();
         let got: Vec<(u64, u8)> = r.iter().map(|(id, s)| (id.0, *s)).collect();
         assert_eq!(got, vec![(0, 0), (1, 1), (3, 3), (4, 4)]);
-        assert!(r.space_bytes() > std::mem::size_of::<QueryRegistry<u8>>());
+    }
+
+    /// The heap a live state owns is counted with the registry's own; a
+    /// removed one's is not.
+    #[test]
+    fn heap_bytes_counts_live_states() {
+        let mut r: QueryRegistry<Vec<u64>> = QueryRegistry::new();
+        r.insert(QueryId(0), Vec::with_capacity(10)).unwrap();
+        r.insert(QueryId(1), Vec::with_capacity(3)).unwrap();
+        let own = r.slots.heap_bytes() + r.free.heap_bytes() + r.index.heap_bytes();
+        assert_eq!(r.heap_bytes(), own + 13 * 8);
+        r.remove(QueryId(0)).unwrap();
+        let own = r.slots.heap_bytes() + r.free.heap_bytes() + r.index.heap_bytes();
+        assert_eq!(r.heap_bytes(), own + 3 * 8);
     }
 }

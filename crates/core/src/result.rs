@@ -5,7 +5,7 @@
 //! element). The list is tiny (k ≤ a few hundred), so a sorted vector with
 //! binary-search insertion is the right structure.
 
-use tkm_common::{OrderedF64, QueryId, Scored, TupleId};
+use tkm_common::{HeapBytes, OrderedF64, QueryId, Scored, TupleId};
 
 /// Entries a [`DeltaList`] holds without touching the heap. A cycle moves
 /// a result by a tuple or three (98 % of the lists on the benchmark's
@@ -380,11 +380,11 @@ impl TopList {
             self.pool.retain(|s| s.score >= kth_score);
         }
     }
+}
 
-    /// Deep size estimate in bytes.
-    pub fn space_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + (self.entries.capacity() + self.pool.capacity()) * std::mem::size_of::<Scored>()
+impl HeapBytes for TopList {
+    fn heap_bytes(&self) -> usize {
+        self.entries.heap_bytes() + self.pool.heap_bytes()
     }
 }
 

@@ -12,7 +12,7 @@
 use std::collections::BTreeMap;
 
 use crate::result::ResultDelta;
-use tkm_common::QueryId;
+use tkm_common::{HeapBytes, QueryId};
 
 /// Routes drained [`ResultDelta`]s to the subscribers of each query.
 ///
@@ -114,9 +114,7 @@ impl<S: PartialEq + Clone> DeltaRouter<S> {
                 .subs
                 .values()
                 .map(|list| {
-                    std::mem::size_of::<(QueryId, Vec<S>)>()
-                        + NODE_OVERHEAD
-                        + list.capacity() * std::mem::size_of::<S>()
+                    std::mem::size_of::<(QueryId, Vec<S>)>() + NODE_OVERHEAD + list.heap_bytes()
                 })
                 .sum::<usize>()
     }

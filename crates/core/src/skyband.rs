@@ -70,7 +70,7 @@
 //! [*staged*]: Skyband::stage
 //! [*merge*]: Skyband::merge
 
-use tkm_common::{Result, Scored, TkmError, TupleId};
+use tkm_common::{HeapBytes, Result, Scored, TkmError, TupleId};
 
 /// The paper's fine-tuned `k_max` table (§8: "we also fine-tune the value
 /// of kmax … the optimal values (4, 10, 20, 30, 70, 120) for the values
@@ -97,12 +97,9 @@ pub struct MergeScratch {
     dcs: Vec<u32>,
 }
 
-impl MergeScratch {
-    /// Deep size estimate in bytes.
-    pub(crate) fn space_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.scored.capacity() * std::mem::size_of::<Scored>()
-            + self.dcs.capacity() * std::mem::size_of::<u32>()
+impl HeapBytes for MergeScratch {
+    fn heap_bytes(&self) -> usize {
+        self.scored.heap_bytes() + self.dcs.heap_bytes()
     }
 }
 
@@ -532,14 +529,6 @@ impl Skyband {
         self.min_id = TupleId(u64::MAX);
     }
 
-    /// Deep size estimate in bytes. Matches the paper's `O(d + 3k)` per
-    /// query: id, score and dominance counter per entry.
-    pub(crate) fn space_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.scored.capacity() * std::mem::size_of::<Scored>()
-            + self.dcs.capacity() * std::mem::size_of::<u32>()
-    }
-
     /// Validates internal invariants (tests/debugging).
     #[cfg(test)]
     fn check_invariants(&self) {
@@ -564,6 +553,14 @@ impl Skyband {
                 "DC below in-band dominator count"
             );
         }
+    }
+}
+
+/// The paper's `O(d + 3k)` per query: id, score and dominance counter
+/// per entry, at capacity.
+impl HeapBytes for Skyband {
+    fn heap_bytes(&self) -> usize {
+        self.scored.heap_bytes() + self.dcs.heap_bytes()
     }
 }
 
@@ -918,11 +915,11 @@ mod tests {
             for &e in &flood {
                 staged.stage(e, &mut scratch);
                 twin.insert(e);
-                assert!(staged.space_bytes() <= twin.space_bytes());
+                assert!(staged.heap_bytes() <= twin.heap_bytes());
             }
             staged.merge(&mut scratch);
             staged.check_invariants();
-            assert!(staged.space_bytes() <= twin.space_bytes());
+            assert!(staged.heap_bytes() <= twin.heap_bytes());
             assert_eq!(staged.top_scored(), twin.top_scored());
             assert!(scratch.scored.len() <= staged.scored.capacity());
         }

@@ -16,7 +16,9 @@ use crate::ingest::{GridSpec, IngestState};
 use crate::kernel;
 use crate::maintenance::live_suffix;
 use crate::registry::QueryRegistry;
-use tkm_common::{FxHashSet, QueryId, Result, ScoreFn, Scored, Timestamp, TkmError, TupleId};
+use tkm_common::{
+    FxHashSet, HeapBytes, QueryId, Result, ScoreFn, Scored, Timestamp, TkmError, TupleId,
+};
 use tkm_grid::{Grid, InfluenceTable, StoredIds};
 use tkm_window::{Timeline, WindowSpec};
 
@@ -44,6 +46,15 @@ impl ThresholdQuery {
                 added.push(Scored::new(score, id));
             }
         });
+    }
+}
+
+impl HeapBytes for ThresholdQuery {
+    fn heap_bytes(&self) -> usize {
+        self.f.heap_bytes()
+            + self.matching.heap_bytes()
+            + self.added.heap_bytes()
+            + self.removed.heap_bytes()
     }
 }
 
@@ -255,28 +266,14 @@ impl ThresholdMonitor {
             .ok_or(TkmError::UnknownQuery(id))
     }
 
-    /// Deep size estimate in bytes: `Self` plus the heap its members own
-    /// (the members whose own `space_bytes` count their inline struct are
-    /// counted once, inside `size_of::<Self>()`).
+    /// Deep size estimate in bytes: the monitor is a root, so its struct
+    /// plus the heap its members own.
     pub fn space_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
-            - std::mem::size_of::<IngestState>()
-            - std::mem::size_of::<InfluenceTable>()
-            - std::mem::size_of::<ComputeScratch>()
-            - std::mem::size_of::<QueryRegistry<ThresholdQuery>>()
-            + self.ingest.space_bytes()
-            + self.influence.space_bytes()
-            + self.scratch.space_bytes()
-            + self.queries.space_bytes()
-            + self
-                .queries
-                .iter()
-                .map(|(_, q)| {
-                    q.matching.capacity() * (std::mem::size_of::<TupleId>() + 8)
-                        + q.added.capacity() * std::mem::size_of::<Scored>()
-                        + q.removed.capacity() * std::mem::size_of::<TupleId>()
-                })
-                .sum::<usize>()
+            + self.ingest.heap_bytes()
+            + self.influence.heap_bytes()
+            + self.scratch.heap_bytes()
+            + self.queries.heap_bytes()
     }
 }
 
@@ -345,28 +342,20 @@ mod tests {
     /// members own: no inline member is counted a second time.
     #[test]
     fn space_bytes_counts_inline_members_once() {
-        use std::mem::size_of;
         let mut m = ThresholdMonitor::new(2, WindowSpec::Count(40), GridSpec::PerDim(6)).unwrap();
         let f = ScoreFn::linear(vec![1.0, 1.0]).unwrap();
         m.register_query(QueryId(0), f, 1.2).unwrap();
         for tick in 0..10u64 {
             m.tick(Timestamp(tick), &lcg_stream(tick, 8, 2)).unwrap();
         }
-        let heap = m.ingest.space_bytes() - size_of::<IngestState>() + m.influence.space_bytes()
-            - size_of::<InfluenceTable>()
-            + m.scratch.space_bytes()
-            - size_of::<ComputeScratch>()
-            + m.queries.space_bytes()
-            - size_of::<QueryRegistry<ThresholdQuery>>()
-            + m.queries
-                .iter()
-                .map(|(_, q)| {
-                    q.matching.capacity() * (size_of::<TupleId>() + 8)
-                        + q.added.capacity() * size_of::<Scored>()
-                        + q.removed.capacity() * size_of::<TupleId>()
-                })
-                .sum::<usize>();
-        assert_eq!(m.space_bytes() - size_of::<ThresholdMonitor>(), heap);
+        let heap = m.ingest.heap_bytes()
+            + m.influence.heap_bytes()
+            + m.scratch.heap_bytes()
+            + m.queries.heap_bytes();
+        assert_eq!(
+            m.space_bytes() - std::mem::size_of::<ThresholdMonitor>(),
+            heap
+        );
     }
 
     #[test]

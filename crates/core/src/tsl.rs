@@ -16,7 +16,7 @@
 mod lists;
 mod monitor;
 mod ta;
-mod view;
+pub(crate) mod view;
 
 pub use lists::SortedLists;
 pub use monitor::{KmaxPolicy, TslMonitor, TslStats};

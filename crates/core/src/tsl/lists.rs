@@ -8,7 +8,7 @@
 
 use std::collections::BTreeSet;
 
-use tkm_common::{Monotonicity, OrderedF64, Result, TkmError, TupleId, MAX_DIMS};
+use tkm_common::{HeapBytes, Monotonicity, OrderedF64, Result, TkmError, TupleId, MAX_DIMS};
 
 /// `d` sorted lists over the valid tuples, one per dimension.
 #[derive(Debug)]
@@ -79,17 +79,19 @@ impl SortedLists {
             Monotonicity::Decreasing => Box::new(list.iter().map(|(v, id)| (v.get(), *id))),
         }
     }
+}
 
-    /// Deep size estimate in bytes: the `d` trees' nodes at the fill this
-    /// engine's churn leaves them with (uniformly spread values in, oldest
-    /// id out). Under a live-bytes allocator one tree holds 28.3–30.1
-    /// bytes an entry after 30–300 cycles at N = 10³…10⁶ and 27.0–27.8
-    /// freshly filled (≈ 7.6 entries a node, the ln 2 fill of random
-    /// insertion); 7 entries a node is 29.1. `tests/space_accounting.rs`
-    /// holds the engine's total to ±5 % of its live heap.
-    pub(crate) fn space_bytes(&self) -> usize {
+/// The list array plus the `d` trees' nodes at the fill this engine's
+/// churn leaves them with (uniformly spread values in, oldest id out).
+/// Under a live-bytes allocator one tree holds 28.3–30.1 bytes an entry
+/// after 30–300 cycles at N = 10³…10⁶ and 27.0–27.8 freshly filled (≈ 7.6
+/// entries a node, the ln 2 fill of random insertion); 7 entries a node is
+/// 29.1. `tests/space_accounting.rs` holds the engine's total to ±5 % of
+/// its live heap.
+impl HeapBytes for SortedLists {
+    fn heap_bytes(&self) -> usize {
         const ENTRIES_PER_NODE: f64 = 7.0;
-        std::mem::size_of::<Self>()
+        self.lists.heap_bytes()
             + self
                 .lists
                 .iter()

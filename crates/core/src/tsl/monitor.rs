@@ -14,7 +14,7 @@ use crate::skyband::tuned_kmax;
 use crate::tsl::lists::{btree_bytes, SortedLists};
 use crate::tsl::ta::ta_search;
 use crate::tsl::view::TopView;
-use tkm_common::{QueryId, Result, ScoreFn, Scored, Timestamp, TkmError};
+use tkm_common::{HeapBytes, QueryId, Result, ScoreFn, Scored, Timestamp, TkmError};
 use tkm_window::{Window, WindowSpec};
 
 /// How `kmax` is chosen for a query with result size `k` (paper §8: the
@@ -69,6 +69,12 @@ struct QState {
     last_refill_tick: u64,
     /// The result as last reported (unused until `track_changes`).
     reported: Vec<Scored>,
+}
+
+impl HeapBytes for QState {
+    fn heap_bytes(&self) -> usize {
+        self.f.heap_bytes() + self.view.heap_bytes() + self.reported.heap_bytes()
+    }
 }
 
 /// Continuous top-k monitor using the Threshold Sorted List approach.
@@ -281,26 +287,18 @@ impl ContinuousTopK for TslMonitor {
         Ok(res)
     }
 
-    /// Window + d sorted lists + the query map's nodes (each query's state
-    /// lives inline in one) + what every query keeps on the heap (view
-    /// entries, reported copy, weights).
+    /// The struct, window, d sorted lists, the query map's nodes (each
+    /// query's state lives inline in one) and what every query keeps on
+    /// the heap.
     fn space_bytes(&self) -> usize {
         // Query ids arrive in ascending order, and a node split at its
         // right edge keeps 6 of its 11 entries.
         const QUERIES_PER_NODE: f64 = 6.0;
         std::mem::size_of::<Self>()
-            + self.window.space_bytes()
-            + self.lists.space_bytes()
+            + self.window.heap_bytes()
+            + self.lists.heap_bytes()
             + btree_bytes::<QueryId, QState>(self.queries.len(), QUERIES_PER_NODE)
-            + self
-                .queries
-                .values()
-                .map(|q| {
-                    q.view.space_bytes() - std::mem::size_of::<TopView>()
-                        + q.reported.capacity() * std::mem::size_of::<Scored>()
-                        + q.f.dims() * std::mem::size_of::<f64>()
-                })
-                .sum::<usize>()
+            + self.queries.values().map(QState::heap_bytes).sum::<usize>()
     }
 }
 

@@ -7,7 +7,7 @@
 //! maintenance layer refills it to `kmax` entries with a fresh TA run.
 //! The slack `kmax − k` is what spaces the expensive refills apart.
 
-use tkm_common::{Result, Scored, TkmError, TupleId};
+use tkm_common::{HeapBytes, Result, Scored, TkmError, TupleId};
 
 /// One query's materialised view of its best `k′` tuples.
 #[derive(Debug)]
@@ -140,10 +140,11 @@ impl TopView {
         self.entries.clear();
         self.entries.extend_from_slice(entries);
     }
+}
 
-    /// Deep size estimate in bytes.
-    pub fn space_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.entries.capacity() * std::mem::size_of::<Scored>()
+impl HeapBytes for TopView {
+    fn heap_bytes(&self) -> usize {
+        self.entries.heap_bytes()
     }
 }
 

@@ -21,7 +21,7 @@ use crate::query::Query;
 use crate::registry::QueryRegistry;
 use crate::result::TopList;
 use crate::stats::EngineStats;
-use tkm_common::{FxHashSet, QueryId, QuerySlot, Result, Scored, TkmError, TupleId};
+use tkm_common::{FxHashSet, HeapBytes, QueryId, QuerySlot, Result, Scored, TkmError, TupleId};
 use tkm_grid::{CellMode, Grid, InfluenceTable};
 
 /// One operation of an update stream.
@@ -43,6 +43,12 @@ struct UsQuery {
     ///
     /// [`ComputeOutcome::region_bound`]: crate::compute::ComputeOutcome
     region_bound: f64,
+}
+
+impl HeapBytes for UsQuery {
+    fn heap_bytes(&self) -> usize {
+        self.query.heap_bytes() + self.top.heap_bytes()
+    }
 }
 
 /// TMA over an explicit-deletion update stream.
@@ -332,19 +338,15 @@ impl UpdateStreamTma {
         self.stats
     }
 
-    /// Deep size estimate in bytes.
+    /// Deep size estimate in bytes: the monitor is a root, so its struct
+    /// plus the heap its members own.
     pub fn space_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
-            + self.grid.space_bytes()
-            + self.influence.space_bytes()
-            + self.scratch.space_bytes()
-            + self.queries.space_bytes()
-            + self.affected.capacity() * std::mem::size_of::<QuerySlot>()
-            + self
-                .queries
-                .iter()
-                .map(|(_, q)| q.top.space_bytes() - std::mem::size_of::<TopList>())
-                .sum::<usize>()
+            + self.grid.heap_bytes()
+            + self.influence.heap_bytes()
+            + self.scratch.heap_bytes()
+            + self.queries.heap_bytes()
+            + self.affected.heap_bytes()
     }
 }
 

@@ -77,7 +77,7 @@
 
 use std::collections::hash_map::Entry;
 
-use tkm_common::{FxHashMap, Result, TkmError, TupleId};
+use tkm_common::{FxHashMap, HeapBytes, Result, TkmError, TupleId};
 
 /// How a cell deletes from its point chain.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -379,16 +379,15 @@ impl PointArena {
         }
         self.next.len() - free
     }
+}
 
-    /// Heap bytes retained: the cell heads, both point arenas and the
-    /// chunk links at capacity, plus the Hash-mode index at its bucket
-    /// array size.
-    pub(crate) fn space_bytes(&self) -> usize {
-        self.heads.capacity() * std::mem::size_of::<CellHead>()
-            + self.ids.capacity() * std::mem::size_of::<u32>()
-            + self.coords.capacity() * std::mem::size_of::<f64>()
-            + self.next.capacity() * std::mem::size_of::<u32>()
-            + hash_index_bytes(self.index.capacity())
+impl HeapBytes for PointArena {
+    fn heap_bytes(&self) -> usize {
+        self.heads.heap_bytes()
+            + self.ids.heap_bytes()
+            + self.coords.heap_bytes()
+            + self.next.heap_bytes()
+            + self.index.heap_bytes()
     }
 }
 
@@ -537,18 +536,6 @@ impl<'a> StoredIds<'a> {
     }
 }
 
-/// Heap footprint of a hashbrown-style table with the given *usable*
-/// capacity: the bucket array is sized to the next power of two above
-/// `capacity / 0.875` (the 7/8 load factor), and each bucket pays its
-/// `(TupleId, Slot)` entry plus one control byte.
-pub(crate) fn hash_index_bytes(capacity: usize) -> usize {
-    if capacity == 0 {
-        return 0;
-    }
-    let buckets = (capacity * 8 / 7 + 1).next_power_of_two();
-    buckets * (std::mem::size_of::<(TupleId, Slot)>() + 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -624,12 +611,12 @@ mod tests {
             (held * CHUNK_POINTS, held * CHUNK_POINTS * d)
         );
         assert_eq!(
-            arena.space_bytes(),
+            arena.heap_bytes(),
             model.len() * 16
                 + arena.ids.capacity() * 4
                 + arena.coords.capacity() * 8
                 + arena.next.capacity() * 4
-                + hash_index_bytes(arena.index.capacity())
+                + arena.index.heap_bytes()
         );
         match arena.mode {
             CellMode::Fifo => assert_eq!(arena.index.capacity(), 0),
@@ -669,7 +656,7 @@ mod tests {
         }
         let ids =
             |a: &PointArena, cell| a.points(cell).iter().map(|(t, _)| t.0).collect::<Vec<_>>();
-        let before = (ids(&a, 0), ids(&a, 1), a.chunks_in_use(), a.space_bytes());
+        let before = (ids(&a, 0), ids(&a, 1), a.chunks_in_use(), a.heap_bytes());
         assert_eq!(before.0, [first, first + 2, first + 4]);
         for cell in 0..2 {
             let front = a.points(cell).iter().next().unwrap().0;
@@ -682,7 +669,7 @@ mod tests {
             }
         }
         assert_eq!(
-            (ids(&a, 0), ids(&a, 1), a.chunks_in_use(), a.space_bytes()),
+            (ids(&a, 0), ids(&a, 1), a.chunks_in_use(), a.heap_bytes()),
             before
         );
         assert_eq!(a.remove(1, TupleId(first + 1)), Ok(()));
@@ -704,7 +691,7 @@ mod tests {
     fn growth_stops_at_the_plan() {
         let mut a = PointArena::new(CellMode::Fifo, 1, 1);
         a.plan_chunks(100);
-        assert_eq!(a.space_bytes(), 16, "a plan allocates nothing");
+        assert_eq!(a.heap_bytes(), 16, "a plan allocates nothing");
         let mut id = 0;
         let mut fill = |a: &mut PointArena, chunks: usize| {
             while a.chunks_in_use() < chunks {
@@ -807,7 +794,7 @@ mod tests {
     fn freed_chunks_are_reused() {
         let mut a = PointArena::new(CellMode::Fifo, 2, 40);
         assert_eq!(std::mem::size_of::<CellHead>(), 16);
-        assert_eq!(a.space_bytes(), 40 * 16, "an empty grid holds heads only");
+        assert_eq!(a.heap_bytes(), 40 * 16, "an empty grid holds heads only");
         for i in 0..4096u64 {
             a.push(0, TupleId(i), &[0.5, 0.5]);
             if i >= 4 {
@@ -830,14 +817,14 @@ mod tests {
             }
         };
         fill(&mut a, 5000);
-        let (held, space) = (a.chunks_held(), a.space_bytes());
+        let (held, space) = (a.chunks_held(), a.heap_bytes());
         assert_eq!((held, a.chunks_in_use()), (2 * GROW_MIN, 120));
         for i in 0..points {
             a.remove((i % 40) as usize, TupleId(5000 + i)).unwrap();
         }
         assert_eq!(a.chunks_in_use(), 0, "drained: every chunk is free again");
         fill(&mut a, 6000);
-        assert_eq!((a.chunks_held(), a.space_bytes()), (held, space));
+        assert_eq!((a.chunks_held(), a.heap_bytes()), (held, space));
     }
 
     /// No waves, without a clock. At a tenth of the benchmark's `ingest`

@@ -1,7 +1,7 @@
 //! The regular grid: geometry and cell container.
 
 use crate::cell::{CellMode, CellPoints, PointArena};
-use tkm_common::{Monotonicity, Rect, Result, ScoreFn, TkmError, TupleId, MAX_DIMS};
+use tkm_common::{HeapBytes, Monotonicity, Rect, Result, ScoreFn, TkmError, TupleId, MAX_DIMS};
 
 /// Hard cap on the number of cells (memory guard: a `d`-dimensional grid
 /// has `m^d` cells and `m` is easy to over-specify).
@@ -408,15 +408,13 @@ impl Grid {
     pub fn chunks_in_use(&self) -> usize {
         self.points.chunks_in_use()
     }
+}
 
-    /// Deep size estimate in bytes: the geometry tables plus the point
-    /// storage (cell heads, both arenas, chunk links, the Hash-mode index)
-    /// at capacity.
-    pub fn space_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.bounds.capacity() * std::mem::size_of::<f64>()
-            + self.axes.capacity() * std::mem::size_of::<u32>()
-            + self.points.space_bytes()
+/// The geometry tables plus the point storage (cell heads, both arenas,
+/// chunk links, the Hash-mode index) at capacity.
+impl HeapBytes for Grid {
+    fn heap_bytes(&self) -> usize {
+        self.bounds.heap_bytes() + self.axes.heap_bytes() + self.points.heap_bytes()
     }
 }
 

@@ -21,10 +21,10 @@
 //! freeing eagerly would realloc every few ticks. Only lists whose
 //! capacity outgrew `RETAIN_CAP` are returned to the allocator when they
 //! fit inline again; retained capacity is counted by
-//! [`InfluenceTable::space_bytes`].
+//! the table's [`HeapBytes`] impl.
 
 use crate::grid::CellId;
-use tkm_common::QuerySlot;
+use tkm_common::{HeapBytes, QuerySlot};
 
 /// Slots stored inline (inside the table's cell array) before a list
 /// spills to the heap. Three slots keep the whole per-cell variant at 16
@@ -132,12 +132,13 @@ impl CellList {
             }
         }
     }
+}
 
-    #[inline]
+impl HeapBytes for CellList {
     fn heap_bytes(&self) -> usize {
         match self {
             CellList::Inline { .. } => 0,
-            CellList::Spilled(v) => v.capacity() * std::mem::size_of::<QuerySlot>(),
+            CellList::Spilled(v) => v.heap_bytes(),
         }
     }
 }
@@ -205,13 +206,13 @@ impl InfluenceTable {
     pub fn total_entries(&self) -> usize {
         self.cells.iter().map(|s| s.as_slice().len()).sum()
     }
+}
 
-    /// Deep size estimate in bytes, including heap capacity retained by
-    /// the remove hysteresis.
-    pub fn space_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.cells.capacity() * std::mem::size_of::<CellList>()
-            + self.cells.iter().map(CellList::heap_bytes).sum::<usize>()
+/// The cell array plus the spilled lists, including capacity retained by
+/// the remove hysteresis.
+impl HeapBytes for InfluenceTable {
+    fn heap_bytes(&self) -> usize {
+        self.cells.heap_bytes() + self.cells.iter().map(CellList::heap_bytes).sum::<usize>()
     }
 }
 
@@ -263,14 +264,14 @@ mod tests {
     #[test]
     fn inline_lists_need_no_heap() {
         let mut t = InfluenceTable::new(64);
-        let empty = t.space_bytes();
+        let empty = t.heap_bytes();
         for cell in 0..64u32 {
             for q in 0..INLINE_CAP as u32 {
                 t.insert(CellId(cell), QuerySlot(q));
             }
         }
         assert_eq!(
-            t.space_bytes(),
+            t.heap_bytes(),
             empty,
             "up to {INLINE_CAP} slots per cell stay inline"
         );
@@ -278,30 +279,27 @@ mod tests {
 
     /// Satellite regression: a spilled list that shrinks back keeps its
     /// buffer (no realloc churn on flip-flopping boundary cells), and the
-    /// retained capacity is visible in `space_bytes`.
+    /// retained capacity is visible in `heap_bytes`.
     #[test]
     fn remove_hysteresis_retains_small_buffers() {
         let mut t = InfluenceTable::new(1);
         for q in 0..(INLINE_CAP as u32 + 2) {
             t.insert(CellId(0), QuerySlot(q));
         }
-        let spilled = t.space_bytes();
-        assert!(
-            spilled > InfluenceTable::new(1).space_bytes(),
-            "heap in use"
-        );
+        let spilled = t.heap_bytes();
+        assert!(spilled > InfluenceTable::new(1).heap_bytes(), "heap in use");
         for q in 0..(INLINE_CAP as u32 + 2) {
             t.remove(CellId(0), QuerySlot(q));
         }
         assert_eq!(t.cell_len(CellId(0)), 0);
         assert_eq!(
-            t.space_bytes(),
+            t.heap_bytes(),
             spilled,
             "small buffer retained after emptying (hysteresis)"
         );
         // Re-inserting after the flip reuses the retained buffer.
         assert!(t.insert(CellId(0), QuerySlot(3)));
-        assert_eq!(t.space_bytes(), spilled);
+        assert_eq!(t.heap_bytes(), spilled);
     }
 
     /// The hysteresis is bounded: buffers that outgrew `RETAIN_CAP` are
@@ -313,17 +311,17 @@ mod tests {
         for q in 0..n {
             t.insert(CellId(0), QuerySlot(q));
         }
-        let spilled = t.space_bytes();
+        let spilled = t.heap_bytes();
         for q in 0..n {
             t.remove(CellId(0), QuerySlot(q));
         }
         assert!(
-            t.space_bytes() < spilled,
+            t.heap_bytes() < spilled,
             "oversized buffer freed when back to inline size"
         );
         assert_eq!(
-            t.space_bytes(),
-            InfluenceTable::new(1).space_bytes(),
+            t.heap_bytes(),
+            InfluenceTable::new(1).heap_bytes(),
             "list is inline again"
         );
     }
@@ -332,7 +330,7 @@ mod tests {
     fn empty_table_is_flat() {
         let t = InfluenceTable::new(1 << 12);
         assert_eq!(
-            t.space_bytes() - std::mem::size_of::<InfluenceTable>(),
+            t.heap_bytes(),
             (1 << 12) * std::mem::size_of::<CellList>(),
             "no per-cell heap allocation while empty"
         );

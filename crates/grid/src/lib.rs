@@ -44,3 +44,40 @@ pub use cell::{CellMode, CellPoints, Chunks, StoredIds, CHUNK_POINTS};
 pub use grid::{CellId, CellRange, Grid};
 pub use influence::InfluenceTable;
 pub use visit::VisitStamps;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tkm_common::HeapBytes;
+
+    /// A non-root counts no inline bytes: with zero cells the arena, the
+    /// influence table and the visit stamps own no heap, and a one-cell
+    /// grid owns exactly its geometry tables and its one cell head.
+    #[test]
+    fn non_roots_count_no_inline_bytes() {
+        let d = 3;
+        let one_cell = (2 * d) * 8 + d * 4 + 16;
+        let table = [
+            (
+                "PointArena/Fifo",
+                cell::PointArena::new(CellMode::Fifo, d, 0).heap_bytes(),
+                0,
+            ),
+            (
+                "PointArena/Hash",
+                cell::PointArena::new(CellMode::Hash, d, 0).heap_bytes(),
+                0,
+            ),
+            ("InfluenceTable", InfluenceTable::new(0).heap_bytes(), 0),
+            ("VisitStamps", VisitStamps::new(0).heap_bytes(), 0),
+            (
+                "Grid",
+                Grid::new(d, 1, CellMode::Hash).unwrap().heap_bytes(),
+                one_cell,
+            ),
+        ];
+        for (name, heap, want) in table {
+            assert_eq!(heap, want, "{name}");
+        }
+    }
+}

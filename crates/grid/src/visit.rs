@@ -8,6 +8,7 @@
 //! in O(1).
 
 use crate::grid::CellId;
+use tkm_common::HeapBytes;
 
 /// Visited markers over the cells of one grid, reusable across traversals.
 #[derive(Debug)]
@@ -65,10 +66,11 @@ impl VisitStamps {
     pub fn is_empty(&self) -> bool {
         self.stamps.is_empty()
     }
+}
 
-    /// Deep size estimate in bytes.
-    pub fn space_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.stamps.capacity() * std::mem::size_of::<u32>()
+impl HeapBytes for VisitStamps {
+    fn heap_bytes(&self) -> usize {
+        self.stamps.heap_bytes()
     }
 }
 

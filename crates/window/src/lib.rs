@@ -40,7 +40,7 @@ pub use ring::FlatRing;
 
 use std::collections::VecDeque;
 
-use tkm_common::{Result, Timestamp, TkmError, TupleId};
+use tkm_common::{HeapBytes, Result, Timestamp, TkmError, TupleId};
 
 /// Which sliding-window semantics to instantiate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -257,14 +257,14 @@ impl Timeline {
             }
         }
     }
+}
 
-    /// Deep size estimate in bytes.
-    pub fn space_bytes(&self) -> usize {
-        let runs = match &self.expiry {
+impl HeapBytes for Timeline {
+    fn heap_bytes(&self) -> usize {
+        match &self.expiry {
             Expiry::Count { .. } => 0,
-            Expiry::Age { runs, .. } => runs.capacity() * std::mem::size_of::<(Timestamp, usize)>(),
-        };
-        std::mem::size_of::<Self>() + runs
+            Expiry::Age { runs, .. } => runs.heap_bytes(),
+        }
     }
 }
 
@@ -381,10 +381,11 @@ impl Window {
             .enumerate()
             .map(move |(offset, coords)| (TupleId(oldest + offset as u64), coords))
     }
+}
 
-    /// Deep size estimate in bytes (used by the space experiments).
-    pub fn space_bytes(&self) -> usize {
-        self.timeline.space_bytes() + self.ring.space_bytes()
+impl HeapBytes for Window {
+    fn heap_bytes(&self) -> usize {
+        self.timeline.heap_bytes() + self.ring.heap_bytes()
     }
 }
 
@@ -685,7 +686,7 @@ mod tests {
         assert!(t.is_empty());
         assert_eq!(t.newest_time(), None, "an empty time window has no clock");
         assert_eq!(t.append(1, Timestamp(1)), TupleId(9), "ids stay dense");
-        let runs = t.space_bytes() - std::mem::size_of::<Timeline>();
+        let runs = t.heap_bytes();
         assert!(runs > 0 && runs <= 4 * std::mem::size_of::<(Timestamp, usize)>());
 
         let mut c = Timeline::new(WindowSpec::Count(2)).unwrap();
@@ -696,7 +697,40 @@ mod tests {
             (c.oldest(), c.newest_time()),
             (Some(TupleId(998)), Some(Timestamp(7)))
         );
-        assert_eq!(c.space_bytes(), std::mem::size_of::<Timeline>());
+        assert_eq!(c.heap_bytes(), 0);
+    }
+
+    /// A non-root counts no inline bytes: built empty, the timeline owns
+    /// no heap, and a ring or window owns just its one-slot buffer.
+    #[test]
+    fn non_roots_count_no_inline_bytes() {
+        let hollow = WindowSpec::TimeSized {
+            duration: 2,
+            capacity: 0,
+        };
+        let slot = 3 * std::mem::size_of::<f64>();
+        let table = [
+            (
+                "Timeline/Count",
+                Timeline::new(WindowSpec::Count(9)).unwrap().heap_bytes(),
+                0,
+            ),
+            (
+                "Timeline/Time",
+                Timeline::new(WindowSpec::Time(2)).unwrap().heap_bytes(),
+                0,
+            ),
+            (
+                "Timeline/TimeSized",
+                Timeline::new(hollow).unwrap().heap_bytes(),
+                0,
+            ),
+            ("FlatRing", FlatRing::new(3, 0).unwrap().heap_bytes(), slot),
+            ("Window", Window::new(3, hollow).unwrap().heap_bytes(), slot),
+        ];
+        for (name, heap, want) in table {
+            assert_eq!(heap, want, "{name}");
+        }
     }
 
     #[test]

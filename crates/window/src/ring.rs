@@ -1,6 +1,6 @@
 //! The flat coordinate ring underlying [`crate::Window`].
 
-use tkm_common::{Result, TkmError, MAX_DIMS};
+use tkm_common::{HeapBytes, Result, TkmError, MAX_DIMS};
 
 /// A FIFO ring of d-dimensional coordinates stored in one flat `Vec<f64>`.
 ///
@@ -138,10 +138,11 @@ impl FlatRing {
             offset: 0,
         }
     }
+}
 
-    /// Deep size estimate in bytes.
-    pub fn space_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.buf.capacity() * std::mem::size_of::<f64>()
+impl HeapBytes for FlatRing {
+    fn heap_bytes(&self) -> usize {
+        self.buf.heap_bytes()
     }
 }
 
