@@ -56,6 +56,17 @@ impl fmt::Display for TkmError {
 
 impl std::error::Error for TkmError {}
 
+/// A dimensionality check: refuses `got` dimensions where `expected` are
+/// configured, naming both.
+#[inline]
+pub fn same_dims(expected: usize, got: usize) -> Result<()> {
+    if got == expected {
+        Ok(())
+    } else {
+        Err(TkmError::DimensionMismatch { expected, got })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -73,6 +73,31 @@ fn hash_table_bytes<T>(capacity: usize) -> usize {
     buckets * (size_of::<T>() + 1) + 16
 }
 
+/// The [`btree_bytes`] fill of keys inserted in ascending order, such as
+/// issued query ids: a node split at its right edge keeps 6 of its 11
+/// entries.
+pub const ASCENDING_FILL: f64 = 6.0;
+
+/// The nodes of a `std` B-tree (`BTreeMap<K, V>`; `BTreeSet<K>` is
+/// `V = ()`) of `len` entries whose nodes hold `per_node` entries on
+/// average. A node has room for 11 keys and 11 values beside a parent
+/// pointer and two `u16`s; one node in `per_node + 1` is an internal one
+/// and carries 12 child pointers more. `std` exposes no node count, so the
+/// caller states the fill its insertion order produces: ≈ 7 for random
+/// keys (the ln 2 fill), [`ASCENDING_FILL`] for ascending ones. Up to 11
+/// entries the root is the only node, a leaf, however few it holds; from
+/// 12 on a root stands over at least two leaves. `tests/space_accounting.rs`
+/// holds each caller's total to a live-bytes allocator.
+pub fn btree_bytes<K, V>(len: usize, per_node: f64) -> usize {
+    let pointer = size_of::<usize>();
+    let leaf = (pointer + 4 + 11 * (size_of::<K>() + size_of::<V>())).next_multiple_of(pointer);
+    if len <= 11 {
+        return if len == 0 { 0 } else { leaf };
+    }
+    let node = leaf as f64 + (12 * pointer) as f64 / (per_node + 1.0);
+    ((len as f64 / per_node).max(3.0) * node) as usize
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -26,7 +26,7 @@ pub mod ids;
 pub mod ordered;
 pub mod score;
 
-pub use error::{Result, TkmError};
+pub use error::{same_dims, Result, TkmError};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use geom::Rect;
 pub use heap::HeapBytes;

@@ -188,10 +188,7 @@ impl kernel::ScorerVisitor for Traversal<'_> {
         let start = grid.best_corner(&range, f);
         // Resolve each axis' monotonicity once; the per-cell neighbour
         // steps below run on the cached directions.
-        let mut dirs = [Monotonicity::Increasing; MAX_DIMS];
-        for (dim, dir) in dirs.iter_mut().enumerate().take(dims) {
-            *dir = f.monotonicity(dim);
-        }
+        let dirs = directions(f);
 
         // With a constraint the heap keys are clipped maxscores (cell ∩
         // R): tighter for boundary cells, and mandatory when `f` is only
@@ -284,6 +281,15 @@ impl kernel::ScorerVisitor for Traversal<'_> {
             stats,
         }
     }
+}
+
+/// Each axis' monotonicity under `f`, resolved once per traversal or walk.
+pub(crate) fn directions(f: &ScoreFn) -> [Monotonicity; MAX_DIMS] {
+    let mut dirs = [Monotonicity::Increasing; MAX_DIMS];
+    for (dim, dir) in dirs.iter_mut().enumerate().take(f.dims()) {
+        *dir = f.monotonicity(dim);
+    }
+    dirs
 }
 
 /// Reusable traversal buffers owned by one engine's maintenance stage.

@@ -1,35 +1,217 @@
-//! Influence-list clean-up walks (paper §4.3, Figure 9 lines 14–21).
+//! The query half of a grid stage: queries, influence lists (paper §4.3)
+//! and the walks over them.
+//!
+//! Every stage that keeps queries on a grid — the band maintenance behind
+//! TMA and SMA, the threshold monitor and the update stream (§7: "the same
+//! framework with simplifications") — holds them in one `QueryTable`: a
+//! [`QueryRegistry`] of per-query state, the [`InfluenceTable`] whose
+//! lists carry its slots, and the [`ComputeScratch`] its traversals and
+//! walks run in. Only the table touches the three at a query's edges:
+//! registration, recomputation and removal, which sweeps every influence
+//! entry of a slot in the call that frees it, so a recycled slot never
+//! inherits a dead query's entries. What differs between the stages stays
+//! with each, and its replay loop reads lists and states through
+//! `QueryTable::split`.
 //!
 //! Influence lists are maintained lazily: result improvements shrink a
 //! query's influence region without touching the lists, so stale entries
 //! accumulate in cells between the old and the new region boundary. After
-//! every from-scratch computation the stale band is swept with a list-based
-//! walk: seeded with the cells left in the computation heap (the *frontier*
-//! — en-heaped but not processed, i.e. just below the new region), the walk
+//! a from-scratch computation the stale band is swept with a list-based
+//! walk seeded with the cells left in the computation heap (the *frontier*
+//! — en-heaped but not processed, i.e. just below the new region): it
 //! removes the query from a cell and expands to the cell's worse
 //! neighbours only where the query was actually registered. Because
 //! influence regions are staircase-shaped (closed toward the preferred
 //! corner), this reaches every stale cell and stops immediately at the old
-//! boundary.
+//! boundary. The same walk seeded with the best-corner cell clears all
+//! entries of a terminating query, and lists a threshold query's region.
 //!
-//! The same walk with the best-corner cell as seed clears *all* entries of
-//! a terminating query. Sweeping every entry before a dense slot is freed
-//! is what makes slot recycling in [`crate::registry::QueryRegistry`]
-//! safe: a recycled slot can never inherit a dead query's influence
-//! entries.
-//!
-//! The walks read the grid (geometry only) and mutate the caller's
-//! [`InfluenceTable`] — the grid itself stays immutable, so a maintenance
-//! stage sweeps its table through the ingest stage's `&IngestState`. Both
-//! walks run entirely inside the caller's [`ComputeScratch`]:
-//! [`cleanup_from_frontier`] consumes [`ComputeScratch::frontier`] (left
-//! behind by the preceding [`crate::compute::compute_topk`] call) in place
-//! as its worklist, so a steady-state recompute-and-sweep cycle performs
-//! no allocation.
+//! The walks only read the grid, so a maintenance stage sweeps its table
+//! through the ingest stage's `&IngestState`, and they run inside the
+//! table's scratch: [`cleanup_from_frontier`] consumes
+//! [`ComputeScratch::frontier`], left behind by the preceding
+//! [`compute_topk`] call, in place, so a steady-state recompute-and-sweep
+//! cycle performs no allocation.
 
-use crate::compute::ComputeScratch;
-use tkm_common::{QuerySlot, Rect, ScoreFn};
-use tkm_grid::{CellId, CellRange, Grid, InfluenceTable, VisitStamps};
+use crate::compute::{compute_topk, directions, ComputeOutcome, ComputeScratch, InfluenceUpdate};
+use crate::query::Query;
+use crate::registry::QueryRegistry;
+use crate::result::TopList;
+use crate::stats::EngineStats;
+use tkm_common::{
+    same_dims, HeapBytes, Monotonicity, QueryId, QuerySlot, Rect, Result, ScoreFn, Scored,
+    TkmError, MAX_DIMS,
+};
+use tkm_grid::{CellId, CellRange, Grid, InfluenceTable};
+
+/// A query's state as a [`QueryTable`] walks it.
+pub(crate) trait TableEntry {
+    /// The scoring function, and the constraint its region is clipped to.
+    fn region(&self) -> (&ScoreFn, Option<&Rect>);
+}
+
+impl TableEntry for Query {
+    fn region(&self) -> (&ScoreFn, Option<&Rect>) {
+        (&self.f, self.constraint.as_ref())
+    }
+}
+
+/// An entry [`QueryTable::recompute`] computes from scratch (a top-k kind).
+pub(crate) trait Recomputed: TableEntry {
+    /// Whether a computation keeps the candidates tying its last score.
+    const TRACK_TIES: bool;
+    /// How many tuples a computation keeps.
+    fn depth(&self) -> usize;
+    /// [`InfluenceUpdate::listed_above`] of its next computation.
+    fn listed_above(&self) -> f64;
+}
+
+/// One grid stage's queries, their influence lists and the scratch their
+/// traversals run in (module docs).
+#[derive(Debug)]
+pub(crate) struct QueryTable<T> {
+    queries: QueryRegistry<T>,
+    influence: InfluenceTable,
+    scratch: ComputeScratch,
+}
+
+impl<T: TableEntry> QueryTable<T> {
+    /// An empty table for a grid of `num_cells` cells.
+    pub(crate) fn new(num_cells: usize) -> QueryTable<T> {
+        QueryTable {
+            queries: QueryRegistry::new(),
+            influence: InfluenceTable::new(num_cells),
+            scratch: ComputeScratch::new(num_cells),
+        }
+    }
+
+    /// Registers `id` and returns its slot; refuses a function of another
+    /// dimensionality than `grid`'s, and a live `id`.
+    pub(crate) fn insert(&mut self, grid: &Grid, id: QueryId, state: T) -> Result<QuerySlot> {
+        same_dims(grid.dims(), state.region().0.dims())?;
+        self.queries.insert(id, state)
+    }
+
+    /// The state of a live query.
+    pub(crate) fn get(&self, id: QueryId) -> Result<&T> {
+        self.queries.get(id).ok_or(TkmError::UnknownQuery(id))
+    }
+
+    /// Terminates `id`: sweeps every influence entry of its slot, then
+    /// frees the slot. Returns the slot and the cells the sweep visited.
+    pub(crate) fn remove(&mut self, grid: &Grid, id: QueryId) -> Result<(QuerySlot, u64)> {
+        let slot = self.queries.slot_of(id).ok_or(TkmError::UnknownQuery(id))?;
+        let swept = self.walk(grid, slot, |influence, _, cell| {
+            influence.remove(cell, slot)
+        });
+        self.queries.remove(id)?;
+        Ok((slot, swept))
+    }
+
+    /// Walks from `slot`'s best-corner cell, handing each cell to `expand`
+    /// with the lists and the query's state, and stepping on to the cell's
+    /// unvisited worse neighbours where `expand` returns `true` (influence
+    /// regions are closed toward the best corner). Returns the cells
+    /// visited.
+    pub(crate) fn walk(
+        &mut self,
+        grid: &Grid,
+        slot: QuerySlot,
+        mut expand: impl FnMut(&mut InfluenceTable, &mut T, CellId) -> bool,
+    ) -> u64 {
+        let (_, st) = self.queries.slot_mut(slot);
+        let (f, constraint) = st.region();
+        let range = grid.cell_range(constraint);
+        let start = Some(grid.best_corner(&range, f));
+        let dirs = directions(f);
+        let influence = &mut self.influence;
+        drain(grid, &mut self.scratch, start, &dirs, &range, |cell| {
+            expand(influence, st, cell)
+        })
+    }
+
+    /// Sweeps `slot`'s stale entries from the frontier its last
+    /// [`QueryTable::recompute`] left ([`cleanup_from_frontier`]).
+    /// Returns the cells visited.
+    pub(crate) fn sweep_frontier(&mut self, grid: &Grid, slot: QuerySlot) -> u64 {
+        let (f, constraint) = self.queries.slot_mut(slot).1.region();
+        let (influence, scratch) = (&mut self.influence, &mut self.scratch);
+        cleanup_from_frontier(grid, influence, scratch, slot, f, constraint)
+    }
+
+    /// A one-shot top-k of `query` over `grid`, leaving no state behind.
+    pub(crate) fn snapshot(&mut self, grid: &Grid, query: &Query) -> Result<Vec<Scored>> {
+        same_dims(grid.dims(), query.dims())?;
+        let (f, r) = query.region();
+        let out = compute_topk(grid, &mut self.scratch, None, f, query.k, r, false, None);
+        Ok(out.top.as_slice().to_vec())
+    }
+
+    /// Hot path: a live slot's id and mutable state (one `Vec` index).
+    pub(crate) fn slot_mut(&mut self, slot: QuerySlot) -> (QueryId, &mut T) {
+        self.queries.slot_mut(slot)
+    }
+
+    /// The lists and the states side by side, for a replay loop.
+    pub(crate) fn split(&mut self) -> (&InfluenceTable, &mut QueryRegistry<T>) {
+        (&self.influence, &mut self.queries)
+    }
+
+    /// The live queries.
+    pub(crate) fn queries(&self) -> &QueryRegistry<T> {
+        &self.queries
+    }
+
+    /// The influence lists.
+    pub(crate) fn influence(&self) -> &InfluenceTable {
+        &self.influence
+    }
+}
+
+impl<T: Recomputed> QueryTable<T> {
+    /// Computes `slot`'s top [`Recomputed::depth`] from scratch into
+    /// `reuse`'s buffers, listing the slot in every processed cell not
+    /// known to carry it, and counts the traversal in `stats`. The frontier
+    /// stays for [`QueryTable::sweep_frontier`]; what to keep of the
+    /// outcome is the caller's.
+    pub(crate) fn recompute(
+        &mut self,
+        grid: &Grid,
+        slot: QuerySlot,
+        reuse: TopList,
+        stats: &mut EngineStats,
+    ) -> (&mut T, ComputeOutcome) {
+        let (_, st) = self.queries.slot_mut(slot);
+        let (f, constraint) = st.region();
+        let out = compute_topk(
+            grid,
+            &mut self.scratch,
+            Some(InfluenceUpdate {
+                table: &mut self.influence,
+                slot,
+                listed_above: st.listed_above(),
+            }),
+            f,
+            st.depth(),
+            constraint,
+            T::TRACK_TIES,
+            Some(reuse),
+        );
+        stats.recompute_queries += 1;
+        stats.recompute_groups += 1;
+        stats.cells_processed += out.stats.cells_processed;
+        stats.points_scanned += out.stats.points_scanned;
+        stats.heap_pushes += out.stats.heap_pushes;
+        (st, out)
+    }
+}
+
+/// The registry with every live state, the lists and the scratch.
+impl<T: HeapBytes> HeapBytes for QueryTable<T> {
+    fn heap_bytes(&self) -> usize {
+        self.queries.heap_bytes() + self.influence.heap_bytes() + self.scratch.heap_bytes()
+    }
+}
 
 /// Sweeps stale influence-list entries of `slot` downward from the
 /// frontier recorded in `scratch` by the preceding computation.
@@ -47,81 +229,91 @@ pub fn cleanup_from_frontier(
     constraint: Option<&Rect>,
 ) -> u64 {
     let range = grid.cell_range(constraint);
-    let ComputeScratch {
-        stamps, frontier, ..
-    } = scratch;
-    let mut visited = 0;
-    while let Some(cell) = frontier.pop() {
-        visited += 1;
-        if !influence.remove(cell, slot) {
-            // The query never influenced this cell: nothing below it can be
-            // stale either (influence regions are upward-closed).
-            continue;
-        }
-        push_worse_neighbours(grid, stamps, f, &range, cell, frontier);
-    }
-    visited
+    // A cell the query never influenced has nothing stale below it either
+    // (influence regions are upward-closed).
+    drain(grid, scratch, None, &directions(f), &range, |cell| {
+        influence.remove(cell, slot)
+    })
 }
 
-/// Removes `slot` from every influence list (query termination). Walks
-/// from the query's best-corner cell; returns the number of cells visited.
-pub(crate) fn remove_query_walk(
+/// Pops the scratch's frontier (restarted at `seed` in a new stamp epoch,
+/// if given) until it is empty, pushing the unvisited worse neighbours
+/// within `range` of every cell `expand` accepts. Returns the cells popped.
+fn drain(
     grid: &Grid,
-    influence: &mut InfluenceTable,
     scratch: &mut ComputeScratch,
-    slot: QuerySlot,
-    f: &ScoreFn,
-    constraint: Option<&Rect>,
+    seed: Option<CellId>,
+    dirs: &[Monotonicity; MAX_DIMS],
+    range: &CellRange,
+    mut expand: impl FnMut(CellId) -> bool,
 ) -> u64 {
-    let range = grid.cell_range(constraint);
-    let start = grid.best_corner(&range, f);
-    let ComputeScratch {
-        stamps, frontier, ..
-    } = scratch;
-    stamps.begin();
-    stamps.mark(start);
-    frontier.clear();
-    frontier.push(start);
+    let (stamps, frontier) = (&mut scratch.stamps, &mut scratch.frontier);
+    if let Some(start) = seed {
+        stamps.begin();
+        stamps.mark(start);
+        frontier.clear();
+        frontier.push(start);
+    }
     let mut visited = 0;
     while let Some(cell) = frontier.pop() {
         visited += 1;
-        if !influence.remove(cell, slot) {
+        if !expand(cell) {
             continue;
         }
-        push_worse_neighbours(grid, stamps, f, &range, cell, frontier);
-    }
-    visited
-}
-
-fn push_worse_neighbours(
-    grid: &Grid,
-    stamps: &mut VisitStamps,
-    f: &ScoreFn,
-    range: &CellRange,
-    cell: CellId,
-    list: &mut Vec<CellId>,
-) {
-    for dim in 0..grid.dims() {
-        if let Some(n) = grid.step_worse(cell, dim, f.monotonicity(dim), range) {
-            if stamps.mark(n) {
-                list.push(n);
+        for (dim, &dir) in dirs.iter().enumerate().take(grid.dims()) {
+            if let Some(n) = grid.step_worse(cell, dim, dir, range) {
+                if stamps.mark(n) {
+                    frontier.push(n);
+                }
             }
         }
     }
+    visited
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compute::{compute_topk, InfluenceUpdate};
-    use tkm_common::Timestamp;
+    use crate::ingest::{GridSpec, IngestState};
+    use crate::maintenance::{QueryMaintenance, SmaMaintenance};
+    use crate::testutil::lcg_stream;
+    use crate::threshold::ThresholdMonitor;
+    use crate::update_stream::UpdateStreamTma;
+    use tkm_common::{Timestamp, TupleId};
     use tkm_grid::CellMode;
-    use tkm_window::{Window, WindowSpec};
+    use tkm_window::WindowSpec;
 
     fn listed_cells(grid: &Grid, influence: &InfluenceTable, slot: QuerySlot) -> Vec<u32> {
         (0..grid.num_cells() as u32)
             .filter(|i| influence.contains(CellId(*i), slot))
             .collect()
+    }
+
+    /// A grid holding `points`, with ids in order.
+    fn grid_of(per_dim: usize, points: &[[f64; 2]]) -> Grid {
+        let mut grid = Grid::new(2, per_dim, CellMode::Fifo).unwrap();
+        for (i, p) in points.iter().enumerate() {
+            grid.insert_point(p, TupleId(i as u64));
+        }
+        grid
+    }
+
+    /// Registers `query` under `id` and lists it over its top-`k` region.
+    fn register(table: &mut QueryTable<Query>, grid: &Grid, id: u64, query: Query) -> QuerySlot {
+        let k = query.k;
+        let slot = table.insert(grid, QueryId(id), query).unwrap();
+        let (f, constraint) = table.queries.slot_mut(slot).1.region();
+        compute_topk(
+            grid,
+            &mut table.scratch,
+            Some(InfluenceUpdate::fresh(&mut table.influence, slot)),
+            f,
+            k,
+            constraint,
+            false,
+            None,
+        );
+        slot
     }
 
     /// After a recomputation with a *higher* threshold, the frontier walk
@@ -130,43 +322,26 @@ mod tests {
     #[test]
     fn frontier_walk_removes_stale_band() {
         let f = ScoreFn::linear(vec![1.0, 2.0]).unwrap();
-        let mut grid = Grid::new(2, 7, CellMode::Fifo).unwrap();
-        let mut influence = InfluenceTable::new(grid.num_cells());
-        let mut scratch = ComputeScratch::new(grid.num_cells());
-        let mut w = Window::new(2, WindowSpec::Count(16)).unwrap();
-        let q = QuerySlot(9);
-
         // Weak initial point → large influence region.
-        let id0 = w.insert(&[0.3, 0.3], Timestamp(0)).unwrap();
-        grid.insert_point(&[0.3, 0.3], id0);
-        let out = compute_topk(
-            &grid,
-            &mut scratch,
-            Some(InfluenceUpdate::fresh(&mut influence, q)),
-            &f,
-            1,
-            None,
-            false,
-            None,
-        );
-        let old_region = listed_cells(&grid, &influence, q);
+        let mut grid = grid_of(7, &[[0.3, 0.3]]);
+        let mut table = QueryTable::new(grid.num_cells());
+        let slot = register(&mut table, &grid, 9, Query::top_k(f.clone(), 1).unwrap());
+        let old_region = listed_cells(&grid, &table.influence, slot);
         assert!(old_region.len() > 20, "weak top-1 floods most of the grid");
-        let _ = out;
 
         // A strong point arrives → much smaller region after recompute.
-        let id1 = w.insert(&[0.9, 0.9], Timestamp(1)).unwrap();
-        grid.insert_point(&[0.9, 0.9], id1);
+        grid.insert_point(&[0.9, 0.9], TupleId(1));
         let out = compute_topk(
             &grid,
-            &mut scratch,
-            Some(InfluenceUpdate::fresh(&mut influence, q)),
+            &mut table.scratch,
+            Some(InfluenceUpdate::fresh(&mut table.influence, slot)),
             &f,
             1,
             None,
             false,
             None,
         );
-        cleanup_from_frontier(&grid, &mut influence, &mut scratch, q, &f, None);
+        table.sweep_frontier(&grid, slot);
 
         // Remaining entries = exactly the cells with maxscore ≥ new
         // threshold (the new influence region).
@@ -174,98 +349,149 @@ mod tests {
         let want: Vec<u32> = (0..grid.num_cells() as u32)
             .filter(|i| grid.maxscore(CellId(*i), &f) >= threshold)
             .collect();
-        let mut got = listed_cells(&grid, &influence, q);
-        got.sort_unstable();
-        assert_eq!(got, want);
+        assert_eq!(listed_cells(&grid, &table.influence, slot), want);
     }
 
     #[test]
     fn removal_walk_clears_everything() {
         let f = ScoreFn::linear(vec![1.0, -0.5]).unwrap();
-        let mut grid = Grid::new(2, 6, CellMode::Fifo).unwrap();
-        let mut influence = InfluenceTable::new(grid.num_cells());
-        let mut scratch = ComputeScratch::new(grid.num_cells());
-        let mut w = Window::new(2, WindowSpec::Count(8)).unwrap();
-        let q = QuerySlot(4);
-        for (i, p) in [[0.2, 0.9], [0.7, 0.4], [0.5, 0.5]].iter().enumerate() {
-            let id = w.insert(p, Timestamp(i as u64)).unwrap();
-            grid.insert_point(p, id);
-        }
-        compute_topk(
-            &grid,
-            &mut scratch,
-            Some(InfluenceUpdate::fresh(&mut influence, q)),
-            &f,
-            2,
-            None,
-            false,
-            None,
+        let grid = grid_of(6, &[[0.2, 0.9], [0.7, 0.4], [0.5, 0.5]]);
+        let mut table = QueryTable::new(grid.num_cells());
+        let slot = register(&mut table, &grid, 4, Query::top_k(f, 2).unwrap());
+        assert!(!listed_cells(&grid, &table.influence, slot).is_empty());
+        table.remove(&grid, QueryId(4)).unwrap();
+        assert_eq!(table.influence.total_entries(), 0);
+        assert_eq!(
+            table.remove(&grid, QueryId(4)),
+            Err(TkmError::UnknownQuery(QueryId(4)))
         );
-        assert!(!listed_cells(&grid, &influence, q).is_empty());
-        remove_query_walk(&grid, &mut influence, &mut scratch, q, &f, None);
-        assert!(listed_cells(&grid, &influence, q).is_empty());
     }
 
     #[test]
     fn removal_walk_respects_other_queries() {
         let f = ScoreFn::linear(vec![1.0, 1.0]).unwrap();
-        let mut grid = Grid::new(2, 5, CellMode::Fifo).unwrap();
-        let mut influence = InfluenceTable::new(grid.num_cells());
-        let mut scratch = ComputeScratch::new(grid.num_cells());
-        let mut w = Window::new(2, WindowSpec::Count(4)).unwrap();
-        let id = w.insert(&[0.4, 0.4], Timestamp(0)).unwrap();
-        grid.insert_point(&[0.4, 0.4], id);
-        compute_topk(
-            &grid,
-            &mut scratch,
-            Some(InfluenceUpdate::fresh(&mut influence, QuerySlot(1))),
-            &f,
-            1,
-            None,
-            false,
-            None,
-        );
-        compute_topk(
-            &grid,
-            &mut scratch,
-            Some(InfluenceUpdate::fresh(&mut influence, QuerySlot(2))),
-            &f,
-            1,
-            None,
-            false,
-            None,
-        );
-        remove_query_walk(&grid, &mut influence, &mut scratch, QuerySlot(1), &f, None);
-        assert!(listed_cells(&grid, &influence, QuerySlot(1)).is_empty());
-        assert!(!listed_cells(&grid, &influence, QuerySlot(2)).is_empty());
+        let grid = grid_of(5, &[[0.4, 0.4]]);
+        let mut table = QueryTable::new(grid.num_cells());
+        let q = Query::top_k(f, 1).unwrap();
+        let one = register(&mut table, &grid, 1, q.clone());
+        let two = register(&mut table, &grid, 2, q);
+        table.remove(&grid, QueryId(1)).unwrap();
+        assert!(listed_cells(&grid, &table.influence, one).is_empty());
+        assert!(!listed_cells(&grid, &table.influence, two).is_empty());
     }
 
     #[test]
     fn constrained_removal_walk() {
         let f = ScoreFn::linear(vec![1.0, 1.0]).unwrap();
         let r = Rect::new(vec![0.2, 0.2], vec![0.6, 0.6]).unwrap();
-        let grid = Grid::new(2, 5, CellMode::Fifo).unwrap();
-        let mut influence = InfluenceTable::new(grid.num_cells());
-        let mut scratch = ComputeScratch::new(grid.num_cells());
-        compute_topk(
-            &grid,
-            &mut scratch,
-            Some(InfluenceUpdate::fresh(&mut influence, QuerySlot(1))),
-            &f,
-            1,
-            Some(&r),
-            false,
-            None,
+        let grid = grid_of(5, &[]);
+        let mut table = QueryTable::new(grid.num_cells());
+        let slot = register(&mut table, &grid, 1, Query::constrained(f, 1, r).unwrap());
+        assert!(!listed_cells(&grid, &table.influence, slot).is_empty());
+        table.remove(&grid, QueryId(1)).unwrap();
+        assert_eq!(table.influence.total_entries(), 0);
+    }
+
+    /// Query `i` of the recycling tests: increasing, mixed and decreasing
+    /// axes, so the walks start from three different corners.
+    fn weights(i: u64) -> ScoreFn {
+        let w = [[1.0, 0.2], [0.3, -1.0], [-0.4, -1.0]][i as usize];
+        ScoreFn::linear(w.to_vec()).unwrap()
+    }
+
+    /// On stages built by `build`: registers queries 0 and 1, removes 0
+    /// (twice: the second is refused), registers 2 into 0's freed slot and
+    /// requires its entries to be exactly those it gets alone in a fresh
+    /// stage; removing 1 and 2 must leave no entry. Returns the emptied
+    /// stage.
+    fn recycled_slot_lists_like_fresh<S, T: TableEntry>(
+        build: impl Fn() -> S,
+        register: impl Fn(&mut S, QueryId, ScoreFn) -> Result<()>,
+        remove: impl Fn(&mut S, QueryId) -> Result<()>,
+        table: impl Fn(&S) -> &QueryTable<T>,
+        grid: impl Fn(&S) -> &Grid,
+    ) -> S {
+        let listed = |s: &S, id: u64| {
+            let slot = table(s).queries.slot_of(QueryId(id)).unwrap();
+            listed_cells(grid(s), &table(s).influence, slot)
+        };
+        let mut fresh = build();
+        register(&mut fresh, QueryId(2), weights(2)).unwrap();
+        let want = listed(&fresh, 2);
+        assert!(!want.is_empty());
+
+        let mut s = build();
+        register(&mut s, QueryId(0), weights(0)).unwrap();
+        register(&mut s, QueryId(1), weights(1)).unwrap();
+        let freed = table(&s).queries.slot_of(QueryId(0));
+        remove(&mut s, QueryId(0)).unwrap();
+        assert_eq!(
+            remove(&mut s, QueryId(0)),
+            Err(TkmError::UnknownQuery(QueryId(0)))
         );
-        assert!(!listed_cells(&grid, &influence, QuerySlot(1)).is_empty());
-        remove_query_walk(
-            &grid,
-            &mut influence,
-            &mut scratch,
-            QuerySlot(1),
-            &f,
-            Some(&r),
+        register(&mut s, QueryId(2), weights(2)).unwrap();
+        assert_eq!(table(&s).queries.slot_of(QueryId(2)), freed, "recycled");
+        assert_eq!(listed(&s, 2), want);
+        remove(&mut s, QueryId(1)).unwrap();
+        remove(&mut s, QueryId(2)).unwrap();
+        assert_eq!(table(&s).influence.total_entries(), 0);
+        s
+    }
+
+    #[test]
+    fn band_slot_recycles_clean() {
+        let build = || {
+            let mut shared =
+                IngestState::new(2, WindowSpec::Count(60), GridSpec::PerDim(6)).unwrap();
+            shared.ingest(Timestamp(0), &lcg_stream(3, 40, 2)).unwrap();
+            let m = SmaMaintenance::new_for(&shared);
+            (shared, m)
+        };
+        recycled_slot_lists_like_fresh(
+            build,
+            |(shared, m), id, f| m.register_query(shared, id, Query::top_k(f, 3)?),
+            |(shared, m), id| m.remove_query(shared, id),
+            |(_, m)| m.table(),
+            |(shared, _)| shared.grid(),
         );
-        assert!(listed_cells(&grid, &influence, QuerySlot(1)).is_empty());
+    }
+
+    #[test]
+    fn threshold_slot_recycles_clean() {
+        let build = || {
+            let mut m =
+                ThresholdMonitor::new(2, WindowSpec::Count(60), GridSpec::PerDim(6)).unwrap();
+            m.tick(Timestamp(0), &lcg_stream(3, 40, 2)).unwrap();
+            m
+        };
+        let mut m = recycled_slot_lists_like_fresh(
+            build,
+            |m, id, f| {
+                let tau = f.score(&[0.5, 0.5]);
+                m.register_query(id, f, tau)
+            },
+            ThresholdMonitor::remove_query,
+            ThresholdMonitor::table,
+            ThresholdMonitor::grid,
+        );
+        m.tick(Timestamp(1), &lcg_stream(5, 4, 2)).unwrap();
+    }
+
+    #[test]
+    fn update_stream_slot_recycles_clean() {
+        let build = || {
+            let mut m = UpdateStreamTma::new(2, GridSpec::PerDim(6)).unwrap();
+            for p in lcg_stream(3, 40, 2).chunks(2) {
+                m.insert(p).unwrap();
+            }
+            m
+        };
+        recycled_slot_lists_like_fresh(
+            build,
+            |m, id, f| m.register_query(id, Query::top_k(f, 3)?),
+            UpdateStreamTma::remove_query,
+            UpdateStreamTma::table,
+            UpdateStreamTma::grid,
+        );
     }
 }

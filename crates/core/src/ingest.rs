@@ -6,7 +6,8 @@
 //! that is *per-stream* (the window's timeline, the grid's point lists,
 //! the expiry bookkeeping), while the per-query state (influence regions,
 //! top-lists, skybands) lives in a [`crate::maintenance::QueryMaintenance`]
-//! implementation (or in [`crate::ThresholdMonitor`]'s own tables). Each
+//! implementation or in [`crate::ThresholdMonitor`], each holding its
+//! queries in the query table of [`crate::influence`]. Each
 //! tick, [`IngestState::ingest`] applies the arrival set and the expiry
 //! set to timeline and grid *once* and records both grouped by cell; the
 //! maintenance stage then replays the events against its queries through

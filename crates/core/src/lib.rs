@@ -40,14 +40,17 @@
 //!   ordered by a window timeline, populated once per tick) under one
 //!   **query maintenance** stage ([`maintenance::QueryMaintenance`]) that
 //!   replays the tick's events;
-//! * lazy **influence-list** book-keeping with frontier clean-up walks
-//!   ([`influence`]);
+//! * one **query table** for every grid stage ([`influence`]): the
+//!   queries, their lazily maintained **influence lists** and the
+//!   traversal scratch, registered, recomputed (with frontier clean-up
+//!   walks) and removed in one place, which sweeps a query's entries in
+//!   the call that frees its slot;
 //! * the §7 extensions: **constrained** top-k queries ([`query::Query`]),
 //!   **threshold** monitoring ([`threshold::ThresholdMonitor`], on the
-//!   same ingest stage, with static influence lists and no bands) and the
-//!   explicit-deletion **update-stream** model
+//!   same ingest stage and query table, with static influence lists and no
+//!   bands) and the explicit-deletion **update-stream** model
 //!   ([`update_stream::UpdateStreamTma`], whose only tuple store is an
-//!   id-indexed grid);
+//!   id-indexed grid, on the same query table);
 //! * the **TSL baseline** of §3.2 ([`tsl::TslMonitor`]: per-dimension
 //!   sorted lists, Fagin's Threshold Algorithm and `kmax` views), the
 //!   competitor of §8;
@@ -120,6 +123,11 @@ mod tests {
         let stage = 16 + 4;
         let table = [
             ("ComputeScratch", ComputeScratch::new(0).heap_bytes(), 0),
+            (
+                "QueryTable",
+                influence::QueryTable::<Query>::new(0).heap_bytes(),
+                0,
+            ),
             (
                 "MergeScratch",
                 skyband::MergeScratch::default().heap_bytes(),

@@ -1,8 +1,9 @@
 //! The per-query maintenance stage, decoupled from tuple ingest.
 //!
 //! A [`QueryMaintenance`] value owns everything that is *per-query*: the
-//! queries themselves, their result book-keeping, the influence lists
-//! covering them, and the traversal scratch. It never mutates the
+//! queries themselves and their result book-keeping, and — in the
+//! `QueryTable` every grid stage keeps its queries in — the influence
+//! lists covering them and the traversal scratch. It never mutates the
 //! timeline or grid — every cycle it *replays* the event lists recorded by
 //! [`IngestState::ingest`] against an immutable `&IngestState` view, so
 //! [`crate::Monitor`] is exactly one ingest stage plus one maintenance
@@ -50,9 +51,9 @@
 //!
 //! The replay loop is built for throughput:
 //!
-//! * per-query state lives in a dense [`QueryRegistry`] and the influence
-//!   lists carry 4-byte [`QuerySlot`]s, so resolving an influence entry is
-//!   a `Vec` index instead of a `BTreeMap` probe;
+//! * per-query state lives in the table's dense registry and the
+//!   influence lists carry 4-byte [`QuerySlot`]s, so resolving an
+//!   influence entry is a `Vec` index instead of a `BTreeMap` probe;
 //! * events arrive **grouped by cell** ([`IngestState::arrival_runs`]),
 //!   and a run's points are the newest points of its cell's chain
 //!   ([`IngestState::arrival_run_points`], resolved once per run): each
@@ -94,16 +95,14 @@
 
 use std::marker::PhantomData;
 
-use crate::compute::{compute_topk, ComputeScratch, ComputeStats, InfluenceUpdate};
-use crate::influence::{cleanup_from_frontier, remove_query_walk};
+use crate::influence::{QueryTable, Recomputed, TableEntry};
 use crate::ingest::IngestState;
 use crate::kernel;
 use crate::query::Query;
-use crate::registry::QueryRegistry;
 use crate::result::{ResultDelta, TopList};
 use crate::skyband::{tuned_kmax, MergeScratch, Skyband};
 use crate::stats::EngineStats;
-use tkm_common::{HeapBytes, QueryId, QuerySlot, Result, Scored, TkmError, TupleId};
+use tkm_common::{HeapBytes, QueryId, QuerySlot, Rect, Result, ScoreFn, Scored, TupleId};
 use tkm_grid::InfluenceTable;
 use tkm_window::Timeline;
 
@@ -210,16 +209,6 @@ pub type TmaMaintenance = BandMaintenance<TmaPolicy>;
 /// SMA maintenance: [`BandMaintenance`] under [`SmaPolicy`].
 pub type SmaMaintenance = BandMaintenance<SmaPolicy>;
 
-fn check_dims(shared: &IngestState, query: &Query) -> Result<()> {
-    if query.dims() != shared.dims() {
-        return Err(TkmError::DimensionMismatch {
-            expected: shared.dims(),
-            got: query.dims(),
-        });
-    }
-    Ok(())
-}
-
 /// The still-live suffix of an arrival run, skipping same-cycle transients
 /// (already expired: cannot be in the final window, so they never have to
 /// enter any result book-keeping).
@@ -241,14 +230,8 @@ pub(crate) fn live_suffix<'a>(timeline: &Timeline, ids: &'a [TupleId]) -> Option
     Some(&ids[start..])
 }
 
-fn absorb_compute(stats: &mut EngineStats, cs: ComputeStats) {
-    stats.cells_processed += cs.cells_processed;
-    stats.points_scanned += cs.points_scanned;
-    stats.heap_pushes += cs.heap_pushes;
-}
-
 #[derive(Debug)]
-struct BandQuery {
+pub(crate) struct BandQuery {
     query: Query,
     /// The depth-skyband of the window tuples scoring ≥ `admit`; its
     /// `query.k`-prefix is the current result.
@@ -283,6 +266,23 @@ struct BandQuery {
 impl HeapBytes for BandQuery {
     fn heap_bytes(&self) -> usize {
         self.query.heap_bytes() + self.band.heap_bytes() + self.reported.heap_bytes()
+    }
+}
+
+impl TableEntry for BandQuery {
+    fn region(&self) -> (&ScoreFn, Option<&Rect>) {
+        self.query.region()
+    }
+}
+
+/// A traversal refills the band, ties at the depth-th score included.
+impl Recomputed for BandQuery {
+    const TRACK_TIES: bool = true;
+    fn depth(&self) -> usize {
+        self.band.k()
+    }
+    fn listed_above(&self) -> f64 {
+        self.region_bound
     }
 }
 
@@ -338,9 +338,7 @@ fn reseed(st: &mut BandQuery, seed: &mut Vec<Scored>, top: &TopList, region_boun
 /// when a band drains below `k` or outgrows its policy's cap.
 #[derive(Debug)]
 pub struct BandMaintenance<P> {
-    influence: InfluenceTable,
-    scratch: ComputeScratch,
-    queries: QueryRegistry<BandQuery>,
+    table: QueryTable<BandQuery>,
     stats: EngineStats,
     /// Reused per-tick scratch: slots whose band stored or lost a tuple
     /// this cycle (deduplicated via the per-query `affected` flag). During
@@ -370,70 +368,47 @@ impl<P: BandPolicy> BandMaintenance<P> {
     /// The dense slot of a live query — the index its influence-list
     /// entries carry (diagnostics).
     pub fn query_slot(&self, id: QueryId) -> Option<QuerySlot> {
-        self.queries.slot_of(id)
+        self.table.queries().slot_of(id)
     }
 
     /// This stage's influence lists (read access, for diagnostics).
     pub fn influence(&self) -> &InfluenceTable {
-        &self.influence
+        self.table.influence()
+    }
+
+    #[cfg(test)]
+    pub(crate) fn table(&self) -> &QueryTable<BandQuery> {
+        &self.table
     }
 
     /// Current band size of a query (Table 2 reports SMA's average).
     pub fn band_len(&self, id: QueryId) -> Result<usize> {
-        self.queries
-            .get(id)
-            .map(|q| q.band.len())
-            .ok_or(TkmError::UnknownQuery(id))
+        Ok(self.table.get(id)?.band.len())
     }
 
     /// Mean band size across queries (Table 2 reports it for SMA).
     pub fn avg_band_len(&self) -> f64 {
-        if self.queries.is_empty() {
+        let queries = self.table.queries();
+        if queries.is_empty() {
             return 0.0;
         }
-        let total: usize = self.queries.iter().map(|(_, q)| q.band.len()).sum();
-        total as f64 / self.queries.len() as f64
+        let total: usize = queries.iter().map(|(_, q)| q.band.len()).sum();
+        total as f64 / queries.len() as f64
     }
 
     /// Runs the computation module for `slot` at band depth and reseeds
-    /// its band.
-    #[allow(clippy::too_many_arguments)]
+    /// its band, sweeping the stale listing after a resync.
     fn recompute(
-        influence: &mut InfluenceTable,
-        scratch: &mut ComputeScratch,
+        table: &mut QueryTable<BandQuery>,
         shared: &IngestState,
         stats: &mut EngineStats,
         seed: &mut Vec<Scored>,
         rec: &mut TopList,
         slot: QuerySlot,
-        st: &mut BandQuery,
     ) {
-        let out = compute_topk(
-            shared.grid(),
-            scratch,
-            Some(InfluenceUpdate {
-                table: influence,
-                slot,
-                listed_above: st.region_bound,
-            }),
-            &st.query.f,
-            st.band.k(),
-            st.query.constraint.as_ref(),
-            true,
-            Some(std::mem::take(rec)),
-        );
-        stats.recompute_queries += 1;
-        stats.recompute_groups += 1;
-        absorb_compute(stats, out.stats);
+        let (st, out) = table.recompute(shared.grid(), slot, std::mem::take(rec), stats);
         if reseed(st, seed, &out.top, out.region_bound) {
-            stats.cleanup_cells += cleanup_from_frontier(
-                shared.grid(),
-                influence,
-                scratch,
-                slot,
-                &st.query.f,
-                st.query.constraint.as_ref(),
-            );
+            stats.cleanup_cells += table.sweep_frontier(shared.grid(), slot);
         }
         *rec = out.top;
     }
@@ -458,11 +433,8 @@ impl<P: BandPolicy> QueryMaintenance for BandMaintenance<P> {
     const LABEL: &'static str = P::LABEL;
 
     fn new_for(shared: &IngestState) -> Self {
-        let cells = shared.grid().num_cells();
         BandMaintenance {
-            influence: InfluenceTable::new(cells),
-            scratch: ComputeScratch::new(cells),
-            queries: QueryRegistry::new(),
+            table: QueryTable::new(shared.grid().num_cells()),
             stats: EngineStats::default(),
             affected: Vec::new(),
             merge_scratch: MergeScratch::default(),
@@ -475,9 +447,9 @@ impl<P: BandPolicy> QueryMaintenance for BandMaintenance<P> {
     }
 
     fn register_query(&mut self, shared: &IngestState, id: QueryId, query: Query) -> Result<()> {
-        check_dims(shared, &query)?;
         let band = Skyband::new(P::depth(query.k))?;
-        let slot = self.queries.insert(
+        let slot = self.table.insert(
+            shared.grid(),
             id,
             BandQuery {
                 query,
@@ -490,45 +462,33 @@ impl<P: BandPolicy> QueryMaintenance for BandMaintenance<P> {
             },
         )?;
         let Self {
-            influence,
-            scratch,
-            queries,
+            table,
             stats,
             seed,
             rec,
             ..
         } = self;
-        let (_, st) = queries.slot_mut(slot);
-        Self::recompute(influence, scratch, shared, stats, seed, rec, slot, st);
+        Self::recompute(table, shared, stats, seed, rec, slot);
         if self.tracking {
-            baseline(&mut self.dirty, slot, st);
+            baseline(&mut self.dirty, slot, self.table.slot_mut(slot).1);
         }
         Ok(())
     }
 
     fn remove_query(&mut self, shared: &IngestState, id: QueryId) -> Result<()> {
-        let (slot, st) = self.queries.remove(id)?;
+        let (slot, swept) = self.table.remove(shared.grid(), id)?;
+        self.stats.cleanup_cells += swept;
         let (word, bit) = mark_of(slot);
         if let Some(marks) = self.dirty.get_mut(word) {
             *marks &= !bit;
         }
-        self.stats.cleanup_cells += remove_query_walk(
-            shared.grid(),
-            &mut self.influence,
-            &mut self.scratch,
-            slot,
-            &st.query.f,
-            st.query.constraint.as_ref(),
-        );
         Ok(())
     }
 
     fn apply_events(&mut self, shared: &IngestState) -> Result<()> {
         let dims = shared.dims();
         let Self {
-            influence,
-            scratch,
-            queries,
+            table,
             stats,
             affected,
             merge_scratch,
@@ -539,6 +499,7 @@ impl<P: BandPolicy> QueryMaintenance for BandMaintenance<P> {
             policy: _,
         } = self;
         affected.clear();
+        let (influence, queries) = table.split();
 
         // ---- Pins (Figure 9 lines 3-7, Figure 11 lines 4-11), inverted:
         // cell → chunk → query → tuple, in two passes. Score-and-stage:
@@ -652,30 +613,28 @@ impl<P: BandPolicy> QueryMaintenance for BandMaintenance<P> {
         // lines 17-22) — only for the affected queries `needs_recompute`
         // selects, one traversal each.
         for &slot in affected.iter() {
-            let (_, st) = queries.slot_mut(slot);
+            let (_, st) = table.slot_mut(slot);
             st.affected = false;
             if *tracking {
                 let (word, bit) = mark_of(slot);
                 dirty[word] |= bit;
             }
             if Self::needs_recompute(st, shared) {
-                Self::recompute(influence, scratch, shared, stats, seed, rec, slot, st);
+                Self::recompute(table, shared, stats, seed, rec, slot);
             }
         }
         Ok(())
     }
 
     fn result(&self, id: QueryId) -> Result<Vec<Scored>> {
-        self.queries
-            .get(id)
-            .map(|q| q.band.prefix(q.query.k).to_vec())
-            .ok_or(TkmError::UnknownQuery(id))
+        let q = self.table.get(id)?;
+        Ok(q.band.prefix(q.query.k).to_vec())
     }
 
     fn track_changes(&mut self) {
         self.tracking = true;
         self.dirty.clear();
-        for (slot, _, st) in self.queries.slots_mut() {
+        for (slot, _, st) in self.table.split().1.slots_mut() {
             baseline(&mut self.dirty, slot, st);
         }
     }
@@ -686,25 +645,14 @@ impl<P: BandPolicy> QueryMaintenance for BandMaintenance<P> {
             while marks != 0 {
                 let slot = QuerySlot(w as u32 * 64 + marks.trailing_zeros());
                 marks &= marks - 1;
-                let (id, st) = self.queries.slot_mut(slot);
+                let (id, st) = self.table.slot_mut(slot);
                 ResultDelta::report(id, &mut st.reported, st.band.prefix(st.query.k), out);
             }
         }
     }
 
     fn snapshot(&mut self, shared: &IngestState, query: &Query) -> Result<Vec<Scored>> {
-        check_dims(shared, query)?;
-        let out = compute_topk(
-            shared.grid(),
-            &mut self.scratch,
-            None,
-            &query.f,
-            query.k,
-            query.constraint.as_ref(),
-            false,
-            None,
-        );
-        Ok(out.top.as_slice().to_vec())
+        self.table.snapshot(shared.grid(), query)
     }
 
     fn stats(&self) -> EngineStats {
@@ -714,9 +662,7 @@ impl<P: BandPolicy> QueryMaintenance for BandMaintenance<P> {
 
 impl<P> HeapBytes for BandMaintenance<P> {
     fn heap_bytes(&self) -> usize {
-        self.influence.heap_bytes()
-            + self.scratch.heap_bytes()
-            + self.queries.heap_bytes()
+        self.table.heap_bytes()
             + self.affected.heap_bytes()
             + self.merge_scratch.heap_bytes()
             + self.dirty.heap_bytes()
@@ -751,15 +697,13 @@ mod tests {
                 .unwrap();
             m.apply_events(&shared).unwrap();
         }
-        let bands: usize = m
-            .queries
+        let queries = m.table.queries();
+        let bands: usize = queries
             .iter()
             .map(|(_, q)| q.band.heap_bytes() + q.reported.heap_bytes())
             .sum();
-        assert!(bands > 0 && m.queries.heap_bytes() > bands);
-        let members = m.influence.heap_bytes()
-            + m.scratch.heap_bytes()
-            + m.queries.heap_bytes()
+        assert!(bands > 0 && queries.heap_bytes() > bands);
+        let members = m.table.heap_bytes()
             + m.affected.heap_bytes()
             + m.merge_scratch.heap_bytes()
             + m.dirty.heap_bytes()

@@ -11,7 +11,8 @@ use std::collections::BTreeMap;
 use crate::kernel;
 use crate::query::Query;
 use crate::result::ResultDelta;
-use tkm_common::{HeapBytes, QueryId, Result, Scored, Timestamp, TkmError};
+use tkm_common::heap::{btree_bytes, ASCENDING_FILL};
+use tkm_common::{same_dims, HeapBytes, QueryId, Result, Scored, Timestamp, TkmError};
 use tkm_window::{Window, WindowSpec};
 
 #[derive(Debug)]
@@ -71,12 +72,7 @@ impl OracleMonitor {
 
     /// Registers a query and computes its initial result.
     pub fn register_query(&mut self, id: QueryId, query: Query) -> Result<()> {
-        if query.dims() != self.dims() {
-            return Err(TkmError::DimensionMismatch {
-                expected: self.dims(),
-                got: query.dims(),
-            });
-        }
+        same_dims(self.dims(), query.dims())?;
         if self.queries.contains_key(&id) {
             return Err(TkmError::DuplicateQuery(id));
         }
@@ -135,12 +131,7 @@ impl OracleMonitor {
 
     /// One-shot (snapshot) top-k over the current window contents.
     pub fn snapshot(&self, query: &Query) -> Result<Vec<Scored>> {
-        if query.dims() != self.dims() {
-            return Err(TkmError::DimensionMismatch {
-                expected: self.dims(),
-                got: query.dims(),
-            });
-        }
+        same_dims(self.dims(), query.dims())?;
         Ok(Self::scan(&self.window, query))
     }
 
@@ -157,15 +148,17 @@ impl OracleMonitor {
         Ok(())
     }
 
-    /// Deep size estimate in bytes: the struct, the window and every
-    /// query's map entry with the heap it owns.
+    /// Deep size estimate in bytes: the struct, the window, the query
+    /// map's nodes (each query's state lives inline in one; ids arrive in
+    /// ascending order) and the heap every query owns.
     pub fn space_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.window.heap_bytes()
+            + btree_bytes::<QueryId, OracleQuery>(self.queries.len(), ASCENDING_FILL)
             + self
                 .queries
                 .values()
-                .map(|q| std::mem::size_of::<OracleQuery>() + q.heap_bytes())
+                .map(OracleQuery::heap_bytes)
                 .sum::<usize>()
     }
 }

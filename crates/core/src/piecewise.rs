@@ -30,8 +30,8 @@ use std::sync::Arc;
 use crate::engine::ContinuousTopK;
 use crate::query::Query;
 use tkm_common::{
-    FxHashMap, HeapBytes, Monotonicity, QueryId, Rect, Result, ScoreFn, Scored, ScoringFunction,
-    Timestamp, TkmError, MAX_DIMS,
+    same_dims, FxHashMap, HeapBytes, Monotonicity, QueryId, Rect, Result, ScoreFn, Scored,
+    ScoringFunction, Timestamp, TkmError, MAX_DIMS,
 };
 
 /// A non-monotone preference function given as a partition of the
@@ -62,12 +62,8 @@ impl PiecewiseQuery {
         }
         let dims = pieces[0].1.dims();
         for (rect, f) in &pieces {
-            if f.dims() != dims || rect.dims() != dims {
-                return Err(TkmError::DimensionMismatch {
-                    expected: dims,
-                    got: f.dims().min(rect.dims()),
-                });
-            }
+            same_dims(dims, f.dims())?;
+            same_dims(dims, rect.dims())?;
         }
         Ok(PiecewiseQuery { pieces, k })
     }
@@ -179,8 +175,11 @@ struct Registered {
     sub_ids: Vec<QueryId>,
 }
 
-/// Adapter that runs piecewise-monotone queries on any monotone top-k
-/// engine by fanning each query out into constrained sub-queries.
+/// Adapter that runs piecewise-monotone queries on a monotone top-k engine
+/// by fanning each query out into constrained sub-queries. The engine must
+/// accept constrained queries: TMA, SMA and the oracle do, while
+/// [`crate::TslMonitor`] refuses them, so every registration on it fails
+/// with [`TkmError::Unsupported`] (rolled back, leaving nothing behind).
 pub struct PiecewiseMonitor<E: ContinuousTopK> {
     engine: E,
     queries: FxHashMap<QueryId, Registered>,
@@ -208,12 +207,7 @@ impl<E: ContinuousTopK> PiecewiseMonitor<E> {
         if self.queries.contains_key(&id) {
             return Err(TkmError::DuplicateQuery(id));
         }
-        if q.dims() != self.engine.dims() {
-            return Err(TkmError::DimensionMismatch {
-                expected: self.engine.dims(),
-                got: q.dims(),
-            });
-        }
+        same_dims(self.engine.dims(), q.dims())?;
         let mut sub_ids = Vec::with_capacity(q.pieces.len());
         for (rect, f) in &q.pieces {
             let sub = QueryId(self.next_internal);
@@ -280,6 +274,7 @@ mod tests {
     use crate::ingest::GridSpec;
     use crate::monitor::{SmaMonitor, TmaMonitor};
     use crate::testutil::lcg_stream;
+    use crate::tsl::{KmaxPolicy, TslMonitor};
     use tkm_common::TupleId;
     use tkm_window::WindowSpec;
 
@@ -397,6 +392,24 @@ mod tests {
         assert!(m.register_query(QueryId(2), &q3).is_err());
         m.remove_query(QueryId(1)).unwrap();
         assert!(m.remove_query(QueryId(1)).is_err());
+        assert!(m.result(QueryId(1)).is_err());
+        // A 3-d region under a 2-d function names the 3.
+        let f = ScoreFn::linear(vec![1.0, 1.0]).unwrap();
+        let cube = Rect::new(vec![0.0; 3], vec![1.0; 3]).unwrap();
+        assert_eq!(
+            PiecewiseQuery::new(vec![(cube, f)], 2).unwrap_err(),
+            TkmError::DimensionMismatch {
+                expected: 2,
+                got: 3
+            }
+        );
+        // TSL takes no constrained query, so no piecewise one either.
+        let tsl = TslMonitor::new(2, WindowSpec::Count(10), KmaxPolicy::Tuned).unwrap();
+        let mut m = PiecewiseMonitor::new(tsl);
+        assert!(matches!(
+            m.register_query(QueryId(1), &q),
+            Err(TkmError::Unsupported(_))
+        ));
         assert!(m.result(QueryId(1)).is_err());
     }
 }

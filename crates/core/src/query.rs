@@ -1,6 +1,6 @@
 //! Continuous query definitions.
 
-use tkm_common::{HeapBytes, Rect, Result, ScoreFn, TkmError};
+use tkm_common::{same_dims, HeapBytes, Rect, Result, ScoreFn, TkmError};
 
 /// A continuous top-k query: a monotone preference function, a result size,
 /// and (optionally, §7) an axis-parallel constraint region restricting the
@@ -33,12 +33,7 @@ impl Query {
     /// Builds a constrained top-k query (paper §7): only tuples inside
     /// `region` are monitored.
     pub fn constrained(f: ScoreFn, k: usize, region: Rect) -> Result<Query> {
-        if region.dims() != f.dims() {
-            return Err(TkmError::DimensionMismatch {
-                expected: f.dims(),
-                got: region.dims(),
-            });
-        }
+        same_dims(f.dims(), region.dims())?;
         let mut q = Query::top_k(f, k)?;
         q.constraint = Some(region);
         Ok(q)

@@ -11,10 +11,11 @@
 //! register, remove, and result lookup — never per event.
 //!
 //! Slots are recycled: terminating a query pushes its slot onto the free
-//! list and the next registration reuses it. Engines must therefore sweep
-//! every influence-list entry of a slot *before* freeing it (the
-//! `remove_query_walk` invariant), or a recycled slot would alias the dead
-//! query's entries to the newcomer — the differential churn suite pins
+//! list and the next registration reuses it. Every influence-list entry of
+//! a slot must therefore be swept *before* the slot is freed, or a
+//! recycled slot would alias the dead query's entries to the newcomer. A
+//! registry's one holder, the query table of `crate::influence`, does both
+//! in one call; its recycling tests and the differential churn suite pin
 //! this.
 
 use tkm_common::{FxHashMap, HeapBytes, QueryId, QuerySlot, Result, TkmError};

@@ -12,6 +12,7 @@
 use std::collections::BTreeMap;
 
 use crate::result::ResultDelta;
+use tkm_common::heap::{btree_bytes, ASCENDING_FILL};
 use tkm_common::{HeapBytes, QueryId};
 
 /// Routes drained [`ResultDelta`]s to the subscribers of each query.
@@ -104,19 +105,12 @@ impl<S: PartialEq + Clone> DeltaRouter<S> {
         self.subs.is_empty()
     }
 
-    /// Deep size estimate in bytes: the map nodes plus each query's
-    /// subscriber list. `B`-tree node overhead is approximated with one
-    /// pointer-sized word per entry.
+    /// Deep size estimate in bytes: the struct, the map's nodes (query ids
+    /// are issued in ascending order) and each query's subscriber list.
     pub fn space_bytes(&self) -> usize {
-        const NODE_OVERHEAD: usize = std::mem::size_of::<usize>();
         std::mem::size_of::<Self>()
-            + self
-                .subs
-                .values()
-                .map(|list| {
-                    std::mem::size_of::<(QueryId, Vec<S>)>() + NODE_OVERHEAD + list.heap_bytes()
-                })
-                .sum::<usize>()
+            + btree_bytes::<QueryId, Vec<S>>(self.subs.len(), ASCENDING_FILL)
+            + self.subs.values().map(Vec::heap_bytes).sum::<usize>()
     }
 
     /// Fans a batch of drained deltas out to their subscribers: yields one

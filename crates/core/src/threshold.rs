@@ -5,25 +5,24 @@
 //! influence region is *static* (all cells with `maxscore > τ`), so the
 //! book-keeping is built once with a plain list walk (no heap — visiting
 //! order is irrelevant) and never recomputed; and maintenance merely
-//! reports arrivals/expiries of qualifying tuples. The stream side is the
-//! shared one: an [`IngestState`] stores the tuples and each cycle's
-//! cell-grouped arrival and expiry runs are replayed against the static
-//! influence lists.
+//! reports arrivals/expiries of qualifying tuples. Both sides are the
+//! shared ones: an [`IngestState`] stores the tuples, the queries live in
+//! the query table every grid stage uses (`crate::influence`), whose
+//! best-corner walk lists a query's static region, and each cycle's
+//! cell-grouped arrival and expiry runs are replayed against those lists.
 
-use crate::compute::ComputeScratch;
-use crate::influence::remove_query_walk;
+use crate::influence::{QueryTable, TableEntry};
 use crate::ingest::{GridSpec, IngestState};
 use crate::kernel;
 use crate::maintenance::live_suffix;
-use crate::registry::QueryRegistry;
 use tkm_common::{
-    FxHashSet, HeapBytes, QueryId, Result, ScoreFn, Scored, Timestamp, TkmError, TupleId,
+    FxHashSet, HeapBytes, QueryId, Rect, Result, ScoreFn, Scored, Timestamp, TkmError, TupleId,
 };
-use tkm_grid::{Grid, InfluenceTable, StoredIds};
+use tkm_grid::{Grid, StoredIds};
 use tkm_window::{Timeline, WindowSpec};
 
 #[derive(Debug)]
-struct ThresholdQuery {
+pub(crate) struct ThresholdQuery {
     f: ScoreFn,
     threshold: f64,
     /// Currently matching tuples.
@@ -58,28 +57,27 @@ impl HeapBytes for ThresholdQuery {
     }
 }
 
+impl TableEntry for ThresholdQuery {
+    fn region(&self) -> (&ScoreFn, Option<&Rect>) {
+        (&self.f, None)
+    }
+}
+
 /// Continuous threshold-query monitor.
 #[derive(Debug)]
 pub struct ThresholdMonitor {
     ingest: IngestState,
-    influence: InfluenceTable,
-    /// Visit stamps and worklist of the influence walks (its heap stays
-    /// empty: the visiting order is irrelevant here).
-    scratch: ComputeScratch,
-    queries: QueryRegistry<ThresholdQuery>,
+    /// The queries and their static influence lists (the traversal heap
+    /// stays empty: the visiting order is irrelevant here).
+    table: QueryTable<ThresholdQuery>,
 }
 
 impl ThresholdMonitor {
     /// Creates a monitor over `dims`-dimensional tuples.
     pub fn new(dims: usize, window: WindowSpec, grid: GridSpec) -> Result<ThresholdMonitor> {
         let ingest = IngestState::new(dims, window, grid)?;
-        let cells = ingest.grid().num_cells();
-        Ok(ThresholdMonitor {
-            ingest,
-            influence: InfluenceTable::new(cells),
-            scratch: ComputeScratch::new(cells),
-            queries: QueryRegistry::new(),
-        })
+        let table = QueryTable::new(ingest.grid().num_cells());
+        Ok(ThresholdMonitor { ingest, table })
     }
 
     /// Dimensionality.
@@ -107,84 +105,50 @@ impl ThresholdMonitor {
         self.ingest.grid()
     }
 
+    #[cfg(test)]
+    pub(crate) fn table(&self) -> &QueryTable<ThresholdQuery> {
+        &self.table
+    }
+
     /// Registers a threshold query: monitor all tuples with
     /// `score > threshold`. The initial matching set is computed by walking
-    /// the cells with `maxscore > threshold` from the preferred corner.
+    /// the cells with `maxscore > threshold` from the preferred corner; it
+    /// is reported as the first [`ThresholdMonitor::added`] delta.
     pub fn register_query(&mut self, id: QueryId, f: ScoreFn, threshold: f64) -> Result<()> {
-        if f.dims() != self.dims() {
-            return Err(TkmError::DimensionMismatch {
-                expected: self.dims(),
-                got: f.dims(),
-            });
-        }
         if !threshold.is_finite() {
             return Err(TkmError::InvalidParameter(
                 "register_query: threshold must be finite".into(),
             ));
         }
-        let slot = self.queries.insert(
-            id,
-            ThresholdQuery {
-                f,
-                threshold,
-                matching: FxHashSet::default(),
-                added: Vec::new(),
-                removed: Vec::new(),
-            },
-        )?;
-        let Self {
-            ingest,
-            influence,
-            scratch,
-            queries,
-        } = self;
-        let grid = ingest.grid();
-        let (_, st) = queries.slot_mut(slot);
-        // List walk from the best corner over cells with maxscore > τ
-        // (paper: "the search can be performed with a list instead of a
-        // heap, since the visiting order is not important").
-        let ComputeScratch {
-            stamps,
-            frontier: list,
-            ..
-        } = scratch;
-        let all = grid.cell_range(None);
-        stamps.begin();
-        let start = grid.best_corner(&all, &st.f);
-        stamps.mark(start);
-        list.clear();
-        list.push(start);
-        while let Some(cell) = list.pop() {
+        let grid = self.ingest.grid();
+        let state = ThresholdQuery {
+            f,
+            threshold,
+            matching: FxHashSet::default(),
+            added: Vec::new(),
+            removed: Vec::new(),
+        };
+        let slot = self.table.insert(grid, id, state)?;
+        // Paper: "the search can be performed with a list instead of a
+        // heap, since the visiting order is not important".
+        self.table.walk(grid, slot, |influence, st, cell| {
             if grid.maxscore(cell, &st.f) <= st.threshold {
-                continue;
+                return false;
             }
             for (ids, coords) in grid.points(cell).chunks() {
                 st.admit(grid.dims(), ids, coords);
             }
             influence.insert(cell, slot);
-            for dim in 0..grid.dims() {
-                if let Some(n) = grid.step_worse(cell, dim, st.f.monotonicity(dim), &all) {
-                    if stamps.mark(n) {
-                        list.push(n);
-                    }
-                }
-            }
-        }
-        st.added.sort_by(|a, b| b.cmp(a));
+            true
+        });
+        let (_, st) = self.table.slot_mut(slot);
+        st.added.sort_unstable_by_key(|s| s.id);
         Ok(())
     }
 
     /// Terminates a query, clearing its influence-list entries.
     pub fn remove_query(&mut self, id: QueryId) -> Result<()> {
-        let (slot, st) = self.queries.remove(id)?;
-        remove_query_walk(
-            self.ingest.grid(),
-            &mut self.influence,
-            &mut self.scratch,
-            slot,
-            &st.f,
-            None,
-        );
+        self.table.remove(self.ingest.grid(), id)?;
         Ok(())
     }
 
@@ -195,13 +159,9 @@ impl ThresholdMonitor {
     /// a count window) never matched at a cycle boundary and is reported in
     /// neither delta.
     pub fn tick(&mut self, now: Timestamp, arrivals: &[f64]) -> Result<()> {
-        let Self {
-            ingest,
-            influence,
-            queries,
-            ..
-        } = self;
+        let Self { ingest, table } = self;
         ingest.ingest(now, arrivals)?;
+        let (influence, queries) = table.split();
         for q in queries.states_mut() {
             q.added.clear();
             q.removed.clear();
@@ -243,37 +203,24 @@ impl ThresholdMonitor {
     /// Tuples that started matching `id`'s predicate in the last tick, in
     /// arrival order.
     pub fn added(&self, id: QueryId) -> Result<&[Scored]> {
-        self.queries
-            .get(id)
-            .map(|q| q.added.as_slice())
-            .ok_or(TkmError::UnknownQuery(id))
+        Ok(&self.table.get(id)?.added)
     }
 
     /// Tuples that stopped matching (expired) in the last tick, in arrival
     /// order.
     pub fn removed(&self, id: QueryId) -> Result<&[TupleId]> {
-        self.queries
-            .get(id)
-            .map(|q| q.removed.as_slice())
-            .ok_or(TkmError::UnknownQuery(id))
+        Ok(&self.table.get(id)?.removed)
     }
 
     /// The full current matching set (unordered).
     pub fn matching(&self, id: QueryId) -> Result<&FxHashSet<TupleId>> {
-        self.queries
-            .get(id)
-            .map(|q| &q.matching)
-            .ok_or(TkmError::UnknownQuery(id))
+        Ok(&self.table.get(id)?.matching)
     }
 
     /// Deep size estimate in bytes: the monitor is a root, so its struct
     /// plus the heap its members own.
     pub fn space_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.ingest.heap_bytes()
-            + self.influence.heap_bytes()
-            + self.scratch.heap_bytes()
-            + self.queries.heap_bytes()
+        std::mem::size_of::<Self>() + self.ingest.heap_bytes() + self.table.heap_bytes()
     }
 }
 
@@ -325,17 +272,12 @@ mod tests {
         m.tick(Timestamp(1), &[0.7, 0.1]).unwrap();
         assert_eq!(m.added(QueryId(1)).unwrap().len(), 1, "0.7 matched");
         assert_eq!(m.removed(QueryId(1)).unwrap(), &[TupleId(0)]);
-    }
-
-    #[test]
-    fn removal_clears_influence() {
-        let mut m = ThresholdMonitor::new(2, WindowSpec::Count(10), GridSpec::PerDim(5)).unwrap();
-        let f = ScoreFn::linear(vec![1.0, -1.0]).unwrap();
-        m.register_query(QueryId(2), f, 0.3).unwrap();
-        m.remove_query(QueryId(2)).unwrap();
-        assert!(m.remove_query(QueryId(2)).is_err());
-        assert_eq!(m.influence.total_entries(), 0);
-        m.tick(Timestamp(0), &lcg_stream(5, 4, 2)).unwrap();
+        // A registration's delta is in arrival order too, not best first.
+        m.tick(Timestamp(2), &[0.3, 0.8]).unwrap();
+        m.register_query(QueryId(2), ScoreFn::linear(vec![1.0]).unwrap(), 0.2)
+            .unwrap();
+        let added: Vec<TupleId> = m.added(QueryId(2)).unwrap().iter().map(|s| s.id).collect();
+        assert_eq!(added, [TupleId(4), TupleId(5)]);
     }
 
     /// Beyond its own struct, the monitor reports exactly the heap its
@@ -348,10 +290,7 @@ mod tests {
         for tick in 0..10u64 {
             m.tick(Timestamp(tick), &lcg_stream(tick, 8, 2)).unwrap();
         }
-        let heap = m.ingest.heap_bytes()
-            + m.influence.heap_bytes()
-            + m.scratch.heap_bytes()
-            + m.queries.heap_bytes();
+        let heap = m.ingest.heap_bytes() + m.table.heap_bytes();
         assert_eq!(
             m.space_bytes() - std::mem::size_of::<ThresholdMonitor>(),
             heap

@@ -8,6 +8,7 @@
 
 use std::collections::BTreeSet;
 
+use tkm_common::heap::btree_bytes;
 use tkm_common::{HeapBytes, Monotonicity, OrderedF64, Result, TkmError, TupleId, MAX_DIMS};
 
 /// `d` sorted lists over the valid tuples, one per dimension.
@@ -98,24 +99,6 @@ impl HeapBytes for SortedLists {
                 .map(|l| btree_bytes::<(OrderedF64, TupleId), ()>(l.len(), ENTRIES_PER_NODE))
                 .sum::<usize>()
     }
-}
-
-/// Heap bytes of a `std` B-tree (`BTreeMap<K, V>`; `BTreeSet<K>` is
-/// `V = ()`) of `len` entries whose nodes hold `per_node` entries on
-/// average. A node has room for 11 keys and 11 values beside a parent
-/// pointer and two `u16`s; one node in `per_node + 1` is an internal one
-/// and carries 12 child pointers more. `std` exposes no node count, so the
-/// caller states the fill its insertion order produces. Up to 11 entries
-/// the root is the only node, a leaf, however few it holds.
-pub(crate) fn btree_bytes<K, V>(len: usize, per_node: f64) -> usize {
-    let pointer = std::mem::size_of::<usize>();
-    let leaf = (pointer + 4 + 11 * (std::mem::size_of::<K>() + std::mem::size_of::<V>()))
-        .next_multiple_of(pointer);
-    if len <= 11 {
-        return if len == 0 { 0 } else { leaf };
-    }
-    let node = leaf as f64 + (12 * pointer) as f64 / (per_node + 1.0);
-    (len as f64 / per_node * node) as usize
 }
 
 #[cfg(test)]

@@ -11,10 +11,11 @@ use crate::engine::ContinuousTopK;
 use crate::query::Query;
 use crate::result::ResultDelta;
 use crate::skyband::tuned_kmax;
-use crate::tsl::lists::{btree_bytes, SortedLists};
+use crate::tsl::lists::SortedLists;
 use crate::tsl::ta::ta_search;
 use crate::tsl::view::TopView;
-use tkm_common::{HeapBytes, QueryId, Result, ScoreFn, Scored, Timestamp, TkmError};
+use tkm_common::heap::{btree_bytes, ASCENDING_FILL};
+use tkm_common::{same_dims, HeapBytes, QueryId, Result, ScoreFn, Scored, Timestamp, TkmError};
 use tkm_window::{Window, WindowSpec};
 
 /// How `kmax` is chosen for a query with result size `k` (paper §8: the
@@ -132,12 +133,7 @@ impl TslMonitor {
                 "TSL (the baseline) handles plain top-k queries only".into(),
             ));
         }
-        if query.dims() != self.dims() {
-            return Err(TkmError::DimensionMismatch {
-                expected: self.dims(),
-                got: query.dims(),
-            });
-        }
+        same_dims(self.dims(), query.dims())?;
         Ok(())
     }
 }
@@ -288,16 +284,13 @@ impl ContinuousTopK for TslMonitor {
     }
 
     /// The struct, window, d sorted lists, the query map's nodes (each
-    /// query's state lives inline in one) and what every query keeps on
-    /// the heap.
+    /// query's state lives inline in one; ids arrive in ascending order)
+    /// and what every query keeps on the heap.
     fn space_bytes(&self) -> usize {
-        // Query ids arrive in ascending order, and a node split at its
-        // right edge keeps 6 of its 11 entries.
-        const QUERIES_PER_NODE: f64 = 6.0;
         std::mem::size_of::<Self>()
             + self.window.heap_bytes()
             + self.lists.heap_bytes()
-            + btree_bytes::<QueryId, QState>(self.queries.len(), QUERIES_PER_NODE)
+            + btree_bytes::<QueryId, QState>(self.queries.len(), ASCENDING_FILL)
             + self.queries.values().map(QState::heap_bytes).sum::<usize>()
     }
 }

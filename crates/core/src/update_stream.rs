@@ -11,18 +11,21 @@
 //! skyband reduction requires knowing the expiry order in advance, which an
 //! update stream does not provide (constructing [`UpdateStreamTma`] is the
 //! only supported option, and the crate intentionally offers no SMA
-//! counterpart).
+//! counterpart). The queries live in the query table every grid stage
+//! uses (`crate::influence`); what stays here is the per-operation
+//! maintenance and the list of queries a deletion left to recompute.
 
-use crate::compute::{compute_topk, ComputeScratch, InfluenceUpdate};
-use crate::influence::{cleanup_from_frontier, remove_query_walk};
+use crate::influence::{QueryTable, Recomputed, TableEntry};
 use crate::ingest::GridSpec;
 use crate::kernel;
 use crate::query::Query;
-use crate::registry::QueryRegistry;
 use crate::result::TopList;
 use crate::stats::EngineStats;
-use tkm_common::{FxHashSet, HeapBytes, QueryId, QuerySlot, Result, Scored, TkmError, TupleId};
-use tkm_grid::{CellMode, Grid, InfluenceTable};
+use tkm_common::{
+    same_dims, FxHashSet, HeapBytes, QueryId, QuerySlot, Rect, Result, ScoreFn, Scored, TkmError,
+    TupleId,
+};
+use tkm_grid::{CellMode, Grid};
 
 /// One operation of an update stream.
 #[derive(Clone, Debug, PartialEq)]
@@ -34,7 +37,7 @@ pub enum UpdateOp {
 }
 
 #[derive(Debug)]
-struct UsQuery {
+pub(crate) struct UsQuery {
     query: Query,
     top: TopList,
     affected: bool,
@@ -51,6 +54,23 @@ impl HeapBytes for UsQuery {
     }
 }
 
+impl TableEntry for UsQuery {
+    fn region(&self) -> (&ScoreFn, Option<&Rect>) {
+        self.query.region()
+    }
+}
+
+/// TMA's computation: the top k, no ties beyond them.
+impl Recomputed for UsQuery {
+    const TRACK_TIES: bool = false;
+    fn depth(&self) -> usize {
+        self.query.k
+    }
+    fn listed_above(&self) -> f64 {
+        self.region_bound
+    }
+}
+
 /// TMA over an explicit-deletion update stream.
 #[derive(Debug)]
 pub struct UpdateStreamTma {
@@ -59,9 +79,7 @@ pub struct UpdateStreamTma {
     /// Next arrival id to assign (ids are never reused; at most
     /// [`UpdateStreamTma::MAX_IDS`] are issued).
     next_id: u64,
-    influence: InfluenceTable,
-    scratch: ComputeScratch,
-    queries: QueryRegistry<UsQuery>,
+    table: QueryTable<UsQuery>,
     stats: EngineStats,
     /// Reused per-cycle scratch: slots whose result lost a tuple.
     affected: Vec<QuerySlot>,
@@ -77,14 +95,11 @@ impl UpdateStreamTma {
     /// Creates a monitor over `dims`-dimensional tuples.
     pub fn new(dims: usize, grid: GridSpec) -> Result<UpdateStreamTma> {
         let grid = grid.build(dims, CellMode::Hash)?;
-        let scratch = ComputeScratch::new(grid.num_cells());
-        let influence = InfluenceTable::new(grid.num_cells());
+        let table = QueryTable::new(grid.num_cells());
         Ok(UpdateStreamTma {
             grid,
             next_id: 0,
-            influence,
-            scratch,
-            queries: QueryRegistry::new(),
+            table,
             stats: EngineStats::default(),
             affected: Vec::new(),
         })
@@ -111,80 +126,37 @@ impl UpdateStreamTma {
         &self.grid
     }
 
-    /// Registers a query and computes its initial result.
-    pub fn register_query(&mut self, id: QueryId, query: Query) -> Result<()> {
-        if query.dims() != self.dims() {
-            return Err(TkmError::DimensionMismatch {
-                expected: self.dims(),
-                got: query.dims(),
-            });
-        }
-        let k = query.k;
-        let slot = self.queries.insert(
-            id,
-            UsQuery {
-                query,
-                top: TopList::new(k),
-                affected: false,
-                region_bound: f64::INFINITY,
-            },
-        )?;
-        self.recompute(slot);
-        Ok(())
+    #[cfg(test)]
+    pub(crate) fn table(&self) -> &QueryTable<UsQuery> {
+        &self.table
     }
 
-    /// Computes `slot`'s result from scratch, listing it in every cell of
-    /// its influence region not known to carry it already (none, for a
-    /// query just registered: its bound is still `+∞`), and leaves the
-    /// traversal's frontier in the scratch for a clean-up walk.
-    fn recompute(&mut self, slot: QuerySlot) {
-        let Self {
-            grid,
-            influence,
-            scratch,
-            queries,
-            stats,
-            ..
-        } = self;
-        let (_, st) = queries.slot_mut(slot);
-        let out = compute_topk(
-            grid,
-            scratch,
-            Some(InfluenceUpdate {
-                table: influence,
-                slot,
-                listed_above: st.region_bound,
-            }),
-            &st.query.f,
-            st.query.k,
-            st.query.constraint.as_ref(),
-            false,
-            Some(std::mem::take(&mut st.top)),
-        );
-        stats.recompute_queries += 1;
-        stats.recompute_groups += 1;
-        stats.cells_processed += out.stats.cells_processed;
-        stats.points_scanned += out.stats.points_scanned;
-        st.top = out.top;
-        st.region_bound = out.region_bound;
+    /// Registers a query and computes its initial result, listing it in
+    /// every cell of its influence region (its bound starts at `+∞`).
+    pub fn register_query(&mut self, id: QueryId, query: Query) -> Result<()> {
+        let state = UsQuery {
+            query,
+            top: TopList::default(),
+            affected: false,
+            region_bound: f64::INFINITY,
+        };
+        let slot = self.table.insert(&self.grid, id, state)?;
+        let (st, out) = self
+            .table
+            .recompute(&self.grid, slot, TopList::default(), &mut self.stats);
+        (st.top, st.region_bound) = (out.top, out.region_bound);
+        Ok(())
     }
 
     /// Terminates a query, clearing its influence-list entries.
     pub fn remove_query(&mut self, id: QueryId) -> Result<()> {
-        let (slot, st) = self.queries.remove(id)?;
+        let (slot, swept) = self.table.remove(&self.grid, id)?;
+        self.stats.cleanup_cells += swept;
         // Unlike the sliding-window engines (whose affected list lives only
         // inside one `apply_events` call), this one persists across the
-        // open cycle — drop the slot before it is freed, or `end_cycle`
-        // would resolve a dead (or recycled) slot.
+        // open cycle — drop the freed slot, or `end_cycle` would resolve a
+        // dead (or recycled) slot.
         self.affected.retain(|s| *s != slot);
-        self.stats.cleanup_cells += remove_query_walk(
-            &self.grid,
-            &mut self.influence,
-            &mut self.scratch,
-            slot,
-            &st.query.f,
-            st.query.constraint.as_ref(),
-        );
         Ok(())
     }
 
@@ -192,20 +164,12 @@ impl UpdateStreamTma {
     /// [`UpdateStreamTma::end_cycle`] (deletions mid-cycle leave affected
     /// queries unresolved until then).
     pub fn result(&self, id: QueryId) -> Result<&[Scored]> {
-        self.queries
-            .get(id)
-            .map(|q| q.top.as_slice())
-            .ok_or(TkmError::UnknownQuery(id))
+        Ok(self.table.get(id)?.top.as_slice())
     }
 
     /// What an insert must satisfy: whole tuples inside the unit workspace.
     fn check_coords(&self, coords: &[f64]) -> Result<()> {
-        if coords.len() != self.dims() {
-            return Err(TkmError::DimensionMismatch {
-                expected: self.dims(),
-                got: coords.len(),
-            });
-        }
+        same_dims(self.dims(), coords.len())?;
         match coords.iter().find(|x| !(0.0..=1.0).contains(*x)) {
             Some(bad) => Err(TkmError::InvalidParameter(format!(
                 "insert: coordinate {bad} outside the unit workspace"
@@ -232,8 +196,8 @@ impl UpdateStreamTma {
         self.next_id += 1;
         self.stats.arrivals += 1;
         let cell = self.grid.insert_point(coords, id);
-        let queries = &mut self.queries;
-        let slots = self.influence.as_slice(cell);
+        let (influence, queries) = self.table.split();
+        let slots = influence.as_slice(cell);
         // Each update is a cell run of one tuple, so the per-(run × query)
         // probe count equals the list length (same semantics as the
         // sliding-window engines' cell-grouped replay).
@@ -259,8 +223,8 @@ impl UpdateStreamTma {
         let cell = self.grid.cell_of(id).ok_or(TkmError::UnknownTuple(id))?;
         self.grid.remove_at(cell, id)?;
         self.stats.expirations += 1;
-        let queries = &mut self.queries;
-        let slots = self.influence.as_slice(cell);
+        let (influence, queries) = self.table.split();
+        let slots = influence.as_slice(cell);
         self.stats.cell_probes += slots.len() as u64;
         for &slot in slots {
             self.stats.tuple_probes += 1;
@@ -279,17 +243,14 @@ impl UpdateStreamTma {
         self.stats.ticks += 1;
         let mut affected = std::mem::take(&mut self.affected);
         for slot in affected.drain(..) {
-            self.queries.slot_mut(slot).1.affected = false;
-            self.recompute(slot);
-            let (_, st) = self.queries.slot_mut(slot);
-            self.stats.cleanup_cells += cleanup_from_frontier(
-                &self.grid,
-                &mut self.influence,
-                &mut self.scratch,
-                slot,
-                &st.query.f,
-                st.query.constraint.as_ref(),
-            );
+            let (_, st) = self.table.slot_mut(slot);
+            st.affected = false;
+            let reuse = std::mem::take(&mut st.top);
+            let (st, out) = self
+                .table
+                .recompute(&self.grid, slot, reuse, &mut self.stats);
+            (st.top, st.region_bound) = (out.top, out.region_bound);
+            self.stats.cleanup_cells += self.table.sweep_frontier(&self.grid, slot);
         }
         self.affected = affected;
     }
@@ -343,9 +304,7 @@ impl UpdateStreamTma {
     pub fn space_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.grid.heap_bytes()
-            + self.influence.heap_bytes()
-            + self.scratch.heap_bytes()
-            + self.queries.heap_bytes()
+            + self.table.heap_bytes()
             + self.affected.heap_bytes()
     }
 }

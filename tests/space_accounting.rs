@@ -5,9 +5,11 @@
 //! Every figure is counted one way (`tkm_common::HeapBytes`): a type
 //! below a root reports the heap it owns and never its inline struct, and
 //! a root — `Monitor`, `ThresholdMonitor`, `UpdateStreamTma`,
-//! `TslMonitor` here — adds its own struct once. Hash tables are priced
-//! by one formula, held here to the allocator exactly, on a live Fx map
-//! and set from 2 to 1 024 entries.
+//! `TslMonitor`, `OracleMonitor`, `DeltaRouter` here — adds its own struct
+//! once. Hash tables are priced by one formula, held here to the allocator
+//! exactly, on a live Fx map and set from 2 to 1 024 entries; `std`
+//! B-trees by another, whose callers state the fill their insertion order
+//! gives.
 //!
 //! `MonitorServer` under SMA and TMA, a boxed `ThresholdMonitor` and a
 //! boxed `UpdateStreamTma` must agree with the allocator within ±2 % on
@@ -17,7 +19,9 @@
 //! server; TSL, whose tuples and queries sit in `std` B-trees that expose
 //! no node count (the estimate states a fill), within ±5 %. The update
 //! stream deletes the oldest tuples itself, so its window is a count
-//! window on every shape. A server's `space_bytes` is engine state: it
+//! window on every shape. The B-tree roots are held within TSL's ±5 %
+//! too: a boxed `OracleMonitor`, whose query map holds each query's state
+//! in its nodes, and a `DeltaRouter` with a few subscribers a query. A server's `space_bytes` is engine state: it
 //! leaves out the facade's batch buffer (`MonitorServer::deltas`, one
 //! `ResultDelta` per query that changed last tick — 1.5 % of the SMA heap
 //! on the `steady` shape, 14 % of TSL's at Q = 256 over N = 1 000). The
@@ -32,10 +36,11 @@ mod counting_alloc;
 
 use counting_alloc::live_bytes;
 use topk_monitor::common::{FxHashMap, FxHashSet, HeapBytes};
+use topk_monitor::engines::DeltaRouter;
 use topk_monitor::{
-    DataDist, EngineKind, FnFamily, GridSpec, MonitorServer, PointGen, Query, QueryGen, QueryId,
-    QuerySlot, ResultDelta, ServerConfig, ThresholdMonitor, Timestamp, TupleId, UpdateOp,
-    UpdateStreamTma, WindowSpec,
+    DataDist, EngineKind, FnFamily, GridSpec, MonitorServer, OracleMonitor, PointGen, Query,
+    QueryGen, QueryId, QuerySlot, ResultDelta, ServerConfig, ThresholdMonitor, Timestamp, TupleId,
+    UpdateOp, UpdateStreamTma, WindowSpec,
 };
 
 /// Ticks run after registration, each followed by `take_deltas`.
@@ -173,6 +178,45 @@ fn warmed_update_stream((dims, n, q, k, _): Shape) -> Box<UpdateStreamTma> {
     m
 }
 
+/// The oracle rescans its whole window for every query every tick: it is
+/// warmed only on shapes with at most this many tuples × queries, which a
+/// debug build runs in about a second.
+const ORACLE_PAIRS: usize = 256_000;
+
+/// A boxed oracle fed like [`warmed`]'s servers.
+fn warmed_oracle(shape: Shape) -> Box<OracleMonitor> {
+    let (dims, n, q, k, _) = shape;
+    let mut m = Box::new(OracleMonitor::new(dims, window(shape)).unwrap());
+    let mut points = PointGen::new(dims, DataDist::Ind, 11).expect("dims");
+    for tick in 0..10 {
+        m.tick(now(tick, shape), &points.batch(n / 10)).unwrap();
+    }
+    let mut queries = QueryGen::new(dims, FnFamily::Linear, 5).expect("dims");
+    for (id, f) in queries.workload(q).into_iter().enumerate() {
+        let query = Query::top_k(f, k).expect("k");
+        m.register_query(QueryId(id as u64), query).unwrap();
+    }
+    for tick in 10..10 + WARM_TICKS as u64 {
+        m.tick(now(tick, shape), &points.batch(n / 10)).unwrap();
+    }
+    m
+}
+
+/// A boxed router with `q` queries, subscribed in query order by four
+/// sessions each; one session leaves every third query.
+fn warmed_router((.., q, _, _): Shape) -> Box<DeltaRouter<u64>> {
+    let mut r = Box::new(DeltaRouter::new());
+    for id in 0..q as u64 {
+        for session in 0..4 {
+            r.subscribe(QueryId(id), session);
+        }
+    }
+    for id in (0..q as u64).step_by(3) {
+        r.unsubscribe(QueryId(id), &1);
+    }
+    r
+}
+
 /// Fails unless `said` is within `tolerance` of the `held` live bytes.
 fn assert_close(said: usize, held: usize, tolerance: f64, what: &str) {
     let ratio = said as f64 / held as f64;
@@ -224,5 +268,18 @@ fn space_bytes_is_the_heap_the_server_owns() {
             0.02,
             &format!("update stream {shape:?}"),
         );
+        drop(m);
+        let before = live_bytes();
+        let r = warmed_router(shape);
+        let held = live_bytes() - before;
+        assert_close(r.space_bytes(), held, 0.05, &format!("router {shape:?}"));
+        drop(r);
+        let (_, n, q, ..) = shape;
+        if n * q <= ORACLE_PAIRS {
+            let before = live_bytes();
+            let m = warmed_oracle(shape);
+            let held = live_bytes() - before;
+            assert_close(m.space_bytes(), held, 0.05, &format!("oracle {shape:?}"));
+        }
     }
 }
