@@ -13,6 +13,14 @@
 //! with each, and its replay loop reads lists and states through
 //! `QueryTable::split`.
 //!
+//! The table also decides which of a cycle's events are worth replaying.
+//! The ingest stage keeps the cell of every arrival and every expiry as
+//! it found them; `QueryTable::group_events` groups by cell only those
+//! whose cell's influence list is non-empty ([`ListedEvents`]), so a
+//! tuple in a cell no query lists costs its insert and delete and nothing
+//! more — the paper's processing cycle (Figures 9 and 11) probes the
+//! cell's list and stops there.
+//!
 //! Influence lists are maintained lazily: result improvements shrink a
 //! query's influence region without touching the lists, so stale entries
 //! accumulate in cells between the old and the new region boundary. After
@@ -34,13 +42,14 @@
 //! cycle performs no allocation.
 
 use crate::compute::{compute_topk, directions, ComputeOutcome, ComputeScratch, InfluenceUpdate};
+use crate::ingest::IngestState;
 use crate::query::Query;
 use crate::registry::QueryRegistry;
 use crate::result::TopList;
 use crate::stats::EngineStats;
 use tkm_common::{
     same_dims, HeapBytes, Monotonicity, QueryId, QuerySlot, Rect, Result, ScoreFn, Scored,
-    TkmError, MAX_DIMS,
+    TkmError, TupleId, MAX_DIMS,
 };
 use tkm_grid::{CellId, CellRange, Grid, InfluenceTable};
 
@@ -73,6 +82,8 @@ pub(crate) struct QueryTable<T> {
     queries: QueryRegistry<T>,
     influence: InfluenceTable,
     scratch: ComputeScratch,
+    /// The last grouped cycle's events in listed cells.
+    events: ListedEvents,
 }
 
 impl<T: TableEntry> QueryTable<T> {
@@ -82,6 +93,7 @@ impl<T: TableEntry> QueryTable<T> {
             queries: QueryRegistry::new(),
             influence: InfluenceTable::new(num_cells),
             scratch: ComputeScratch::new(num_cells),
+            events: ListedEvents::default(),
         }
     }
 
@@ -157,6 +169,19 @@ impl<T: TableEntry> QueryTable<T> {
         (&self.influence, &mut self.queries)
     }
 
+    /// Groups `shared`'s last cycle by cell, keeping the events in listed
+    /// cells only ([`ListedEvents::group`]), and hands the runs to a replay
+    /// loop beside the lists and the states. The lists must not change
+    /// until the loop has replayed the expiries: a recomputation may list
+    /// a query in a cell whose events were dropped.
+    pub(crate) fn group_events(
+        &mut self,
+        shared: &IngestState,
+    ) -> (&InfluenceTable, &mut QueryRegistry<T>, &ListedEvents) {
+        self.events.group(&self.influence, shared);
+        (&self.influence, &mut self.queries, &self.events)
+    }
+
     /// The live queries.
     pub(crate) fn queries(&self) -> &QueryRegistry<T> {
         &self.queries
@@ -206,10 +231,180 @@ impl<T: Recomputed> QueryTable<T> {
     }
 }
 
-/// The registry with every live state, the lists and the scratch.
+/// The registry with every live state, the lists, the scratch and the
+/// grouped events.
 impl<T: HeapBytes> HeapBytes for QueryTable<T> {
     fn heap_bytes(&self) -> usize {
-        self.queries.heap_bytes() + self.influence.heap_bytes() + self.scratch.heap_bytes()
+        self.queries.heap_bytes()
+            + self.influence.heap_bytes()
+            + self.scratch.heap_bytes()
+            + self.events.heap_bytes()
+    }
+}
+
+/// One cycle's arrivals and expiries in the cells an influence list
+/// names, grouped by cell for the replay loops.
+///
+/// A cell's influence list is identical for every event landing in that
+/// cell, so the per-event work of a tick factors into per-*run* work: the
+/// replay loop probes each cell's list once and streams the run's tuples
+/// through it. An event in a cell whose list is empty can change no
+/// result, so it is dropped here rather than grouped and skipped later.
+/// The group-by is two O(E) passes using an epoch-stamped per-cell table
+/// — no sort: the first stamps and counts the events in listed cells, the
+/// second scatters the events whose cell it stamped, stably.
+/// Runs come out in first-touched order with FIFO (arrival) order within
+/// each run; the replay loops never depend on the order *across* cells.
+///
+/// Arrival runs carry no coordinate copy of their own: a cycle's live
+/// arrivals in cell `c` are exactly the **newest** points of `c`'s chain
+/// (arrivals append at the tail, expiry only consumes the front), so the
+/// replay loop scans them straight out of the grid — see
+/// [`IngestState::arrival_run_points`].
+///
+/// All buffers keep their capacity across cycles. The id buffers reserve
+/// for the cycle's whole event count, so a cycle with more listed events
+/// than any before does not grow them once an event count that large has
+/// been seen; the run lists grow with the distinct listed cells.
+#[derive(Debug, Default)]
+pub struct ListedEvents {
+    scratch: GroupScratch,
+    arrivals: CellRuns,
+    expiries: CellRuns,
+}
+
+/// One kind of a cycle's kept events, grouped by cell.
+#[derive(Debug, Default)]
+struct CellRuns {
+    /// `(cell, start, len)` runs indexing into `ids`, first-touched order.
+    runs: Vec<(CellId, u32, u32)>,
+    /// Tuple ids, concatenated run by run.
+    ids: Vec<TupleId>,
+}
+
+impl CellRuns {
+    fn iter(&self) -> impl Iterator<Item = (CellId, &[TupleId])> {
+        self.runs.iter().map(move |&(cell, start, len)| {
+            (cell, &self.ids[start as usize..(start + len) as usize])
+        })
+    }
+}
+
+/// What one grouping needs only while it runs, shared by both kinds.
+#[derive(Debug, Default)]
+struct GroupScratch {
+    /// Per-cell `(epoch stamp, run index)`, sized at the first grouping:
+    /// the run index is valid while the stamp equals `epoch` (bumping the
+    /// epoch invalidates all entries in O(1)). One array, so a kept event
+    /// touches one cache line here, not two.
+    cell_run: Vec<(u32, u32)>,
+    epoch: u32,
+    /// Pass 2's per-run scatter cursors.
+    cursors: Vec<u32>,
+}
+
+impl GroupScratch {
+    /// Groups one kind of event into `out`: `cells[i]` is the cell of
+    /// tuple `first + i` (a cycle's arrivals and its expiries are both
+    /// dense id ranges, so an event is just its cell).
+    fn group(
+        &mut self,
+        influence: &InfluenceTable,
+        first: TupleId,
+        cells: &[CellId],
+        out: &mut CellRuns,
+    ) {
+        out.runs.clear();
+        out.ids.clear();
+        if cells.is_empty() {
+            return;
+        }
+        if self.cell_run.len() < influence.num_cells() {
+            self.cell_run.resize(influence.num_cells(), (0, 0));
+        }
+        if self.epoch == u32::MAX {
+            self.cell_run.fill((0, 0));
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        // Pass 1: one run per distinct listed cell (first-touched order),
+        // counting its events.
+        for &cell in cells {
+            if influence.as_slice(cell).is_empty() {
+                continue;
+            }
+            let slot = &mut self.cell_run[cell.0 as usize];
+            if slot.0 == self.epoch {
+                out.runs[slot.1 as usize].2 += 1;
+            } else {
+                *slot = (self.epoch, out.runs.len() as u32);
+                out.runs.push((cell, 0, 1));
+            }
+        }
+        out.ids.reserve(cells.len());
+        if out.runs.is_empty() {
+            return;
+        }
+        // Prefix sums fix each run's start offset.
+        let mut start = 0u32;
+        for r in &mut out.runs {
+            r.1 = start;
+            start += r.2;
+        }
+        // Pass 2: stable scatter of the events in stamped cells — event
+        // order is preserved within runs.
+        self.cursors.clear();
+        self.cursors.resize(out.runs.len(), 0);
+        out.ids.resize(start as usize, TupleId(0));
+        for (id, &cell) in (first.0..).zip(cells) {
+            let (stamp, run) = self.cell_run[cell.0 as usize];
+            if stamp != self.epoch {
+                continue;
+            }
+            let run = run as usize;
+            let at = out.runs[run].1 + self.cursors[run];
+            self.cursors[run] += 1;
+            out.ids[at as usize] = TupleId(id);
+        }
+    }
+}
+
+impl ListedEvents {
+    /// Regroups `shared`'s last cycle ([`IngestState::arrival_cells`],
+    /// [`IngestState::expiry_cells`]), keeping the events whose cell's
+    /// list in `influence` is non-empty.
+    pub fn group(&mut self, influence: &InfluenceTable, shared: &IngestState) {
+        let (first, cells) = shared.arrival_cells();
+        self.scratch
+            .group(influence, first, cells, &mut self.arrivals);
+        let (oldest, cells) = shared.expiry_cells();
+        self.scratch
+            .group(influence, oldest, cells, &mut self.expiries);
+    }
+
+    /// The last grouped cycle's arrivals in listed cells: one `(cell,
+    /// tuples)` run per distinct cell (first-touched order), tuples in
+    /// arrival order within each run; the run's points come from
+    /// [`IngestState::arrival_run_points`].
+    pub fn arrival_runs(&self) -> impl Iterator<Item = (CellId, &[TupleId])> {
+        self.arrivals.iter()
+    }
+
+    /// The last grouped cycle's expiries in listed cells (one run per
+    /// distinct cell, FIFO order within each run).
+    pub fn expiry_runs(&self) -> impl Iterator<Item = (CellId, &[TupleId])> {
+        self.expiries.iter()
+    }
+}
+
+/// The stamp table, the scratch and both kinds' runs.
+impl HeapBytes for ListedEvents {
+    fn heap_bytes(&self) -> usize {
+        let runs = |r: &CellRuns| r.runs.heap_bytes() + r.ids.heap_bytes();
+        self.scratch.cell_run.heap_bytes()
+            + self.scratch.cursors.heap_bytes()
+            + runs(&self.arrivals)
+            + runs(&self.expiries)
     }
 }
 
@@ -280,7 +475,7 @@ mod tests {
     use crate::threshold::ThresholdMonitor;
     use crate::update_stream::UpdateStreamTma;
     use tkm_common::{Timestamp, TupleId};
-    use tkm_grid::CellMode;
+    use tkm_grid::{CellMode, CHUNK_POINTS};
     use tkm_window::WindowSpec;
 
     fn listed_cells(grid: &Grid, influence: &InfluenceTable, slot: QuerySlot) -> Vec<u32> {
@@ -493,5 +688,58 @@ mod tests {
             UpdateStreamTma::table,
             UpdateStreamTma::grid,
         );
+    }
+
+    /// Runs as `(cell, ids)` pairs, in the order they come out.
+    fn collected<'a>(
+        runs: impl Iterator<Item = (CellId, &'a [TupleId])>,
+    ) -> Vec<(CellId, Vec<TupleId>)> {
+        runs.map(|(cell, ids)| (cell, ids.to_vec())).collect()
+    }
+
+    /// The table keeps exactly the runs a grouping of every event has in
+    /// its listed cells, run for run and id for id: over bursts larger
+    /// than the window (same-cycle transients in both kinds), runs long
+    /// enough to straddle chunks, and a listing that changes between
+    /// cycles, so a cell listed in one cycle is unlisted in the next.
+    #[test]
+    fn listed_runs_are_all_runs_restricted_to_listed_cells() {
+        let mut shared = IngestState::new(2, WindowSpec::Count(30), GridSpec::PerDim(2)).unwrap();
+        let cells = shared.grid().num_cells() as u32;
+        let mut every = InfluenceTable::new(cells as usize);
+        for cell in 0..cells {
+            every.insert(CellId(cell), QuerySlot(0));
+        }
+        let (mut all, mut kept) = (ListedEvents::default(), ListedEvents::default());
+        let (mut straddled, mut transients, mut dropped) = (false, false, false);
+        for (cycle, count) in [100, 100, 7, 60, 0, 45, 3, 80].into_iter().enumerate() {
+            // Cell `cycle % 4`, and cell 3 on even cycles only.
+            let mut listed = InfluenceTable::new(cells as usize);
+            listed.insert(CellId(cycle as u32 % cells), QuerySlot(1));
+            if cycle % 2 == 0 {
+                listed.insert(CellId(3), QuerySlot(2));
+            }
+            let batch = lcg_stream(cycle as u64, count, 2);
+            shared.ingest(Timestamp(cycle as u64), &batch).unwrap();
+            all.group(&every, &shared);
+            kept.group(&listed, &shared);
+            let restricted = |runs: Vec<(CellId, Vec<TupleId>)>| -> Vec<_> {
+                runs.into_iter()
+                    .filter(|(cell, _)| !listed.as_slice(*cell).is_empty())
+                    .collect()
+            };
+            let context = format!("cycle {cycle}");
+            let want = restricted(collected(all.arrival_runs()));
+            assert_eq!(collected(kept.arrival_runs()), want, "{context}: arrivals");
+            straddled |= want.iter().any(|(_, ids)| ids.len() > CHUNK_POINTS);
+            let want = restricted(collected(all.expiry_runs()));
+            assert_eq!(collected(kept.expiry_runs()), want, "{context}: expiries");
+            let first = shared.arrival_cells().0;
+            transients |= want
+                .iter()
+                .any(|(_, ids)| ids.iter().any(|id| *id >= first));
+            dropped |= all.arrival_runs().count() > kept.arrival_runs().count();
+        }
+        assert!(straddled && transients && dropped);
     }
 }

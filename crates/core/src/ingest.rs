@@ -9,15 +9,18 @@
 //! implementation or in [`crate::ThresholdMonitor`], each holding its
 //! queries in the query table of [`crate::influence`]. Each
 //! tick, [`IngestState::ingest`] applies the arrival set and the expiry
-//! set to timeline and grid *once* and records both grouped by cell; the
-//! maintenance stage then replays the events against its queries through
-//! an immutable `&IngestState` view.
+//! set to timeline and grid *once* and keeps the cell of every event of
+//! both, as it found them; the maintenance stage then groups the events
+//! its influence lists can see by cell and replays them against its
+//! queries through an immutable `&IngestState` view. The stage itself
+//! groups nothing: a tuple in a cell no query lists costs its insert and
+//! its delete, as in the paper's processing cycle (Figures 9 and 11).
 //!
 //! The stage runs as a fixed sequence of tight passes over the whole
 //! batch — extend the timeline, locate, scatter into cells, remember the
 //! cells, pop the expired prefix from the cells it was remembered in, drop
-//! it from the timeline, group by cell — rather than one loop that walks
-//! each tuple through the whole chain. A pass that only computes (locate)
+//! it from the timeline — rather than one loop that walks each tuple
+//! through the whole chain. A pass that only computes (locate)
 //! and a pass that only touches cells (scatter, removal) keep many
 //! independent cache misses in flight; a fused loop, whose iterations are
 //! each ~60 dependent operations long, fits only a few iterations in the
@@ -115,113 +118,8 @@ pub struct IngestStats {
     pub expirations: u64,
 }
 
-/// One cycle's events of one kind (arrivals or expiries), re-grouped by
-/// grid cell for the maintenance replay loop.
-///
-/// A cell's influence list is identical for every event landing in that
-/// cell, so the per-event work of a tick factors into per-*run* work: the
-/// replay loop probes each cell's list once and streams the run's tuples
-/// through it. The group-by is two O(E) passes (count per distinct cell,
-/// then a stable scatter) using an epoch-stamped per-cell table — no sort,
-/// so a tick's grouping cost never exceeds a couple of linear scans even
-/// for ingest-bound workloads. Runs come out in first-touched order with
-/// FIFO (arrival) order within each run; the replay loops never depend on
-/// the order *across* cells. All buffers retain capacity across ticks.
-///
-/// Arrival runs carry no coordinate copy of their own: a cycle's live
-/// arrivals in cell `c` are exactly the **newest** points of `c`'s chain
-/// (arrivals append at the tail, expiry only consumes the front), so the
-/// replay loop scans them straight out of the grid — see
-/// [`IngestState::arrival_run_points`].
-#[derive(Debug)]
-struct CellGroups {
-    /// Per-cell `(epoch stamp, run index)`: the run index is valid while
-    /// the stamp equals `epoch` (bumping the epoch invalidates all
-    /// entries in O(1)). One array, so each event touches one cache line
-    /// here, not two.
-    cell_run: Vec<(u32, u32)>,
-    epoch: u32,
-    /// `(cell, start, len)` runs indexing into `ids`, first-touched order.
-    runs: Vec<(CellId, u32, u32)>,
-    /// Per-run scatter cursors (pass 2 scratch).
-    cursors: Vec<u32>,
-    /// Tuple ids, concatenated run by run.
-    ids: Vec<TupleId>,
-}
-
-impl CellGroups {
-    fn new(num_cells: usize) -> CellGroups {
-        CellGroups {
-            cell_run: vec![(0, 0); num_cells],
-            epoch: 0,
-            runs: Vec::new(),
-            cursors: Vec::new(),
-            ids: Vec::new(),
-        }
-    }
-
-    /// Regroups one cycle's events: `cells[i]` is the cell of tuple
-    /// `first + i` (a cycle's arrivals and its expiries are both dense id
-    /// ranges, so an event is just its cell).
-    fn rebuild(&mut self, cells: &[CellId], first: TupleId) {
-        self.runs.clear();
-        self.ids.clear();
-        self.cursors.clear();
-        if cells.is_empty() {
-            return;
-        }
-        if self.epoch == u32::MAX {
-            self.cell_run.fill((0, 0));
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-        // Pass 1: one run per distinct cell (first-touched order), counting
-        // its events.
-        for &cell in cells {
-            let slot = &mut self.cell_run[cell.0 as usize];
-            if slot.0 == self.epoch {
-                self.runs[slot.1 as usize].2 += 1;
-            } else {
-                *slot = (self.epoch, self.runs.len() as u32);
-                self.runs.push((cell, 0, 1));
-            }
-        }
-        // Prefix sums fix each run's start offset.
-        let mut start = 0u32;
-        for r in &mut self.runs {
-            r.1 = start;
-            start += r.2;
-        }
-        // Pass 2: stable scatter — event order is preserved within runs.
-        self.cursors.resize(self.runs.len(), 0);
-        self.ids.resize(cells.len(), TupleId(0));
-        for (id, &cell) in (first.0..).zip(cells) {
-            let run = self.cell_run[cell.0 as usize].1 as usize;
-            let pos = self.runs[run].1 + self.cursors[run];
-            self.cursors[run] += 1;
-            self.ids[pos as usize] = TupleId(id);
-        }
-    }
-
-    fn iter(&self) -> impl Iterator<Item = (CellId, &[TupleId])> {
-        self.runs.iter().map(move |&(cell, start, len)| {
-            (cell, &self.ids[start as usize..(start + len) as usize])
-        })
-    }
-}
-
-impl HeapBytes for CellGroups {
-    fn heap_bytes(&self) -> usize {
-        self.cell_run.heap_bytes()
-            + self.runs.heap_bytes()
-            + self.cursors.heap_bytes()
-            + self.ids.heap_bytes()
-    }
-}
-
 /// Shared per-stream state: the window's timeline, the grid that stores
-/// its tuples and the cell-grouped events of the most recent processing
-/// cycle.
+/// its tuples and the events of the most recent processing cycle.
 #[derive(Debug)]
 pub struct IngestState {
     timeline: Timeline,
@@ -237,13 +135,12 @@ pub struct IngestState {
     /// It grows an eighth at a time, and a sized window's no further than
     /// the window plus its largest batch.
     cells: VecDeque<u16>,
-    /// Per-pass scratch: the cells of the dense id range being scattered
-    /// (arrivals) or popped (expiries).
-    located: Vec<CellId>,
-    /// The arrival events of the last cycle, grouped by cell.
-    arrival_groups: CellGroups,
-    /// The expiry events of the last cycle, grouped by cell.
-    expiry_groups: CellGroups,
+    /// The last cycle's arrivals: the first one's id and the located cell
+    /// of each, in id order (a cycle's arrivals are a dense id range).
+    arrival_events: (TupleId, Vec<CellId>),
+    /// The last cycle's expiries: the oldest one's id and the cell each
+    /// was popped from, in id order.
+    expiry_events: (TupleId, Vec<CellId>),
     stats: IngestStats,
 }
 
@@ -279,9 +176,8 @@ impl IngestState {
             grid,
             window_size,
             cells: VecDeque::new(),
-            located: Vec::new(),
-            arrival_groups: CellGroups::new(cells),
-            expiry_groups: CellGroups::new(cells),
+            arrival_events: (TupleId(0), Vec::new()),
+            expiry_events: (TupleId(0), Vec::new()),
             stats: IngestStats::default(),
         })
     }
@@ -318,8 +214,9 @@ impl IngestState {
 
     /// Executes the stream half of one processing cycle: validates the
     /// arrival batch, inserts it (timeline + grid), then removes the expiry
-    /// set, recording both grouped by cell for the maintenance stage. A
-    /// rejected batch — misaligned, a coordinate outside the unit
+    /// set, keeping the cell of every event of both for the maintenance
+    /// stage ([`IngestState::arrival_cells`], [`IngestState::expiry_cells`]).
+    /// A rejected batch — misaligned, a coordinate outside the unit
     /// workspace, a timestamp earlier than the newest resident tuple's —
     /// changes nothing.
     ///
@@ -333,9 +230,8 @@ impl IngestState {
             grid,
             window_size,
             cells,
-            located,
-            arrival_groups,
-            expiry_groups,
+            arrival_events: (first, located),
+            expiry_events: (oldest, popped),
             stats,
         } = self;
         let dims = grid.dims();
@@ -346,7 +242,7 @@ impl IngestState {
         // remember the cells for the expiry pass of a later cycle. The
         // cells and the ring hold the window and this batch until the
         // expiry pass, and a sized window plans both for just that.
-        let first = timeline.append(arrivals.len() / dims, now);
+        *first = timeline.append(arrivals.len() / dims, now);
         stats.ticks += 1;
         located.clear();
         grid.locate_batch(arrivals, located);
@@ -362,7 +258,6 @@ impl IngestState {
             grid.push_at(cell, TupleId(id), coords);
         }
         stats.arrivals += located.len() as u64;
-        arrival_groups.rebuild(located, first);
         let resident = cells.len() + located.len();
         if resident > cells.capacity() {
             // An eighth at a time, like the point arena, and never past the
@@ -383,10 +278,10 @@ impl IngestState {
         // come off the ring's front; the removal body is only the FIFO
         // front check + offset bump.
         let expired = timeline.expired_prefix(now);
-        let oldest = timeline.oldest().unwrap_or(first);
-        located.clear();
-        located.extend(cells.drain(..expired).map(|cell| CellId(u32::from(cell))));
-        for (id, &cell) in (oldest.0..).zip(located.iter()) {
+        *oldest = timeline.oldest().unwrap_or(*first);
+        popped.clear();
+        popped.extend(cells.drain(..expired).map(|cell| CellId(u32::from(cell))));
+        for (id, &cell) in (oldest.0..).zip(popped.iter()) {
             #[expect(
                 clippy::expect_used,
                 reason = "ring/grid lockstep is the ingest invariant; desync is unrecoverable"
@@ -395,19 +290,17 @@ impl IngestState {
                 .expect("cell ring and grid are updated in lockstep");
         }
         stats.expirations += expired as u64;
-        expiry_groups.rebuild(located, oldest);
         timeline.drop_front(expired);
         Ok(())
     }
 
-    /// The last cycle's arrival events grouped by cell: one `(cell,
-    /// tuples)` run per distinct cell (first-touched order), tuples in
-    /// arrival order within each run. The maintenance replay loop probes
-    /// each cell's influence list once per run instead of once per event;
-    /// the run's points come from [`IngestState::arrival_run_points`].
+    /// The last cycle's arrivals as the stage found them: the first
+    /// arrival's id and the cell of each arrival in id order (`cells[i]`
+    /// holds tuple `first + i`). The query table groups the ones its
+    /// influence lists can see ([`crate::influence::ListedEvents`]).
     #[inline]
-    pub fn arrival_runs(&self) -> impl Iterator<Item = (CellId, &[TupleId])> {
-        self.arrival_groups.iter()
+    pub fn arrival_cells(&self) -> (TupleId, &[CellId]) {
+        (self.arrival_events.0, &self.arrival_events.1)
     }
 
     /// The `live` still-valid arrivals of this cycle's run in `cell` —
@@ -424,11 +317,11 @@ impl IngestState {
         self.grid.points(cell).tail(live)
     }
 
-    /// The last cycle's expiry events grouped by cell (one run per
-    /// distinct cell, FIFO order within each run).
+    /// The last cycle's expiries as the stage popped them: the oldest
+    /// expired id and the cell of each expiry in id order.
     #[inline]
-    pub fn expiry_runs(&self) -> impl Iterator<Item = (CellId, &[TupleId])> {
-        self.expiry_groups.iter()
+    pub fn expiry_cells(&self) -> (TupleId, &[CellId]) {
+        (self.expiry_events.0, &self.expiry_events.1)
     }
 
     /// Cumulative stream-side counters.
@@ -446,24 +339,37 @@ impl HeapBytes for IngestState {
         self.timeline.heap_bytes()
             + self.grid.heap_bytes()
             + self.cells.heap_bytes()
-            + self.located.heap_bytes()
-            + self.arrival_groups.heap_bytes()
-            + self.expiry_groups.heap_bytes()
+            + self.arrival_events.1.heap_bytes()
+            + self.expiry_events.1.heap_bytes()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tkm_common::TkmError;
+    use crate::influence::ListedEvents;
+    use tkm_common::{QuerySlot, TkmError};
+    use tkm_grid::InfluenceTable;
 
-    /// A cycle's runs flattened back to `(cell, id)` events in id order.
-    fn events<'a>(runs: impl Iterator<Item = (CellId, &'a [TupleId])>) -> Vec<(CellId, TupleId)> {
-        let mut flat: Vec<(CellId, TupleId)> = runs
-            .flat_map(|(cell, ids)| ids.iter().map(move |id| (cell, *id)))
-            .collect();
-        flat.sort_by_key(|(_, id)| *id);
-        flat
+    /// A cycle's event cells as `(cell, id)` events in id order.
+    fn events((first, cells): (TupleId, &[CellId])) -> Vec<(CellId, TupleId)> {
+        (first.0..)
+            .map(TupleId)
+            .zip(cells)
+            .map(|(id, &cell)| (cell, id))
+            .collect()
+    }
+
+    /// The last cycle's events grouped by a query table that lists every
+    /// cell, so that it keeps them all.
+    fn grouped(s: &IngestState) -> ListedEvents {
+        let mut influence = InfluenceTable::new(s.grid().num_cells());
+        for cell in 0..s.grid().num_cells() as u32 {
+            influence.insert(CellId(cell), QuerySlot(0));
+        }
+        let mut events = ListedEvents::default();
+        events.group(&influence, s);
+        events
     }
 
     fn ids(events: &[(CellId, TupleId)]) -> Vec<u64> {
@@ -474,7 +380,8 @@ mod tests {
     /// the cells describe the same tuples in the same order — every
     /// resident id sits in the cell its ring entry names, which covers its
     /// coordinates, and every stored id is resident — and each arrival
-    /// run's live suffix is found, id for id, at the tail of its cell.
+    /// run's live suffix, grouped by the query table, is found, id for id,
+    /// at the tail of its cell.
     fn assert_lockstep(s: &IngestState, context: &str) {
         let t = s.timeline();
         let stored: usize = s.grid().cells().map(|(_, points)| points.len()).sum();
@@ -503,7 +410,7 @@ mod tests {
             assert_eq!(front, Some(oldest), "{context}: the ring's front cell");
         }
         let oldest = t.oldest().unwrap_or(TupleId(u64::MAX));
-        for (cell, run) in s.arrival_runs() {
+        for (cell, run) in grouped(s).arrival_runs() {
             let live = &run[run.partition_point(|id| *id < oldest)..];
             let tail: Vec<TupleId> = s
                 .arrival_run_points(cell, live.len())
@@ -558,16 +465,16 @@ mod tests {
     fn events_mirror_window_and_grid() {
         let mut s = IngestState::new(2, WindowSpec::Count(3), GridSpec::PerDim(4)).unwrap();
         s.ingest(Timestamp(0), &[0.1, 0.1, 0.9, 0.9]).unwrap();
-        assert_eq!(ids(&events(s.arrival_runs())), vec![0, 1]);
-        assert!(s.expiry_runs().next().is_none());
+        assert_eq!(ids(&events(s.arrival_cells())), vec![0, 1]);
+        assert!(s.expiry_cells().1.is_empty());
         assert_eq!(s.timeline().len(), 2);
 
         // Two more arrivals overflow the count window by one.
         s.ingest(Timestamp(1), &[0.5, 0.5, 0.2, 0.8]).unwrap();
-        assert_eq!(ids(&events(s.arrival_runs())), vec![2, 3]);
+        assert_eq!(ids(&events(s.arrival_cells())), vec![2, 3]);
         // The expired tuple's cell matches where it was inserted.
         assert_eq!(
-            events(s.expiry_runs()),
+            events(s.expiry_cells()),
             vec![(s.grid().locate(&[0.1, 0.1]), TupleId(0))]
         );
         assert_eq!(s.timeline().len(), 3);
@@ -581,9 +488,9 @@ mod tests {
     fn burst_larger_than_window_expires_same_cycle() {
         let mut s = IngestState::new(1, WindowSpec::Count(2), GridSpec::PerDim(4)).unwrap();
         s.ingest(Timestamp(0), &[0.1, 0.3, 0.5, 0.7]).unwrap();
-        assert_eq!(ids(&events(s.arrival_runs())), vec![0, 1, 2, 3]);
+        assert_eq!(ids(&events(s.arrival_cells())), vec![0, 1, 2, 3]);
         assert_eq!(
-            ids(&events(s.expiry_runs())),
+            ids(&events(s.expiry_cells())),
             vec![0, 1],
             "same-cycle transients"
         );
@@ -655,7 +562,8 @@ mod tests {
         // Cells for per_dim=4: 0.1→cell0, 0.3→cell1, 0.9→cell3.
         s.ingest(Timestamp(0), &[0.1, 0.9, 0.12, 0.3, 0.15])
             .unwrap();
-        let runs: Vec<(u32, Vec<u64>)> = s
+        let groups = grouped(&s);
+        let runs: Vec<(u32, Vec<u64>)> = groups
             .arrival_runs()
             .map(|(c, ids)| (c.0, ids.iter().map(|t| t.0).collect()))
             .collect();
@@ -664,7 +572,7 @@ mod tests {
         assert_eq!(runs, vec![(0, vec![0, 2, 4]), (3, vec![1]), (1, vec![3])]);
         // A run's points are the tail of its cell, aligned with the run's
         // ids.
-        let coord_runs: Vec<Vec<f64>> = s
+        let coord_runs: Vec<Vec<f64>> = groups
             .arrival_runs()
             .map(|(c, ids)| {
                 let tail = s.arrival_run_points(c, ids.len());
@@ -675,15 +583,22 @@ mod tests {
             coord_runs,
             vec![vec![0.1, 0.12, 0.15], vec![0.9], vec![0.3]]
         );
-        assert!(s.expiry_runs().next().is_none());
+        assert!(groups.expiry_runs().next().is_none());
 
         // Expiries group the same way (capacity 16 → push 14 more): the
         // runs cover exactly the expired id range, one run per cell.
         let burst: Vec<f64> = (0..14).map(|i| (i % 10) as f64 / 10.0).collect();
         s.ingest(Timestamp(1), &burst).unwrap();
         s.ingest(Timestamp(2), &[0.5, 0.5, 0.5]).unwrap();
-        assert_eq!(ids(&events(s.expiry_runs())), vec![3, 4, 5]);
-        let mut cells: Vec<u32> = s.expiry_runs().map(|(c, _)| c.0).collect();
+        assert_eq!(ids(&events(s.expiry_cells())), vec![3, 4, 5]);
+        let groups = grouped(&s);
+        let mut expired: Vec<u64> = groups
+            .expiry_runs()
+            .flat_map(|(_, ids)| ids.iter().map(|id| id.0))
+            .collect();
+        expired.sort_unstable();
+        assert_eq!(expired, vec![3, 4, 5]);
+        let mut cells: Vec<u32> = groups.expiry_runs().map(|(c, _)| c.0).collect();
         let distinct = cells.len();
         cells.sort_unstable();
         cells.dedup();
@@ -767,8 +682,8 @@ mod tests {
             (s.grid().chunks_held(), s.grid().chunks_in_use()),
             s.cells.iter().copied().collect::<Vec<_>>(),
             s.stats(),
-            events(s.arrival_runs()),
-            events(s.expiry_runs()),
+            events(s.arrival_cells()),
+            events(s.expiry_cells()),
         )
     }
 
@@ -794,8 +709,8 @@ mod tests {
             assert_eq!(trace(&s), before, "{batch:?} @{ts}");
         }
         s.ingest(Timestamp(3), &[0.3, 0.3, 0.6, 0.6]).unwrap();
-        assert_eq!(ids(&events(s.arrival_runs())), vec![4, 5]);
-        assert_eq!(ids(&events(s.expiry_runs())), vec![1, 2]);
+        assert_eq!(ids(&events(s.arrival_cells())), vec![4, 5]);
+        assert_eq!(ids(&events(s.expiry_cells())), vec![1, 2]);
         assert_eq!(s.stats().ticks, 3);
         assert_lockstep(&s, "after the rejected batches");
     }
@@ -1026,8 +941,9 @@ mod tests {
 
     /// A tenth of the benchmark's `ingest` stream (d = 4, N = 100k, r =
     /// 10k a tick): outside the grid the stage holds its 2-byte cell ring
-    /// and an amount fixed by the grid and the batch size — no coordinate
-    /// copy (3.2 MB here) and no per-tuple timestamp (0.8 MB) — on both
+    /// and an amount fixed by the batch size — no coordinate copy (3.2 MB
+    /// here), no per-tuple timestamp (0.8 MB) and no per-cell table
+    /// (grouping events by cell is the query table's work) — on both
     /// window kinds; and after two window generations both plan what
     /// they hold for the window's size `n` plus the batch: the ring at
     /// most `n + R` entries, the arena at most `⌈(n + R) / 4⌉` chunks plus
@@ -1049,11 +965,10 @@ mod tests {
             }
             assert_eq!(s.timeline().len(), N, "{spec:?}");
             let outside = s.heap_bytes() - s.grid().heap_bytes();
-            // The two cell-grouping tables (8 B a cell each), one cycle's
-            // event buffers (at most 52 B an arrival: ids, runs and
-            // cursors of both groupings, the located cells) and the
-            // timeline's few runs.
-            let fixed = 16 * s.grid().num_cells() + 52 * R + 4096;
+            // One cycle's two event-cell buffers (4 B an event) and the
+            // timeline's few runs: no grouping table, run or id buffer,
+            // which belong to the query table.
+            let fixed = 2 * 4 * R + 1024;
             let budget = 2 * s.cells.capacity() + fixed;
             assert!(
                 outside <= budget,

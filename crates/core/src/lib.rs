@@ -129,6 +129,11 @@ mod tests {
                 0,
             ),
             (
+                "ListedEvents",
+                influence::ListedEvents::default().heap_bytes(),
+                0,
+            ),
+            (
                 "MergeScratch",
                 skyband::MergeScratch::default().heap_bytes(),
                 0,
@@ -156,9 +161,8 @@ mod tests {
                     std::collections::BTreeSet<(tkm_common::OrderedF64, tkm_common::TupleId)>,
                 >(),
             ),
-            // The grid, and one `(stamp, run)` entry in each of the two
-            // cell-grouping tables.
-            ("IngestState", one_cell.heap_bytes(), grid + 2 * 8),
+            // The grid alone: the stage keeps no per-cell table.
+            ("IngestState", one_cell.heap_bytes(), grid),
             (
                 "TmaMaintenance",
                 TmaMaintenance::new_for(&one_cell).heap_bytes(),

@@ -54,14 +54,17 @@
 //! * per-query state lives in the table's dense registry and the
 //!   influence lists carry 4-byte [`QuerySlot`]s, so resolving an
 //!   influence entry is a `Vec` index instead of a `BTreeMap` probe;
-//! * events arrive **grouped by cell** ([`IngestState::arrival_runs`]),
-//!   and a run's points are the newest points of its cell's chain
+//! * events are replayed **grouped by cell**, and only in listed cells:
+//!   the query table groups the cycle's raw event cells
+//!   ([`IngestState::arrival_cells`]) and drops every event whose cell
+//!   no query lists ([`crate::influence::ListedEvents`]); a run's points
+//!   are the newest points of its cell's chain
 //!   ([`IngestState::arrival_run_points`], resolved once per run): each
-//!   cell's influence list is walked once per tick and the run's packed
-//!   chunks stream through the dim-specialized [`crate::kernel`] scan for
-//!   every listed query with that query's state hot in cache (the loop
-//!   order is cell → chunk → query → tuple) — replay scoring never
-//!   resolves a tuple by id and never copies a coordinate;
+//!   listed cell's influence list is walked once per tick and the run's
+//!   packed chunks stream through the dim-specialized [`crate::kernel`]
+//!   scan for every listed query with that query's state hot in cache
+//!   (the loop order is cell → chunk → query → tuple) — replay scoring
+//!   never resolves a tuple by id and never copies a coordinate;
 //! * the arrival replay is two passes, *score-and-stage* then *merge*: an
 //!   arrival at or above its query's threshold is only appended to the
 //!   band's staged tail ([`Skyband::stage`], inside capacity the band
@@ -499,7 +502,7 @@ impl<P: BandPolicy> QueryMaintenance for BandMaintenance<P> {
             policy: _,
         } = self;
         affected.clear();
-        let (influence, queries) = table.split();
+        let (influence, queries, events) = table.group_events(shared);
 
         // ---- Pins (Figure 9 lines 3-7, Figure 11 lines 4-11), inverted:
         // cell → chunk → query → tuple, in two passes. Score-and-stage:
@@ -511,12 +514,10 @@ impl<P: BandPolicy> QueryMaintenance for BandMaintenance<P> {
         // slice; a query still sees its run in arrival order). Arrivals
         // scoring at/above the admission threshold are only *staged* in
         // their query's band, which merges early just when its spare
-        // capacity runs out.
-        for (cell, ids) in shared.arrival_runs() {
+        // capacity runs out. Every run's cell is listed: the table kept
+        // only those.
+        for (cell, ids) in events.arrival_runs() {
             let slots = influence.as_slice(cell);
-            if slots.is_empty() {
-                continue;
-            }
             let Some(ids) = live_suffix(shared.timeline(), ids) else {
                 continue;
             };
@@ -581,7 +582,7 @@ impl<P: BandPolicy> QueryMaintenance for BandMaintenance<P> {
         // so "older than the oldest live tuple" identifies the expired
         // band entries exactly.
         let mut probes = 0usize;
-        for (cell, tuples) in shared.expiry_runs() {
+        for (cell, tuples) in events.expiry_runs() {
             probes += influence.as_slice(cell).len() * tuples.len();
         }
         if probes > 2 * queries.len() {
@@ -594,7 +595,7 @@ impl<P: BandPolicy> QueryMaintenance for BandMaintenance<P> {
                 }
             }
         } else {
-            for (cell, tuples) in shared.expiry_runs() {
+            for (cell, tuples) in events.expiry_runs() {
                 for &slot in influence.as_slice(cell) {
                     stats.cell_probes += 1;
                     let (_, st) = queries.slot_mut(slot);

@@ -59,6 +59,9 @@ impl OracleMonitor {
         &self.window
     }
 
+    /// Scores every window tuple the query admits, sorts them best first
+    /// and keeps the top k, at k entries of capacity: a result must not
+    /// hold on to the buffer the whole window was sorted in.
     fn scan(window: &Window, query: &Query) -> Vec<Scored> {
         let mut all: Vec<Scored> = window
             .iter()
@@ -67,6 +70,7 @@ impl OracleMonitor {
             .collect();
         all.sort_by(|a, b| b.cmp(a));
         all.truncate(query.k);
+        all.shrink_to_fit();
         all
     }
 

@@ -8,8 +8,10 @@
 //! reports arrivals/expiries of qualifying tuples. Both sides are the
 //! shared ones: an [`IngestState`] stores the tuples, the queries live in
 //! the query table every grid stage uses (`crate::influence`), whose
-//! best-corner walk lists a query's static region, and each cycle's
-//! cell-grouped arrival and expiry runs are replayed against those lists.
+//! best-corner walk lists a query's static region, and each cycle the
+//! table groups the arrivals and expiries in listed cells by cell
+//! ([`crate::influence::ListedEvents`]) and they are replayed against
+//! those lists.
 
 use crate::influence::{QueryTable, TableEntry};
 use crate::ingest::{GridSpec, IngestState};
@@ -161,17 +163,14 @@ impl ThresholdMonitor {
     pub fn tick(&mut self, now: Timestamp, arrivals: &[f64]) -> Result<()> {
         let Self { ingest, table } = self;
         ingest.ingest(now, arrivals)?;
-        let (influence, queries) = table.split();
+        let (influence, queries, events) = table.group_events(ingest);
         for q in queries.states_mut() {
             q.added.clear();
             q.removed.clear();
         }
         let dims = ingest.dims();
-        for (cell, ids) in ingest.arrival_runs() {
+        for (cell, ids) in events.arrival_runs() {
             let slots = influence.as_slice(cell);
-            if slots.is_empty() {
-                continue;
-            }
             let Some(ids) = live_suffix(ingest.timeline(), ids) else {
                 continue;
             };
@@ -181,7 +180,7 @@ impl ThresholdMonitor {
                 }
             }
         }
-        for (cell, ids) in ingest.expiry_runs() {
+        for (cell, ids) in events.expiry_runs() {
             for &slot in influence.as_slice(cell) {
                 let (_, st) = queries.slot_mut(slot);
                 for id in ids {
@@ -278,6 +277,26 @@ mod tests {
             .unwrap();
         let added: Vec<TupleId> = m.added(QueryId(2)).unwrap().iter().map(|s| s.id).collect();
         assert_eq!(added, [TupleId(4), TupleId(5)]);
+        // Query 1 lists cells 2 and 3 only (`maxscore > 0.5`); with query
+        // 2 gone, no query lists cells 0 and 1. A tuple arriving there,
+        // and one expiring from there, is in neither delta; the next
+        // expiry from a listed cell and arrival into one still are.
+        m.remove_query(QueryId(2)).unwrap();
+        m.tick(Timestamp(3), &[0.1]).unwrap();
+        assert!(m.added(QueryId(1)).unwrap().is_empty());
+        assert!(
+            m.removed(QueryId(1)).unwrap().is_empty(),
+            "0.3 never matched"
+        );
+        m.tick(Timestamp(4), &[0.2]).unwrap();
+        assert!(m.added(QueryId(1)).unwrap().is_empty());
+        assert_eq!(m.removed(QueryId(1)).unwrap(), &[TupleId(5)]);
+        m.tick(Timestamp(5), &[0.6]).unwrap();
+        let added: Vec<TupleId> = m.added(QueryId(1)).unwrap().iter().map(|s| s.id).collect();
+        assert_eq!(added, [TupleId(8)]);
+        assert!(m.removed(QueryId(1)).unwrap().is_empty());
+        let matching: Vec<TupleId> = m.matching(QueryId(1)).unwrap().iter().copied().collect();
+        assert_eq!(matching, [TupleId(8)]);
     }
 
     /// Beyond its own struct, the monitor reports exactly the heap its

@@ -4,7 +4,9 @@
 //! transients, and Hash-mode removals — and the engines built on the
 //! cells must keep reporting the brute-force oracle's results. The
 //! staged batch ingest (`IngestState::ingest`) is held, cycle by cycle, to
-//! the per-tuple window→grid loop it replaced, and the per-cycle band merge
+//! the per-tuple window→grid loop it replaced — its raw event cells, and
+//! the query table's grouping of them (`ListedEvents`), to that loop's
+//! events — and the per-cycle band merge
 //! (arrivals staged per query, folded in by one sweep) to the oracle on
 //! the cycles that stress it: floods, overrun bursts, expiry waves.
 
@@ -12,12 +14,13 @@ mod common;
 
 use common::TrackedStream;
 use proptest::prelude::*;
+use topk_monitor::engines::influence::ListedEvents;
 use topk_monitor::engines::{
     GridSpec, IngestState, IngestStats, OracleMonitor, SmaMonitor, TmaMonitor,
 };
-use topk_monitor::grid::{CellId, CellMode, Grid};
+use topk_monitor::grid::{CellId, CellMode, Grid, InfluenceTable};
 use topk_monitor::{
-    Query, QueryId, ScoreFn, Scored, Timestamp, TupleId, UpdateOp, Window, WindowSpec,
+    Query, QueryId, QuerySlot, ScoreFn, Scored, Timestamp, TupleId, UpdateOp, Window, WindowSpec,
 };
 
 /// Rebuilds the expected per-cell contents from the window: every valid
@@ -106,7 +109,7 @@ impl PerTupleIngest {
 
 /// Checks one kind of runs against the reference's flat event list: one
 /// run per distinct cell, FIFO (ascending id) order inside a run, and the
-/// runs together exactly the cycle's `(cell, id)` events.
+/// runs together exactly the cycle's `(cell, id)` events in listed cells.
 fn assert_runs_cover<'a>(
     runs: impl Iterator<Item = (CellId, &'a [TupleId])>,
     want: &[(CellId, TupleId)],
@@ -149,26 +152,61 @@ fn assert_staged_matches(staged: &IngestState, reference: &PerTupleIngest, conte
             "{context}: points of {cid:?}"
         );
     }
-    assert_runs_cover(
-        staged.arrival_runs(),
-        &reference.arrivals,
-        &format!("{context}: arrivals"),
+    // The stage keeps every event's cell, in id order.
+    let events = |(first, cells): (TupleId, &[CellId])| -> Vec<(CellId, TupleId)> {
+        (first.0..)
+            .map(TupleId)
+            .zip(cells)
+            .map(|(id, &c)| (c, id))
+            .collect()
+    };
+    assert_eq!(
+        events(staged.arrival_cells()),
+        reference.arrivals,
+        "{context}: arrival cells"
     );
-    assert_runs_cover(
-        staged.expiry_runs(),
-        &reference.expiries,
-        &format!("{context}: expiries"),
+    assert_eq!(
+        events(staged.expiry_cells()),
+        reference.expiries,
+        "{context}: expiry cells"
     );
-    // Tail-slice invariant: a run's still-live tuples are the newest
-    // points of the cell, ids and coordinates alike.
-    let oldest = timeline.oldest().unwrap_or(TupleId(u64::MAX));
-    for (cell, ids) in staged.arrival_runs() {
-        let live = &ids[ids.partition_point(|id| *id < oldest)..];
-        let want = live.iter().map(|id| (*id, want.coords(*id).expect("live")));
-        assert!(
-            staged.arrival_run_points(cell, live.len()).iter().eq(want),
-            "{context}: tail slices of {cell:?}"
+    // A query table groups the events in its listed cells: with every
+    // cell listed, and with every other one.
+    for step in [1, 2] {
+        let listed = |cell: CellId| cell.0.is_multiple_of(step);
+        let mut influence = InfluenceTable::new(staged.grid().num_cells());
+        for cell in (0..staged.grid().num_cells() as u32).map(CellId) {
+            if listed(cell) {
+                influence.insert(cell, QuerySlot(0));
+            }
+        }
+        let mut grouped = ListedEvents::default();
+        grouped.group(&influence, staged);
+        let context = format!("{context}: every {step} cell(s) listed");
+        let kept = |all: &[(CellId, TupleId)]| -> Vec<(CellId, TupleId)> {
+            all.iter().copied().filter(|(c, _)| listed(*c)).collect()
+        };
+        assert_runs_cover(
+            grouped.arrival_runs(),
+            &kept(&reference.arrivals),
+            &format!("{context}: arrivals"),
         );
+        assert_runs_cover(
+            grouped.expiry_runs(),
+            &kept(&reference.expiries),
+            &format!("{context}: expiries"),
+        );
+        // Tail-slice invariant: a run's still-live tuples are the newest
+        // points of the cell, ids and coordinates alike.
+        let oldest = timeline.oldest().unwrap_or(TupleId(u64::MAX));
+        for (cell, ids) in grouped.arrival_runs() {
+            let live = &ids[ids.partition_point(|id| *id < oldest)..];
+            let want = live.iter().map(|id| (*id, want.coords(*id).expect("live")));
+            assert!(
+                staged.arrival_run_points(cell, live.len()).iter().eq(want),
+                "{context}: tail slices of {cell:?}"
+            );
+        }
     }
 }
 

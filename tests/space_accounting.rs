@@ -274,12 +274,26 @@ fn space_bytes_is_the_heap_the_server_owns() {
         let held = live_bytes() - before;
         assert_close(r.space_bytes(), held, 0.05, &format!("router {shape:?}"));
         drop(r);
-        let (_, n, q, ..) = shape;
+        let (dims, n, q, k, _) = shape;
         if n * q <= ORACLE_PAIRS {
             let before = live_bytes();
-            let m = warmed_oracle(shape);
+            let mut m = warmed_oracle(shape);
             let held = live_bytes() - before;
             assert_close(m.space_bytes(), held, 0.05, &format!("oracle {shape:?}"));
+            // A result keeps its k entries, not the capacity of the window
+            // it was selected from (≥ 16 B a resident tuple).
+            let said = m.space_bytes();
+            let f = QueryGen::new(dims, FnFamily::Linear, 7)
+                .expect("dims")
+                .workload(1)
+                .remove(0);
+            let query = Query::top_k(f, k).expect("k");
+            m.register_query(QueryId(q as u64), query).unwrap();
+            let grew = m.space_bytes() - said;
+            assert!(
+                grew < 1024,
+                "oracle {shape:?}: one top-{k} query over {n} tuples added {grew} bytes"
+            );
         }
     }
 }
