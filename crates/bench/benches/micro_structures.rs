@@ -1,14 +1,15 @@
 //! Criterion micro-benchmarks for the core data structures: the skyband,
-//! the grid, the window ring, the top-list and the whole-batch ingest
-//! stage.
+//! the grid, the window ring, the top-list, the whole-batch ingest stage
+//! and the query table's grouping of its events.
 
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use tkm_common::{ScoreFn, Scored, Timestamp, TupleId};
+use tkm_common::{QuerySlot, ScoreFn, Scored, Timestamp, TupleId};
+use tkm_core::influence::ListedEvents;
 use tkm_core::skyband::{MergeScratch, Skyband};
 use tkm_core::{GridSpec, IngestState};
-use tkm_grid::{CellMode, Grid};
+use tkm_grid::{CellId, CellMode, Grid, InfluenceTable};
 use tkm_window::{Window, WindowSpec};
 
 fn lcg(state: &mut u64) -> f64 {
@@ -102,6 +103,17 @@ fn bench_grid(c: &mut Criterion) {
             black_box(grid.locate(&p))
         })
     });
+    // The ingest stage's locate pass: 10k packed d = 4 points at once.
+    let mut state = 5u64;
+    let points: Vec<f64> = (0..10_000 * 4).map(|_| lcg(&mut state)).collect();
+    let mut cells = Vec::with_capacity(10_000);
+    group.bench_function("locate_batch_d4", |b| {
+        b.iter(|| {
+            cells.clear();
+            grid.locate_batch(black_box(&points), &mut cells);
+            black_box(cells.len())
+        })
+    });
     group.bench_function("maxscore_4d", |b| {
         let mut i = 0u32;
         b.iter(|| {
@@ -187,6 +199,25 @@ fn bench_ingest(c: &mut Criterion) {
             )
             .expect("ingest");
             black_box(s.stats().expirations)
+        })
+    });
+    // The query table's group-by of one r = 10k cycle of that stage: the
+    // cells of 10k arrivals and 10k expiries against an influence table
+    // listing one cell in 333, about 0.3 % of them (as on `ingest`).
+    let mut cycle =
+        IngestState::new(dims, WindowSpec::Count(n), GridSpec::default()).expect("config");
+    cycle.ingest(Timestamp(0), &batch(n)).expect("prefill");
+    cycle.ingest(Timestamp(1), &batch(10_000)).expect("cycle");
+    let cells = cycle.grid().num_cells();
+    let mut influence = InfluenceTable::new(cells);
+    for cell in (0..cells as u32).step_by(333) {
+        influence.insert(CellId(cell), QuerySlot(0));
+    }
+    let mut events = ListedEvents::default();
+    group.bench_function("group_events", |b| {
+        b.iter(|| {
+            events.group(black_box(&influence), &cycle);
+            black_box(events.arrival_runs().count())
         })
     });
     group.finish();

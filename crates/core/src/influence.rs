@@ -250,9 +250,14 @@ impl<T: HeapBytes> HeapBytes for QueryTable<T> {
 /// replay loop probes each cell's list once and streams the run's tuples
 /// through it. An event in a cell whose list is empty can change no
 /// result, so it is dropped here rather than grouped and skipped later.
-/// The group-by is two O(E) passes using an epoch-stamped per-cell table
-/// — no sort: the first stamps and counts the events in listed cells, the
-/// second scatters the events whose cell it stamped, stably.
+/// The group-by is two O(E) passes — no sort — that test each event's
+/// cell against the influence table's listed bit
+/// ([`InfluenceTable::is_listed`]) before they read anything per cell:
+/// the first gives each listed cell a run in a per-cell run table and
+/// counts its events, the second scatters the events of listed cells,
+/// stably. The run table is written for listed cells only and cleared
+/// through the run list before the grouping returns, so it needs no
+/// epoch and an unlisted event touches nothing but its bit.
 /// Runs come out in first-touched order with FIFO (arrival) order within
 /// each run; the replay loops never depend on the order *across* cells.
 ///
@@ -293,12 +298,11 @@ impl CellRuns {
 /// What one grouping needs only while it runs, shared by both kinds.
 #[derive(Debug, Default)]
 struct GroupScratch {
-    /// Per-cell `(epoch stamp, run index)`, sized at the first grouping:
-    /// the run index is valid while the stamp equals `epoch` (bumping the
-    /// epoch invalidates all entries in O(1)). One array, so a kept event
-    /// touches one cache line here, not two.
-    cell_run: Vec<(u32, u32)>,
-    epoch: u32,
+    /// Per-cell run index + 1, 0 for no run; sized at the first grouping.
+    /// Only listed cells are written, and [`GroupScratch::group`] zeroes
+    /// them again through its run list before it returns, so the table
+    /// is all zeros between groupings.
+    cell_run: Vec<u32>,
     /// Pass 2's per-run scatter cursors.
     cursors: Vec<u32>,
 }
@@ -320,25 +324,20 @@ impl GroupScratch {
             return;
         }
         if self.cell_run.len() < influence.num_cells() {
-            self.cell_run.resize(influence.num_cells(), (0, 0));
+            self.cell_run.resize(influence.num_cells(), 0);
         }
-        if self.epoch == u32::MAX {
-            self.cell_run.fill((0, 0));
-            self.epoch = 0;
-        }
-        self.epoch += 1;
         // Pass 1: one run per distinct listed cell (first-touched order),
-        // counting its events.
+        // counting its events. An unlisted cell costs one bit test.
         for &cell in cells {
-            if influence.as_slice(cell).is_empty() {
+            if !influence.is_listed(cell) {
                 continue;
             }
-            let slot = &mut self.cell_run[cell.0 as usize];
-            if slot.0 == self.epoch {
-                out.runs[slot.1 as usize].2 += 1;
-            } else {
-                *slot = (self.epoch, out.runs.len() as u32);
+            let run = &mut self.cell_run[cell.0 as usize];
+            if *run == 0 {
                 out.runs.push((cell, 0, 1));
+                *run = out.runs.len() as u32;
+            } else {
+                out.runs[*run as usize - 1].2 += 1;
             }
         }
         out.ids.reserve(cells.len());
@@ -351,20 +350,22 @@ impl GroupScratch {
             r.1 = start;
             start += r.2;
         }
-        // Pass 2: stable scatter of the events in stamped cells — event
+        // Pass 2: stable scatter of the events in listed cells — event
         // order is preserved within runs.
         self.cursors.clear();
         self.cursors.resize(out.runs.len(), 0);
         out.ids.resize(start as usize, TupleId(0));
         for (id, &cell) in (first.0..).zip(cells) {
-            let (stamp, run) = self.cell_run[cell.0 as usize];
-            if stamp != self.epoch {
+            if !influence.is_listed(cell) {
                 continue;
             }
-            let run = run as usize;
+            let run = self.cell_run[cell.0 as usize] as usize - 1;
             let at = out.runs[run].1 + self.cursors[run];
             self.cursors[run] += 1;
             out.ids[at as usize] = TupleId(id);
+        }
+        for &(cell, _, _) in &out.runs {
+            self.cell_run[cell.0 as usize] = 0;
         }
     }
 }
@@ -397,7 +398,7 @@ impl ListedEvents {
     }
 }
 
-/// The stamp table, the scratch and both kinds' runs.
+/// The run table, the scatter cursors and both kinds' runs.
 impl HeapBytes for ListedEvents {
     fn heap_bytes(&self) -> usize {
         let runs = |r: &CellRuns| r.runs.heap_bytes() + r.ids.heap_bytes();
@@ -475,6 +476,7 @@ mod tests {
     use crate::threshold::ThresholdMonitor;
     use crate::update_stream::UpdateStreamTma;
     use tkm_common::{Timestamp, TupleId};
+    use tkm_grid::influence::INLINE_CAP;
     use tkm_grid::{CellMode, CHUNK_POINTS};
     use tkm_window::WindowSpec;
 
@@ -700,8 +702,9 @@ mod tests {
     /// The table keeps exactly the runs a grouping of every event has in
     /// its listed cells, run for run and id for id: over bursts larger
     /// than the window (same-cycle transients in both kinds), runs long
-    /// enough to straddle chunks, and a listing that changes between
-    /// cycles, so a cell listed in one cycle is unlisted in the next.
+    /// enough to straddle chunks, a listing that changes between cycles,
+    /// so a cell listed in one cycle is unlisted in the next, and a cell
+    /// whose list spilled and was emptied again, keeping its buffer.
     #[test]
     fn listed_runs_are_all_runs_restricted_to_listed_cells() {
         let mut shared = IngestState::new(2, WindowSpec::Count(30), GridSpec::PerDim(2)).unwrap();
@@ -712,13 +715,24 @@ mod tests {
         }
         let (mut all, mut kept) = (ListedEvents::default(), ListedEvents::default());
         let (mut straddled, mut transients, mut dropped) = (false, false, false);
+        let mut emptied_dropped = false;
         for (cycle, count) in [100, 100, 7, 60, 0, 45, 3, 80].into_iter().enumerate() {
-            // Cell `cycle % 4`, and cell 3 on even cycles only.
+            // Cell `cycle % 4`, and cell 3 on even cycles only; cell
+            // `(cycle + 2) % 4` is neither, and its list spills and empties.
             let mut listed = InfluenceTable::new(cells as usize);
             listed.insert(CellId(cycle as u32 % cells), QuerySlot(1));
             if cycle % 2 == 0 {
                 listed.insert(CellId(3), QuerySlot(2));
             }
+            let emptied = CellId((cycle as u32 + 2) % cells);
+            let spill = (0..=INLINE_CAP as u32).map(QuerySlot);
+            for q in spill.clone() {
+                listed.insert(emptied, q);
+            }
+            for q in spill {
+                listed.remove(emptied, q);
+            }
+            assert!(listed.heap_bytes() > InfluenceTable::new(cells as usize).heap_bytes());
             let batch = lcg_stream(cycle as u64, count, 2);
             shared.ingest(Timestamp(cycle as u64), &batch).unwrap();
             all.group(&every, &shared);
@@ -739,7 +753,11 @@ mod tests {
                 .iter()
                 .any(|(_, ids)| ids.iter().any(|id| *id >= first));
             dropped |= all.arrival_runs().count() > kept.arrival_runs().count();
+            let in_emptied = |runs: &ListedEvents| {
+                (runs.arrival_runs().chain(runs.expiry_runs())).any(|(cell, _)| cell == emptied)
+            };
+            emptied_dropped |= in_emptied(&all) && !in_emptied(&kept);
         }
-        assert!(straddled && transients && dropped);
+        assert!(straddled && transients && dropped && emptied_dropped);
     }
 }

@@ -119,8 +119,9 @@ mod tests {
     fn non_roots_count_no_inline_bytes() {
         let one_cell = IngestState::new(2, WindowSpec::Count(10), GridSpec::PerDim(1)).unwrap();
         let grid = one_cell.grid().heap_bytes();
-        // One cell: an influence list (16 B) and a visit stamp (4 B).
-        let stage = 16 + 4;
+        // One cell: an influence list (16 B), its listed-bit word (8 B)
+        // and a visit stamp (4 B).
+        let stage = 16 + 8 + 4;
         let table = [
             ("ComputeScratch", ComputeScratch::new(0).heap_bytes(), 0),
             (

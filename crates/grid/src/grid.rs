@@ -162,15 +162,20 @@ impl Grid {
         (0..self.num_cells() as u32).map(|i| (CellId(i), self.points(CellId(i))))
     }
 
-    /// Per-axis cell index of the cell covering a coordinate.
-    #[inline]
-    fn axis_index(&self, x: f64) -> usize {
+    /// Per-axis cell index of the cell covering a coordinate, in signed
+    /// arithmetic: x86-64 converts between `f64` and `i64` in one
+    /// instruction either way but has none for `u64`, so a `usize` index
+    /// would turn each of the three conversions below into a branchy
+    /// sequence. Every value here lies in `[0, per_dim]`, exact in both.
+    #[inline(always)]
+    fn axis_index(&self, x: f64) -> i64 {
         debug_assert!(
             (0.0..=1.0).contains(&x),
             "coordinates must lie in the unit workspace, got {x}"
         );
+        let last = self.per_dim as i64 - 1;
         let clamped = x.clamp(0.0, 1.0);
-        let mut idx = ((clamped * self.inv_delta) as usize).min(self.per_dim - 1);
+        let mut idx = ((clamped * self.inv_delta) as i64).min(last);
         // Floating-point guard: make the assignment consistent with the
         // closed cell bounds used by `maxscore` (idx·δ ≤ x ≤ (idx+1)·δ).
         if clamped < idx as f64 * self.delta {
@@ -182,21 +187,36 @@ impl Grid {
         // below 1.0 (e.g. per_dim = 49): x = 1.0 exceeds `per_dim·δ` yet
         // belongs to the last cell, whose upper bound is pinned to exactly
         // 1.0 in the bounds table.
-        idx.min(self.per_dim - 1)
+        idx.min(last)
     }
 
     /// The cell covering `coords`. Coordinates must lie in `[0,1]^d`.
     #[inline]
     pub fn locate(&self, coords: &[f64]) -> CellId {
         debug_assert_eq!(coords.len(), self.dims);
-        let mut linear = 0usize;
         // Row-major with dimension 0 fastest: linear = Σ idx_i · m^i.
-        let mut stride = 1usize;
-        for &x in coords.iter().take(self.dims) {
-            linear += self.axis_index(x) * stride;
-            stride *= self.per_dim;
+        let mut linear = 0i64;
+        for (&x, &stride) in coords.iter().zip(&self.strides[..self.dims]) {
+            linear += self.axis_index(x) * i64::from(stride);
         }
         CellId(linear as u32)
+    }
+
+    /// [`Grid::locate_batch`] for a grid of `D` dimensions: the axis loop
+    /// has a fixed trip count, so it unrolls.
+    fn locate_batch_fixed<const D: usize>(&self, coords: &[f64], out: &mut Vec<CellId>) {
+        debug_assert_eq!(D, self.dims);
+        let mut strides = [0i64; D];
+        for (s, &stride) in strides.iter_mut().zip(&self.strides) {
+            *s = i64::from(stride);
+        }
+        out.extend(coords.chunks_exact(D).map(|p| {
+            let mut linear = 0i64;
+            for (&x, &stride) in p.iter().zip(&strides) {
+                linear += self.axis_index(x) * stride;
+            }
+            CellId(linear as u32)
+        }));
     }
 
     /// Decomposes a cell id into per-axis indices (first `dims` entries of
@@ -284,8 +304,8 @@ impl Grid {
         for dim in 0..self.dims {
             (lo[dim], hi[dim]) = match rect {
                 Some(r) => (
-                    self.axis_index(r.lo()[dim].clamp(0.0, 1.0)),
-                    self.axis_index(r.hi()[dim].clamp(0.0, 1.0)),
+                    self.axis_index(r.lo()[dim].clamp(0.0, 1.0)) as usize,
+                    self.axis_index(r.hi()[dim].clamp(0.0, 1.0)) as usize,
                 ),
                 None => (0, self.per_dim - 1),
             };
@@ -341,9 +361,14 @@ impl Grid {
     /// Appends the covering cell of every point of a packed batch (`dims`
     /// values per point) to `out` — [`Grid::locate`] as a sequential pass
     /// that computes and touches no cell, so a later pass over `out` can
-    /// address the cells directly.
+    /// address the cells directly. The workloads' dimensionalities (2 and
+    /// 4) run a body specialised to them; the cells are the same.
     pub fn locate_batch(&self, coords: &[f64], out: &mut Vec<CellId>) {
-        out.extend(coords.chunks_exact(self.dims).map(|p| self.locate(p)));
+        match self.dims {
+            2 => self.locate_batch_fixed::<2>(coords, out),
+            4 => self.locate_batch_fixed::<4>(coords, out),
+            dims => out.extend(coords.chunks_exact(dims).map(|p| self.locate(p))),
+        }
     }
 
     /// Inserts a tuple into its covering cell (coordinates are copied into
@@ -584,6 +609,97 @@ mod tests {
             assert!(f.score(&[1.0, 0.5]) <= g.maxscore(mixed, &f));
             g.remove_point(&[1.0, 0.5], TupleId(0)).unwrap();
         }
+    }
+
+    /// Every k/m of a grid with `per_dim` cells an axis (as a quotient
+    /// and as k·δ, the guard's product), their one-ulp neighbours inside
+    /// the workspace, and its edge values.
+    fn edge_coords(per_dim: usize) -> Vec<f64> {
+        let delta = 1.0 / per_dim as f64;
+        let mut v = vec![
+            0.0,
+            -0.0,
+            1.0,
+            f64::MIN_POSITIVE / 2.0,
+            1.0 - f64::EPSILON / 2.0,
+        ];
+        for k in 0..=per_dim {
+            for x in [k as f64 / per_dim as f64, k as f64 * delta] {
+                let near = [x.next_down(), x, x.next_up()];
+                v.extend(near.into_iter().filter(|x| (0.0..=1.0).contains(x)));
+            }
+        }
+        v
+    }
+
+    /// The axis index in unsigned arithmetic, conversions and all: the
+    /// reference the signed ones must match.
+    fn unsigned_axis_index(g: &Grid, x: f64) -> usize {
+        let clamped = x.clamp(0.0, 1.0);
+        let mut idx = ((clamped * g.per_dim as f64) as usize).min(g.per_dim - 1);
+        if clamped < idx as f64 * g.delta {
+            idx -= 1;
+        } else if clamped > (idx + 1) as f64 * g.delta {
+            idx += 1;
+        }
+        idx.min(g.per_dim - 1)
+    }
+
+    /// `locate_batch` (specialised at d = 2 and 4, generic otherwise)
+    /// gives every point the cell per-point `locate` gives it, which is
+    /// the cell unsigned arithmetic gave it and whose closed bounds
+    /// contain it: for every k/m, its neighbours and the edge values on
+    /// each axis, and seeded points, on grids from 1 to 256 cells an axis.
+    #[test]
+    fn locate_is_exact_at_every_cell_boundary() {
+        // Within `MAX_CELLS`, and small enough that the bounds tables
+        // of a debug test stay a few MB.
+        const MAX_TEST_CELLS: usize = 1 << 18;
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut lcg = || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut grids = 0;
+        for dims in 1..=6usize {
+            for per_dim in [1usize, 2, 5, 7, 12, 22, 30, 49, 256] {
+                if per_dim
+                    .checked_pow(dims as u32)
+                    .is_none_or(|n| n > MAX_TEST_CELLS)
+                {
+                    continue;
+                }
+                let g = Grid::new(dims, per_dim, CellMode::Fifo).unwrap();
+                grids += 1;
+                // Each edge value on each axis, the other axes cycling
+                // through the edge values too; then seeded points.
+                let edges = edge_coords(per_dim);
+                let mut batch = Vec::new();
+                for (i, &x) in edges.iter().enumerate() {
+                    for axis in 0..dims {
+                        let other = |j: usize| edges[(31 * i + 7 * j + 3) % edges.len()];
+                        batch.extend((0..dims).map(|j| if j == axis { x } else { other(j) }));
+                    }
+                }
+                batch.extend((0..200 * dims).map(|_| lcg()));
+                let mut cells = Vec::new();
+                g.locate_batch(&batch, &mut cells);
+                assert_eq!(cells.len(), batch.len() / dims);
+                for (&cell, p) in cells.iter().zip(batch.chunks_exact(dims)) {
+                    let context = format!("d = {dims}, m = {per_dim}, {p:?}");
+                    assert_eq!(cell, g.locate(p), "{context}");
+                    let want: Vec<usize> = p.iter().map(|&x| unsigned_axis_index(&g, x)).collect();
+                    assert_eq!(g.cell_coords(cell)[..dims], want[..], "{context}");
+                    let (lo, hi) = g.cell_lo_hi(cell);
+                    for (j, &x) in p.iter().enumerate() {
+                        assert!(lo[j] <= x && x <= hi[j], "{context}: axis {j}");
+                    }
+                }
+            }
+        }
+        assert_eq!(grids, 41);
     }
 
     #[test]

@@ -186,10 +186,21 @@ impl Timeline {
                 arrivals.len()
             )));
         }
-        if let Some(bad) = arrivals.iter().find(|x| !(0.0..=1.0).contains(*x)) {
-            return Err(TkmError::InvalidParameter(format!(
-                "tick: coordinate {bad} outside the unit workspace"
-            )));
+        // One branch-free pass (false for NaN: every comparison with it
+        // is); only a failed batch is searched for the value to name.
+        #[expect(
+            clippy::manual_range_contains,
+            reason = "`&` of both comparisons keeps the pass free of branches"
+        )]
+        let inside = arrivals
+            .iter()
+            .fold(true, |ok, &x| ok & (x >= 0.0) & (x <= 1.0));
+        if !inside {
+            if let Some(bad) = arrivals.iter().find(|x| !(0.0..=1.0).contains(*x)) {
+                return Err(TkmError::InvalidParameter(format!(
+                    "tick: coordinate {bad} outside the unit workspace"
+                )));
+            }
         }
         match self.newest_time() {
             Some(newest) if now < newest => Err(TkmError::InvalidParameter(format!(
@@ -730,6 +741,39 @@ mod tests {
         ];
         for (name, heap, want) in table {
             assert_eq!(heap, want, "{name}");
+        }
+    }
+
+    /// The unit-workspace check at its edges: −0.0 and subnormals are
+    /// inside; NaN and both infinities are refused wherever they sit in
+    /// the batch, the message names the first bad value even with a later
+    /// one behind it, and nothing is stored — on both window kinds.
+    #[test]
+    fn hostile_coordinates_are_named_and_change_nothing() {
+        let subnormal = f64::MIN_POSITIVE / 2.0;
+        assert!(subnormal > 0.0 && !subnormal.is_normal());
+        for mut w in [count(3, 5), time(3, 4)] {
+            w.insert(&[0.1, 0.2, 0.3], Timestamp(1)).unwrap();
+            let state = |w: &Window| (w.len(), w.oldest(), w.newest(), w.timeline().newest_time());
+            let before = state(&w);
+            let edges = [-0.0, subnormal, 1.0, 0.0, 5e-324, -0.0];
+            assert_eq!(w.validate_tick(Timestamp(2), &edges), Ok(()));
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                for at in [0, 4, 8] {
+                    let mut batch = [0.5; 9];
+                    batch[at] = bad;
+                    if at < 8 {
+                        batch[8] = 2.0;
+                    }
+                    let want = format!("tick: coordinate {bad} outside the unit workspace");
+                    assert_eq!(
+                        w.validate_tick(Timestamp(2), &batch),
+                        Err(TkmError::InvalidParameter(want)),
+                        "{bad} at {at}"
+                    );
+                    assert_eq!(state(&w), before, "{bad} at {at}");
+                }
+            }
         }
     }
 

@@ -35,7 +35,7 @@
 //! | `Grid::{locate_batch, push_at, remove_at}`, `PointArena::{push, remove}` | ingest alone, both streams |
 //! | `Grid::{insert_point, remove_point, maxscore}`, `kernel::score_point` | bare grid replay (no engine calls them per tick) |
 //! | `BandMaintenance::{apply_events, recompute, drain_changes}` | twin servers, both streams |
-//! | `ListedEvents::group` (the grouping buffers: stamp table, runs, ids; the ids reserved for the cycle's whole event count) | twin servers, both streams: `apply_events` groups first |
+//! | `ListedEvents::group` (the grouping buffers: run table, runs, ids; the ids reserved for the cycle's whole event count) | twin servers, both streams: `apply_events` groups first |
 //! | `kernel::scan_block`, `CellPoints::tail` | twin servers: arrival replay (`storm`'s constrained query takes the filter branch) |
 //! | `Skyband::{stage, merge, insert, expire}`, `tkm_core::skyband::sweep` | twin servers: arrival and expiry replay |
 //! | `Skyband::expire_before` | twin servers on `storm`: a hot group's expiry exceeds the probe budget |
