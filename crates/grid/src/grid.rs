@@ -202,23 +202,6 @@ impl Grid {
         CellId(linear as u32)
     }
 
-    /// [`Grid::locate_batch`] for a grid of `D` dimensions: the axis loop
-    /// has a fixed trip count, so it unrolls.
-    fn locate_batch_fixed<const D: usize>(&self, coords: &[f64], out: &mut Vec<CellId>) {
-        debug_assert_eq!(D, self.dims);
-        let mut strides = [0i64; D];
-        for (s, &stride) in strides.iter_mut().zip(&self.strides) {
-            *s = i64::from(stride);
-        }
-        out.extend(coords.chunks_exact(D).map(|p| {
-            let mut linear = 0i64;
-            for (&x, &stride) in p.iter().zip(&strides) {
-                linear += self.axis_index(x) * stride;
-            }
-            CellId(linear as u32)
-        }));
-    }
-
     /// Decomposes a cell id into per-axis indices (first `dims` entries of
     /// the returned array are meaningful). Reads the precomputed axis
     /// table — no div/mod chain.
@@ -361,14 +344,9 @@ impl Grid {
     /// Appends the covering cell of every point of a packed batch (`dims`
     /// values per point) to `out` — [`Grid::locate`] as a sequential pass
     /// that computes and touches no cell, so a later pass over `out` can
-    /// address the cells directly. The workloads' dimensionalities (2 and
-    /// 4) run a body specialised to them; the cells are the same.
+    /// address the cells directly.
     pub fn locate_batch(&self, coords: &[f64], out: &mut Vec<CellId>) {
-        match self.dims {
-            2 => self.locate_batch_fixed::<2>(coords, out),
-            4 => self.locate_batch_fixed::<4>(coords, out),
-            dims => out.extend(coords.chunks_exact(dims).map(|p| self.locate(p))),
-        }
+        out.extend(coords.chunks_exact(self.dims).map(|p| self.locate(p)));
     }
 
     /// Inserts a tuple into its covering cell (coordinates are copied into
@@ -645,11 +623,11 @@ mod tests {
         idx.min(g.per_dim - 1)
     }
 
-    /// `locate_batch` (specialised at d = 2 and 4, generic otherwise)
-    /// gives every point the cell per-point `locate` gives it, which is
-    /// the cell unsigned arithmetic gave it and whose closed bounds
-    /// contain it: for every k/m, its neighbours and the edge values on
-    /// each axis, and seeded points, on grids from 1 to 256 cells an axis.
+    /// `locate_batch` gives every point the cell per-point `locate` gives
+    /// it, which is the cell unsigned arithmetic gave it and whose closed
+    /// bounds contain it: for every k/m, its neighbours and the edge values
+    /// on each axis, and seeded points, on grids from 1 to 256 cells an
+    /// axis.
     #[test]
     fn locate_is_exact_at_every_cell_boundary() {
         // Within `MAX_CELLS`, and small enough that the bounds tables

@@ -186,21 +186,10 @@ impl Timeline {
                 arrivals.len()
             )));
         }
-        // One branch-free pass (false for NaN: every comparison with it
-        // is); only a failed batch is searched for the value to name.
-        #[expect(
-            clippy::manual_range_contains,
-            reason = "`&` of both comparisons keeps the pass free of branches"
-        )]
-        let inside = arrivals
-            .iter()
-            .fold(true, |ok, &x| ok & (x >= 0.0) & (x <= 1.0));
-        if !inside {
-            if let Some(bad) = arrivals.iter().find(|x| !(0.0..=1.0).contains(*x)) {
-                return Err(TkmError::InvalidParameter(format!(
-                    "tick: coordinate {bad} outside the unit workspace"
-                )));
-            }
+        if let Some(bad) = arrivals.iter().find(|x| !(0.0..=1.0).contains(*x)) {
+            return Err(TkmError::InvalidParameter(format!(
+                "tick: coordinate {bad} outside the unit workspace"
+            )));
         }
         match self.newest_time() {
             Some(newest) if now < newest => Err(TkmError::InvalidParameter(format!(
