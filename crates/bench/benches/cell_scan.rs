@@ -58,6 +58,8 @@ fn bench_cell_scan(c: &mut Criterion) {
         ("2", 2usize, N, 20_736usize),
         ("4", 4, N, 20_736),
         ("4-dense", 4, 48 * 256, 256),
+        // d = 6 runs the per-point reference rather than a fixed kernel.
+        ("6", 6, N, 20_736),
     ];
     for (label, dims, points, cells) in shapes {
         let fx = fixture(dims, points, cells);

@@ -52,15 +52,6 @@ impl Monotonicity {
             Monotonicity::Decreasing => lo,
         }
     }
-
-    /// The coordinate of the worst (score-minimising) side of `[lo, hi]`.
-    #[inline]
-    pub fn worst(self, lo: f64, hi: f64) -> f64 {
-        match self {
-            Monotonicity::Increasing => lo,
-            Monotonicity::Decreasing => hi,
-        }
-    }
 }
 
 /// A scoring function that is monotone on every dimension.
@@ -333,18 +324,6 @@ impl ScoreFn {
         }
         self.score(&corner[..self.dims()])
     }
-
-    /// Lower bound analogue of [`ScoreFn::max_score_rect`] (worst corner).
-    #[inline]
-    pub fn min_score_rect(&self, lo: &[f64], hi: &[f64]) -> f64 {
-        debug_assert_eq!(lo.len(), self.dims());
-        debug_assert_eq!(hi.len(), self.dims());
-        let mut corner = [0.0f64; MAX_DIMS];
-        for dim in 0..self.dims() {
-            corner[dim] = self.monotonicity(dim).worst(lo[dim], hi[dim]);
-        }
-        self.score(&corner[..self.dims()])
-    }
 }
 
 /// A built-in family's parameters, one `f64` a dimension. A `Custom`
@@ -414,7 +393,6 @@ mod tests {
         assert_eq!(f.score(&[0.5, 0.25]), 1.0);
         assert_eq!(f.monotonicity(0), Monotonicity::Increasing);
         assert_eq!(f.max_score_rect(&[0.0, 0.0], &[1.0, 1.0]), 3.0);
-        assert_eq!(f.min_score_rect(&[0.0, 0.0], &[1.0, 1.0]), 0.0);
     }
 
     #[test]
@@ -425,7 +403,6 @@ mod tests {
         assert_eq!(f.monotonicity(0), Monotonicity::Increasing);
         assert_eq!(f.monotonicity(1), Monotonicity::Decreasing);
         assert_eq!(f.max_score_rect(&[0.0, 0.0], &[1.0, 1.0]), 1.0);
-        assert_eq!(f.min_score_rect(&[0.0, 0.0], &[1.0, 1.0]), -1.0);
     }
 
     #[test]

@@ -194,24 +194,15 @@ impl kernel::ScorerVisitor for Traversal<'_> {
         // R): tighter for boundary cells, and mandatory when `f` is only
         // monotone inside R (piecewise-monotone pieces). This runs on
         // every heap push.
-        let cell_bound = |cell: CellId| {
-            let (cell_lo, cell_hi) = grid.cell_lo_hi(cell);
-            match constraint {
-                Some(r) => {
-                    let mut lo = [0.0f64; MAX_DIMS];
-                    let mut hi = [0.0f64; MAX_DIMS];
-                    for dim in 0..dims {
-                        lo[dim] = cell_lo[dim].max(r.lo()[dim]);
-                        hi[dim] = cell_hi[dim].min(r.hi()[dim]);
-                        if lo[dim] > hi[dim] {
-                            // Disjoint (possible for range-boundary
-                            // cells): nothing inside can qualify.
-                            return f64::NEG_INFINITY;
-                        }
-                    }
-                    scorer.bound(&lo[..dims], &hi[..dims])
-                }
-                None => scorer.bound(cell_lo, cell_hi),
+        let cell_bound = |cell: CellId| match constraint {
+            Some(r) => match grid.clip_cell(cell, r) {
+                Some((lo, hi)) => scorer.bound(&lo[..dims], &hi[..dims]),
+                // Disjoint: nothing inside can qualify.
+                None => f64::NEG_INFINITY,
+            },
+            None => {
+                let (lo, hi) = grid.cell_lo_hi(cell);
+                scorer.bound(lo, hi)
             }
         };
 

@@ -7,19 +7,23 @@
 //! rectangle*. This module is those shapes, compiled well:
 //!
 //! * the [`ScoreFn`] enum is dispatched **once per call** (and, via
-//!   [`dispatch`], once per whole traversal), never once per point or per
+//!   `dispatch`, once per whole traversal), never once per point or per
 //!   heap push;
-//! * the common dimensionalities (d = 2, 3, 4 — the paper's evaluation
-//!   range, plus 1) are monomorphized via a const generic: weights,
-//!   offsets and constraint bounds live in fixed-size stack arrays, the
-//!   per-point reduction fully unrolls, and the compiler auto-vectorizes
-//!   the scan over the packed coordinate block;
-//! * other dimensionalities fall back to strided loops with the same
-//!   per-call dispatch.
+//! * each built-in family (linear, product, quadratic) states its
+//!   arithmetic once: the accumulator's start value, the fold of one axis
+//!   into it, and the parameter sign that makes an axis decreasing. One
+//!   kernel runs that arithmetic at the common dimensionalities (d = 2,
+//!   3, 4 — the paper's evaluation range, plus 1), monomorphized via a
+//!   const generic: the parameters live in a fixed-size stack array, the
+//!   per-point reduction fully unrolls, and the unconstrained scan scores
+//!   four points side by side;
+//! * every other case — d > 4, and user-supplied functions at any d —
+//!   runs the per-point reference, [`ScoreFn::score`] and
+//!   [`ScoreFn::max_score_rect`], with the same per-call dispatch.
 //!
-//! The centrepiece is the [`Scorer`] trait plus the [`dispatch`] visitor:
-//! a caller hands [`dispatch`] a generic closure-like visitor and receives
-//! it back instantiated with a concrete scorer — the top-k computation
+//! The centrepiece is the `Scorer` trait plus the `dispatch` visitor: a
+//! caller hands `dispatch` a generic closure-like visitor and receives it
+//! back instantiated with a concrete scorer — the top-k computation
 //! module runs its *entire* traversal (bounds on every heap push, scans of
 //! every processed cell) through one monomorphized scorer with zero enum
 //! matches inside the loop.
@@ -28,22 +32,20 @@
 //! point and leave all result book-keeping (top-lists, skybands, matching
 //! sets) to the caller's closure.
 
-// The fixed-dimensionality kernels index with `for d in 0..D` on purpose:
+// The fixed-dimensionality kernel indexes with `for d in 0..D` on purpose:
 // with a const bound the compiler proves the accesses in range, fully
 // unrolls the reduction, and vectorizes — the iterator forms clippy
 // prefers obscure exactly that.
 #![allow(clippy::needless_range_loop)]
+
+use std::marker::PhantomData;
 
 use tkm_common::{Rect, ScoreFn, TupleId};
 use tkm_grid::StoredIds;
 
 /// A scoring function pinned to a concrete family and dimensionality:
 /// the monomorphized view of a [`ScoreFn`] that the hot loops run on.
-pub trait Scorer {
-    /// Dimensionality (a compile-time constant for the fixed kernels, so
-    /// the default `scan` loop unrolls through inlining).
-    fn dims(&self) -> usize;
-
+pub(crate) trait Scorer {
     /// Evaluates the function on one packed point.
     fn score(&self, coords: &[f64]) -> f64;
 
@@ -53,86 +55,53 @@ pub trait Scorer {
 
     /// Invokes `emit(id, score)` for every point of the block inside
     /// `constraint` (all points when `None`).
-    #[inline]
     fn scan(
         &self,
         ids: StoredIds<'_>,
         coords: &[f64],
         constraint: Option<&Rect>,
         emit: impl FnMut(TupleId, f64),
-    ) where
-        Self: Sized,
-    {
-        scan_chunks(
-            self.dims(),
-            ids,
-            coords,
-            constraint,
-            |c| self.score(c),
-            emit,
-        );
-    }
+    );
 }
 
-/// A computation generic over the concrete scorer; [`dispatch`] resolves
+/// A computation generic over the concrete scorer; `dispatch` resolves
 /// the `(family, dims)` pair once and instantiates the visitor with it.
-pub trait ScorerVisitor {
+pub(crate) trait ScorerVisitor {
     /// The computation's result type.
     type Out;
     /// Runs the computation against a concrete scorer.
     fn visit<S: Scorer>(self, scorer: &S) -> Self::Out;
 }
 
-/// Resolves `f` to a concrete [`Scorer`] (monomorphized for d ≤ 4,
-/// strided fallback above) and runs `v` against it. One enum match per
-/// call — hot loops inside the visitor run dispatch-free.
+/// Resolves `f` to a concrete [`Scorer`] (a [`Kernel`] for the built-in
+/// families at d ≤ 4, the [`Reference`] otherwise) and runs `v` against
+/// it. One enum match per call — hot loops inside the visitor run
+/// dispatch-free.
 #[inline]
-pub fn dispatch<V: ScorerVisitor>(f: &ScoreFn, dims: usize, v: V) -> V::Out {
+pub(crate) fn dispatch<V: ScorerVisitor>(f: &ScoreFn, dims: usize, v: V) -> V::Out {
     match dims {
         1 => dispatch_fixed::<1, V>(f, v),
         2 => dispatch_fixed::<2, V>(f, v),
         3 => dispatch_fixed::<3, V>(f, v),
         4 => dispatch_fixed::<4, V>(f, v),
-        _ => match f {
-            ScoreFn::Linear(lf) => v.visit(&LinearDyn {
-                weights: lf.weights(),
-            }),
-            ScoreFn::Product(pf) => v.visit(&ProductDyn {
-                offsets: pf.offsets(),
-            }),
-            ScoreFn::Quadratic(qf) => v.visit(&QuadraticDyn {
-                weights: qf.weights(),
-            }),
-            ScoreFn::Custom(_) => v.visit(&CustomScorer { f, dims }),
-        },
+        _ => v.visit(&Reference { f, dims }),
     }
 }
 
 #[inline]
 fn dispatch_fixed<const D: usize, V: ScorerVisitor>(f: &ScoreFn, v: V) -> V::Out {
     match f {
-        ScoreFn::Linear(lf) => {
-            let mut weights = [0.0f64; D];
-            weights.copy_from_slice(lf.weights());
-            v.visit(&LinearK::<D> { weights })
-        }
-        ScoreFn::Product(pf) => {
-            let mut offsets = [0.0f64; D];
-            offsets.copy_from_slice(pf.offsets());
-            v.visit(&ProductK::<D> { offsets })
-        }
-        ScoreFn::Quadratic(qf) => {
-            let mut weights = [0.0f64; D];
-            weights.copy_from_slice(qf.weights());
-            v.visit(&QuadraticK::<D> { weights })
-        }
-        ScoreFn::Custom(_) => v.visit(&CustomScorer { f, dims: D }),
+        ScoreFn::Linear(lf) => v.visit(&Kernel::<Linear, D>::new(lf.weights())),
+        ScoreFn::Product(pf) => v.visit(&Kernel::<Product, D>::new(pf.offsets())),
+        ScoreFn::Quadratic(qf) => v.visit(&Kernel::<Quadratic, D>::new(qf.weights())),
+        ScoreFn::Custom(_) => v.visit(&Reference { f, dims: D }),
     }
 }
 
-/// The shared block loop: streams the packed coordinates in fixed-size
+/// The per-point block loop: streams the packed coordinates in `dims`-wide
 /// chunks, applies the constraint test, and hands passing points to
-/// `score` + `emit`. `D` is a compile-time chunk width where available.
+/// `score` + `emit`. `dims` is a compile-time constant on the kernel's
+/// constrained scans.
 #[inline(always)]
 fn scan_chunks(
     dims: usize,
@@ -172,302 +141,154 @@ fn scan_chunks(
 /// dependency through one accumulator.
 const LANES: usize = 4;
 
-/// Four-points-at-a-time scan shared by the fixed-dimensionality kernels.
-///
-/// `step` folds dimension `d` of one point into its lane accumulator with
-/// exactly the floating-point operation (and `d`-major order) of the
-/// kernel's `score`, so lane results are bitwise identical to the
-/// per-point path — the traversal's threshold comparisons must not depend
-/// on which path scored a tuple. Constrained scans keep the scalar path:
-/// the filter makes lanes diverge, and constrained queries are rare.
-#[inline(always)]
-fn scan_lanes<const D: usize>(
-    ids: StoredIds<'_>,
-    coords: &[f64],
-    init: f64,
-    step: impl Fn(&mut f64, usize, f64),
-    score: impl Fn(&[f64]) -> f64,
-    mut emit: impl FnMut(TupleId, f64),
-) {
-    debug_assert_eq!(coords.len(), ids.len() * D);
-    let n = ids.len();
-    let mut i = 0;
-    while i + LANES <= n {
-        let base = i * D;
-        let mut acc = [init; LANES];
+/// One built-in family's arithmetic, stated once. A point's score is
+/// `step` folded over its axes from `INIT`, in axis order — the same
+/// operations, in the same order, as the family's [`ScoreFn::score`] — and
+/// a rectangle's bound is the same fold over its preferred corner, which
+/// takes `lo` on the axes whose parameter is `decreasing` and `hi` on the
+/// rest, as [`ScoreFn::max_score_rect`] does.
+trait Family {
+    /// The accumulator before the first axis.
+    const INIT: f64;
+    /// Folds one axis, with parameter `param` and coordinate `x`.
+    fn step(acc: f64, param: f64, x: f64) -> f64;
+    /// Whether a parameter makes its axis decreasing.
+    fn decreasing(param: f64) -> bool;
+}
+
+/// `Σ wᵢ·xᵢ`.
+struct Linear;
+
+impl Family for Linear {
+    const INIT: f64 = 0.0;
+    #[inline(always)]
+    fn step(acc: f64, w: f64, x: f64) -> f64 {
+        acc + w * x
+    }
+    #[inline(always)]
+    fn decreasing(w: f64) -> bool {
+        w < 0.0
+    }
+}
+
+/// `Π (aᵢ + xᵢ)`, increasing on every axis (`aᵢ ≥ 0`).
+struct Product;
+
+impl Family for Product {
+    const INIT: f64 = 1.0;
+    #[inline(always)]
+    fn step(acc: f64, a: f64, x: f64) -> f64 {
+        acc * (a + x)
+    }
+    #[inline(always)]
+    fn decreasing(_a: f64) -> bool {
+        false
+    }
+}
+
+/// `Σ wᵢ·xᵢ²`.
+struct Quadratic;
+
+impl Family for Quadratic {
+    const INIT: f64 = 0.0;
+    #[inline(always)]
+    fn step(acc: f64, w: f64, x: f64) -> f64 {
+        acc + w * x * x
+    }
+    #[inline(always)]
+    fn decreasing(w: f64) -> bool {
+        w < 0.0
+    }
+}
+
+/// A built-in family at a compile-time dimensionality, its parameters in
+/// a fixed-size stack array.
+struct Kernel<F, const D: usize> {
+    params: [f64; D],
+    family: PhantomData<F>,
+}
+
+impl<F: Family, const D: usize> Kernel<F, D> {
+    #[inline(always)]
+    fn new(params: &[f64]) -> Self {
+        let mut fixed = [0.0f64; D];
+        fixed.copy_from_slice(params);
+        Kernel {
+            params: fixed,
+            family: PhantomData,
+        }
+    }
+}
+
+impl<F: Family, const D: usize> Scorer for Kernel<F, D> {
+    #[inline(always)]
+    fn score(&self, coords: &[f64]) -> f64 {
+        let mut acc = F::INIT;
         for d in 0..D {
-            for lane in 0..LANES {
-                step(&mut acc[lane], d, coords[base + lane * D + d]);
+            acc = F::step(acc, self.params[d], coords[d]);
+        }
+        acc
+    }
+
+    #[inline(always)]
+    fn bound(&self, lo: &[f64], hi: &[f64]) -> f64 {
+        let mut acc = F::INIT;
+        for d in 0..D {
+            let p = self.params[d];
+            acc = F::step(acc, p, if F::decreasing(p) { lo[d] } else { hi[d] });
+        }
+        acc
+    }
+
+    /// Unconstrained blocks are scored [`LANES`] points at a time, each
+    /// lane running `step` in the axis order of `score`, so lane results
+    /// are bitwise identical to the per-point path — the traversal's
+    /// threshold comparisons must not depend on which path scored a
+    /// tuple. Constrained scans keep the per-point loop: the filter makes
+    /// lanes diverge, and constrained queries are rare.
+    #[inline]
+    fn scan(
+        &self,
+        ids: StoredIds<'_>,
+        coords: &[f64],
+        constraint: Option<&Rect>,
+        mut emit: impl FnMut(TupleId, f64),
+    ) {
+        if constraint.is_some() {
+            scan_chunks(D, ids, coords, constraint, |c| self.score(c), emit);
+            return;
+        }
+        debug_assert_eq!(coords.len(), ids.len() * D);
+        let n = ids.len();
+        let mut i = 0;
+        while i + LANES <= n {
+            let base = i * D;
+            let mut acc = [F::INIT; LANES];
+            for d in 0..D {
+                for lane in 0..LANES {
+                    acc[lane] = F::step(acc[lane], self.params[d], coords[base + lane * D + d]);
+                }
             }
+            for lane in 0..LANES {
+                emit(ids.get(i + lane), acc[lane]);
+            }
+            i += LANES;
         }
-        for lane in 0..LANES {
-            emit(ids.get(i + lane), acc[lane]);
+        for j in i..n {
+            emit(ids.get(j), self.score(&coords[j * D..(j + 1) * D]));
         }
-        i += LANES;
-    }
-    for j in i..n {
-        emit(ids.get(j), score(&coords[j * D..(j + 1) * D]));
     }
 }
 
-/// `Σ wᵢ·xᵢ`, compile-time dimensionality.
-struct LinearK<const D: usize> {
-    weights: [f64; D],
-}
-
-impl<const D: usize> Scorer for LinearK<D> {
-    #[inline(always)]
-    fn score(&self, coords: &[f64]) -> f64 {
-        let mut acc = 0.0;
-        for d in 0..D {
-            acc += self.weights[d] * coords[d];
-        }
-        acc
-    }
-
-    #[inline]
-    fn scan(
-        &self,
-        ids: StoredIds<'_>,
-        coords: &[f64],
-        constraint: Option<&Rect>,
-        emit: impl FnMut(TupleId, f64),
-    ) {
-        if constraint.is_some() {
-            scan_chunks(D, ids, coords, constraint, |c| self.score(c), emit);
-            return;
-        }
-        scan_lanes::<D>(
-            ids,
-            coords,
-            0.0,
-            |acc, d, x| *acc += self.weights[d] * x,
-            |c| self.score(c),
-            emit,
-        );
-    }
-
-    #[inline(always)]
-    fn bound(&self, lo: &[f64], hi: &[f64]) -> f64 {
-        let mut acc = 0.0;
-        for d in 0..D {
-            let w = self.weights[d];
-            acc += w * if w < 0.0 { lo[d] } else { hi[d] };
-        }
-        acc
-    }
-
-    #[inline(always)]
-    fn dims(&self) -> usize {
-        D
-    }
-}
-
-/// `Σ wᵢ·xᵢ`, runtime dimensionality.
-struct LinearDyn<'a> {
-    weights: &'a [f64],
-}
-
-impl Scorer for LinearDyn<'_> {
-    #[inline]
-    fn score(&self, coords: &[f64]) -> f64 {
-        let mut acc = 0.0;
-        for (w, x) in self.weights.iter().zip(coords) {
-            acc += w * x;
-        }
-        acc
-    }
-
-    #[inline]
-    fn bound(&self, lo: &[f64], hi: &[f64]) -> f64 {
-        let mut acc = 0.0;
-        for ((&w, &l), &h) in self.weights.iter().zip(lo).zip(hi) {
-            acc += w * if w < 0.0 { l } else { h };
-        }
-        acc
-    }
-
-    #[inline]
-    fn dims(&self) -> usize {
-        self.weights.len()
-    }
-}
-
-/// `Π (aᵢ + xᵢ)`, compile-time dimensionality (increasing on every axis).
-struct ProductK<const D: usize> {
-    offsets: [f64; D],
-}
-
-impl<const D: usize> Scorer for ProductK<D> {
-    #[inline(always)]
-    fn score(&self, coords: &[f64]) -> f64 {
-        let mut acc = 1.0;
-        for d in 0..D {
-            acc *= self.offsets[d] + coords[d];
-        }
-        acc
-    }
-
-    #[inline]
-    fn scan(
-        &self,
-        ids: StoredIds<'_>,
-        coords: &[f64],
-        constraint: Option<&Rect>,
-        emit: impl FnMut(TupleId, f64),
-    ) {
-        if constraint.is_some() {
-            scan_chunks(D, ids, coords, constraint, |c| self.score(c), emit);
-            return;
-        }
-        scan_lanes::<D>(
-            ids,
-            coords,
-            1.0,
-            |acc, d, x| *acc *= self.offsets[d] + x,
-            |c| self.score(c),
-            emit,
-        );
-    }
-
-    #[inline(always)]
-    fn bound(&self, _lo: &[f64], hi: &[f64]) -> f64 {
-        let mut acc = 1.0;
-        for d in 0..D {
-            acc *= self.offsets[d] + hi[d];
-        }
-        acc
-    }
-
-    #[inline(always)]
-    fn dims(&self) -> usize {
-        D
-    }
-}
-
-/// `Π (aᵢ + xᵢ)`, runtime dimensionality.
-struct ProductDyn<'a> {
-    offsets: &'a [f64],
-}
-
-impl Scorer for ProductDyn<'_> {
-    #[inline]
-    fn score(&self, coords: &[f64]) -> f64 {
-        let mut acc = 1.0;
-        for (a, x) in self.offsets.iter().zip(coords) {
-            acc *= a + x;
-        }
-        acc
-    }
-
-    #[inline]
-    fn bound(&self, _lo: &[f64], hi: &[f64]) -> f64 {
-        let mut acc = 1.0;
-        for (&a, &h) in self.offsets.iter().zip(hi) {
-            acc *= a + h;
-        }
-        acc
-    }
-
-    #[inline]
-    fn dims(&self) -> usize {
-        self.offsets.len()
-    }
-}
-
-/// `Σ wᵢ·xᵢ²`, compile-time dimensionality.
-struct QuadraticK<const D: usize> {
-    weights: [f64; D],
-}
-
-impl<const D: usize> Scorer for QuadraticK<D> {
-    #[inline(always)]
-    fn score(&self, coords: &[f64]) -> f64 {
-        let mut acc = 0.0;
-        for d in 0..D {
-            acc += self.weights[d] * coords[d] * coords[d];
-        }
-        acc
-    }
-
-    #[inline]
-    fn scan(
-        &self,
-        ids: StoredIds<'_>,
-        coords: &[f64],
-        constraint: Option<&Rect>,
-        emit: impl FnMut(TupleId, f64),
-    ) {
-        if constraint.is_some() {
-            scan_chunks(D, ids, coords, constraint, |c| self.score(c), emit);
-            return;
-        }
-        scan_lanes::<D>(
-            ids,
-            coords,
-            0.0,
-            |acc, d, x| *acc += self.weights[d] * x * x,
-            |c| self.score(c),
-            emit,
-        );
-    }
-
-    #[inline(always)]
-    fn bound(&self, lo: &[f64], hi: &[f64]) -> f64 {
-        let mut acc = 0.0;
-        for d in 0..D {
-            let w = self.weights[d];
-            let c = if w < 0.0 { lo[d] } else { hi[d] };
-            acc += w * c * c;
-        }
-        acc
-    }
-
-    #[inline(always)]
-    fn dims(&self) -> usize {
-        D
-    }
-}
-
-/// `Σ wᵢ·xᵢ²`, runtime dimensionality.
-struct QuadraticDyn<'a> {
-    weights: &'a [f64],
-}
-
-impl Scorer for QuadraticDyn<'_> {
-    #[inline]
-    fn score(&self, coords: &[f64]) -> f64 {
-        let mut acc = 0.0;
-        for (w, x) in self.weights.iter().zip(coords) {
-            acc += w * x * x;
-        }
-        acc
-    }
-
-    #[inline]
-    fn bound(&self, lo: &[f64], hi: &[f64]) -> f64 {
-        let mut acc = 0.0;
-        for ((&w, &l), &h) in self.weights.iter().zip(lo).zip(hi) {
-            let c = if w < 0.0 { l } else { h };
-            acc += w * c * c;
-        }
-        acc
-    }
-
-    #[inline]
-    fn dims(&self) -> usize {
-        self.weights.len()
-    }
-}
-
-/// User-supplied monotone functions: the dynamic call stays, but the
-/// per-point enum match and the per-push corner staging are gone.
-struct CustomScorer<'a> {
+/// The per-point reference, [`ScoreFn::score`] and
+/// [`ScoreFn::max_score_rect`]: user-supplied functions at any d, and
+/// the built-in families above d = 4.
+struct Reference<'a> {
     f: &'a ScoreFn,
     dims: usize,
 }
 
-impl Scorer for CustomScorer<'_> {
+impl Scorer for Reference<'_> {
     #[inline]
     fn score(&self, coords: &[f64]) -> f64 {
         self.f.score(coords)
@@ -479,8 +300,14 @@ impl Scorer for CustomScorer<'_> {
     }
 
     #[inline]
-    fn dims(&self) -> usize {
-        self.dims
+    fn scan(
+        &self,
+        ids: StoredIds<'_>,
+        coords: &[f64],
+        constraint: Option<&Rect>,
+        emit: impl FnMut(TupleId, f64),
+    ) {
+        scan_chunks(self.dims, ids, coords, constraint, |c| self.score(c), emit);
     }
 }
 
@@ -654,44 +481,63 @@ mod tests {
         }
     }
 
+    /// Mixed signs and a −0.0, sliced to the dimensionality.
+    const MIXED: [f64; 6] = [-0.7, 1.3, -0.0, -1.2, 0.4, -0.6];
+
+    /// Every family at `dims`; the linear and quadratic ones with
+    /// [`MIXED`] weights and with their negation, so each axis is seen
+    /// decreasing and increasing at every dimensionality.
+    fn families(dims: usize) -> [ScoreFn; 5] {
+        let mixed = &MIXED[..dims];
+        let flipped: Vec<f64> = mixed.iter().map(|w| -w).collect();
+        [
+            ScoreFn::linear(mixed).unwrap(),
+            ScoreFn::linear(flipped.clone()).unwrap(),
+            ScoreFn::product((0..dims).map(|d| 0.1 * d as f64).collect::<Vec<_>>()).unwrap(),
+            ScoreFn::quadratic(mixed).unwrap(),
+            ScoreFn::quadratic(flipped).unwrap(),
+        ]
+    }
+
+    /// Constrained scans, on the fixed path (d ≤ 4) and the reference
+    /// path (d > 4), keep exactly the points inside the rectangle and
+    /// score them as the per-point reference does.
     #[test]
     fn constraint_filters_exactly() {
-        for dims in [2usize, 5] {
+        for dims in 1usize..=6 {
             let (ids, coords) = block(dims, 64);
-            let r = Rect::new(vec![0.25; dims], vec![0.75; dims]).unwrap();
-            let f = ScoreFn::linear(vec![1.0; dims]).unwrap();
-            let got = collect(&f, dims, &ids, &coords, Some(&r));
-            let want: Vec<(TupleId, f64)> = ids
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| r.contains(&coords[i * dims..(i + 1) * dims]))
-                .map(|(i, &id)| (id, f.score(&coords[i * dims..(i + 1) * dims])))
-                .collect();
-            assert_eq!(got, want);
-            assert!(got.len() < ids.len(), "constraint filtered something");
-            assert!(!got.is_empty(), "constraint kept something");
+            let r = Rect::new(vec![0.2; dims], vec![0.9; dims]).unwrap();
+            for f in &families(dims) {
+                let got = collect(f, dims, &ids, &coords, Some(&r));
+                let want: Vec<(TupleId, f64)> = ids
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, _)| r.contains(&coords[i * dims..(i + 1) * dims]))
+                    .map(|(i, &id)| (id, f.score(&coords[i * dims..(i + 1) * dims])))
+                    .collect();
+                let bits = |v: &[(TupleId, f64)]| -> Vec<(TupleId, u64)> {
+                    v.iter().map(|&(id, s)| (id, s.to_bits())).collect()
+                };
+                assert_eq!(bits(&got), bits(&want), "family {f:?} dims {dims}");
+                assert!(got.len() < ids.len(), "constraint filtered something");
+                assert!(!got.is_empty(), "constraint kept something");
+            }
         }
     }
 
     /// `cell_bound` (and thus `Scorer::bound`) must agree bitwise with the
-    /// generic preferred-corner evaluation it replaces — the traversal's
-    /// termination test compares these bounds against scores produced by
-    /// the same functions.
+    /// generic preferred-corner evaluation, on the fixed path and the
+    /// reference path — the traversal's termination test compares these
+    /// bounds against scores produced by the same functions.
     #[test]
     fn cell_bound_matches_max_score_rect() {
-        for dims in [1usize, 2, 3, 4, 6] {
+        for dims in 1usize..=6 {
             let lo: Vec<f64> = (0..dims).map(|d| 0.1 + d as f64 * 0.05).collect();
             let hi: Vec<f64> = lo.iter().map(|l| l + 0.2).collect();
-            let fns = [
-                ScoreFn::linear((0..dims).map(|d| d as f64 - 1.2).collect::<Vec<_>>()).unwrap(),
-                ScoreFn::linear(vec![0.0; dims]).unwrap(),
-                ScoreFn::product(vec![0.3; dims]).unwrap(),
-                ScoreFn::quadratic((0..dims).map(|d| 0.8 - d as f64).collect::<Vec<_>>()).unwrap(),
-            ];
-            for f in &fns {
+            for f in &families(dims) {
                 assert_eq!(
-                    cell_bound(f, &lo, &hi),
-                    f.max_score_rect(&lo, &hi),
+                    cell_bound(f, &lo, &hi).to_bits(),
+                    f.max_score_rect(&lo, &hi).to_bits(),
                     "family {f:?} dims {dims}"
                 );
             }

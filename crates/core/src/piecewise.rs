@@ -21,7 +21,7 @@
 //! monitor over the sliding window.
 //!
 //! Correctness relies on the computation module using **clipped** cell
-//! bounds (`Grid::maxscore_in`) for constrained traversals: a piece's
+//! bounds (`Grid::clip_cell`) for constrained traversals: a piece's
 //! declared monotonicity holds only inside its region, so upper bounds
 //! must be evaluated on `cell ∩ region`.
 

@@ -253,15 +253,18 @@ impl Grid {
         f.max_score_rect(lo, hi)
     }
 
-    /// Upper bound for the score of any point inside the *intersection* of
-    /// the cell with `rect`. Tighter than [`Grid::maxscore`] for boundary
-    /// cells of a constrained query, and required for correctness when `f`
-    /// is only monotone *inside* `rect` (piecewise-monotone queries): the
-    /// preferred corner of the clipped bounds stays within the region where
-    /// the declared monotonicity holds.
-    #[inline]
-    pub fn maxscore_in(&self, id: CellId, f: &ScoreFn, rect: &Rect) -> f64 {
-        debug_assert_eq!(f.dims(), self.dims);
+    /// The cell's closed bounds clipped to `rect`, as `(lo, hi)` arrays
+    /// whose first `dims` values are set, or `None` when the two are
+    /// disjoint (possible for range-boundary cells). The preferred corner
+    /// of the clipped bounds bounds every point of cell ∩ `rect`: tighter
+    /// than [`Grid::maxscore`] for boundary cells of a constrained query,
+    /// and required for correctness when `f` is only monotone *inside*
+    /// `rect` (piecewise-monotone queries), since that corner stays within
+    /// the region where the declared monotonicity holds. Always inlined:
+    /// it runs on every heap push of a constrained traversal, and an
+    /// out-of-line call returns both arrays through memory.
+    #[inline(always)]
+    pub fn clip_cell(&self, id: CellId, rect: &Rect) -> Option<([f64; MAX_DIMS], [f64; MAX_DIMS])> {
         let (cell_lo, cell_hi) = self.cell_lo_hi(id);
         let mut lo = [0.0f64; MAX_DIMS];
         let mut hi = [0.0f64; MAX_DIMS];
@@ -269,12 +272,10 @@ impl Grid {
             lo[dim] = cell_lo[dim].max(rect.lo()[dim]);
             hi[dim] = cell_hi[dim].min(rect.hi()[dim]);
             if lo[dim] > hi[dim] {
-                // Disjoint (possible for range-boundary cells): nothing
-                // inside can qualify.
-                return f64::NEG_INFINITY;
+                return None;
             }
         }
-        f.max_score_rect(&lo[..self.dims], &hi[..self.dims])
+        Some((lo, hi))
     }
 
     /// Per-axis cell index range `[lo, hi]` (inclusive) of the cells that
@@ -812,8 +813,19 @@ mod tests {
         assert_eq!(neighbours, vec![[1, 2, 2], [2, 1, 2], [2, 2, 1]]);
     }
 
+    /// The preferred corner of the clipped bounds, through
+    /// `ScoreFn::max_score_rect`; `f64::NEG_INFINITY` when disjoint, as
+    /// the traversal keys such a cell.
+    fn clipped_maxscore(g: &Grid, cell: CellId, f: &ScoreFn, rect: &Rect) -> f64 {
+        let d = g.dims();
+        g.clip_cell(cell, rect)
+            .map_or(f64::NEG_INFINITY, |(lo, hi)| {
+                f.max_score_rect(&lo[..d], &hi[..d])
+            })
+    }
+
     #[test]
-    fn maxscore_in_clips_to_rect() {
+    fn clip_cell_clips_to_rect() {
         let g = Grid::new(2, 4, CellMode::Fifo).unwrap();
         let f = linear2(1.0, 1.0);
         // Cell [0.25,0.5]×[0.25,0.5]; constraint only covers its lower-left
@@ -821,17 +833,23 @@ mod tests {
         let c = g.locate(&[0.3, 0.3]);
         let r = Rect::new(vec![0.0, 0.0], vec![0.375, 0.375]).unwrap();
         assert!((g.maxscore(c, &f) - 1.0).abs() < 1e-12);
-        assert!((g.maxscore_in(c, &f, &r) - 0.75).abs() < 1e-12);
+        let (lo, hi) = g.clip_cell(c, &r).unwrap();
+        assert_eq!(
+            (&lo[..2], &hi[..2]),
+            (&[0.25, 0.25][..], &[0.375, 0.375][..])
+        );
+        assert!((clipped_maxscore(&g, c, &f, &r) - 0.75).abs() < 1e-12);
         // Disjoint rect → nothing can qualify.
         let far = Rect::new(vec![0.9, 0.9], vec![1.0, 1.0]).unwrap();
-        assert_eq!(g.maxscore_in(c, &f, &far), f64::NEG_INFINITY);
+        assert!(g.clip_cell(c, &far).is_none());
+        assert_eq!(clipped_maxscore(&g, c, &f, &far), f64::NEG_INFINITY);
     }
 
     proptest! {
-        /// `maxscore_in` bounds every contained point inside cell ∩ rect
-        /// and never exceeds the unclipped bound.
+        /// The clipped bound bounds every contained point inside
+        /// cell ∩ rect and never exceeds the unclipped bound.
         #[test]
-        fn maxscore_in_is_tight_and_sound(
+        fn clip_cell_is_tight_and_sound(
             x in 0.0f64..=1.0,
             y in 0.0f64..=1.0,
             lo1 in 0.0f64..0.8,
@@ -848,7 +866,7 @@ mod tests {
                 vec![(lo1 + ext).min(1.0), (lo2 + ext).min(1.0)],
             ).unwrap();
             let cell = g.locate(&[x, y]);
-            let clipped = g.maxscore_in(cell, &f, &rect);
+            let clipped = clipped_maxscore(&g, cell, &f, &rect);
             prop_assert!(clipped <= g.maxscore(cell, &f) + 1e-12);
             if rect.contains(&[x, y]) {
                 prop_assert!(f.score(&[x, y]) <= clipped + 1e-9);
