@@ -1,13 +1,15 @@
 //! Criterion micro-benchmarks for the core data structures: the skyband,
-//! the grid, the window ring, the top-list, the whole-batch ingest stage
-//! and the query table's grouping of its events.
+//! the change report, the grid, the window ring, the whole-batch ingest
+//! stage and the query table's grouping of its events.
 
+use std::cell::RefCell;
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use tkm_common::{QuerySlot, ScoreFn, Scored, Timestamp, TupleId};
+use tkm_common::{QueryId, QuerySlot, ScoreFn, Scored, Timestamp, TupleId};
 use tkm_core::influence::ListedEvents;
 use tkm_core::skyband::{MergeScratch, Skyband};
+use tkm_core::ResultDelta;
 use tkm_core::{GridSpec, IngestState};
 use tkm_grid::{CellId, CellMode, Grid, InfluenceTable};
 use tkm_window::{Window, WindowSpec};
@@ -83,6 +85,100 @@ fn bench_skyband(c: &mut Criterion) {
             )
         });
     }
+    // The expiry sweep of a wave tick, which visits every band: 1024
+    // bands at depth 10, each the skyband of its own 60 arrivals, lose
+    // the arrivals older than the cutoff (the oldest tenth). The setup
+    // rebuilds the bands from their entries; one sample sweeps all 1024.
+    let seeds: Vec<Vec<Scored>> = (0..1024u64)
+        .map(|q| {
+            let mut sky = Skyband::new(10).expect("k > 0");
+            let mut state = q + 1;
+            for i in 0..60 {
+                sky.insert(Scored::new(lcg(&mut state), TupleId(i)));
+            }
+            sky.scored().to_vec()
+        })
+        .collect();
+    let pool = RefCell::new(Vec::new());
+    group.bench_function("expire_before_k10", |b| {
+        b.iter_batched(
+            || {
+                let mut bands: Vec<Skyband> = pool.take();
+                bands.resize_with(seeds.len(), || Skyband::new(10).expect("k > 0"));
+                for (sky, seed) in bands.iter_mut().zip(&seeds) {
+                    sky.rebuild(seed);
+                }
+                bands
+            },
+            |mut bands| {
+                let mut swept = 0;
+                for sky in &mut bands {
+                    swept += usize::from(sky.expire_before(TupleId(6)).is_some());
+                }
+                pool.replace(bands);
+                swept
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    group.finish();
+}
+
+/// A cycle's change report over 1024 top-10 results: most lost one to
+/// three entries to newcomers, an eighth are unchanged. The setup resets
+/// every reported baseline; one sample reports all 1024.
+fn bench_result(c: &mut Criterion) {
+    let mut group = c.benchmark_group("result");
+    group.sample_size(20);
+    let mut state = 17u64;
+    let mut next = 0u64;
+    let mut fresh = |state: &mut u64| {
+        next += 1;
+        Scored::new(lcg(state), TupleId(next))
+    };
+    let pairs: Vec<(Vec<Scored>, Vec<Scored>)> = (0..1024)
+        .map(|q| {
+            let mut old: Vec<Scored> = (0..10).map(|_| fresh(&mut state)).collect();
+            old.sort_by(|a, b| b.cmp(a));
+            let mut new = old.clone();
+            let moved = match q % 8 {
+                0 => 0,
+                r => 1 + r % 3,
+            };
+            for _ in 0..moved {
+                let gone = (lcg(&mut state) * new.len() as f64) as usize % new.len();
+                new.remove(gone);
+                new.push(fresh(&mut state));
+            }
+            new.sort_by(|a, b| b.cmp(a));
+            (old, new)
+        })
+        .collect();
+    let pool = RefCell::new((Vec::<Vec<Scored>>::new(), Vec::<ResultDelta>::new()));
+    group.bench_function("report_k10", |b| {
+        b.iter_batched(
+            || {
+                let (mut reported, mut out) = pool.take();
+                reported.resize_with(pairs.len(), || Vec::with_capacity(10));
+                for (baseline, (old, _)) in reported.iter_mut().zip(&pairs) {
+                    baseline.clear();
+                    baseline.extend_from_slice(old);
+                }
+                out.clear();
+                out.reserve(pairs.len());
+                (reported, out)
+            },
+            |(mut reported, mut out)| {
+                for (q, (baseline, (_, new))) in reported.iter_mut().zip(&pairs).enumerate() {
+                    ResultDelta::report(QueryId(q as u64), baseline, new, &mut out);
+                }
+                let changed = out.len();
+                pool.replace((reported, out));
+                changed
+            },
+            BatchSize::SmallInput,
+        )
+    });
     group.finish();
 }
 
@@ -226,6 +322,7 @@ fn bench_ingest(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_skyband,
+    bench_result,
     bench_grid,
     bench_window,
     bench_ingest

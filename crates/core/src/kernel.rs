@@ -8,7 +8,8 @@
 //!
 //! * the [`ScoreFn`] enum is dispatched **once per call** (and, via
 //!   `dispatch`, once per whole traversal), never once per point or per
-//!   heap push;
+//!   heap push; the maintenance replay resolves the dimensionality once
+//!   per cycle (`dispatch_dims`) and matches only the family per block;
 //! * each built-in family (linear, product, quadratic) states its
 //!   arithmetic once: the accumulator's start value, the fold of one axis
 //!   into it, and the parameter sign that makes an axis decreasing. One
@@ -79,22 +80,100 @@ pub(crate) trait ScorerVisitor {
 /// dispatch-free.
 #[inline]
 pub(crate) fn dispatch<V: ScorerVisitor>(f: &ScoreFn, dims: usize, v: V) -> V::Out {
-    match dims {
-        1 => dispatch_fixed::<1, V>(f, v),
-        2 => dispatch_fixed::<2, V>(f, v),
-        3 => dispatch_fixed::<3, V>(f, v),
-        4 => dispatch_fixed::<4, V>(f, v),
-        _ => v.visit(&Reference { f, dims }),
+    struct Resolve<'a, V> {
+        f: &'a ScoreFn,
+        v: V,
+    }
+    impl<V: ScorerVisitor> DimsVisitor for Resolve<'_, V> {
+        type Out = V::Out;
+        #[inline(always)]
+        fn visit<D: Dims>(self, dims: D) -> V::Out {
+            dims.resolve(self.f, self.v)
+        }
+    }
+    dispatch_dims(dims, Resolve { f, v })
+}
+
+/// A dimensionality resolved once for a stretch of work that all shares
+/// it — a whole maintenance replay cycle — so that each block scored
+/// within it matches only the function's family: [`Fixed`] at d = 1..=4,
+/// [`Runtime`] above.
+pub(crate) trait Dims: Copy {
+    /// Resolves `f` at this dimensionality (a [`Kernel`] for a built-in
+    /// family at d ≤ 4, the [`Reference`] otherwise) and runs `v` against
+    /// it.
+    fn resolve<V: ScorerVisitor>(self, f: &ScoreFn, v: V) -> V::Out;
+
+    /// [`scan_block`] at this dimensionality, inlined into the caller
+    /// with `emit`, so that the caller's per-block state never leaves
+    /// registers.
+    #[inline(always)]
+    fn scan(
+        self,
+        f: &ScoreFn,
+        ids: StoredIds<'_>,
+        coords: &[f64],
+        constraint: Option<&Rect>,
+        emit: impl FnMut(TupleId, f64),
+    ) {
+        self.resolve(
+            f,
+            ScanVisitor {
+                ids,
+                coords,
+                constraint,
+                emit,
+            },
+        );
     }
 }
 
+/// A dimensionality of 1 to 4, known at compile time.
+#[derive(Clone, Copy)]
+pub(crate) struct Fixed<const D: usize>;
+
+impl<const D: usize> Dims for Fixed<D> {
+    #[inline(always)]
+    fn resolve<V: ScorerVisitor>(self, f: &ScoreFn, v: V) -> V::Out {
+        match f {
+            ScoreFn::Linear(lf) => v.visit(&Kernel::<Linear, D>::new(lf.weights())),
+            ScoreFn::Product(pf) => v.visit(&Kernel::<Product, D>::new(pf.offsets())),
+            ScoreFn::Quadratic(qf) => v.visit(&Kernel::<Quadratic, D>::new(qf.weights())),
+            ScoreFn::Custom(_) => v.visit(&Reference { f, dims: D }),
+        }
+    }
+}
+
+/// A dimensionality above 4, known at run time: every function runs the
+/// reference.
+#[derive(Clone, Copy)]
+pub(crate) struct Runtime(usize);
+
+impl Dims for Runtime {
+    #[inline(always)]
+    fn resolve<V: ScorerVisitor>(self, f: &ScoreFn, v: V) -> V::Out {
+        v.visit(&Reference { f, dims: self.0 })
+    }
+}
+
+/// A computation generic over the dimensionality; [`dispatch_dims`]
+/// matches `dims` once and instantiates the visitor with it.
+pub(crate) trait DimsVisitor {
+    /// The computation's result type.
+    type Out;
+    /// Runs the computation at the dimensionality `dims`.
+    fn visit<D: Dims>(self, dims: D) -> Self::Out;
+}
+
+/// Resolves `dims` to a [`Dims`] and runs `v` at it: one match per call.
 #[inline]
-fn dispatch_fixed<const D: usize, V: ScorerVisitor>(f: &ScoreFn, v: V) -> V::Out {
-    match f {
-        ScoreFn::Linear(lf) => v.visit(&Kernel::<Linear, D>::new(lf.weights())),
-        ScoreFn::Product(pf) => v.visit(&Kernel::<Product, D>::new(pf.offsets())),
-        ScoreFn::Quadratic(qf) => v.visit(&Kernel::<Quadratic, D>::new(qf.weights())),
-        ScoreFn::Custom(_) => v.visit(&Reference { f, dims: D }),
+pub(crate) fn dispatch_dims<V: DimsVisitor>(dims: usize, v: V) -> V::Out {
+    match dims {
+        1 => v.visit(Fixed::<1>),
+        2 => v.visit(Fixed::<2>),
+        3 => v.visit(Fixed::<3>),
+        4 => v.visit(Fixed::<4>),
+        _ => v.visit(Runtime(dims)),
     }
 }
 
@@ -320,7 +399,7 @@ struct ScanVisitor<'a, E> {
 
 impl<E: FnMut(TupleId, f64)> ScorerVisitor for ScanVisitor<'_, E> {
     type Out = ();
-    #[inline]
+    #[inline(always)]
     fn visit<S: Scorer>(self, scorer: &S) {
         scorer.scan(self.ids, self.coords, self.constraint, self.emit);
     }

@@ -65,6 +65,13 @@
 //!   scan for every listed query with that query's state hot in cache
 //!   (the loop order is cell → chunk → query → tuple) — replay scoring
 //!   never resolves a tuple by id and never copies a coordinate;
+//! * the scoring kernel is resolved once per cycle: the arrival pass runs
+//!   at the dimensionality `kernel::dispatch_dims` matches once per
+//!   [`QueryMaintenance::apply_events`], and each (run slice, listed
+//!   query) pair matches only its function's family and runs that
+//!   family's fixed-dimension scan inlined, so the staging flags stay in
+//!   registers (d > 4 and custom functions run the per-point reference,
+//!   constrained queries the constrained scan);
 //! * the arrival replay is two passes, *score-and-stage* then *merge*: an
 //!   arrival at or above its query's threshold is only appended to the
 //!   band's staged tail ([`Skyband::stage`], inside capacity the band
@@ -98,15 +105,16 @@
 
 use std::marker::PhantomData;
 
-use crate::influence::{QueryTable, Recomputed, TableEntry};
+use crate::influence::{ListedEvents, QueryTable, Recomputed, TableEntry};
 use crate::ingest::IngestState;
-use crate::kernel;
+use crate::kernel::{self, Dims, DimsVisitor};
 use crate::query::Query;
+use crate::registry::QueryRegistry;
 use crate::result::{ResultDelta, TopList};
 use crate::skyband::{tuned_kmax, MergeScratch, Skyband};
 use crate::stats::EngineStats;
 use tkm_common::{HeapBytes, QueryId, QuerySlot, Rect, Result, ScoreFn, Scored, TupleId};
-use tkm_grid::InfluenceTable;
+use tkm_grid::{InfluenceTable, StoredIds};
 use tkm_window::Timeline;
 
 /// The per-query monitoring state of one monitor.
@@ -286,6 +294,98 @@ impl Recomputed for BandQuery {
     }
     fn listed_above(&self) -> f64 {
         self.region_bound
+    }
+}
+
+impl BandQuery {
+    /// Scores one slice of an arrival run for this query and stages every
+    /// arrival at or above the admission threshold in its band. Returns
+    /// whether any arrival was staged and how many arrivals a merge forced
+    /// by a full band stored.
+    #[inline(always)]
+    fn stage_arrivals<D: Dims>(
+        &mut self,
+        dims: D,
+        ids: StoredIds<'_>,
+        coords: &[f64],
+        scratch: &mut MergeScratch,
+    ) -> (bool, usize) {
+        let admit = self.admit;
+        let band = &mut self.band;
+        let mut staged = false;
+        let mut stored = 0;
+        dims.scan(
+            &self.query.f,
+            ids,
+            coords,
+            self.query.constraint.as_ref(),
+            |id, score| {
+                if score >= admit {
+                    staged = true;
+                    stored += band.stage(Scored::new(score, id), scratch);
+                }
+            },
+        );
+        (staged, stored)
+    }
+}
+
+/// The score-and-stage pass of a cycle's arrival replay (module docs),
+/// run at the cycle's dimensionality: cell → chunk → query → tuple. The
+/// run's packed coordinates (the newest points of the cell's own chain,
+/// still warm from ingest) stream through the query's scoring kernel once
+/// per listed query; no window resolution per tuple. Each slice of the
+/// run is resolved once and handed to every listed query before the next
+/// one (a run is nearly always one slice; a query still sees its run in
+/// arrival order). Arrivals scoring at/above the admission threshold are
+/// only *staged* in their query's band, which merges early just when its
+/// spare capacity runs out. Every run's cell is listed: the table kept
+/// only those.
+struct StageArrivals<'a> {
+    shared: &'a IngestState,
+    influence: &'a InfluenceTable,
+    queries: &'a mut QueryRegistry<BandQuery>,
+    events: &'a ListedEvents,
+    stats: &'a mut EngineStats,
+    affected: &'a mut Vec<QuerySlot>,
+    scratch: &'a mut MergeScratch,
+}
+
+impl DimsVisitor for StageArrivals<'_> {
+    type Out = ();
+
+    fn visit<D: Dims>(self, dims: D) {
+        let StageArrivals {
+            shared,
+            influence,
+            queries,
+            events,
+            stats,
+            affected,
+            scratch,
+        } = self;
+        for (cell, ids) in events.arrival_runs() {
+            let slots = influence.as_slice(cell);
+            let Some(ids) = live_suffix(shared.timeline(), ids) else {
+                continue;
+            };
+            stats.cell_probes += slots.len() as u64;
+            stats.tuple_probes += (slots.len() * ids.len()) as u64;
+            for (ids, coords) in shared.arrival_run_points(cell, ids.len()).chunks() {
+                for &slot in slots {
+                    let (_, st) = queries.slot_mut(slot);
+                    let (staged, stored) = st.stage_arrivals(dims, ids, coords, scratch);
+                    if stored > 0 {
+                        stats.result_updates += stored as u64;
+                        st.stored_early = true;
+                    }
+                    if staged && !st.affected {
+                        st.affected = true;
+                        affected.push(slot);
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -489,7 +589,6 @@ impl<P: BandPolicy> QueryMaintenance for BandMaintenance<P> {
     }
 
     fn apply_events(&mut self, shared: &IngestState) -> Result<()> {
-        let dims = shared.dims();
         let Self {
             table,
             stats,
@@ -505,55 +604,19 @@ impl<P: BandPolicy> QueryMaintenance for BandMaintenance<P> {
         let (influence, queries, events) = table.group_events(shared);
 
         // ---- Pins (Figure 9 lines 3-7, Figure 11 lines 4-11), inverted:
-        // cell → chunk → query → tuple, in two passes. Score-and-stage:
-        // the run's packed coordinates (the newest points of the cell's
-        // own chain, still warm from ingest) stream through the scoring
-        // kernel once per listed query; no window resolution per tuple.
-        // Each slice of the run is resolved once and handed to every
-        // listed query before the next one (a run is nearly always one
-        // slice; a query still sees its run in arrival order). Arrivals
-        // scoring at/above the admission threshold are only *staged* in
-        // their query's band, which merges early just when its spare
-        // capacity runs out. Every run's cell is listed: the table kept
-        // only those.
-        for (cell, ids) in events.arrival_runs() {
-            let slots = influence.as_slice(cell);
-            let Some(ids) = live_suffix(shared.timeline(), ids) else {
-                continue;
-            };
-            stats.cell_probes += slots.len() as u64;
-            stats.tuple_probes += (slots.len() * ids.len()) as u64;
-            for (ids, coords) in shared.arrival_run_points(cell, ids.len()).chunks() {
-                for &slot in slots {
-                    let (_, st) = queries.slot_mut(slot);
-                    let admit = st.admit;
-                    let band = &mut st.band;
-                    let mut staged = false;
-                    let mut stored = 0;
-                    kernel::scan_block(
-                        &st.query.f,
-                        dims,
-                        ids,
-                        coords,
-                        st.query.constraint.as_ref(),
-                        |id, score| {
-                            if score >= admit {
-                                staged = true;
-                                stored += band.stage(Scored::new(score, id), merge_scratch);
-                            }
-                        },
-                    );
-                    if stored > 0 {
-                        stats.result_updates += stored as u64;
-                        st.stored_early = true;
-                    }
-                    if staged && !st.affected {
-                        st.affected = true;
-                        affected.push(slot);
-                    }
-                }
-            }
-        }
+        // score-and-stage, at the cycle's dimensionality (`StageArrivals`).
+        kernel::dispatch_dims(
+            shared.dims(),
+            StageArrivals {
+                shared,
+                influence,
+                queries: &mut *queries,
+                events,
+                stats: &mut *stats,
+                affected: &mut *affected,
+                scratch: &mut *merge_scratch,
+            },
+        );
 
         // Merge: the arrival runs are exhausted, so every band with staged
         // arrivals folds them in with one sweep — its whole cycle's worth
@@ -677,6 +740,7 @@ mod tests {
     use super::*;
     use crate::ingest::GridSpec;
     use crate::testutil::lcg_stream;
+    use proptest::prelude::*;
     use tkm_common::{ScoreFn, Timestamp};
     use tkm_window::WindowSpec;
 
@@ -711,5 +775,118 @@ mod tests {
             + m.seed.heap_bytes()
             + m.rec.heap_bytes();
         assert_eq!(m.heap_bytes(), members);
+    }
+
+    /// A linear, a product and a quadratic query at d = 2, 3, 4 (the
+    /// fixed-dimension kernels), a constrained one, and a d = 5 one (the
+    /// reference).
+    fn replay_queries() -> Vec<Query> {
+        let linear = |w: &[f64]| ScoreFn::linear(w).unwrap();
+        vec![
+            Query::top_k(linear(&[0.6, -0.4]), 2).unwrap(),
+            Query::top_k(ScoreFn::product(vec![0.1, 0.2, 0.3]).unwrap(), 2).unwrap(),
+            Query::top_k(ScoreFn::quadratic(vec![0.5, -0.2, 0.9, 0.1]).unwrap(), 3).unwrap(),
+            Query::constrained(
+                linear(&[1.0, 1.0]),
+                2,
+                Rect::new(vec![0.2, 0.1], vec![0.8, 0.7]).unwrap(),
+            )
+            .unwrap(),
+            Query::top_k(linear(&[0.3, -0.1, 0.7, 0.2, -0.5]), 1).unwrap(),
+        ]
+    }
+
+    /// One query's replay state with an empty band and threshold `admit`.
+    fn band_query(query: Query, admit: f64) -> BandQuery {
+        let band = Skyband::new(query.k).unwrap();
+        BandQuery {
+            query,
+            band,
+            admit,
+            reported: Vec::new(),
+            affected: false,
+            stored_early: false,
+            region_bound: f64::INFINITY,
+        }
+    }
+
+    /// Runs the arrival replay's per-pair step at the dimensionality
+    /// `dispatch_dims` resolves, as `apply_events` does.
+    struct Replay<'a> {
+        st: &'a mut BandQuery,
+        ids: StoredIds<'a>,
+        coords: &'a [f64],
+        scratch: &'a mut MergeScratch,
+    }
+
+    impl DimsVisitor for Replay<'_> {
+        type Out = (bool, usize);
+        fn visit<D: Dims>(self, dims: D) -> (bool, usize) {
+            self.st
+                .stage_arrivals(dims, self.ids, self.coords, self.scratch)
+        }
+    }
+
+    proptest! {
+        /// The arrival replay, with its kernel resolved once per cycle,
+        /// stages exactly the arrivals a per-pair `kernel::scan_block`
+        /// would: the same staged tail in the same order, the same merges
+        /// forced by a full band (bands start empty, so a block of more
+        /// than `k + k/2 + 1` admitted points forces one), the same
+        /// returned flags, and the same band after the cycle's merge.
+        /// Thresholds are −∞ or a block point's own score, so the
+        /// admission test meets equality.
+        #[test]
+        fn arrival_replay_stages_what_scan_block_would(
+            raw in prop::collection::vec(0.0f64..1.0, 0..60),
+            threshold_at in 0usize..16,
+        ) {
+            for query in replay_queries() {
+                let dims = query.dims();
+                let n = raw.len() / dims;
+                let coords = &raw[..n * dims];
+                let stored_ids: Vec<u32> = (0..n as u32).map(|i| 100 + 2 * i).collect();
+                let ids = StoredIds::new(&stored_ids, 100 + 2 * n as u64);
+                let admit = match threshold_at.checked_rem(n) {
+                    Some(i) if threshold_at < 12 => query.f.score(&coords[i * dims..][..dims]),
+                    _ => f64::NEG_INFINITY,
+                };
+
+                let mut st = band_query(query.clone(), admit);
+                let mut scratch = MergeScratch::default();
+                let got = kernel::dispatch_dims(
+                    dims,
+                    Replay { st: &mut st, ids, coords, scratch: &mut scratch },
+                );
+
+                let mut reference = band_query(query.clone(), admit);
+                let mut ref_scratch = MergeScratch::default();
+                let band = &mut reference.band;
+                let (mut staged, mut stored) = (false, 0);
+                kernel::scan_block(
+                    &query.f,
+                    dims,
+                    ids,
+                    coords,
+                    query.constraint.as_ref(),
+                    |id, score| {
+                        if score >= admit {
+                            staged = true;
+                            stored += band.stage(Scored::new(score, id), &mut ref_scratch);
+                        }
+                    },
+                );
+
+                prop_assert_eq!(got, (staged, stored), "dims {}", dims);
+                let bits = |v: &[Scored]| -> Vec<(u64, TupleId)> {
+                    v.iter().map(|e| (e.score.get().to_bits(), e.id)).collect()
+                };
+                prop_assert_eq!(bits(st.band.staged()), bits(reference.band.staged()));
+                prop_assert_eq!(bits(st.band.scored()), bits(reference.band.scored()));
+                st.band.merge(&mut scratch);
+                reference.band.merge(&mut ref_scratch);
+                prop_assert_eq!(bits(st.band.scored()), bits(reference.band.scored()));
+            }
+        }
     }
 }

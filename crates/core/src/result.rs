@@ -39,25 +39,41 @@ impl DeltaList {
     /// Appends an entry, spilling to the heap on the fourth.
     #[inline]
     pub fn push(&mut self, entry: Scored) {
+        self.push_within(entry, INLINE + 1);
+    }
+
+    /// Appends an entry that at most `more` further entries follow: a
+    /// spill to the heap reserves room for all of them at once.
+    #[inline]
+    fn push_within(&mut self, entry: Scored, more: usize) {
         match &mut self.0 {
             Repr::Inline { len, buf } if usize::from(*len) < INLINE => {
                 buf[usize::from(*len)] = entry;
                 *len += 1;
             }
-            Repr::Inline { buf, .. } => {
-                let mut spilled = Vec::with_capacity(2 * INLINE + 2);
-                spilled.extend_from_slice(buf);
-                spilled.push(entry);
-                self.0 = Repr::Heap(spilled);
-            }
+            Repr::Inline { .. } => self.spill(&[entry], more),
             Repr::Heap(v) => v.push(entry),
         }
     }
 
-    /// Appends every entry of `entries`.
+    /// Moves a full inline list to the heap, appending `entries`, with
+    /// room for `more` further entries.
+    #[cold]
+    fn spill(&mut self, entries: &[Scored], more: usize) {
+        let mut spilled = Vec::with_capacity(self.len() + entries.len() + more);
+        spilled.extend_from_slice(self);
+        spilled.extend_from_slice(entries);
+        self.0 = Repr::Heap(spilled);
+    }
+
+    /// Appends every entry of `entries`, spilling at most once.
     pub fn extend_from_slice(&mut self, entries: &[Scored]) {
-        for e in entries {
-            self.push(*e);
+        for (i, e) in entries.iter().enumerate() {
+            if let Repr::Heap(v) = &mut self.0 {
+                v.extend_from_slice(&entries[i..]);
+                return;
+            }
+            self.push_within(*e, entries.len() - i - 1);
         }
     }
 }
@@ -161,12 +177,29 @@ impl ResultDelta {
     }
 
     /// Diffs two best-first result lists. Scores are immutable per tuple,
-    /// so a single merge pass over the sorted lists suffices.
+    /// so the common prefix is skipped by tuple id and a single merge pass
+    /// over the rest suffices.
     pub fn diff(query: QueryId, old: &[Scored], new: &[Scored]) -> ResultDelta {
+        let mut delta = ResultDelta {
+            query,
+            added: DeltaList::new(),
+            removed: DeltaList::new(),
+        };
+        let same = common_prefix(old, new);
+        delta.fill(&old[same..], &new[same..]);
+        delta
+    }
+
+    /// The one diff routine behind [`ResultDelta::diff`] and
+    /// [`ResultDelta::report`]: appends to `added` the entries of `new`
+    /// that `old` lacks and to `removed` those of `old` that `new` lacks,
+    /// both best first, in one merge pass. A side that spills to the heap
+    /// reserves room for every entry that may still follow, so it
+    /// allocates once.
+    #[inline]
+    fn fill(&mut self, old: &[Scored], new: &[Scored]) {
         debug_assert!(old.windows(2).all(|w| w[0] > w[1]));
         debug_assert!(new.windows(2).all(|w| w[0] > w[1]));
-        let mut added = DeltaList::new();
-        let mut removed = DeltaList::new();
         let (mut i, mut j) = (0, 0);
         while i < old.len() && j < new.len() {
             match new[j].cmp(&old[i]) {
@@ -175,42 +208,60 @@ impl ResultDelta {
                     j += 1;
                 }
                 std::cmp::Ordering::Greater => {
-                    added.push(new[j]);
+                    self.added.push_within(new[j], new.len() - j - 1);
                     j += 1;
                 }
                 std::cmp::Ordering::Less => {
-                    removed.push(old[i]);
+                    self.removed.push_within(old[i], old.len() - i - 1);
                     i += 1;
                 }
             }
         }
-        added.extend_from_slice(&new[j..]);
-        removed.extend_from_slice(&old[i..]);
-        ResultDelta {
-            query,
-            added,
-            removed,
-        }
+        self.added.extend_from_slice(&new[j..]);
+        self.removed.extend_from_slice(&old[i..]);
     }
 
     /// The reporting step every engine ends a cycle with for a query whose
     /// result may have moved: diffs `current` against the query's
     /// last-reported result `reported`, and when they differ appends the
-    /// delta to `out` and refreshes `reported` in place (a copy into the
-    /// buffer it already owns).
-    pub(crate) fn report(
+    /// delta to `out` — built in place there, by the routine behind
+    /// [`ResultDelta::diff`] — and refreshes `reported` in place (a copy of
+    /// what follows the common prefix into the buffer it already owns).
+    pub fn report(
         query: QueryId,
         reported: &mut Vec<Scored>,
         current: &[Scored],
         out: &mut Vec<ResultDelta>,
     ) {
-        let delta = ResultDelta::diff(query, reported, current);
-        if !delta.is_empty() {
-            reported.clear();
-            reported.extend_from_slice(current);
-            out.push(delta);
+        let same = common_prefix(reported, current);
+        if same == reported.len() && same == current.len() {
+            return;
         }
+        out.push(ResultDelta {
+            query,
+            added: DeltaList::new(),
+            removed: DeltaList::new(),
+        });
+        if let Some(delta) = out.last_mut() {
+            delta.fill(&reported[same..], &current[same..]);
+            debug_assert!(!delta.is_empty(), "lists that differ after a prefix");
+        }
+        reported.truncate(same);
+        reported.extend_from_slice(&current[same..]);
     }
+}
+
+/// Length of the longest common prefix of two best-first result lists,
+/// compared by tuple id alone: a tuple's score never changes.
+#[inline]
+fn common_prefix(old: &[Scored], new: &[Scored]) -> usize {
+    let same = old
+        .iter()
+        .zip(new)
+        .take_while(|(a, b)| a.id == b.id)
+        .count();
+    debug_assert_eq!(old[..same], new[..same]);
+    same
 }
 
 /// A best-first list of at most `k` scored tuples.
@@ -391,6 +442,7 @@ impl HeapBytes for TopList {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn s(score: f64, id: u64) -> Scored {
         Scored::new(score, TupleId(id))
@@ -589,5 +641,74 @@ mod tests {
         }
         assert!(t.pool.len() <= 4 + 16, "pool pruned, was {}", t.pool.len());
         assert!(ties_of(&t).is_empty());
+    }
+
+    /// A side's heap buffer, if it spilled.
+    fn spilled(list: &DeltaList) -> Option<&Vec<Scored>> {
+        match &list.0 {
+            Repr::Inline { .. } => None,
+            Repr::Heap(v) => Some(v),
+        }
+    }
+
+    proptest! {
+        /// `report` leaves the same delta in `out` and the same `reported`
+        /// as `diff` followed by a copy, and `diff` is the set difference
+        /// of its two lists, best first. Both lists share `prefix` entries
+        /// of a best-first pool, then take their own subsets of the rest:
+        /// equal lists, shared prefixes of every length, disjoint lists,
+        /// an empty side and sides longer than `INLINE` all occur, and
+        /// four score levels give equal scores to distinct ids.
+        #[test]
+        fn report_is_diff_then_copy(
+            pool in prop::collection::vec((0u32..4, any::<bool>(), any::<bool>()), 0..24),
+            prefix in 0usize..25,
+        ) {
+            let mut entries: Vec<(Scored, bool, bool)> = pool
+                .iter()
+                .enumerate()
+                .map(|(i, &(level, in_old, in_new))| (s(level as f64 / 4.0, i as u64), in_old, in_new))
+                .collect();
+            entries.sort_by_key(|e| std::cmp::Reverse(e.0));
+            let prefix = prefix.min(entries.len());
+            let pick = |side: fn(&(Scored, bool, bool)) -> bool| -> Vec<Scored> {
+                entries
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, e)| *i < prefix || side(e))
+                    .map(|(_, e)| e.0)
+                    .collect()
+            };
+            let old = pick(|e| e.1);
+            let new = pick(|e| e.2);
+
+            let q = QueryId(9);
+            let delta = ResultDelta::diff(q, &old, &new);
+            let lacks = |a: &[Scored], b: &[Scored]| -> Vec<Scored> {
+                a.iter().filter(|e| !b.contains(e)).copied().collect()
+            };
+            prop_assert_eq!(&delta.added[..], &lacks(&new, &old)[..]);
+            prop_assert_eq!(&delta.removed[..], &lacks(&old, &new)[..]);
+            prop_assert_eq!(delta.is_empty(), old == new);
+            for (side, source) in [(&delta.added, &new), (&delta.removed, &old)] {
+                if let Some(v) = spilled(side) {
+                    prop_assert!(v.len() > INLINE && v.capacity() <= source.len());
+                }
+            }
+
+            let sentinel = ResultDelta::diff(QueryId(1), &[], &[s(0.5, 99)]);
+            let mut out = vec![sentinel.clone()];
+            let mut reported = old.clone();
+            reported.reserve(new.len());
+            let capacity = reported.capacity();
+            ResultDelta::report(q, &mut reported, &new, &mut out);
+            if delta.is_empty() {
+                prop_assert_eq!(&out, &vec![sentinel]);
+            } else {
+                prop_assert_eq!(&out, &vec![sentinel, delta]);
+            }
+            prop_assert_eq!(&reported, &new);
+            prop_assert_eq!(reported.capacity(), capacity);
+        }
     }
 }

@@ -275,6 +275,12 @@ impl Skyband {
         &self.scored[..self.dcs.len()]
     }
 
+    /// The staged arrivals awaiting [`Skyband::merge`], in staging order.
+    #[cfg(test)]
+    pub(crate) fn staged(&self) -> &[Scored] {
+        &self.scored[self.dcs.len()..]
+    }
+
     /// The dominance counters, parallel to [`Skyband::scored`].
     #[cfg(test)]
     #[inline]
@@ -495,31 +501,32 @@ impl Skyband {
     /// query). No counters change, for the same reason as in `expire`.
     /// Returns the smallest position among the removed entries (0 = best;
     /// `None` when nothing was removed).
-    pub(crate) fn expire_before(&mut self, cutoff: TupleId) -> Option<usize> {
+    ///
+    /// The pass starts at the first expired entry and compacts what
+    /// follows without a branch per entry: every entry is written to the
+    /// next free slot, which advances only past a survivor.
+    pub fn expire_before(&mut self, cutoff: TupleId) -> Option<usize> {
         debug_assert!(self.is_merged(), "staged arrivals outlived their cycle");
         if self.min_id >= cutoff {
             // Every retained entry is at least as new as the cutoff.
             return None;
         }
-        let mut first = None;
-        let mut write = 0;
-        for read in 0..self.scored.len() {
-            if self.scored[read].id < cutoff {
-                if first.is_none() {
-                    first = Some(read);
-                }
-            } else {
-                self.scored[write] = self.scored[read];
-                self.dcs[write] = self.dcs[read];
-                write += 1;
-            }
+        // Everything below the cutoff goes, so it becomes the new presence
+        // lower bound.
+        self.min_id = cutoff;
+        let n = self.dcs.len();
+        let (scored, dcs) = (&mut self.scored[..n], &mut self.dcs[..n]);
+        let first = scored.iter().position(|e| e.id < cutoff)?;
+        let mut write = first;
+        for read in first + 1..n {
+            let e = scored[read];
+            scored[write] = e;
+            dcs[write] = dcs[read];
+            write += usize::from(e.id >= cutoff);
         }
         self.scored.truncate(write);
         self.dcs.truncate(write);
-        // Everything below the cutoff is gone, so it becomes the new
-        // presence lower bound.
-        self.min_id = cutoff;
-        first
+        Some(first)
     }
 
     /// Removes every entry, staged ones included.
@@ -1068,6 +1075,75 @@ mod tests {
             arrivals.sort_by_key(|&(order, _)| order);
             let arrivals: Vec<Scored> = arrivals.into_iter().map(|(_, e)| e).collect();
             merge_vs_reference(&mut sky, &mut reference, &arrivals);
+        }
+
+        /// `expire_before` ≡ per-id `expire` of every entry below the
+        /// cutoff, oldest first: same entries and counters left, the same
+        /// first (smallest) position returned, and the presence bound
+        /// raised to the cutoff. Bands are built by inserts, rebuilds and
+        /// per-id expiries over ids with gaps; every cutoff from below the
+        /// oldest entry to above the newest is tried, and the empty band.
+        #[test]
+        fn expire_before_equals_per_id_expire(
+            k in 1usize..6,
+            ops in prop::collection::vec((0u32..8, 0u32..12, 1u64..4), 0..40),
+        ) {
+            let build = |sky: &mut Skyband| -> u64 {
+                let mut next = 3;
+                let mut valid: Vec<Scored> = Vec::new();
+                for &(kind, level, gap) in &ops {
+                    match kind {
+                        0..=5 => {
+                            let e = s(level as f64 / 12.0, next);
+                            next += gap;
+                            sky.insert(e);
+                            valid.push(e);
+                        }
+                        6 if !valid.is_empty() => {
+                            sky.expire(valid.remove(0).id);
+                        }
+                        7 => {
+                            let mut top = valid.clone();
+                            top.sort_by(|a, b| b.cmp(a));
+                            top.truncate(k + level as usize % 4);
+                            sky.rebuild(&top);
+                        }
+                        _ => {}
+                    }
+                }
+                next
+            };
+            let mut probe = Skyband::new(k).unwrap();
+            let newest = build(&mut probe);
+            for cutoff in 0..=newest + 1 {
+                let mut sky = Skyband::new(k).unwrap();
+                let mut reference = Skyband::new(k).unwrap();
+                build(&mut sky);
+                build(&mut reference);
+                let min_id = sky.min_id;
+                let first = sky.expire_before(TupleId(cutoff));
+                sky.check_invariants();
+
+                let mut expired: Vec<TupleId> = reference
+                    .scored()
+                    .iter()
+                    .map(|e| e.id)
+                    .filter(|&id| id < TupleId(cutoff))
+                    .collect();
+                expired.sort();
+                let positions: Vec<usize> = expired
+                    .iter()
+                    .filter_map(|&id| reference.expire(id))
+                    .collect();
+                prop_assert_eq!(positions.len(), expired.len());
+                prop_assert_eq!(first, positions.iter().copied().min());
+                prop_assert_eq!(band_pairs(&sky), band_pairs(&reference));
+                prop_assert_eq!(sky.min_id, min_id.max(TupleId(cutoff)));
+
+                let mut empty = Skyband::new(k).unwrap();
+                prop_assert_eq!(empty.expire_before(TupleId(cutoff)), None);
+                prop_assert!(empty.is_empty());
+            }
         }
     }
 }

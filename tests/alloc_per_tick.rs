@@ -36,7 +36,7 @@
 //! | `Grid::{insert_point, remove_point, maxscore}`, `kernel::score_point` | bare grid replay (no engine calls them per tick) |
 //! | `BandMaintenance::{apply_events, recompute, drain_changes}` | twin servers, both streams |
 //! | `ListedEvents::group` (the grouping buffers: run table, runs, ids; the ids reserved for the cycle's whole event count) | twin servers, both streams: `apply_events` groups first |
-//! | `kernel::scan_block`, `CellPoints::tail` | twin servers: arrival replay (`storm`'s constrained query takes the filter branch) |
+//! | the arrival replay's kernel scan (`kernel::Dims::scan`, the body of `kernel::scan_block`), `CellPoints::tail` | twin servers: arrival replay (`storm`'s constrained query takes the filter branch) |
 //! | `Skyband::{stage, merge, insert, expire}`, `tkm_core::skyband::sweep` | twin servers: arrival and expiry replay |
 //! | `Skyband::expire_before` | twin servers on `storm`: a hot group's expiry exceeds the probe budget |
 //! | `compute_topk`, `Skyband::rebuild`, `TopList::append_boundary_ties` | twin servers: the ticks that recompute |
