@@ -833,9 +833,10 @@ mod tests {
         /// would: the same staged tail in the same order, the same merges
         /// forced by a full band (bands start empty, so a block of more
         /// than `k + k/2 + 1` admitted points forces one), the same
-        /// returned flags, and the same band after the cycle's merge.
-        /// Thresholds are −∞ or a block point's own score, so the
-        /// admission test meets equality.
+        /// returned flags, and the same band after the cycle's merge; and
+        /// that scan scores exactly the points inside the constraint, as
+        /// `ScoreFn::score` does. Thresholds are −∞ or a block point's own
+        /// score, so the admission test meets equality.
         #[test]
         fn arrival_replay_stages_what_scan_block_would(
             raw in prop::collection::vec(0.0f64..1.0, 0..60),
@@ -863,6 +864,7 @@ mod tests {
                 let mut ref_scratch = MergeScratch::default();
                 let band = &mut reference.band;
                 let (mut staged, mut stored) = (false, 0);
+                let mut emitted = Vec::new();
                 kernel::scan_block(
                     &query.f,
                     dims,
@@ -870,12 +872,22 @@ mod tests {
                     coords,
                     query.constraint.as_ref(),
                     |id, score| {
+                        emitted.push((id, score.to_bits()));
                         if score >= admit {
                             staged = true;
                             stored += band.stage(Scored::new(score, id), &mut ref_scratch);
                         }
                     },
                 );
+                // The per-pair scan itself scores every point inside the
+                // constraint as `ScoreFn::score` does.
+                let want: Vec<(TupleId, u64)> = (0..n)
+                    .map(|i| &coords[i * dims..][..dims])
+                    .enumerate()
+                    .filter(|(_, p)| query.constraint.as_ref().is_none_or(|r| r.contains(p)))
+                    .map(|(i, p)| (TupleId(100 + 2 * i as u64), query.f.score(p).to_bits()))
+                    .collect();
+                prop_assert_eq!(&emitted, &want, "dims {}", dims);
 
                 prop_assert_eq!(got, (staged, stored), "dims {}", dims);
                 let bits = |v: &[Scored]| -> Vec<(u64, TupleId)> {
