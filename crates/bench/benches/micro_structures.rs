@@ -39,9 +39,9 @@ fn bench_skyband(c: &mut Criterion) {
                     for _ in 0..1000 {
                         sky.insert(Scored::new(lcg(&mut state), TupleId(next)));
                         next += 1;
-                        // Expire the oldest band member occasionally.
+                        // The window's cutoff passes the oldest band member.
                         if let Some(e) = sky.scored().iter().map(|s| s.id).min() {
-                            sky.expire(e);
+                            sky.expire_before(TupleId(e.0 + 1));
                         }
                     }
                     sky.len()
@@ -76,7 +76,7 @@ fn bench_skyband(c: &mut Criterion) {
                         sky.merge(&mut scratch);
                         while sky.len() > depth {
                             let oldest = sky.scored().iter().map(|s| s.id).min();
-                            sky.expire(oldest.expect("non-empty band"));
+                            sky.expire_before(TupleId(oldest.expect("non-empty band").0 + 1));
                         }
                     }
                     sky.len()

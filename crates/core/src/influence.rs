@@ -13,13 +13,14 @@
 //! with each, and its replay loop reads lists and states through
 //! `QueryTable::split`.
 //!
-//! The table also decides which of a cycle's events are worth replaying.
-//! The ingest stage keeps the cell of every arrival and every expiry as
-//! it found them; `QueryTable::group_events` groups by cell only those
-//! whose cell's influence list is non-empty ([`ListedEvents`]), so a
-//! tuple in a cell no query lists costs its insert and delete and nothing
-//! more — the paper's processing cycle (Figures 9 and 11) probes the
-//! cell's list and stops there.
+//! The table also decides which of a cycle's arrivals are worth replaying.
+//! The ingest stage keeps the cell of every arrival as it found it;
+//! `QueryTable::group_events` groups by cell only those whose cell's
+//! influence list is non-empty ([`ListedEvents`]), so a tuple in a cell
+//! no query lists costs its insert and delete and nothing more — the
+//! paper's processing cycle (Figures 9 and 11) probes the cell's list and
+//! stops there. Expiries need no grouping: windows are FIFO, so a stage
+//! expires whatever is older than the window's oldest tuple.
 //!
 //! Influence lists are maintained lazily: result improvements shrink a
 //! query's influence region without touching the lists, so stale entries
@@ -82,7 +83,7 @@ pub(crate) struct QueryTable<T> {
     queries: QueryRegistry<T>,
     influence: InfluenceTable,
     scratch: ComputeScratch,
-    /// The last grouped cycle's events in listed cells.
+    /// The last grouped cycle's arrivals in listed cells.
     events: ListedEvents,
 }
 
@@ -169,11 +170,11 @@ impl<T: TableEntry> QueryTable<T> {
         (&self.influence, &mut self.queries)
     }
 
-    /// Groups `shared`'s last cycle by cell, keeping the events in listed
-    /// cells only ([`ListedEvents::group`]), and hands the runs to a replay
-    /// loop beside the lists and the states. The lists must not change
-    /// until the loop has replayed the expiries: a recomputation may list
-    /// a query in a cell whose events were dropped.
+    /// Groups `shared`'s last cycle's arrivals by cell, keeping those in
+    /// listed cells only ([`ListedEvents::group`]), and hands the runs to a
+    /// replay loop beside the lists and the states. The lists must not
+    /// change until the loop has replayed the arrivals: a recomputation
+    /// may list a query in a cell whose arrivals were dropped.
     pub(crate) fn group_events(
         &mut self,
         shared: &IngestState,
@@ -232,7 +233,7 @@ impl<T: Recomputed> QueryTable<T> {
 }
 
 /// The registry with every live state, the lists, the scratch and the
-/// grouped events.
+/// grouped arrivals.
 impl<T: HeapBytes> HeapBytes for QueryTable<T> {
     fn heap_bytes(&self) -> usize {
         self.queries.heap_bytes()
@@ -242,64 +243,43 @@ impl<T: HeapBytes> HeapBytes for QueryTable<T> {
     }
 }
 
-/// One cycle's arrivals and expiries in the cells an influence list
-/// names, grouped by cell for the replay loops.
+/// One cycle's arrivals in the cells an influence list names, grouped by
+/// cell for the replay loops.
 ///
-/// A cell's influence list is identical for every event landing in that
-/// cell, so the per-event work of a tick factors into per-*run* work: the
-/// replay loop probes each cell's list once and streams the run's tuples
-/// through it. An event in a cell whose list is empty can change no
-/// result, so it is dropped here rather than grouped and skipped later.
-/// The group-by is two O(E) passes — no sort — that test each event's
+/// A cell's influence list is identical for every arrival landing in that
+/// cell, so the per-arrival work of a tick factors into per-*run* work:
+/// the replay loop probes each cell's list once and streams the run's
+/// tuples through it. An arrival in a cell whose list is empty can change
+/// no result, so it is dropped here rather than grouped and skipped later.
+/// The group-by is two O(E) passes — no sort — that test each arrival's
 /// cell against the influence table's listed bit
 /// ([`InfluenceTable::is_listed`]) before they read anything per cell:
 /// the first gives each listed cell a run in a per-cell run table and
-/// counts its events, the second scatters the events of listed cells,
+/// counts its arrivals, the second scatters the arrivals of listed cells,
 /// stably. The run table is written for listed cells only and cleared
 /// through the run list before the grouping returns, so it needs no
-/// epoch and an unlisted event touches nothing but its bit.
+/// epoch and an unlisted arrival touches nothing but its bit.
 /// Runs come out in first-touched order with FIFO (arrival) order within
 /// each run; the replay loops never depend on the order *across* cells.
 ///
-/// Arrival runs carry no coordinate copy of their own: a cycle's live
-/// arrivals in cell `c` are exactly the **newest** points of `c`'s chain
-/// (arrivals append at the tail, expiry only consumes the front), so the
-/// replay loop scans them straight out of the grid — see
+/// Runs carry no coordinate copy of their own: a cycle's live arrivals in
+/// cell `c` are exactly the **newest** points of `c`'s chain (arrivals
+/// append at the tail, expiry only consumes the front), so the replay
+/// loop scans them straight out of the grid — see
 /// [`IngestState::arrival_run_points`].
 ///
-/// All buffers keep their capacity across cycles. The id buffers reserve
-/// for the cycle's whole event count, so a cycle with more listed events
-/// than any before does not grow them once an event count that large has
-/// been seen; the run lists grow with the distinct listed cells.
+/// All buffers keep their capacity across cycles. The id buffer reserves
+/// for the cycle's whole arrival count, so a cycle with more listed
+/// arrivals than any before does not grow it once an arrival count that
+/// large has been seen; the run list grows with the distinct listed cells.
 #[derive(Debug, Default)]
 pub struct ListedEvents {
-    scratch: GroupScratch,
-    arrivals: CellRuns,
-    expiries: CellRuns,
-}
-
-/// One kind of a cycle's kept events, grouped by cell.
-#[derive(Debug, Default)]
-struct CellRuns {
     /// `(cell, start, len)` runs indexing into `ids`, first-touched order.
     runs: Vec<(CellId, u32, u32)>,
     /// Tuple ids, concatenated run by run.
     ids: Vec<TupleId>,
-}
-
-impl CellRuns {
-    fn iter(&self) -> impl Iterator<Item = (CellId, &[TupleId])> {
-        self.runs.iter().map(move |&(cell, start, len)| {
-            (cell, &self.ids[start as usize..(start + len) as usize])
-        })
-    }
-}
-
-/// What one grouping needs only while it runs, shared by both kinds.
-#[derive(Debug, Default)]
-struct GroupScratch {
     /// Per-cell run index + 1, 0 for no run; sized at the first grouping.
-    /// Only listed cells are written, and [`GroupScratch::group`] zeroes
+    /// Only listed cells are written, and [`ListedEvents::group`] zeroes
     /// them again through its run list before it returns, so the table
     /// is all zeros between groupings.
     cell_run: Vec<u32>,
@@ -307,19 +287,15 @@ struct GroupScratch {
     cursors: Vec<u32>,
 }
 
-impl GroupScratch {
-    /// Groups one kind of event into `out`: `cells[i]` is the cell of
-    /// tuple `first + i` (a cycle's arrivals and its expiries are both
-    /// dense id ranges, so an event is just its cell).
-    fn group(
-        &mut self,
-        influence: &InfluenceTable,
-        first: TupleId,
-        cells: &[CellId],
-        out: &mut CellRuns,
-    ) {
-        out.runs.clear();
-        out.ids.clear();
+impl ListedEvents {
+    /// Regroups `shared`'s last cycle's arrivals
+    /// ([`IngestState::arrival_cells`]: `cells[i]` is the cell of tuple
+    /// `first + i`), keeping those whose cell's list in `influence` is
+    /// non-empty.
+    pub fn group(&mut self, influence: &InfluenceTable, shared: &IngestState) {
+        let (first, cells) = shared.arrival_cells();
+        self.runs.clear();
+        self.ids.clear();
         if cells.is_empty() {
             return;
         }
@@ -327,60 +303,46 @@ impl GroupScratch {
             self.cell_run.resize(influence.num_cells(), 0);
         }
         // Pass 1: one run per distinct listed cell (first-touched order),
-        // counting its events. An unlisted cell costs one bit test.
+        // counting its arrivals. An unlisted cell costs one bit test.
         for &cell in cells {
             if !influence.is_listed(cell) {
                 continue;
             }
             let run = &mut self.cell_run[cell.0 as usize];
             if *run == 0 {
-                out.runs.push((cell, 0, 1));
-                *run = out.runs.len() as u32;
+                self.runs.push((cell, 0, 1));
+                *run = self.runs.len() as u32;
             } else {
-                out.runs[*run as usize - 1].2 += 1;
+                self.runs[*run as usize - 1].2 += 1;
             }
         }
-        out.ids.reserve(cells.len());
-        if out.runs.is_empty() {
+        self.ids.reserve(cells.len());
+        if self.runs.is_empty() {
             return;
         }
         // Prefix sums fix each run's start offset.
         let mut start = 0u32;
-        for r in &mut out.runs {
+        for r in &mut self.runs {
             r.1 = start;
             start += r.2;
         }
-        // Pass 2: stable scatter of the events in listed cells — event
+        // Pass 2: stable scatter of the arrivals in listed cells — arrival
         // order is preserved within runs.
         self.cursors.clear();
-        self.cursors.resize(out.runs.len(), 0);
-        out.ids.resize(start as usize, TupleId(0));
+        self.cursors.resize(self.runs.len(), 0);
+        self.ids.resize(start as usize, TupleId(0));
         for (id, &cell) in (first.0..).zip(cells) {
             if !influence.is_listed(cell) {
                 continue;
             }
             let run = self.cell_run[cell.0 as usize] as usize - 1;
-            let at = out.runs[run].1 + self.cursors[run];
+            let at = self.runs[run].1 + self.cursors[run];
             self.cursors[run] += 1;
-            out.ids[at as usize] = TupleId(id);
+            self.ids[at as usize] = TupleId(id);
         }
-        for &(cell, _, _) in &out.runs {
+        for &(cell, _, _) in &self.runs {
             self.cell_run[cell.0 as usize] = 0;
         }
-    }
-}
-
-impl ListedEvents {
-    /// Regroups `shared`'s last cycle ([`IngestState::arrival_cells`],
-    /// [`IngestState::expiry_cells`]), keeping the events whose cell's
-    /// list in `influence` is non-empty.
-    pub fn group(&mut self, influence: &InfluenceTable, shared: &IngestState) {
-        let (first, cells) = shared.arrival_cells();
-        self.scratch
-            .group(influence, first, cells, &mut self.arrivals);
-        let (oldest, cells) = shared.expiry_cells();
-        self.scratch
-            .group(influence, oldest, cells, &mut self.expiries);
     }
 
     /// The last grouped cycle's arrivals in listed cells: one `(cell,
@@ -388,24 +350,19 @@ impl ListedEvents {
     /// arrival order within each run; the run's points come from
     /// [`IngestState::arrival_run_points`].
     pub fn arrival_runs(&self) -> impl Iterator<Item = (CellId, &[TupleId])> {
-        self.arrivals.iter()
-    }
-
-    /// The last grouped cycle's expiries in listed cells (one run per
-    /// distinct cell, FIFO order within each run).
-    pub fn expiry_runs(&self) -> impl Iterator<Item = (CellId, &[TupleId])> {
-        self.expiries.iter()
+        self.runs.iter().map(move |&(cell, start, len)| {
+            (cell, &self.ids[start as usize..(start + len) as usize])
+        })
     }
 }
 
-/// The run table, the scatter cursors and both kinds' runs.
+/// The runs, the ids, the run table and the scatter cursors.
 impl HeapBytes for ListedEvents {
     fn heap_bytes(&self) -> usize {
-        let runs = |r: &CellRuns| r.runs.heap_bytes() + r.ids.heap_bytes();
-        self.scratch.cell_run.heap_bytes()
-            + self.scratch.cursors.heap_bytes()
-            + runs(&self.arrivals)
-            + runs(&self.expiries)
+        self.runs.heap_bytes()
+            + self.ids.heap_bytes()
+            + self.cell_run.heap_bytes()
+            + self.cursors.heap_bytes()
     }
 }
 
@@ -699,9 +656,9 @@ mod tests {
         runs.map(|(cell, ids)| (cell, ids.to_vec())).collect()
     }
 
-    /// The table keeps exactly the runs a grouping of every event has in
+    /// The table keeps exactly the runs a grouping of every arrival has in
     /// its listed cells, run for run and id for id: over bursts larger
-    /// than the window (same-cycle transients in both kinds), runs long
+    /// than the window (same-cycle transients in the runs), runs long
     /// enough to straddle chunks, a listing that changes between cycles,
     /// so a cell listed in one cycle is unlisted in the next, and a cell
     /// whose list spilled and was emptied again, keeping its buffer.
@@ -746,16 +703,13 @@ mod tests {
             let want = restricted(collected(all.arrival_runs()));
             assert_eq!(collected(kept.arrival_runs()), want, "{context}: arrivals");
             straddled |= want.iter().any(|(_, ids)| ids.len() > CHUNK_POINTS);
-            let want = restricted(collected(all.expiry_runs()));
-            assert_eq!(collected(kept.expiry_runs()), want, "{context}: expiries");
-            let first = shared.arrival_cells().0;
+            let oldest = shared.timeline().oldest().unwrap_or(TupleId(u64::MAX));
             transients |= want
                 .iter()
-                .any(|(_, ids)| ids.iter().any(|id| *id >= first));
+                .any(|(_, ids)| ids.iter().any(|id| *id < oldest));
             dropped |= all.arrival_runs().count() > kept.arrival_runs().count();
-            let in_emptied = |runs: &ListedEvents| {
-                (runs.arrival_runs().chain(runs.expiry_runs())).any(|(cell, _)| cell == emptied)
-            };
+            let in_emptied =
+                |runs: &ListedEvents| runs.arrival_runs().any(|(cell, _)| cell == emptied);
             emptied_dropped |= in_emptied(&all) && !in_emptied(&kept);
         }
         assert!(straddled && transients && dropped && emptied_dropped);

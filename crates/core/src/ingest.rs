@@ -9,12 +9,14 @@
 //! implementation or in [`crate::ThresholdMonitor`], each holding its
 //! queries in the query table of [`crate::influence`]. Each
 //! tick, [`IngestState::ingest`] applies the arrival set and the expiry
-//! set to timeline and grid *once* and keeps the cell of every event of
-//! both, as it found them; the maintenance stage then groups the events
-//! its influence lists can see by cell and replays them against its
-//! queries through an immutable `&IngestState` view. The stage itself
-//! groups nothing: a tuple in a cell no query lists costs its insert and
-//! its delete, as in the paper's processing cycle (Figures 9 and 11).
+//! set to timeline and grid *once* and keeps the cell of every arrival,
+//! as it found it; the maintenance stage then groups the arrivals its
+//! influence lists can see by cell and replays them against its queries
+//! through an immutable `&IngestState` view, and expires whatever it holds
+//! below the timeline's oldest id (windows are FIFO, so that is exactly
+//! the expiry set). The stage itself groups nothing: a tuple in a cell no
+//! query lists costs its insert and its delete, as in the paper's
+//! processing cycle (Figures 9 and 11).
 //!
 //! The stage runs as a fixed sequence of tight passes over the whole
 //! batch — extend the timeline, locate, scatter into cells, remember the
@@ -138,9 +140,6 @@ pub struct IngestState {
     /// The last cycle's arrivals: the first one's id and the located cell
     /// of each, in id order (a cycle's arrivals are a dense id range).
     arrival_events: (TupleId, Vec<CellId>),
-    /// The last cycle's expiries: the oldest one's id and the cell each
-    /// was popped from, in id order.
-    expiry_events: (TupleId, Vec<CellId>),
     stats: IngestStats,
 }
 
@@ -177,7 +176,6 @@ impl IngestState {
             window_size,
             cells: VecDeque::new(),
             arrival_events: (TupleId(0), Vec::new()),
-            expiry_events: (TupleId(0), Vec::new()),
             stats: IngestStats::default(),
         })
     }
@@ -213,15 +211,15 @@ impl IngestState {
     }
 
     /// Executes the stream half of one processing cycle: validates the
-    /// arrival batch, inserts it (timeline + grid), then removes the expiry
-    /// set, keeping the cell of every event of both for the maintenance
-    /// stage ([`IngestState::arrival_cells`], [`IngestState::expiry_cells`]).
-    /// A rejected batch — misaligned, a coordinate outside the unit
-    /// workspace, a timestamp earlier than the newest resident tuple's —
-    /// changes nothing.
+    /// arrival batch, inserts it (timeline + grid), keeping the cell of
+    /// every arrival for the maintenance stage
+    /// ([`IngestState::arrival_cells`]), then removes the expiry set: every
+    /// tuple older than the timeline's new oldest id. A rejected batch —
+    /// misaligned, a coordinate outside the unit workspace, a timestamp
+    /// earlier than the newest resident tuple's — changes nothing.
     ///
     /// Tuples that arrive and expire within the same cycle (a count window
-    /// overrun by a burst) appear in both sets; their coordinates are no
+    /// overrun by a burst) are in both sets; their coordinates are no
     /// longer resolvable afterwards, which maintenance handles by skipping
     /// arrivals whose ids have already left the window.
     pub fn ingest(&mut self, now: Timestamp, arrivals: &[f64]) -> Result<()> {
@@ -231,7 +229,6 @@ impl IngestState {
             window_size,
             cells,
             arrival_events: (first, located),
-            expiry_events: (oldest, popped),
             stats,
         } = self;
         let dims = grid.dims();
@@ -278,15 +275,13 @@ impl IngestState {
         // come off the ring's front; the removal body is only the FIFO
         // front check + offset bump.
         let expired = timeline.expired_prefix(now);
-        *oldest = timeline.oldest().unwrap_or(*first);
-        popped.clear();
-        popped.extend(cells.drain(..expired).map(|cell| CellId(u32::from(cell))));
-        for (id, &cell) in (oldest.0..).zip(popped.iter()) {
+        let oldest = timeline.oldest().unwrap_or(*first);
+        for (id, cell) in (oldest.0..).zip(cells.drain(..expired)) {
             #[expect(
                 clippy::expect_used,
                 reason = "ring/grid lockstep is the ingest invariant; desync is unrecoverable"
             )]
-            grid.remove_at(cell, TupleId(id))
+            grid.remove_at(CellId(u32::from(cell)), TupleId(id))
                 .expect("cell ring and grid are updated in lockstep");
         }
         stats.expirations += expired as u64;
@@ -317,13 +312,6 @@ impl IngestState {
         self.grid.points(cell).tail(live)
     }
 
-    /// The last cycle's expiries as the stage popped them: the oldest
-    /// expired id and the cell of each expiry in id order.
-    #[inline]
-    pub fn expiry_cells(&self) -> (TupleId, &[CellId]) {
-        (self.expiry_events.0, &self.expiry_events.1)
-    }
-
     /// Cumulative stream-side counters.
     #[inline]
     pub fn stats(&self) -> IngestStats {
@@ -332,7 +320,7 @@ impl IngestState {
 }
 
 /// The tuple storage (timeline, grid, cell ring) and the last cycle's
-/// event buffers. The stage lives inline in its engine, which counts the
+/// arrival cells. The stage lives inline in its engine, which counts the
 /// struct itself.
 impl HeapBytes for IngestState {
     fn heap_bytes(&self) -> usize {
@@ -340,7 +328,6 @@ impl HeapBytes for IngestState {
             + self.grid.heap_bytes()
             + self.cells.heap_bytes()
             + self.arrival_events.1.heap_bytes()
-            + self.expiry_events.1.heap_bytes()
     }
 }
 
@@ -466,17 +453,16 @@ mod tests {
         let mut s = IngestState::new(2, WindowSpec::Count(3), GridSpec::PerDim(4)).unwrap();
         s.ingest(Timestamp(0), &[0.1, 0.1, 0.9, 0.9]).unwrap();
         assert_eq!(ids(&events(s.arrival_cells())), vec![0, 1]);
-        assert!(s.expiry_cells().1.is_empty());
         assert_eq!(s.timeline().len(), 2);
+        assert_lockstep(&s, "under");
 
         // Two more arrivals overflow the count window by one.
         s.ingest(Timestamp(1), &[0.5, 0.5, 0.2, 0.8]).unwrap();
         assert_eq!(ids(&events(s.arrival_cells())), vec![2, 3]);
-        // The expired tuple's cell matches where it was inserted.
-        assert_eq!(
-            events(s.expiry_cells()),
-            vec![(s.grid().locate(&[0.1, 0.1]), TupleId(0))]
-        );
+        // The expired tuple left the cell it was located in.
+        let cell = s.grid().locate(&[0.1, 0.1]);
+        assert!(s.grid().points(cell).iter().all(|(id, _)| id != TupleId(0)));
+        assert_eq!(s.timeline().oldest(), Some(TupleId(1)));
         assert_eq!(s.timeline().len(), 3);
         assert_lockstep(&s, "one over");
 
@@ -490,8 +476,8 @@ mod tests {
         s.ingest(Timestamp(0), &[0.1, 0.3, 0.5, 0.7]).unwrap();
         assert_eq!(ids(&events(s.arrival_cells())), vec![0, 1, 2, 3]);
         assert_eq!(
-            ids(&events(s.expiry_cells())),
-            vec![0, 1],
+            s.timeline().oldest(),
+            Some(TupleId(2)),
             "same-cycle transients"
         );
         // Transients are gone from the window; survivors resolve.
@@ -583,26 +569,15 @@ mod tests {
             coord_runs,
             vec![vec![0.1, 0.12, 0.15], vec![0.9], vec![0.3]]
         );
-        assert!(groups.expiry_runs().next().is_none());
 
-        // Expiries group the same way (capacity 16 → push 14 more): the
-        // runs cover exactly the expired id range, one run per cell.
+        // Expiries are not grouped (capacity 16 → push 14 more): the
+        // expired ids are the ones below the window's oldest, gone from
+        // their cells.
         let burst: Vec<f64> = (0..14).map(|i| (i % 10) as f64 / 10.0).collect();
         s.ingest(Timestamp(1), &burst).unwrap();
         s.ingest(Timestamp(2), &[0.5, 0.5, 0.5]).unwrap();
-        assert_eq!(ids(&events(s.expiry_cells())), vec![3, 4, 5]);
-        let groups = grouped(&s);
-        let mut expired: Vec<u64> = groups
-            .expiry_runs()
-            .flat_map(|(_, ids)| ids.iter().map(|id| id.0))
-            .collect();
-        expired.sort_unstable();
-        assert_eq!(expired, vec![3, 4, 5]);
-        let mut cells: Vec<u32> = groups.expiry_runs().map(|(c, _)| c.0).collect();
-        let distinct = cells.len();
-        cells.sort_unstable();
-        cells.dedup();
-        assert_eq!(cells.len(), distinct, "exactly one run per distinct cell");
+        assert_eq!(s.timeline().oldest(), Some(TupleId(6)));
+        assert_lockstep(&s, "three expired");
     }
 
     /// The ring's two-byte entries cap the grid at 65 536 cells: one more
@@ -683,7 +658,6 @@ mod tests {
             s.cells.iter().copied().collect::<Vec<_>>(),
             s.stats(),
             events(s.arrival_cells()),
-            events(s.expiry_cells()),
         )
     }
 
@@ -710,7 +684,7 @@ mod tests {
         }
         s.ingest(Timestamp(3), &[0.3, 0.3, 0.6, 0.6]).unwrap();
         assert_eq!(ids(&events(s.arrival_cells())), vec![4, 5]);
-        assert_eq!(ids(&events(s.expiry_cells())), vec![1, 2]);
+        assert_eq!(s.timeline().oldest(), Some(TupleId(3)));
         assert_eq!(s.stats().ticks, 3);
         assert_lockstep(&s, "after the rejected batches");
     }

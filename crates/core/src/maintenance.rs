@@ -54,9 +54,9 @@
 //! * per-query state lives in the table's dense registry and the
 //!   influence lists carry 4-byte [`QuerySlot`]s, so resolving an
 //!   influence entry is a `Vec` index instead of a `BTreeMap` probe;
-//! * events are replayed **grouped by cell**, and only in listed cells:
-//!   the query table groups the cycle's raw event cells
-//!   ([`IngestState::arrival_cells`]) and drops every event whose cell
+//! * arrivals are replayed **grouped by cell**, and only in listed cells:
+//!   the query table groups the cycle's raw arrival cells
+//!   ([`IngestState::arrival_cells`]) and drops every arrival whose cell
 //!   no query lists ([`crate::influence::ListedEvents`]); a run's points
 //!   are the newest points of its cell's chain
 //!   ([`IngestState::arrival_run_points`], resolved once per run): each
@@ -82,6 +82,13 @@
 //!   query absorbs tens of arrivals, used to pay for. A band merges early
 //!   only when its spare capacity runs out, so staging allocates nothing
 //!   and no structure remembers a flood tick's high-water mark;
+//! * expiries (Pdel, Figure 11 lines 12–16) are one cutoff, not one
+//!   event each: windows are FIFO, so a band entry has expired exactly
+//!   when its id is below the window's oldest, and every band is swept
+//!   once a cycle with [`Skyband::expire_before`] at that cutoff. The
+//!   band's presence bound makes the sweep of a band with nothing to
+//!   expire one comparison, so no expiry is grouped by cell and no
+//!   influence list is probed for one;
 //! * the traversal heap, the frontier and one recycled result list live
 //!   with the stage, so a recomputation allocates nothing of its own;
 //! * the policy is a type parameter, monomorphised per engine: no runtime
@@ -141,8 +148,8 @@ pub trait QueryMaintenance: HeapBytes + Send {
     fn remove_query(&mut self, shared: &IngestState, id: QueryId) -> Result<()>;
 
     /// Replays the shared state's last recorded cycle (arrival events, then
-    /// expiry events, then recomputation of affected queries) against this
-    /// stage's queries.
+    /// the expiries below the window's oldest id, then recomputation of
+    /// affected queries) against this stage's queries.
     fn apply_events(&mut self, shared: &IngestState) -> Result<()>;
 
     /// The current top-k result of a query, best first.
@@ -414,10 +421,9 @@ fn baseline(dirty: &mut Vec<u64>, slot: QuerySlot, st: &mut BandQuery) {
 /// depth), so the fresh bound is assigned and the caller must sweep the
 /// stale listing. Otherwise the region bound is a monotone floor: a
 /// tightening recomputation keeps the old, larger listing (a superset
-/// region is sound — arrivals in the extra cells fail the admission test,
-/// expirations miss the band — it only costs replay probes), so a
-/// threshold flip-flop between recomputations stops churning the
-/// influence lists.
+/// region is sound: arrivals in the extra cells fail the admission test
+/// and only cost replay probes), so a threshold flip-flop between
+/// recomputations stops churning the influence lists.
 fn reseed(st: &mut BandQuery, seed: &mut Vec<Scored>, top: &TopList, region_bound: f64) -> bool {
     // Seed the band with the top-depth plus the candidates tying the
     // depth-th score: a tie-loser outlives the tied band member and can
@@ -631,45 +637,19 @@ impl<P: BandPolicy> QueryMaintenance for BandMaintenance<P> {
             st.affected
         });
 
-        // ---- Pdel (Figure 9 lines 8-11, Figure 11 lines 12-16), same
-        // inversion; no coordinates needed. An expiry inside the band is
-        // absorbed: the next band entry slides into the k-prefix with no
-        // grid work at all.
-        //
-        // A synchronized expiry wave turns the per-tuple replay quadratic:
-        // the wave's tuples are the very top scorers, so every one of them
-        // lands in cells that every query covers, and each (cell, covering
-        // query, tuple) triple costs a linear band probe. Once the probe
-        // count exceeds the fleet size, one sweep per band against the
-        // oldest live id is strictly cheaper — windows expire in id order,
-        // so "older than the oldest live tuple" identifies the expired
-        // band entries exactly.
-        let mut probes = 0usize;
-        for (cell, tuples) in events.expiry_runs() {
-            probes += influence.as_slice(cell).len() * tuples.len();
-        }
-        if probes > 2 * queries.len() {
-            let cutoff = shared.timeline().oldest().unwrap_or(TupleId(u64::MAX));
-            for (slot, _, st) in queries.slots_mut() {
-                stats.tuple_probes += 1;
-                if st.band.expire_before(cutoff).is_some() && !st.affected {
-                    st.affected = true;
-                    affected.push(slot);
-                }
-            }
-        } else {
-            for (cell, tuples) in events.expiry_runs() {
-                for &slot in influence.as_slice(cell) {
-                    stats.cell_probes += 1;
-                    let (_, st) = queries.slot_mut(slot);
-                    for &id in tuples {
-                        stats.tuple_probes += 1;
-                        if st.band.expire(id).is_some() && !st.affected {
-                            st.affected = true;
-                            affected.push(slot);
-                        }
-                    }
-                }
+        // ---- Pdel (Figure 9 lines 8-11, Figure 11 lines 12-16) as one
+        // cutoff: windows are FIFO, so the expired band entries are exactly
+        // those older than the window's oldest tuple (everything, once the
+        // window is empty), and no coordinates or cells are needed. An
+        // expiry inside the band is absorbed: the next band entry slides
+        // into the k-prefix with no grid work at all. A band with nothing
+        // to expire costs one comparison (`Skyband::expire_before`).
+        let cutoff = shared.timeline().oldest().unwrap_or(TupleId(u64::MAX));
+        for (slot, _, st) in queries.slots_mut() {
+            stats.tuple_probes += 1;
+            if st.band.expire_before(cutoff).is_some() && !st.affected {
+                st.affected = true;
+                affected.push(slot);
             }
         }
 

@@ -7,8 +7,10 @@
 //!    registered in the cell's influence list whose admission threshold the
 //!    new score reaches, the tuple enters the query's band. Thresholds rise
 //!    lazily: influence lists are *not* shrunk.
-//! 2. **Pdel** — each expiring tuple leaves its cell; queries listing the
-//!    cell whose band contained the tuple are marked *affected*.
+//! 2. **Pdel** — each expiring tuple leaves its cell. Windows are FIFO, so
+//!    the expired tuples are exactly those older than the window's oldest:
+//!    every band drops its entries below that cutoff, and a query whose
+//!    band lost one is marked *affected*.
 //! 3. Affected queries that can no longer serve an exact top-k are
 //!    recomputed with the top-k computation module, followed by the
 //!    frontier clean-up walk that removes the query from cells it no
@@ -16,9 +18,9 @@
 //!
 //! [`Monitor`] splits that loop in two. [`IngestState`] (one window
 //! timeline + one grid) applies the arrival and expiry sets exactly once
-//! per tick and records them as event lists; one [`QueryMaintenance`]
-//! stage, owning every query, then replays the events through an
-//! immutable `&IngestState` view.
+//! per tick and records the arrivals' cells; one [`QueryMaintenance`]
+//! stage, owning every query, then replays the arrivals and the window's
+//! new cutoff through an immutable `&IngestState` view.
 //!
 //! [`TmaMonitor`] and [`SmaMonitor`] are the same sandwich over the two
 //! policies of [`crate::maintenance::BandMaintenance`]; both report

@@ -150,8 +150,8 @@ impl<T> QueryRegistry<T> {
     }
 
     /// Iterates live `(QuerySlot, QueryId, &mut state)` triples in slot
-    /// order (the mass-expiry sweep visits every band without going
-    /// through the influence lists).
+    /// order (the expiry sweep at the window's cutoff visits every band
+    /// without going through the influence lists).
     pub(crate) fn slots_mut(&mut self) -> impl Iterator<Item = (QuerySlot, QueryId, &mut T)> {
         self.slots.iter_mut().enumerate().filter_map(|(i, s)| {
             s.as_mut()

@@ -18,8 +18,10 @@
 //! * a *dominance counter* (DC) per entry: the number of newer entries
 //!   that ever ranked above it. An entry whose DC reaches `k` is dropped
 //!   (it can never appear in any result again);
-//! * expiry of the oldest entry, which — provably (paper footnote 5) — is
-//!   in the current top-k and dominates nobody, so no counters change.
+//! * expiry by the window's cutoff: windows are FIFO, so the expired
+//!   entries are exactly those older than the window's oldest tuple, and
+//!   each of them is — provably (paper footnote 5) — in the current top-k
+//!   and dominates nobody, so no counters change.
 //!
 //! Counters never need decrementing: a dominator always expires after the
 //! entries it dominates.
@@ -196,9 +198,10 @@ fn sweep(
 /// // The first k entries are the current top-k…
 /// assert_eq!(band.top_scored()[0].id, TupleId(0));
 /// assert_eq!(band.top_scored()[1].id, TupleId(2));
-/// // …and future results are already queued: when the leader expires,
-/// // the band answers without recomputation.
-/// band.expire(TupleId(0));
+/// // …and future results are already queued: when the leader leaves the
+/// // window (its oldest tuple is now 1), the band answers without
+/// // recomputation.
+/// band.expire_before(TupleId(1));
 /// assert_eq!(band.top_scored()[0].id, TupleId(2));
 /// assert_eq!(band.top_scored()[1].id, TupleId(1));
 /// ```
@@ -211,10 +214,11 @@ pub struct Skyband {
     scored: Vec<Scored>,
     /// Dominance counters of the band entries; its length *is* the band's.
     dcs: Vec<u32>,
-    /// Lower bound on every entry's id, staged ones included
-    /// (conservative: removals may leave it stale-low). Expiry replay
-    /// probes every query listed in the expiring tuple's cell, and almost
-    /// all of those probes miss — this bound turns a miss into one
+    /// Lower bound on every entry's id, staged ones included: exactly the
+    /// oldest entry's after [`Skyband::expire_before`] scans the band,
+    /// stale-low after an insert or merge drops the oldest entry. Every
+    /// cycle sweeps every band at the window's cutoff, and most bands have
+    /// nothing to expire: this bound turns such a sweep into one
     /// comparison instead of an O(len) scan.
     min_id: TupleId,
 }
@@ -469,61 +473,56 @@ impl Skyband {
         stored
     }
 
-    /// Removes an expiring tuple. An expiring member dominates nobody that
-    /// outlives it (everything it dominates is older and thus expires
-    /// first), so no counters change. Returns the position the tuple held
-    /// (0 = best) when it was present.
-    pub fn expire(&mut self, id: TupleId) -> Option<usize> {
-        debug_assert!(self.is_merged(), "staged arrivals outlived their cycle");
-        if id < self.min_id {
-            // Older than everything ever retained: cannot be present.
-            return None;
-        }
-        let pos = self.scored.iter().position(|e| e.id == id)?;
-        // Footnote 5: at most k−1 in-band dominators plus the
-        // still-present older entries (same-cycle batch expiries
-        // may be processed in any order) can rank above it.
-        debug_assert!(
-            self.scored[..pos].iter().filter(|e| e.id > id).count() < self.k,
-            "an expiring skyband member must be in the top-k (footnote 5)"
-        );
-        self.scored.remove(pos);
-        self.dcs.remove(pos);
-        Some(pos)
-    }
-
     /// Removes every entry older than `cutoff` (id `< cutoff`) in one
-    /// pass. Windows expire strictly in arrival (id) order, so after a
-    /// synchronized expiry wave the live window is exactly the ids
-    /// `>= cutoff` — one sweep per band replaces the per-tuple
-    /// [`Skyband::expire`] replay that a wave would otherwise turn
-    /// quadratic (every expired tuple probed against every covering
-    /// query). No counters change, for the same reason as in `expire`.
-    /// Returns the smallest position among the removed entries (0 = best;
-    /// `None` when nothing was removed).
+    /// pass. Windows expire strictly in arrival (id) order, so with
+    /// `cutoff` the window's oldest live id these are exactly the expired
+    /// entries. An expired member dominates nobody that outlives it
+    /// (everything it dominates is older and thus expires too), so no
+    /// counters change. Returns the smallest position among the removed
+    /// entries (0 = best; `None` when nothing was removed).
     ///
-    /// The pass starts at the first expired entry and compacts what
-    /// follows without a branch per entry: every entry is written to the
-    /// next free slot, which advances only past a survivor.
+    /// A band whose presence bound is at or above the cutoff returns at
+    /// once. Otherwise the pass finds the first expired entry, compacts
+    /// what follows without a branch per entry (every entry is written to
+    /// the next free slot, which advances only past a survivor) and leaves
+    /// the bound at the oldest survivor's id, so the next cycle's sweep of
+    /// an unchanged band is one comparison again.
     pub fn expire_before(&mut self, cutoff: TupleId) -> Option<usize> {
         debug_assert!(self.is_merged(), "staged arrivals outlived their cycle");
         if self.min_id >= cutoff {
-            // Every retained entry is at least as new as the cutoff.
             return None;
         }
-        // Everything below the cutoff goes, so it becomes the new presence
-        // lower bound.
-        self.min_id = cutoff;
+        let k = self.k as u32;
         let n = self.dcs.len();
         let (scored, dcs) = (&mut self.scored[..n], &mut self.dcs[..n]);
-        let first = scored.iter().position(|e| e.id < cutoff)?;
+        // Footnote 5: an expired member has fewer than k newer entries
+        // ranking above it, so it is in the top-k of the window it leaves.
+        debug_assert!(
+            (0..n).all(|i| scored[i].id >= cutoff || newer_than(&scored[..i], scored[i].id) < k),
+            "an expiring skyband member must be in the top-k (footnote 5)"
+        );
+        let mut oldest = TupleId(u64::MAX);
+        let first = scored.iter().position(|e| {
+            let expired = e.id < cutoff;
+            if !expired {
+                oldest = oldest.min(e.id);
+            }
+            expired
+        });
+        let Some(first) = first else {
+            self.min_id = oldest;
+            return None;
+        };
         let mut write = first;
         for read in first + 1..n {
             let e = scored[read];
             scored[write] = e;
             dcs[write] = dcs[read];
-            write += usize::from(e.id >= cutoff);
+            let live = e.id >= cutoff;
+            oldest = oldest.min(if live { e.id } else { TupleId(u64::MAX) });
+            write += usize::from(live);
         }
+        self.min_id = oldest;
         self.scored.truncate(write);
         self.dcs.truncate(write);
         Some(first)
@@ -639,8 +638,8 @@ mod tests {
 
         // p3 expires first — it already left the band; then p2 expires and
         // the result becomes {p9, p5} as in the paper.
-        assert_eq!(sky.expire(TupleId(0)), None);
-        assert_eq!(sky.expire(TupleId(1)), Some(0));
+        assert_eq!(sky.expire_before(TupleId(1)), None);
+        assert_eq!(sky.expire_before(TupleId(2)), Some(0));
         let top: Vec<u64> = sky.top_scored().iter().map(|e| e.id.0).collect();
         assert_eq!(top, vec![4, 3]);
     }
@@ -702,7 +701,7 @@ mod tests {
         assert_eq!(sky.len(), 2);
         let top: Vec<u64> = sky.top_scored().iter().map(|e| e.id.0).collect();
         assert_eq!(top, vec![0], "older equal-score tuple is the result now");
-        assert_eq!(sky.expire(TupleId(0)), Some(0));
+        assert_eq!(sky.expire_before(TupleId(1)), Some(0));
         let top: Vec<u64> = sky.top_scored().iter().map(|e| e.id.0).collect();
         assert_eq!(top, vec![1], "newer takes over after expiry");
     }
@@ -725,11 +724,11 @@ mod tests {
         shuffled.check_invariants();
         assert_eq!(in_order.scored(), shuffled.scored());
         assert_eq!(in_order.dcs(), shuffled.dcs());
-        // Batch expiry may also drain in any order.
-        assert!(shuffled.expire(TupleId(13)).is_some());
-        assert!(shuffled.expire(TupleId(11)).is_some());
+        // The band is {11, 13, 12}: 10 had two newer entries above it.
+        // Expiring up to 12 takes the leader, and 13 slides up.
+        assert_eq!(shuffled.expire_before(TupleId(12)), Some(0));
         let top: Vec<u64> = shuffled.top_scored().iter().map(|e| e.id.0).collect();
-        assert_eq!(top, vec![12]);
+        assert_eq!(top, vec![13, 12]);
     }
 
     /// A band with dominance parameter `k_max > k` serves exact top-k
@@ -746,7 +745,7 @@ mod tests {
             valid.push(cand);
             if i % 3 == 2 {
                 let victim = valid.remove(0);
-                sky.expire(victim.id);
+                sky.expire_before(TupleId(victim.id.0 + 1));
             }
             let mut want = valid.clone();
             want.sort_by(|a, b| b.cmp(a));
@@ -755,12 +754,23 @@ mod tests {
         }
     }
 
+    /// A cutoff below every entry changes nothing, whether the presence
+    /// bound rejects it at once or, left stale-low by an insert that
+    /// dropped the oldest entry, the scan finds no member to remove and
+    /// raises the bound to the oldest survivor.
     #[test]
     fn expire_non_member_is_noop() {
         let mut sky = Skyband::new(2).unwrap();
         sky.rebuild(&[s(0.9, 5), s(0.8, 6)]);
-        assert_eq!(sky.expire(TupleId(4)), None);
+        assert_eq!(sky.expire_before(TupleId(5)), None);
         assert_eq!(sky.len(), 2);
+
+        let mut sky = Skyband::new(1).unwrap();
+        sky.rebuild(&[s(0.5, 3)]);
+        sky.insert(s(0.9, 5));
+        assert_eq!((sky.len(), sky.min_id), (1, TupleId(3)), "stale-low bound");
+        assert_eq!(sky.expire_before(TupleId(4)), None);
+        assert_eq!((sky.len(), sky.min_id), (1, TupleId(5)));
     }
 
     #[test]
@@ -769,7 +779,7 @@ mod tests {
         sky.rebuild(&[s(0.9, 0), s(0.8, 1)]);
         assert!(!sky.is_deficient());
         assert_eq!(sky.kth(), Some(s(0.8, 1)));
-        sky.expire(TupleId(0));
+        sky.expire_before(TupleId(1));
         assert!(sky.is_deficient());
         assert_eq!(sky.kth(), None);
     }
@@ -969,7 +979,7 @@ mod tests {
                 valid.push(cand);
                 if i % expire_every == 0 && !valid.is_empty() {
                     let victim = valid.remove(0);
-                    sky.expire(victim.id);
+                    sky.expire_before(TupleId(victim.id.0 + 1));
                 }
                 sky.check_invariants();
                 let got: Vec<TupleId> =
@@ -994,7 +1004,7 @@ mod tests {
                 valid.push(cand);
                 if i % 2 == 0 {
                     let victim = valid.remove(0);
-                    sky.expire(victim.id);
+                    sky.expire_before(TupleId(victim.id.0 + 1));
                 }
                 let mut want = valid.clone();
                 want.sort_by(|a, b| b.cmp(a));
@@ -1041,7 +1051,8 @@ mod tests {
                             valid.drain(..cut);
                         }
                         6 if !valid.is_empty() => {
-                            sky.expire(valid.remove(0).id);
+                            let victim = valid.remove(0);
+                            sky.expire_before(TupleId(victim.id.0 + 1));
                         }
                         7 => {
                             let mut top = valid.clone();
@@ -1077,14 +1088,16 @@ mod tests {
             merge_vs_reference(&mut sky, &mut reference, &arrivals);
         }
 
-        /// `expire_before` ≡ per-id `expire` of every entry below the
-        /// cutoff, oldest first: same entries and counters left, the same
-        /// first (smallest) position returned, and the presence bound
-        /// raised to the cutoff. Bands are built by inserts, rebuilds and
-        /// per-id expiries over ids with gaps; every cutoff from below the
-        /// oldest entry to above the newest is tried, and the empty band.
+        /// `expire_before` ≡ the naive model `retain(|e| e.id >= cutoff)`
+        /// of the band's entries and counters: the same survivors in the
+        /// same order, the first removed position, and the presence bound
+        /// left exactly at the oldest survivor after a scan (untouched when
+        /// the bound rejects the cutoff at once). Bands are built by
+        /// inserts, rebuilds and FIFO cutoffs over ids with gaps, so a
+        /// bound may be stale-low; every cutoff from below the oldest entry
+        /// to above the newest is tried, and the empty band.
         #[test]
-        fn expire_before_equals_per_id_expire(
+        fn expire_before_equals_retain_model(
             k in 1usize..6,
             ops in prop::collection::vec((0u32..8, 0u32..12, 1u64..4), 0..40),
         ) {
@@ -1100,7 +1113,8 @@ mod tests {
                             valid.push(e);
                         }
                         6 if !valid.is_empty() => {
-                            sky.expire(valid.remove(0).id);
+                            let victim = valid.remove(0);
+                            sky.expire_before(TupleId(victim.id.0 + 1));
                         }
                         7 => {
                             let mut top = valid.clone();
@@ -1115,30 +1129,28 @@ mod tests {
             };
             let mut probe = Skyband::new(k).unwrap();
             let newest = build(&mut probe);
+            let before = band_pairs(&probe);
             for cutoff in 0..=newest + 1 {
                 let mut sky = Skyband::new(k).unwrap();
-                let mut reference = Skyband::new(k).unwrap();
                 build(&mut sky);
-                build(&mut reference);
                 let min_id = sky.min_id;
                 let first = sky.expire_before(TupleId(cutoff));
                 sky.check_invariants();
 
-                let mut expired: Vec<TupleId> = reference
-                    .scored()
-                    .iter()
-                    .map(|e| e.id)
-                    .filter(|&id| id < TupleId(cutoff))
-                    .collect();
-                expired.sort();
-                let positions: Vec<usize> = expired
-                    .iter()
-                    .filter_map(|&id| reference.expire(id))
-                    .collect();
-                prop_assert_eq!(positions.len(), expired.len());
-                prop_assert_eq!(first, positions.iter().copied().min());
-                prop_assert_eq!(band_pairs(&sky), band_pairs(&reference));
-                prop_assert_eq!(sky.min_id, min_id.max(TupleId(cutoff)));
+                let mut model = before.clone();
+                model.retain(|&(id, _)| id >= cutoff);
+                prop_assert_eq!(band_pairs(&sky), model.clone());
+                prop_assert_eq!(first, before.iter().position(|&(id, _)| id < cutoff));
+                let oldest = model.iter().map(|&(id, _)| TupleId(id)).min();
+                let bound = if min_id >= TupleId(cutoff) {
+                    min_id
+                } else {
+                    oldest.unwrap_or(TupleId(u64::MAX))
+                };
+                prop_assert_eq!(sky.min_id, bound);
+                if let Some(oldest) = oldest {
+                    prop_assert!(sky.min_id <= oldest);
+                }
 
                 let mut empty = Skyband::new(k).unwrap();
                 prop_assert_eq!(empty.expire_before(TupleId(cutoff)), None);

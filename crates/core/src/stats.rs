@@ -32,17 +32,16 @@ pub struct EngineStats {
     /// Arrivals a query's band *kept*: admitted by the threshold and not
     /// already dominated `depth` times on arrival.
     pub result_updates: u64,
-    /// Per-(cell run × query) influence-list probes: how often a query was
-    /// pulled out of a cell's influence list during event replay. With
-    /// cell-grouped replay each cell's list is walked once per tick, so
-    /// this counts the *bookkeeping* cost of a cycle.
+    /// Per-(arrival run × query) influence-list probes: how often a query
+    /// was pulled out of a cell's influence list during arrival replay.
+    /// With cell-grouped replay each listed cell's list is walked once per
+    /// tick, so this counts the *bookkeeping* cost of a cycle's arrivals.
+    /// Expiry probes no list.
     pub cell_probes: u64,
-    /// Per-(tuple × query) probes: entries of a run's coordinate block
-    /// streamed through the scoring kernels during event replay (or
-    /// removal tests on the expiry side). This is the paper-comparable
-    /// "influence probe" count (an event × every query listed in its
-    /// cell), identical to what the pre-grouped replay loop counted —
-    /// Figure-reproduction binaries report this number.
+    /// Per-(tuple × query) probes: entries of an arrival run's coordinate
+    /// block streamed through the scoring kernels (an arrival × every
+    /// query listed in its cell, the paper's influence probe), plus one
+    /// per band per cycle for the expiry sweep at the window's cutoff.
     pub tuple_probes: u64,
 }
 

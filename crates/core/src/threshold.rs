@@ -9,17 +9,19 @@
 //! shared ones: an [`IngestState`] stores the tuples, the queries live in
 //! the query table every grid stage uses (`crate::influence`), whose
 //! best-corner walk lists a query's static region, and each cycle the
-//! table groups the arrivals and expiries in listed cells by cell
+//! table groups the arrivals in listed cells by cell
 //! ([`crate::influence::ListedEvents`]) and they are replayed against
-//! those lists.
+//! those lists. Expiry needs no lists: each query keeps its matches in
+//! arrival (id) order, and windows are FIFO, so the matches that expired
+//! are the prefix below the window's oldest id.
+
+use std::collections::VecDeque;
 
 use crate::influence::{QueryTable, TableEntry};
 use crate::ingest::{GridSpec, IngestState};
 use crate::kernel;
 use crate::maintenance::live_suffix;
-use tkm_common::{
-    FxHashSet, HeapBytes, QueryId, Rect, Result, ScoreFn, Scored, Timestamp, TkmError, TupleId,
-};
+use tkm_common::{HeapBytes, QueryId, Rect, Result, ScoreFn, Scored, Timestamp, TkmError, TupleId};
 use tkm_grid::{Grid, StoredIds};
 use tkm_window::{Timeline, WindowSpec};
 
@@ -27,8 +29,9 @@ use tkm_window::{Timeline, WindowSpec};
 pub(crate) struct ThresholdQuery {
     f: ScoreFn,
     threshold: f64,
-    /// Currently matching tuples.
-    matching: FxHashSet<TupleId>,
+    /// Currently matching tuples, in id order: a cycle pops the expired
+    /// prefix and appends its admissions, all newer than any match.
+    matching: VecDeque<TupleId>,
     /// Tuples that started matching in the last tick.
     added: Vec<Scored>,
     /// Tuples that stopped matching (expired) in the last tick.
@@ -38,15 +41,21 @@ pub(crate) struct ThresholdQuery {
 impl ThresholdQuery {
     /// Streams a block of a cell's coordinate-inline points through the
     /// scoring kernel (no window resolution per tuple); those above the
-    /// threshold start matching.
+    /// threshold are admitted into `added`.
     fn admit(&mut self, dims: usize, ids: StoredIds<'_>, coords: &[f64]) {
-        let (threshold, matching, added) = (self.threshold, &mut self.matching, &mut self.added);
+        let (threshold, added) = (self.threshold, &mut self.added);
         kernel::scan_block(&self.f, dims, ids, coords, None, |id, score| {
             if score > threshold {
-                matching.insert(id);
                 added.push(Scored::new(score, id));
             }
         });
+    }
+
+    /// Puts the admissions, collected cell by cell, into arrival order and
+    /// appends them to the matches.
+    fn commit(&mut self) {
+        self.added.sort_unstable_by_key(|s| s.id);
+        self.matching.extend(self.added.iter().map(|s| s.id));
     }
 }
 
@@ -126,7 +135,7 @@ impl ThresholdMonitor {
         let state = ThresholdQuery {
             f,
             threshold,
-            matching: FxHashSet::default(),
+            matching: VecDeque::new(),
             added: Vec::new(),
             removed: Vec::new(),
         };
@@ -143,8 +152,7 @@ impl ThresholdMonitor {
             influence.insert(cell, slot);
             true
         });
-        let (_, st) = self.table.slot_mut(slot);
-        st.added.sort_unstable_by_key(|s| s.id);
+        self.table.slot_mut(slot).1.commit();
         Ok(())
     }
 
@@ -163,10 +171,13 @@ impl ThresholdMonitor {
     pub fn tick(&mut self, now: Timestamp, arrivals: &[f64]) -> Result<()> {
         let Self { ingest, table } = self;
         ingest.ingest(now, arrivals)?;
+        let cutoff = ingest.timeline().oldest().unwrap_or(TupleId(u64::MAX));
         let (influence, queries, events) = table.group_events(ingest);
         for q in queries.states_mut() {
             q.added.clear();
             q.removed.clear();
+            let expired = q.matching.partition_point(|&id| id < cutoff);
+            q.removed.extend(q.matching.drain(..expired));
         }
         let dims = ingest.dims();
         for (cell, ids) in events.arrival_runs() {
@@ -180,21 +191,8 @@ impl ThresholdMonitor {
                 }
             }
         }
-        for (cell, ids) in events.expiry_runs() {
-            for &slot in influence.as_slice(cell) {
-                let (_, st) = queries.slot_mut(slot);
-                for id in ids {
-                    if st.matching.remove(id) {
-                        st.removed.push(*id);
-                    }
-                }
-            }
-        }
-        // The runs are grouped by cell; the deltas are reported in arrival
-        // order.
         for q in queries.states_mut() {
-            q.added.sort_unstable_by_key(|s| s.id);
-            q.removed.sort_unstable();
+            q.commit();
         }
         Ok(())
     }
@@ -211,8 +209,8 @@ impl ThresholdMonitor {
         Ok(&self.table.get(id)?.removed)
     }
 
-    /// The full current matching set (unordered).
-    pub fn matching(&self, id: QueryId) -> Result<&FxHashSet<TupleId>> {
+    /// The full current matching set, in arrival (id) order.
+    pub fn matching(&self, id: QueryId) -> Result<&VecDeque<TupleId>> {
         Ok(&self.table.get(id)?.matching)
     }
 

@@ -328,24 +328,26 @@ fn storm_counters<M: tkm_core::QueryMaintenance>(warm: bool) -> [u64; 5] {
 /// band at threshold −∞: TMA must take its cap-tightening path (16
 /// recomputations), SMA must never (the 8 registrations only) — so the
 /// rows differ wherever the policies do, and a merged stage that confuses
-/// them fails here. Columns 0, 3 and 4 (which queries recompute, what the
-/// replay probes) are the decisions and predate the single recomputation
-/// path; columns 1 and 2 are its execution: one traversal per query, each
-/// walking its own influence region.
+/// them fails here. Column 0 (which queries recompute) is the decision and
+/// predates the single recomputation path; columns 1 and 2 are its
+/// execution: one traversal per query, each walking its own influence
+/// region. Columns 3 and 4 are what the replay probes: the arrival runs'
+/// listed queries and tuples, plus one tuple probe per band per cycle for
+/// the expiry sweep at the window's cutoff.
 #[test]
 fn policies_do_the_work_of_the_engines_they_replaced() {
     use tkm_core::{SmaMaintenance, TmaMaintenance};
     assert_eq!(
         storm_counters::<TmaMaintenance>(false),
-        [16, 16, 461, 1710, 2518]
+        [16, 16, 461, 1438, 2438]
     );
     assert_eq!(
         storm_counters::<SmaMaintenance>(false),
-        [8, 8, 288, 1720, 2528]
+        [8, 8, 288, 1448, 2448]
     );
     assert_eq!(
         storm_counters::<TmaMaintenance>(true),
-        [20, 20, 466, 1516, 2180]
+        [20, 20, 466, 1244, 2092]
     );
     // A band that drains below `k` while holding the whole window takes one
     // last underfilling traversal that resets its threshold to −∞ (the
@@ -354,7 +356,7 @@ fn policies_do_the_work_of_the_engines_they_replaced() {
     // threshold.
     assert_eq!(
         storm_counters::<SmaMaintenance>(true),
-        [32, 32, 848, 1490, 2147]
+        [32, 32, 848, 1223, 2064]
     );
 }
 

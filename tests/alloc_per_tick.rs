@@ -8,8 +8,8 @@
 //!
 //! * A warm `IngestState::ingest` call allocates nothing: cells are chunk
 //!   chains in one arena that stops growing once the window is full, the
-//!   cell ring, the timeline's timestamp runs and the two event-cell
-//!   buffers keep their capacity.
+//!   cell ring, the timeline's timestamp runs and the arrival-cell
+//!   buffer keep their capacity.
 //! * Reporting a cycle's result changes costs one heap allocation per
 //!   tick — the batch buffer `take_deltas` hands out — however many
 //!   queries are registered and however many of them changed. Twin
@@ -35,10 +35,10 @@
 //! | `Grid::{locate_batch, push_at, remove_at}`, `PointArena::{push, remove}` | ingest alone, both streams |
 //! | `Grid::{insert_point, remove_point, maxscore}`, `kernel::score_point` | bare grid replay (no engine calls them per tick) |
 //! | `BandMaintenance::{apply_events, recompute, drain_changes}` | twin servers, both streams |
-//! | `ListedEvents::group` (the grouping buffers: run table, runs, ids; the ids reserved for the cycle's whole event count) | twin servers, both streams: `apply_events` groups first |
+//! | `ListedEvents::group` (the grouping buffers: run table, runs, ids; the ids reserved for the cycle's whole arrival count) | twin servers, both streams: `apply_events` groups first |
 //! | the arrival replay's kernel scan (`kernel::Dims::scan`, the body of `kernel::scan_block`), `CellPoints::tail` | twin servers: arrival replay (`storm`'s constrained query takes the filter branch) |
-//! | `Skyband::{stage, merge, insert, expire}`, `tkm_core::skyband::sweep` | twin servers: arrival and expiry replay |
-//! | `Skyband::expire_before` | twin servers on `storm`: a hot group's expiry exceeds the probe budget |
+//! | `Skyband::{stage, merge, insert}`, `tkm_core::skyband::sweep` | twin servers: arrival replay |
+//! | `Skyband::expire_before` | twin servers, both streams: every band is swept at the window's cutoff every tick |
 //! | `compute_topk`, `Skyband::rebuild`, `TopList::append_boundary_ties` | twin servers: the ticks that recompute |
 //! | `influence::cleanup_from_frontier` | twin servers on `storm`: the constrained query's band never fills, so each of its recomputations is a resync |
 //! | `ResultDelta::report` | twin servers: the tracked twin's `drain_changes` |

@@ -4,9 +4,10 @@
 //! transients, and Hash-mode removals — and the engines built on the
 //! cells must keep reporting the brute-force oracle's results. The
 //! staged batch ingest (`IngestState::ingest`) is held, cycle by cycle, to
-//! the per-tuple window→grid loop it replaced — its raw event cells, and
+//! the per-tuple window→grid loop it replaced — its raw arrival cells, and
 //! the query table's grouping of them (`ListedEvents`), to that loop's
-//! events — and the per-cycle band merge
+//! arrivals, and its window's cutoff to that loop's expiries — and the
+//! per-cycle band merge
 //! (arrivals staged per query, folded in by one sweep) to the oracle on
 //! the cycles that stress it: floods, overrun bursts, expiry waves.
 
@@ -68,7 +69,7 @@ struct PerTupleIngest {
     window: Window,
     grid: Grid,
     arrivals: Vec<(CellId, TupleId)>,
-    expiries: Vec<(CellId, TupleId)>,
+    expiries: Vec<TupleId>,
     stats: IngestStats,
 }
 
@@ -100,14 +101,14 @@ impl PerTupleIngest {
             stats.arrivals += 1;
         }
         window.drain_expired(now, |id, coords| {
-            let cell = grid.remove_point(coords, id).expect("lockstep");
-            expiries.push((cell, id));
+            grid.remove_point(coords, id).expect("lockstep");
+            expiries.push(id);
             stats.expirations += 1;
         });
     }
 }
 
-/// Checks one kind of runs against the reference's flat event list: one
+/// Checks the grouped runs against the reference's flat event list: one
 /// run per distinct cell, FIFO (ascending id) order inside a run, and the
 /// runs together exactly the cycle's `(cell, id)` events in listed cells.
 fn assert_runs_cover<'a>(
@@ -152,7 +153,7 @@ fn assert_staged_matches(staged: &IngestState, reference: &PerTupleIngest, conte
             "{context}: points of {cid:?}"
         );
     }
-    // The stage keeps every event's cell, in id order.
+    // The stage keeps every arrival's cell, in id order.
     let events = |(first, cells): (TupleId, &[CellId])| -> Vec<(CellId, TupleId)> {
         (first.0..)
             .map(TupleId)
@@ -165,12 +166,18 @@ fn assert_staged_matches(staged: &IngestState, reference: &PerTupleIngest, conte
         reference.arrivals,
         "{context}: arrival cells"
     );
-    assert_eq!(
-        events(staged.expiry_cells()),
-        reference.expiries,
-        "{context}: expiry cells"
-    );
-    // A query table groups the events in its listed cells: with every
+    // The expiry set is the window's cutoff: the reference's expiries are
+    // the dense id run just below the staged window's oldest id (below the
+    // next id once the window is empty), and the cells compared above no
+    // longer hold them.
+    let (first, arrived) = staged.arrival_cells();
+    let cutoff = timeline
+        .oldest()
+        .map_or(first.0 + arrived.len() as u64, |id| id.0);
+    let expired = &reference.expiries;
+    let below = (cutoff - expired.len() as u64..cutoff).map(TupleId);
+    assert!(expired.iter().copied().eq(below), "{context}: expiries");
+    // A query table groups the arrivals in its listed cells: with every
     // cell listed, and with every other one.
     for step in [1, 2] {
         let listed = |cell: CellId| cell.0.is_multiple_of(step);
@@ -190,11 +197,6 @@ fn assert_staged_matches(staged: &IngestState, reference: &PerTupleIngest, conte
             grouped.arrival_runs(),
             &kept(&reference.arrivals),
             &format!("{context}: arrivals"),
-        );
-        assert_runs_cover(
-            grouped.expiry_runs(),
-            &kept(&reference.expiries),
-            &format!("{context}: expiries"),
         );
         // Tail-slice invariant: a run's still-live tuples are the newest
         // points of the cell, ids and coordinates alike.

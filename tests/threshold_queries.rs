@@ -105,6 +105,58 @@ fn time_window_thresholds() {
     }
 }
 
+/// On a time window with bursts, the matching set is kept in id order,
+/// and each tick's `removed` is the prefix of the previous matches that
+/// fell below the window's oldest id, in the same order; the rest
+/// followed by `added` is the new set. A gap in the timestamps drains
+/// the whole window once.
+#[test]
+fn matching_is_id_ordered_and_removed_is_its_expired_prefix() {
+    let dims = 2;
+    let mut m =
+        ThresholdMonitor::new(dims, WindowSpec::Time(3), GridSpec::PerDim(5)).expect("config");
+    let f = ScoreFn::linear(vec![1.0, 1.0]).unwrap();
+    m.register_query(QueryId(0), f.clone(), 0.9)
+        .expect("register");
+    let mut stream = BatchGen::new(dims, DataDist::Ind, 23);
+    let (mut burst_popped, mut drained) = (false, false);
+    for t in 0..40u64 {
+        let before: Vec<TupleId> = m
+            .matching(QueryId(0))
+            .expect("matching")
+            .iter()
+            .copied()
+            .collect();
+        let n = if t % 9 < 2 { 60 } else { 2 + (t % 4) as usize };
+        let now = if t < 25 { t } else { t + 10 };
+        m.tick(Timestamp(now), &stream.batch(n)).expect("tick");
+        let matching: Vec<TupleId> = m
+            .matching(QueryId(0))
+            .expect("matching")
+            .iter()
+            .copied()
+            .collect();
+        assert!(
+            matching.windows(2).all(|w| w[0] < w[1]),
+            "tick {t}: not in id order"
+        );
+        let removed = m.removed(QueryId(0)).expect("removed");
+        let cutoff = m.timeline().oldest().unwrap_or(TupleId(u64::MAX));
+        assert_eq!(
+            removed,
+            &before[..before.partition_point(|id| *id < cutoff)],
+            "tick {t}"
+        );
+        let mut want = before[removed.len()..].to_vec();
+        want.extend(m.added(QueryId(0)).expect("added").iter().map(|s| s.id));
+        assert_eq!(matching, want, "tick {t}");
+        assert_eq!(matching, brute(m.grid(), &f, 0.9), "tick {t}");
+        burst_popped |= removed.len() > 10;
+        drained |= !before.is_empty() && removed.len() == before.len();
+    }
+    assert!(burst_popped && drained);
+}
+
 /// A burst larger than a count window: the tuples that arrive and expire
 /// within the cycle never matched at a cycle boundary, so they appear in
 /// neither delta (they used to be reported in both), the deltas still
